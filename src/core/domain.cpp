@@ -8,6 +8,13 @@
 
 namespace spindle::core {
 
+namespace {
+// Per-predicate DRR weight of the sequencer's grant predicate: grants are
+// latency-critical (every multi-shard send round-trips through them), so
+// they debit the sequencer group's deficit at 1/4 of their real cost.
+constexpr std::uint32_t kGrantPredicateWeight = 4;
+}  // namespace
+
 /// Per-sender cross-shard request state. One outstanding gsn request per
 /// node (the mutex), so the single grant-column pair per sender can never
 /// be overwritten before the requester has read it.
@@ -75,7 +82,6 @@ OrderingDomain::OrderingDomain(Cluster& cluster, DomainConfig cfg)
     sc.members = cfg_.members;
     sc.senders = cfg_.senders;
     sc.opts = cfg_.opts;
-    sc.weight = cfg_.shard_weight;
     shard_sgs_.push_back(cluster_.create_subgroup(std::move(sc)));
   }
   if (cfg_.shards > 1) register_sequencer();
@@ -155,13 +161,12 @@ void OrderingDomain::register_sequencer() {
     g.tag = 0xFFFFFFFFu;  // not a subgroup: sentinel tag for trace hooks
     g.lock = &n.lock();
     g.early_release = cfg_.opts.early_lock_release;
-    g.weight = cfg_.sequencer_weight;
     g.scan_interval = cluster_.config().scan_interval;
     const auto gid = p.add_group(std::move(g));
 
     sst::Predicates::PredicateOptions po;
     po.name = cfg_.name + ".grant";
-    po.weight = cfg_.sequencer_predicate_weight;
+    po.weight = kGrantPredicateWeight;
     Node* np = &n;
     po.fire = [this, np](sst::TriggerContext& ctx) {
       return sequencer_grant(*np, ctx);

@@ -62,19 +62,11 @@ struct DomainConfig {
   /// Defaults to `members` when empty.
   std::vector<net::NodeId> senders;
   ProtocolOptions opts;
-  /// DRR weight of each shard subgroup's predicate group.
-  std::uint32_t shard_weight = 1;
   /// The node running the cross-shard sequencer (must be a member; only
   /// meaningful with shards > 1).
   net::NodeId sequencer = 0;
   /// How senders obtain global sequence numbers from that node.
   SequencerKind sequencer_mode = SequencerKind::sst;
-  /// DRR weight of the sequencer's predicate group on the sequencer node.
-  std::uint32_t sequencer_weight = 1;
-  /// Per-predicate DRR weight of the grant predicate itself: grants are
-  /// latency-critical (every multi-shard send round-trips through them), so
-  /// by default they debit the group's deficit at 1/4 of their real cost.
-  std::uint32_t sequencer_predicate_weight = 4;
 };
 
 /// One message of the domain's merged stream.

@@ -19,13 +19,6 @@ void ClusterConfig::validate() const {
         "ClusterConfig: drr needs scan_interval >= 1ns (the cold-subgroup "
         "probe bound)");
   }
-  if (adaptive_scan &&
-      (adaptive_scan_factor <= 0 || adaptive_scan_min <= 0 ||
-       adaptive_scan_max < adaptive_scan_min)) {
-    throw std::invalid_argument(
-        "ClusterConfig: adaptive_scan needs factor > 0 and "
-        "0 < adaptive_scan_min <= adaptive_scan_max");
-  }
   if (sim_threads == 0) {
     throw std::invalid_argument(
         "ClusterConfig: sim_threads must be >= 1 (1 = serial engine)");
@@ -42,7 +35,7 @@ Cluster::Cluster(ClusterConfig cfg)
       owned_engine_(parallel_ ? nullptr : std::make_unique<sim::Engine>()),
       owned_fabric_(std::make_unique<net::Fabric>(
           parallel_ ? parallel_->worker(0) : *owned_engine_, cfg.timing,
-          cfg.nodes)),
+          cfg.nodes, cfg.seed)),
       engine_(parallel_ ? &parallel_->worker(0) : owned_engine_.get()),
       fabric_(owned_fabric_.get()),
       owned_tracer_(std::make_unique<trace::Tracer>(cfg.trace, cfg.nodes)),
@@ -61,8 +54,7 @@ Cluster::Cluster(ClusterConfig cfg)
       engine_of[i] = &parallel_->worker(part_of[i]);
     }
     fabric_->configure_partitions(std::move(engine_of), std::move(part_of),
-                                  parallel_->workers(),
-                                  cfg.seed ^ 0xfab51cULL);
+                                  parallel_->workers());
     parallel_->set_merge_hook(
         [this](std::size_t p) { fabric_->merge_arrivals(p); });
   }
@@ -349,6 +341,7 @@ void Cluster::shutdown() {
 }
 
 void Cluster::crash(net::NodeId id) {
+  Node& victim = node(id);  // throws std::out_of_range for a non-member
   if (parallel_) {
     // isolate() flips a flag every partition reads mid-window — there is no
     // race-free crash story under the parallel engine (and no view layer on
@@ -358,7 +351,7 @@ void Cluster::crash(net::NodeId id) {
         "experiments run under ManagedGroup, which is serial");
   }
   fabric_->isolate(id);
-  nodes_[id]->stop();
+  victim.stop();
 }
 
 std::uint64_t Cluster::total_delivered(SubgroupId sg) const {

@@ -29,17 +29,6 @@ struct ClusterConfig {
   /// DRR only: probe period for subgroups demoted onto the scan lane —
   /// the latency bound for a cold subgroup's first message under load.
   sim::Nanos scan_interval = sim::micros(25);
-  /// DRR only: derive the probe period from the scheduler's observed round
-  /// cost (integer EWMA) instead of the fixed scan_interval — probes stay a
-  /// bounded ~1/adaptive_scan_factor fraction of useful work whether the
-  /// node is lightly or heavily loaded. The interval is clamped to
-  /// [adaptive_scan_min, adaptive_scan_max]; scan_interval still seeds the
-  /// very first rounds (EWMA empty). Off by default: the fixed-interval
-  /// path stays bit-identical.
-  bool adaptive_scan = false;
-  double adaptive_scan_factor = 16.0;
-  sim::Nanos adaptive_scan_min = sim::micros(5);
-  sim::Nanos adaptive_scan_max = sim::micros(250);
   /// Simulation worker threads. 1 (default) = the serial engine, unchanged.
   /// > 1 = conservative-lookahead parallel execution (sim::ParallelEngine):
   /// nodes are block-partitioned across min(sim_threads, nodes) workers and
@@ -200,7 +189,8 @@ class Cluster {
     return subgroup_configs_.size();
   }
 
-  /// Crash a node: isolate it on the fabric and halt its threads.
+  /// Crash a node: isolate it on the fabric and halt its threads. Throws
+  /// std::out_of_range when `id` is not a member of this cluster.
   void crash(net::NodeId id);
 
   /// Total application messages delivered by every member of `sg`

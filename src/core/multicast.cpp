@@ -61,10 +61,6 @@ void Node::setup_predicates() {
   cfg.idle_backoff_min = cpu.idle_backoff_min;
   cfg.idle_backoff_max = cpu.idle_backoff_max;
   cfg.discipline = cluster_.config().discipline;
-  cfg.adaptive_scan = cluster_.config().adaptive_scan;
-  cfg.adaptive_scan_factor = cluster_.config().adaptive_scan_factor;
-  cfg.adaptive_scan_min = cluster_.config().adaptive_scan_min;
-  cfg.adaptive_scan_max = cluster_.config().adaptive_scan_max;
   if (cfg.discipline == sst::Discipline::drr) {
     cfg.on_service = [this](const sst::Predicates::GroupOptions& g,
                             sst::ServiceReason reason, std::int64_t deficit) {

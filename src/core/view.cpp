@@ -15,7 +15,7 @@ std::uint64_t bit(net::NodeId id) { return 1ull << id; }
 ManagedGroup::ManagedGroup(Config cfg, SubgroupLayout layout)
     : cfg_(cfg),
       layout_(std::move(layout)),
-      fabric_(engine_, cfg.timing, cfg.nodes),
+      fabric_(engine_, cfg.timing, cfg.nodes, cfg.seed),
       tracer_(cfg.trace, cfg.nodes),
       rng_(cfg.seed ^ 0x5bd1e995u) {
   if (cfg.nodes == 0 || cfg.nodes > 64) {

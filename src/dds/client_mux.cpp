@@ -61,20 +61,12 @@ ClientMux::ClientMux(Domain& domain, std::uint32_t mux_id, std::uint8_t topic,
       topic_(topic),
       gateway_(gateway),
       relay_(relay),
-      cfg_(std::move(cfg)),
-      credits_limit_(cfg_.credits) {
+      cfg_(std::move(cfg)) {
   if (cfg_.ring_window < 2) {
     throw std::invalid_argument("ClientMux: ring_window must be >= 2");
   }
   if (cfg_.credits == 0) {
     throw std::invalid_argument("ClientMux: credit pool must be >= 1");
-  }
-  if (cfg_.adaptive_credits &&
-      (cfg_.min_credits == 0 || cfg_.min_credits > cfg_.credits ||
-       cfg_.credit_target_delay <= 0)) {
-    throw std::invalid_argument(
-        "ClientMux: adaptive_credits needs 1 <= min_credits <= credits and "
-        "a positive credit_target_delay");
   }
   const std::uint32_t max_sample = domain_.topic_max_sample(topic_);
   if (max_sample <= sizeof(RpcEnvelope)) {
@@ -155,7 +147,7 @@ Session* ClientMux::connect(SessionLink link) {
 metrics::RelayTierStats ClientMux::tier_stats() const {
   metrics::RelayTierStats t = tier_;
   t.credits_available = credits_available();
-  t.credits_effective = credits_limit_;
+  t.credits_effective = cfg_.credits;
   t.credit_waiters = credit_waiters_;
   t.sessions_live = live_sessions_;
   return t;
@@ -207,7 +199,6 @@ bool ClientMux::relay_stopped() const {
 
 void ClientMux::return_credit() noexcept {
   if (credits_out_ > 0) --credits_out_;
-  if (cfg_.adaptive_credits) resize_credit_pool();
   // FIFO hand-off: the freed credit goes to the oldest parked request, not
   // to whichever coroutine happens to run next — without this, arrivals cut
   // the line and a parked request's wait grows with the run length.
@@ -218,24 +209,6 @@ void ClientMux::return_credit() noexcept {
     w->granted = true;
   }
   credit_signal_->signal();
-}
-
-void ClientMux::resize_credit_pool() noexcept {
-  // Little's law: a pool of credit_target_delay / mean inter-return gap
-  // keeps the in-flight backlog worth about one target delay of service.
-  // Integer EWMA end to end, so adaptive runs stay deterministic.
-  const sim::Nanos now = domain_.engine().now();
-  if (last_credit_return_ >= 0) {
-    sim::Nanos gap = now - last_credit_return_;
-    if (gap < 1) gap = 1;  // same-instant burst: treat as max service rate
-    credit_gap_ewma_ =
-        credit_gap_ewma_ == 0 ? gap : (7 * credit_gap_ewma_ + gap) / 8;
-    const auto derived =
-        static_cast<std::uint64_t>(cfg_.credit_target_delay / credit_gap_ewma_);
-    credits_limit_ = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
-        derived, cfg_.min_credits, cfg_.credits));
-  }
-  last_credit_return_ = now;
 }
 
 sim::Co<ReplyStatus> ClientMux::admit(Session& s) {

@@ -42,19 +42,6 @@ struct MuxConfig {
   /// round trip ends — at the gateway demux of the reply for a request, at
   /// the relay's delivery observation for a publish.
   std::uint32_t credits = 128;
-  /// Adaptive credit sizing: derive the effective pool from the observed
-  /// credit-return rate (integer EWMA of inter-return gaps) via Little's
-  /// law — pool ~= credit_target_delay / mean gap — clamped to
-  /// [min_credits, credits]. A slowed relay shrinks the pool, so
-  /// backpressure engages at the admission watermark instead of deep in
-  /// the relay pipeline; recovery grows it back. Off by default: the
-  /// fixed pool is exactly `credits`.
-  bool adaptive_credits = false;
-  /// Adaptive floor — the pool never collapses below this.
-  std::uint32_t min_credits = 8;
-  /// Adaptive target: the in-flight backlog should be worth about this
-  /// much service time (Little's law residence bound).
-  sim::Nanos credit_target_delay = sim::micros(500);
   /// Queue-depth watermark: when this many requests are already parked
   /// waiting for a credit, further arrivals are shed with ReplyStatus::busy
   /// instead of queued — the explicit-rejection half of backpressure.
@@ -119,11 +106,8 @@ class ClientMux {
   bool connected() const noexcept { return !disconnected_; }
 
   std::uint32_t credits_available() const noexcept {
-    return credits_limit_ > credits_out_ ? credits_limit_ - credits_out_ : 0;
+    return cfg_.credits > credits_out_ ? cfg_.credits - credits_out_ : 0;
   }
-  /// Current effective pool size (== MuxConfig::credits when adaptive
-  /// sizing is off; the Little's-law derived limit when on).
-  std::uint32_t credits_effective() const noexcept { return credits_limit_; }
   std::uint32_t credit_waiters() const noexcept { return credit_waiters_; }
   std::size_t live_sessions() const noexcept { return live_sessions_; }
 
@@ -167,9 +151,6 @@ class ClientMux {
   /// at the watermark (sets `shed`). Waits while parked below watermark.
   sim::Co<ReplyStatus> admit(Session& s);
   void return_credit() noexcept;
-  /// Adaptive sizing: one credit just returned — fold the inter-return gap
-  /// into the EWMA and re-derive credits_limit_.
-  void resize_credit_pool() noexcept;
   void stage_uplink(std::uint32_t session, std::uint64_t corr,
                     std::uint32_t kind, std::uint8_t topic,
                     std::span<const std::byte> body);
@@ -206,10 +187,7 @@ class ClientMux {
   struct CreditWaiter {
     bool granted = false;  // a returned credit was consumed on our behalf
   };
-  std::uint32_t credits_limit_;       // effective pool size
-  std::uint32_t credits_out_ = 0;     // credits currently in flight
-  sim::Nanos last_credit_return_ = -1;  // adaptive: previous return instant
-  sim::Nanos credit_gap_ewma_ = 0;      // adaptive: inter-return gap EWMA
+  std::uint32_t credits_out_ = 0;  // credits currently in flight
   std::uint32_t credit_waiters_ = 0;
   std::deque<CreditWaiter*> credit_queue_;
   std::unique_ptr<sim::Signal> credit_signal_;

@@ -70,8 +70,7 @@ struct RelayTierStats {
 
   // Occupancy, point-in-time and peak.
   std::uint32_t credits_configured = 0;
-  std::uint32_t credits_effective = 0;  // adaptive pool limit (== configured
-                                        // when adaptive sizing is off)
+  std::uint32_t credits_effective = 0;  // pool limit (== credits_configured)
   std::uint32_t credits_available = 0;
   std::uint32_t credit_waiters = 0;       // requests parked below watermark
   std::uint32_t peak_credit_waiters = 0;

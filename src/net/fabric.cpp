@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <tuple>
 
 namespace spindle::net {
 
 Fabric::Fabric(sim::Engine& engine, const TimingModel& timing,
-               std::size_t n_nodes)
+               std::size_t n_nodes, std::uint64_t seed)
     : engine_(engine),
       timing_(timing),
       n_(n_nodes),
@@ -21,7 +22,9 @@ Fabric::Fabric(sim::Engine& engine, const TimingModel& timing,
       atomics_free_(n_nodes, 0),
       egress_paused_(n_nodes, 0),
       egress_queue_(n_nodes),
-      link_faults_(n_nodes * n_nodes) {
+      link_faults_(n_nodes * n_nodes),
+      jitter_seq_(n_nodes * n_nodes, 0),
+      jitter_seed_(seed ^ 0xfab51cULL) {
   doorbells_.reserve(n_nodes);
   for (std::size_t i = 0; i < n_nodes; ++i) {
     doorbells_.push_back(std::make_unique<sim::Signal>(engine));
@@ -30,8 +33,7 @@ Fabric::Fabric(sim::Engine& engine, const TimingModel& timing,
 
 void Fabric::configure_partitions(std::vector<sim::Engine*> engine_of_node,
                                   std::vector<std::uint32_t> part_of_node,
-                                  std::size_t n_partitions,
-                                  std::uint64_t jitter_seed) {
+                                  std::size_t n_partitions) {
   assert(engine_of_node.size() == n_ && part_of_node.size() == n_);
   assert(regions_.empty() && "configure_partitions before register_region");
   assert(n_partitions >= 1);
@@ -41,8 +43,6 @@ void Fabric::configure_partitions(std::vector<sim::Engine*> engine_of_node,
   part_of_node_ = std::move(part_of_node);
   staged_.assign(n_parts_ * n_parts_, {});
   merge_scratch_.assign(n_parts_, {});
-  jitter_seq_.assign(n_ * n_, 0);
-  jitter_seed_ = jitter_seed;
   pools_.resize(n_parts_);
   // Rebind each doorbell to its node's worker engine, so a delivery
   // signalling it schedules the wake-up on the owning wheel.
@@ -183,13 +183,7 @@ sim::Co<AtomicResult> Fabric::atomic_rmw(NodeId src_node, RegionId dst,
     // channel's egress lane, shaped by any injected link fault.
     const bool control = region.channel == Channel::control &&
                          timing_.separate_control_channel;
-    const LinkFault& lf = link_faults_[src_node * n_ + dst_node];
-    sim::Nanos adder = timing_.latency_adder(16);
-    if (lf.latency_mult != 1.0) {
-      adder = static_cast<sim::Nanos>(static_cast<double>(adder) *
-                                      lf.latency_mult);
-    }
-    if (lf.jitter > 0) adder += jitter_draw(src_node, dst_node, lf.jitter);
+    const sim::Nanos adder = link_latency(src_node, dst_node, 16);
     sim::Nanos& egress =
         control ? control_egress_free_[src_node] : egress_free_[src_node];
     const sim::Nanos egress_end = std::max(egress, eng.now()) +
@@ -262,18 +256,23 @@ std::vector<std::byte>* Fabric::acquire_payload(
   return p;
 }
 
-sim::Nanos Fabric::jitter_draw(NodeId src, NodeId dst, sim::Nanos jitter) {
-  if (!parallel_) {
-    return static_cast<sim::Nanos>(
-        fault_rng_.below(static_cast<std::uint64_t>(jitter)));
+sim::Nanos Fabric::link_latency(NodeId src, NodeId dst, std::size_t bytes) {
+  // Link-fault shaping (fault injection): scaled latency plus jitter.
+  const LinkFault& lf = link_faults_[src * n_ + dst];
+  sim::Nanos adder = timing_.latency_adder(bytes);
+  if (lf.latency_mult != 1.0) {
+    adder = static_cast<sim::Nanos>(static_cast<double>(adder) *
+                                    lf.latency_mult);
   }
-  // The serial fabric draws jitter from one shared RNG, whose consumption
-  // order depends on global event interleaving — per-worker replay cannot
-  // reproduce it. Parallel mode instead hashes (seed, link, per-link draw
-  // counter): deterministic and worker-count-invariant, but a different
-  // sequence than serial (documented in DESIGN.md; the determinism
-  // cross-check therefore compares jittered runs only across worker
-  // counts, not against serial).
+  if (lf.jitter > 0) adder += jitter_draw(src, dst, lf.jitter);
+  return adder;
+}
+
+sim::Nanos Fabric::jitter_draw(NodeId src, NodeId dst, sim::Nanos jitter) {
+  // A hash of (seed, link, per-link draw counter), not one shared RNG: a
+  // link's draws happen in its source node's event order, which every
+  // engine mode and worker count reproduces, whereas a shared RNG's
+  // consumption order depends on the global event interleaving.
   const std::size_t link = src * n_ + dst;
   std::uint64_t x = jitter_seed_ ^ (0x9e3779b97f4a7c15ULL * (link + 1)) ^
                     (++jitter_seq_[link] * 0xd1342543de82ef95ULL);
@@ -290,89 +289,40 @@ void Fabric::transmit(NodeId src_node, RegionId dst, std::size_t dst_offset,
   Region& region = regions_[dst.index];
   const NodeId dst_node = region.node;
   const sim::Nanos occ = timing_.occupancy(payload->size());
+  // The per-QP FIFO clamp keeps writes ordered regardless of the jitter.
+  const sim::Nanos adder = link_latency(src_node, dst_node, payload->size());
 
-  // Link-fault shaping (fault injection): scaled latency plus jitter. The
-  // per-QP FIFO clamp below keeps writes ordered regardless of the draw.
-  const LinkFault& lf = link_faults_[src_node * n_ + dst_node];
-  sim::Nanos adder = timing_.latency_adder(payload->size());
-  if (lf.latency_mult != 1.0) {
-    adder = static_cast<sim::Nanos>(static_cast<double>(adder) *
-                                    lf.latency_mult);
-  }
-  if (lf.jitter > 0) adder += jitter_draw(src_node, dst_node, lf.jitter);
-
+  // Source half: egress serialization at the sender. Control QPs (SST
+  // pushes) carry tiny writes and interleave with bulk traffic packet by
+  // packet: they serialize only among themselves and are never
+  // head-of-line blocked behind an SMC data batch.
   const bool control =
       region.channel == Channel::control && timing_.separate_control_channel;
+  sim::Nanos& egress =
+      control ? control_egress_free_[src_node] : egress_free_[src_node];
+  const sim::Nanos egress_end = std::max(egress, ready) + occ;
+  egress = egress_end;
+  Arrival a{dst, static_cast<std::uint32_t>(dst_offset), payload,
+            egress_end + adder, occ, src_node, dst_node, control};
 
-  if (parallel_) {
-    // Source half only: egress serialization is per source node, so it is
-    // safe on this worker. The destination half (ingress, FIFO clamp,
-    // scheduling) runs at the next lookahead barrier on the destination's
-    // worker — stamped with this event's birth key so the merge can replay
-    // the serial global post order.
-    sim::Nanos base;
-    if (control) {
-      const sim::Nanos egress_end =
-          std::max(control_egress_free_[src_node], ready) + occ;
-      control_egress_free_[src_node] = egress_end;
-      base = egress_end + adder;
-    } else {
-      const sim::Nanos egress_end =
-          std::max(egress_free_[src_node], ready) + occ;
-      egress_free_[src_node] = egress_end;
-      base = egress_end + adder;
-    }
-    sim::Engine& src_engine = *engine_of_node_[src_node];
-    const std::size_t sp = part_of_node_[src_node];
-    const sim::Engine::ContextKey k = src_engine.context_key();
-    const auto [del_pu, del_s] = src_engine.draw_child_key();
-    staged_[sp * n_parts_ + part_of_node_[dst_node]].push_back(Arrival{
-        dst, static_cast<std::uint32_t>(dst_offset), payload, base, occ,
-        src_node, dst_node, control, src_engine.now(), k.b0, k.b1, k.d, k.pu,
-        k.s, del_pu, del_s});
+  if (!parallel_) {
+    deliver_arrival(a);
     return;
   }
-
-  sim::Nanos delivery;
-  if (control) {
-    // Control QPs (SST pushes) carry tiny writes and interleave with bulk
-    // traffic packet by packet: they serialize only among themselves and
-    // are never head-of-line blocked behind an SMC data batch.
-    const sim::Nanos egress_end =
-        std::max(control_egress_free_[src_node], ready) + occ;
-    control_egress_free_[src_node] = egress_end;
-    delivery = egress_end + adder;
-  } else {
-    // Egress serialization at the sender's bulk lane.
-    const sim::Nanos egress_end =
-        std::max(egress_free_[src_node], ready) + occ;
-    egress_free_[src_node] = egress_end;
-    // Wire + pipelined stages, then ingress serialization at the receiver.
-    const sim::Nanos arrival = egress_end + adder;
-    const sim::Nanos ingress_start =
-        std::max(arrival - occ, ingress_free_[dst_node]);
-    delivery = ingress_start + occ;
-    ingress_free_[dst_node] = delivery;
-  }
-
-  // FIFO within (source, region) — one QP (the memory fence of §2.2).
-  sim::Nanos& fifo = region.fifo[src_node];
-  if (delivery <= fifo) delivery = fifo + 1;
-  fifo = delivery;
-
-  engine_.schedule_fn(
-      delivery, [this, dst, dst_offset, dst_node, payload] {
-        if (isolated_[dst_node]) {  // died while in flight
-          release_payload(0, payload);
-          return;
-        }
-        const Region& r = regions_[dst.index];
-        std::memcpy(r.mem.data() + dst_offset, payload->data(),
-                    payload->size());
-        ++stats_[dst_node].writes_delivered;
-        release_payload(0, payload);
-        doorbells_[dst_node]->signal();
-      });
+  // Parallel: the destination half runs at the next lookahead barrier on
+  // the destination's worker — stamped with this event's birth key so the
+  // merge can replay the serial global post order.
+  sim::Engine& src_engine = *engine_of_node_[src_node];
+  const sim::Engine::ContextKey k = src_engine.context_key();
+  std::tie(a.del_pu, a.del_s) = src_engine.draw_child_key();
+  a.k_at = src_engine.now();
+  a.k_b0 = k.b0;
+  a.k_b1 = k.b1;
+  a.k_d = k.d;
+  a.k_pu = k.pu;
+  a.k_s = k.s;
+  staged_[part_of_node_[src_node] * n_parts_ + part_of_node_[dst_node]]
+      .push_back(a);
 }
 
 void Fabric::merge_arrivals(std::size_t dst_part) {
@@ -405,34 +355,42 @@ void Fabric::merge_arrivals(std::size_t dst_part) {
 
 void Fabric::deliver_arrival(const Arrival& a) {
   Region& region = regions_[a.dst.index];
-  sim::Nanos delivery;
-  if (a.control) {
-    delivery = a.base;
-  } else {
+  // Wire + pipelined stages are in a.base; bulk QPs then serialize at the
+  // receiver's ingress port.
+  sim::Nanos delivery = a.base;
+  if (!a.control) {
     const sim::Nanos ingress_start =
         std::max(a.base - a.occ, ingress_free_[a.dst_node]);
     delivery = ingress_start + a.occ;
     ingress_free_[a.dst_node] = delivery;
   }
+  // FIFO within (source, region) — one QP (the memory fence of §2.2).
   sim::Nanos& fifo = region.fifo[a.src_node];
   if (delivery <= fifo) delivery = fifo + 1;
   fifo = delivery;
 
-  const std::size_t dp = part_of_node_[a.dst_node];
+  const std::size_t stripe = part_of(a.dst_node);
+  auto land = [this, dst = a.dst, dst_offset = a.dst_offset,
+               dst_node = a.dst_node, payload = a.payload, stripe] {
+    if (isolated_[dst_node]) {  // died while in flight
+      release_payload(stripe, payload);
+      return;
+    }
+    const Region& r = regions_[dst.index];
+    std::memcpy(r.mem.data() + dst_offset, payload->data(), payload->size());
+    ++stats_[dst_node].writes_delivered;
+    release_payload(stripe, payload);
+    doorbells_[dst_node]->signal();
+  };
+  if (!parallel_) {
+    engine_.schedule_fn(delivery, std::move(land));
+    return;
+  }
   // Re-stamp exactly what serial schedule_fn would have: scheduled at the
   // posting time (b0 = k_at) by the posting event (b1 = its b0), into the
   // future (d = 0), with the identity drawn at post time.
   engine_of_node_[a.dst_node]->schedule_fn_keyed(
-      delivery, a.k_at, a.k_b0, 0, a.del_pu, a.del_s,
-      [this, dst = a.dst, dst_offset = a.dst_offset, dst_node = a.dst_node,
-       payload = a.payload, dp] {
-        const Region& r = regions_[dst.index];
-        std::memcpy(r.mem.data() + dst_offset, payload->data(),
-                    payload->size());
-        ++stats_[dst_node].writes_delivered;
-        release_payload(dp, payload);
-        doorbells_[dst_node]->signal();
-      });
+      delivery, a.k_at, a.k_b0, 0, a.del_pu, a.del_s, std::move(land));
 }
 
 void Fabric::isolate(NodeId node) {

@@ -11,7 +11,6 @@
 #include "net/timing.hpp"
 #include "sim/engine.hpp"
 #include "sim/mutex.hpp"
-#include "sim/rng.hpp"
 
 namespace spindle::net {
 
@@ -61,7 +60,10 @@ struct AtomicResult {
 /// node, modeling a crash as seen by the network.
 class Fabric {
  public:
-  Fabric(sim::Engine& engine, const TimingModel& timing, std::size_t n_nodes);
+  /// `seed` (the run's seed) keys the link-fault jitter draws (see
+  /// set_link_fault).
+  Fabric(sim::Engine& engine, const TimingModel& timing, std::size_t n_nodes,
+         std::uint64_t seed = 0);
 
   sim::Engine& engine() noexcept { return engine_; }
   const TimingModel& timing() const noexcept { return timing_; }
@@ -85,13 +87,10 @@ class Fabric {
   /// documented at the call sites): isolate()/restore() are not supported;
   /// pause/resume_egress and set_link_fault must run on the affected
   /// source node's worker; link-fault latency multipliers must be >= 1 so
-  /// the lookahead bound stays valid. Jitter draws switch from the shared
-  /// serial RNG to a per-link counter hash seeded by `jitter_seed`
-  /// (worker-count-invariant, but a different sequence than serial).
+  /// the lookahead bound stays valid.
   void configure_partitions(std::vector<sim::Engine*> engine_of_node,
                             std::vector<std::uint32_t> part_of_node,
-                            std::size_t n_partitions,
-                            std::uint64_t jitter_seed);
+                            std::size_t n_partitions);
 
   /// Apply every staged arrival destined to partition `dst_part`, in the
   /// serial engine's global post order (sorted by the posting events'
@@ -167,7 +166,9 @@ class Fabric {
   /// by `latency_multiplier` and add uniform jitter in [0, jitter) per
   /// write (congestion, routing flaps; RC retransmission shows up as
   /// latency, never as loss). multiplier 1 and jitter 0 restore the link.
-  /// Per-QP FIFO is preserved regardless of jitter.
+  /// Per-QP FIFO is preserved regardless of jitter. Each draw hashes
+  /// (seed, link, per-link draw count), so jittered runs are identical
+  /// serial and parallel, at any worker count.
   void set_link_fault(NodeId src, NodeId dst, double latency_multiplier,
                       sim::Nanos jitter);
 
@@ -203,11 +204,12 @@ class Fabric {
     std::vector<std::byte>* payload;  // pool-owned
   };
 
-  /// One staged cross-worker delivery (parallel mode). Egress serialization
-  /// and the latency adder are resolved source-side (that state is per
-  /// source node, hence single-worker); ingress serialization and the
-  /// per-QP FIFO clamp are per *destination* node and are applied at the
-  /// merge, in the sort order below.
+  /// One write between its source and destination halves. Egress
+  /// serialization and the latency adder are resolved source-side (that
+  /// state is per source node, hence single-worker); ingress serialization
+  /// and the per-QP FIFO clamp are per *destination* node and are applied
+  /// by deliver_arrival — at post time in serial mode, at the merge (in the
+  /// sort order below) in parallel mode.
   struct Arrival {
     RegionId dst;
     std::uint32_t dst_offset;
@@ -226,11 +228,11 @@ class Fabric {
     /// identity the posting event drew for the delivery event at post time
     /// (Engine::draw_child_key) — the same draw serial schedule_fn would
     /// make; del_s doubles as the final sort key ordering multiple posts
-    /// from one event.
-    sim::Nanos k_at, k_b0, k_b1;
-    std::uint32_t k_d;
-    std::uint64_t k_pu, k_s;
-    std::uint64_t del_pu, del_s;
+    /// from one event. Parallel mode only.
+    sim::Nanos k_at = 0, k_b0 = 0, k_b1 = 0;
+    std::uint32_t k_d = 0;
+    std::uint64_t k_pu = 0, k_s = 0;
+    std::uint64_t del_pu = 0, del_s = 0;
   };
 
   /// In-flight payload snapshots are pooled: a delivery returns its buffer
@@ -248,11 +250,15 @@ class Fabric {
   }
 
   /// Wire model shared by post_write and resume_egress: serialize at the
-  /// sender's port from `ready`, apply link latency (plus any injected
-  /// fault), clamp to per-QP FIFO, and schedule the landing. In parallel
-  /// mode the destination half is staged instead (see Arrival).
+  /// sender's port from `ready` and apply link latency (plus any injected
+  /// fault); the destination half runs now (serial) or is staged for the
+  /// next barrier (parallel).
   void transmit(NodeId src_node, RegionId dst, std::size_t dst_offset,
                 std::vector<std::byte>* payload, sim::Nanos ready);
+  /// Destination half of both modes: ingress serialization, the per-QP
+  /// FIFO clamp, and the landing event. Only how the landing is scheduled
+  /// differs — plain in serial mode, re-stamped with the posting event's
+  /// key in parallel mode.
   void deliver_arrival(const Arrival& a);
 
   /// Shared body of rdma_faa / rdma_cas. For FAA arg0 is the addend; for
@@ -267,6 +273,9 @@ class Fabric {
   std::size_t part_of(NodeId node) const noexcept {
     return parallel_ ? part_of_node_[node] : 0;
   }
+  /// Wire latency of a `bytes`-byte transfer on src->dst (latency_adder),
+  /// shaped by that link's injected fault.
+  sim::Nanos link_latency(NodeId src, NodeId dst, std::size_t bytes);
   sim::Nanos jitter_draw(NodeId src, NodeId dst, sim::Nanos jitter);
 
   sim::Engine& engine_;
@@ -288,12 +297,14 @@ class Fabric {
   // holds the unit for atomic_unit_occupancy, so concurrent atomics queue.
   std::vector<sim::Nanos> atomics_free_;
 
-  // Fault-injection state. The jitter RNG is part of the fabric so a run
-  // with the same seed and fault schedule is bit-reproducible.
+  // Fault-injection state. Jitter draws are keyed by the fabric's seed and
+  // a per-link counter, so a run with the same seed and fault schedule is
+  // bit-reproducible in every engine mode.
   std::vector<char> egress_paused_;
   std::vector<std::deque<QueuedWrite>> egress_queue_;
   std::vector<LinkFault> link_faults_;  // src * n_ + dst
-  sim::Rng fault_rng_{0xfab51c};
+  std::vector<std::uint64_t> jitter_seq_;  // src * n_ + dst: draws so far
+  std::uint64_t jitter_seed_;
 
   // Payload snapshot pool stripes (see acquire_payload; one stripe in
   // serial mode, one per partition in parallel mode).
@@ -313,8 +324,6 @@ class Fabric {
   std::vector<std::uint32_t> part_of_node_;
   std::vector<std::vector<Arrival>> staged_;
   std::vector<std::vector<Arrival>> merge_scratch_;  // per dst partition
-  std::vector<std::uint64_t> jitter_seq_;     // per link, parallel jitter
-  std::uint64_t jitter_seed_ = 0;
 };
 
 }  // namespace spindle::net

@@ -3,8 +3,35 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <numeric>
 
 namespace spindle::sst {
+
+namespace {
+// Reactive idle backoff: after this many empty rounds the scheduler waits
+// on the doorbell, doubling the wait from idle_backoff_min per further
+// empty round, at most 2^kIdleBackoffMaxShift times (and idle_backoff_max).
+constexpr int kIdleStreakThreshold = 3;
+constexpr int kIdleBackoffMaxShift = 8;
+
+// DRR: credit granted per weight unit per round, in ns of CPU.
+constexpr std::int64_t kDrrQuantum = 1000;
+// DRR: deficit ceiling, in quantum-rounds of the group's weight — an
+// idle-but-polled group cannot bank unbounded credit.
+constexpr std::int64_t kDrrDeficitCapRounds = 8;
+// DRR: consecutive quiet services before a group is demoted onto the scan
+// lane (only groups with a non-zero scan_interval demote).
+constexpr int kDrrDemoteAfter = 8;
+// DRR: a group must also have been fire-free this long before it is
+// demoted — a hot group drains its window and sits out a handful of *fast*
+// rounds between bursts, and those must not count against it.
+constexpr sim::Nanos kDrrDemoteQuiet = sim::micros(25);
+// DRR: courtesy probes per doorbell wake from quiescence (rotating over the
+// scan lane). Bounds the probe cost a wake can charge to a node with a long
+// scan lane; the lane's own schedule still carries the scan_interval
+// starvation bound.
+constexpr std::size_t kDrrKickBudget = 4;
+}  // namespace
 
 const char* to_string(PredicateClass c) {
   switch (c) {
@@ -257,13 +284,15 @@ bool Predicates::eval_group(Group& g, sim::Nanos& work, sim::Nanos& charge,
 sim::Co<> Predicates::run() {
   assert(cfg_.stopped && "configure() the scheduler before run()");
   if (cfg_.pace) return run_paced();
-  if (cfg_.discipline == Discipline::drr) return run_drr();
   return run_reactive();
 }
 
 /// The data-plane discipline: the dedicated polling thread of §2.4, with
-/// §3.4's lock staging and the doorbell-backed quiescent backoff.
+/// §3.4's lock staging and the doorbell-backed quiescent backoff. Both
+/// reactive disciplines run this one loop; the discipline decides only the
+/// round's service order (plan_round) and the per-service account (settle).
 sim::Co<> Predicates::run_reactive() {
+  const bool drr = cfg_.discipline == Discipline::drr;
   int idle_streak = 0;
   std::uint64_t rearm_seen = rearm_generation_;
   while (!cfg_.stopped()) {
@@ -277,25 +306,34 @@ sim::Co<> Predicates::run_reactive() {
     }
     if (rearm_generation_ != rearm_seen) {
       // A rearm landed (view install): the doorbell kick already cut any
-      // in-flight backoff short; also drop the streak so the re-armed
-      // predicates get full-rate rounds again.
+      // in-flight backoff short; also drop the streak and promote demoted
+      // groups so the re-armed predicates get full-rate rounds again.
       rearm_seen = rearm_generation_;
+      promote_all();
       idle_streak = 0;
     }
+
+    const Round round = plan_round();
     bool progress = false;
     sim::Nanos carry = 0;  // eval cost of quiet groups, slept once per round
-
-    for (Group& g : groups_) {
+    for (std::size_t k = 0; k < order_.size(); ++k) {
       if (cfg_.stopped()) break;
+      if (k >= round.courtesy && progress) break;  // courtesy probes: idle only
+      Group& g = groups_[order_[k]];
+      const bool probe = k >= round.ready;
+      // Debtors sit out once the round has made progress.
+      if (!probe && g.sched.deficit < 0 && progress) continue;
       if (g.opts.lock) co_await g.opts.lock->lock();
       plan_.clear();
       merge_released();
       sim::Nanos work = 0;
-      sim::Nanos charge = 0;  // unused: strict-RR has no deficit account
+      sim::Nanos charge = 0;  // weight-scaled debit (== work at weight 1)
       const bool acted = eval_group(g, work, charge, plan_);
+      const sim::Nanos at = engine_.now();
       if (g.opts.on_work) g.opts.on_work(work);
       if (!acted && plan_.empty()) {
         carry += work;
+        if (drr) settle(g, probe, false, at, charge);
         if (g.opts.lock) g.opts.lock->unlock();
         continue;
       }
@@ -311,6 +349,7 @@ sim::Co<> Predicates::run_reactive() {
         co_await engine_.sleep(post);
       }
       if (g.opts.lock && !g.opts.early_release) g.opts.lock->unlock();
+      if (drr) settle(g, probe, true, at, charge + post);
     }
     if (cfg_.stopped()) break;
 
@@ -322,15 +361,30 @@ sim::Co<> Predicates::run_reactive() {
 
     if (progress) {
       idle_streak = 0;
-    } else if (++idle_streak >= cfg_.idle_streak_threshold) {
+    } else if (++idle_streak >= kIdleStreakThreshold) {
       // Quiescent backoff; the fabric doorbell cuts the wait short when a
       // remote write lands (§2.4's doorbell wake-up).
-      const int shift = std::min(idle_streak - cfg_.idle_streak_threshold,
-                                 cfg_.idle_backoff_max_shift);
-      const sim::Nanos backoff =
+      const int shift =
+          std::min(idle_streak - kIdleStreakThreshold, kIdleBackoffMaxShift);
+      sim::Nanos backoff =
           std::min(cfg_.idle_backoff_min << shift, cfg_.idle_backoff_max);
+      // The scan lane bounds the backoff: a demoted group's probe may not
+      // be pushed past its due time.
+      const sim::Nanos now = engine_.now();
+      for (const Group& g : groups_) {
+        if (!g.sched.demoted) continue;
+        const sim::Nanos gap =
+            g.sched.next_scan > now ? g.sched.next_scan - now : 1;
+        backoff = std::min(backoff, gap);
+      }
       if (cfg_.doorbell != nullptr) {
-        co_await cfg_.doorbell->wait_for(backoff);
+        // A ring from quiescence means remote state moved somewhere —
+        // possibly in a demoted group's rows. The doorbell cannot say
+        // which group, so DRR courtesy-probes the scan lane next round; a
+        // probe that fires promotes its group, the rest stay demoted at
+        // one eval each (promoting wholesale would force every cold group
+        // through a fresh quiet streak per wake).
+        probe_kick_ = co_await cfg_.doorbell->wait_for(backoff);
       } else {
         co_await engine_.sleep(backoff);
       }
@@ -338,22 +392,20 @@ sim::Co<> Predicates::run_reactive() {
   }
 }
 
+Predicates::Round Predicates::plan_round() {
+  if (cfg_.discipline == Discipline::drr) return plan_drr_round();
+  order_.resize(groups_.size());
+  std::iota(order_.begin(), order_.end(), std::size_t{0});
+  return Round{groups_.size(), groups_.size()};
+}
+
 /// Grant `rounds` rounds of credit, capped so an idle-but-polled group
 /// cannot bank unbounded CPU against its busy peers.
 void Predicates::credit_group(Group& g, std::int64_t rounds) {
   const std::int64_t per_round =
-      static_cast<std::int64_t>(g.opts.weight) * cfg_.drr_quantum;
-  const std::int64_t cap = per_round * cfg_.drr_deficit_cap_rounds;
+      static_cast<std::int64_t>(g.opts.weight) * kDrrQuantum;
+  const std::int64_t cap = per_round * kDrrDeficitCapRounds;
   g.sched.deficit = std::min(g.sched.deficit + rounds * per_round, cap);
-}
-
-sim::Nanos Predicates::scan_interval_for(const Group& g) const {
-  if (!cfg_.adaptive_scan || round_cost_ewma_ == 0) {
-    return g.opts.scan_interval;
-  }
-  const auto derived = static_cast<sim::Nanos>(
-      cfg_.adaptive_scan_factor * static_cast<double>(round_cost_ewma_));
-  return std::clamp(derived, cfg_.adaptive_scan_min, cfg_.adaptive_scan_max);
 }
 
 /// Pull every demoted group off the scan lane (a rearm made dormant
@@ -380,210 +432,107 @@ void Predicates::promote_all() {
 ///     once some group has made progress, groups still in debt sit the
 ///     round out — that is what enforces the weight ratio under load;
 ///  4. service debits the compute+post CPU the group actually charged;
-///  5. a group quiet for `drr_demote_after` services *and* fire-free for
-///     `drr_demote_quiet` is demoted onto the scan lane and probed once
-///     per `scan_interval` instead of every round; a fire at a probe or a
+///  5. a group quiet for kDrrDemoteAfter services *and* fire-free for
+///     kDrrDemoteQuiet is demoted onto the scan lane and probed once per
+///     `scan_interval` instead of every round; a fire at a probe or a
 ///     rearm promotes it back.
 ///
 /// The shared per-node doorbell cannot attribute a ring to a group, so
 /// under load the scan lane is the latency bound for a cold group's first
-/// message; from quiescence the doorbell wake courtesy-probes the whole
-/// scan lane on the next idle round.
-sim::Co<> Predicates::run_drr() {
-  int idle_streak = 0;
-  std::uint64_t rearm_seen = rearm_generation_;
-  std::vector<std::size_t> order;  // ready groups first, due probes after
-  while (!cfg_.stopped()) {
-    if (cfg_.stall_until) {
-      const sim::Nanos until = cfg_.stall_until();
-      if (until > engine_.now()) {
-        co_await engine_.sleep(until - engine_.now());
-        continue;
-      }
-    }
-    if (rearm_generation_ != rearm_seen) {
-      rearm_seen = rearm_generation_;
-      promote_all();
-      idle_streak = 0;
-    }
-
-    const sim::Nanos round_start = engine_.now();
-    order.clear();
-    std::size_t ready_count = 0;
-    for (std::size_t i = 0; i < groups_.size(); ++i) {
-      GroupSched& sc = groups_[i].sched;
-      if (sc.demoted) continue;
-      credit_group(groups_[i], 1);
-      order.push_back(i);
-      ++ready_count;
-    }
-    bool any_credit = false;
-    for (std::size_t k = 0; k < ready_count; ++k) {
-      if (groups_[order[k]].sched.deficit >= 0) {
-        any_credit = true;
-        break;
-      }
-    }
-    if (!any_credit && ready_count > 0) {
-      // Credit-clock jump (step 2): find the fewest whole rounds that lift
-      // some group out of debt and grant them to everyone at once. Pure
-      // bookkeeping — no virtual time passes, so the scheduler stays
-      // work-conserving while shares still converge to the weight ratio.
-      std::int64_t jump = std::numeric_limits<std::int64_t>::max();
-      for (std::size_t k = 0; k < ready_count; ++k) {
-        const Group& g = groups_[order[k]];
-        const std::int64_t per_round =
-            static_cast<std::int64_t>(g.opts.weight) * cfg_.drr_quantum;
-        const std::int64_t need =
-            (-g.sched.deficit + per_round - 1) / per_round;
-        jump = std::min(jump, need);
-      }
-      for (std::size_t k = 0; k < ready_count; ++k) {
-        credit_group(groups_[order[k]], jump);
-      }
-    }
-    std::stable_sort(order.begin(), order.begin() + ready_count,
-                     [this](std::size_t a, std::size_t b) {
-                       const GroupSched& sa = groups_[a].sched;
-                       const GroupSched& sb = groups_[b].sched;
-                       if (sa.deficit != sb.deficit) {
-                         return sa.deficit > sb.deficit;
-                       }
-                       return sa.last_fire > sb.last_fire;
-                     });
-    for (std::size_t i = 0; i < groups_.size(); ++i) {
-      const GroupSched& sc = groups_[i].sched;
-      if (sc.demoted && round_start >= sc.next_scan) order.push_back(i);
-    }
-    // Courtesy probes (doorbell rang from quiescence): append a budgeted,
-    // rotating slice of the scan lane, serviced only if the round turns
-    // out idle — a busy round means the ring was almost surely the hot
-    // groups' own traffic, and the due-probe lane above already carries
-    // the starvation bound.
-    const std::size_t kick_start = order.size();
-    if (probe_kick_) {
-      probe_kick_ = false;
-      std::size_t budget =
-          cfg_.drr_kick_budget > 0
-              ? static_cast<std::size_t>(cfg_.drr_kick_budget)
-              : groups_.size();
-      for (std::size_t step = 0; step < groups_.size() && budget > 0;
-           ++step) {
-        const std::size_t i = (kick_cursor_ + step) % groups_.size();
-        const GroupSched& sc = groups_[i].sched;
-        if (!sc.demoted || round_start >= sc.next_scan) continue;
-        order.push_back(i);
-        if (--budget == 0) kick_cursor_ = i + 1;
-      }
-    }
-
-    bool progress = false;
-    sim::Nanos carry = 0;  // eval cost of quiet groups, slept once per round
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      if (cfg_.stopped()) break;
-      Group& g = groups_[order[k]];
-      GroupSched& sc = g.sched;
-      const bool probe = k >= ready_count;
-      if (k >= kick_start && progress) break;  // courtesy probes: idle only
-      if (!probe && sc.deficit < 0 && progress) continue;  // debtors sit out
-      const ServiceReason reason = probe ? ServiceReason::scan
-                                   : sc.deficit >= 0 ? ServiceReason::credit
-                                                     : ServiceReason::conserve;
-      if (g.opts.lock) co_await g.opts.lock->lock();
-      plan_.clear();
-      merge_released();
-      sim::Nanos work = 0;
-      sim::Nanos charge = 0;  // weight-scaled debit (== work at weight 1)
-      const bool acted = eval_group(g, work, charge, plan_);
-      if (g.opts.on_work) g.opts.on_work(work);
-      ++sc.serviced;
-      if (!acted && plan_.empty()) {
-        carry += work;
-        sc.deficit -= charge;
-        if (probe) {
-          sc.next_scan = engine_.now() + scan_interval_for(g);
-        } else if (++sc.quiet_streak >= cfg_.drr_demote_after &&
-                   g.opts.scan_interval > 0 &&
-                   engine_.now() - sc.last_fire >= cfg_.drr_demote_quiet) {
-          sc.demoted = true;
-          ++sc.demotions;
-          sc.next_scan = engine_.now() + scan_interval_for(g);
-        }
-        if (cfg_.on_service) cfg_.on_service(g.opts, reason, sc.deficit);
-        if (g.opts.lock) g.opts.lock->unlock();
-        continue;
-      }
-      progress = true;
-      sc.quiet_streak = 0;
-      sc.last_fire = engine_.now();
-      if (probe) {
-        // A probe that fired: the group is hot again — promote it with a
-        // clean balance.
-        sc.demoted = false;
-        if (sc.deficit < 0) sc.deficit = 0;
-      }
-      if (g.opts.on_fire) g.opts.on_fire(work);
-      co_await engine_.sleep(work + carry);
-      carry = 0;
-      if (g.opts.lock && g.opts.early_release) g.opts.lock->unlock();
-      const std::uint64_t arg = plan_.arg();
-      const sim::Nanos post = issue_plan();
-      if (post > 0) {
-        if (g.opts.on_post) g.opts.on_post(post, arg);
-        co_await engine_.sleep(post);
-      }
-      if (g.opts.lock && !g.opts.early_release) g.opts.lock->unlock();
-      sc.deficit -= charge + post;
-      if (cfg_.on_service) cfg_.on_service(g.opts, reason, sc.deficit);
-    }
-    if (cfg_.stopped()) break;
-
-    sim::Nanos over = carry;
-    if (cfg_.iteration_pause) over += cfg_.iteration_pause();
-    const sim::Nanos burn = spurious_burn();
-    if (burn > 0) progress = true;  // phantom doorbell: no quiescent backoff
-    co_await engine_.sleep(over + burn);
-
-    if (progress) {
-      // Adaptive scan: fold this busy round's full virtual cost (compute,
-      // post, pauses, lock waits — everything since round_start) into the
-      // EWMA the probe period is derived from. Quiet rounds cost ~nothing
-      // and would drag the interval to its floor, so only progressing
-      // rounds count as "useful work".
-      const sim::Nanos round_cost = engine_.now() - round_start;
-      round_cost_ewma_ = round_cost_ewma_ == 0
-                             ? round_cost
-                             : (7 * round_cost_ewma_ + round_cost) / 8;
-      idle_streak = 0;
-    } else if (++idle_streak >= cfg_.idle_streak_threshold) {
-      const int shift = std::min(idle_streak - cfg_.idle_streak_threshold,
-                                 cfg_.idle_backoff_max_shift);
-      sim::Nanos backoff =
-          std::min(cfg_.idle_backoff_min << shift, cfg_.idle_backoff_max);
-      // The scan lane bounds the backoff: a demoted group's probe may not
-      // be pushed past its due time.
-      const sim::Nanos now = engine_.now();
-      for (const Group& g : groups_) {
-        if (!g.sched.demoted) continue;
-        const sim::Nanos gap =
-            g.sched.next_scan > now ? g.sched.next_scan - now : 1;
-        backoff = std::min(backoff, gap);
-      }
-      if (cfg_.doorbell != nullptr) {
-        if (co_await cfg_.doorbell->wait_for(backoff)) {
-          // Ring from quiescence: remote state moved somewhere — possibly
-          // in a demoted group's rows. The doorbell cannot say which group,
-          // so courtesy-probe the whole scan lane next round; a probe that
-          // fires promotes its group, the rest stay demoted at one eval
-          // each (promoting wholesale would force every cold group through
-          // a fresh quiet streak per wake).
-          probe_kick_ = true;
-        }
-      } else {
-        co_await engine_.sleep(backoff);
-      }
+/// message; from quiescence the doorbell wake courtesy-probes a budgeted
+/// slice of the scan lane on the next idle round.
+Predicates::Round Predicates::plan_drr_round() {
+  const sim::Nanos round_start = engine_.now();
+  order_.clear();
+  for (std::size_t i = 0; i < groups_.size(); ++i) {
+    if (groups_[i].sched.demoted) continue;
+    credit_group(groups_[i], 1);
+    order_.push_back(i);
+  }
+  const std::size_t ready = order_.size();
+  bool any_credit = false;
+  for (std::size_t k = 0; k < ready; ++k) {
+    if (groups_[order_[k]].sched.deficit >= 0) {
+      any_credit = true;
+      break;
     }
   }
+  if (!any_credit && ready > 0) {
+    // Credit-clock jump (step 2): find the fewest whole rounds that lift
+    // some group out of debt and grant them to everyone at once. Pure
+    // bookkeeping — no virtual time passes, so the scheduler stays
+    // work-conserving while shares still converge to the weight ratio.
+    std::int64_t jump = std::numeric_limits<std::int64_t>::max();
+    for (std::size_t k = 0; k < ready; ++k) {
+      const Group& g = groups_[order_[k]];
+      const std::int64_t per_round =
+          static_cast<std::int64_t>(g.opts.weight) * kDrrQuantum;
+      const std::int64_t need = (-g.sched.deficit + per_round - 1) / per_round;
+      jump = std::min(jump, need);
+    }
+    for (std::size_t k = 0; k < ready; ++k) {
+      credit_group(groups_[order_[k]], jump);
+    }
+  }
+  std::stable_sort(order_.begin(), order_.begin() + ready,
+                   [this](std::size_t a, std::size_t b) {
+                     const GroupSched& sa = groups_[a].sched;
+                     const GroupSched& sb = groups_[b].sched;
+                     if (sa.deficit != sb.deficit) {
+                       return sa.deficit > sb.deficit;
+                     }
+                     return sa.last_fire > sb.last_fire;
+                   });
+  for (std::size_t i = 0; i < groups_.size(); ++i) {
+    const GroupSched& sc = groups_[i].sched;
+    if (sc.demoted && round_start >= sc.next_scan) order_.push_back(i);
+  }
+  // Courtesy probes (doorbell rang from quiescence): append a budgeted,
+  // rotating slice of the scan lane, serviced only if the round turns out
+  // idle — a busy round means the ring was almost surely the hot groups'
+  // own traffic, and the due-probe lane above already carries the
+  // starvation bound.
+  const std::size_t courtesy = order_.size();
+  if (probe_kick_) {
+    probe_kick_ = false;
+    std::size_t budget = kDrrKickBudget;
+    for (std::size_t step = 0; step < groups_.size() && budget > 0; ++step) {
+      const std::size_t i = (kick_cursor_ + step) % groups_.size();
+      const GroupSched& sc = groups_[i].sched;
+      if (!sc.demoted || round_start >= sc.next_scan) continue;
+      order_.push_back(i);
+      if (--budget == 0) kick_cursor_ = i + 1;
+    }
+  }
+  return Round{ready, courtesy};
+}
+
+void Predicates::settle(Group& g, bool probe, bool acted, sim::Nanos at,
+                        std::int64_t debit) {
+  GroupSched& sc = g.sched;
+  const ServiceReason reason = probe ? ServiceReason::scan
+                               : sc.deficit >= 0 ? ServiceReason::credit
+                                                 : ServiceReason::conserve;
+  ++sc.serviced;
+  if (acted) {
+    sc.quiet_streak = 0;
+    sc.last_fire = at;
+    if (probe) {
+      // A probe that fired: the group is hot again — promote it with a
+      // clean balance.
+      sc.demoted = false;
+      if (sc.deficit < 0) sc.deficit = 0;
+    }
+  } else if (probe) {
+    sc.next_scan = at + g.opts.scan_interval;
+  } else if (++sc.quiet_streak >= kDrrDemoteAfter &&
+             g.opts.scan_interval > 0 && at - sc.last_fire >= kDrrDemoteQuiet) {
+    sc.demoted = true;
+    ++sc.demotions;
+    sc.next_scan = at + g.opts.scan_interval;
+  }
+  sc.deficit -= debit;
+  if (cfg_.on_service) cfg_.on_service(g.opts, reason, sc.deficit);
 }
 
 /// The membership-service discipline: every round evaluates all groups and

@@ -127,7 +127,9 @@ struct PredicateStats {
 /// acquisition and one two-phase (compute, then RDMA) round. The scheduler
 /// coroutine evaluates groups round-robin. Two pacing disciplines:
 ///
-///  - reactive (the data-plane polling thread): busy rounds charge their
+///  - reactive (the data-plane polling thread, under either Discipline —
+///    they share one loop and differ only in service order and deficit
+///    bookkeeping): busy rounds charge their
 ///    compute cost under the lock, release (early, per §3.4, when the group
 ///    opts in), issue the merged PostPlan, and sleep the post cost; quiet
 ///    rounds carry their eval cost forward and back off onto the fabric
@@ -195,35 +197,6 @@ class Predicates {
     /// Reactive service discipline; `strict_rr` keeps the original sweep
     /// bit-identical (existing golden digests depend on it).
     Discipline discipline = Discipline::strict_rr;
-    /// DRR: credit granted per weight unit per round, in ns of CPU.
-    sim::Nanos drr_quantum = 1000;
-    /// DRR: consecutive quiet services before a group is demoted onto the
-    /// scan lane (only groups with a non-zero scan_interval demote).
-    int drr_demote_after = 8;
-    /// DRR: a group must also have been fire-free this long before it is
-    /// demoted — a hot group drains its window and sits out a handful of
-    /// *fast* rounds between bursts, and those must not count against it.
-    sim::Nanos drr_demote_quiet = sim::micros(25);
-    /// DRR: courtesy probes per doorbell wake from quiescence (rotating
-    /// over the scan lane). Bounds the probe cost a wake can charge to a
-    /// node with a long scan lane; the lane's own schedule still carries
-    /// the `scan_interval` starvation bound.
-    int drr_kick_budget = 4;
-    /// DRR: deficit ceiling, in quantum-rounds of the group's weight — an
-    /// idle-but-polled group cannot bank unbounded credit.
-    int drr_deficit_cap_rounds = 8;
-    /// DRR: derive the scan-lane probe period from the observed busy-round
-    /// cost (integer EWMA over virtual time per progressing round) instead
-    /// of each group's fixed scan_interval: probes stay a bounded
-    /// ~1/adaptive_scan_factor fraction of useful work whether the node is
-    /// lightly or heavily loaded. Clamped to
-    /// [adaptive_scan_min, adaptive_scan_max]; until the EWMA has a sample
-    /// the fixed scan_interval still applies. Off by default — the
-    /// fixed-interval path stays bit-identical.
-    bool adaptive_scan = false;
-    double adaptive_scan_factor = 16.0;
-    sim::Nanos adaptive_scan_min = 5000;
-    sim::Nanos adaptive_scan_max = 250000;
     /// Observability: the DRR scheduler serviced a group (the
     /// `sched_service` trace span); `deficit` is the post-debit balance.
     std::function<void(const GroupOptions& group, ServiceReason reason,
@@ -235,8 +208,6 @@ class Predicates {
     sim::Signal* doorbell = nullptr;
     sim::Nanos idle_backoff_min = 0;
     sim::Nanos idle_backoff_max = 0;
-    int idle_streak_threshold = 3;
-    int idle_backoff_max_shift = 8;
     // Paced mode (set => paced): virtual time to sleep after a round that
     // posted `post` worth of RDMA CPU.
     std::function<sim::Nanos(sim::Nanos post)> pace;
@@ -304,13 +275,6 @@ class Predicates {
 
   std::size_t num_groups() const noexcept { return groups_.size(); }
   std::size_t num_predicates() const noexcept { return preds_.size(); }
-  /// Adaptive-scan observability: the busy-round cost EWMA (0 = no busy
-  /// round observed yet) and the probe period a demotion of group `g`
-  /// would use right now.
-  sim::Nanos round_cost_ewma() const noexcept { return round_cost_ewma_; }
-  sim::Nanos effective_scan_interval(GroupId g) const {
-    return scan_interval_for(groups_[g]);
-  }
   const PredicateStats& stats(PredId p) const { return preds_[p].stats; }
   const GroupSched& group_sched(GroupId g) const { return groups_[g].sched; }
 
@@ -367,15 +331,28 @@ class Predicates {
   /// This round's spurious-wake burn; > 0 also means "stay hot" (the
   /// schedulers suppress idle backoff for the round).
   sim::Nanos spurious_burn();
+
+  /// One reactive round's service order, written into order_ (indices into
+  /// groups_): positions [0, ready) are the per-round rotation, [ready,
+  /// courtesy) due scan-lane probes, and [courtesy, end) doorbell courtesy
+  /// probes that run only while the round has made no progress.
+  struct Round {
+    std::size_t ready = 0;
+    std::size_t courtesy = 0;
+  };
+  /// The discipline's service order: registration order under strict-RR,
+  /// deficit order plus the scan lane under DRR.
+  Round plan_round();
+  Round plan_drr_round();
+  /// DRR bookkeeping after one service of `g` that started at `at`:
+  /// debit, demotion (quiet) or promotion (a probe that fired), and the
+  /// `on_service` hook. Strict-RR keeps no account.
+  void settle(Group& g, bool probe, bool acted, sim::Nanos at,
+              std::int64_t debit);
   void credit_group(Group& g, std::int64_t rounds);
-  /// The probe period for demoting/probing `g`: the group's fixed
-  /// scan_interval, or the clamped factor x round-cost EWMA under
-  /// adaptive_scan (once a busy round has been observed).
-  sim::Nanos scan_interval_for(const Group& g) const;
   void promote_all();
   void kick();
   sim::Co<> run_reactive();
-  sim::Co<> run_drr();
   sim::Co<> run_paced();
 
   sim::Engine& engine_;
@@ -386,7 +363,7 @@ class Predicates {
   std::vector<LaneDrop> lane_drops_;
   std::vector<SpuriousWindow> spurious_;
   std::uint64_t rearm_generation_ = 0;  // bumped by rearm(); schedulers poll
-  sim::Nanos round_cost_ewma_ = 0;  // adaptive scan: busy-round virtual cost
+  std::vector<std::size_t> order_;  // this round's service order (Round)
   bool probe_kick_ = false;  // doorbell rang from quiescence: courtesy-probe
                              // the scan lane on the next idle round
   std::size_t kick_cursor_ = 0;  // rotation point for budgeted courtesy probes

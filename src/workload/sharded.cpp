@@ -188,19 +188,17 @@ ShardedResult run_sharded(const ShardedConfig& cfg) {
     dc.shards = cfg.shards;
     dc.members = all;
     dc.opts = cfg.opts;
-    dc.shard_weight = cfg.shard_weight;
     dc.sequencer = cfg.sequencer;
     dc.sequencer_mode = cfg.sequencer_mode;
     dom = std::make_unique<core::OrderingDomain>(cluster, std::move(dc));
   } else {
     // Mirror the domain's k = 1 subgroup exactly (same name, members,
-    // senders, options, weight) so the two arms run identical clusters.
+    // senders, options) so the two arms run identical clusters.
     core::SubgroupConfig sc;
     sc.name = "domain/shard0";
     sc.members = all;
     sc.senders = all;
     sc.opts = cfg.opts;
-    sc.weight = cfg.shard_weight;
     plain_sg = cluster.create_subgroup(std::move(sc));
   }
   cluster.start();

@@ -34,7 +34,6 @@ struct ShardedConfig {
   core::ProtocolOptions opts = core::ProtocolOptions::spindle();
   sst::Discipline discipline = sst::Discipline::strict_rr;
   sim::Nanos scan_interval = sim::micros(25);
-  std::uint32_t shard_weight = 1;
   net::NodeId sequencer = 0;
   /// Cross-shard gsn-grant path: SST polling (default) or the one-sided
   /// fetch-add ticket counter (serial engine only) — the two arms of

@@ -238,6 +238,42 @@ TEST(CoreEdge, CrashedNodeStopsDeliveringButOthersContinueReceiving) {
   cluster.shutdown();
 }
 
+TEST(CoreEdge, CrashRejectsAnOutOfRangeNode) {
+  ClusterConfig cc;
+  cc.nodes = 3;
+  Cluster cluster(cc);
+  cluster.create_subgroup({"g", {0, 1, 2}, {0}, ProtocolOptions::spindle()});
+  cluster.start();
+  EXPECT_THROW(cluster.crash(3), std::out_of_range);
+  EXPECT_THROW(cluster.crash(1000), std::out_of_range);
+  for (net::NodeId id = 0; id < 3; ++id) {
+    EXPECT_FALSE(cluster.fabric().is_isolated(id));
+    EXPECT_FALSE(cluster.node(id).stopped());
+  }
+  cluster.shutdown();
+}
+
+TEST(CoreEdge, CrashRejectsANonMemberOfAnEpochCluster) {
+  // An epoch cluster spans a subset of the shared fabric's nodes; the
+  // others have no Node, so crashing one must throw rather than touch it
+  // (and must not isolate it on the shared fabric either).
+  sim::Engine engine;
+  net::Fabric fabric(engine, net::TimingModel{}, 4);
+  ClusterConfig cc;
+  cc.nodes = 4;
+  Cluster cluster(engine, fabric, cc, {0, 2, 3});
+  cluster.create_subgroup({"g", {0, 2, 3}, {0}, ProtocolOptions::spindle()});
+  cluster.start();
+  EXPECT_THROW(cluster.crash(1), std::out_of_range);
+  EXPECT_THROW(cluster.crash(4), std::out_of_range);
+  EXPECT_FALSE(fabric.is_isolated(1));
+  cluster.crash(2);  // a member still crashes normally
+  EXPECT_TRUE(fabric.is_isolated(2));
+  EXPECT_TRUE(cluster.node(2).stopped());
+  cluster.shutdown();
+  engine.run();  // the cluster does not own the engine: drain it here
+}
+
 TEST(CoreEdge, BatchedUpcallSeesAllMessagesInOrder) {
   ClusterConfig cc;
   cc.nodes = 3;

@@ -84,8 +84,8 @@ TEST(PredicatesDrr, PredicateWeightScalesCpuShareWithinEqualGroups) {
   // per-fire cost — but group A's predicate carries per-predicate weight 4,
   // so its compute debits the group's deficit at a quarter of its real
   // cost. Charges converge 1:1 under contention, hence real CPU converges
-  // to the predicate-weight ratio. This is the knob the cross-shard
-  // sequencer grant uses (DomainConfig::sequencer_predicate_weight).
+  // to the predicate-weight ratio. The cross-shard sequencer's grant
+  // predicate runs at weight 4 (core/domain.cpp).
   Harness h(Discipline::drr);
   const auto ga = h.preds.add_group(weighted("a", 1, 0));
   const auto gb = h.preds.add_group(weighted("b", 1, 0));
@@ -148,87 +148,6 @@ TEST(PredicatesDrr, ColdGroupServicedWithinScanIntervalBound) {
   // And the hot group gets the overwhelming share of services.
   EXPECT_GT(h.preds.group_sched(hot).serviced,
             4 * h.preds.group_sched(cold).serviced);
-}
-
-TEST(PredicatesDrr, AdaptiveScanIntervalTracksRoundCostStep) {
-  // Adaptive quiet-group probing: with adaptive_scan on, the scan-lane
-  // probe period is derived from the observed busy-round cost
-  // (clamp(factor * EWMA)) instead of the static per-group scan_interval.
-  // Step the hot group's per-fire cost up 20x mid-run: the EWMA must track
-  // the step, the derived interval must stretch with it, and the cold
-  // group's observed probe rate must actually thin.
-  sim::Engine engine;
-  sim::Signal doorbell{engine};
-  Predicates preds{engine};
-  bool stop = false;
-  Predicates::SchedulerConfig cfg;
-  cfg.stopped = [&] { return stop; };
-  cfg.discipline = Discipline::drr;
-  cfg.iteration_pause = [] { return 100; };
-  cfg.doorbell = &doorbell;
-  cfg.idle_backoff_min = 1000;
-  cfg.idle_backoff_max = sim::millis(1);
-  cfg.adaptive_scan = true;
-  cfg.adaptive_scan_factor = 8.0;
-  cfg.adaptive_scan_min = sim::micros(2);
-  cfg.adaptive_scan_max = sim::micros(500);
-  preds.configure(std::move(cfg));
-
-  const auto hot = preds.add_group(weighted("hot", 4, 0));
-  const auto cold = preds.add_group(weighted("cold", 1, sim::micros(30)));
-  sim::Nanos work = 1000;
-  preds.add(hot, {"busy", PredicateClass::recurrent, nullptr,
-                  [&](TriggerContext& ctx) {
-                    ctx.work += work;
-                    return true;
-                  }});
-  std::vector<sim::Nanos> cold_evals;
-  preds.add(cold, {"probe", PredicateClass::recurrent,
-                   [&] {
-                     cold_evals.push_back(engine.now());
-                     return false;
-                   },
-                   [](TriggerContext&) { return true; }});
-
-  sim::Nanos ewma_before = 0, eff_before = 0;
-  std::size_t probes_before = 0;
-  const sim::Nanos kStepAt = sim::millis(2);
-  engine.schedule_fn(kStepAt, [&] {
-    ewma_before = preds.round_cost_ewma();
-    eff_before = preds.effective_scan_interval(cold);
-    probes_before = cold_evals.size();
-    work = 20000;  // the step: rounds get 20x costlier
-  });
-  engine.spawn(preds.run());
-  engine.run_to(sim::millis(8));
-  stop = true;
-  engine.run();
-
-  // Phase 1: the EWMA warmed up and the derived interval replaced the
-  // static 30us scan_interval (factor 8 x a ~1.1us round ~ 9us).
-  ASSERT_GT(ewma_before, 0);
-  EXPECT_EQ(eff_before,
-            std::clamp(static_cast<sim::Nanos>(
-                           8.0 * static_cast<double>(ewma_before)),
-                       sim::micros(2), sim::micros(500)));
-  EXPECT_LT(eff_before, sim::micros(30));
-
-  // Phase 2: the interval tracked the step change.
-  const sim::Nanos ewma_after = preds.round_cost_ewma();
-  const sim::Nanos eff_after = preds.effective_scan_interval(cold);
-  EXPECT_GT(ewma_after, 4 * ewma_before);
-  EXPECT_GT(eff_after, 4 * eff_before);
-  EXPECT_LE(eff_after, sim::micros(500));
-
-  // And the probe lane followed: cold-group probes per millisecond must
-  // drop by well more than the slack in the bound.
-  ASSERT_GT(probes_before, 0u);
-  ASSERT_GT(cold_evals.size(), probes_before);
-  const double rate1 = static_cast<double>(probes_before) / 2.0;
-  const double rate2 =
-      static_cast<double>(cold_evals.size() - probes_before) / 6.0;
-  EXPECT_LT(rate2, rate1 / 4.0)
-      << "probes/ms before=" << rate1 << " after=" << rate2;
 }
 
 TEST(PredicatesDrr, DoorbellWakePromotesDemotedGroupFromQuiescence) {
