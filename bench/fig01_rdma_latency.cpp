@@ -35,8 +35,10 @@ int main() {
     net::Fabric fabric(engine, timing, 2);
     std::vector<std::byte> src(p.size, std::byte{1});
     std::vector<std::byte> dst(p.size);
+    auto src_region = fabric.register_region(0, src);
     auto region = fabric.register_region(1, dst);
-    const sim::Nanos post = fabric.post_write(0, region, 0, src);
+    const sim::Nanos post =
+        fabric.post_write(src_region, 0, p.size, region, 0);
     engine.run();
     const double us = sim::to_micros(engine.now() - post);
     table.row({workload::Table::integer(p.size), workload::Table::num(us),

@@ -98,9 +98,10 @@ void BM_fabric_post_write(benchmark::State& state) {
   net::Fabric fabric(engine, net::TimingModel{}, 2);
   std::vector<std::byte> src(size, std::byte{1});
   std::vector<std::byte> dst(size);
+  auto src_region = fabric.register_region(0, src);
   auto region = fabric.register_region(1, dst);
   for (auto _ : state) {
-    fabric.post_write(0, region, 0, src);
+    fabric.post_write(src_region, 0, size, region, 0);
     engine.run();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -383,8 +383,9 @@ void OrderingDomain::on_shard_delivery(MergeState& m, std::size_t shard,
       e.sent_at = d.sent_at;
     }
     ++e.arrived;
-    m.queues[shard].push_back(
-        MergeState::Queued{.marker = true, .gsn = h.gsn});
+    MergeState::Queued& q = m.queues[shard].emplace_back();
+    q.marker = true;
+    q.gsn = h.gsn;
     progress(m);
     return;
   }

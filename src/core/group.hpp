@@ -178,6 +178,10 @@ class Cluster {
   std::uint64_t steps() const noexcept {
     return parallel_ ? parallel_->steps() : engine_->steps();
   }
+  /// Heap-boxed event callables (summed over workers; sim::Engine::boxed).
+  std::uint64_t boxed() const noexcept {
+    return parallel_ ? parallel_->boxed() : engine_->boxed();
+  }
 
   net::Fabric& fabric() noexcept { return *fabric_; }
   const ClusterConfig& config() const noexcept { return cfg_; }

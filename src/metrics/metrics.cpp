@@ -16,6 +16,10 @@ std::size_t Histogram::index_for(std::uint64_t v) {
 
 std::uint64_t Histogram::low_of(std::size_t idx) {
   if (idx < kSub) return idx;
+  // Indices [kSub, 4·kSub) would be msb 1..3, which index_for never
+  // produces (every value >= kSub has msb >= 4). They are reached only as
+  // the upper edge of bucket kSub - 1, which is kSub.
+  if (idx < 4 * kSub) return kSub;
   const std::size_t msb = idx / kSub;
   const std::uint64_t sub = idx % kSub;
   return (1ULL << msb) + (sub << (msb - 4));

@@ -2,10 +2,26 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <tuple>
 
 namespace spindle::net {
+
+namespace {
+
+/// The last (up to) 8 bytes of [p, p + len): what the stable-source check
+/// compares. For an SMC trailer write it is the final slot's monotonic
+/// count.
+std::uint64_t tail_word(const std::byte* p, std::size_t len) {
+  std::uint64_t word = 0;
+  const std::size_t n = std::min<std::size_t>(len, sizeof word);
+  std::memcpy(&word, p + len - n, n);
+  return word;
+}
+
+}  // namespace
 
 Fabric::Fabric(sim::Engine& engine, const TimingModel& timing,
                std::size_t n_nodes, std::uint64_t seed)
@@ -43,7 +59,6 @@ void Fabric::configure_partitions(std::vector<sim::Engine*> engine_of_node,
   part_of_node_ = std::move(part_of_node);
   staged_.assign(n_parts_ * n_parts_, {});
   merge_scratch_.assign(n_parts_, {});
-  pools_.resize(n_parts_);
   // Rebind each doorbell to its node's worker engine, so a delivery
   // signalling it schedules the wake-up on the owning wheel.
   for (std::size_t i = 0; i < n_; ++i) {
@@ -72,9 +87,37 @@ NodeId Fabric::region_node(RegionId id) const {
 sim::Nanos Fabric::post_write(NodeId src_node, RegionId dst,
                               std::size_t dst_offset,
                               std::span<const std::byte> src) {
-  assert(dst.index < regions_.size());
-  Region& region = regions_[dst.index];
-  assert(dst_offset + src.size() <= region.mem.size() &&
+  if (src.size() > kMaxInline) {
+    std::fprintf(stderr,
+                 "net::Fabric: inline write of %zu B exceeds the %zu B inline "
+                 "limit; post it from a registered source region\n",
+                 src.size(), kMaxInline);
+    std::abort();
+  }
+  Write w{dst.index, static_cast<std::uint32_t>(dst_offset),
+          static_cast<std::uint32_t>(src.size()), kInlineSrc, {}};
+  if (!src.empty()) std::memcpy(w.bytes, src.data(), src.size());
+  return post(src_node, w);
+}
+
+sim::Nanos Fabric::post_write(RegionId src, std::size_t src_offset,
+                              std::size_t len, RegionId dst,
+                              std::size_t dst_offset) {
+  assert(src.index < regions_.size());
+  const Region& source = regions_[src.index];
+  assert(src_offset + len <= source.mem.size() &&
+         "RDMA write source out of registered region bounds");
+  Write w{dst.index, static_cast<std::uint32_t>(dst_offset),
+          static_cast<std::uint32_t>(len), src.index, {}};
+  w.ref.offset = src_offset;
+  w.ref.tail = tail_word(source.mem.data() + src_offset, len);
+  return post(source.node, w);
+}
+
+sim::Nanos Fabric::post(NodeId src_node, const Write& w) {
+  assert(w.dst < regions_.size());
+  Region& region = regions_[w.dst];
+  assert(w.dst_offset + w.len <= region.mem.size() &&
          "RDMA write out of registered region bounds");
   const NodeId dst_node = region.node;
   const sim::Nanos now = node_engine(src_node).now();
@@ -91,7 +134,7 @@ sim::Nanos Fabric::post_write(NodeId src_node, RegionId dst,
 
   auto& st = stats_[src_node];
   ++st.writes_posted;
-  st.bytes_posted += src.size();
+  st.bytes_posted += w.len;
   st.post_cpu += cost;
 
   if (isolated_[src_node] || isolated_[dst_node]) {
@@ -102,27 +145,45 @@ sim::Nanos Fabric::post_write(NodeId src_node, RegionId dst,
     // Loopback: the NIC still performs the DMA, but we deliver immediately
     // with no wire latency (Derecho writes to its own row locally and never
     // posts self-writes; this path exists for completeness).
-    std::memcpy(region.mem.data() + dst_offset, src.data(), src.size());
+    std::memmove(region.mem.data() + w.dst_offset, payload(w), w.len);
     ++st.writes_delivered;
     return cost;
   }
 
-  // Snapshot the payload now (DMA reads source memory at transmission; the
-  // SST push discipline guarantees the source is not mutated in a way that
-  // violates monotonicity, but we snapshot for strict post-time semantics).
-  // Buffers are pooled, so this is a memcpy, not an allocation.
-  std::vector<std::byte>* payload = acquire_payload(part_of(src_node), src);
-
   if (egress_paused_[src_node]) {
     // NIC stall (fault injection): the verb is posted and the CPU cost is
     // paid, but the send queue backs up until resume_egress().
-    egress_queue_[src_node].push_back(QueuedWrite{dst, dst_offset, payload});
+    egress_queue_[src_node].push_back(w);
     return cost;
   }
 
   // The verb reaches the NIC when the CPU finishes posting it.
-  transmit(src_node, dst, dst_offset, payload, now + cost);
+  transmit(src_node, w, now + cost);
   return cost;
+}
+
+const std::byte* Fabric::payload(const Write& w) const {
+  if (w.src == kInlineSrc) return w.bytes;
+  // Registered source: the NIC reads it now. A changed last word means the
+  // owner rewrote the range while the write was in flight — the
+  // stable-source contract is broken and the landed bytes would be wrong.
+  const std::byte* p = regions_[w.src].mem.data() + w.ref.offset;
+  if (tail_word(p, w.len) != w.ref.tail) {
+    std::fprintf(stderr,
+                 "net::Fabric: source of a registered-source write changed "
+                 "before it landed (source region %u, offset %llu, %u B)\n",
+                 w.src, static_cast<unsigned long long>(w.ref.offset), w.len);
+    std::abort();
+  }
+  return p;
+}
+
+void Fabric::land(const Write& w) {
+  const Region& r = regions_[w.dst];
+  if (isolated_[r.node]) return;  // died while in flight
+  std::memcpy(r.mem.data() + w.dst_offset, payload(w), w.len);
+  ++stats_[r.node].writes_delivered;
+  doorbells_[r.node]->signal();
 }
 
 sim::Co<AtomicResult> Fabric::rdma_faa(NodeId src_node, RegionId dst,
@@ -243,19 +304,6 @@ sim::Co<AtomicResult> Fabric::atomic_rmw(NodeId src_node, RegionId dst,
   co_return res;
 }
 
-std::vector<std::byte>* Fabric::acquire_payload(
-    std::size_t stripe, std::span<const std::byte> src) {
-  PayloadPool& pool = pools_[stripe];
-  if (pool.free_list.empty()) {
-    pool.store.emplace_back();
-    pool.free_list.push_back(&pool.store.back());
-  }
-  std::vector<std::byte>* p = pool.free_list.back();
-  pool.free_list.pop_back();
-  p->assign(src.begin(), src.end());
-  return p;
-}
-
 sim::Nanos Fabric::link_latency(NodeId src, NodeId dst, std::size_t bytes) {
   // Link-fault shaping (fault injection): scaled latency plus jitter.
   const LinkFault& lf = link_faults_[src * n_ + dst];
@@ -284,13 +332,12 @@ sim::Nanos Fabric::jitter_draw(NodeId src, NodeId dst, sim::Nanos jitter) {
   return static_cast<sim::Nanos>(x % static_cast<std::uint64_t>(jitter));
 }
 
-void Fabric::transmit(NodeId src_node, RegionId dst, std::size_t dst_offset,
-                      std::vector<std::byte>* payload, sim::Nanos ready) {
-  Region& region = regions_[dst.index];
+void Fabric::transmit(NodeId src_node, const Write& w, sim::Nanos ready) {
+  const Region& region = regions_[w.dst];
   const NodeId dst_node = region.node;
-  const sim::Nanos occ = timing_.occupancy(payload->size());
+  const sim::Nanos occ = timing_.occupancy(w.len);
   // The per-QP FIFO clamp keeps writes ordered regardless of the jitter.
-  const sim::Nanos adder = link_latency(src_node, dst_node, payload->size());
+  const sim::Nanos adder = link_latency(src_node, dst_node, w.len);
 
   // Source half: egress serialization at the sender. Control QPs (SST
   // pushes) carry tiny writes and interleave with bulk traffic packet by
@@ -302,8 +349,7 @@ void Fabric::transmit(NodeId src_node, RegionId dst, std::size_t dst_offset,
       control ? control_egress_free_[src_node] : egress_free_[src_node];
   const sim::Nanos egress_end = std::max(egress, ready) + occ;
   egress = egress_end;
-  Arrival a{dst, static_cast<std::uint32_t>(dst_offset), payload,
-            egress_end + adder, occ, src_node, dst_node, control};
+  Arrival a{w, egress_end + adder, occ, src_node, dst_node, control};
 
   if (!parallel_) {
     deliver_arrival(a);
@@ -354,7 +400,7 @@ void Fabric::merge_arrivals(std::size_t dst_part) {
 }
 
 void Fabric::deliver_arrival(const Arrival& a) {
-  Region& region = regions_[a.dst.index];
+  Region& region = regions_[a.w.dst];
   // Wire + pipelined stages are in a.base; bulk QPs then serialize at the
   // receiver's ingress port.
   sim::Nanos delivery = a.base;
@@ -369,28 +415,22 @@ void Fabric::deliver_arrival(const Arrival& a) {
   if (delivery <= fifo) delivery = fifo + 1;
   fifo = delivery;
 
-  const std::size_t stripe = part_of(a.dst_node);
-  auto land = [this, dst = a.dst, dst_offset = a.dst_offset,
-               dst_node = a.dst_node, payload = a.payload, stripe] {
-    if (isolated_[dst_node]) {  // died while in flight
-      release_payload(stripe, payload);
-      return;
-    }
-    const Region& r = regions_[dst.index];
-    std::memcpy(r.mem.data() + dst_offset, payload->data(), payload->size());
-    ++stats_[dst_node].writes_delivered;
-    release_payload(stripe, payload);
-    doorbells_[dst_node]->signal();
-  };
+  // A registered-source landing in parallel mode reads the source node's
+  // memory on this (the destination's) worker; the lookahead barrier
+  // between the post's window and this merge orders that read after the
+  // post.
+  auto on_land = [this, w = a.w] { land(w); };
+  static_assert(sizeof(on_land) <= sim::EventNode::kInlineBytes,
+                "the landing event must fit the event node's inline storage");
   if (!parallel_) {
-    engine_.schedule_fn(delivery, std::move(land));
+    engine_.schedule_fn(delivery, on_land);
     return;
   }
   // Re-stamp exactly what serial schedule_fn would have: scheduled at the
   // posting time (b0 = k_at) by the posting event (b1 = its b0), into the
   // future (d = 0), with the identity drawn at post time.
   engine_of_node_[a.dst_node]->schedule_fn_keyed(
-      delivery, a.k_at, a.k_b0, 0, a.del_pu, a.del_s, std::move(land));
+      delivery, a.k_at, a.k_b0, 0, a.del_pu, a.del_s, on_land);
 }
 
 void Fabric::isolate(NodeId node) {
@@ -400,9 +440,7 @@ void Fabric::isolate(NodeId node) {
   // race-free parallel-mode story (Cluster::crash guards this too).
   assert(!parallel_ && "isolate() is serial-mode only");
   isolated_[node] = 1;
-  // A dead NIC's send queue is gone; recycle the stalled payloads.
-  for (QueuedWrite& w : egress_queue_[node]) release_payload(0, w.payload);
-  egress_queue_[node].clear();
+  egress_queue_[node].clear();  // a dead NIC's send queue is gone
 }
 
 void Fabric::restore(NodeId node) {
@@ -424,18 +462,11 @@ void Fabric::resume_egress(NodeId node) {
   egress_paused_[node] = 0;
   auto queued = std::move(egress_queue_[node]);
   egress_queue_[node].clear();
-  const std::size_t stripe = part_of(node);
-  if (isolated_[node]) {  // crashed while stalled: queue lost
-    for (QueuedWrite& w : queued) release_payload(stripe, w.payload);
-    return;
-  }
+  if (isolated_[node]) return;  // crashed while stalled: queue lost
   const sim::Nanos now = node_engine(node).now();
-  for (auto& w : queued) {
-    if (isolated_[regions_[w.dst.index].node]) {
-      release_payload(stripe, w.payload);
-      continue;
-    }
-    transmit(node, w.dst, w.dst_offset, w.payload, now);
+  for (const Write& w : queued) {
+    if (isolated_[regions_[w.dst].node]) continue;
+    transmit(node, w, now);
   }
 }
 

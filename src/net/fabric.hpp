@@ -45,16 +45,30 @@ struct AtomicResult {
 /// Simulated RDMA fabric: N nodes on a full-bisection switch.
 ///
 /// Supports the one operation Derecho's small-message stack needs:
-/// one-sided RDMA WRITE into a pre-registered remote region. Guarantees
-/// modeled after the hardware properties the SST relies on (§2.2 of the
-/// paper):
+/// one-sided RDMA WRITE into a pre-registered remote region, in two verbs:
+///
+///  * **inline** (`post_write(src_node, dst, off, bytes)`, like
+///    IBV_SEND_INLINE) — at most kMaxInline payload bytes, copied into the
+///    write record when posted. Later changes to the caller's buffer are
+///    never seen. SST pushes use it;
+///  * **registered-source** (`post_write(src, src_off, len, dst, off)`) —
+///    a range of a registered region, read when the write lands, the way a
+///    NIC DMAs a non-inline SGE straight from registered memory. Nothing is
+///    copied at post. SMC ring data and trailers use it.
+///
+/// Guarantees modeled after the hardware properties the SST relies on
+/// (§2.2 of the paper):
 ///
 ///  * **per-link FIFO / memory fence** — two writes posted in order from A
 ///    to B become visible at B in that order, never interleaved;
 ///  * **cache-line atomicity** — a write's bytes appear at the destination
 ///    all at once (the simulator copies the whole payload in one event);
-///  * **zero-copy** — payload is snapshotted at post time (DMA semantics)
-///    and placed directly into the destination's registered memory.
+///  * **stable source** — the caller of a registered-source write must not
+///    change the source range until the write has landed. The SMC slot
+///    discipline gives this: a slot is rewritten only after every receiver
+///    consumed it. The fabric checks the contract: it records the range's
+///    last 8-byte word at post and aborts, in every build type, if that
+///    word differs at landing.
 ///
 /// Failure injection: `isolate()` silently drops all traffic to and from a
 /// node, modeling a crash as seen by the network.
@@ -98,7 +112,12 @@ class Fabric {
   /// barrier where all workers are parked between lookahead windows.
   void merge_arrivals(std::size_t dst_part);
 
-  /// Post a one-sided write of `src` into (dst region, dst_offset).
+  /// Largest payload the inline verb carries.
+  static constexpr std::size_t kMaxInline = 32;
+
+  /// Inline write: post `src` (at most kMaxInline bytes, else the process
+  /// aborts) from `src_node` into (dst region, dst_offset). The bytes are
+  /// copied when posted.
   ///
   /// Returns the CPU cost of posting the verb, charged to the calling
   /// simulated thread: the caller must `co_await engine.sleep(cost)`
@@ -108,6 +127,14 @@ class Fabric {
   /// `post_cpu_next`.
   sim::Nanos post_write(NodeId src_node, RegionId dst, std::size_t dst_offset,
                         std::span<const std::byte> src);
+
+  /// Registered-source (zero-copy) write: `len` bytes at `src_offset` of
+  /// region `src`, posted by the node that owns it, into (dst region,
+  /// dst_offset). The bytes are read when the write lands; the source
+  /// range must stay unchanged until then (see the class comment). Same
+  /// cost model as the inline verb.
+  sim::Nanos post_write(RegionId src, std::size_t src_offset, std::size_t len,
+                        RegionId dst, std::size_t dst_offset);
 
   /// One-sided fetch-and-add on an aligned 8-byte word of a registered
   /// region: fetches the word, adds `add`, and returns the *old* value —
@@ -198,10 +225,24 @@ class Fabric {
     double latency_mult = 1.0;
     sim::Nanos jitter = 0;
   };
-  struct QueuedWrite {
-    RegionId dst;
-    std::size_t dst_offset;
-    std::vector<std::byte>* payload;  // pool-owned
+  static constexpr std::uint32_t kInlineSrc = UINT32_MAX;
+
+  /// One write from post to landing — through the egress-stall queue, the
+  /// parallel staging channels and the landing event: the destination
+  /// range plus either the payload itself (inline verb) or the source
+  /// range to read at landing (registered-source verb).
+  struct Write {
+    std::uint32_t dst;  // region index
+    std::uint32_t dst_offset;
+    std::uint32_t len;
+    std::uint32_t src;  // source region index, or kInlineSrc
+    union {
+      std::byte bytes[kMaxInline];  // inline payload
+      struct {
+        std::uint64_t offset;
+        std::uint64_t tail;  // last source word at post (stable-source check)
+      } ref;
+    };
   };
 
   /// One write between its source and destination halves. Egress
@@ -211,9 +252,7 @@ class Fabric {
   /// by deliver_arrival — at post time in serial mode, at the merge (in the
   /// sort order below) in parallel mode.
   struct Arrival {
-    RegionId dst;
-    std::uint32_t dst_offset;
-    std::vector<std::byte>* payload;
+    Write w;
     /// Bulk: arrival at the receiver NIC (pre-ingress). Control: delivery
     /// time (pre-FIFO-clamp) — control QPs skip ingress serialization.
     sim::Nanos base;
@@ -235,26 +274,20 @@ class Fabric {
     std::uint64_t del_pu = 0, del_s = 0;
   };
 
-  /// In-flight payload snapshots are pooled: a delivery returns its buffer
-  /// for reuse, so steady-state traffic allocates nothing per write. The
-  /// pool owns every buffer (deque keeps addresses stable); an event that
-  /// never runs merely strands its buffer until the Fabric dies — no leak.
-  /// Pools are striped per partition (stripe 0 in serial mode); callers
-  /// always use the stripe of the worker thread they run on, so buffers
-  /// migrate src stripe -> dst stripe without any locking.
-  std::vector<std::byte>* acquire_payload(std::size_t stripe,
-                                          std::span<const std::byte> src);
-  void release_payload(std::size_t stripe, std::vector<std::byte>* p) {
-    p->clear();
-    pools_[stripe].free_list.push_back(p);
-  }
+  /// Shared body of both verbs: the burst-discounted post cost, then drop,
+  /// loopback, egress-stall queueing or transmit.
+  sim::Nanos post(NodeId src_node, const Write& w);
+  /// The bytes a write lands: its inline payload, or its registered source
+  /// range after the stable-source check.
+  const std::byte* payload(const Write& w) const;
+  /// Landing event body: copy into the destination and ring its doorbell.
+  void land(const Write& w);
 
   /// Wire model shared by post_write and resume_egress: serialize at the
   /// sender's port from `ready` and apply link latency (plus any injected
   /// fault); the destination half runs now (serial) or is staged for the
   /// next barrier (parallel).
-  void transmit(NodeId src_node, RegionId dst, std::size_t dst_offset,
-                std::vector<std::byte>* payload, sim::Nanos ready);
+  void transmit(NodeId src_node, const Write& w, sim::Nanos ready);
   /// Destination half of both modes: ingress serialization, the per-QP
   /// FIFO clamp, and the landing event. Only how the landing is scheduled
   /// differs — plain in serial mode, re-stamped with the posting event's
@@ -269,9 +302,6 @@ class Fabric {
 
   sim::Engine& node_engine(NodeId node) noexcept {
     return parallel_ ? *engine_of_node_[node] : engine_;
-  }
-  std::size_t part_of(NodeId node) const noexcept {
-    return parallel_ ? part_of_node_[node] : 0;
   }
   /// Wire latency of a `bytes`-byte transfer on src->dst (latency_adder),
   /// shaped by that link's injected fault.
@@ -301,18 +331,10 @@ class Fabric {
   // a per-link counter, so a run with the same seed and fault schedule is
   // bit-reproducible in every engine mode.
   std::vector<char> egress_paused_;
-  std::vector<std::deque<QueuedWrite>> egress_queue_;
+  std::vector<std::deque<Write>> egress_queue_;
   std::vector<LinkFault> link_faults_;  // src * n_ + dst
   std::vector<std::uint64_t> jitter_seq_;  // src * n_ + dst: draws so far
   std::uint64_t jitter_seed_;
-
-  // Payload snapshot pool stripes (see acquire_payload; one stripe in
-  // serial mode, one per partition in parallel mode).
-  struct PayloadPool {
-    std::deque<std::vector<std::byte>> store;
-    std::vector<std::vector<std::byte>*> free_list;
-  };
-  std::vector<PayloadPool> pools_{1};
 
   // Parallel-mode routing state (empty in serial mode). staged_[s * P + d]
   // is written only by partition s's worker during a window and drained

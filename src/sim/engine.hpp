@@ -50,6 +50,9 @@ class Engine {
 
   Nanos now() const noexcept { return now_; }
   std::uint64_t steps() const noexcept { return steps_; }
+  /// Callables too large for the event node's inline storage, each boxed
+  /// in its own heap allocation (see install_fn). Zero on the hot path.
+  std::uint64_t boxed() const noexcept { return boxed_; }
 
   /// Schedule a raw coroutine resume at absolute virtual time `at`.
   TimerId schedule_handle(Nanos at, std::coroutine_handle<> h) {
@@ -264,6 +267,7 @@ class Engine {
         std::launder(reinterpret_cast<Fn*>(e->storage))->~Fn();
       };
     } else {
+      ++boxed_;
       ::new (static_cast<void*>(n->storage)) Fn*(new Fn(std::forward<F>(fn)));
       n->invoke = [](EventNode* e) {
         Fn* f = *std::launder(reinterpret_cast<Fn**>(e->storage));
@@ -316,6 +320,7 @@ class Engine {
   std::uint64_t root_seq_ = 0;
   std::uint64_t* root_counter_ = &root_seq_;
   std::uint64_t steps_ = 0;
+  std::uint64_t boxed_ = 0;
   TimerWheel wheel_;
   std::function<std::string()> diagnostics_provider_;
 };

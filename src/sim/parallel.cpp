@@ -47,6 +47,12 @@ std::uint64_t ParallelEngine::steps() const {
   return s;
 }
 
+std::uint64_t ParallelEngine::boxed() const {
+  std::uint64_t b = 0;
+  for (const auto& e : engines_) b += e->boxed();
+  return b;
+}
+
 void ParallelEngine::decide(Mode mode, const std::function<bool()>* cond,
                             Nanos max_virtual, Nanos horizon) {
   Nanos min_at = 0;

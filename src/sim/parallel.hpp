@@ -116,6 +116,8 @@ class ParallelEngine {
   Nanos now() const;
   /// Events dispatched across all workers.
   std::uint64_t steps() const;
+  /// Heap-boxed callables across all workers (Engine::boxed).
+  std::uint64_t boxed() const;
   /// Lookahead windows executed (null-message rounds).
   std::uint64_t windows() const noexcept { return windows_; }
 

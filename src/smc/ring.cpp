@@ -1,6 +1,7 @@
 #include "smc/ring.hpp"
 
 #include <cstring>
+#include <new>
 
 namespace spindle::smc {
 
@@ -16,8 +17,11 @@ RingGroup::RingGroup(net::Fabric& fabric, net::NodeId self,
       window_(window),
       max_msg_(max_msg_size) {
   assert(window_ > 0 && max_msg_ > 0 && num_senders_ > 0);
-  arena_.assign(num_senders_ * row_size(), std::byte{0});
-  my_region_ = fabric_.register_region(self_, std::span<std::byte>(arena_));
+  const std::size_t bytes = num_senders_ * row_size();
+  arena_mem_.reset(static_cast<std::byte*>(std::calloc(bytes, 1)));
+  if (arena_mem_ == nullptr) throw std::bad_alloc();
+  arena_ = {arena_mem_.get(), bytes};
+  my_region_ = fabric_.register_region(self_, arena_);
   peer_regions_.resize(members_.size());
 }
 
@@ -80,11 +84,14 @@ sim::Nanos RingGroup::push_ranges(std::int64_t first, std::int64_t last,
     const std::size_t off = trailers
                                 ? trailer_offset(my_sender_, segs[i].slot)
                                 : data_offset(my_sender_, segs[i].slot);
-    std::span<const std::byte> src{arena_.data() + off, segs[i].count * unit};
+    const std::size_t len = segs[i].count * unit;
     for (std::size_t rank : targets) {
       if (members_[rank] == self_) continue;
       assert(peer_regions_[rank].valid() && "RingGroup not connected");
-      cost += fabric_.post_write(self_, peer_regions_[rank], off, src);
+      // Zero-copy from the registered arena: the slots stay untouched until
+      // every receiver has consumed them, so they are stable until landing.
+      cost += fabric_.post_write(my_region_, off, len, peer_regions_[rank],
+                                 off);
     }
   }
   return cost;

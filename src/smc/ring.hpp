@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -112,7 +114,14 @@ class RingGroup {
   std::size_t num_senders_;
   std::uint32_t window_;
   std::uint32_t max_msg_;
-  std::vector<std::byte> arena_;  // num_senders rows
+  struct FreeDeleter {
+    void operator()(std::byte* p) const noexcept { std::free(p); }
+  };
+  // calloc'd rather than a zero-filled vector: pages fresh from the OS are
+  // zero already and stay unmapped until a write first touches them, so a
+  // large arena costs no page faults at construction.
+  std::unique_ptr<std::byte[], FreeDeleter> arena_mem_;
+  std::span<std::byte> arena_;  // num_senders rows
   net::RegionId my_region_;
   std::vector<net::RegionId> peer_regions_;  // member rank -> region
 };

@@ -49,23 +49,25 @@ sim::Nanos Sst::push(FieldId first, FieldId last,
   const std::size_t end = layout_.field_offset(last) + layout_.field_size(last);
   assert(begin <= end);
   const std::size_t row_off = my_rank_ * layout_.row_size() + begin;
-  std::span<const std::byte> src{table_.data() + row_off, end - begin};
+  const std::size_t len = end - begin;
 
+  // Inline writes snapshot the fields at post, so the owner may keep
+  // updating its row while the push is in flight. A range wider than the
+  // inline limit goes out as consecutive inline writes, which the per-QP
+  // FIFO lands in order.
   sim::Nanos cost = 0;
   const net::NodeId self = members_[my_rank_];
   for (std::size_t rank : targets) {
     if (rank == my_rank_) continue;
     assert(peer_regions_[rank].valid() && "Sst group not connected");
-    cost += fabric_.post_write(self, peer_regions_[rank], row_off, src);
+    for (std::size_t done = 0; done < len; done += net::Fabric::kMaxInline) {
+      const std::size_t off = row_off + done;
+      const std::size_t n = std::min(net::Fabric::kMaxInline, len - done);
+      cost += fabric_.post_write(self, peer_regions_[rank], off,
+                                 {table_.data() + off, n});
+    }
   }
   return cost;
-}
-
-sim::Nanos Sst::push_row(std::span<const std::size_t> targets) {
-  if (layout_.num_fields() == 0) return 0;
-  return push(FieldId{0},
-              FieldId{static_cast<std::uint32_t>(layout_.num_fields() - 1)},
-              targets);
 }
 
 }  // namespace spindle::sst

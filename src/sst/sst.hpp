@@ -19,7 +19,7 @@ struct FieldId {
 
 /// Row layout builder. Fields are laid out in declaration order, 8-byte
 /// aligned, so that a push of fields [first..last] is one contiguous byte
-/// range (one RDMA write).
+/// range (one RDMA write per net::Fabric::kMaxInline bytes).
 class Layout {
  public:
   FieldId add_i64(std::string name);
@@ -103,15 +103,16 @@ class Sst {
   }
 
   /// Push the contiguous field range [first..last] of the local row to each
-  /// member whose rank appears in `targets` (self is skipped). Returns the
-  /// CPU post cost to charge: callers must co_await engine().sleep(cost).
+  /// member whose rank appears in `targets` (self is skipped), as inline
+  /// writes: the values are those at the time of the push. A range wider
+  /// than net::Fabric::kMaxInline takes one write per kMaxInline bytes.
+  /// Returns the CPU post cost to charge: callers must co_await
+  /// engine().sleep(cost).
   sim::Nanos push(FieldId first, FieldId last,
                   std::span<const std::size_t> targets);
   sim::Nanos push_field(FieldId f, std::span<const std::size_t> targets) {
     return push(f, f, targets);
   }
-  /// Push the entire local row.
-  sim::Nanos push_row(std::span<const std::size_t> targets);
 
   net::Fabric& fabric() noexcept { return fabric_; }
 

@@ -229,6 +229,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
 
   cluster.shutdown();
   res.engine_steps = cluster.steps();
+  res.engine_boxed = cluster.boxed();
   res.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)

@@ -89,6 +89,8 @@ struct ExperimentResult {
   /// BENCH_*.json baselines track.
   std::uint64_t engine_steps = 0;
   double wall_seconds = 0;
+  /// Event callables the engine had to heap-box (sim::Engine::boxed).
+  std::uint64_t engine_boxed = 0;
   /// Worker threads the run actually used (1 = serial engine).
   std::size_t sim_workers = 1;
   /// Delivery latency split by sender class (§4.2.1: messages from delayed

@@ -112,7 +112,8 @@ TEST_F(AtomicsFixture, AtomicPostedAfterWriteSeesItLand) {
   // the 32 KB payload to the target by a wide margin.
   std::vector<std::byte> big(32768);
   put_word(big, 0, 77);
-  fabric.post_write(1, region, 0, big);
+  const RegionId src = fabric.register_region(1, big);
+  fabric.post_write(src, 0, big.size(), region, 0);
   AtomicResult res;
   engine.spawn([](Fabric* f, RegionId r, AtomicResult* out) -> sim::Co<> {
     *out = co_await f->rdma_faa(1, r, 0, 1);

@@ -75,6 +75,21 @@ TEST(Histogram, BucketsCoverAllSamples) {
   EXPECT_EQ(total, h.count());
 }
 
+TEST(Histogram, LastExactBucketEndsAtSixteen) {
+  // 15 is the last exactly-bucketed value; 16 opens the log-linear range.
+  Histogram h;
+  h.add(15);
+  h.add(16);
+  EXPECT_EQ(h.percentile(0), 15u);
+  EXPECT_EQ(h.percentile(100), 16u);
+  const auto b = h.buckets();
+  ASSERT_EQ(b.size(), 2u);
+  EXPECT_EQ(b[0].low, 15u);
+  EXPECT_EQ(b[0].high, 15u);
+  EXPECT_EQ(b[1].low, 16u);
+  EXPECT_EQ(b[1].high, 16u);
+}
+
 TEST(Summary, EmptyReportsZeroNotInfinity) {
   Summary s;
   EXPECT_EQ(s.count(), 0u);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -56,9 +57,9 @@ TEST_F(FabricFixture, PerLinkFifoEvenWhenSmallFollowsLarge) {
   // A large write followed by a tiny one on the same link must not be
   // overtaken (RDMA memory-fence guarantee the SST depends on).
   std::vector<std::byte> big(3000, std::byte{7});
+  const RegionId big_src = fabric.register_region(0, big);
   auto small = bytes({9});
-  std::vector<int> order;
-  fabric.post_write(0, region_b, 0, big);
+  fabric.post_write(big_src, 0, big.size(), region_b, 0);
   fabric.post_write(0, region_b, 4000, small);
   bool small_after_big = false;
   engine.run_until([&] {
@@ -88,7 +89,8 @@ TEST_F(FabricFixture, EgressSerializesAtLineRate) {
   // Two 10 KB writes back to back: second delivery roughly one occupancy
   // later than the first.
   std::vector<std::byte> buf(10240, std::byte{5});
-  fabric.post_write(0, region_b, 0, std::span<const std::byte>(buf.data(), 1024));
+  const RegionId src = fabric.register_region(0, buf);
+  fabric.post_write(src, 0, 1024, region_b, 0);
   std::vector<sim::Nanos> deliveries;
   // Track deliveries via doorbell signals.
   engine.spawn([](sim::Engine& e, Fabric& f,
@@ -101,7 +103,7 @@ TEST_F(FabricFixture, EgressSerializesAtLineRate) {
       }
     }
   }(engine, fabric, deliveries));
-  fabric.post_write(0, region_b, 2048, std::span<const std::byte>(buf.data(), 1024));
+  fabric.post_write(src, 0, 1024, region_b, 2048);
   engine.run();
   ASSERT_EQ(deliveries.size(), 2u);
   const sim::Nanos gap = deliveries[1] - deliveries[0];
@@ -163,7 +165,8 @@ TEST_F(FabricFixture, ControlWritesOvertakeBulkData) {
   auto bulk_region = fabric.register_region(1, bulk_dst);
   auto control_region = fabric.register_region(1, ctl_dst, Channel::control);
   std::vector<std::byte> big(512 * 1024, std::byte{7});
-  fabric.post_write(0, bulk_region, 0, big);  // ~41us of line time
+  const RegionId big_src = fabric.register_region(0, big);
+  fabric.post_write(big_src, 0, big.size(), bulk_region, 0);  // ~41us on wire
   auto small = bytes({9});
   fabric.post_write(0, control_region, 0, small);
   bool control_first = false;
@@ -187,7 +190,8 @@ TEST_F(FabricFixture, SharedChannelAblationDisablesOvertaking) {
   auto rb = fab2.register_region(1, dst_bulk, Channel::bulk);
   auto rc = fab2.register_region(1, dst_ctl, Channel::control);
   std::vector<std::byte> big(512 * 1024, std::byte{7});
-  fab2.post_write(0, rb, 0, big);
+  const RegionId big_src = fab2.register_region(0, big);
+  fab2.post_write(big_src, 0, big.size(), rb, 0);
   auto small = std::vector<std::byte>{std::byte{9}};
   fab2.post_write(0, rc, 0, small);
   bool bulk_first = false;
@@ -200,6 +204,103 @@ TEST_F(FabricFixture, SharedChannelAblationDisablesOvertaking) {
   });
   EXPECT_TRUE(bulk_first) << "without separate QPs the ack must queue";
   eng2.run();
+}
+
+TEST_F(FabricFixture, InlineSnapshotsAtPostRegisteredSourceReadsAtLanding) {
+  // The inline verb copies its bytes when posted; the registered-source
+  // verb reads the source region when the write lands.
+  auto inline_buf = bytes({1});
+  fabric.post_write(0, region_b, 0, inline_buf);
+  inline_buf[0] = std::byte{2};
+
+  std::vector<std::byte> src(64, std::byte{3});
+  const RegionId src_region = fabric.register_region(0, src);
+  fabric.post_write(src_region, 0, src.size(), region_b, 8);
+  src[0] = std::byte{4};  // not the tail word: the stable-source check passes
+
+  engine.run();
+  EXPECT_EQ(mem_b[0], std::byte{1});
+  EXPECT_EQ(mem_b[8], std::byte{4});
+  EXPECT_EQ(mem_b[8 + 63], std::byte{3});
+  EXPECT_EQ(fabric.stats(0).bytes_posted, 65u);
+  EXPECT_EQ(fabric.stats(1).writes_delivered, 2u);
+}
+
+TEST_F(FabricFixture, InlineAndRegisteredSourceWritesStayFifoOnOneQp) {
+  // One (source, region) QP carrying both verbs: an inline write, a large
+  // registered-source write, then another inline write land in post order.
+  std::vector<std::byte> big(3000, std::byte{7});
+  const RegionId big_src = fabric.register_region(0, big);
+  fabric.post_write(0, region_b, 4000, bytes({1}));
+  fabric.post_write(big_src, 0, big.size(), region_b, 0);
+  fabric.post_write(0, region_b, 4001, bytes({2}));
+  std::vector<int> order;
+  const auto note = [&](int id, bool landed) {
+    if (landed && std::find(order.begin(), order.end(), id) == order.end()) {
+      order.push_back(id);
+    }
+  };
+  while (engine.step()) {
+    note(0, mem_b[4000] == std::byte{1});
+    note(1, mem_b[2999] == std::byte{7});
+    note(2, mem_b[4001] == std::byte{2});
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST_F(FabricFixture, IsolationDropsRegisteredSourceWrites) {
+  std::vector<std::byte> src(64, std::byte{7});
+  const RegionId src_region = fabric.register_region(0, src);
+  fabric.post_write(src_region, 0, src.size(), region_b, 0);
+  fabric.isolate(1);  // destination crashes while the write is in flight
+  fabric.post_write(src_region, 0, src.size(), region_b, 64);
+  engine.run();
+  EXPECT_EQ(mem_b[0], std::byte{0});
+  EXPECT_EQ(mem_b[64], std::byte{0});
+  EXPECT_EQ(fabric.stats(1).writes_delivered, 0u);
+}
+
+TEST_F(FabricFixture, ResumeEgressReplaysQueuedRegisteredSourceWrites) {
+  std::vector<std::byte> src(2048, std::byte{7});
+  const RegionId src_region = fabric.register_region(0, src);
+  fabric.pause_egress(0);
+  fabric.post_write(src_region, 0, src.size(), region_b, 0);
+  fabric.post_write(0, region_b, 3000, bytes({9}));
+  engine.run();
+  EXPECT_EQ(mem_b[0], std::byte{0});  // stalled in the send queue
+  EXPECT_EQ(mem_b[3000], std::byte{0});
+
+  src[0] = std::byte{8};  // still queued: the NIC has not read it yet
+  fabric.resume_egress(0);
+  engine.run();
+  EXPECT_EQ(mem_b[0], std::byte{8});
+  EXPECT_EQ(mem_b[2047], std::byte{7});
+  EXPECT_EQ(mem_b[3000], std::byte{9});
+  EXPECT_EQ(fabric.stats(1).writes_delivered, 2u);
+}
+
+TEST_F(FabricFixture, InlineWriteOverTheLimitIsRejected) {
+  const std::vector<std::byte> at_limit(Fabric::kMaxInline, std::byte{1});
+  fabric.post_write(0, region_b, 0, at_limit);
+  engine.run();
+  EXPECT_EQ(mem_b[Fabric::kMaxInline - 1], std::byte{1});
+  const std::vector<std::byte> over(Fabric::kMaxInline + 1);
+  EXPECT_DEATH(fabric.post_write(0, region_b, 0, over), "inline limit");
+}
+
+TEST_F(FabricFixture, SourceChangedBeforeLandingAborts) {
+  // The stable-source check: rewriting the last word of a registered
+  // source range while its write is in flight aborts at landing, naming
+  // the source region and offset.
+  std::vector<std::byte> src(64, std::byte{7});
+  const RegionId src_region = fabric.register_region(0, src);
+  EXPECT_DEATH(
+      {
+        fabric.post_write(src_region, 16, 48, region_b, 0);
+        src[63] = std::byte{8};
+        engine.run();
+      },
+      "changed before it landed \\(source region 2, offset 16, 48 B\\)");
 }
 
 TEST(TimingModel, OccupancyScalesWithSize) {

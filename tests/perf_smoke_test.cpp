@@ -13,6 +13,7 @@
 
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
+#include "workload/experiment.hpp"
 
 namespace {
 
@@ -93,6 +94,21 @@ TEST(PerfSmoke, ScheduleFnDoesNotAllocateOnHotPath) {
     engine.run();
     EXPECT_EQ(engine.pending_events(), 0u);
   }
+}
+
+TEST(PerfSmoke, BulkRunBoxesNoEvents) {
+  // The static_asserts above cover representative shapes only; this counts
+  // the callables a real protocol run schedules that outgrow the 64-byte
+  // inline storage — every one is a heap allocation per event.
+  workload::ExperimentConfig cfg;
+  cfg.nodes = 16;
+  cfg.messages_per_sender = 20;
+  cfg.message_size = 10240;
+  cfg.sim_threads = 1;
+  const workload::ExperimentResult res = workload::run_experiment(cfg);
+  ASSERT_TRUE(res.completed);
+  EXPECT_GT(res.engine_steps, 0u);
+  EXPECT_EQ(res.engine_boxed, 0u);
 }
 
 }  // namespace

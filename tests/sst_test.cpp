@@ -148,10 +148,43 @@ TEST_F(SstFixture, GuardedListNeverObservedStale) {
 }
 
 TEST_F(SstFixture, RangePushIsSingleWritePerTarget) {
+  // Three adjacent i64 fields: 24 B, within the fabric's inline limit.
+  Layout narrow;
+  const FieldId a = narrow.add_i64("a");
+  narrow.add_i64("b");
+  const FieldId c = narrow.add_i64("c");
+  std::vector<std::unique_ptr<Sst>> rows;
+  std::vector<Sst*> ptrs;
+  for (net::NodeId id : {0u, 1u, 2u}) {
+    rows.push_back(std::make_unique<Sst>(fabric, id,
+                                         std::vector<net::NodeId>{0, 1, 2},
+                                         narrow));
+    ptrs.push_back(rows.back().get());
+  }
+  Sst::connect(ptrs);
+  rows[0]->write_local_i64(c, 3);
   const auto before = fabric.stats(0).writes_posted;
-  tables[0]->push(f_count, f_guard, everyone);  // whole row span
+  rows[0]->push(a, c, everyone);
   EXPECT_EQ(fabric.stats(0).writes_posted, before + 2);  // 2 peers, 1 each
   engine.run();
+  EXPECT_EQ(rows[2]->read_i64(0, c), 3);
+}
+
+TEST_F(SstFixture, WideRangePushIsSplitIntoInlineWrites) {
+  // The whole 272 B row exceeds the inline limit: it goes out as one write
+  // per 32 B to each peer, and lands whole.
+  tables[0]->write_local_i64(f_count, 5);
+  tables[0]->local_bytes(f_list)[255] = std::byte{6};
+  tables[0]->write_local_i64(f_guard, 7);
+  const auto before = fabric.stats(0).writes_posted;
+  tables[0]->push(f_count, f_guard, everyone);
+  EXPECT_EQ(fabric.stats(0).writes_posted, before + 2 * 9);
+  engine.run();
+  for (std::size_t r : {1u, 2u}) {
+    EXPECT_EQ(tables[r]->read_i64(0, f_count), 5);
+    EXPECT_EQ(tables[r]->read_bytes(0, f_list)[255], std::byte{6});
+    EXPECT_EQ(tables[r]->read_i64(0, f_guard), 7);
+  }
 }
 
 TEST_F(SstFixture, InitAllRowsSetsAgreedInitialState) {
