@@ -138,8 +138,7 @@ int main() {
                Table::num(static_cast<double>(
                               r.grant_latency_ns.percentile(99)) / 1e3, 2),
                gbps(r.throughput_gbps), Table::integer(r.grants_issued),
-               Table::num(r.wall_seconds, 2) +
-                   (r.completed ? "" : " [INCOMPLETE: watchdog tripped]")});
+               Table::num(r.wall_seconds, 2) + check_completed(r)});
         report.add_run(label, r);
         report.add_metric("grant_p50_us_" + label,
                           static_cast<double>(r.grant_latency_ns.median()) /

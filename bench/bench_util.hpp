@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "workload/experiment.hpp"
-#include "workload/sharded.hpp"
+#include "workload/run.hpp"
 #include "workload/table.hpp"
 
 extern "C" char** environ;  // POSIX: not declared by any header
@@ -47,15 +47,18 @@ inline std::vector<std::size_t> node_sweep() { return {2, 4, 8, 11, 16}; }
 
 inline std::string gbps(double v) { return Table::num(v, 2); }
 
-inline std::string check_completed(const ExperimentResult& r) {
+inline std::string check_completed(const workload::RunRecord& r) {
   return r.completed ? "" : " [INCOMPLETE: watchdog tripped]";
 }
 
 /// Machine-readable bench output: accumulates per-configuration rows plus
 /// free-form scalar metrics and writes them to BENCH_<name>.json in the
-/// working directory. CI jobs diff these files across commits to track the
-/// simulator's wall-clock trajectory (events/sec, sweep times) alongside
-/// the simulated-protocol numbers the tables print.
+/// working directory: the simulated-protocol numbers the tables print, next
+/// to the simulator's cost (events/sec, wall time). No tool reads these
+/// files; a few are committed at the repo root as reference output. The
+/// simulator's cost is compared across commits by the repo benchmark's
+/// benchmark_compare (sim.ops_per_s, setup_s, peak_rss_mb; see
+/// benchmark/README.md).
 ///
 /// Shape:
 ///   { "bench": "<name>", "scale": <SPINDLE_BENCH_SCALE>,
@@ -73,7 +76,7 @@ inline std::string check_completed(const ExperimentResult& r) {
 /// base RNG seed and per-sender message count the bench ran with, the
 /// simulation worker-thread count in effect (SPINDLE_SIM_THREADS resolution)
 /// next to the machine's hardware concurrency (so a wall-clock diff between
-/// reports from 1-core CI and a many-core box is attributable), plus every
+/// reports from a 1-core and a many-core box is attributable), plus every
 /// SPINDLE_* environment override — so a diff between two reports can be
 /// traced to a code change rather than a forgotten env var.
 class BenchReport {
@@ -98,50 +101,14 @@ class BenchReport {
     has_shard_provenance_ = true;
   }
 
-  /// Record one experiment under `label`. events/sec is engine events
-  /// dispatched per wall second — the simulator-speed headline number.
-  void add_run(const std::string& label, const ExperimentResult& r) {
-    Run run;
-    run.label = label;
-    run.engine_steps = r.engine_steps;
-    run.wall_seconds = r.wall_seconds;
-    run.makespan_ns = static_cast<std::uint64_t>(r.makespan);
-    run.msgs_delivered = r.stats.total.messages_delivered;
-    run.sim_workers = r.sim_workers;
-    run.throughput_gbps = r.throughput_gbps;
-    runs_.push_back(std::move(run));
-  }
-
-  /// Record an averaged sweep: engine_steps/wall_seconds are summed over
-  /// the sweep's runs, protocol metrics come from the last run.
-  void add_run(const std::string& label, const workload::Averaged& a) {
-    Run run;
-    run.label = label;
-    run.engine_steps = a.engine_steps;
-    run.wall_seconds = a.wall_seconds;
-    run.makespan_ns = static_cast<std::uint64_t>(a.last.makespan);
-    run.msgs_delivered = a.last.stats.total.messages_delivered;
-    run.sim_workers = a.last.sim_workers;
-    run.throughput_gbps = a.mean_gbps;
-    runs_.push_back(std::move(run));
-  }
-
-  /// Record one sharded-domain run: msgs_delivered counts merged upcalls
-  /// (each send exactly once per member), matching the throughput metric.
-  void add_run(const std::string& label, const workload::ShardedResult& r) {
-    Run run;
-    run.label = label;
-    run.engine_steps = r.engine_steps;
-    run.wall_seconds = r.wall_seconds;
-    run.makespan_ns = static_cast<std::uint64_t>(r.makespan);
-    run.msgs_delivered = r.expected_deliveries;
-    run.sim_workers = r.sim_workers;
-    run.throughput_gbps = r.throughput_gbps;
-    runs_.push_back(std::move(run));
+  /// Record one run under `label`. events/sec is engine events dispatched
+  /// per wall second — the simulator-speed headline number.
+  void add_run(const std::string& label, const workload::RunRecord& r) {
+    runs_.emplace_back(label, r);
   }
 
   /// Free-form scalar (e.g. a speedup ratio or an ops/sec measurement that
-  /// does not come from an ExperimentResult).
+  /// does not come from a RunRecord).
   void add_metric(const std::string& key, double value) {
     metrics_.emplace_back(key, value);
   }
@@ -173,7 +140,7 @@ class BenchReport {
                  "\n    \"sim_threads\": %llu,"
                  "\n    \"hardware_concurrency\": %u,",
                  static_cast<unsigned long long>(
-                     workload::sim_threads_from_env()),
+                     workload::resolve_sim_threads(0)),
                  std::thread::hardware_concurrency());
     std::fprintf(f, "\n    \"env\": {");
     bool first_env = true;
@@ -190,7 +157,7 @@ class BenchReport {
     std::fprintf(f, "\n    }\n  },\n");
     std::fprintf(f, "  \"runs\": [");
     for (std::size_t i = 0; i < runs_.size(); ++i) {
-      const Run& r = runs_[i];
+      const auto& [label, r] = runs_[i];
       const double eps =
           r.wall_seconds > 0
               ? static_cast<double>(r.engine_steps) / r.wall_seconds
@@ -200,9 +167,9 @@ class BenchReport {
                    "\"wall_seconds\": %.6g, \"makespan_ns\": %llu, "
                    "\"msgs_delivered\": %llu, \"engine_steps\": %llu, "
                    "\"sim_workers\": %llu, \"throughput_gbps\": %.6g }",
-                   i ? "," : "", escape(r.label).c_str(), eps, r.wall_seconds,
-                   static_cast<unsigned long long>(r.makespan_ns),
-                   static_cast<unsigned long long>(r.msgs_delivered),
+                   i ? "," : "", escape(label).c_str(), eps, r.wall_seconds,
+                   static_cast<unsigned long long>(r.makespan),
+                   static_cast<unsigned long long>(r.delivered),
                    static_cast<unsigned long long>(r.engine_steps),
                    static_cast<unsigned long long>(r.sim_workers),
                    r.throughput_gbps);
@@ -219,16 +186,6 @@ class BenchReport {
   }
 
  private:
-  struct Run {
-    std::string label;
-    std::uint64_t engine_steps = 0;
-    double wall_seconds = 0;
-    std::uint64_t makespan_ns = 0;
-    std::uint64_t msgs_delivered = 0;
-    std::uint64_t sim_workers = 1;
-    double throughput_gbps = 0;
-  };
-
   static std::string escape(const std::string& s) {
     std::string out;
     out.reserve(s.size());
@@ -240,7 +197,7 @@ class BenchReport {
   }
 
   std::string name_;
-  std::vector<Run> runs_;
+  std::vector<std::pair<std::string, workload::RunRecord>> runs_;
   std::vector<std::pair<std::string, double>> metrics_;
   bool has_provenance_ = false;
   std::uint64_t seed_ = 0;

@@ -23,9 +23,7 @@ int main() {
           {"pattern", "nodes", "baseline", "batching", "speedup", "paper"});
   const char* paper_hint[] = {"~9X avg, 16X @16", "~6X avg", "~3X avg"};
   int pi = 0;
-  ExperimentResult batch16;
-  metrics::ProtocolCounters base16;
-  sim::Nanos base16_makespan = 0;
+  workload::RunRecord base16, batch16;
   BenchReport report("fig03_single_subgroup");
   report.set_provenance(ExperimentConfig{}.seed,
                         std::max<std::size_t>(scaled(2000), 300));
@@ -53,14 +51,13 @@ int main() {
       report.add_run(label + "/baseline", base);
       report.add_run(label + "/batching", opt);
       t.row({pattern_name(pattern), Table::integer(n),
-             gbps(base.mean_gbps) + "+-" + gbps(base.stddev_gbps),
-             gbps(opt.mean_gbps) + "+-" + gbps(opt.stddev_gbps),
-             Table::num(opt.mean_gbps / base.mean_gbps, 1) + "x",
+             gbps(base.throughput_gbps) + "+-" + gbps(base.stddev_gbps),
+             gbps(opt.throughput_gbps) + "+-" + gbps(opt.stddev_gbps),
+             Table::num(opt.throughput_gbps / base.throughput_gbps, 1) + "x",
              (n == 16 ? paper_hint[pi] : "")});
       if (pattern == SenderPattern::all && n == 16) {
-        batch16 = opt.last;
-        base16 = base.last.stats.total;
-        base16_makespan = base.last.makespan;
+        base16 = base;
+        batch16 = opt;
       }
     }
     ++pi;
@@ -70,24 +67,25 @@ int main() {
 
   // §4.1.1 insight counters, 16 senders. The paper's absolute counts are
   // for 1M messages/sender; we report per-message and fractional values.
+  const auto& bt = base16.stats.total;
   const auto& ot = batch16.stats.total;
-  const double base_msgs = static_cast<double>(base16.messages_sent);
+  const double base_msgs = static_cast<double>(bt.messages_sent);
   const double opt_msgs = static_cast<double>(ot.messages_sent);
   Table c("Sec 4.1.1 counters (16 senders): baseline vs batching",
           {"metric", "baseline", "batching", "paper"});
   c.row({"RDMA writes per message sent",
-         Table::num(static_cast<double>(base16.rdma_writes_posted) / base_msgs, 1),
+         Table::num(static_cast<double>(bt.rdma_writes_posted) / base_msgs, 1),
          Table::num(static_cast<double>(ot.rdma_writes_posted) / opt_msgs, 1),
          "18.2M -> 1.1M total"});
   c.row({"posting time (% of runtime/node)",
-         Table::num(100.0 * static_cast<double>(base16.post_cpu) / 16.0 /
-                    static_cast<double>(base16_makespan), 1),
+         Table::num(100.0 * static_cast<double>(bt.post_cpu) / 16.0 /
+                    static_cast<double>(base16.makespan), 1),
          Table::num(100.0 * static_cast<double>(ot.post_cpu) / 16.0 /
                     static_cast<double>(batch16.makespan), 1),
          "64.84s -> 4.29s"});
   c.row({"sender wait (% of runtime)",
-         Table::num(100.0 * static_cast<double>(base16.sender_wait) / 16.0 /
-                    static_cast<double>(base16_makespan), 1),
+         Table::num(100.0 * static_cast<double>(bt.sender_wait) / 16.0 /
+                    static_cast<double>(base16.makespan), 1),
          Table::num(100.0 * static_cast<double>(ot.sender_wait) / 16.0 /
                     static_cast<double>(batch16.makespan), 1),
          "97.6% -> 52.7%"});

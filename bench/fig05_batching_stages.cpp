@@ -71,7 +71,7 @@ int main() {
       cfg.messages_per_sender = scaled(st.r ? 2000 : 800);
       auto r = workload::run_averaged(cfg, 2);
       report.add_run(std::to_string(n) + "/" + st.name, r);
-      t.row({Table::integer(n), st.name, gbps(r.mean_gbps),
+      t.row({Table::integer(n), st.name, gbps(r.throughput_gbps),
              Table::num(r.mean_median_latency_us, 1),
              (n == 16 && st.s) ? "both metrics improve each stage" : ""});
     }

@@ -33,8 +33,8 @@ int main() {
               ? (static_cast<double>(n) - 1.0) / static_cast<double>(n)
               : 1.0 - n_senders / static_cast<double>(n) / n_senders;
       const double util =
-          100.0 * r.mean_gbps * wire_fraction / 12.5;
-      t.row({pattern_name(pattern), Table::integer(n), gbps(r.mean_gbps),
+          100.0 * r.throughput_gbps * wire_fraction / 12.5;
+      t.row({pattern_name(pattern), Table::integer(n), gbps(r.throughput_gbps),
              gbps(r.stddev_gbps), Table::num(util, 0),
              (pattern == SenderPattern::all && n == 8)
                  ? "peak 9.7 GB/s (77.6% util)"

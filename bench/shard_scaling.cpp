@@ -97,8 +97,7 @@ int main() {
              Table::num(static_cast<double>(
                             r.cross_latency_ns.median()) / 1e3, 1),
              Table::integer(r.grants_issued),
-             Table::num(r.wall_seconds, 2) +
-                 (r.completed ? "" : " [INCOMPLETE: watchdog tripped]")});
+             Table::num(r.wall_seconds, 2) + check_completed(r)});
       report.add_run(label, r);
       report.add_metric("tput_gbps_" + label, r.throughput_gbps);
       if (cross > 0) {

@@ -5,7 +5,6 @@
 // tracing-disabled path is within noise" — disabled tracing is one branch
 // per record() call.
 
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -25,13 +24,6 @@ ExperimentConfig base_config() {
   return cfg;
 }
 
-double run_ms(const ExperimentConfig& cfg, ExperimentResult& out) {
-  const auto t0 = std::chrono::steady_clock::now();
-  out = workload::run_experiment(cfg);
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
 }  // namespace
 
 int main() {
@@ -41,13 +33,13 @@ int main() {
   on.trace.ring_capacity = 1 << 18;
 
   // Interleave a warmup of each so allocator state is comparable.
-  ExperimentResult tmp;
-  run_ms(off, tmp);
-  run_ms(on, tmp);
+  workload::run_experiment(off);
+  workload::run_experiment(on);
 
-  ExperimentResult r_off, r_on;
-  const double ms_off = run_ms(off, r_off);
-  const double ms_on = run_ms(on, r_on);
+  const ExperimentResult r_off = workload::run_experiment(off);
+  const ExperimentResult r_on = workload::run_experiment(on);
+  const double ms_off = r_off.wall_seconds * 1e3;
+  const double ms_on = r_on.wall_seconds * 1e3;
 
   Table t("Tracing overhead (8 nodes, all senders, 10KB)",
           {"tracing", "GB/s", "makespan (us)", "events", "wall (ms)"});

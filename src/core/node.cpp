@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -333,16 +332,6 @@ std::int64_t Node::declare_inactive(SubgroupId sg, std::int64_t rounds) {
                              static_cast<std::uint64_t>(claimed));
   }
   return claimed;
-}
-
-sim::Co<> Node::send_bytes(SubgroupId sg, std::span<const std::byte> payload,
-                           std::uint32_t flags) {
-  co_await send(
-      sg, static_cast<std::uint32_t>(payload.size()),
-      [payload](std::span<std::byte> buf) {
-        std::memcpy(buf.data(), payload.data(), payload.size());
-      },
-      flags);
 }
 
 }  // namespace spindle::core

@@ -165,11 +165,6 @@ class Node {
                  std::function<void(std::span<std::byte>)> builder,
                  std::uint32_t flags = 0);
 
-  /// Convenience: send a payload by copy (models receiving data from an
-  /// external source; adds memcpy cost when memcpy_on_send is set).
-  sim::Co<> send_bytes(SubgroupId sg, std::span<const std::byte> payload,
-                       std::uint32_t flags = 0);
-
   /// §3.3 extension — declared inactivity: a sender that deliberately will
   /// not send for a while announces up to `rounds` rounds of silence so the
   /// round-robin delivery order skips it without waiting for the reactive

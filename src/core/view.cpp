@@ -1031,7 +1031,6 @@ void ManagedGroup::leave(net::NodeId node) {
 void ManagedGroup::shutdown() {
   if (terminated_) return;
   terminated_ = true;
-  if (stopped_) return;  // halted: pending events die with the engine
   stopped_ = true;
   if (epoch_cluster_) {
     for (net::NodeId id : view_.members) {
@@ -1040,6 +1039,9 @@ void ManagedGroup::shutdown() {
       }
     }
   }
+  // Drain even a halted group: its pump actors and the recovery scheduler
+  // are still queued, and they exit on stopped_/terminated_. The engine
+  // does not own coroutine frames, so undrained ones would leak.
   engine_.run();
 }
 

@@ -1,6 +1,5 @@
 #include "workload/client_swarm.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -122,7 +121,7 @@ sim::Co<> arrival_actor(SwarmCtx* c, std::vector<dds::Session*> sessions,
 }  // namespace
 
 SwarmResult run_client_swarm(const SwarmConfig& cfg) {
-  const auto wall_start = std::chrono::steady_clock::now();
+  RunHarness harness;
   SwarmResult res;
 
   core::ClusterConfig cc;
@@ -184,22 +183,16 @@ SwarmResult run_client_swarm(const SwarmConfig& cfg) {
       },
       cfg.duration + cfg.drain_grace);
 
-  res.span_ns = domain.engine().now() - window_start;
+  res.makespan = domain.engine().now() - window_start;
+  harness.finish(domain.cluster(), res, [&domain] { domain.shutdown(); });
   const double dur_s = sim::to_seconds(cfg.duration);
-  const double span_s =
-      sim::to_seconds(std::max(res.span_ns, cfg.duration));
+  const double span_s = sim::to_seconds(std::max(res.makespan, cfg.duration));
   res.offered_rps = static_cast<double>(res.offered) / dur_s;
   res.goodput_rps = static_cast<double>(res.ok) / span_s;
   res.p50_us = static_cast<double>(res.latency_ns.percentile(50)) / 1e3;
   res.p99_us = static_cast<double>(res.latency_ns.percentile(99)) / 1e3;
   res.p999_us = static_cast<double>(res.latency_ns.percentile(99.9)) / 1e3;
-  res.stats = domain.cluster().stats();
   for (const auto& relay : res.stats.relays) res.shed += relay.requests_shed;
-  res.engine_steps = domain.engine().steps();
-  res.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
   return res;
 }
 

@@ -4,7 +4,7 @@
 
 #include "dds/client_mux.hpp"
 #include "metrics/metrics.hpp"
-#include "metrics/registry.hpp"
+#include "workload/run.hpp"
 
 namespace spindle::workload {
 
@@ -44,8 +44,10 @@ struct SwarmConfig {
   dds::SessionLink link;
 };
 
-struct SwarmResult {
-  bool completed = false;    // every issued request resolved in time
+/// The record's makespan is the measured span (window start -> last
+/// request resolved) and `completed` means every issued request resolved
+/// in time; throughput_gbps stays 0 (the swarm's rate is goodput_rps).
+struct SwarmResult : RunRecord {
   std::uint64_t offered = 0;  // requests issued by the generators
   std::uint64_t ok = 0;
   std::uint64_t busy = 0;
@@ -56,19 +58,14 @@ struct SwarmResult {
   /// backlog needed) — saturates at pipeline capacity under overload, where
   /// ok/duration would credit the drain to the window.
   double goodput_rps = 0;
-  sim::Nanos span_ns = 0;    // window start -> last request resolved
   /// RTT of ok replies (admission wait included — that is what an external
   /// client observes).
   metrics::Histogram latency_ns;
   double p50_us = 0;
   double p99_us = 0;
   double p999_us = 0;
-  /// Snapshot at completion; stats.relays holds the per-mux admission and
-  /// occupancy counters.
-  metrics::ClusterStats stats;
+  /// stats.relays holds the per-mux admission and occupancy counters.
   std::uint64_t shed = 0;    // sum of requests_shed over the relays
-  std::uint64_t engine_steps = 0;
-  double wall_seconds = 0;
 };
 
 /// Build the domain, connect the sessions, run the arrival window plus the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -21,12 +20,10 @@ std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
 
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
 
-/// Per-node digest/accounting slot. Each node's merged handler runs on the
-/// worker that owns the node, so every field is written by exactly one
-/// thread; the stop condition and post-run fold read them at a barrier.
+/// Per-node digest slot. Each node's merged handler runs on the worker that
+/// owns the node, so every field is written by exactly one thread; the
+/// post-run fold reads them after the run.
 struct NodeSlot {
-  std::uint64_t delivered = 0;
-  sim::Nanos last_at = 0;
   std::uint64_t digest = kFnvOffset;
   /// Per-shard commutative projection digest over payload tags (empty =
   /// not collected for this node). Unlike `digest`, order- and
@@ -38,9 +35,7 @@ struct NodeSlot {
 
 void fold_delivery(NodeSlot& slot, sim::Engine& eng,
                    const core::DomainDelivery& d) {
-  ++slot.delivered;
   const sim::Nanos now = eng.now();
-  slot.last_at = now;
   std::uint64_t h = slot.digest;
   h = fnv_u64(h, static_cast<std::uint64_t>(d.shard));
   h = fnv_u64(h, d.shard_mask);
@@ -165,21 +160,12 @@ ShardedResult run_sharded(const ShardedConfig& cfg) {
         "run_sharded: the plain (use_domain = false) arm models exactly one "
         "subgroup");
   }
-  const auto wall_start = std::chrono::steady_clock::now();
-  core::ClusterConfig cc;
-  cc.nodes = cfg.nodes;
-  cc.timing = cfg.timing;
-  cc.cpu = cfg.cpu;
-  cc.seed = cfg.seed;
-  cc.discipline = cfg.discipline;
-  cc.scan_interval = cfg.scan_interval;
-  cc.sim_threads = cfg.sim_threads > 0 ? cfg.sim_threads : sim_threads_from_env();
+  RunHarness harness(cfg.nodes);
+  core::ClusterConfig cc = cfg;
+  cc.sim_threads = resolve_sim_threads(cfg.sim_threads);
   core::Cluster cluster(cc);
 
-  std::vector<net::NodeId> all(cfg.nodes);
-  for (std::size_t i = 0; i < cfg.nodes; ++i) {
-    all[i] = static_cast<net::NodeId>(i);
-  }
+  const std::vector<net::NodeId>& all = cluster.members();
 
   std::unique_ptr<core::OrderingDomain> dom;
   core::SubgroupId plain_sg = 0;
@@ -216,12 +202,13 @@ ShardedResult run_sharded(const ShardedConfig& cfg) {
     NodeSlot& slot = slots[m];
     sim::Engine& eng = cluster.engine_for(m);
     if (cfg.use_domain) {
-      dom->attach(m, [&slot, &eng](const core::DomainDelivery& d) {
+      dom->attach(m, [&harness, &slot, &eng, m](const core::DomainDelivery& d) {
+        harness.count(m, eng.now());
         fold_delivery(slot, eng, d);
       });
     } else {
       cluster.node(m).set_delivery_handler(
-          plain_sg, [&slot, &eng](const core::Delivery& d) {
+          plain_sg, [&harness, &slot, &eng, m](const core::Delivery& d) {
             core::DomainDelivery dd;
             dd.shard = 0;
             dd.shard_mask = 1u;
@@ -232,13 +219,13 @@ ShardedResult run_sharded(const ShardedConfig& cfg) {
             dd.data = d.data;
             dd.sent_at = d.sent_at;
             dd.flags = d.flags;
+            harness.count(m, eng.now());
             fold_delivery(slot, eng, dd);
           });
     }
   }
 
   ShardedResult res;
-  res.expected_deliveries = expected;
 
   // Partition each sender's schedule into per-shard single streams plus a
   // cross stream, all spawned concurrently (empty streams are not spawned,
@@ -273,22 +260,7 @@ ShardedResult run_sharded(const ShardedConfig& cfg) {
     }
   }
 
-  res.completed = cluster.run_until(
-      [&] {
-        std::uint64_t total = 0;
-        for (const NodeSlot& s : slots) total += s.delivered;
-        return total >= expected;
-      },
-      cfg.max_virtual);
-
-  // Makespan keys on the last merged upcall (worker-count-invariant), not
-  // on where the driver happened to halt — same convention as
-  // run_experiment.
-  res.makespan = 0;
-  for (const NodeSlot& s : slots) {
-    res.makespan = std::max(res.makespan, s.last_at);
-  }
-  if (!res.completed || res.makespan == 0) res.makespan = cluster.now();
+  harness.run(cluster, expected, cfg.max_virtual, res);
 
   std::uint64_t digest = kFnvOffset;
   for (net::NodeId m : all) {
@@ -301,22 +273,9 @@ ShardedResult run_sharded(const ShardedConfig& cfg) {
   res.shard_projection_digests = slots[0].proj;
   if (dom) res.grant_latency_ns = dom->grant_latency();
   res.grants_issued = dom ? dom->grants_issued() : 0;
-  res.sim_workers = cluster.sim_workers();
-  res.stats = cluster.stats();
-
-  const double secs = sim::to_seconds(res.makespan);
-  if (secs > 0) {
-    res.throughput_gbps = static_cast<double>(sends) * cfg.message_size /
-                          secs / 1e9;
-    res.delivery_rate_per_node = static_cast<double>(sends) / secs;
-  }
-
-  cluster.shutdown();
-  res.engine_steps = cluster.steps();
-  res.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  harness.finish(cluster, res);
+  res.delivered = harness.counted();
+  res.set_rates(res.delivered * cfg.message_size, cfg.nodes);
   return res;
 }
 

@@ -1,11 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "core/domain.hpp"
 #include "metrics/metrics.hpp"
-#include "metrics/registry.hpp"
-#include "workload/experiment.hpp"
+#include "workload/run.hpp"
 
 namespace spindle::workload {
 
@@ -14,9 +14,15 @@ namespace spindle::workload {
 /// sender's `messages_per_sender`-message schedule is partitioned into one
 /// stream per shard plus a cross-shard stream (a sharded system's per-shard
 /// send queues), a deterministic per-(seed, sender, i) fraction of the
-/// schedule being multi-shard.
-struct ShardedConfig {
-  std::size_t nodes = 8;
+/// schedule being multi-shard. The cluster half is the inherited
+/// core::ClusterConfig.
+struct ShardedConfig : core::ClusterConfig {
+  /// 8 nodes; sim_threads 0 resolves as in ExperimentConfig.
+  ShardedConfig() {
+    nodes = 8;
+    sim_threads = 0;
+  }
+
   std::size_t shards = 2;
   std::size_t messages_per_sender = 200;
   std::uint32_t message_size = 256;
@@ -32,30 +38,19 @@ struct ShardedConfig {
   /// produce the same delivery_digest bit-for-bit.
   bool use_domain = true;
   core::ProtocolOptions opts = core::ProtocolOptions::spindle();
-  sst::Discipline discipline = sst::Discipline::strict_rr;
-  sim::Nanos scan_interval = sim::micros(25);
   net::NodeId sequencer = 0;
   /// Cross-shard gsn-grant path: SST polling (default) or the one-sided
   /// fetch-add ticket counter (serial engine only) — the two arms of
   /// bench_atomics_seq.
   core::SequencerKind sequencer_mode = core::SequencerKind::sst;
-  std::uint64_t seed = 1;
-  net::TimingModel timing{};
-  core::CpuModel cpu{};
   sim::Nanos max_virtual = sim::seconds(600);
-  std::size_t sim_threads = 0;  // 0: resolve SPINDLE_SIM_THREADS
 };
 
-struct ShardedResult {
-  bool completed = false;
-  sim::Nanos makespan = 0;
-  /// Merged-stream application throughput per node: every node upcalls each
-  /// sent payload exactly once, so this is sends * message_size / makespan —
-  /// cross-shard duplicate copies and headers are protocol overhead and do
-  /// not inflate it.
-  double throughput_gbps = 0;
-  double delivery_rate_per_node = 0;  // merged upcalls/s per node
-  std::uint64_t expected_deliveries = 0;
+/// Throughput and `delivered` count merged upcalls: every node upcalls each
+/// sent payload exactly once, so throughput is sends * message_size /
+/// makespan — cross-shard duplicate copies and headers are protocol
+/// overhead and do not inflate it.
+struct ShardedResult : RunRecord {
   std::uint64_t singles_sent = 0;  // summed over senders
   std::uint64_t crosses_sent = 0;
   std::uint64_t grants_issued = 0;  // == crosses_sent when completed
@@ -82,10 +77,6 @@ struct ShardedResult {
   metrics::Histogram cross_latency_ns;
   /// Sequencer grant round trips (lock wait excluded), merged over senders.
   metrics::Histogram grant_latency_ns;
-  metrics::ClusterStats stats;
-  std::uint64_t engine_steps = 0;
-  double wall_seconds = 0;
-  std::size_t sim_workers = 1;
 };
 
 /// Deterministic per-message schedule decision, shared with shard_test:

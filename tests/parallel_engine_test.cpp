@@ -166,7 +166,7 @@ struct RunSpec {
   sst::Discipline discipline = sst::Discipline::strict_rr;
   /// Fault installation hook, called right after start() (workers are not
   /// running yet, so main-thread fabric/node calls are safe here).
-  std::function<void(core::Cluster&)> chaos;
+  std::function<void(core::Cluster&)> chaos{};
 };
 
 /// Run `spec` with `workers` simulation threads up to the fixed virtual

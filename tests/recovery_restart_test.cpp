@@ -227,6 +227,9 @@ TEST(TotalFailureRecovery, RestartRefusedAfterShutdownAndWhilePending) {
   EXPECT_FALSE(r.group.restart(1));
   // After shutdown the group is terminated for good.
   r.group.shutdown();
+  // A halted group drains too: its pump actors and the recovery scheduler
+  // exit instead of leaking their coroutine frames.
+  EXPECT_EQ(r.group.engine().pending_events(), 0u);
   EXPECT_FALSE(r.group.restart(2));
   EXPECT_FALSE(r.group.recovery_pending());
 }

@@ -15,6 +15,7 @@
 #include "trace/export.hpp"
 #include "trace/trace.hpp"
 #include "workload/experiment.hpp"
+#include "workload/sharded.hpp"
 
 namespace spindle {
 namespace {
@@ -75,6 +76,20 @@ TEST(Trace, EnablingTracingDoesNotPerturbVirtualTime) {
   EXPECT_EQ(r_off.stats.total.rdma_writes_posted,
             r_on.stats.total.rdma_writes_posted);
   EXPECT_GT(r_on.trace_events, 0u);
+
+  // run_sharded honours the inherited ClusterConfig::trace the same way
+  // (the delivery digest covers every upcall's virtual time).
+  workload::ShardedConfig sh;
+  sh.nodes = 4;
+  sh.messages_per_sender = 40;
+  sh.cross_fraction = 0.2;
+  const auto s_off = workload::run_sharded(sh);
+  sh.trace.enabled = true;
+  const auto s_on = workload::run_sharded(sh);
+  ASSERT_TRUE(s_on.completed);
+  EXPECT_EQ(s_off.delivery_digest, s_on.delivery_digest);
+  EXPECT_EQ(s_off.trace_events, 0u);
+  EXPECT_GT(s_on.trace_events, 0u);
 }
 
 TEST(Trace, BatchStatsAgreeWithCounterHistograms) {

@@ -2,7 +2,9 @@
 
 #include <cstdlib>
 
+#include "workload/client_swarm.hpp"
 #include "workload/experiment.hpp"
+#include "workload/sharded.hpp"
 #include "workload/table.hpp"
 
 namespace spindle::workload {
@@ -116,10 +118,41 @@ TEST(Workload, AveragedRunsUseDistinctSeeds) {
   cfg.messages_per_sender = 40;
   cfg.message_size = 1024;
   auto avg = run_averaged(cfg, 3);
-  EXPECT_GT(avg.mean_gbps, 0.0);
+  EXPECT_GT(avg.throughput_gbps, 0.0);
   // Different seeds give (slightly) different runs, hence nonzero stddev.
   EXPECT_GT(avg.stddev_gbps, 0.0);
-  EXPECT_TRUE(avg.last.completed);
+  EXPECT_TRUE(avg.completed);
+}
+
+TEST(Workload, EveryRunnerFillsTheSharedRecord) {
+  const auto expect_record = [](const RunRecord& r, const char* runner) {
+    SCOPED_TRACE(runner);
+    EXPECT_TRUE(r.completed);
+    EXPECT_GT(r.makespan, 0);
+    EXPECT_GT(r.engine_steps, 0u);
+    EXPECT_GT(r.wall_seconds, 0.0);
+    EXPECT_EQ(r.sim_workers, 1u);
+    EXPECT_EQ(r.engine_boxed, 0u);  // every event fits inline storage
+  };
+  ExperimentConfig exp;
+  exp.nodes = 3;
+  exp.messages_per_sender = 40;
+  exp.sim_threads = 1;
+  expect_record(run_experiment(exp), "experiment");
+
+  ShardedConfig sh;
+  sh.nodes = 4;
+  sh.messages_per_sender = 40;
+  sh.cross_fraction = 0.25;
+  sh.sim_threads = 1;
+  expect_record(run_sharded(sh), "sharded sst");
+  sh.sequencer_mode = core::SequencerKind::faa;
+  expect_record(run_sharded(sh), "sharded faa");
+
+  SwarmConfig sw;
+  sw.sessions_per_relay = 16;
+  sw.duration = sim::millis(1);
+  expect_record(run_client_swarm(sw), "swarm");
 }
 
 TEST(Table, FormatsNumbers) {
