@@ -248,7 +248,6 @@ void Cluster::start() {
         } else {
           store::StoreOptions so;
           so.sector_bytes = cfg_.cpu.ssd_sector_bytes;
-          so.checkpoint_bytes = cfg_.cpu.ssd_checkpoint_bytes;
           owned_logs_.push_back(std::make_unique<store::VersionedLog>(so));
           owned_logs_.back()->open_epoch(0);
           s.dlog = owned_logs_.back().get();

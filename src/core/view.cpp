@@ -10,6 +10,14 @@ namespace spindle::core {
 
 namespace {
 std::uint64_t bit(net::NodeId id) { return 1ull << id; }
+
+/// Membership round period: heartbeats, suspicion and proposal pushes, and
+/// the pace of the coordinator, recovery and pump retry loops.
+constexpr sim::Nanos kHeartbeatPeriod = sim::micros(20);
+/// Total-failure recovery: how long after the last restart() the recovery
+/// coordinator waits for further rejoiners before computing the common
+/// durable prefix and installing the recovery view.
+constexpr sim::Nanos kRestartSettle = sim::micros(800);
 }  // namespace
 
 ManagedGroup::ManagedGroup(Config cfg, SubgroupLayout layout)
@@ -119,7 +127,6 @@ void ManagedGroup::build_epoch_cluster() {
   cc.seed = cfg_.seed + view_.epoch + 1;
   cc.trace = cfg_.trace;
   cc.discipline = cfg_.discipline;
-  cc.scan_interval = cfg_.scan_interval;
   epoch_cluster_ = std::make_unique<Cluster>(engine_, fabric_, cc,
                                              view_.members, &tracer_);
   // Persistent subgroups write through the group-lifetime stores: one
@@ -131,7 +138,6 @@ void ManagedGroup::build_epoch_cluster() {
         if (!slot) {
           store::StoreOptions so;
           so.sector_bytes = cfg_.cpu.ssd_sector_bytes;
-          so.checkpoint_bytes = cfg_.cpu.ssd_checkpoint_bytes;
           slot = std::make_unique<store::VersionedLog>(so);
         }
         slot->open_epoch(view_.epoch);
@@ -198,15 +204,36 @@ void ManagedGroup::build_epoch_cluster() {
   changing_ = false;
 }
 
+void ManagedGroup::check_node(net::NodeId node) const {
+  if (node >= cfg_.nodes) {
+    throw std::out_of_range("ManagedGroup: node " + std::to_string(node) +
+                            " is outside the " + std::to_string(cfg_.nodes) +
+                            "-node group");
+  }
+}
+
+void ManagedGroup::check_subgroup(std::size_t subgroup_index) const {
+  if (subgroup_index >= num_subgroups_) {
+    throw std::out_of_range("ManagedGroup: subgroup index " +
+                            std::to_string(subgroup_index) +
+                            " is outside the " +
+                            std::to_string(num_subgroups_) +
+                            "-subgroup layout");
+  }
+}
+
 void ManagedGroup::set_delivery_handler(net::NodeId node,
                                         std::size_t subgroup_index,
                                         DeliveryHandler handler) {
+  check_node(node);
+  check_subgroup(subgroup_index);
   handlers_[node][subgroup_index] = std::move(handler);
 }
 
 void ManagedGroup::send(net::NodeId from, std::size_t subgroup_index,
                         std::vector<std::byte> payload) {
-  assert(subgroup_index < num_subgroups_);
+  check_node(from);
+  check_subgroup(subgroup_index);
   auto& sq = queues_[from][subgroup_index];
   sq.q.push_back(PendingMessage{std::move(payload), false});
   if (!sq.pump_running) {
@@ -229,7 +256,7 @@ sim::Co<> ManagedGroup::pump_actor(net::NodeId id, std::size_t sg_index) {
     }
     if (changing_ || epoch_cluster_ == nullptr ||
         !epoch_cluster_->is_member(id)) {
-      co_await engine_.sleep(cfg_.heartbeat_period);
+      co_await engine_.sleep(kHeartbeatPeriod);
       continue;
     }
     PendingMessage* next = nullptr;
@@ -240,14 +267,14 @@ sim::Co<> ManagedGroup::pump_actor(net::NodeId id, std::size_t sg_index) {
       }
     }
     if (next == nullptr) {
-      co_await engine_.sleep(cfg_.heartbeat_period);
+      co_await engine_.sleep(kHeartbeatPeriod);
       continue;
     }
     Cluster* c = epoch_cluster_.get();
     const SubgroupState* state =
         c->node(id).find(epoch_subgroups_[sg_index]);
     if (state == nullptr || !state->is_sender()) {
-      co_await engine_.sleep(cfg_.heartbeat_period);
+      co_await engine_.sleep(kHeartbeatPeriod);
       continue;
     }
     next->in_flight = true;
@@ -277,7 +304,7 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
   // One round per heartbeat period (plus the RDMA post cost and a small
   // phase jitter so the members do not evaluate in lockstep).
   cfg.pace = [this, id](sim::Nanos post) {
-    return post + cfg_.heartbeat_period +
+    return post + kHeartbeatPeriod +
            static_cast<sim::Nanos>(membership_rng_[id].below(2000));
   };
   preds.configure(std::move(cfg));
@@ -480,7 +507,7 @@ void ManagedGroup::setup_coordinator_predicates() {
   cfg.stopped = [this, gen = pred_gen_] {
     return stopped_ || gen != pred_gen_;
   };
-  cfg.pace = [this](sim::Nanos) { return cfg_.heartbeat_period; };
+  cfg.pace = [](sim::Nanos) { return kHeartbeatPeriod; };
   coord_preds_->configure(std::move(cfg));
   sst::Predicates::GroupOptions gopts;
   gopts.name = "coordinator";
@@ -654,6 +681,7 @@ void ManagedGroup::crash(net::NodeId node) {
   // change for an earlier failure is already in progress. The membership
   // layer handles the overlap: survivors suspect this node too, the leader
   // re-proposes with the grown failure set, and one install removes both.
+  check_node(node);
   if (!alive_[node]) return;
   alive_[node] = 0;
   fabric_.isolate(node);
@@ -669,7 +697,7 @@ void ManagedGroup::crash(net::NodeId node) {
 }
 
 bool ManagedGroup::restart(net::NodeId node) {
-  assert(node < cfg_.nodes);
+  check_node(node);
   if (terminated_) return false;
   if (restarting_mask_ & bit(node)) return false;
   if (alive_[node]) {
@@ -712,7 +740,7 @@ void ManagedGroup::setup_recovery_predicates() {
   recovery_preds_ = std::make_unique<sst::Predicates>(engine_);
   sst::Predicates::SchedulerConfig cfg;
   cfg.stopped = [this] { return terminated_; };
-  cfg.pace = [this](sim::Nanos) { return cfg_.heartbeat_period; };
+  cfg.pace = [](sim::Nanos) { return kHeartbeatPeriod; };
   recovery_preds_->configure(std::move(cfg));
   sst::Predicates::GroupOptions gopts;
   gopts.name = "recovery";
@@ -725,7 +753,7 @@ void ManagedGroup::setup_recovery_predicates() {
       gid, {"recovery_barrier", sst::PredicateClass::recurrent,
             [this] {
               return stopped_ && !terminated_ && restarting_mask_ != 0 &&
-                     engine_.now() - last_restart_at_ >= cfg_.restart_settle;
+                     engine_.now() - last_restart_at_ >= kRestartSettle;
             },
             [this](sst::TriggerContext&) {
               perform_recovery();
@@ -917,7 +945,7 @@ void ManagedGroup::perform_recovery() {
 }
 
 void ManagedGroup::throttle_cpu(net::NodeId node, sim::Nanos duration) {
-  assert(node < cfg_.nodes);
+  check_node(node);
   const sim::Nanos until = engine_.now() + duration;
   if (until > cpu_stall_until_[node]) cpu_stall_until_[node] = until;
   if (alive_[node] && epoch_cluster_ && epoch_cluster_->is_member(node)) {
@@ -927,7 +955,7 @@ void ManagedGroup::throttle_cpu(net::NodeId node, sim::Nanos duration) {
 
 void ManagedGroup::degrade_ssd(net::NodeId node, sim::Nanos duration,
                                sim::Nanos extra) {
-  assert(node < cfg_.nodes);
+  check_node(node);
   ssd_fault_until_[node] = engine_.now() + duration;
   ssd_extra_latency_[node] = extra;
   if (alive_[node] && epoch_cluster_ && epoch_cluster_->is_member(node)) {
@@ -937,7 +965,7 @@ void ManagedGroup::degrade_ssd(net::NodeId node, sim::Nanos duration,
 
 void ManagedGroup::delay_predicate(net::NodeId node, const std::string& name,
                                    sim::Nanos duration, sim::Nanos extra) {
-  assert(node < cfg_.nodes);
+  check_node(node);
   const sim::Nanos until = engine_.now() + duration;
   pred_delays_[node].push_back(PredDelay{name, until, extra});
   // Membership registry (heartbeat/suspicion/...): persists across epochs.
@@ -953,7 +981,7 @@ void ManagedGroup::delay_predicate(net::NodeId node, const std::string& name,
 
 void ManagedGroup::drop_postplan_lane(net::NodeId node, int lane,
                                       sim::Nanos duration) {
-  assert(node < cfg_.nodes);
+  check_node(node);
   const sim::Nanos until = engine_.now() + duration;
   lane_drops_[node].push_back(LaneDrop{lane, until});
   // Data-plane only: the membership registry's lanes carry heartbeats and
@@ -965,7 +993,7 @@ void ManagedGroup::drop_postplan_lane(net::NodeId node, int lane,
 
 void ManagedGroup::force_spurious_evals(net::NodeId node, sim::Nanos duration,
                                         sim::Nanos extra) {
-  assert(node < cfg_.nodes);
+  check_node(node);
   const sim::Nanos until = engine_.now() + duration;
   spurious_evals_[node].push_back(SpuriousEvals{until, extra});
   if (alive_[node] && epoch_cluster_ && epoch_cluster_->is_member(node)) {
@@ -975,6 +1003,8 @@ void ManagedGroup::force_spurious_evals(net::NodeId node, sim::Nanos duration,
 
 std::vector<std::vector<std::byte>> ManagedGroup::persistent_log(
     net::NodeId node, std::size_t subgroup_index) const {
+  check_node(node);
+  check_subgroup(subgroup_index);
   const auto& slot = stores_[node][subgroup_index];
   if (!slot) return {};
   return slot->payloads();
@@ -1018,6 +1048,7 @@ std::string ManagedGroup::diagnostics_dump() const {
 void ManagedGroup::leave(net::NodeId node) {
   // Announced departure: the node suspects itself; the normal wedge/trim
   // machinery runs, and the node is removed at the next view install.
+  check_node(node);
   if (!alive_[node]) return;
   mstate_[node].suspected_mask |= bit(node);
   sst::Sst& sst = *member_sst_[node];

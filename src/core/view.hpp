@@ -55,18 +55,11 @@ class ManagedGroup {
     net::TimingModel timing{};
     CpuModel cpu{};
     std::uint64_t seed = 1;
-    sim::Nanos heartbeat_period = sim::micros(20);
     sim::Nanos failure_timeout = sim::micros(400);
     trace::TraceConfig trace{};  // one event stream spanning every epoch
     /// Data-plane predicate-scheduler discipline for every epoch cluster
     /// (membership predicates are paced and unaffected).
     sst::Discipline discipline = sst::Discipline::strict_rr;
-    /// DRR only: scan-lane probe period for demoted subgroups.
-    sim::Nanos scan_interval = sim::micros(25);
-    /// Total-failure recovery: how long after the last restart() the
-    /// recovery coordinator waits for further rejoiners before computing
-    /// the common durable prefix and installing the recovery view.
-    sim::Nanos restart_settle = sim::micros(800);
   };
 
   /// What the recovery coordinator saw at a total-failure restart: the
@@ -107,6 +100,9 @@ class ManagedGroup {
   trace::Tracer& tracer() noexcept { return tracer_; }
   const trace::Tracer& tracer() const noexcept { return tracer_; }
 
+  // Every entry point below that takes a node id or a subgroup index
+  // throws std::out_of_range when it is outside the group.
+
   /// Failure-atomic multicast: the payload is retained by the group and
   /// automatically re-sent in the next view if a reconfiguration discards
   /// it. Completes when the message has been queued (not delivered).
@@ -124,13 +120,12 @@ class ManagedGroup {
   /// Restart `node` after a total failure: recover its durable logs
   /// (truncating any torn flush tail), reconnect it to the fabric, and
   /// announce its durable version vector through the membership SST. Once
-  /// the group has halted and no further restart arrives for
-  /// Config::restart_settle, the rejoiners agree on the longest common
-  /// durable prefix, replay it to the delivery handlers, and resume in a
-  /// fresh epoch. Calling this on a node that is still alive models a
-  /// process restart: the node crashes first (torn tail and all).
-  /// Returns false if the node is already rejoining or the group has been
-  /// shut down for good.
+  /// the group has halted and no further restart arrives within a settle
+  /// window, the rejoiners agree on the longest common durable prefix,
+  /// replay it to the delivery handlers, and resume in a fresh epoch.
+  /// Calling this on a node that is still alive models a process restart:
+  /// the node crashes first (torn tail and all). Returns false if the node
+  /// is already rejoining or the group has been shut down for good.
   bool restart(net::NodeId node);
 
   /// Observer invoked inside each total-failure recovery, after the
@@ -196,6 +191,8 @@ class ManagedGroup {
   /// subgroups (or before the node's first persistent epoch).
   const store::VersionedLog* durable_store(net::NodeId node,
                                            std::size_t subgroup_index) const {
+    check_node(node);
+    check_subgroup(subgroup_index);
     return stores_[node][subgroup_index].get();
   }
 
@@ -204,7 +201,10 @@ class ManagedGroup {
   /// True once every member has departed and the group has shut down.
   bool halted() const noexcept { return stopped_; }
 
-  bool is_alive(net::NodeId node) const { return alive_[node]; }
+  bool is_alive(net::NodeId node) const {
+    check_node(node);
+    return alive_[node];
+  }
 
  private:
   struct PendingMessage {
@@ -249,6 +249,11 @@ class ManagedGroup {
   void setup_recovery_predicates();
   void perform_recovery();
   sim::Co<> pump_actor(net::NodeId id, std::size_t sg_index);
+
+  /// Entry-point argument checks: throw std::out_of_range for a node id
+  /// outside the group or a subgroup index outside the layout.
+  void check_node(net::NodeId node) const;
+  void check_subgroup(std::size_t subgroup_index) const;
 
   void wedge_node(net::NodeId id);
   void install_next_view(std::uint64_t failed_mask,

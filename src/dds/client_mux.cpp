@@ -1,6 +1,5 @@
 #include "dds/client_mux.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -17,11 +16,13 @@ constexpr std::uint32_t kKindPublish = 1;
 constexpr std::uint32_t kKindReply = 2;
 constexpr std::uint32_t kKindSample = 3;
 
+/// Poll period of Session::close() while draining in-flight requests.
+constexpr sim::Nanos kDrainPollInterval = 2'000;
+
 /// Header of every frame on the shared gateway<->relay rings. One layout
 /// both ways: uplink frames use (session, kind, corr, topic); downlink
 /// replies add (seq, status) and downlink samples (seq, publisher). `topic`
-/// routes the frame within a multi-topic mux — uplink to the topic's
-/// subgroup at the relay, downlink to the session's per-topic listener.
+/// is always the mux's topic.
 struct MuxFrameHeader {
   std::uint32_t session;
   std::uint32_t kind;
@@ -59,6 +60,7 @@ ClientMux::ClientMux(Domain& domain, std::uint32_t mux_id, std::uint8_t topic,
     : domain_(domain),
       mux_id_(mux_id),
       topic_(topic),
+      sg_(domain.topic_subgroup(topic)),
       gateway_(gateway),
       relay_(relay),
       cfg_(std::move(cfg)) {
@@ -74,9 +76,7 @@ ClientMux::ClientMux(Domain& domain, std::uint32_t mux_id, std::uint8_t topic,
         "ClientMux: topic max_sample_size must exceed the " +
         std::to_string(sizeof(RpcEnvelope)) + "-byte RPC envelope");
   }
-  topics_.push_back(topic_);
-  max_body_by_topic_[topic_] =
-      max_sample - static_cast<std::uint32_t>(sizeof(RpcEnvelope));
+  max_body_ = max_sample - static_cast<std::uint32_t>(sizeof(RpcEnvelope));
   if (!cfg_.service) cfg_.service = echo_service;
   credit_signal_ = std::make_unique<sim::Signal>(domain_.engine());
   uplink_signal_ = std::make_unique<sim::Signal>(domain_.engine());
@@ -88,50 +88,12 @@ ClientMux::ClientMux(Domain& domain, std::uint32_t mux_id, std::uint8_t topic,
 
 ClientMux::~ClientMux() = default;
 
-void ClientMux::add_topic(std::uint8_t topic_id) {
-  if (started_) {
-    throw std::logic_error("ClientMux::add_topic after Domain::start()");
-  }
-  if (serves(topic_id)) return;  // idempotent
-  const std::uint32_t max_sample = domain_.topic_max_sample(topic_id);
-  if (max_sample <= sizeof(RpcEnvelope)) {
-    throw std::invalid_argument(
-        "ClientMux::add_topic: topic max_sample_size must exceed the " +
-        std::to_string(sizeof(RpcEnvelope)) + "-byte RPC envelope");
-  }
-  domain_.add_mux_topic(topic_id, relay_, this);
-  topics_.push_back(topic_id);
-  max_body_by_topic_[topic_id] =
-      max_sample - static_cast<std::uint32_t>(sizeof(RpcEnvelope));
-}
-
-std::uint8_t ClientMux::topic_for_key(std::uint64_t key) const {
-  std::uint64_t h = 14695981039346656037ull;
-  for (int i = 0; i < 8; ++i) {
-    h ^= (key >> (8 * i)) & 0xffu;
-    h *= 1099511628211ull;
-  }
-  return topics_[static_cast<std::size_t>(h % topics_.size())];
-}
-
-std::uint32_t ClientMux::body_bound(std::uint8_t topic_id,
-                                    const char* what) const {
-  const auto it = max_body_by_topic_.find(topic_id);
-  if (it == max_body_by_topic_.end()) {
-    throw std::invalid_argument(std::string(what) + ": mux does not serve "
-                                "topic " + std::to_string(topic_id) +
-                                " (ClientMux::add_topic)");
-  }
-  return it->second;
-}
-
 Session* ClientMux::connect(SessionLink link) {
   auto& tr = domain_.cluster().tracer();
   if (stopped_ || disconnected_ || live_sessions_ >= cfg_.max_sessions) {
     ++tier_.sessions_shed;
     tr.record(gateway_, trace::Stage::admission_shed, domain_.engine().now(),
-              0, domain_.topic_subgroup(topic_), trace::kNoSender, -1,
-              credit_waiters_);
+              0, sg_, trace::kNoSender, -1, credit_waiters_);
     return nullptr;
   }
   const auto id = static_cast<std::uint32_t>(sessions_.size());
@@ -140,7 +102,7 @@ Session* ClientMux::connect(SessionLink link) {
   ++tier_.sessions_opened;
   ++live_sessions_;
   tr.record(gateway_, trace::Stage::session_open, domain_.engine().now(), 0,
-            domain_.topic_subgroup(topic_), trace::kNoSender, -1, id);
+            sg_, trace::kNoSender, -1, id);
   return sessions_.back().get();
 }
 
@@ -157,13 +119,8 @@ void ClientMux::start() {
   started_ = true;
   auto& fabric = domain_.cluster().fabric();
   const std::vector<net::NodeId> members{gateway_, relay_};
-  // One shared ring pair for every topic: slots sized for the largest.
-  std::uint32_t max_sample = 0;
-  for (std::uint8_t t : topics_) {
-    max_sample = std::max(max_sample, domain_.topic_max_sample(t));
-    sg_by_topic_[t] = domain_.topic_subgroup(t);
-  }
-  const std::uint32_t frame = max_sample + sizeof(MuxFrameHeader);
+  const std::uint32_t frame =
+      domain_.topic_max_sample(topic_) + sizeof(MuxFrameHeader);
 
   up_at_gateway_ = std::make_unique<smc::RingGroup>(
       fabric, gateway_, members, 0, 1, cfg_.ring_window, frame);
@@ -229,9 +186,8 @@ sim::Co<ReplyStatus> ClientMux::admit(Session& s) {
     // the parked-request queue without bound.
     ++tier_.requests_shed;
     domain_.cluster().tracer().record(
-        gateway_, trace::Stage::admission_shed, eng.now(), 0,
-        domain_.topic_subgroup(topic_), trace::kNoSender, -1,
-        credit_waiters_);
+        gateway_, trace::Stage::admission_shed, eng.now(), 0, sg_,
+        trace::kNoSender, -1, credit_waiters_);
     co_return ReplyStatus::busy;
   }
   CreditWaiter waiter;
@@ -273,11 +229,11 @@ sim::Co<ReplyStatus> ClientMux::admit(Session& s) {
 }
 
 void ClientMux::stage_uplink(std::uint32_t session, std::uint64_t corr,
-                             std::uint32_t kind, std::uint8_t topic,
+                             std::uint32_t kind,
                              std::span<const std::byte> body) {
   uplink_staged_.emplace_back(sizeof(MuxFrameHeader) + body.size());
   auto& frame = uplink_staged_.back();
-  const MuxFrameHeader h{session, kind, corr, -1, 0, 0, topic, 0};
+  const MuxFrameHeader h{session, kind, corr, -1, 0, 0, topic_, 0};
   std::memcpy(frame.data(), &h, sizeof h);
   if (!body.empty()) {
     std::memcpy(frame.data() + sizeof h, body.data(), body.size());
@@ -288,17 +244,16 @@ void ClientMux::stage_uplink(std::uint32_t session, std::uint64_t corr,
   uplink_signal_->signal();
 }
 
-sim::Co<Reply> ClientMux::run_request(Session& s, std::uint8_t topic,
+sim::Co<Reply> ClientMux::run_request(Session& s,
                                       std::span<const std::byte> body) {
   auto& eng = domain_.engine();
   if (!started_) {
     throw std::logic_error("Session::request before Domain::start()");
   }
-  const std::uint32_t bound = body_bound(topic, "Session::request");
-  if (body.size() > bound) {
+  if (body.size() > max_body_) {
     throw std::invalid_argument(
         "Session::request: body of " + std::to_string(body.size()) +
-        " bytes exceeds the topic's " + std::to_string(bound) +
+        " bytes exceeds the topic's " + std::to_string(max_body_) +
         "-byte request bound");
   }
   if (s.state_ != Session::State::open) {
@@ -321,11 +276,10 @@ sim::Co<Reply> ClientMux::run_request(Session& s, std::uint8_t topic,
   Session::PendingRequest p;
   p.start = start;
   s.pending_.emplace(corr, &p);
-  stage_uplink(s.id_, corr, kKindRequest, topic, body);
+  stage_uplink(s.id_, corr, kKindRequest, body);
   domain_.cluster().tracer().record(
-      gateway_, trace::Stage::rpc_request, eng.now(), 0,
-      domain_.topic_subgroup(topic_), trace::kNoSender,
-      static_cast<std::int64_t>(s.id_), corr);
+      gateway_, trace::Stage::rpc_request, eng.now(), 0, sg_,
+      trace::kNoSender, static_cast<std::int64_t>(s.id_), corr);
   Reply r = co_await Session::ReplyAwaiter{p};
   switch (r.status) {
     case ReplyStatus::ok:
@@ -344,17 +298,16 @@ sim::Co<Reply> ClientMux::run_request(Session& s, std::uint8_t topic,
   co_return r;
 }
 
-sim::Co<ReplyStatus> ClientMux::run_publish(Session& s, std::uint8_t topic,
+sim::Co<ReplyStatus> ClientMux::run_publish(Session& s,
                                             std::span<const std::byte> body) {
   auto& eng = domain_.engine();
   if (!started_) {
     throw std::logic_error("Session::publish before Domain::start()");
   }
-  const std::uint32_t bound = body_bound(topic, "Session::publish");
-  if (body.size() > bound) {
+  if (body.size() > max_body_) {
     throw std::invalid_argument(
         "Session::publish: body of " + std::to_string(body.size()) +
-        " bytes exceeds the topic's " + std::to_string(bound) +
+        " bytes exceeds the topic's " + std::to_string(max_body_) +
         "-byte bound");
   }
   if (s.state_ != Session::State::open) {
@@ -371,7 +324,7 @@ sim::Co<ReplyStatus> ClientMux::run_publish(Session& s, std::uint8_t topic,
   }
   // The credit rides with the frame and returns when the relay observes
   // the publish's delivery — same pipeline bound as requests.
-  stage_uplink(s.id_, 0, kKindPublish, topic, body);
+  stage_uplink(s.id_, 0, kKindPublish, body);
   co_return ReplyStatus::ok;
 }
 
@@ -379,9 +332,8 @@ void ClientMux::note_session_closed(Session& s, bool disconnected) noexcept {
   if (live_sessions_ > 0) --live_sessions_;
   if (!disconnected) ++tier_.sessions_closed;
   domain_.cluster().tracer().record(
-      gateway_, trace::Stage::session_close, domain_.engine().now(), 0,
-      domain_.topic_subgroup(topic_), trace::kNoSender,
-      static_cast<std::int64_t>(s.in_flight()), s.id_);
+      gateway_, trace::Stage::session_close, domain_.engine().now(), 0, sg_,
+      trace::kNoSender, static_cast<std::int64_t>(s.in_flight()), s.id_);
 }
 
 void ClientMux::resolve_all(Session& s, ReplyStatus st) noexcept {
@@ -414,7 +366,7 @@ sim::Co<> ClientMux::drain_session(Session& s) {
   if (s.state_ != Session::State::open) co_return;
   s.state_ = Session::State::draining;
   while (!s.pending_.empty() && s.state_ == Session::State::draining) {
-    co_await domain_.engine().sleep(cfg_.drain_poll_interval);
+    co_await domain_.engine().sleep(kDrainPollInterval);
   }
   // A disconnect during the drain already resolved the requests and
   // accounted the session; only a clean drain closes it here.
@@ -503,16 +455,14 @@ sim::Co<> ClientMux::relay_actor() {
     std::memcpy(&h, bytes.data(), sizeof h);
     const auto body = bytes.subspan(sizeof h);
     // The extra relaying step (§4.6), multiplexed: re-publish the frame
-    // into its topic's subgroup as a flagged envelope, so every client
-    // request is totally ordered with member publications on that topic.
+    // into the topic's subgroup as a flagged envelope, so every client
+    // request is totally ordered with member publications on the topic.
     // send() blocking on the multicast window is the backpressure cascade:
     // the uplink ring fills behind us, the gateway queue grows, credits
     // starve, the watermark sheds.
-    const core::SubgroupId sg =
-        sg_by_topic_.at(static_cast<std::uint8_t>(h.topic));
-    const RpcEnvelope env{mux_id_, h.session, h.corr, h.kind, h.topic};
+    const RpcEnvelope env{mux_id_, h.session, h.corr, h.kind, topic_};
     co_await relay.send(
-        sg, static_cast<std::uint32_t>(sizeof env + body.size()),
+        sg_, static_cast<std::uint32_t>(sizeof env + body.size()),
         [&env, body](std::span<std::byte> buf) {
           std::memcpy(buf.data(), &env, sizeof env);
           if (!body.empty()) {
@@ -549,7 +499,7 @@ void ClientMux::on_topic_delivery(const Sample& sample,
                              sample.sequence,
                              static_cast<std::uint32_t>(sample.publisher),
                              static_cast<std::uint32_t>(ReplyStatus::ok),
-                             sample.topic_id, 0};
+                             topic_, 0};
       std::memcpy(frame.data(), &h, sizeof h);
       if (!reply.empty()) {
         std::memcpy(frame.data() + sizeof h, reply.data(), reply.size());
@@ -559,13 +509,13 @@ void ClientMux::on_topic_delivery(const Sample& sample,
   }
   for (auto& sp : sessions_) {
     Session& s = *sp;
-    if (!s.subscribed(sample.topic_id)) continue;
+    if (!s.subscribed()) continue;
     downlink_staged_.emplace_back(sizeof(MuxFrameHeader) +
                                   sample.data.size());
     auto& frame = downlink_staged_.back();
     const MuxFrameHeader h{s.id_, kKindSample, 0, sample.sequence,
                            static_cast<std::uint32_t>(sample.publisher), 0,
-                           sample.topic_id, 0};
+                           topic_, 0};
     std::memcpy(frame.data(), &h, sizeof h);
     if (!sample.data.empty()) {
       std::memcpy(frame.data() + sizeof h, sample.data.data(),
@@ -597,9 +547,8 @@ void ClientMux::complete(Session& s, std::uint64_t corr, Reply&& r) {
   r.rtt = eng.now() - p->start;
   ++tier_.replies_completed;
   domain_.cluster().tracer().record(
-      gateway_, trace::Stage::rpc_reply, eng.now(), r.rtt,
-      domain_.topic_subgroup(topic_), trace::kNoSender,
-      static_cast<std::int64_t>(s.id_), corr);
+      gateway_, trace::Stage::rpc_reply, eng.now(), r.rtt, sg_,
+      trace::kNoSender, static_cast<std::int64_t>(s.id_), corr);
   p->reply = std::move(r);
   p->done = true;
   if (p->waiter) {
@@ -650,15 +599,10 @@ sim::Co<> ClientMux::downlink_actor() {
           r.seq = h.seq;
           r.data.assign(body.begin(), body.end());
           complete(s, h.corr, std::move(r));
-        } else if (h.kind == kKindSample) {
-          const auto frame_topic = static_cast<std::uint8_t>(h.topic);
-          const auto sub = s.subs_.find(frame_topic);
-          if (sub != s.subs_.end() && sub->second.active) {
-            ++s.samples_received_;
-            if (sub->second.listener) {
-              sub->second.listener(
-                  Sample{frame_topic, h.publisher, h.seq, body});
-            }
+        } else if (h.kind == kKindSample && s.subscribed()) {
+          ++s.samples_received_;
+          if (s.listener_) {
+            s.listener_(Sample{topic_, h.publisher, h.seq, body});
           }
         }
       }
@@ -679,35 +623,11 @@ sim::Co<> ClientMux::downlink_actor() {
 // --- Session methods bridging into the mux ---
 
 sim::Co<Reply> Session::request(std::span<const std::byte> body) {
-  return mux_->run_request(*this, mux_->topic_id(), body);
-}
-
-sim::Co<Reply> Session::request(std::uint8_t topic,
-                                std::span<const std::byte> body) {
-  return mux_->run_request(*this, topic, body);
-}
-
-sim::Co<Reply> Session::request_keyed(std::uint64_t key,
-                                      std::span<const std::byte> body) {
-  return mux_->run_request(*this, mux_->topic_for_key(key), body);
+  return mux_->run_request(*this, body);
 }
 
 sim::Co<ReplyStatus> Session::publish(std::span<const std::byte> body) {
-  return mux_->run_publish(*this, mux_->topic_id(), body);
-}
-
-sim::Co<ReplyStatus> Session::publish(std::uint8_t topic,
-                                      std::span<const std::byte> body) {
-  return mux_->run_publish(*this, topic, body);
-}
-
-sim::Co<ReplyStatus> Session::publish_keyed(std::uint64_t key,
-                                            std::span<const std::byte> body) {
-  return mux_->run_publish(*this, mux_->topic_for_key(key), body);
-}
-
-Subscription Session::subscribe(SampleListener listener) {
-  return subscribe(mux_->topic_id(), std::move(listener));
+  return mux_->run_publish(*this, body);
 }
 
 sim::Co<> Session::close() { return mux_->drain_session(*this); }

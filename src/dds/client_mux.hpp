@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -28,7 +27,7 @@ struct RpcEnvelope {
   std::uint32_t session;  // session id within the mux
   std::uint64_t corr;     // correlation id of the request
   std::uint32_t kind;     // 0 = request (reply expected), 1 = publish
-  std::uint32_t topic;    // topic the frame targets (multi-topic muxes)
+  std::uint32_t topic;    // the mux's topic
 };
 static_assert(sizeof(RpcEnvelope) == 24);
 
@@ -50,8 +49,6 @@ struct MuxConfig {
   std::uint32_t max_sessions = 1u << 20;
   /// Per-frame software overhead at the gateway and relay link endpoints.
   sim::Nanos per_message_overhead = 3'000;
-  /// Poll period of Session::close() while draining in-flight requests.
-  sim::Nanos drain_poll_interval = 2'000;
   /// Service function run at the relay for each request (in delivery
   /// order). Default: echo the request body.
   std::function<std::vector<std::byte>(std::span<const std::byte>)> service;
@@ -59,10 +56,11 @@ struct MuxConfig {
 
 /// Per-relay front-tier multiplexer (§4.6's "extra relaying step", scaled):
 /// one *gateway* fabric node aggregates thousands of client sessions and
-/// connects to one relay member over a single shared mailbox-ring pair.
-/// Three actors total — uplink shipper (gateway), relay ingress (consumes
-/// the ring and re-publishes each frame into the topic's subgroup as a
-/// flagged RPC envelope, so client requests are totally ordered with member
+/// connects to one relay member over a single shared mailbox-ring pair. A
+/// mux serves the one topic it was created for. Three actors total —
+/// uplink shipper (gateway), relay ingress (consumes the ring and
+/// re-publishes each frame into the topic's subgroup as a flagged RPC
+/// envelope, so client requests are totally ordered with member
 /// publications), and the downlink driver (ships replies/samples and runs
 /// the gateway's demux) — regardless of session count.
 ///
@@ -82,27 +80,8 @@ class ClientMux {
   /// and after Domain::start(); sessions are owned by the mux.
   Session* connect(SessionLink link = {});
 
-  /// Serve an additional topic over the same link, actors, ring pair and
-  /// credit pool. The relay must publish and subscribe to it. Pre-start
-  /// only. Sessions then reach it via the topic overloads of
-  /// request/publish/subscribe, or transparently via the `_keyed` forms,
-  /// which hash a key over the topic list — how a session spans a sharded
-  /// topic space without knowing the partition.
-  void add_topic(std::uint8_t topic_id);
-
   net::NodeId relay_node() const noexcept { return relay_; }
   net::NodeId gateway_node() const noexcept { return gateway_; }
-  /// Primary topic: the target of the no-topic Session calls.
-  std::uint8_t topic_id() const noexcept { return topic_; }
-  /// Every topic this mux serves, primary first, in add_topic order (the
-  /// keyed-routing hash space).
-  const std::vector<std::uint8_t>& topics() const noexcept { return topics_; }
-  bool serves(std::uint8_t topic_id) const noexcept {
-    return max_body_by_topic_.contains(topic_id);
-  }
-  /// Deterministic key -> topic routing (FNV-1a over the key bytes, mod the
-  /// topic count).
-  std::uint8_t topic_for_key(std::uint64_t key) const;
   bool connected() const noexcept { return !disconnected_; }
 
   std::uint32_t credits_available() const noexcept {
@@ -137,23 +116,18 @@ class ClientMux {
   sim::Co<> downlink_actor();  // relay ship + gateway demux
 
   // Session-facing internals (Session methods live in client_mux.cpp).
-  sim::Co<Reply> run_request(Session& s, std::uint8_t topic,
-                             std::span<const std::byte> body);
-  sim::Co<ReplyStatus> run_publish(Session& s, std::uint8_t topic,
+  sim::Co<Reply> run_request(Session& s, std::span<const std::byte> body);
+  sim::Co<ReplyStatus> run_publish(Session& s,
                                    std::span<const std::byte> body);
   sim::Co<> drain_session(Session& s);
   void cancel_session(Session& s) noexcept;
-  /// Max request/publish body for `topic`; throws when the mux does not
-  /// serve it.
-  std::uint32_t body_bound(std::uint8_t topic_id, const char* what) const;
 
   /// Credit-pool admission: true when a credit was taken, false when shed
   /// at the watermark (sets `shed`). Waits while parked below watermark.
   sim::Co<ReplyStatus> admit(Session& s);
   void return_credit() noexcept;
   void stage_uplink(std::uint32_t session, std::uint64_t corr,
-                    std::uint32_t kind, std::uint8_t topic,
-                    std::span<const std::byte> body);
+                    std::uint32_t kind, std::span<const std::byte> body);
   void complete(Session& s, std::uint64_t corr, Reply&& r);
   /// Resolve every in-flight request of `s` with `st` immediately, waking
   /// the awaiting coroutines through the event queue.
@@ -164,15 +138,12 @@ class ClientMux {
 
   Domain& domain_;
   std::uint32_t mux_id_;
-  std::uint8_t topic_;  // primary topic
+  std::uint8_t topic_;
+  core::SubgroupId sg_;     // the topic's subgroup
+  std::uint32_t max_body_ = 0;  // topic max sample minus the envelope
   net::NodeId gateway_;
   net::NodeId relay_;
   MuxConfig cfg_;
-  std::vector<std::uint8_t> topics_;  // primary first, then add_topic order
-  // Per-topic body bound (topic max sample minus the envelope) — also the
-  // serves() membership set.
-  std::map<std::uint8_t, std::uint32_t> max_body_by_topic_;
-  std::map<std::uint8_t, core::SubgroupId> sg_by_topic_;  // cached at start()
 
   std::vector<std::unique_ptr<Session>> sessions_;
   std::size_t live_sessions_ = 0;

@@ -137,10 +137,12 @@ void Domain::start() {
           });
       if (qos == Qos::logged_storage) {
         // The SSD append runs on the delivery path (paper: "data is
-        // additionally appended to a log file on SSD storage").
+        // additionally appended to a log file on SSD storage"), costed by
+        // the cluster's SSD model.
         cluster_.node(sub).set_delivery_cost_hook(
             ts.subgroup, [this](const core::Delivery& d) {
-              return ssd_.append_cost(d.data.size());
+              const core::CpuModel& cpu = cluster_.cpu();
+              return cpu.ssd_op_latency + cpu.ssd_append_cost(d.data.size());
             });
       }
       ts.readers.emplace(sub, std::move(reader));
@@ -225,25 +227,6 @@ ClientMux& Domain::create_client_mux(std::uint8_t topic_id,
                                      net::NodeId gateway_node,
                                      net::NodeId relay) {
   return create_client_mux(topic_id, gateway_node, relay, MuxConfig{});
-}
-
-void Domain::add_mux_topic(std::uint8_t topic_id, net::NodeId relay,
-                           ClientMux* mux) {
-  if (started_) {
-    throw std::logic_error("ClientMux::add_topic after Domain::start()");
-  }
-  TopicState& ts = topic(topic_id);
-  if (std::find(ts.cfg.subscribers.begin(), ts.cfg.subscribers.end(),
-                relay) == ts.cfg.subscribers.end()) {
-    throw std::invalid_argument(
-        "ClientMux::add_topic: relay must subscribe to the topic");
-  }
-  if (std::find(ts.cfg.publishers.begin(), ts.cfg.publishers.end(), relay) ==
-      ts.cfg.publishers.end()) {
-    throw std::invalid_argument(
-        "ClientMux::add_topic: relay must be a publisher of the topic");
-  }
-  ts.muxes[relay].push_back(mux);
 }
 
 std::uint64_t Domain::total_samples(std::uint8_t topic_id) const {

@@ -55,24 +55,6 @@ struct Sample {
 
 using SampleListener = std::function<void(const Sample&)>;
 
-/// Simulated SSD append log used by the logged_storage QoS: page-cache
-/// append cost on the delivery thread plus a bounded-bandwidth flush queue.
-class SsdModel {
- public:
-  explicit SsdModel(double write_GBps = 2.0, sim::Nanos op_latency = 8'000)
-      : write_GBps_(write_GBps), op_latency_(op_latency) {}
-
-  /// CPU/IO cost charged to the appending thread.
-  sim::Nanos append_cost(std::size_t bytes) const {
-    return op_latency_ + static_cast<sim::Nanos>(
-                             static_cast<double>(bytes) / write_GBps_);
-  }
-
- private:
-  double write_GBps_;
-  sim::Nanos op_latency_;
-};
-
 class Domain;
 class ClientMux;
 struct MuxConfig;
@@ -142,11 +124,11 @@ class Domain {
   DataWriter writer(net::NodeId node, std::uint8_t topic_id);
   DataReader& reader(net::NodeId node, std::uint8_t topic_id);
 
-  /// Attach a front-tier multiplexer (dds/client_mux.hpp) to `topic_id`:
-  /// `gateway_node` is a fabric node outside the topic's membership that
-  /// aggregates the client sessions; `relay` is a topic member (subscriber
-  /// and publisher) that re-publishes session traffic into the total
-  /// order. Call before start(); connect sessions any time.
+  /// Attach a front-tier multiplexer (dds/client_mux.hpp) serving
+  /// `topic_id`: `gateway_node` is a fabric node outside the topic's
+  /// membership that aggregates the client sessions; `relay` is a topic
+  /// member (subscriber and publisher) that re-publishes session traffic
+  /// into the total order. Call before start(); connect sessions any time.
   ClientMux& create_client_mux(std::uint8_t topic_id, net::NodeId gateway_node,
                                net::NodeId relay, MuxConfig cfg);
   ClientMux& create_client_mux(std::uint8_t topic_id, net::NodeId gateway_node,
@@ -161,19 +143,12 @@ class Domain {
 
   core::Cluster& cluster() { return cluster_; }
   sim::Engine& engine() { return cluster_.engine(); }
-  const SsdModel& ssd() const { return ssd_; }
 
   /// Total samples delivered to subscribers of `topic`.
   std::uint64_t total_samples(std::uint8_t topic_id) const;
 
  private:
   friend class DataWriter;
-  friend class ClientMux;
-
-  /// ClientMux::add_topic back-half: validate that `relay` can serve
-  /// `topic_id` (publisher + subscriber, pre-start) and register the mux for
-  /// that topic's deliveries at the relay.
-  void add_mux_topic(std::uint8_t topic_id, net::NodeId relay, ClientMux* mux);
 
   struct TopicState {
     TopicConfig cfg;
@@ -186,7 +161,6 @@ class Domain {
   const TopicState& topic(std::uint8_t id) const;
 
   core::Cluster cluster_;
-  SsdModel ssd_;
   std::map<std::uint8_t, TopicState> topics_;
   std::vector<std::unique_ptr<ClientMux>> muxes_;
   bool started_ = false;

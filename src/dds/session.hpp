@@ -50,7 +50,7 @@ class Subscription {
  public:
   Subscription() = default;
   Subscription(Subscription&& o) noexcept
-      : session_(o.session_), gen_(o.gen_), topic_(o.topic_) {
+      : session_(o.session_), gen_(o.gen_) {
     o.session_ = nullptr;
   }
   Subscription& operator=(Subscription&& o) noexcept {
@@ -58,7 +58,6 @@ class Subscription {
       cancel();
       session_ = o.session_;
       gen_ = o.gen_;
-      topic_ = o.topic_;
       o.session_ = nullptr;
     }
     return *this;
@@ -67,18 +66,14 @@ class Subscription {
 
   void cancel() noexcept;
   bool active() const noexcept { return session_ != nullptr; }
-  std::uint8_t topic() const noexcept { return topic_; }
 
  private:
   friend class Session;
-  Subscription(Session* s, std::uint64_t gen, std::uint8_t topic)
-      : session_(s), gen_(gen), topic_(topic) {}
+  Subscription(Session* s, std::uint64_t gen) : session_(s), gen_(gen) {}
   Session* session_ = nullptr;
   // Which subscribe() call this handle came from: a handle made stale by a
-  // later subscribe() on the same topic must not cancel the listener that
-  // superseded it.
+  // later subscribe() must not cancel the listener that superseded it.
   std::uint64_t gen_ = 0;
-  std::uint8_t topic_ = 0;
 };
 
 /// One multiplexed external-client session: a lightweight handle hanging
@@ -97,36 +92,22 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Request/reply RPC: the request is relayed into the totally-ordered
-  /// subgroup, serviced at the relay, and the reply routed back down this
-  /// session's link. Completes with `busy` when shed at the admission
-  /// watermark, `cancelled`/`disconnected` on teardown — never hangs.
-  /// The no-topic form targets the mux's primary topic; the topic form
-  /// reaches any topic the mux serves (ClientMux::add_topic) over the same
-  /// link, admission pool and total order per topic.
+  /// Request/reply RPC: the request is relayed into the mux topic's
+  /// totally-ordered subgroup, serviced at the relay, and the reply routed
+  /// back down this session's link. Completes with `busy` when shed at the
+  /// admission watermark, `cancelled`/`disconnected` on teardown — never
+  /// hangs.
   sim::Co<Reply> request(std::span<const std::byte> body);
-  sim::Co<Reply> request(std::uint8_t topic, std::span<const std::byte> body);
-  /// Keyed routing: the mux hashes the key over its topic list, so a
-  /// session spans a sharded topic space (one topic per shard) without
-  /// knowing the partition.
-  sim::Co<Reply> request_keyed(std::uint64_t key,
-                               std::span<const std::byte> body);
 
   /// Fire-and-forget publish into the topic's total order. Completes when
   /// the frame is handed to the link (the in-flight credit is returned when
   /// the relay observes the delivery). Same admission control as request().
   sim::Co<ReplyStatus> publish(std::span<const std::byte> body);
-  sim::Co<ReplyStatus> publish(std::uint8_t topic,
-                               std::span<const std::byte> body);
-  sim::Co<ReplyStatus> publish_keyed(std::uint64_t key,
-                                     std::span<const std::byte> body);
 
-  /// Subscribe this session to every sample delivered at the relay. The
-  /// listener runs on the gateway's simulated link thread. The no-topic
-  /// form subscribes to the mux's primary topic; each topic carries an
-  /// independent listener.
+  /// Subscribe this session to every sample of the topic delivered at the
+  /// relay. The listener runs on the gateway's simulated link thread. A
+  /// later subscribe() replaces the listener.
   Subscription subscribe(SampleListener listener);
-  Subscription subscribe(std::uint8_t topic, SampleListener listener);
 
   /// Graceful close: waits for every in-flight request to complete, then
   /// detaches. After close() the session accepts no new work.
@@ -178,30 +159,24 @@ class Session {
   Session(ClientMux* mux, std::uint32_t id, SessionLink link)
       : mux_(mux), id_(id), link_(link) {}
 
-  /// One topic's listener slot (sessions may subscribe to several topics of
-  /// a multi-topic mux independently).
-  struct TopicSub {
-    SampleListener listener;
-    std::uint64_t gen = 0;  // which subscribe() installed it
-    bool active = false;
-  };
-
-  void unsubscribe() noexcept { subs_.clear(); }
-  void unsubscribe(std::uint8_t topic, std::uint64_t gen) noexcept {
-    auto it = subs_.find(topic);
-    if (it != subs_.end() && it->second.gen == gen) subs_.erase(it);
+  void unsubscribe() noexcept {
+    listener_ = nullptr;
+    sub_gen_ = 0;
   }
-  bool subscribed(std::uint8_t topic) const noexcept {
-    auto it = subs_.find(topic);
-    return it != subs_.end() && it->second.active;
+  void unsubscribe(std::uint64_t gen) noexcept {
+    if (sub_gen_ == gen) unsubscribe();
   }
+  bool subscribed() const noexcept { return sub_gen_ != 0; }
 
   ClientMux* mux_;
   std::uint32_t id_;
   SessionLink link_;
   State state_ = State::open;
   std::map<std::uint64_t, PendingRequest*> pending_;  // corr -> live request
-  std::map<std::uint8_t, TopicSub> subs_;  // topic -> listener
+  // The listener slot; sub_gen_ names the subscribe() that filled it (0:
+  // none).
+  SampleListener listener_;
+  std::uint64_t sub_gen_ = 0;
   std::uint64_t next_sub_gen_ = 0;  // bumped by every subscribe()
 
   std::uint64_t requests_sent_ = 0;
@@ -215,18 +190,15 @@ class Session {
 
 inline void Subscription::cancel() noexcept {
   if (session_ != nullptr) {
-    session_->unsubscribe(topic_, gen_);
+    session_->unsubscribe(gen_);
     session_ = nullptr;
   }
 }
 
-inline Subscription Session::subscribe(std::uint8_t topic,
-                                       SampleListener listener) {
-  TopicSub& sub = subs_[topic];
-  sub.listener = std::move(listener);
-  sub.gen = ++next_sub_gen_;
-  sub.active = true;
-  return Subscription(this, sub.gen, topic);
+inline Subscription Session::subscribe(SampleListener listener) {
+  listener_ = std::move(listener);
+  sub_gen_ = ++next_sub_gen_;
+  return Subscription(this, sub_gen_);
 }
 
 }  // namespace spindle::dds

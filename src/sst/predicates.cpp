@@ -538,8 +538,8 @@ void Predicates::settle(Group& g, bool probe, bool acted, sim::Nanos at,
 /// The membership-service discipline: every round evaluates all groups and
 /// issues their plans at the same virtual instant (heartbeats, suspicion
 /// pushes, proposal pushes land together, exactly as the hand-rolled actor
-/// posted them inline), then sleeps pace(post) — e.g. post cost +
-/// heartbeat_period + jitter.
+/// posted them inline), then sleeps pace(post) — e.g. post cost + the
+/// heartbeat period + jitter.
 sim::Co<> Predicates::run_paced() {
   while (!cfg_.stopped()) {
     if (cfg_.stall_until) {

@@ -136,7 +136,7 @@ struct PredicateStats {
 ///    doorbell after an idle streak.
 ///  - paced (`SchedulerConfig::pace` set — the membership service): every
 ///    round evaluates all groups, issues all plans at the same virtual
-///    instant, and sleeps pace(post) — e.g. post + heartbeat_period + jitter.
+///    instant, and sleeps pace(post) — e.g. post + heartbeat period + jitter.
 class Predicates {
  public:
   using GroupId = std::size_t;

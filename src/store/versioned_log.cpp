@@ -13,14 +13,13 @@ void VersionedLog::open_epoch(std::uint32_t epoch) {
   if (opened_ && epoch_ == epoch) return;
   epoch_ = epoch;
   opened_ = true;
-  segments_.push_back(SegmentInfo{epoch, kSegmentHeaderBytes, 0, false});
+  segments_.push_back(SegmentInfo{epoch, kSegmentHeaderBytes, 0});
 }
 
 void VersionedLog::push_record(Record r, bool committed) {
   assert(opened_ && "open_epoch() before appending");
-  if (segments_.empty() || segments_.back().epoch != epoch_ ||
-      segments_.back().checkpoint) {
-    segments_.push_back(SegmentInfo{epoch_, kSegmentHeaderBytes, 0, false});
+  if (segments_.empty() || segments_.back().epoch != epoch_) {
+    segments_.push_back(SegmentInfo{epoch_, kSegmentHeaderBytes, 0});
   }
   segments_.back().media_bytes += extent_of(r);
   segments_.back().records += 1;
@@ -134,7 +133,7 @@ void VersionedLog::rebuild_after_truncate() {
   // of the version vector).
   std::vector<SegmentInfo> next;
   for (const SegmentInfo& s : segments_) {
-    next.push_back(SegmentInfo{s.epoch, kSegmentHeaderBytes, 0, s.checkpoint});
+    next.push_back(SegmentInfo{s.epoch, kSegmentHeaderBytes, 0});
   }
   std::size_t seg = 0, used = 0;
   std::vector<std::uint64_t> capacity;
@@ -150,27 +149,6 @@ void VersionedLog::rebuild_after_truncate() {
     ++used;
   }
   segments_ = std::move(next);
-}
-
-bool VersionedLog::wants_checkpoint() const {
-  if (opts_.checkpoint_bytes == 0 || flushing_) return false;
-  if (committed_ != records_.size()) return false;
-  if (segments_.size() <= 1) return false;  // already a single fold
-  return committed_media_bytes() >= opts_.checkpoint_bytes;
-}
-
-std::uint64_t VersionedLog::compact() {
-  assert(!flushing_ && committed_ == records_.size());
-  std::uint64_t live = 0;
-  SegmentInfo cp{epoch_, kSegmentHeaderBytes, 0, true};
-  for (const Record& r : records_) {
-    live += r.payload.size();
-    cp.media_bytes += extent_of(r);
-    cp.records += 1;
-  }
-  segments_.assign(1, cp);
-  ++checkpoints_;
-  return live;
 }
 
 std::vector<std::pair<std::uint32_t, std::uint64_t>>

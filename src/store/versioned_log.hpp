@@ -39,9 +39,6 @@ inline constexpr std::uint64_t kRecordHeaderBytes = 32;
 struct StoreOptions {
   /// Torn-tail granularity: a crash mid-flush keeps only whole sectors.
   std::uint32_t sector_bytes = 512;
-  /// Committed media bytes that trigger a checkpoint fold; 0 disables
-  /// compaction entirely (the default write path is then untouched).
-  std::uint64_t checkpoint_bytes = 0;
 };
 
 struct Record {
@@ -56,7 +53,6 @@ struct SegmentInfo {
   std::uint32_t epoch = 0;
   std::uint64_t media_bytes = kSegmentHeaderBytes;
   std::uint64_t records = 0;
-  bool checkpoint = false;
 };
 
 class VersionedLog {
@@ -103,22 +99,11 @@ class VersionedLog {
   /// `keep` records, drop the rest (committed or not).
   void truncate_records(std::size_t keep);
 
-  /// True when compaction is enabled, nothing is in flight, and the
-  /// committed media footprint exceeds the checkpoint threshold.
-  bool wants_checkpoint() const;
-
-  /// Fold all committed records into a single checkpoint segment stamped
-  /// with the current epoch. Content-preserving; only the media accounting
-  /// shrinks. Returns the live payload bytes rewritten so the caller can
-  /// charge the SSD cost.
-  std::uint64_t compact();
-
   std::size_t size() const { return records_.size(); }
   std::size_t committed_size() const { return committed_; }
   bool flush_in_flight() const { return flushing_; }
   bool crash_noted() const { return crashed_; }
   std::uint64_t torn_records() const { return torn_; }
-  std::uint64_t checkpoints() const { return checkpoints_; }
   std::uint32_t current_epoch() const { return epoch_; }
 
   const std::vector<Record>& records() const { return records_; }
@@ -159,7 +144,6 @@ class VersionedLog {
   bool crashed_ = false;
   std::size_t crash_survivors_ = 0;  // records recoverable after the crash
   std::uint64_t torn_ = 0;           // records lost to tearing, lifetime
-  std::uint64_t checkpoints_ = 0;
 };
 
 }  // namespace spindle::store

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -151,78 +150,6 @@ TEST_F(MuxFixture, SubscriptionFanoutAndRaiiCancel) {
   EXPECT_EQ(at_a.back(), 999u);
   EXPECT_EQ(at_b.size(), 10u);  // nothing after the subscription died
   EXPECT_EQ(a->samples_received(), 11u);
-}
-
-TEST_F(MuxFixture, MultiTopicSessionRoutesByTopicAndKey) {
-  // One mux serving two topics over the same link, ring pair, and credit
-  // pool. Explicit-topic requests land on the named topic; keyed requests
-  // hash over the topic list; per-topic subscriptions only see their own
-  // topic's samples.
-  core::ClusterConfig cc;
-  cc.nodes = 5;
-  domain = std::make_unique<Domain>(cc);
-  for (std::uint8_t id : {std::uint8_t{1}, std::uint8_t{2}}) {
-    TopicConfig tc;
-    tc.name = id == 1 ? "rpc" : "rpc2";
-    tc.topic_id = id;
-    tc.max_sample_size = 512;
-    tc.publishers = {0, 1, 2, 3};
-    tc.subscribers = {0, 1, 2, 3};
-    domain->create_topic(tc);
-  }
-  mux = &domain->create_client_mux(1, 4, 0, {});
-  mux->add_topic(2);
-  domain->start();
-  ASSERT_TRUE(mux->serves(2));
-  ASSERT_EQ(mux->topics().size(), 2u);
-
-  Session* s = mux->connect();
-  ASSERT_NE(s, nullptr);
-  std::vector<std::uint64_t> on_t1, on_t2;
-  Subscription sub1 = s->subscribe(
-      1, [&](const Sample& smp) { on_t1.push_back(tag_of(smp.data)); });
-  Subscription sub2 = s->subscribe(
-      2, [&](const Sample& smp) { on_t2.push_back(tag_of(smp.data)); });
-
-  Reply r1, r2, rk;
-  bool done = false;
-  domain->engine().spawn([](Session* sess, Reply* a, Reply* b, Reply* k,
-                            bool* flag) -> sim::Co<> {
-    *a = co_await sess->request(1, bytes_of(10));
-    *b = co_await sess->request(2, bytes_of(20));
-    *k = co_await sess->request_keyed(0xfeedull, bytes_of(30));
-    *flag = true;
-  }(s, &r1, &r2, &rk, &done));
-  ASSERT_TRUE(run_until([&] { return done; }));
-
-  EXPECT_EQ(r1.status, ReplyStatus::ok);
-  EXPECT_EQ(r2.status, ReplyStatus::ok);
-  EXPECT_EQ(rk.status, ReplyStatus::ok);
-  EXPECT_EQ(tag_of(r1.data), 10u);
-  EXPECT_EQ(tag_of(r2.data), 20u);
-  EXPECT_EQ(tag_of(rk.data), 30u);
-  // The explicit requests are real per-topic subgroup traffic.
-  EXPECT_EQ(domain->total_samples(1) + domain->total_samples(2), 4u * 3u);
-  const std::uint8_t keyed_topic = mux->topic_for_key(0xfeedull);
-  EXPECT_TRUE(keyed_topic == 1 || keyed_topic == 2);
-  EXPECT_EQ(domain->total_samples(keyed_topic), 8u);
-
-  // Member-side publishes fan back per topic, isolated per subscription.
-  // (The session's own request echoes arrive as samples too, so key on the
-  // published tags, not emptiness.)
-  domain->engine().spawn([](Domain* d) -> sim::Co<> {
-    co_await d->writer(1, 1).publish_bytes(bytes_of(111));
-    co_await d->writer(2, 2).publish_bytes(bytes_of(222));
-  }(domain.get()));
-  const auto has = [](const std::vector<std::uint64_t>& v, std::uint64_t t) {
-    return std::find(v.begin(), v.end(), t) != v.end();
-  };
-  ASSERT_TRUE(
-      run_until([&] { return has(on_t1, 111) && has(on_t2, 222); }));
-  // Requests echoed on a topic also arrive as that topic's samples only —
-  // topic 1 must never see topic 2's traffic.
-  for (std::uint64_t t : on_t1) EXPECT_NE(t, 20u);
-  for (std::uint64_t t : on_t2) EXPECT_NE(t, 10u);
 }
 
 TEST_F(MuxFixture, SessionPublishReachesEveryMemberStripped) {

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 
 #include "core/group.hpp"
+#include "core/view.hpp"
 
 namespace spindle::core {
 namespace {
@@ -272,6 +274,57 @@ TEST(CoreEdge, CrashRejectsANonMemberOfAnEpochCluster) {
   EXPECT_TRUE(cluster.node(2).stopped());
   cluster.shutdown();
   engine.run();  // the cluster does not own the engine: drain it here
+}
+
+TEST(CoreEdge, ManagedGroupRejectsOutOfRangeIds) {
+  // Every ManagedGroup entry point that indexes per-node or per-subgroup
+  // state checks its id in every build: one past the end throws and
+  // changes nothing.
+  ManagedGroup::Config gc;
+  gc.nodes = 4;
+  ManagedGroup group(gc, [](const View& v) {
+    SubgroupConfig sc;
+    sc.name = "g";
+    sc.members = v.members;
+    sc.senders = v.members;
+    sc.opts = ProtocolOptions::spindle();
+    return std::vector<SubgroupConfig>{sc};
+  });
+  group.start();
+  const net::NodeId node = 4;
+  const std::size_t sg = 1;
+  const sim::Nanos d = sim::micros(10);
+  EXPECT_THROW(group.send(node, 0, {}), std::out_of_range);
+  EXPECT_THROW(group.send(0, sg, {}), std::out_of_range);
+  EXPECT_THROW(group.set_delivery_handler(node, 0, {}), std::out_of_range);
+  EXPECT_THROW(group.set_delivery_handler(0, sg, {}), std::out_of_range);
+  EXPECT_THROW(group.persistent_log(node, 0), std::out_of_range);
+  EXPECT_THROW(group.persistent_log(0, sg), std::out_of_range);
+  EXPECT_THROW(group.durable_store(node, 0), std::out_of_range);
+  EXPECT_THROW(group.durable_store(0, sg), std::out_of_range);
+  EXPECT_THROW(group.is_alive(node), std::out_of_range);
+  EXPECT_THROW(group.crash(node), std::out_of_range);
+  EXPECT_THROW(group.leave(node), std::out_of_range);
+  EXPECT_THROW(group.restart(node), std::out_of_range);
+  EXPECT_THROW(group.throttle_cpu(node, d), std::out_of_range);
+  EXPECT_THROW(group.degrade_ssd(node, d, d), std::out_of_range);
+  EXPECT_THROW(group.delay_predicate(node, "receive", d, d),
+               std::out_of_range);
+  EXPECT_THROW(group.drop_postplan_lane(node, 0, d), std::out_of_range);
+  EXPECT_THROW(group.force_spurious_evals(node, d, d), std::out_of_range);
+
+  // The group is untouched: every member is alive, and a message still
+  // reaches all four in the first view.
+  std::size_t delivered = 0;
+  for (net::NodeId n = 0; n < 4; ++n) {
+    EXPECT_TRUE(group.is_alive(n));
+    group.set_delivery_handler(n, 0, [&](const Delivery&) { ++delivered; });
+  }
+  group.send(0, 0, std::vector<std::byte>(64));
+  ASSERT_TRUE(group.engine().run_until([&] { return delivered == 4; },
+                                       sim::millis(10)));
+  EXPECT_EQ(group.epoch(), 0u);
+  group.shutdown();
 }
 
 TEST(CoreEdge, BatchedUpcallSeesAllMessagesInOrder) {

@@ -149,6 +149,37 @@ TEST_F(DomainFixture, LoggedStorageRecordsBytesAndCostsTime) {
   EXPECT_EQ(domain->reader(1, 4).history().size(), 8u);
 }
 
+TEST_F(DomainFixture, LoggedStorageChargesTheClusterSsdModel) {
+  // The logged QoS pays the cluster's SSD op latency on every delivered
+  // sample: raising CpuModel::ssd_op_latency from 8 us to 1 ms must show up
+  // in the subscriber's predicate-thread time, once per sample.
+  const auto subscriber_cpu = [](sim::Nanos op_latency) {
+    core::ClusterConfig cfg;
+    cfg.nodes = 2;
+    cfg.cpu.ssd_op_latency = op_latency;
+    Domain d(cfg);
+    TopicConfig tc;
+    tc.name = "blackbox";
+    tc.topic_id = 4;
+    tc.qos = Qos::logged_storage;
+    tc.publishers = {0};
+    tc.subscribers = {1};
+    d.create_topic(tc);
+    d.start();
+    d.engine().spawn([](Domain* dom) -> sim::Co<> {
+      for (std::uint64_t i = 0; i < 8; ++i) {
+        co_await dom->writer(0, 4).publish_bytes(sample_bytes(i, 512));
+      }
+    }(&d));
+    d.engine().run_to(sim::millis(50));
+    EXPECT_EQ(d.reader(1, 4).logged_bytes(), 8u * 512u);
+    return d.cluster().node(1).counters().predicate_cpu;
+  };
+  const sim::Nanos fast = subscriber_cpu(sim::micros(8));
+  const sim::Nanos slow = subscriber_cpu(sim::millis(1));
+  EXPECT_GE(slow - fast, 7 * (sim::millis(1) - sim::micros(8)));
+}
+
 TEST_F(DomainFixture, UnorderedQosDeliversWithoutStability) {
   make_domain(3);
   TopicConfig tc;

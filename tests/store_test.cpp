@@ -3,8 +3,7 @@
 // stack. The invariants pinned here are the ones total-failure recovery
 // leans on: staged records are never acknowledged early, a crash mid-flush
 // keeps only whole sectors (a record straddling the last sector is torn),
-// cold starts are no-ops, and compaction preserves content while folding
-// the segment directory.
+// and cold starts are no-ops.
 
 #include <gtest/gtest.h>
 
@@ -149,50 +148,6 @@ TEST(VersionedLog, RaggedTrimKeepsThePrefix) {
   // Trimming past the end is a no-op.
   log.truncate_records(10);
   EXPECT_EQ(log.size(), 3u);
-}
-
-TEST(VersionedLog, CompactionFoldsSegmentsAndPreservesContent) {
-  VersionedLog log(StoreOptions{.sector_bytes = 512,
-                                .checkpoint_bytes = 256});
-  log.open_epoch(0);
-  log.append_committed(0, 0, 0, payload_of(64, std::byte{0}));
-  log.open_epoch(1);
-  log.append_committed(1, 1, 0, payload_of(64, std::byte{1}));
-  ASSERT_EQ(log.segments().size(), 2u);
-  ASSERT_TRUE(log.wants_checkpoint());
-  const auto before_records = log.records();
-  const std::uint64_t media_before = log.committed_media_bytes();
-  const std::uint64_t live = log.compact();
-  EXPECT_EQ(live, 128u);  // payload bytes rewritten
-  EXPECT_EQ(log.checkpoints(), 1u);
-  ASSERT_EQ(log.segments().size(), 1u);
-  EXPECT_TRUE(log.segments()[0].checkpoint);
-  // Content-preserving: same records, smaller media footprint (one header
-  // instead of two).
-  ASSERT_EQ(log.records().size(), before_records.size());
-  for (std::size_t i = 0; i < before_records.size(); ++i) {
-    EXPECT_EQ(log.records()[i].seq, before_records[i].seq);
-    EXPECT_EQ(log.records()[i].payload, before_records[i].payload);
-  }
-  EXPECT_LT(log.committed_media_bytes(), media_before);
-  // The version vector still reflects the original epoch history.
-  EXPECT_EQ(log.version_vector().size(), 2u);
-}
-
-TEST(VersionedLog, CheckpointNotWantedWhileFlushInFlight) {
-  VersionedLog log(StoreOptions{.sector_bytes = 512,
-                                .checkpoint_bytes = 64});
-  log.open_epoch(0);
-  log.append_committed(0, 0, 0, payload_of(64, std::byte{0}));
-  log.open_epoch(1);
-  log.append_committed(1, 0, 1, payload_of(64, std::byte{1}));
-  ASSERT_TRUE(log.wants_checkpoint());
-  stage(log, 1, 64, /*first_seq=*/2);
-  EXPECT_FALSE(log.wants_checkpoint());  // staged suffix not yet durable
-  log.flush_begin(/*now=*/0, /*eta=*/100);
-  EXPECT_FALSE(log.wants_checkpoint());  // flush in flight
-  log.flush_commit();
-  EXPECT_TRUE(log.wants_checkpoint());
 }
 
 }  // namespace
