@@ -8,13 +8,13 @@
 // synchronization resolves most of that, giving excellent scaling that
 // remains stable across subgroup counts.
 //
-// Second sweep (the scheduling-discipline study): 1 *hot* subgroup plus k
-// *cold* ones that never send. Under strict round-robin the polling thread
-// pays a full lap of cold-group evaluations per round, so the hot group's
-// delivery rate decays with k; under `drr` the cold groups demote to the
-// low-frequency scan lane after a few quiet rounds and the hot group keeps
-// nearly all of the polling-thread CPU. Results (both disciplines, with
-// seed/env provenance) go to BENCH_fig13_multi_active.json.
+// Second sweep (the scan-lane study): 1 *hot* subgroup plus k *cold* ones
+// that never send. On Derecho's full lap (scan_interval 0) the polling
+// thread pays a cold-group evaluation per round for every cold subgroup,
+// so the hot group's delivery rate decays with k; on a 500 us scan lane
+// the cold groups demote after a few quiet rounds and the hot group keeps
+// nearly all of the polling-thread CPU. Results (both arms, with seed/env
+// provenance) go to BENCH_fig13_multi_active.json.
 
 #include "bench_util.hpp"
 
@@ -65,19 +65,19 @@ int main() {
   }
   t.print();
 
-  // Scheduling-discipline sweep: 1 hot + k cold subgroups, strict-RR vs
-  // DRR. Small messages and a small window keep the hot pipeline
+  // Scan-lane sweep: 1 hot + k cold subgroups, full lap vs a 500us scan
+  // lane. Small messages and a small window keep the hot pipeline
   // round-time-gated (so the cold lap actually costs throughput) and the
   // k=64 point within memory (every node maps a window of slots for every
-  // subgroup it belongs to). The 500us scan lane is ~20x a strict-RR
-  // round here — long enough that demoted groups are effectively free.
+  // subgroup it belongs to). The 500us lane is ~20x a full-lap round
+  // here — long enough that demoted groups are effectively free.
   constexpr std::uint64_t kSeed = 42;
   const std::size_t kMessages = scaled(200);
   BenchReport report("fig13_multi_active");
   report.set_provenance(kSeed, kMessages);
 
   Table d("Figure 13b: 1 hot + k cold subgroups (16 nodes, 1KB, kmsg/s/node)",
-          {"cold subgroups", "strict_rr", "drr", "speedup",
+          {"cold subgroups", "full lap", "scan lane", "speedup",
            "cold demotions"});
   for (std::size_t k : {std::size_t{1}, std::size_t{4}, std::size_t{16},
                         std::size_t{64}}) {
@@ -90,30 +90,28 @@ int main() {
     cfg.opts.window_size = 8;
     cfg.subgroups = 1 + k;
     cfg.active_subgroups = 1;
-    cfg.active_weight = 4;
-    cfg.scan_interval = sim::micros(500);
     cfg.messages_per_sender = kMessages;
     cfg.seed = kSeed;
 
-    cfg.discipline = sst::Discipline::strict_rr;
-    auto rr = workload::run_experiment(cfg);
+    cfg.scan_interval = 0;
+    auto lap = workload::run_experiment(cfg);
 
-    cfg.discipline = sst::Discipline::drr;
-    auto drr = workload::run_experiment(cfg);
+    cfg.scan_interval = sim::micros(500);
+    auto lane = workload::run_experiment(cfg);
 
     const double speedup =
-        rr.delivery_rate_per_node > 0
-            ? drr.delivery_rate_per_node / rr.delivery_rate_per_node
+        lap.delivery_rate_per_node > 0
+            ? lane.delivery_rate_per_node / lap.delivery_rate_per_node
             : 0;
     const std::string kk = std::to_string(k);
-    report.add_run("strict_rr/k=" + kk, rr);
-    report.add_run("drr/k=" + kk, drr);
+    report.add_run("full_lap/k=" + kk, lap);
+    report.add_run("scan_lane/k=" + kk, lane);
     report.add_metric("speedup_k" + kk, speedup);
-    d.row({Table::integer(k), Table::num(rr.delivery_rate_per_node / 1e3, 1),
-           Table::num(drr.delivery_rate_per_node / 1e3, 1),
-           Table::num(speedup, 2) + "x" + check_completed(rr) +
-               check_completed(drr),
-           Table::integer(cold_demotions(drr))});
+    d.row({Table::integer(k), Table::num(lap.delivery_rate_per_node / 1e3, 1),
+           Table::num(lane.delivery_rate_per_node / 1e3, 1),
+           Table::num(speedup, 2) + "x" + check_completed(lap) +
+               check_completed(lane),
+           Table::integer(cold_demotions(lane))});
   }
   d.print();
   report.write();

@@ -62,6 +62,7 @@ int main() {
     // dedicated cluster.
     core::ClusterConfig cc;
     cc.nodes = 16;
+    cc.scan_interval = 0;  // a paper figure: Derecho's full polling lap
     core::Cluster cluster(cc);
     core::SubgroupConfig sc;
     sc.name = "batched";

@@ -8,13 +8,6 @@
 
 namespace spindle::core {
 
-namespace {
-// Per-predicate DRR weight of the sequencer's grant predicate: grants are
-// latency-critical (every multi-shard send round-trips through them), so
-// they debit the sequencer group's deficit at 1/4 of their real cost.
-constexpr std::uint32_t kGrantPredicateWeight = 4;
-}  // namespace
-
 /// Per-sender cross-shard request state. One outstanding gsn request per
 /// node (the mutex), so the single grant-column pair per sender can never
 /// be overwritten before the requester has read it.
@@ -151,8 +144,8 @@ void OrderingDomain::register_sequencer() {
   }
 
   // The grant predicate joins the sequencer node's data-plane scheduler as
-  // its own group — weighted under DRR, swept after the shard groups under
-  // strict-RR (hooks register last, so existing sweep order is unchanged).
+  // its own group, swept after the shard groups (hooks register last, so
+  // existing sweep order is unchanged).
   cluster_.add_predicate_hook([this](Node& n, sst::Predicates& p) {
     if (n.id() != cfg_.sequencer) return;
     resolve_fields();
@@ -161,12 +154,16 @@ void OrderingDomain::register_sequencer() {
     g.tag = 0xFFFFFFFFu;  // not a subgroup: sentinel tag for trace hooks
     g.lock = &n.lock();
     g.early_release = cfg_.opts.early_lock_release;
-    g.scan_interval = cluster_.config().scan_interval;
+    // Never demoted (scan_interval 0): every cross-shard send waits on
+    // this group, but its traffic is sparse, so on the scan lane it would
+    // demote between crosses and a request would wait out a probe. Kept in
+    // the per-round rotation, kGoldenTwoShard (shard_test) stays
+    // byte-identical at 1, 2 and 4 workers; on the default lane it moves.
+    g.scan_interval = 0;
     const auto gid = p.add_group(std::move(g));
 
     sst::Predicates::PredicateOptions po;
     po.name = cfg_.name + ".grant";
-    po.weight = kGrantPredicateWeight;
     Node* np = &n;
     po.fire = [this, np](sst::TriggerContext& ctx) {
       return sequencer_grant(*np, ctx);

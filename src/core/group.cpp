@@ -14,11 +14,6 @@ void ClusterConfig::validate() const {
         "ClusterConfig: trace.ring_capacity must be >= 1 when tracing is "
         "enabled");
   }
-  if (discipline == sst::Discipline::drr && scan_interval <= 0) {
-    throw std::invalid_argument(
-        "ClusterConfig: drr needs scan_interval >= 1ns (the cold-subgroup "
-        "probe bound)");
-  }
   if (sim_threads == 0) {
     throw std::invalid_argument(
         "ClusterConfig: sim_threads must be >= 1 (1 = serial engine)");
@@ -314,7 +309,6 @@ void Cluster::start() {
           preds->visit_groups([&](const sst::Predicates::GroupOptions& g,
                                   const sst::Predicates::GroupSched& sc) {
             if (g.tag != s->id) return;
-            sub.sched_deficit += sc.deficit;
             sub.sched_serviced += sc.serviced;
             sub.sched_demotions += sc.demotions;
           });

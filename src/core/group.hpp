@@ -21,13 +21,11 @@ struct ClusterConfig {
   CpuModel cpu{};
   std::uint64_t seed = 1;
   trace::TraceConfig trace{};  // event tracing (off by default)
-  /// Predicate-scheduler service discipline for the data-plane polling
-  /// thread. `strict_rr` is the bit-compatible default; `drr` enables
-  /// deficit-weighted scheduling (hot subgroups stop paying a full lap of
-  /// cold evaluations per round — the Fig. 13 multi-active regime).
-  sst::Discipline discipline = sst::Discipline::strict_rr;
-  /// DRR only: probe period for subgroups demoted onto the scan lane —
-  /// the latency bound for a cold subgroup's first message under load.
+  /// Scan-lane probe period of the data-plane polling thread: a subgroup
+  /// that stays quiet leaves the per-round rotation and is probed once per
+  /// interval — the latency bound for a cold subgroup's first message
+  /// under load (sst::Predicates::GroupOptions::scan_interval). 0 keeps
+  /// every subgroup in the rotation, Derecho's full lap.
   sim::Nanos scan_interval = sim::micros(25);
   /// Simulation worker threads. 1 (default) = the serial engine, unchanged.
   /// > 1 = conservative-lookahead parallel execution (sim::ParallelEngine):
@@ -90,8 +88,8 @@ class Cluster {
 
   /// Protocol-extension point: `hook` runs once per member node while that
   /// node registers its data-plane predicates (Node::setup_predicates), so
-  /// an extension can add its own predicate groups to the same scheduler —
-  /// under whichever discipline the cluster runs. Pre-start() mutator.
+  /// an extension can add its own predicate groups to the same scheduler.
+  /// Pre-start() mutator.
   void add_predicate_hook(std::function<void(Node&, sst::Predicates&)> hook);
 
   /// SST rank of a member (row index in every subgroup's SST): the identity

@@ -36,8 +36,9 @@ void Node::start() {
 /// per subgroup (the unit of one lock acquisition and one two-phase
 /// compute/RDMA round), stages of §2.4 as individual predicates. The
 /// scheduler's reactive mode reproduces the dedicated polling thread —
-/// round-robin over subgroups, per-iteration overhead/jitter/hiccups, and
-/// the doorbell-backed idle backoff.
+/// round-robin over subgroups with quiet ones on the scan lane,
+/// per-iteration overhead/jitter/hiccups, and the doorbell-backed idle
+/// backoff.
 void Node::setup_predicates() {
   preds_ = std::make_unique<sst::Predicates>(engine_);
   const CpuModel& cpu = cluster_.cpu();
@@ -60,16 +61,11 @@ void Node::setup_predicates() {
   cfg.doorbell = &cluster_.fabric().doorbell(id_);
   cfg.idle_backoff_min = cpu.idle_backoff_min;
   cfg.idle_backoff_max = cpu.idle_backoff_max;
-  cfg.discipline = cluster_.config().discipline;
-  if (cfg.discipline == sst::Discipline::drr) {
-    cfg.on_service = [this](const sst::Predicates::GroupOptions& g,
-                            sst::ServiceReason reason, std::int64_t deficit) {
-      cluster_.tracer().record(id_, trace::Stage::sched_service,
-                               engine_.now(), 0, g.tag,
-                               trace::kNoSender, deficit,
-                               static_cast<std::uint64_t>(reason));
-    };
-  }
+  cfg.on_probe = [this](const sst::Predicates::GroupOptions& g,
+                         bool fired) {
+    cluster_.tracer().record(id_, trace::Stage::sched_service, engine_.now(),
+                             0, g.tag, trace::kNoSender, -1, fired ? 1 : 0);
+  };
   cfg.on_predicate_fire = [this](const sst::Predicates::GroupOptions& g,
                                  const sst::PredicateStats&,
                                  std::size_t ordinal, sim::Nanos before,
@@ -87,7 +83,6 @@ void Node::setup_predicates() {
     g.tag = s.id;
     g.lock = lock_.get();
     g.early_release = s.cfg.opts.early_lock_release;
-    g.weight = s.cfg.weight;
     g.scan_interval = cluster_.config().scan_interval;
     // Wedged (view change in progress): the subgroup is completely frozen —
     // no sends, nulls, acknowledgments or deliveries. Every value this node
@@ -138,7 +133,7 @@ void Node::setup_predicates() {
   }
 
   // Extension predicates (e.g. the cross-shard sequencer of core/domain.hpp)
-  // register after the data-plane groups, so the strict-RR sweep order — and
+  // register after the data-plane groups, so the round-robin order — and
   // with it every existing golden digest — is unchanged when no extension is
   // installed.
   cluster_.apply_predicate_hooks(*this, *preds_);

@@ -45,9 +45,6 @@ void SubgroupConfig::validate(
     throw std::invalid_argument(ctx() +
                                 "persistent mode requires atomic delivery");
   }
-  if (weight == 0) {
-    throw std::invalid_argument(ctx() + "scheduling weight must be >= 1");
-  }
 }
 
 Node::Node(Cluster& cluster, net::NodeId id, sim::Rng rng)

@@ -60,10 +60,6 @@ struct SubgroupConfig {
   std::vector<net::NodeId> members;
   std::vector<net::NodeId> senders;  // subset of members, in delivery order
   ProtocolOptions opts;
-  /// DRR scheduling weight of this subgroup's predicate group (>= 1): a
-  /// weight-2 subgroup may charge twice the polling CPU of a weight-1 peer
-  /// over any contended interval. Ignored under strict-RR.
-  std::uint32_t weight = 1;
 
   /// Throws std::invalid_argument with a descriptive message if the
   /// configuration is not a valid subgroup of a cluster whose members are

@@ -126,7 +126,6 @@ void ManagedGroup::build_epoch_cluster() {
   cc.cpu = cfg_.cpu;
   cc.seed = cfg_.seed + view_.epoch + 1;
   cc.trace = cfg_.trace;
-  cc.discipline = cfg_.discipline;
   epoch_cluster_ = std::make_unique<Cluster>(engine_, fabric_, cc,
                                              view_.members, &tracer_);
   // Persistent subgroups write through the group-lifetime stores: one
@@ -309,14 +308,9 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
   };
   preds.configure(std::move(cfg));
 
-  // Lock-free (membership SST only). The control plane outranks any data
-  // subgroup: give it a high DRR weight and exempt it from scan-lane
-  // demotion (paced scheduling ignores both today, but the registry is the
-  // single source of truth for group scheduling parameters).
+  // Lock-free (membership SST only).
   sst::Predicates::GroupOptions gopts;
   gopts.name = "membership";
-  gopts.weight = 4;
-  gopts.scan_interval = 0;
   const auto gid = preds.add_group(std::move(gopts));
 
   // 1. Heartbeat.
@@ -511,7 +505,6 @@ void ManagedGroup::setup_coordinator_predicates() {
   coord_preds_->configure(std::move(cfg));
   sst::Predicates::GroupOptions gopts;
   gopts.name = "coordinator";
-  gopts.weight = 4;  // control plane: outranks data subgroups under DRR
   const auto gid = coord_preds_->add_group(std::move(gopts));
 
   // Every member is suspected or dead: no leader can emerge and no primary
@@ -744,7 +737,6 @@ void ManagedGroup::setup_recovery_predicates() {
   recovery_preds_->configure(std::move(cfg));
   sst::Predicates::GroupOptions gopts;
   gopts.name = "recovery";
-  gopts.weight = 4;  // control plane
   const auto gid = recovery_preds_->add_group(std::move(gopts));
 
   // Fires once the group has halted and the restart set has settled: late

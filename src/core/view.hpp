@@ -57,9 +57,6 @@ class ManagedGroup {
     std::uint64_t seed = 1;
     sim::Nanos failure_timeout = sim::micros(400);
     trace::TraceConfig trace{};  // one event stream spanning every epoch
-    /// Data-plane predicate-scheduler discipline for every epoch cluster
-    /// (membership predicates are paced and unaffected).
-    sst::Discipline discipline = sst::Discipline::strict_rr;
   };
 
   /// What the recovery coordinator saw at a total-failure restart: the

@@ -39,7 +39,6 @@ void ClusterStats::finalize() {
       }
       it->messages_delivered += s.messages_delivered;
       it->predicate_cpu += s.predicate_cpu;
-      it->sched_deficit += s.sched_deficit;
       it->sched_serviced += s.sched_serviced;
       it->sched_demotions += s.sched_demotions;
       for (const PredicateStat& p : s.predicates) {

@@ -29,10 +29,9 @@ struct SubgroupStats {
   /// Per-predicate breakdown of predicate_cpu, merged over nodes by
   /// predicate name (registration order of the first node preserved).
   std::vector<PredicateStat> predicates;
-  /// DRR scheduler drill-down (zeros under strict-RR). Summed over nodes:
-  /// deficit is the point-in-time credit balance, serviced the rounds the
-  /// scheduler evaluated the group, demotions the trips to the scan lane.
-  std::int64_t sched_deficit = 0;
+  /// Polling-thread scheduler drill-down, summed over nodes: serviced the
+  /// rounds the scheduler evaluated the group, demotions the trips to the
+  /// scan lane.
   std::uint64_t sched_serviced = 0;
   std::uint64_t sched_demotions = 0;
 };

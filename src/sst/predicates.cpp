@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
-#include <numeric>
 
 namespace spindle::sst {
 
@@ -14,23 +12,21 @@ namespace {
 constexpr int kIdleStreakThreshold = 3;
 constexpr int kIdleBackoffMaxShift = 8;
 
-// DRR: credit granted per weight unit per round, in ns of CPU.
-constexpr std::int64_t kDrrQuantum = 1000;
-// DRR: deficit ceiling, in quantum-rounds of the group's weight — an
-// idle-but-polled group cannot bank unbounded credit.
-constexpr std::int64_t kDrrDeficitCapRounds = 8;
-// DRR: consecutive quiet services before a group is demoted onto the scan
-// lane (only groups with a non-zero scan_interval demote).
-constexpr int kDrrDemoteAfter = 8;
-// DRR: a group must also have been fire-free this long before it is
-// demoted — a hot group drains its window and sits out a handful of *fast*
-// rounds between bursts, and those must not count against it.
-constexpr sim::Nanos kDrrDemoteQuiet = sim::micros(25);
-// DRR: courtesy probes per doorbell wake from quiescence (rotating over the
-// scan lane). Bounds the probe cost a wake can charge to a node with a long
-// scan lane; the lane's own schedule still carries the scan_interval
+// Scan lane: consecutive quiet services before a group is demoted (only
+// groups with a non-zero scan_interval demote).
+constexpr int kDemoteAfter = 8;
+// Scan lane: a group must also have been fire-free for at least this long,
+// and for at least its scan_interval, before it is demoted. A hot group
+// drains its window and sits out a handful of *fast* rounds between
+// bursts, and those must not count against it; and since a demotion can
+// delay a group by up to one scan_interval, only a group already idle that
+// long should risk it.
+constexpr sim::Nanos kDemoteQuiet = sim::micros(25);
+// Scan lane: courtesy probes per doorbell wake from quiescence (rotating
+// over the lane). Bounds the probe cost a wake can charge to a node with a
+// long scan lane; the lane's own schedule still carries the scan_interval
 // starvation bound.
-constexpr std::size_t kDrrKickBudget = 4;
+constexpr std::size_t kKickBudget = 4;
 }  // namespace
 
 const char* to_string(PredicateClass c) {
@@ -41,28 +37,6 @@ const char* to_string(PredicateClass c) {
       return "recurrent";
     case PredicateClass::transition:
       return "transition";
-  }
-  return "?";
-}
-
-const char* to_string(Discipline d) {
-  switch (d) {
-    case Discipline::strict_rr:
-      return "strict_rr";
-    case Discipline::drr:
-      return "drr";
-  }
-  return "?";
-}
-
-const char* to_string(ServiceReason r) {
-  switch (r) {
-    case ServiceReason::credit:
-      return "credit";
-    case ServiceReason::conserve:
-      return "conserve";
-    case ServiceReason::scan:
-      return "scan";
   }
   return "?";
 }
@@ -112,12 +86,10 @@ Predicates::PredId Predicates::add(GroupId g, PredicateOptions opts) {
   assert(opts.fire && "a predicate needs a trigger body");
   assert((opts.cls != PredicateClass::transition || opts.when) &&
          "a transition predicate needs a condition to edge-detect");
-  assert(opts.weight >= 1 && "predicate weight must be >= 1");
   Predicate p;
   p.cls = opts.cls;
   p.when = std::move(opts.when);
   p.fire = std::move(opts.fire);
-  p.weight = opts.weight == 0 ? 1 : opts.weight;
   p.stats.name = std::move(opts.name);
   p.stats.cls = p.cls;
   preds_.push_back(std::move(p));
@@ -235,10 +207,8 @@ void Predicates::visit_groups(
 
 /// One evaluation round over a group's predicates. Runs under the group's
 /// lock (the scheduler holds it); pure compute — simulated CPU accumulates
-/// in `work` (and its weight-scaled image in `charge`, the DRR debit),
-/// deferred RDMA in `plan`. Returns true iff any trigger acted.
-bool Predicates::eval_group(Group& g, sim::Nanos& work, sim::Nanos& charge,
-                            PostPlan& plan) {
+/// in `work`, deferred RDMA in `plan`. Returns true iff any trigger acted.
+bool Predicates::eval_group(Group& g, sim::Nanos& work, PostPlan& plan) {
   if (g.opts.enabled && !g.opts.enabled()) return false;
   bool any = false;
   for (PredId id : g.preds) {
@@ -267,7 +237,6 @@ bool Predicates::eval_group(Group& g, sim::Nanos& work, sim::Nanos& charge,
     // later in virtual time.
     if (acted && !delays_.empty()) work += fire_delay(p.stats.name);
     p.stats.cpu += work - before;  // guard costs accrue even on quiet rounds
-    charge += p.weight <= 1 ? work - before : (work - before) / p.weight;
     if (acted) {
       ++p.stats.fires;
       any = true;
@@ -288,11 +257,9 @@ sim::Co<> Predicates::run() {
 }
 
 /// The data-plane discipline: the dedicated polling thread of §2.4, with
-/// §3.4's lock staging and the doorbell-backed quiescent backoff. Both
-/// reactive disciplines run this one loop; the discipline decides only the
-/// round's service order (plan_round) and the per-service account (settle).
+/// §3.4's lock staging, the scan lane, and the doorbell-backed quiescent
+/// backoff.
 sim::Co<> Predicates::run_reactive() {
-  const bool drr = cfg_.discipline == Discipline::drr;
   int idle_streak = 0;
   std::uint64_t rearm_seen = rearm_generation_;
   while (!cfg_.stopped()) {
@@ -321,19 +288,16 @@ sim::Co<> Predicates::run_reactive() {
       if (k >= round.courtesy && progress) break;  // courtesy probes: idle only
       Group& g = groups_[order_[k]];
       const bool probe = k >= round.ready;
-      // Debtors sit out once the round has made progress.
-      if (!probe && g.sched.deficit < 0 && progress) continue;
       if (g.opts.lock) co_await g.opts.lock->lock();
       plan_.clear();
       merge_released();
       sim::Nanos work = 0;
-      sim::Nanos charge = 0;  // weight-scaled debit (== work at weight 1)
-      const bool acted = eval_group(g, work, charge, plan_);
+      const bool acted = eval_group(g, work, plan_);
       const sim::Nanos at = engine_.now();
       if (g.opts.on_work) g.opts.on_work(work);
       if (!acted && plan_.empty()) {
         carry += work;
-        if (drr) settle(g, probe, false, at, charge);
+        settle(g, probe, false, at);
         if (g.opts.lock) g.opts.lock->unlock();
         continue;
       }
@@ -349,7 +313,7 @@ sim::Co<> Predicates::run_reactive() {
         co_await engine_.sleep(post);
       }
       if (g.opts.lock && !g.opts.early_release) g.opts.lock->unlock();
-      if (drr) settle(g, probe, true, at, charge + post);
+      settle(g, probe, true, at);
     }
     if (cfg_.stopped()) break;
 
@@ -380,7 +344,7 @@ sim::Co<> Predicates::run_reactive() {
       if (cfg_.doorbell != nullptr) {
         // A ring from quiescence means remote state moved somewhere —
         // possibly in a demoted group's rows. The doorbell cannot say
-        // which group, so DRR courtesy-probes the scan lane next round; a
+        // which group, so the next round courtesy-probes the scan lane; a
         // probe that fires promotes its group, the rest stay demoted at
         // one eval each (promoting wholesale would force every cold group
         // through a fresh quiet streak per wake).
@@ -392,97 +356,23 @@ sim::Co<> Predicates::run_reactive() {
   }
 }
 
-Predicates::Round Predicates::plan_round() {
-  if (cfg_.discipline == Discipline::drr) return plan_drr_round();
-  order_.resize(groups_.size());
-  std::iota(order_.begin(), order_.end(), std::size_t{0});
-  return Round{groups_.size(), groups_.size()};
-}
-
-/// Grant `rounds` rounds of credit, capped so an idle-but-polled group
-/// cannot bank unbounded CPU against its busy peers.
-void Predicates::credit_group(Group& g, std::int64_t rounds) {
-  const std::int64_t per_round =
-      static_cast<std::int64_t>(g.opts.weight) * kDrrQuantum;
-  const std::int64_t cap = per_round * kDrrDeficitCapRounds;
-  g.sched.deficit = std::min(g.sched.deficit + rounds * per_round, cap);
-}
-
-/// Pull every demoted group off the scan lane (a rearm made dormant
-/// predicates live again). Debt is forgiven: a promotion is a fresh start,
-/// not a backlog to repay.
-void Predicates::promote_all() {
-  for (Group& g : groups_) {
-    GroupSched& sc = g.sched;
-    if (!sc.demoted) continue;
-    sc.demoted = false;
-    sc.quiet_streak = 0;
-    if (sc.deficit < 0) sc.deficit = 0;
-  }
-}
-
-/// Deficit-weighted round-robin: the reactive discipline for many-subgroup
-/// nodes (the paper's Fig. 13 regime). Mechanics per round:
-///
-///  1. every active group banks weight x quantum of credit (capped);
-///  2. if *every* active group is in debt, the credit clock jumps forward
-///     just enough to lift the least-indebted-per-weight group back to
-///     zero — work conservation without collapsing to equal shares;
-///  3. groups are serviced in deficit order (recent-fire breaks ties);
-///     once some group has made progress, groups still in debt sit the
-///     round out — that is what enforces the weight ratio under load;
-///  4. service debits the compute+post CPU the group actually charged;
-///  5. a group quiet for kDrrDemoteAfter services *and* fire-free for
-///     kDrrDemoteQuiet is demoted onto the scan lane and probed once per
-///     `scan_interval` instead of every round; a fire at a probe or a
-///     rearm promotes it back.
+/// The reactive service order. The rotation is every group not on the
+/// scan lane, in registration order; a group quiet for kDemoteAfter
+/// services *and* fire-free for max(kDemoteQuiet, scan_interval) leaves it
+/// (settle) and is probed once per `scan_interval` instead of every round;
+/// a fire at a probe or a rearm promotes it back.
 ///
 /// The shared per-node doorbell cannot attribute a ring to a group, so
 /// under load the scan lane is the latency bound for a cold group's first
 /// message; from quiescence the doorbell wake courtesy-probes a budgeted
 /// slice of the scan lane on the next idle round.
-Predicates::Round Predicates::plan_drr_round() {
+Predicates::Round Predicates::plan_round() {
   const sim::Nanos round_start = engine_.now();
   order_.clear();
   for (std::size_t i = 0; i < groups_.size(); ++i) {
-    if (groups_[i].sched.demoted) continue;
-    credit_group(groups_[i], 1);
-    order_.push_back(i);
+    if (!groups_[i].sched.demoted) order_.push_back(i);
   }
   const std::size_t ready = order_.size();
-  bool any_credit = false;
-  for (std::size_t k = 0; k < ready; ++k) {
-    if (groups_[order_[k]].sched.deficit >= 0) {
-      any_credit = true;
-      break;
-    }
-  }
-  if (!any_credit && ready > 0) {
-    // Credit-clock jump (step 2): find the fewest whole rounds that lift
-    // some group out of debt and grant them to everyone at once. Pure
-    // bookkeeping — no virtual time passes, so the scheduler stays
-    // work-conserving while shares still converge to the weight ratio.
-    std::int64_t jump = std::numeric_limits<std::int64_t>::max();
-    for (std::size_t k = 0; k < ready; ++k) {
-      const Group& g = groups_[order_[k]];
-      const std::int64_t per_round =
-          static_cast<std::int64_t>(g.opts.weight) * kDrrQuantum;
-      const std::int64_t need = (-g.sched.deficit + per_round - 1) / per_round;
-      jump = std::min(jump, need);
-    }
-    for (std::size_t k = 0; k < ready; ++k) {
-      credit_group(groups_[order_[k]], jump);
-    }
-  }
-  std::stable_sort(order_.begin(), order_.begin() + ready,
-                   [this](std::size_t a, std::size_t b) {
-                     const GroupSched& sa = groups_[a].sched;
-                     const GroupSched& sb = groups_[b].sched;
-                     if (sa.deficit != sb.deficit) {
-                       return sa.deficit > sb.deficit;
-                     }
-                     return sa.last_fire > sb.last_fire;
-                   });
   for (std::size_t i = 0; i < groups_.size(); ++i) {
     const GroupSched& sc = groups_[i].sched;
     if (sc.demoted && round_start >= sc.next_scan) order_.push_back(i);
@@ -495,7 +385,7 @@ Predicates::Round Predicates::plan_drr_round() {
   const std::size_t courtesy = order_.size();
   if (probe_kick_) {
     probe_kick_ = false;
-    std::size_t budget = kDrrKickBudget;
+    std::size_t budget = kKickBudget;
     for (std::size_t step = 0; step < groups_.size() && budget > 0; ++step) {
       const std::size_t i = (kick_cursor_ + step) % groups_.size();
       const GroupSched& sc = groups_[i].sched;
@@ -507,32 +397,34 @@ Predicates::Round Predicates::plan_drr_round() {
   return Round{ready, courtesy};
 }
 
-void Predicates::settle(Group& g, bool probe, bool acted, sim::Nanos at,
-                        std::int64_t debit) {
+/// Pull every demoted group off the scan lane (a rearm made dormant
+/// predicates live again).
+void Predicates::promote_all() {
+  for (Group& g : groups_) {
+    GroupSched& sc = g.sched;
+    if (!sc.demoted) continue;
+    sc.demoted = false;
+    sc.quiet_streak = 0;
+  }
+}
+
+void Predicates::settle(Group& g, bool probe, bool acted, sim::Nanos at) {
   GroupSched& sc = g.sched;
-  const ServiceReason reason = probe ? ServiceReason::scan
-                               : sc.deficit >= 0 ? ServiceReason::credit
-                                                 : ServiceReason::conserve;
   ++sc.serviced;
   if (acted) {
     sc.quiet_streak = 0;
     sc.last_fire = at;
-    if (probe) {
-      // A probe that fired: the group is hot again — promote it with a
-      // clean balance.
-      sc.demoted = false;
-      if (sc.deficit < 0) sc.deficit = 0;
-    }
+    sc.demoted = false;  // a probe that fired: the group is hot again
   } else if (probe) {
     sc.next_scan = at + g.opts.scan_interval;
-  } else if (++sc.quiet_streak >= kDrrDemoteAfter &&
-             g.opts.scan_interval > 0 && at - sc.last_fire >= kDrrDemoteQuiet) {
+  } else if (++sc.quiet_streak >= kDemoteAfter && g.opts.scan_interval > 0 &&
+             at - sc.last_fire >=
+                 std::max(kDemoteQuiet, g.opts.scan_interval)) {
     sc.demoted = true;
     ++sc.demotions;
     sc.next_scan = at + g.opts.scan_interval;
   }
-  sc.deficit -= debit;
-  if (cfg_.on_service) cfg_.on_service(g.opts, reason, sc.deficit);
+  if (probe && cfg_.on_probe) cfg_.on_probe(g.opts, acted);
 }
 
 /// The membership-service discipline: every round evaluates all groups and
@@ -556,8 +448,7 @@ sim::Co<> Predicates::run_paced() {
       plan_.clear();
       merge_released();
       sim::Nanos work = 0;
-      sim::Nanos charge = 0;  // unused: paced mode has no deficit account
-      const bool acted = eval_group(g, work, charge, plan_);
+      const bool acted = eval_group(g, work, plan_);
       if (g.opts.on_work) g.opts.on_work(work);
       if (acted && g.opts.on_fire) g.opts.on_fire(work);
       post_total += issue_plan();

@@ -24,31 +24,6 @@ enum class PredicateClass : std::uint8_t { one_time, recurrent, transition };
 
 const char* to_string(PredicateClass c);
 
-/// Service discipline of the reactive scheduler (paced mode ignores this):
-///
-///  - `strict_rr`: every round sweeps all groups in registration order — the
-///    original discipline, kept bit-identical as the default so existing
-///    golden digests hold.
-///  - `drr`:       deficit-weighted round-robin. Each group accrues credit
-///    (weight x quantum per round) and is debited the compute+post CPU its
-///    triggers charge; service order follows deficit and recent-fire
-///    history, and groups that stay quiet are demoted onto a low-frequency
-///    scan lane so a hot subgroup stops paying a full lap of cold
-///    evaluations per round.
-enum class Discipline : std::uint8_t { strict_rr, drr };
-
-const char* to_string(Discipline d);
-
-/// Why the DRR scheduler serviced a group this round (the `sched_service`
-/// trace annotation).
-enum class ServiceReason : std::uint8_t {
-  credit,    // had non-negative deficit — normal weighted service
-  conserve,  // in debt, but no creditor was runnable (work conservation)
-  scan,      // demoted group probed on its scan-lane interval
-};
-
-const char* to_string(ServiceReason r);
-
 /// The deferred RDMA phase of a trigger, generalizing §3.4's early lock
 /// release: the under-lock compute phase *describes* its pushes by appending
 /// actions, and the scheduler issues them after the lock is (optionally
@@ -127,13 +102,15 @@ struct PredicateStats {
 /// acquisition and one two-phase (compute, then RDMA) round. The scheduler
 /// coroutine evaluates groups round-robin. Two pacing disciplines:
 ///
-///  - reactive (the data-plane polling thread, under either Discipline —
-///    they share one loop and differ only in service order and deficit
-///    bookkeeping): busy rounds charge their
-///    compute cost under the lock, release (early, per §3.4, when the group
-///    opts in), issue the merged PostPlan, and sleep the post cost; quiet
-///    rounds carry their eval cost forward and back off onto the fabric
-///    doorbell after an idle streak.
+///  - reactive (the data-plane polling thread): each round serves the
+///    groups in registration order; busy services charge their compute
+///    cost under the lock, release (early, per §3.4, when the group opts
+///    in), issue the merged PostPlan, and sleep the post cost; quiet
+///    services carry their eval cost forward, and quiet rounds back off
+///    onto the fabric doorbell after an idle streak. A group that stays
+///    quiet leaves the per-round rotation for a scan lane (see
+///    GroupOptions::scan_interval), so a hot group stops paying a full lap
+///    of cold evaluations per round.
 ///  - paced (`SchedulerConfig::pace` set — the membership service): every
 ///    round evaluates all groups, issues all plans at the same virtual
 ///    instant, and sleeps pace(post) — e.g. post + heartbeat period + jitter.
@@ -152,11 +129,11 @@ class Predicates {
     std::uint32_t tag = 0;      // owner id (e.g. subgroup id) for hooks
     sim::Mutex* lock = nullptr; // nullptr: lock-free group (membership SST)
     bool early_release = false; // §3.4: unlock before the RDMA phase
-    /// DRR: credit multiplier — a weight-2 group may charge twice the CPU
-    /// of a weight-1 group over any contended interval.
-    std::uint32_t weight = 1;
-    /// DRR: probe period once demoted to the scan lane. 0 disables
-    /// demotion — the group is swept every round like strict-RR.
+    /// Reactive mode: the scan lane. A group quiet for several services
+    /// and fire-free for max(25 µs, scan_interval) leaves the per-round
+    /// rotation and is probed once per scan_interval until a probe fires.
+    /// 0 disables demotion — the group is swept every round, Derecho's
+    /// full lap.
     sim::Nanos scan_interval = 0;
     /// Checked under the lock; a disabled group (e.g. a wedged subgroup)
     /// contributes no work, no plan, no fires.
@@ -180,29 +157,16 @@ class Predicates {
     /// by charging it inside the trigger).
     Condition when;
     Trigger fire;
-    /// DRR only: per-predicate weight *within* the group's deficit account.
-    /// A weight-w predicate's compute is debited at 1/w of its real cost, so
-    /// a hot control predicate (e.g. a cross-shard sequencer grant) drains
-    /// the group's credit w times slower than its weight-1 peers — it keeps
-    /// being serviced while cold scan-lane work is what pays the debt.
-    /// Real CPU time is still slept in full; only the *accounting* is
-    /// weighted. weight 1 (default) is bit-identical to the pre-weight
-    /// scheduler. Ignored under strict-RR and paced disciplines.
-    std::uint32_t weight = 1;
   };
 
   struct SchedulerConfig {
     std::function<bool()> stopped;            // required
     std::function<sim::Nanos()> stall_until;  // fault injection: slow host
-    /// Reactive service discipline; `strict_rr` keeps the original sweep
-    /// bit-identical (existing golden digests depend on it).
-    Discipline discipline = Discipline::strict_rr;
-    /// Observability: the DRR scheduler serviced a group (the
-    /// `sched_service` trace span); `deficit` is the post-debit balance.
-    std::function<void(const GroupOptions& group, ServiceReason reason,
-                       std::int64_t deficit)>
-        on_service;
     // Reactive mode:
+    /// Observability: a demoted group was probed on the scan lane (the
+    /// `sched_service` trace span); `fired` says whether the probe acted,
+    /// which promotes the group back into the rotation.
+    std::function<void(const GroupOptions& group, bool fired)> on_probe;
     /// Per-round fixed cost (iteration overhead + jitter + hiccups).
     std::function<sim::Nanos()> iteration_pause;
     sim::Signal* doorbell = nullptr;
@@ -261,16 +225,15 @@ class Predicates {
   /// batching exists to avoid). Overlapping windows stack.
   void inject_spurious(sim::Nanos until, sim::Nanos extra);
 
-  /// Per-group DRR scheduler accounting, exported into `cluster.stats()`.
-  /// Meaningful under `Discipline::drr`; zeros under strict-RR.
+  /// Per-group reactive scheduler accounting, exported into
+  /// `cluster.stats()` (zeros under the paced discipline).
   struct GroupSched {
-    std::int64_t deficit = 0;    // current credit balance (ns of CPU)
     std::uint64_t serviced = 0;  // rounds the scheduler evaluated the group
     std::uint64_t demotions = 0; // times demoted onto the scan lane
     bool demoted = false;        // currently on the scan lane
     sim::Nanos next_scan = 0;    // next probe while demoted
     int quiet_streak = 0;        // consecutive quiet services
-    sim::Nanos last_fire = 0;    // most recent acting service (ready order)
+    sim::Nanos last_fire = 0;    // most recent acting service
   };
 
   std::size_t num_groups() const noexcept { return groups_.size(); }
@@ -292,7 +255,6 @@ class Predicates {
     Condition when;
     Trigger fire;
     PredicateStats stats;
-    std::uint32_t weight = 1;  // DRR deficit-debit divisor
     bool edge = false;  // transition: last observed condition value
     bool done = false;  // one_time: already fired
   };
@@ -315,11 +277,9 @@ class Predicates {
     sim::Nanos extra = 0;
   };
 
-  /// One evaluation round over `g`'s predicates. `work` accumulates the
-  /// real compute to sleep; `charge` accumulates the weight-scaled compute
-  /// the DRR discipline debits (== work when every predicate has weight 1).
-  bool eval_group(Group& g, sim::Nanos& work, sim::Nanos& charge,
-                  PostPlan& plan);
+  /// One evaluation round over `g`'s predicates; `work` accumulates the
+  /// compute to sleep.
+  bool eval_group(Group& g, sim::Nanos& work, PostPlan& plan);
   sim::Nanos fire_delay(const std::string& name);
   /// Release held_ actions whose lane-drop window expired into the front
   /// of plan_ (called at the top of each group round, so a quiet group
@@ -340,16 +300,12 @@ class Predicates {
     std::size_t ready = 0;
     std::size_t courtesy = 0;
   };
-  /// The discipline's service order: registration order under strict-RR,
-  /// deficit order plus the scan lane under DRR.
+  /// Registration order over the rotation, then the due scan-lane probes,
+  /// then (after a doorbell wake from quiescence) the courtesy probes.
   Round plan_round();
-  Round plan_drr_round();
-  /// DRR bookkeeping after one service of `g` that started at `at`:
-  /// debit, demotion (quiet) or promotion (a probe that fired), and the
-  /// `on_service` hook. Strict-RR keeps no account.
-  void settle(Group& g, bool probe, bool acted, sim::Nanos at,
-              std::int64_t debit);
-  void credit_group(Group& g, std::int64_t rounds);
+  /// Bookkeeping after one service of `g` that started at `at`: demotion
+  /// (quiet), promotion (a probe that fired), and the `on_probe` hook.
+  void settle(Group& g, bool probe, bool acted, sim::Nanos at);
   void promote_all();
   void kick();
   sim::Co<> run_reactive();

@@ -30,8 +30,8 @@ enum class Stage : std::uint8_t {
   fault,           // fault-injection onset (arg = fault::FaultKind)
   predicate_fire,  // one registered sst::Predicates trigger acted
                    // (dur = its slice of the round's compute, arg = pred id)
-  sched_service,   // DRR scheduler serviced a group (arg = sst::ServiceReason,
-                   // msg_index = post-debit deficit)
+  sched_service,   // scan-lane probe of a demoted group (arg = 1 when the
+                   // probe fired and promoted the group, else 0)
   recover,         // node rejoined from its durable log (arg = new epoch)
   session_open,    // front tier: client session admitted (arg = session id)
   session_close,   // front tier: session closed/cancelled/disconnected

@@ -70,7 +70,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     sc.members = all;
     sc.senders = senders;
     sc.opts = cfg.opts;
-    sc.weight = g < cfg.active_subgroups ? cfg.active_weight : 1;
     sgs.push_back(cluster.create_subgroup(sc));
   }
   cluster.start();

@@ -26,6 +26,7 @@ struct ExperimentConfig : core::ClusterConfig {
   ExperimentConfig() {
     nodes = 16;
     sim_threads = 0;
+    scan_interval = 0;  // the paper figures reproduce Derecho's polling thread
   }
 
   std::size_t subgroups = 1;         // every node is a member of every one
@@ -34,9 +35,6 @@ struct ExperimentConfig : core::ClusterConfig {
   std::size_t messages_per_sender = 1000;
   std::uint32_t message_size = 10240;
   core::ProtocolOptions opts = core::ProtocolOptions::spindle();
-  /// DRR weight given to the *active* subgroups; inactive ones keep
-  /// weight 1. Ignored under strict-RR.
-  std::uint32_t active_weight = 1;
 
   /// Delay injection (§4.2.1): the first `delayed_senders` senders busy-wait
   /// `post_send_delay` after each send; with `delayed_forever` they never

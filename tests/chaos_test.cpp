@@ -61,7 +61,7 @@ struct ChaosOutcome {
   std::size_t episodes = 0;       // recovery episodes the checker archived
   bool halted = false;
   bool persistent = false;
-  bool drr = false;
+  bool demoted = false;  // the final epoch's data subgroup hit the scan lane
   std::size_t crashes_scheduled = 0;
 };
 
@@ -77,14 +77,6 @@ ChaosOutcome run_chaos(std::uint64_t seed) {
   core::ManagedGroup::Config cfg;
   cfg.nodes = nodes;
   cfg.seed = seed;
-  // DRR mixing: half the seeds run their epoch clusters under the deficit
-  // scheduler. Drawn from an independent RNG stream so the shape draws
-  // above (and the per-sender gap draws below) match the strict-RR-only
-  // sweep exactly.
-  sim::Rng disc(seed ^ 0xd88ULL);
-  const bool use_drr = disc.below(2) == 0;
-  cfg.discipline =
-      use_drr ? sst::Discipline::drr : sst::Discipline::strict_rr;
   core::ManagedGroup group(cfg, [persistent](const core::View& v) {
     core::SubgroupConfig sc;
     sc.name = "chaos";
@@ -170,7 +162,7 @@ ChaosOutcome run_chaos(std::uint64_t seed) {
     std::ostringstream os;
     os << "chaos seed=" << seed << " nodes=" << nodes
        << " persistent=" << persistent << " msgs=" << msgs_per_sender
-       << " discipline=" << sst::to_string(cfg.discipline) << "\n"
+       << "\n"
        << injector.plan().to_string() << "replay: SPINDLE_CHAOS_RUNS=1 "
        << "SPINDLE_CHAOS_SEED=" << seed << " ./tests/chaos_test\n";
     out.dump = os.str();
@@ -180,13 +172,15 @@ ChaosOutcome run_chaos(std::uint64_t seed) {
   out.episodes = checker.episodes();
   out.halted = group.halted();
   out.persistent = persistent;
-  out.drr = use_drr;
   for (const fault::FaultEvent& e : injector.plan().events) {
     if (e.kind == fault::FaultKind::crash) ++out.crashes_scheduled;
   }
   if (!out.done) {
     out.diagnostics = group.engine().diagnostics();
     return out;
+  }
+  for (const auto& sg : group.cluster().stats().subgroups) {
+    if (sg.sched_demotions > 0) out.demoted = true;
   }
   out.violations = checker.check(group);
   out.trace.push_back(group.engine().now());
@@ -248,7 +242,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSweep,
 // (Deterministic: the seed population is fixed, so these counts are too.)
 TEST(ChaosCoverage, SeedPopulationExercisesTheProtocol) {
   std::size_t with_crashes = 0, with_epochs = 0, persistent = 0, halted = 0;
-  std::size_t with_drr = 0, with_recoveries = 0;
+  std::size_t with_demotions = 0, with_recoveries = 0;
   for (std::uint64_t i = 0; i < 100; ++i) {
     const ChaosOutcome out = run_chaos(kBaseSeed + i);
     ASSERT_TRUE(out.done) << out.dump << out.diagnostics;
@@ -256,7 +250,7 @@ TEST(ChaosCoverage, SeedPopulationExercisesTheProtocol) {
     if (out.epochs > 0) ++with_epochs;
     if (out.persistent) ++persistent;
     if (out.halted) ++halted;
-    if (out.drr) ++with_drr;
+    if (out.demoted) ++with_demotions;
     if (out.recoveries > 0) {
       ++with_recoveries;
       EXPECT_EQ(out.episodes, out.recoveries)
@@ -266,7 +260,9 @@ TEST(ChaosCoverage, SeedPopulationExercisesTheProtocol) {
   EXPECT_GE(with_crashes, 30u);
   EXPECT_GE(with_epochs, 30u);
   EXPECT_GE(persistent, 15u);
-  EXPECT_GE(with_drr, 30u);  // both disciplines under fault pressure
+  // The scan lane under fault pressure: a data subgroup that went quiet
+  // long enough to demote, in the epoch the run ended in.
+  EXPECT_GE(with_demotions, 30u);
   // About a third of the seeds draw a total-failure episode and every
   // episode forces at least one restart, so completed recoveries must be
   // well represented.
@@ -274,6 +270,7 @@ TEST(ChaosCoverage, SeedPopulationExercisesTheProtocol) {
   // Terminal halts (total failure without recovery) are rare but legal; no
   // lower bound asserted.
   RecordProperty("halted_runs", static_cast<int>(halted));
+  RecordProperty("demoted_runs", static_cast<int>(with_demotions));
   RecordProperty("recovered_runs", static_cast<int>(with_recoveries));
 }
 
@@ -312,14 +309,12 @@ struct NamedRun {
   fault::VsyncChecker checker;
   std::uint64_t msgs = 30;
 
-  NamedRun(std::size_t nodes, std::uint64_t seed, bool persistent,
-           sst::Discipline discipline = sst::Discipline::strict_rr)
+  NamedRun(std::size_t nodes, std::uint64_t seed, bool persistent)
       : group(
             [&] {
               core::ManagedGroup::Config cfg;
               cfg.nodes = nodes;
               cfg.seed = seed;
-              cfg.discipline = discipline;
               return cfg;
             }(),
             simple_layout(persistent)) {
@@ -437,12 +432,13 @@ TEST(ChaosNamed, FalseSuspicionOfSlowNode) {
 }
 
 TEST(ChaosNamed, PredicateDelayUnderDrr) {
-  // Per-predicate fault injection under the DRR discipline: every fire of
-  // the deliver trigger pays +15µs of compute for a 1ms window (a slow
-  // trigger — lock contention, cache-hostile scan). Delivery lags but the
-  // virtual-synchrony contract must hold, and since membership heartbeats
-  // live on a separate paced registry, no false suspicion may result.
-  NamedRun r(4, 83, /*persistent=*/false, sst::Discipline::drr);
+  // Per-predicate fault injection (named for the deficit scheduler it was
+  // written against): every fire of the deliver trigger pays +15µs of
+  // compute for a 1ms window (a slow trigger — lock contention,
+  // cache-hostile scan). Delivery lags but the virtual-synchrony contract
+  // must hold, and since membership heartbeats live on a separate paced
+  // registry, no false suspicion may result.
+  NamedRun r(4, 83, /*persistent=*/false);
   r.group.engine().schedule_fn(sim::micros(80), [&] {
     r.group.delay_predicate(1, "deliver", sim::millis(1), sim::micros(15));
   });
@@ -454,10 +450,11 @@ TEST(ChaosNamed, PredicateDelayUnderDrr) {
 }
 
 TEST(ChaosNamed, CrashUnderDrr) {
-  // The baseline crash regression, re-run under the deficit scheduler: a
-  // view change (wedge, trim, install, rearm) with DRR-scheduled epoch
-  // clusters on both sides of the install barrier.
-  NamedRun r(5, 84, /*persistent=*/false, sst::Discipline::drr);
+  // The baseline crash regression on a second shape (named for the
+  // deficit scheduler it was written against): a view change (wedge,
+  // trim, install, rearm) with scan-lane epoch clusters on both sides of
+  // the install barrier.
+  NamedRun r(5, 84, /*persistent=*/false);
   r.group.engine().schedule_fn(sim::micros(60), [&] { r.group.crash(1); });
   ASSERT_TRUE(r.run_to_quiescence()) << r.group.engine().diagnostics();
   EXPECT_EQ(r.group.view().members, (std::vector<net::NodeId>{0, 2, 3, 4}));
@@ -517,7 +514,7 @@ TEST(ChaosNamed, SpuriousEvalsBurnCpuWithoutBreakingContract) {
   // Phantom doorbells: one node's scheduler sees progress every round for
   // a 1ms window, charging extra evaluation time and suppressing idle
   // backoff. Throughput dips; correctness and membership must not.
-  NamedRun r(4, 87, /*persistent=*/false, sst::Discipline::drr);
+  NamedRun r(4, 87, /*persistent=*/false);
   r.group.engine().schedule_fn(sim::micros(80), [&] {
     r.group.force_spurious_evals(1, sim::millis(1), sim::micros(5));
   });

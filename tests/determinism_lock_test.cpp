@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -72,15 +73,17 @@ std::uint64_t tag_of(std::span<const std::byte> data) {
 
 /// Cluster-level digest: per-node delivery records (in upcall order, with
 /// the virtual time of the trigger that delivered them), then the merged
-/// counter snapshot and the makespan.
-std::uint64_t cluster_digest(
-    std::size_t nodes, std::size_t subgroups, std::size_t messages,
-    std::uint64_t seed,
-    sst::Discipline discipline = sst::Discipline::strict_rr) {
+/// counter snapshot and the makespan. Only the first `active` subgroups
+/// send (all of them by default); `demotions`, when given, receives the
+/// scan-lane demotions summed over every subgroup and node.
+std::uint64_t cluster_digest(std::size_t nodes, std::size_t subgroups,
+                             std::size_t messages, std::uint64_t seed,
+                             std::size_t active = SIZE_MAX,
+                             std::uint64_t* demotions = nullptr) {
+  active = std::min(active, subgroups);
   ClusterConfig cc;
   cc.nodes = nodes;
   cc.seed = seed;
-  cc.discipline = discipline;
   Cluster cluster(cc);
   std::vector<net::NodeId> members;
   for (std::size_t i = 0; i < nodes; ++i) {
@@ -115,7 +118,8 @@ std::uint64_t cluster_digest(
           });
     }
   }
-  for (SubgroupId sg : sgs) {
+  for (std::size_t g = 0; g < active; ++g) {
+    const SubgroupId sg = sgs[g];
     for (std::size_t s = 0; s < nodes; ++s) {
       cluster.engine().spawn(
           [](Cluster* c, net::NodeId id, SubgroupId g, std::size_t count,
@@ -133,7 +137,7 @@ std::uint64_t cluster_digest(
             (sg + 1) * 1'000'000 + (s + 1) * 10'000));
     }
   }
-  const std::uint64_t expect = subgroups * nodes * messages * nodes;
+  const std::uint64_t expect = active * nodes * messages * nodes;
   std::uint64_t seen = 0;
   const bool done = cluster.engine().run_until(
       [&] {
@@ -159,6 +163,10 @@ std::uint64_t cluster_digest(
   }
   const metrics::ClusterStats stats = cluster.stats();
   d.mix_counters(stats.total);
+  if (demotions) {
+    *demotions = 0;
+    for (const auto& sg : stats.subgroups) *demotions += sg.sched_demotions;
+  }
   cluster.shutdown();
   return d.h;
 }
@@ -228,10 +236,11 @@ std::uint64_t view_change_digest(std::uint64_t seed) {
 constexpr std::uint64_t kGoldenFig03 = 0xe8fc214e12b1e8e3;
 constexpr std::uint64_t kGoldenFig09 = 0xea69ce9212cbae91;
 constexpr std::uint64_t kGoldenViewChange = 0x3080420c16e0e5a0;
-// Captured when the DRR discipline landed (same workload as fig09, run
-// under `drr`): pins the deficit scheduler's service order, demotion
-// timing, and credit accounting bit-for-bit going forward.
-constexpr std::uint64_t kGoldenFig09Drr = 0x86c1d6e0e1460ee8;
+// Captured when the scan lane became the only reactive discipline: one hot
+// subgroup plus four cold ones on the default 25us lane, so the cold
+// groups demote and the digest pins the probe schedule (fig09 and fig03
+// never demote, so they cannot).
+constexpr std::uint64_t kGoldenHotCold = 0xa3d039d8ec806abe;
 
 TEST(DeterminismLock, Fig03SingleSubgroup) {
   const std::uint64_t h = cluster_digest(8, 1, 100, 7);
@@ -245,12 +254,15 @@ TEST(DeterminismLock, Fig09BatchedMultigroup) {
   EXPECT_EQ(h, kGoldenFig09);
 }
 
-TEST(DeterminismLock, Fig09BatchedMultigroupDrr) {
+TEST(DeterminismLock, HotColdScanLane) {
+  std::uint64_t demotions = 0;
   const std::uint64_t h =
-      cluster_digest(6, 3, 40, 11, sst::Discipline::drr);
-  std::printf("digest fig09-drr: 0x%llx\n",
-              static_cast<unsigned long long>(h));
-  EXPECT_EQ(h, kGoldenFig09Drr);
+      cluster_digest(6, 5, 40, 11, /*active=*/1, &demotions);
+  std::printf("digest hot-cold: 0x%llx (%llu demotions)\n",
+              static_cast<unsigned long long>(h),
+              static_cast<unsigned long long>(demotions));
+  EXPECT_GT(demotions, 0u) << "the cold subgroups never reached the lane";
+  EXPECT_EQ(h, kGoldenHotCold);
 }
 
 TEST(DeterminismLock, ChaosSeedWithViewChange) {

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -163,25 +164,32 @@ struct RunSpec {
   std::size_t subgroups;
   std::size_t messages;
   std::uint64_t seed;
-  sst::Discipline discipline = sst::Discipline::strict_rr;
+  /// Subgroups whose members send (the first `active`); the rest stay
+  /// cold.
+  std::size_t active = SIZE_MAX;
   /// Fault installation hook, called right after start() (workers are not
   /// running yet, so main-thread fabric/node calls are safe here).
   std::function<void(core::Cluster&)> chaos{};
 };
+
+std::size_t active_of(const RunSpec& spec) {
+  return std::min(spec.active, spec.subgroups);
+}
 
 /// Run `spec` with `workers` simulation threads up to the fixed virtual
 /// horizon, and digest everything observable: per-node delivery records
 /// (subgroup, sender, seq, index, virtual delivery time, payload tag) in
 /// upcall order, final virtual time, and the merged protocol counters.
 /// Both serial and parallel runs execute the exact same event set when
-/// driven by run_to(), so the digests must agree bit-for-bit.
+/// driven by run_to(), so the digests must agree bit-for-bit. The out
+/// parameters receive the delivered count and the scan-lane demotions.
 std::uint64_t digest_to_horizon(const RunSpec& spec, std::size_t workers,
                                 sim::Nanos horizon,
-                                std::uint64_t* delivered_out = nullptr) {
+                                std::uint64_t* delivered_out,
+                                std::uint64_t* demotions_out) {
   core::ClusterConfig cc;
   cc.nodes = spec.nodes;
   cc.seed = spec.seed;
-  cc.discipline = spec.discipline;
   cc.sim_threads = workers;
   core::Cluster cluster(cc);
   std::vector<net::NodeId> members;
@@ -219,7 +227,8 @@ std::uint64_t digest_to_horizon(const RunSpec& spec, std::size_t workers,
           });
     }
   }
-  for (core::SubgroupId sg : sgs) {
+  for (std::size_t g = 0; g < active_of(spec); ++g) {
+    const core::SubgroupId sg = sgs[g];
     for (std::size_t s = 0; s < spec.nodes; ++s) {
       cluster.engine_for(members[s])
           .spawn([](core::Cluster* c, net::NodeId id, core::SubgroupId g,
@@ -241,7 +250,7 @@ std::uint64_t digest_to_horizon(const RunSpec& spec, std::size_t workers,
 
   std::uint64_t seen = 0;
   for (core::SubgroupId sg : sgs) seen += cluster.total_delivered(sg);
-  if (delivered_out) *delivered_out = seen;
+  *delivered_out = seen;
 
   Digest d;
   d.mix(static_cast<std::uint64_t>(cluster.now()));
@@ -258,6 +267,8 @@ std::uint64_t digest_to_horizon(const RunSpec& spec, std::size_t workers,
   }
   const metrics::ClusterStats stats = cluster.stats();
   d.mix_counters(stats.total);
+  *demotions_out = 0;
+  for (const auto& sg : stats.subgroups) *demotions_out += sg.sched_demotions;
   cluster.shutdown();
   return d.h;
 }
@@ -268,7 +279,6 @@ sim::Nanos completion_horizon(const RunSpec& spec) {
   core::ClusterConfig cc;
   cc.nodes = spec.nodes;
   cc.seed = spec.seed;
-  cc.discipline = spec.discipline;
   core::Cluster cluster(cc);
   std::vector<net::NodeId> members;
   for (std::size_t i = 0; i < spec.nodes; ++i) {
@@ -284,7 +294,8 @@ sim::Nanos completion_horizon(const RunSpec& spec) {
   }
   cluster.start();
   if (spec.chaos) spec.chaos(cluster);
-  for (core::SubgroupId sg : sgs) {
+  for (std::size_t g = 0; g < active_of(spec); ++g) {
+    const core::SubgroupId sg = sgs[g];
     for (std::size_t s = 0; s < spec.nodes; ++s) {
       cluster.engine().spawn(
           [](core::Cluster* c, net::NodeId id, core::SubgroupId g,
@@ -303,7 +314,7 @@ sim::Nanos completion_horizon(const RunSpec& spec) {
     }
   }
   const std::uint64_t expect =
-      spec.subgroups * spec.nodes * spec.messages * spec.nodes;
+      active_of(spec) * spec.nodes * spec.messages * spec.nodes;
   const bool done = cluster.run_until(
       [&] {
         std::uint64_t seen = 0;
@@ -318,17 +329,21 @@ sim::Nanos completion_horizon(const RunSpec& spec) {
   return t + sim::micros(100);
 }
 
-void expect_identical_across_workers(const RunSpec& spec) {
+/// Returns the serial run's scan-lane demotions.
+std::uint64_t expect_identical_across_workers(const RunSpec& spec) {
   const sim::Nanos horizon = completion_horizon(spec);
   const std::uint64_t expect =
-      spec.subgroups * spec.nodes * spec.messages * spec.nodes;
+      active_of(spec) * spec.nodes * spec.messages * spec.nodes;
   std::uint64_t d1 = 0, d2 = 0, d4 = 0;
-  const std::uint64_t h1 = digest_to_horizon(spec, 1, horizon, &d1);
-  const std::uint64_t h2 = digest_to_horizon(spec, 2, horizon, &d2);
-  const std::uint64_t h4 = digest_to_horizon(spec, 4, horizon, &d4);
+  std::uint64_t m1 = 0, m2 = 0, m4 = 0;
+  const std::uint64_t h1 = digest_to_horizon(spec, 1, horizon, &d1, &m1);
+  const std::uint64_t h2 = digest_to_horizon(spec, 2, horizon, &d2, &m2);
+  const std::uint64_t h4 = digest_to_horizon(spec, 4, horizon, &d4, &m4);
   EXPECT_EQ(d1, expect);
   EXPECT_EQ(d2, expect);
   EXPECT_EQ(d4, expect);
+  EXPECT_EQ(m1, m2);
+  EXPECT_EQ(m1, m4);
   std::printf("digest W1=0x%llx W2=0x%llx W4=0x%llx (horizon %lld ns)\n",
               static_cast<unsigned long long>(h1),
               static_cast<unsigned long long>(h2),
@@ -336,6 +351,7 @@ void expect_identical_across_workers(const RunSpec& spec) {
               static_cast<long long>(horizon));
   EXPECT_EQ(h1, h2) << "2-worker run diverged from serial";
   EXPECT_EQ(h1, h4) << "4-worker run diverged from serial";
+  return m1;
 }
 
 TEST(ParallelDeterminism, Fig03SingleSubgroupIdenticalAt124Workers) {
@@ -346,8 +362,12 @@ TEST(ParallelDeterminism, Fig09BatchedMultigroupIdenticalAt124Workers) {
   expect_identical_across_workers({6, 3, 40, 11});
 }
 
-TEST(ParallelDeterminism, Fig09DrrIdenticalAt124Workers) {
-  expect_identical_across_workers({6, 3, 40, 11, sst::Discipline::drr});
+// The determinism lock's hot-plus-cold golden: four cold subgroups demote
+// onto the default scan lane, so this pins the probe schedule across
+// worker counts.
+TEST(ParallelDeterminism, HotColdScanLaneIdenticalAt124Workers) {
+  EXPECT_GT(expect_identical_across_workers({6, 5, 40, 11, /*active=*/1}),
+            0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-// DRR-discipline tests (ctest -L drr): the deficit-weighted scheduler's
-// fairness contract (CPU shares converge to the weight ratio), its
-// starvation bound (a demoted cold group is still probed within its
-// scan_interval), the promotion paths (doorbell wake from quiescence,
-// rearm at a view install), the reactive idle-backoff rearm fix, the
-// per-predicate fault-injection hook, and the cluster-level wiring
-// (ClusterConfig::discipline -> per-subgroup sched counters in stats()).
+// Scan-lane tests (ctest -L scan_lane): the reactive scheduler's starvation
+// bound (a demoted cold group is still probed within its scan_interval),
+// the quiet rule (a group that keeps becoming ready never demotes), the
+// promotion paths (doorbell wake from quiescence, rearm at a view
+// install), the reactive idle-backoff rearm fix, the per-predicate
+// fault-injection hook, and the cluster-level wiring
+// (ClusterConfig::scan_interval -> per-subgroup sched counters in stats()).
 
 #include <gtest/gtest.h>
 
@@ -19,18 +19,17 @@
 namespace spindle::sst {
 namespace {
 
-/// One scheduler under the chosen discipline, with a doorbell so the
-/// promotion and backoff-kick paths are exercisable.
+/// One reactive scheduler with a doorbell, so the promotion and
+/// backoff-kick paths are exercisable.
 struct Harness {
   sim::Engine engine;
   sim::Signal doorbell{engine};
   Predicates preds{engine};
   bool stop = false;
 
-  explicit Harness(Discipline d, sim::Nanos pause = 100) {
+  explicit Harness(sim::Nanos pause = 100) {
     Predicates::SchedulerConfig cfg;
     cfg.stopped = [this] { return stop; };
-    cfg.discipline = d;
     cfg.iteration_pause = [pause] { return pause; };
     cfg.doorbell = &doorbell;
     cfg.idle_backoff_min = 1000;
@@ -45,78 +44,21 @@ struct Harness {
   }
 };
 
-Predicates::GroupOptions weighted(const char* name, std::uint32_t weight,
-                                  sim::Nanos scan_interval) {
+Predicates::GroupOptions lane(const char* name, sim::Nanos scan_interval) {
   Predicates::GroupOptions g;
   g.name = name;
-  g.weight = weight;
   g.scan_interval = scan_interval;
   return g;
 }
 
-TEST(PredicatesDrr, CpuShareConvergesToWeightRatio) {
-  // Two always-busy groups, weights 3:1, identical per-fire cost. Over a
-  // contended interval the scheduler must hand group A three times group
-  // B's CPU — the property strict-RR cannot provide (it converges to 1:1).
-  Harness h(Discipline::drr);
-  const auto ga = h.preds.add_group(weighted("a", 3, 0));
-  const auto gb = h.preds.add_group(weighted("b", 1, 0));
-  const auto pa = h.preds.add(ga, {"busy_a", PredicateClass::recurrent,
-                                   nullptr, [](TriggerContext& ctx) {
-                                     ctx.work += 5000;
-                                     return true;
-                                   }});
-  const auto pb = h.preds.add(gb, {"busy_b", PredicateClass::recurrent,
-                                   nullptr, [](TriggerContext& ctx) {
-                                     ctx.work += 5000;
-                                     return true;
-                                   }});
-  h.run_for(sim::millis(20));
-  const double cpu_a = static_cast<double>(h.preds.stats(pa).cpu);
-  const double cpu_b = static_cast<double>(h.preds.stats(pb).cpu);
-  ASSERT_GT(cpu_b, 0);
-  EXPECT_NEAR(cpu_a / cpu_b, 3.0, 0.75)
-      << "cpu_a=" << cpu_a << " cpu_b=" << cpu_b;
-}
-
-TEST(PredicatesDrr, PredicateWeightScalesCpuShareWithinEqualGroups) {
-  // Two equal-weight groups, one always-busy predicate each, identical
-  // per-fire cost — but group A's predicate carries per-predicate weight 4,
-  // so its compute debits the group's deficit at a quarter of its real
-  // cost. Charges converge 1:1 under contention, hence real CPU converges
-  // to the predicate-weight ratio. The cross-shard sequencer's grant
-  // predicate runs at weight 4 (core/domain.cpp).
-  Harness h(Discipline::drr);
-  const auto ga = h.preds.add_group(weighted("a", 1, 0));
-  const auto gb = h.preds.add_group(weighted("b", 1, 0));
-  const auto pa = h.preds.add(ga, {"hot_grant", PredicateClass::recurrent,
-                                   nullptr,
-                                   [](TriggerContext& ctx) {
-                                     ctx.work += 5000;
-                                     return true;
-                                   },
-                                   4});
-  const auto pb = h.preds.add(gb, {"peer", PredicateClass::recurrent, nullptr,
-                                   [](TriggerContext& ctx) {
-                                     ctx.work += 5000;
-                                     return true;
-                                   }});
-  h.run_for(sim::millis(20));
-  const double cpu_a = static_cast<double>(h.preds.stats(pa).cpu);
-  const double cpu_b = static_cast<double>(h.preds.stats(pb).cpu);
-  ASSERT_GT(cpu_b, 0);
-  EXPECT_NEAR(cpu_a / cpu_b, 4.0, 1.0)
-      << "cpu_a=" << cpu_a << " cpu_b=" << cpu_b;
-}
-
 TEST(PredicatesDrr, ColdGroupServicedWithinScanIntervalBound) {
-  // A saturating hot group and a never-firing minimum-weight cold group:
-  // the cold group must demote onto the scan lane (it stops paying a slot
-  // every round) yet still be probed within scan_interval + one round.
+  // A saturating hot group and a never-firing cold group: the cold group
+  // must demote onto the scan lane (it stops paying a slot every round)
+  // yet still be probed within scan_interval + one round.
   constexpr sim::Nanos kScan = sim::micros(20);
-  Harness h(Discipline::drr);
-  const auto hot = h.preds.add_group(weighted("hot", 4, 0));
-  const auto cold = h.preds.add_group(weighted("cold", 1, kScan));
+  Harness h;
+  const auto hot = h.preds.add_group(lane("hot", 0));
+  const auto cold = h.preds.add_group(lane("cold", kScan));
   h.preds.add(hot, {"saturate", PredicateClass::recurrent, nullptr,
                     [](TriggerContext& ctx) {
                       ctx.work += 2000;
@@ -150,13 +92,58 @@ TEST(PredicatesDrr, ColdGroupServicedWithinScanIntervalBound) {
             4 * h.preds.group_sched(cold).serviced);
 }
 
+TEST(PredicatesScan, PeriodicGroupNeverDemotesWhileTicking) {
+  // A busy peer plus a group that becomes ready every 100us on a 500us
+  // lane. Each tick goes quiet for far more than 8 fast rounds, but never
+  // for a whole scan_interval, so the quiet rule must keep the group in
+  // the rotation: every tick fires within one round of becoming ready. A
+  // demoted group would sit out up to 500us and miss ticks.
+  constexpr sim::Nanos kPause = 100;
+  constexpr sim::Nanos kPeerWork = 200;
+  constexpr sim::Nanos kRound = kPeerWork + kPause;
+  constexpr sim::Nanos kTick = sim::micros(100);
+  constexpr int kTicks = 40;
+  Harness h(kPause);
+  const auto peer = h.preds.add_group(lane("peer", sim::micros(500)));
+  const auto periodic = h.preds.add_group(lane("periodic", sim::micros(500)));
+  h.preds.add(peer, {"busy", PredicateClass::recurrent, nullptr,
+                     [](TriggerContext& ctx) {
+                       ctx.work += kPeerWork;
+                       return true;
+                     }});
+  sim::Nanos ready_at = -1;  // pending tick's readiness time, -1 if none
+  std::vector<sim::Nanos> lag;
+  h.preds.add(periodic, {"tick", PredicateClass::recurrent,
+                         [&] { return ready_at >= 0; },
+                         [&](TriggerContext&) {
+                           lag.push_back(h.engine.now() - ready_at);
+                           ready_at = -1;
+                           return true;
+                         }});
+  for (int i = 1; i <= kTicks; ++i) {
+    h.engine.schedule_fn(i * kTick, [&] { ready_at = h.engine.now(); });
+  }
+  std::uint64_t demotions_while_ticking = 1;
+  h.engine.schedule_fn(kTicks * kTick + kRound, [&] {
+    demotions_while_ticking = h.preds.group_sched(periodic).demotions;
+  });
+  h.run_for(sim::millis(5));
+
+  EXPECT_EQ(demotions_while_ticking, 0u)
+      << "a group idle for less than its scan_interval must not demote";
+  ASSERT_EQ(lag.size(), static_cast<std::size_t>(kTicks))
+      << "ticks were missed";
+  for (sim::Nanos l : lag) EXPECT_LE(l, kRound);
+}
+
 TEST(PredicatesDrr, DoorbellWakePromotesDemotedGroupFromQuiescence) {
   // All-quiet scheduler: the only group demotes onto a very slow scan lane
-  // (50ms), the scheduler falls into doorbell backoff. A doorbell ring at
-  // T must promote the group and service it promptly — not after the
-  // residual backoff or the next 50ms probe.
-  Harness h(Discipline::drr);
-  const auto g = h.preds.add_group(weighted("lazy", 1, sim::millis(50)));
+  // (50ms) once it has been fire-free that long, and the scheduler falls
+  // into doorbell backoff. A doorbell ring at T, past the demotion, must
+  // promote the group and service it promptly — not after the residual
+  // backoff or the next 50ms probe.
+  Harness h;
+  const auto g = h.preds.add_group(lane("lazy", sim::millis(50)));
   bool ready = false;
   sim::Nanos fired_at = -1;
   h.preds.add(g, {"wake", PredicateClass::recurrent, [&] { return ready; },
@@ -165,25 +152,28 @@ TEST(PredicatesDrr, DoorbellWakePromotesDemotedGroupFromQuiescence) {
                     ctx.work += 100;
                     return true;
                   }});
-  const sim::Nanos kT = sim::millis(2);
+  const sim::Nanos kT = sim::millis(55);
+  bool demoted_at_ring = false;
   h.engine.schedule_fn(kT, [&] {
+    demoted_at_ring = h.preds.group_sched(g).demoted;
     ready = true;
     h.doorbell.signal();
   });
-  h.run_for(sim::millis(4));
+  h.run_for(sim::millis(57));
 
-  ASSERT_GE(h.preds.group_sched(g).demotions, 1u);
+  ASSERT_TRUE(demoted_at_ring);
   ASSERT_GE(fired_at, kT);
   EXPECT_LE(fired_at, kT + sim::micros(5))
       << "doorbell ring from quiescence must promote and service promptly";
 }
 
 TEST(PredicatesDrr, RearmPromotesDemotedOneTime) {
-  // DRR + one_time: after the predicate fires once and the group goes
-  // quiet/demoted, rearm() alone (no doorbell traffic, no scan-lane
-  // deadline for a long while) must promote the group and re-fire it.
-  Harness h(Discipline::drr);
-  const auto g = h.preds.add_group(weighted("epoch", 1, sim::millis(50)));
+  // A one_time predicate fires once and its group goes quiet and, after a
+  // 50ms lane's worth of quiet, demoted. rearm() alone (no doorbell
+  // traffic, no scan-lane deadline for a long while) must promote the
+  // group and re-fire it.
+  Harness h;
+  const auto g = h.preds.add_group(lane("epoch", sim::millis(50)));
   std::vector<sim::Nanos> fires;
   const auto p = h.preds.add(g, {"install", PredicateClass::one_time,
                                  [] { return true; },
@@ -192,21 +182,26 @@ TEST(PredicatesDrr, RearmPromotesDemotedOneTime) {
                                    ctx.work += 100;
                                    return true;
                                  }});
-  const sim::Nanos kT = sim::millis(2);
-  h.engine.schedule_fn(kT, [&] { h.preds.rearm(p); });
-  h.run_for(sim::millis(4));
+  const sim::Nanos kT = sim::millis(55);
+  bool demoted_at_rearm = false;
+  h.engine.schedule_fn(kT, [&] {
+    demoted_at_rearm = h.preds.group_sched(g).demoted;
+    h.preds.rearm(p);
+  });
+  h.run_for(sim::millis(57));
 
+  ASSERT_TRUE(demoted_at_rearm);
   ASSERT_EQ(fires.size(), 2u);
   EXPECT_LE(fires[1], kT + sim::micros(5))
       << "rearm must cut the backoff and promote the demoted group";
 }
 
 TEST(PredicatesReactive, RearmAllCutsIdleBackoffShort) {
-  // Regression (strict-RR): a one_time predicate re-armed at a view
-  // install used to wait out the scheduler's remaining idle backoff (up to
+  // Regression: a one_time predicate re-armed at a view install used to
+  // wait out the scheduler's remaining idle backoff (up to
   // idle_backoff_max). The rearm kick — doorbell signal + idle-streak
   // reset — must get it evaluated promptly.
-  Harness h(Discipline::strict_rr);
+  Harness h;
   const auto g = h.preds.add_group({});
   std::vector<sim::Nanos> fires;
   h.preds.add(g, {"barrier", PredicateClass::one_time,
@@ -226,7 +221,7 @@ TEST(PredicatesReactive, RearmAllCutsIdleBackoffShort) {
 }
 
 TEST(PredicatesFault, InjectedDelayChargesExtraComputeOnFires) {
-  Harness h(Discipline::strict_rr);
+  Harness h;
   const auto g = h.preds.add_group({});
   int budget = 3;
   const auto slow = h.preds.add(g, {"victim", PredicateClass::recurrent,
@@ -253,7 +248,7 @@ TEST(PredicatesFault, InjectedDelayChargesExtraComputeOnFires) {
 }
 
 TEST(PredicatesFault, ExpiredDelayWindowIsInert) {
-  Harness h(Discipline::strict_rr);
+  Harness h;
   const auto g = h.preds.add_group({});
   bool armed = false;
   const auto p = h.preds.add(g, {"late", PredicateClass::recurrent,
@@ -275,10 +270,10 @@ TEST(PredicatesFault, ExpiredDelayWindowIsInert) {
 }
 
 TEST(PredicatesDrr, ClusterDeliversIdenticallyAndExportsSchedCounters) {
-  // End-to-end wiring: same workload under both disciplines must deliver
-  // the same messages; under drr the stats() drill-down must expose the
-  // per-subgroup scheduler counters (hot subgroup serviced, cold subgroups
-  // demoted).
+  // End-to-end wiring: the same workload on the full lap and on the
+  // cluster's default scan lane must deliver the same messages; on the
+  // lane the stats() drill-down must expose the per-subgroup scheduler
+  // counters (hot subgroup serviced, cold subgroups demoted).
   workload::ExperimentConfig cfg;
   cfg.nodes = 4;
   cfg.subgroups = 5;
@@ -289,30 +284,31 @@ TEST(PredicatesDrr, ClusterDeliversIdenticallyAndExportsSchedCounters) {
   cfg.opts.window_size = 8;
   cfg.seed = 7;
 
-  cfg.discipline = Discipline::strict_rr;
-  const auto rr = workload::run_experiment(cfg);
-  cfg.discipline = Discipline::drr;
-  const auto drr = workload::run_experiment(cfg);
+  cfg.scan_interval = 0;
+  const auto lap = workload::run_experiment(cfg);
+  cfg.scan_interval = core::ClusterConfig{}.scan_interval;
+  const auto scan = workload::run_experiment(cfg);
 
-  ASSERT_TRUE(rr.completed);
-  ASSERT_TRUE(drr.completed);
-  EXPECT_EQ(rr.stats.total.messages_delivered,
-            drr.stats.total.messages_delivered);
-  EXPECT_GT(drr.stats.total.messages_delivered, 0u);
+  ASSERT_TRUE(lap.completed);
+  ASSERT_TRUE(scan.completed);
+  EXPECT_EQ(lap.stats.total.messages_delivered,
+            scan.stats.total.messages_delivered);
+  EXPECT_GT(scan.stats.total.messages_delivered, 0u);
 
-  const auto* hot = drr.stats.subgroup(0);
+  const auto* hot = scan.stats.subgroup(0);
   ASSERT_NE(hot, nullptr);
   EXPECT_GT(hot->sched_serviced, 0u);
+  EXPECT_EQ(hot->sched_demotions, 0u);
   std::uint64_t cold_demotions = 0;
-  for (const auto& s : drr.stats.subgroups) {
+  for (const auto& s : scan.stats.subgroups) {
     if (s.id != 0) cold_demotions += s.sched_demotions;
   }
   EXPECT_GT(cold_demotions, 0u)
       << "idle subgroups should land on the scan lane";
-  // Strict-RR never demotes and never counts DRR services.
-  for (const auto& s : rr.stats.subgroups) {
+  // The full lap never demotes.
+  for (const auto& s : lap.stats.subgroups) {
+    EXPECT_GT(s.sched_serviced, 0u);
     EXPECT_EQ(s.sched_demotions, 0u);
-    EXPECT_EQ(s.sched_serviced, 0u);
   }
 }
 

@@ -1,6 +1,6 @@
 // Unit tests for the sst::Predicates framework (ctest -L predicate): the
 // PostPlan lane contract, the three monotonicity classes, re-arming,
-// per-predicate accounting, and the two scheduler disciplines. The
+// per-predicate accounting, and the reactive and paced schedulers. The
 // protocol-level behaviour lock (the ported data plane and view layer must
 // be bit-identical to the monolith) lives in determinism_lock_test.cpp.
 

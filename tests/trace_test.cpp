@@ -33,6 +33,32 @@ workload::ExperimentConfig traced_config() {
   return cfg;
 }
 
+/// FNV-1a over what a run observably did: makespan, the merged counters
+/// and delivery-latency histogram, and every subgroup's scheduler counters.
+std::uint64_t run_digest(const workload::ExperimentResult& r) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  const metrics::ProtocolCounters& c = r.stats.total;
+  mix(static_cast<std::uint64_t>(r.makespan));
+  mix(c.messages_delivered);
+  mix(c.rdma_writes_posted);
+  mix(static_cast<std::uint64_t>(c.predicate_cpu));
+  for (const auto& b : c.delivery_latency_ns.buckets()) {
+    mix(b.low);
+    mix(b.count);
+  }
+  for (const auto& sg : r.stats.subgroups) {
+    mix(sg.sched_serviced);
+    mix(sg.sched_demotions);
+  }
+  return h;
+}
+
 TEST(Trace, DisabledTracingRecordsNothing) {
   workload::ExperimentConfig cfg = traced_config();
   cfg.trace.enabled = false;
@@ -90,6 +116,28 @@ TEST(Trace, EnablingTracingDoesNotPerturbVirtualTime) {
   EXPECT_EQ(s_off.delivery_digest, s_on.delivery_digest);
   EXPECT_EQ(s_off.trace_events, 0u);
   EXPECT_GT(s_on.trace_events, 0u);
+
+  // One hot plus four cold subgroups on the default scan lane: the cold
+  // groups demote, and the traced run's probe spans must not move the
+  // probe schedule.
+  workload::ExperimentConfig hc = traced_config();
+  hc.subgroups = 5;
+  hc.scan_interval = core::ClusterConfig{}.scan_interval;
+  hc.trace.enabled = false;
+  const auto hc_off = workload::run_experiment(hc);
+  hc.trace.enabled = true;
+  std::uint64_t probes = 0;
+  hc.trace_sink = [&](const trace::Tracer& tr) {
+    for (const trace::Event& e : tr.all_events()) {
+      probes += e.stage == trace::Stage::sched_service;
+    }
+  };
+  const auto hc_on = workload::run_experiment(hc);
+  ASSERT_TRUE(hc_off.completed);
+  ASSERT_TRUE(hc_on.completed);
+  EXPECT_GT(probes, 0u) << "no scan-lane probe spans recorded";
+  EXPECT_EQ(hc_off.makespan, hc_on.makespan);
+  EXPECT_EQ(run_digest(hc_off), run_digest(hc_on));
 }
 
 TEST(Trace, BatchStatsAgreeWithCounterHistograms) {
