@@ -98,6 +98,32 @@ int main() {
   report.add_metric("knee_goodput_rps", results[knee].goodput_rps);
   report.add_metric("knee_p99_us", results[knee].p99_us);
 
+  // Which link endpoint sets the knee: each actor's busy time over the
+  // measured span, averaged over the relays.
+  {
+    const workload::SwarmResult& k = results[knee];
+    const std::pair<const char*, sim::Nanos metrics::RelayTierStats::*>
+        stages[] = {{"uplink", &metrics::RelayTierStats::uplink_busy_ns},
+                    {"ingress", &metrics::RelayTierStats::ingress_busy_ns},
+                    {"downlink", &metrics::RelayTierStats::downlink_busy_ns},
+                    {"demux", &metrics::RelayTierStats::demux_busy_ns}};
+    std::printf("busy share per relay at the knee:");
+    for (const auto& [name, field] : stages) {
+      double busy = 0;
+      for (const auto& t : k.stats.relays) {
+        busy += static_cast<double>(t.*field);
+      }
+      const double share =
+          k.makespan > 0
+              ? busy / (static_cast<double>(k.makespan) *
+                        static_cast<double>(k.stats.relays.size()))
+              : 0.0;
+      std::printf(" %s %.2f", name, share);
+      report.add_metric(std::string("knee_") + name + "_busy_share", share);
+    }
+    std::printf("\n");
+  }
+
   // 2x knee: overload held at twice the knee. Admission must keep the
   // accepted-request p99 bounded (credits cap the in-pipeline population)
   // and shed the excess explicitly.

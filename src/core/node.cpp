@@ -143,6 +143,12 @@ std::uint64_t Node::delivered_in(SubgroupId sg) const {
   return sg < delivered_per_sg_.size() ? delivered_per_sg_[sg] : 0;
 }
 
+std::int64_t Node::delivered_frontier(SubgroupId sg) const {
+  const SubgroupState* s = find(sg);
+  assert(s != nullptr);
+  return min_delivered(*s);
+}
+
 sim::Nanos Node::predicate_cpu_in(SubgroupId sg) const {
   const SubgroupState* s = find(sg);
   return s ? s->predicate_cpu : 0;

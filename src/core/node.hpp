@@ -251,6 +251,10 @@ class Node {
 
   /// Total app messages this node has delivered in `sg`.
   std::uint64_t delivered_in(SubgroupId sg) const;
+  /// Highest sequence of `sg` that every member has delivered, as this
+  /// node's SST copy last saw it (min delivered_num over members; -1
+  /// before any). Advances as members' delivered_num pushes land here.
+  std::int64_t delivered_frontier(SubgroupId sg) const;
   /// Predicate CPU spent in `sg`'s predicates.
   sim::Nanos predicate_cpu_in(SubgroupId sg) const;
 

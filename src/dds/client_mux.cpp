@@ -79,7 +79,8 @@ ClientMux::ClientMux(Domain& domain, std::uint32_t mux_id, std::uint8_t topic,
   max_body_ = max_sample - static_cast<std::uint32_t>(sizeof(RpcEnvelope));
   if (!cfg_.service) cfg_.service = echo_service;
   credit_signal_ = std::make_unique<sim::Signal>(domain_.engine());
-  uplink_signal_ = std::make_unique<sim::Signal>(domain_.engine());
+  up_.wake = std::make_unique<sim::Signal>(domain_.engine());
+  down_.wake = std::make_unique<sim::Signal>(domain_.engine());
   tier_.relay_node = relay_;
   tier_.gateway_node = gateway_;
   tier_.topic = topic_;
@@ -122,23 +123,24 @@ void ClientMux::start() {
   const std::uint32_t frame =
       domain_.topic_max_sample(topic_) + sizeof(MuxFrameHeader);
 
-  up_at_gateway_ = std::make_unique<smc::RingGroup>(
-      fabric, gateway_, members, 0, 1, cfg_.ring_window, frame);
-  up_at_relay_ = std::make_unique<smc::RingGroup>(
-      fabric, relay_, members, SIZE_MAX, 1, cfg_.ring_window, frame);
-  smc::RingGroup* up[] = {up_at_gateway_.get(), up_at_relay_.get()};
-  smc::RingGroup::connect(up);
+  // `from` is the sending endpoint's rank in `members`.
+  auto wire = [&](Link& link, std::size_t from) {
+    link.to = 1 - from;
+    link.tx = std::make_unique<smc::RingGroup>(
+        fabric, members[from], members, 0, 1, cfg_.ring_window, frame);
+    link.rx = std::make_unique<smc::RingGroup>(
+        fabric, members[link.to], members, SIZE_MAX, 1, cfg_.ring_window,
+        frame);
+    smc::RingGroup* pair[] = {link.tx.get(), link.rx.get()};
+    smc::RingGroup::connect(pair);
+  };
+  wire(up_, 0);
+  wire(down_, 1);
 
-  down_at_relay_ = std::make_unique<smc::RingGroup>(
-      fabric, relay_, members, 0, 1, cfg_.ring_window, frame);
-  down_at_gateway_ = std::make_unique<smc::RingGroup>(
-      fabric, gateway_, members, SIZE_MAX, 1, cfg_.ring_window, frame);
-  smc::RingGroup* down[] = {down_at_relay_.get(), down_at_gateway_.get()};
-  smc::RingGroup::connect(down);
-
-  domain_.engine().spawn(uplink_actor());
+  domain_.engine().spawn(ship_actor(up_, tier_.uplink_busy_ns));
   domain_.engine().spawn(relay_actor());
-  domain_.engine().spawn(downlink_actor());
+  domain_.engine().spawn(ship_actor(down_, tier_.downlink_busy_ns));
+  domain_.engine().spawn(demux_actor());
 }
 
 void ClientMux::stop() noexcept {
@@ -231,17 +233,17 @@ sim::Co<ReplyStatus> ClientMux::admit(Session& s) {
 void ClientMux::stage_uplink(std::uint32_t session, std::uint64_t corr,
                              std::uint32_t kind,
                              std::span<const std::byte> body) {
-  uplink_staged_.emplace_back(sizeof(MuxFrameHeader) + body.size());
-  auto& frame = uplink_staged_.back();
+  up_.staged.emplace_back(sizeof(MuxFrameHeader) + body.size());
+  auto& frame = up_.staged.back();
   const MuxFrameHeader h{session, kind, corr, -1, 0, 0, topic_, 0};
   std::memcpy(frame.data(), &h, sizeof h);
   if (!body.empty()) {
     std::memcpy(frame.data() + sizeof h, body.data(), body.size());
   }
-  if (uplink_staged_.size() > tier_.peak_uplink_queue) {
-    tier_.peak_uplink_queue = uplink_staged_.size();
+  if (up_.staged.size() > tier_.peak_uplink_queue) {
+    tier_.peak_uplink_queue = up_.staged.size();
   }
-  uplink_signal_->signal();
+  up_.wake->signal();
 }
 
 sim::Co<Reply> ClientMux::run_request(Session& s,
@@ -398,40 +400,56 @@ void ClientMux::disconnect_all() noexcept {
   credits_out_ = 0;
   credit_queue_.clear();
   credit_signal_->signal();
-  uplink_signal_->signal();
-  uplink_staged_.clear();
-  downlink_staged_.clear();
+  up_.wake->signal();
+  down_.wake->signal();
+  up_.staged.clear();
+  down_.staged.clear();
 }
 
-sim::Co<> ClientMux::uplink_actor() {
+sim::Co<> ClientMux::ship_actor(Link& link, sim::Nanos& busy) {
   auto& eng = domain_.engine();
-  const std::vector<std::size_t> to_relay{1};
+  auto& relay = domain_.cluster().node(relay_);
+  auto& relay_doorbell = domain_.cluster().fabric().doorbell(relay_);
+  const std::vector<std::size_t> to{link.to};
   while (!stopped_ && !disconnected_) {
     if (relay_stopped()) {
       disconnect_all();
       co_return;
     }
-    if (uplink_staged_.empty()) {
-      co_await uplink_signal_->wait_for(cfg_.per_message_overhead * 4);
+    if (link.staged.empty()) {
+      co_await link.wake->wait_for(cfg_.per_message_overhead * 4);
       continue;
     }
-    if (up_sent_ - up_consumed_ >=
+    if (link.sent - link.consumed >=
         static_cast<std::int64_t>(cfg_.ring_window) - 1) {
-      // Shared-ring flow control: the relay is behind; staged frames wait
-      // at the gateway (the queue the watermark bounds).
+      // Shared-ring flow control: the receiver is behind; staged frames
+      // wait at the sender. Re-poll rather than be woken: the receiver's
+      // progress is a remote event.
       co_await eng.sleep(cfg_.per_message_overhead);
       continue;
     }
-    const std::int64_t k = up_sent_++;
-    auto& frame = uplink_staged_.front();
-    auto slot = up_at_gateway_->slot_data(k);
+    auto& frame = link.staged.front();
+    MuxFrameHeader h;
+    std::memcpy(&h, frame.data(), sizeof h);
+    if (h.seq > relay.delivered_frontier(sg_)) {
+      // A downlink frame answers or forwards an ordered sequence and leaves
+      // the relay only once every topic member has delivered it: an ok
+      // reply means the request reached the whole topic, not just the
+      // relay. Members' delivered_num pushes land here and ring the relay's
+      // doorbell. Uplink frames carry seq -1 and never wait.
+      co_await relay_doorbell.wait_for(cfg_.per_message_overhead * 4);
+      continue;
+    }
+    const std::int64_t k = link.sent++;
+    auto slot = link.tx->slot_data(k);
     std::memcpy(slot.data(), frame.data(), frame.size());
-    up_at_gateway_->mark_ready(k, static_cast<std::uint32_t>(frame.size()),
-                               0);
-    uplink_staged_.pop_front();
-    sim::Nanos cost = up_at_gateway_->push_data(k, k + 1, to_relay);
-    cost += up_at_gateway_->push_trailers(k, k + 1, to_relay);
-    co_await eng.sleep(cost + cfg_.per_message_overhead);
+    link.tx->mark_ready(k, static_cast<std::uint32_t>(frame.size()), 0);
+    link.staged.pop_front();
+    sim::Nanos cost = link.tx->push_data(k, k + 1, to);
+    cost += link.tx->push_trailers(k, k + 1, to);
+    cost += cfg_.per_message_overhead;
+    busy += cost;
+    co_await eng.sleep(cost);
   }
 }
 
@@ -444,14 +462,15 @@ sim::Co<> ClientMux::relay_actor() {
       disconnect_all();
       co_return;
     }
-    const smc::SlotTrailer t = up_at_relay_->trailer(0, up_consumed_);
-    if (t.count != up_consumed_ + 1) {
+    const smc::SlotTrailer t = up_.rx->trailer(0, up_.consumed);
+    if (t.count != up_.consumed + 1) {
       co_await doorbell.wait_for(cfg_.per_message_overhead * 4);
       continue;
     }
+    const sim::Nanos begin = eng.now();
     co_await eng.sleep(cfg_.per_message_overhead);
     MuxFrameHeader h;
-    const auto bytes = up_at_relay_->message(0, up_consumed_, t.len);
+    const auto bytes = up_.rx->message(0, up_.consumed, t.len);
     std::memcpy(&h, bytes.data(), sizeof h);
     const auto body = bytes.subspan(sizeof h);
     // The extra relaying step (§4.6), multiplexed: re-publish the frame
@@ -470,7 +489,8 @@ sim::Co<> ClientMux::relay_actor() {
           }
         },
         kRpcEnvelopeFlag);
-    ++up_consumed_;
+    ++up_.consumed;
+    tier_.ingress_busy_ns += eng.now() - begin;
   }
 }
 
@@ -493,8 +513,8 @@ void ClientMux::on_topic_delivery(const Sample& sample,
         throw std::logic_error(
             "ClientMux service reply exceeds the topic's max sample size");
       }
-      downlink_staged_.emplace_back(sizeof(MuxFrameHeader) + reply.size());
-      auto& frame = downlink_staged_.back();
+      down_.staged.emplace_back(sizeof(MuxFrameHeader) + reply.size());
+      auto& frame = down_.staged.back();
       const MuxFrameHeader h{env->session, kKindReply, env->corr,
                              sample.sequence,
                              static_cast<std::uint32_t>(sample.publisher),
@@ -510,9 +530,8 @@ void ClientMux::on_topic_delivery(const Sample& sample,
   for (auto& sp : sessions_) {
     Session& s = *sp;
     if (!s.subscribed()) continue;
-    downlink_staged_.emplace_back(sizeof(MuxFrameHeader) +
-                                  sample.data.size());
-    auto& frame = downlink_staged_.back();
+    down_.staged.emplace_back(sizeof(MuxFrameHeader) + sample.data.size());
+    auto& frame = down_.staged.back();
     const MuxFrameHeader h{s.id_, kKindSample, 0, sample.sequence,
                            static_cast<std::uint32_t>(sample.publisher), 0,
                            topic_, 0};
@@ -524,12 +543,12 @@ void ClientMux::on_topic_delivery(const Sample& sample,
     staged = true;
   }
   if (staged) {
-    if (downlink_staged_.size() > tier_.peak_downlink_queue) {
-      tier_.peak_downlink_queue = downlink_staged_.size();
+    if (down_.staged.size() > tier_.peak_downlink_queue) {
+      tier_.peak_downlink_queue = down_.staged.size();
     }
-    // Kick the downlink actor (it waits on the gateway doorbell): models
-    // the relay's link thread being woken by the staging.
-    domain_.cluster().fabric().doorbell(gateway_).signal();
+    // Wake the relay's downlink shipper: a relay-local hand-off, not a
+    // fabric event (the gateway learns of the frame when it lands).
+    down_.wake->signal();
   }
 }
 
@@ -557,66 +576,43 @@ void ClientMux::complete(Session& s, std::uint64_t corr, Reply&& r) {
   }
 }
 
-sim::Co<> ClientMux::downlink_actor() {
+sim::Co<> ClientMux::demux_actor() {
   auto& eng = domain_.engine();
   auto& doorbell = domain_.cluster().fabric().doorbell(gateway_);
-  const std::vector<std::size_t> to_gateway{0};
   while (!stopped_) {
-    bool progress = false;
-    // Relay side: ship staged reply/sample frames down the shared ring.
-    while (!downlink_staged_.empty() &&
-           down_sent_ - down_consumed_ <
-               static_cast<std::int64_t>(cfg_.ring_window) - 1 &&
-           !relay_stopped() && !disconnected_ && !stopped_) {
-      const std::int64_t k = down_sent_++;
-      auto& frame = downlink_staged_.front();
-      auto slot = down_at_relay_->slot_data(k);
-      std::memcpy(slot.data(), frame.data(), frame.size());
-      down_at_relay_->mark_ready(k, static_cast<std::uint32_t>(frame.size()),
-                                 0);
-      downlink_staged_.pop_front();
-      sim::Nanos cost = down_at_relay_->push_data(k, k + 1, to_gateway);
-      cost += down_at_relay_->push_trailers(k, k + 1, to_gateway);
-      co_await eng.sleep(cost + cfg_.per_message_overhead);
-      progress = true;
-    }
-    // Gateway side: demux arrived frames to their sessions.
-    for (;;) {
-      if (stopped_) co_return;
-      const smc::SlotTrailer t = down_at_gateway_->trailer(0, down_consumed_);
-      if (t.count != down_consumed_ + 1) break;
-      co_await eng.sleep(cfg_.per_message_overhead);
-      const auto bytes = down_at_gateway_->message(0, down_consumed_, t.len);
-      MuxFrameHeader h;
-      std::memcpy(&h, bytes.data(), sizeof h);
-      const auto body = bytes.subspan(sizeof h);
-      if (h.session < sessions_.size()) {
-        Session& s = *sessions_[h.session];
-        if (h.kind == kKindReply) {
-          return_credit();
-          Reply r;
-          r.status = static_cast<ReplyStatus>(h.status);
-          r.seq = h.seq;
-          r.data.assign(body.begin(), body.end());
-          complete(s, h.corr, std::move(r));
-        } else if (h.kind == kKindSample && s.subscribed()) {
-          ++s.samples_received_;
-          if (s.listener_) {
-            s.listener_(Sample{topic_, h.publisher, h.seq, body});
-          }
-        }
-      }
-      ++down_consumed_;
-      progress = true;
-    }
-    if (!progress) {
+    const smc::SlotTrailer t = down_.rx->trailer(0, down_.consumed);
+    if (t.count != down_.consumed + 1) {
       if (disconnected_) co_return;
       if (relay_stopped()) {
         disconnect_all();
         co_return;
       }
       co_await doorbell.wait_for(cfg_.per_message_overhead * 4);
+      continue;
     }
+    co_await eng.sleep(cfg_.per_message_overhead);
+    tier_.demux_busy_ns += cfg_.per_message_overhead;
+    const auto bytes = down_.rx->message(0, down_.consumed, t.len);
+    MuxFrameHeader h;
+    std::memcpy(&h, bytes.data(), sizeof h);
+    const auto body = bytes.subspan(sizeof h);
+    if (h.session < sessions_.size()) {
+      Session& s = *sessions_[h.session];
+      if (h.kind == kKindReply) {
+        return_credit();
+        Reply r;
+        r.status = static_cast<ReplyStatus>(h.status);
+        r.seq = h.seq;
+        r.data.assign(body.begin(), body.end());
+        complete(s, h.corr, std::move(r));
+      } else if (h.kind == kKindSample && s.subscribed()) {
+        ++s.samples_received_;
+        if (s.listener_) {
+          s.listener_(Sample{topic_, h.publisher, h.seq, body});
+        }
+      }
+    }
+    ++down_.consumed;
   }
 }
 

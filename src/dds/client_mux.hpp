@@ -57,12 +57,17 @@ struct MuxConfig {
 /// Per-relay front-tier multiplexer (§4.6's "extra relaying step", scaled):
 /// one *gateway* fabric node aggregates thousands of client sessions and
 /// connects to one relay member over a single shared mailbox-ring pair. A
-/// mux serves the one topic it was created for. Three actors total —
-/// uplink shipper (gateway), relay ingress (consumes the ring and
-/// re-publishes each frame into the topic's subgroup as a flagged RPC
-/// envelope, so client requests are totally ordered with member
-/// publications), and the downlink driver (ships replies/samples and runs
-/// the gateway's demux) — regardless of session count.
+/// mux serves the one topic it was created for. Four actors total, one per
+/// link endpoint, regardless of session count: the uplink shipper
+/// (gateway), relay ingress (consumes the ring and re-publishes each frame
+/// into the topic's subgroup as a flagged RPC envelope, so client requests
+/// are totally ordered with member publications), the downlink shipper
+/// (relay: replies and samples) and the demux (gateway: frames to
+/// sessions). Each endpoint's per-frame work runs in its own actor, so the
+/// relay and gateway halves of a direction overlap instead of adding up.
+/// A downlink frame leaves the relay only once every topic member has
+/// delivered its sequence, so an ok reply means the whole topic has the
+/// request.
 ///
 /// Admission control: a request takes a credit from the per-relay pool or
 /// parks below the watermark; at the watermark it is shed with `busy`.
@@ -101,7 +106,7 @@ class ClientMux {
   ClientMux(Domain& domain, std::uint32_t mux_id, std::uint8_t topic,
             net::NodeId gateway, net::NodeId relay, MuxConfig cfg);
 
-  void start();  // build the shared rings, spawn the three actors
+  void start();  // build the shared rings, spawn the four actors
   /// Domain::shutdown: resolve every in-flight request (deterministic
   /// teardown) and halt the actors.
   void stop() noexcept;
@@ -111,9 +116,14 @@ class ClientMux {
   /// every sample out to subscribed sessions.
   void on_topic_delivery(const Sample& sample, const RpcEnvelope* env);
 
-  sim::Co<> uplink_actor();    // gateway: staged frames -> uplink ring
-  sim::Co<> relay_actor();     // relay: uplink ring -> subgroup publish
-  sim::Co<> downlink_actor();  // relay ship + gateway demux
+  struct Link;
+  /// Sender endpoint of one direction (the gateway's uplink shipper, the
+  /// relay's downlink shipper): staged frames -> ring, `busy` += per-frame
+  /// cost. A frame naming an ordered sequence waits for the relay's
+  /// delivered frontier to reach it.
+  sim::Co<> ship_actor(Link& link, sim::Nanos& busy);
+  sim::Co<> relay_actor();  // relay: uplink ring -> subgroup publish
+  sim::Co<> demux_actor();  // gateway: downlink ring -> sessions
 
   // Session-facing internals (Session methods live in client_mux.cpp).
   sim::Co<Reply> run_request(Session& s, std::span<const std::byte> body);
@@ -164,16 +174,17 @@ class ClientMux {
   std::unique_ptr<sim::Signal> credit_signal_;
   std::uint64_t next_corr_ = 1;
 
-  // Shared mailbox rings (local copies at both endpoints), one pair for
-  // every session of this mux.
-  std::unique_ptr<smc::RingGroup> up_at_gateway_, up_at_relay_;
-  std::unique_ptr<smc::RingGroup> down_at_relay_, down_at_gateway_;
-  std::int64_t up_sent_ = 0, up_consumed_ = 0;
-  std::int64_t down_sent_ = 0, down_consumed_ = 0;
-
-  std::deque<std::vector<std::byte>> uplink_staged_;
-  std::deque<std::vector<std::byte>> downlink_staged_;
-  std::unique_ptr<sim::Signal> uplink_signal_;
+  // One direction of the shared gateway<->relay mailbox-ring pair (one pair
+  // for every session of this mux).
+  struct Link {
+    std::unique_ptr<smc::RingGroup> tx, rx;  // sender's / receiver's copy
+    std::size_t to = 0;                      // receiver's rank in the ring
+    std::deque<std::vector<std::byte>> staged;  // frames waiting to ship
+    std::unique_ptr<sim::Signal> wake;  // sender-local: a frame was staged
+    std::int64_t sent = 0, consumed = 0;
+  };
+  Link up_;    // gateway -> relay
+  Link down_;  // relay -> gateway
 
   bool started_ = false;
   bool stopped_ = false;

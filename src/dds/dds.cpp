@@ -183,6 +183,13 @@ ClientMux& Domain::create_client_mux(std::uint8_t topic_id,
   if (started_) {
     throw std::logic_error("create_client_mux after Domain::start()");
   }
+  if (cluster_.sim_workers() > 1) {
+    // The mux's actors run on one engine but touch both endpoints' rings
+    // and doorbells, which live in different partitions.
+    throw std::invalid_argument(
+        "create_client_mux: the front tier needs the serial engine "
+        "(sim_threads = 1)");
+  }
   TopicState& ts = topic(topic_id);
   if (std::find(ts.cfg.subscribers.begin(), ts.cfg.subscribers.end(),
                 relay) == ts.cfg.subscribers.end()) {

@@ -129,6 +129,8 @@ class Domain {
   /// membership that aggregates the client sessions; `relay` is a topic
   /// member (subscriber and publisher) that re-publishes session traffic
   /// into the total order. Call before start(); connect sessions any time.
+  /// Serial engine only: throws std::invalid_argument when the cluster runs
+  /// more than one simulation worker.
   ClientMux& create_client_mux(std::uint8_t topic_id, net::NodeId gateway_node,
                                net::NodeId relay, MuxConfig cfg);
   ClientMux& create_client_mux(std::uint8_t topic_id, net::NodeId gateway_node,

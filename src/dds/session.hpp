@@ -19,7 +19,7 @@ class Session;
 /// unbounded queueing: admission control converts overload into `busy`,
 /// teardown into `cancelled`, and a relay crash into `disconnected`.
 enum class ReplyStatus : std::uint8_t {
-  ok,            // request delivered in total order; reply routed back
+  ok,            // delivered in total order at every topic member
   busy,          // shed at the admission watermark (retry later)
   cancelled,     // session cancelled while the request was in flight
   disconnected,  // relay crashed or mux shut down with the request live
@@ -78,7 +78,7 @@ class Subscription {
 
 /// One multiplexed external-client session: a lightweight handle hanging
 /// off a dds::ClientMux. Thousands of sessions share the mux's one ring
-/// pair and its three actors — a session itself owns no actor, no ring and
+/// pair and its four actors — a session itself owns no actor, no ring and
 /// no fabric node, which is what makes a million-client front tier
 /// simulable.
 ///

@@ -75,6 +75,14 @@ struct RelayTierStats {
   std::uint32_t peak_credit_waiters = 0;
   std::size_t peak_uplink_queue = 0;      // staged frames, gateway -> relay
   std::size_t peak_downlink_queue = 0;    // staged frames, relay -> gateway
+
+  // Virtual time each link endpoint's actor spent on frames. Over a run's
+  // span, the largest share names the stage that sets the saturation knee.
+  sim::Nanos uplink_busy_ns = 0;    // gateway shipper: ring post + overhead
+  sim::Nanos ingress_busy_ns = 0;   // relay: overhead + subgroup send
+                                    // (waits for a multicast slot included)
+  sim::Nanos downlink_busy_ns = 0;  // relay shipper: ring post + overhead
+  sim::Nanos demux_busy_ns = 0;     // gateway demux: overhead
 };
 
 /// A merged, point-in-time view of a whole cluster — the result of

@@ -431,7 +431,7 @@ TEST(ChaosNamed, FalseSuspicionOfSlowNode) {
   r.expect_clean();
 }
 
-TEST(ChaosNamed, PredicateDelayUnderDrr) {
+TEST(ChaosNamed, PredicateDelayOnScanLane) {
   // Per-predicate fault injection (named for the deficit scheduler it was
   // written against): every fire of the deliver trigger pays +15µs of
   // compute for a 1ms window (a slow trigger — lock contention,
@@ -449,7 +449,7 @@ TEST(ChaosNamed, PredicateDelayUnderDrr) {
   r.expect_clean();
 }
 
-TEST(ChaosNamed, CrashUnderDrr) {
+TEST(ChaosNamed, CrashOnScanLane) {
   // The baseline crash regression on a second shape (named for the
   // deficit scheduler it was written against): a view change (wedge,
   // trim, install, rearm) with scan-lane epoch clusters on both sides of

@@ -525,6 +525,105 @@ TEST_F(MuxFixture, DeterministicAcrossIdenticalRuns) {
   EXPECT_EQ(first, second);
 }
 
+TEST_F(MuxFixture, ReplyShipOverlapsGatewayDemux) {
+  // The reply ship (relay) and the demux (gateway) run on different
+  // machines: a burst drains at the slower stage's per-frame rate, not at
+  // the sum of both stages' costs.
+  constexpr sim::Nanos kOverhead = 10'000;
+  constexpr std::uint32_t kRequests = 100;
+  MuxConfig mc;
+  mc.per_message_overhead = kOverhead;
+  mc.credits = kRequests;  // no admission waits
+  make(std::move(mc));
+  Session* s = mux->connect();
+  const sim::Nanos start = domain->engine().now();
+  sim::Nanos last = 0;
+  std::uint64_t ok = 0;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    domain->engine().spawn([](Session* sess, std::uint64_t tag,
+                              sim::Engine* eng, sim::Nanos* last_at,
+                              std::uint64_t* n_ok) -> sim::Co<> {
+      const Reply r = co_await sess->request(bytes_of(tag));
+      if (r.status == ReplyStatus::ok) ++*n_ok;
+      *last_at = eng->now();
+    }(s, i, &domain->engine(), &last, &ok));
+  }
+  ASSERT_TRUE(run_until([&] { return ok == kRequests; }));
+  const sim::Nanos elapsed = last - start;
+  EXPECT_LE(elapsed, kRequests * kOverhead * 3 / 2);
+
+  // Both endpoints were busy for most of the burst at once: one coroutine
+  // running both could not accumulate more busy time than elapsed time.
+  const auto stats = domain->cluster().stats();
+  const metrics::RelayTierStats* tier = stats.relay(0);
+  ASSERT_NE(tier, nullptr);
+  EXPECT_GT(tier->downlink_busy_ns + tier->demux_busy_ns, elapsed);
+  EXPECT_EQ(tier->demux_busy_ns, kRequests * kOverhead);
+  EXPECT_GT(tier->uplink_busy_ns, 0);
+  EXPECT_GT(tier->ingress_busy_ns, 0);
+}
+
+TEST_F(MuxFixture, OkReplyWaitsForEveryTopicMemberToDeliver) {
+  // An ok reply means every topic member delivered the request, not just
+  // the relay. The moment the first member delivers, the request is stable
+  // (every member has it); the polling threads of the non-relay members
+  // that have not delivered it yet stall, and the reply is held until they
+  // catch up.
+  constexpr sim::Nanos kStall = 100'000;
+  make();
+  Session* s = mux->connect();
+  std::vector<std::uint64_t> delivered(4, 0);
+  sim::Nanos stalled_until = -1;
+  std::size_t stalled = 0;
+  for (net::NodeId n = 0; n < 4; ++n) {
+    domain->reader(n, 1).set_listener([&, n](const Sample&) {
+      ++delivered[n];
+      if (stalled_until >= 0) return;
+      stalled_until = domain->engine().now() + kStall;
+      for (net::NodeId m = 1; m < 4; ++m) {
+        if (delivered[m] > 0) continue;
+        domain->cluster().node(m).set_cpu_stall_until(stalled_until);
+        ++stalled;
+      }
+    });
+  }
+  Reply reply;
+  std::vector<std::uint64_t> at_reply;
+  sim::Nanos replied_at = -1;
+  domain->engine().spawn([](Session* sess, Reply* out,
+                            std::vector<std::uint64_t>* seen,
+                            const std::vector<std::uint64_t>* live,
+                            sim::Engine* eng, sim::Nanos* at) -> sim::Co<> {
+    *out = co_await sess->request(bytes_of(7));
+    *seen = *live;
+    *at = eng->now();
+  }(s, &reply, &at_reply, &delivered, &domain->engine(), &replied_at));
+
+  ASSERT_TRUE(run_until([&] { return replied_at >= 0; }));
+  ASSERT_GT(stalled, 0u);
+  EXPECT_EQ(reply.status, ReplyStatus::ok);
+  EXPECT_EQ(at_reply, (std::vector<std::uint64_t>{1, 1, 1, 1}));
+  EXPECT_GE(replied_at, stalled_until);
+}
+
+TEST(MuxValidation, RejectsParallelEngine) {
+  // The mux's actors touch both endpoints' rings and doorbells from one
+  // engine; in parallel mode those live in different partitions.
+  core::ClusterConfig cc;
+  cc.nodes = 6;
+  cc.sim_threads = 2;
+  Domain domain(cc);
+  ASSERT_GT(domain.cluster().sim_workers(), 1u);
+  TopicConfig tc;
+  tc.name = "p";
+  tc.topic_id = 1;
+  tc.max_sample_size = 256;
+  tc.publishers = {0, 1, 2, 3};
+  tc.subscribers = {0, 1, 2, 3};
+  domain.create_topic(tc);
+  EXPECT_THROW(domain.create_client_mux(1, 4, 0), std::invalid_argument);
+}
+
 TEST(MuxValidation, RejectsBadTopologies) {
   core::ClusterConfig cc;
   cc.nodes = 5;

@@ -51,7 +51,7 @@ Predicates::GroupOptions lane(const char* name, sim::Nanos scan_interval) {
   return g;
 }
 
-TEST(PredicatesDrr, ColdGroupServicedWithinScanIntervalBound) {
+TEST(PredicatesScan, ColdGroupServicedWithinScanIntervalBound) {
   // A saturating hot group and a never-firing cold group: the cold group
   // must demote onto the scan lane (it stops paying a slot every round)
   // yet still be probed within scan_interval + one round.
@@ -136,7 +136,7 @@ TEST(PredicatesScan, PeriodicGroupNeverDemotesWhileTicking) {
   for (sim::Nanos l : lag) EXPECT_LE(l, kRound);
 }
 
-TEST(PredicatesDrr, DoorbellWakePromotesDemotedGroupFromQuiescence) {
+TEST(PredicatesScan, DoorbellWakePromotesDemotedGroupFromQuiescence) {
   // All-quiet scheduler: the only group demotes onto a very slow scan lane
   // (50ms) once it has been fire-free that long, and the scheduler falls
   // into doorbell backoff. A doorbell ring at T, past the demotion, must
@@ -167,7 +167,7 @@ TEST(PredicatesDrr, DoorbellWakePromotesDemotedGroupFromQuiescence) {
       << "doorbell ring from quiescence must promote and service promptly";
 }
 
-TEST(PredicatesDrr, RearmPromotesDemotedOneTime) {
+TEST(PredicatesScan, RearmPromotesDemotedOneTime) {
   // A one_time predicate fires once and its group goes quiet and, after a
   // 50ms lane's worth of quiet, demoted. rearm() alone (no doorbell
   // traffic, no scan-lane deadline for a long while) must promote the
@@ -269,7 +269,7 @@ TEST(PredicatesFault, ExpiredDelayWindowIsInert) {
   EXPECT_EQ(h.preds.stats(p).cpu, 10);
 }
 
-TEST(PredicatesDrr, ClusterDeliversIdenticallyAndExportsSchedCounters) {
+TEST(PredicatesScan, ClusterDeliversIdenticallyAndExportsSchedCounters) {
   // End-to-end wiring: the same workload on the full lap and on the
   // cluster's default scan lane must deliver the same messages; on the
   // lane the stats() drill-down must expose the per-subgroup scheduler
