@@ -9,7 +9,8 @@
 //  - cross-shard sensitivity at 1% / 10% / 50%: every cross pays a
 //    sequencer round trip and a per-shard copy fan-out, and holds singles
 //    behind its merge point — the curve quantifies how fast the gain
-//    erodes.
+//    erodes. The grant columns split out the round trip itself: median and
+//    p99 of push-xreq to grant-read, lock wait excluded.
 //
 // The k = 1 cell doubles as the single-shard digest-drift gate: the same
 // schedule is run once through the OrderingDomain and once directly against
@@ -59,7 +60,8 @@ std::string pct(double f) {
 
 int main() {
   Table t("Sharded-domain scaling (8 nodes, all senders, 4KB messages)",
-          {"shards", "cross", "tput GB/s", "cross p50 us", "grants", "wall s"});
+          {"shards", "cross", "tput GB/s", "cross p50 us", "grant p50 us",
+           "grant p99 us", "grants", "wall s"});
   BenchReport report("shard_scaling");
   report.set_provenance(1, std::max<std::size_t>(scaled(240), 120));
   report.set_shard_provenance(8, 0.50);
@@ -93,9 +95,14 @@ int main() {
       incomplete = incomplete || !r.completed;
       const std::string label =
           "k" + std::to_string(shards) + "_x" + pct(cross);
+      const double grant_p50 =
+          static_cast<double>(r.grant_latency_ns.median()) / 1e3;
+      const double grant_p99 =
+          static_cast<double>(r.grant_latency_ns.percentile(99)) / 1e3;
       t.row({Table::integer(shards), pct(cross), gbps(r.throughput_gbps),
              Table::num(static_cast<double>(
                             r.cross_latency_ns.median()) / 1e3, 1),
+             Table::num(grant_p50, 2), Table::num(grant_p99, 2),
              Table::integer(r.grants_issued),
              Table::num(r.wall_seconds, 2) + check_completed(r)});
       report.add_run(label, r);
@@ -104,6 +111,8 @@ int main() {
         report.add_metric("cross_p50_us_" + label,
                           static_cast<double>(r.cross_latency_ns.median()) /
                               1e3);
+        report.add_metric("grant_p50_us_" + label, grant_p50);
+        report.add_metric("grant_p99_us_" + label, grant_p99);
       }
     }
     ++ki;

@@ -13,7 +13,6 @@ namespace spindle::core {
 /// be overwritten before the requester has read it.
 struct OrderingDomain::SenderState {
   std::size_t index = 0;  // position in cfg.senders (grant column pair)
-  std::size_t rank = 0;   // SST rank (xreq row the sequencer scans)
   std::unique_ptr<sim::Mutex> gsn_lock;
   std::int64_t requests = 0;  // mirrors the local xreq column
   std::vector<std::size_t> to_sequencer;  // push target: {seq_rank_}
@@ -94,30 +93,6 @@ void OrderingDomain::register_sequencer() {
     sender_ranks_.push_back(cluster_.rank_of(id));
   }
 
-  if (cfg_.sequencer_mode == SequencerKind::faa) {
-    if (cluster_.sim_workers() > 1) {
-      throw std::invalid_argument(
-          "OrderingDomain \"" + cfg_.name +
-          "\": sequencer_mode = faa requires the serial engine (fabric "
-          "one-sided atomics are serial-mode only in v1)");
-    }
-    // No SST columns and no grant predicate: the gsn source is a one-sided
-    // fetch-add counter on the sequencer's NIC. Senders still serialize
-    // their own requests through gsn_lock (one outstanding gsn per node,
-    // same contract as the SST path).
-    ticket_ = std::make_unique<net::TicketSequencer>(cluster_.fabric(),
-                                                     cfg_.sequencer);
-    for (std::size_t i = 0; i < cfg_.senders.size(); ++i) {
-      auto st = std::make_unique<SenderState>();
-      st->index = i;
-      st->rank = sender_ranks_[i];
-      st->gsn_lock =
-          std::make_unique<sim::Mutex>(cluster_.engine_for(cfg_.senders[i]));
-      sender_states_[cfg_.senders[i]] = std::move(st);
-    }
-    return;
-  }
-
   // Sequencer SST columns, appended to the shared layout: the requester's
   // own-row request counter, and — in the sequencer's row — one adjacent
   // (count, gsn) column pair per sender, so a grant is a single contiguous
@@ -136,7 +111,6 @@ void OrderingDomain::register_sequencer() {
   for (std::size_t i = 0; i < cfg_.senders.size(); ++i) {
     auto st = std::make_unique<SenderState>();
     st->index = i;
-    st->rank = sender_ranks_[i];
     st->gsn_lock =
         std::make_unique<sim::Mutex>(cluster_.engine_for(cfg_.senders[i]));
     st->to_sequencer = {seq_rank_};
@@ -265,45 +239,26 @@ sim::Co<> OrderingDomain::send_multi(
   Node& n = cluster_.node(node);
   const CpuModel& cpu = cluster_.cpu();
 
-  // Acquire a global position. The mutex holds until the grant is read, so
-  // the per-sender grant state (SST column pair / in-flight FAA) is never
-  // reused while a request is pending.
+  // Acquire a global position: bump the own-row request counter, push it to
+  // the sequencer, and poll the local mirror of the sequencer's grant pair.
+  // The mutex holds until the grant is read, so the per-sender grant column
+  // pair is never reused while a request is pending.
   co_await st.gsn_lock->lock();
   const sim::Nanos grant_t0 = n.engine().now();
-  std::uint64_t gsn = 0;
-  if (ticket_ != nullptr) {
-    // FAA path: one one-sided fetch-add round trip to the sequencer's NIC,
-    // no remote CPU. A failed round trip (crashed or isolated endpoint)
-    // drops this cross before any copy is multicast — same safety stance
-    // as an SST sequencer crash stalling grants.
-    const net::AtomicResult r = co_await ticket_->acquire(node);
-    if (!r.ok || n.stopped()) {
-      st.gsn_lock->unlock();
-      co_return;
-    }
-    gsn = r.value;
-    cluster_.tracer().record(node, trace::Stage::atomic_post, grant_t0,
-                             n.engine().now() - grant_t0, trace::kNoSubgroup,
-                             static_cast<std::uint32_t>(st.index), -1, gsn);
-  } else {
-    // SST path: bump the own-row request counter, push it to the sequencer,
-    // and poll the local mirror of the sequencer's grant pair.
-    ++st.requests;
-    n.sst().write_local_i64(f_xreq_, st.requests);
-    co_await n.engine().sleep(
-        n.sst().push_field(f_xreq_, std::span<const std::size_t>(
-                                        st.to_sequencer.data(), 1)));
-    while (!n.stopped() &&
-           n.sst().read_i64(seq_rank_, f_gcount_[st.index]) < st.requests) {
-      co_await n.engine().sleep(cpu.sender_poll_interval);
-    }
-    if (n.stopped()) {
-      st.gsn_lock->unlock();
-      co_return;
-    }
-    gsn = static_cast<std::uint64_t>(
-        n.sst().read_i64(seq_rank_, f_ggsn_[st.index]));
+  ++st.requests;
+  n.sst().write_local_i64(f_xreq_, st.requests);
+  co_await n.engine().sleep(n.sst().push_field(
+      f_xreq_, std::span<const std::size_t>(st.to_sequencer.data(), 1)));
+  while (!n.stopped() &&
+         n.sst().read_i64(seq_rank_, f_gcount_[st.index]) < st.requests) {
+    co_await n.engine().sleep(cpu.sender_poll_interval);
   }
+  if (n.stopped()) {
+    st.gsn_lock->unlock();
+    co_return;
+  }
+  const auto gsn = static_cast<std::uint64_t>(
+      n.sst().read_i64(seq_rank_, f_ggsn_[st.index]));
   st.grant_latency.add(
       static_cast<std::uint64_t>(n.engine().now() - grant_t0));
   st.gsn_lock->unlock();
@@ -482,10 +437,6 @@ std::uint64_t OrderingDomain::merged_delivered(net::NodeId member) const {
 
 std::uint64_t OrderingDomain::merge_frontier(net::NodeId member) const {
   return merge_states_.at(member)->frontier;
-}
-
-std::uint64_t OrderingDomain::grants_issued() const noexcept {
-  return ticket_ != nullptr ? ticket_->issued() : next_gsn_;
 }
 
 metrics::Histogram OrderingDomain::grant_latency() const {

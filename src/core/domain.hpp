@@ -11,7 +11,6 @@
 
 #include "core/group.hpp"
 #include "core/node.hpp"
-#include "net/atomics.hpp"
 #include "sim/mutex.hpp"
 
 namespace spindle::core {
@@ -36,20 +35,6 @@ struct CrossShardHeader {
 };
 static_assert(sizeof(CrossShardHeader) == 16);
 
-/// Cross-shard gsn-grant path (DESIGN.md §3g).
-enum class SequencerKind {
-  /// SST polling: push an own-row request column to the sequencer node,
-  /// whose grant predicate scans requesters and pushes back per-sender
-  /// grant pairs. Remote-CPU on the critical path; works in parallel
-  /// engine mode; the bit-compatible default.
-  sst,
-  /// One-sided fetch-add ticket counter on the sequencer node
-  /// (net::TicketSequencer): the sender FAAs the counter and uses the
-  /// fetched value as its gsn — no remote CPU, no predicate scan, one NIC
-  /// round trip. Serial engine mode only (fabric atomics v1).
-  faa,
-};
-
 /// Configuration of one sharded ordering domain.
 struct DomainConfig {
   /// Name prefix; shard subgroups are named "<name>/shard<i>".
@@ -65,8 +50,6 @@ struct DomainConfig {
   /// The node running the cross-shard sequencer (must be a member; only
   /// meaningful with shards > 1).
   net::NodeId sequencer = 0;
-  /// How senders obtain global sequence numbers from that node.
-  SequencerKind sequencer_mode = SequencerKind::sst;
 };
 
 /// One message of the domain's merged stream.
@@ -163,13 +146,11 @@ class OrderingDomain {
   std::uint64_t merged_delivered(net::NodeId member) const;
   /// Next gsn `member` is waiting to release (== crosses released so far).
   std::uint64_t merge_frontier(net::NodeId member) const;
-  /// Global sequence numbers the sequencer has granted (SST: grants pushed;
-  /// FAA: tickets the counter has issued).
-  std::uint64_t grants_issued() const noexcept;
+  /// Global sequence numbers the sequencer has granted.
+  std::uint64_t grants_issued() const noexcept { return next_gsn_; }
 
   /// Sequencer round-trip latency per granted gsn (lock wait excluded),
-  /// merged over senders — the SST-vs-FAA headline metric of
-  /// bench_atomics_seq.
+  /// merged over senders.
   metrics::Histogram grant_latency() const;
 
  private:
@@ -197,8 +178,6 @@ class OrderingDomain {
   std::vector<sst::FieldId> f_gcount_;  // per sender index, adjacent to...
   std::vector<sst::FieldId> f_ggsn_;    // ...its gsn column (one range push)
   std::uint64_t next_gsn_ = 0;  // sequencer-node worker only
-  // FAA mode only: the one-sided ticket counter on cfg_.sequencer.
-  std::unique_ptr<net::TicketSequencer> ticket_;
   std::map<net::NodeId, std::unique_ptr<SenderState>> sender_states_;
   std::map<net::NodeId, std::unique_ptr<MergeState>> merge_states_;
 };

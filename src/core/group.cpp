@@ -290,8 +290,6 @@ void Cluster::start() {
       ns.counters.rdma_writes_posted = nic.writes_posted;
       ns.counters.rdma_bytes_posted = nic.bytes_posted;
       ns.counters.post_cpu = nic.post_cpu;
-      ns.counters.atomics_posted = nic.atomics_posted;
-      ns.counters.atomics_executed = nic.atomics_executed;
       ns.counters.lock_wait = node->lock().total_wait();
       for (const auto& s : node->subgroups()) {
         metrics::SubgroupStats sub{

@@ -31,11 +31,12 @@ struct ClusterConfig {
   /// > 1 = conservative-lookahead parallel execution (sim::ParallelEngine):
   /// nodes are block-partitioned across min(sim_threads, nodes) workers and
   /// results are byte-identical to serial runs (parallel_engine_test pins
-  /// this against the determinism-lock goldens). Parallel-mode limits:
-  /// crash()/isolate() are unsupported, link-fault multipliers must be
-  /// >= 1, and drive the run through Cluster::run_until/run/run_to rather
-  /// than engine().run_*(). Only standalone clusters parallelize; epoch
-  /// clusters under a ManagedGroup share their engine and stay serial.
+  /// this against the determinism-lock goldens). Drive the run through
+  /// Cluster::run_until/run/run_to rather than engine().run_*(), and keep
+  /// link-fault multipliers >= 1. Three features refuse it:
+  /// Cluster::crash() throws (Fabric::isolate/restore assert serial mode),
+  /// epoch clusters under a ManagedGroup share its engine and stay serial,
+  /// and dds::Domain::create_client_mux() throws.
   std::size_t sim_threads = 1;
 
   /// Throws std::invalid_argument with a descriptive message if the

@@ -258,8 +258,6 @@ class Node {
   /// Predicate CPU spent in `sg`'s predicates.
   sim::Nanos predicate_cpu_in(SubgroupId sg) const;
 
-  bool member_of(SubgroupId sg) const { return find(sg) != nullptr; }
-
   // --- internal wiring (used by Cluster) ---
   void add_subgroup(SubgroupState s);
   /// View-change support (core/view.hpp): deliver every message up to and

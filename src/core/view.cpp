@@ -906,6 +906,13 @@ void ManagedGroup::perform_recovery() {
   for (net::NodeId m : view_.members) {
     retired_preds_.push_back(std::move(member_preds_[m]));
     setup_membership_predicates(m);
+    // Still-open delay windows outlive the recovery, as they outlive view
+    // changes on the data plane (build_epoch_cluster).
+    for (const PredDelay& d : pred_delays_[m]) {
+      if (d.until > now) {
+        member_preds_[m]->inject_delay(d.name, d.until, d.extra);
+      }
+    }
   }
   retired_preds_.push_back(std::move(coord_preds_));
   setup_coordinator_predicates();

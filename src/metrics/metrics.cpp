@@ -110,8 +110,6 @@ void ProtocolCounters::merge(const ProtocolCounters& o) {
   messages_delivered += o.messages_delivered;
   bytes_delivered += o.bytes_delivered;
   predicate_cpu += o.predicate_cpu;
-  atomics_posted += o.atomics_posted;
-  atomics_executed += o.atomics_executed;
   send_batches.merge(o.send_batches);
   receive_batches.merge(o.receive_batches);
   delivery_batches.merge(o.delivery_batches);

@@ -104,8 +104,7 @@ struct ProtocolCounters {
   std::uint64_t messages_delivered = 0;  // application (non-null) deliveries
   std::uint64_t bytes_delivered = 0;
   sim::Nanos predicate_cpu = 0;         // total predicate thread busy time
-  std::uint64_t atomics_posted = 0;     // one-sided FAA/CAS verbs initiated
-  std::uint64_t atomics_executed = 0;   // RMWs run by this node's NIC unit
+  std::uint64_t atomics_posted = 0;     // never set; benchmark/src reads it
   Histogram send_batches;
   Histogram receive_batches;
   Histogram delivery_batches;

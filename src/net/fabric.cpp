@@ -35,7 +35,6 @@ Fabric::Fabric(sim::Engine& engine, const TimingModel& timing,
       control_egress_free_(n_nodes, 0),
       last_post_time_(n_nodes, -1),
       burst_end_(n_nodes, -1),
-      atomics_free_(n_nodes, 0),
       egress_paused_(n_nodes, 0),
       egress_queue_(n_nodes),
       link_faults_(n_nodes * n_nodes),
@@ -72,16 +71,6 @@ RegionId Fabric::register_region(NodeId node, std::span<std::byte> mem,
   regions_.push_back(
       Region{node, mem, channel, std::vector<sim::Nanos>(n_, 0)});
   return RegionId{static_cast<std::uint32_t>(regions_.size() - 1)};
-}
-
-std::span<std::byte> Fabric::region_mem(RegionId id) {
-  assert(id.index < regions_.size());
-  return regions_[id.index].mem;
-}
-
-NodeId Fabric::region_node(RegionId id) const {
-  assert(id.index < regions_.size());
-  return regions_[id.index].node;
 }
 
 sim::Nanos Fabric::post_write(NodeId src_node, RegionId dst,
@@ -184,124 +173,6 @@ void Fabric::land(const Write& w) {
   std::memcpy(r.mem.data() + w.dst_offset, payload(w), w.len);
   ++stats_[r.node].writes_delivered;
   doorbells_[r.node]->signal();
-}
-
-sim::Co<AtomicResult> Fabric::rdma_faa(NodeId src_node, RegionId dst,
-                                       std::size_t dst_offset,
-                                       std::uint64_t add) {
-  return atomic_rmw(src_node, dst, dst_offset, /*is_cas=*/false, add, 0);
-}
-
-sim::Co<AtomicResult> Fabric::rdma_cas(NodeId src_node, RegionId dst,
-                                       std::size_t dst_offset,
-                                       std::uint64_t expected,
-                                       std::uint64_t desired) {
-  return atomic_rmw(src_node, dst, dst_offset, /*is_cas=*/true, expected,
-                    desired);
-}
-
-sim::Co<AtomicResult> Fabric::atomic_rmw(NodeId src_node, RegionId dst,
-                                         std::size_t dst_offset, bool is_cas,
-                                         std::uint64_t arg0,
-                                         std::uint64_t arg1) {
-  assert(dst.index < regions_.size());
-  assert(!parallel_ &&
-         "one-sided atomics are serial-mode only in v1 (DESIGN.md §3g)");
-  Region& region = regions_[dst.index];
-  assert(dst_offset % 8 == 0 && dst_offset + 8 <= region.mem.size() &&
-         "RDMA atomic must target an aligned 8-byte word inside the region");
-  const NodeId dst_node = region.node;
-  sim::Engine& eng = engine_;
-  const sim::Nanos now = eng.now();
-
-  // Posting the atomic verb costs the same doorbell-batched CPU as a write;
-  // unlike post_write the cost is slept here, inside the coroutine.
-  const bool in_burst =
-      (now == last_post_time_[src_node]) || (now == burst_end_[src_node]);
-  const sim::Nanos cost =
-      in_burst ? timing_.post_cpu_next : timing_.post_cpu_first;
-  last_post_time_[src_node] = now;
-  burst_end_[src_node] = now + cost;
-  auto& st = stats_[src_node];
-  ++st.atomics_posted;
-  st.post_cpu += cost;
-  co_await eng.sleep(cost);
-
-  if (isolated_[src_node] || isolated_[dst_node]) {
-    co_return AtomicResult{};  // verb completes in error
-  }
-
-  sim::Nanos exec_start;
-  sim::Nanos done;
-  if (src_node == dst_node) {
-    // Loopback: still executed by the NIC atomics unit (a CPU store would
-    // not be atomic against concurrent remote atomics), but no wire legs.
-    exec_start = std::max(eng.now(), atomics_free_[dst_node]);
-    done = exec_start + timing_.atomic_unit_occupancy;
-    atomics_free_[dst_node] = done;
-  } else {
-    // Request leg: a 16-byte masked-atomic request through the region
-    // channel's egress lane, shaped by any injected link fault.
-    const bool control = region.channel == Channel::control &&
-                         timing_.separate_control_channel;
-    const sim::Nanos adder = link_latency(src_node, dst_node, 16);
-    sim::Nanos& egress =
-        control ? control_egress_free_[src_node] : egress_free_[src_node];
-    const sim::Nanos egress_end = std::max(egress, eng.now()) +
-                                  timing_.occupancy(16);
-    egress = egress_end;
-    sim::Nanos arrival = egress_end + adder;
-
-    // Same QP FIFO as writes (the §2.2 memory fence): the RMW executes
-    // after every earlier write on this (source, region) QP has landed, and
-    // writes posted after it land after its execution.
-    sim::Nanos& fifo = region.fifo[src_node];
-    if (arrival <= fifo) arrival = fifo + 1;
-
-    // The target NIC's single atomics unit: concurrent atomics to this
-    // node, from any source and to any region, serialize here.
-    exec_start = std::max(arrival, atomics_free_[dst_node]);
-    const sim::Nanos exec_end = exec_start + timing_.atomic_unit_occupancy;
-    atomics_free_[dst_node] = exec_end;
-    fifo = exec_end;
-
-    // Response leg: 8 bytes of fetched data back to the initiator.
-    sim::Nanos& resp_egress =
-        control ? control_egress_free_[dst_node] : egress_free_[dst_node];
-    const sim::Nanos resp_end = std::max(resp_egress, exec_end) +
-                                timing_.occupancy(8);
-    resp_egress = resp_end;
-    done = resp_end + timing_.latency_adder(8);
-  }
-
-  // The RMW itself runs at exec_start; `res` lives in this coroutine frame,
-  // which stays suspended past `done` > exec_start, so the raw pointer is
-  // safe.
-  AtomicResult res;
-  eng.schedule_fn(exec_start, [this, idx = dst.index,
-                               off = static_cast<std::uint32_t>(dst_offset),
-                               is_cas, arg0, arg1, dst_node, out = &res] {
-    if (isolated_[dst_node]) return;  // target died before execution
-    std::byte* p = regions_[idx].mem.data() + off;
-    std::uint64_t old;
-    std::memcpy(&old, p, sizeof old);
-    bool modify = true;
-    std::uint64_t next = old;
-    if (is_cas) {
-      modify = old == arg0;
-      if (modify) next = arg1;
-    } else {
-      next = old + arg0;
-    }
-    if (modify) std::memcpy(p, &next, sizeof next);
-    ++stats_[dst_node].atomics_executed;
-    out->ok = true;
-    out->value = old;
-    if (modify) doorbells_[dst_node]->signal();
-  });
-  co_await eng.sleep(done - eng.now());
-  if (isolated_[src_node]) co_return AtomicResult{};  // response lost
-  co_return res;
 }
 
 sim::Nanos Fabric::link_latency(NodeId src, NodeId dst, std::size_t bytes) {

@@ -31,17 +31,6 @@ struct RegionId {
 /// packet by packet.
 enum class Channel { bulk, control };
 
-/// Completion of a one-sided atomic (FAA/CAS). `ok` is false when either
-/// endpoint was isolated — the verb completes in error (or never
-/// completes) and the word is untouched unless the target executed it
-/// before dying. `value` is the target word *before* the read-modify-write:
-/// the fetched counter for FAA, the compared word for CAS (the swap
-/// happened iff it equals `expected`).
-struct AtomicResult {
-  bool ok = false;
-  std::uint64_t value = 0;
-};
-
 /// Simulated RDMA fabric: N nodes on a full-bisection switch.
 ///
 /// Supports the one operation Derecho's small-message stack needs:
@@ -88,9 +77,6 @@ class Fabric {
   RegionId register_region(NodeId node, std::span<std::byte> mem,
                            Channel channel = Channel::bulk);
 
-  std::span<std::byte> region_mem(RegionId id);
-  NodeId region_node(RegionId id) const;
-
   /// Switch the fabric into parallel-simulation mode (sim::ParallelEngine):
   /// `engine_of_node[i]` is the worker engine that owns node i and
   /// `part_of_node[i]` its partition. Call once, before any region is
@@ -136,34 +122,6 @@ class Fabric {
   sim::Nanos post_write(RegionId src, std::size_t src_offset, std::size_t len,
                         RegionId dst, std::size_t dst_offset);
 
-  /// One-sided fetch-and-add on an aligned 8-byte word of a registered
-  /// region: fetches the word, adds `add`, and returns the *old* value —
-  /// executed entirely by the target NIC's atomics unit, no remote CPU.
-  ///
-  /// Cost model (DESIGN.md §3g): the caller's CPU pays the same
-  /// doorbell-batched post cost as a write (charged inside the coroutine),
-  /// then the request serializes through the source's egress lane, the wire,
-  /// the target's single atomics execution unit (`atomic_unit_occupancy` —
-  /// concurrent atomics to one node queue here), and a response leg back —
-  /// ~2x the isolated 0-byte write latency when uncontended. Atomics share
-  /// the per-(source, region) QP FIFO with writes: an atomic posted after a
-  /// write executes after that write lands, and later writes land after it.
-  ///
-  /// v1 restriction: serial engine mode only (asserted). Parallel mode
-  /// would need the RMW staged at a lookahead barrier like write arrivals;
-  /// the read-back makes that a two-window protocol and is deferred.
-  sim::Co<AtomicResult> rdma_faa(NodeId src_node, RegionId dst,
-                                 std::size_t dst_offset, std::uint64_t add);
-
-  /// One-sided compare-and-swap on an aligned 8-byte word: iff the word
-  /// equals `expected`, replace it with `desired`. Returns the old word
-  /// (swap succeeded iff value == expected). Same cost model and
-  /// restrictions as rdma_faa.
-  sim::Co<AtomicResult> rdma_cas(NodeId src_node, RegionId dst,
-                                 std::size_t dst_offset,
-                                 std::uint64_t expected,
-                                 std::uint64_t desired);
-
   /// Doorbell of a node: signalled whenever a write lands in any of the
   /// node's regions. Pollers use it to wake from quiescent backoff.
   sim::Signal& doorbell(NodeId node) { return *doorbells_[node]; }
@@ -187,7 +145,6 @@ class Fabric {
   /// which is the partial-failure case one-sided protocols find hardest.
   void pause_egress(NodeId node);
   void resume_egress(NodeId node);
-  bool egress_paused(NodeId node) const { return egress_paused_[node]; }
 
   /// Degraded-mode fault injection: scale the latency of the src->dst link
   /// by `latency_multiplier` and add uniform jitter in [0, jitter) per
@@ -204,11 +161,6 @@ class Fabric {
     std::uint64_t bytes_posted = 0;
     std::uint64_t writes_delivered = 0;
     sim::Nanos post_cpu = 0;
-    /// One-sided atomics initiated by this node (FAA + CAS posts).
-    std::uint64_t atomics_posted = 0;
-    /// Atomics executed by this node's NIC atomics unit on behalf of peers
-    /// (including itself via loopback).
-    std::uint64_t atomics_executed = 0;
   };
   const NicStats& stats(NodeId node) const { return stats_[node]; }
 
@@ -294,12 +246,6 @@ class Fabric {
   /// key in parallel mode.
   void deliver_arrival(const Arrival& a);
 
-  /// Shared body of rdma_faa / rdma_cas. For FAA arg0 is the addend; for
-  /// CAS arg0/arg1 are expected/desired.
-  sim::Co<AtomicResult> atomic_rmw(NodeId src_node, RegionId dst,
-                                   std::size_t dst_offset, bool is_cas,
-                                   std::uint64_t arg0, std::uint64_t arg1);
-
   sim::Engine& node_engine(NodeId node) noexcept {
     return parallel_ ? *engine_of_node_[node] : engine_;
   }
@@ -323,9 +269,6 @@ class Fabric {
   std::vector<sim::Nanos> control_egress_free_;
   std::vector<sim::Nanos> last_post_time_;
   std::vector<sim::Nanos> burst_end_;
-  // Per-node atomics-unit availability: every FAA/CAS targeting the node
-  // holds the unit for atomic_unit_occupancy, so concurrent atomics queue.
-  std::vector<sim::Nanos> atomics_free_;
 
   // Fault-injection state. Jitter draws are keyed by the fabric's seed and
   // a per-link counter, so a run with the same seed and fault schedule is

@@ -31,14 +31,8 @@ struct TimingModel {
   sim::Nanos post_cpu_first = 1000;
   sim::Nanos post_cpu_next = 150;
 
-  /// Time the target NIC's atomics execution unit holds one read-modify-write
-  /// (FAA/CAS). Atomics bypass the remote CPU but serialize through this
-  /// single unit per NIC, so concurrent atomics to one node queue here —
-  /// the documented ConnectX behaviour (~2-4 Mops atomics vs ~8 Mops
-  /// writes). Together with the request/response wire legs this puts one
-  /// uncontended atomic at ~2x the isolated 0-byte write latency, matching
-  /// the measured FAA:write ratios in the RDMA atomics literature.
-  sim::Nanos atomic_unit_occupancy = 250;
+  /// Not a setting and unused by the fabric; benchmark/src prints it.
+  static constexpr sim::Nanos atomic_unit_occupancy = 250;
 
   /// Ablation switch: when false, control-channel regions (the SST's QPs)
   /// share the bulk FIFO lane, so tiny acknowledgments are head-of-line

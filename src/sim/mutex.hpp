@@ -70,30 +70,6 @@ class Mutex {
   Nanos total_wait_ = 0;
 };
 
-/// RAII-ish helper for coroutines:
-///   co_await mutex.lock(); ... mutex.unlock();
-/// A scope guard cannot span suspension points portably, so lock/unlock are
-/// explicit; ScopedUnlock covers the common straight-line case.
-class ScopedUnlock {
- public:
-  explicit ScopedUnlock(Mutex& m) : m_(&m) {}
-  ScopedUnlock(const ScopedUnlock&) = delete;
-  ScopedUnlock& operator=(const ScopedUnlock&) = delete;
-  ~ScopedUnlock() {
-    if (m_) m_->unlock();
-  }
-  /// Release early (e.g. before posting RDMA writes — §3.4).
-  void unlock_now() {
-    if (m_) {
-      m_->unlock();
-      m_ = nullptr;
-    }
-  }
-
- private:
-  Mutex* m_;
-};
-
 /// One-shot waitable event with optional timeout: the doorbell primitive.
 /// wait_for() returns true if signalled, false on timeout. Multiple waiters
 /// are all released by one signal().

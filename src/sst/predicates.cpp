@@ -431,7 +431,9 @@ void Predicates::settle(Group& g, bool probe, bool acted, sim::Nanos at) {
 /// issues their plans at the same virtual instant (heartbeats, suspicion
 /// pushes, proposal pushes land together, exactly as the hand-rolled actor
 /// posted them inline), then sleeps pace(post) — e.g. post cost + the
-/// heartbeat period + jitter.
+/// heartbeat period + jitter. Membership triggers charge no compute, so a
+/// group's `work` is nonzero only under an injected predicate delay; it is
+/// slept before that group's plan issues.
 sim::Co<> Predicates::run_paced() {
   while (!cfg_.stopped()) {
     if (cfg_.stall_until) {
@@ -451,6 +453,7 @@ sim::Co<> Predicates::run_paced() {
       const bool acted = eval_group(g, work, plan_);
       if (g.opts.on_work) g.opts.on_work(work);
       if (acted && g.opts.on_fire) g.opts.on_fire(work);
+      if (work > 0) co_await engine_.sleep(work);
       post_total += issue_plan();
       if (g.opts.lock) g.opts.lock->unlock();
     }

@@ -236,8 +236,6 @@ class Predicates {
     sim::Nanos last_fire = 0;    // most recent acting service
   };
 
-  std::size_t num_groups() const noexcept { return groups_.size(); }
-  std::size_t num_predicates() const noexcept { return preds_.size(); }
   const PredicateStats& stats(PredId p) const { return preds_[p].stats; }
   const GroupSched& group_sched(GroupId g) const { return groups_[g].sched; }
 

@@ -31,7 +31,6 @@ class Layout {
   const std::string& field_name(FieldId f) const {
     return fields_[f.index].name;
   }
-  std::size_t num_fields() const noexcept { return fields_.size(); }
 
  private:
   struct Field {

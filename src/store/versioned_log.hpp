@@ -104,7 +104,6 @@ class VersionedLog {
   bool flush_in_flight() const { return flushing_; }
   bool crash_noted() const { return crashed_; }
   std::uint64_t torn_records() const { return torn_; }
-  std::uint32_t current_epoch() const { return epoch_; }
 
   const std::vector<Record>& records() const { return records_; }
   /// Payload-only view, mirroring records(). Stable reference for

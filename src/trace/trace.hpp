@@ -42,8 +42,7 @@ enum class Stage : std::uint8_t {
                    // (dur = end-to-end RTT, arg = correlation id)
   admission_shed,  // front tier: request or session shed with Busy
                    // (arg = credit waiters at the decision)
-  atomic_post,     // one-sided atomic round trip completed
-                   // (dur = post-to-response latency, arg = fetched value)
+  atomic_post,     // never recorded; benchmark/src reads it
 };
 
 inline constexpr std::size_t kNumStages = 24;

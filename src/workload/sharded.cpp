@@ -1,7 +1,6 @@
 #include "workload/sharded.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -25,10 +24,6 @@ constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
 /// post-run fold reads them after the run.
 struct NodeSlot {
   std::uint64_t digest = kFnvOffset;
-  /// Per-shard commutative projection digest over payload tags (empty =
-  /// not collected for this node). Unlike `digest`, order- and
-  /// timing-free: comparable across sequencer modes.
-  std::vector<std::uint64_t> proj;
   metrics::Histogram single_latency;
   metrics::Histogram cross_latency;
 };
@@ -50,17 +45,6 @@ void fold_delivery(NodeSlot& slot, sim::Engine& eng,
   std::uint64_t tag = 0;
   if (d.data.size() >= sizeof tag) std::memcpy(&tag, d.data.data(), sizeof tag);
   slot.digest = fnv_u64(h, tag);
-  if (!slot.proj.empty()) {
-    std::uint32_t mask = d.shard_mask;
-    while (mask != 0) {
-      const auto sh = static_cast<std::size_t>(std::countr_zero(mask));
-      mask &= mask - 1;
-      // Commutative fold (wrapping sum of per-tag hashes): insensitive to
-      // the mode-dependent cross/single interleaving, sensitive to any
-      // missing or duplicated upcall.
-      if (sh < slot.proj.size()) slot.proj[sh] += fnv_u64(kFnvOffset, tag);
-    }
-  }
   if (d.sent_at >= 0) {
     const auto lat = static_cast<std::uint64_t>(now - d.sent_at);
     (d.cross ? slot.cross_latency : slot.single_latency).add(lat);
@@ -175,7 +159,6 @@ ShardedResult run_sharded(const ShardedConfig& cfg) {
     dc.members = all;
     dc.opts = cfg.opts;
     dc.sequencer = cfg.sequencer;
-    dc.sequencer_mode = cfg.sequencer_mode;
     dom = std::make_unique<core::OrderingDomain>(cluster, std::move(dc));
   } else {
     // Mirror the domain's k = 1 subgroup exactly (same name, members,
@@ -194,10 +177,6 @@ ShardedResult run_sharded(const ShardedConfig& cfg) {
   const std::uint64_t expected = sends * cfg.nodes;
 
   std::vector<NodeSlot> slots(cfg.nodes);
-  // Member 0 collects the mode-comparable per-shard projection digests
-  // (every member's merged projection is identical by the ordering
-  // contract; shard_test pins that invariant).
-  slots[0].proj.assign(cfg.shards, kFnvOffset);
   for (net::NodeId m : all) {
     NodeSlot& slot = slots[m];
     sim::Engine& eng = cluster.engine_for(m);
@@ -270,7 +249,6 @@ ShardedResult run_sharded(const ShardedConfig& cfg) {
     res.cross_latency_ns.merge(slots[m].cross_latency);
   }
   res.delivery_digest = digest;
-  res.shard_projection_digests = slots[0].proj;
   if (dom) res.grant_latency_ns = dom->grant_latency();
   res.grants_issued = dom ? dom->grants_issued() : 0;
   harness.finish(cluster, res);

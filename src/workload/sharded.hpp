@@ -39,10 +39,6 @@ struct ShardedConfig : core::ClusterConfig {
   bool use_domain = true;
   core::ProtocolOptions opts = core::ProtocolOptions::spindle();
   net::NodeId sequencer = 0;
-  /// Cross-shard gsn-grant path: SST polling (default) or the one-sided
-  /// fetch-add ticket counter (serial engine only) — the two arms of
-  /// bench_atomics_seq.
-  core::SequencerKind sequencer_mode = core::SequencerKind::sst;
   sim::Nanos max_virtual = sim::seconds(600);
 };
 
@@ -60,19 +56,6 @@ struct ShardedResult : RunRecord {
   /// sim_threads, and — at shards == 1 — identical between the domain and
   /// plain arms (the drift gate bench_shard_scaling enforces).
   std::uint64_t delivery_digest = 0;
-  /// Member 0's merged stream projected onto each shard, reduced to a
-  /// *commutative* (order-insensitive, wrapping-sum) digest over payload
-  /// tags — a cross folds into every shard it touches. Why not
-  /// order-sensitive: the gsn map and the copies' arrival points relative
-  /// to singles are functions of grant-transport timing, so SST and FAA
-  /// runs of the same schedule legitimately interleave crosses differently
-  /// (the ordering contract pins orders across members *within* a run,
-  /// never across runs). What must be invariant across sequencer modes is
-  /// the projection's content: every shard upcalls exactly the same message
-  /// set exactly once. That is the projection-identity gate of
-  /// bench_atomics_seq — it catches dropped, duplicated, or misrouted
-  /// messages on the FAA path.
-  std::vector<std::uint64_t> shard_projection_digests;
   metrics::Histogram single_latency_ns;
   metrics::Histogram cross_latency_ns;
   /// Sequencer grant round trips (lock wait excluded), merged over senders.

@@ -449,6 +449,49 @@ TEST(ChaosNamed, PredicateDelayOnScanLane) {
   r.expect_clean();
 }
 
+TEST(ChaosNamed, HeartbeatDelayProvokesSuspicion) {
+  // A delay on a membership predicate holds that node's whole membership
+  // round: each heartbeat fire charges 3 failure timeouts before its push
+  // posts, so the peers see node 2's heartbeat stop and remove it, as
+  // they remove a slow host.
+  NamedRun r(4, 83, /*persistent=*/false);
+  const sim::Nanos timeout = r.group.config().failure_timeout;
+  r.group.engine().schedule_fn(sim::micros(80), [&] {
+    r.group.delay_predicate(2, "heartbeat", 5 * timeout, 3 * timeout);
+  });
+  r.group.engine().run_to(sim::millis(4));
+  ASSERT_TRUE(r.run_to_quiescence()) << r.group.engine().diagnostics();
+  EXPECT_EQ(r.group.view().members, (std::vector<net::NodeId>{0, 1, 3}));
+  r.expect_clean();
+}
+
+TEST(ChaosNamed, HeartbeatDelaySurvivesTotalFailureRecovery) {
+  // A delay window set on a crashed node still acts after the group
+  // recovers from a total failure: the recovery rebuilds node 2's
+  // membership scheduler with the open window, so the recovered group
+  // removes node 2 once its heartbeats stall.
+  NamedRun r(4, 89, /*persistent=*/true);
+  core::ManagedGroup& group = r.group;
+  const sim::Nanos timeout = group.config().failure_timeout;
+  for (net::NodeId n = 0; n < 4; ++n) {
+    group.engine().schedule_fn(sim::micros(150) + sim::micros(10) * n,
+                               [&group, n] { group.crash(n); });
+    group.engine().schedule_fn(sim::micros(1200) + sim::micros(80) * n,
+                               [&group, n] { group.restart(n); });
+  }
+  group.engine().schedule_fn(sim::micros(400), [&] {
+    group.delay_predicate(2, "heartbeat", sim::millis(20), 3 * timeout);
+  });
+  ASSERT_TRUE(group.engine().run_until(
+      [&] { return group.recoveries() >= 1; }, sim::millis(100)))
+      << group.engine().diagnostics();
+  EXPECT_EQ(group.view().members, (std::vector<net::NodeId>{0, 1, 2, 3}));
+  group.engine().run_to(group.engine().now() + sim::millis(4));
+  ASSERT_TRUE(r.run_to_quiescence()) << group.engine().diagnostics();
+  EXPECT_EQ(group.view().members, (std::vector<net::NodeId>{0, 1, 3}));
+  r.expect_clean();
+}
+
 TEST(ChaosNamed, CrashOnScanLane) {
   // The baseline crash regression on a second shape (named for the
   // deficit scheduler it was written against): a view change (wedge,

@@ -1,8 +1,9 @@
 // Sharded ordering domain (ctest -L shard): key routing, the k = 1
 // bit-identity lock against the determinism-lock golden, 2-shard golden
-// digests across worker counts, the cross-shard ordering invariants, and
-// chaos seeds that crash the sequencer / a shard member mid-merge and check
-// the invariants still hold on the delivered prefixes.
+// digests across worker counts, the cross-shard ordering invariants (with
+// the sequencer on a sender and on a node that only sequences), and chaos
+// seeds that crash the sequencer / a shard member mid-merge and check the
+// invariants still hold on the delivered prefixes.
 
 #include <gtest/gtest.h>
 
@@ -233,6 +234,7 @@ struct MergedRec {
   std::uint64_t gsn;
   bool cross;
   std::uint64_t tag;
+  bool operator==(const MergedRec&) const = default;
 };
 
 struct MergedRun {
@@ -244,25 +246,38 @@ struct MergedRun {
   bool completed = false;
 };
 
-/// Drive `nodes` senders, each interleaving singles and width-2 crosses from
+/// Where the sequencer runs, which nodes send, and on how many workers.
+struct Placement {
+  net::NodeId sequencer = 0;
+  std::vector<net::NodeId> senders;  // empty: every node sends
+  std::size_t sim_threads = 1;
+};
+
+/// Drive the senders, each interleaving singles and width-2 crosses from
 /// one sequential coroutine (harder on the merge than per-shard streams:
 /// a sender's singles chase its own in-flight crosses). Optionally crash
-/// `victim` at `crash_at`; runs to quiescence or the horizon either way.
+/// `victim` at `crash_at` (serial engine only); runs to quiescence or the
+/// horizon either way.
 MergedRun run_merged(std::size_t nodes, std::size_t shards,
                      std::size_t messages, double cross_fraction,
-                     std::uint64_t seed, net::NodeId victim = 255,
-                     sim::Nanos crash_at = 0) {
+                     std::uint64_t seed, const Placement& at = {},
+                     net::NodeId victim = 255, sim::Nanos crash_at = 0) {
   ClusterConfig cc;
   cc.nodes = nodes;
   cc.seed = seed;
+  cc.sim_threads = at.sim_threads;
   Cluster cluster(cc);
   std::vector<net::NodeId> members;
   for (std::size_t i = 0; i < nodes; ++i) {
     members.push_back(static_cast<net::NodeId>(i));
   }
+  const std::vector<net::NodeId> senders =
+      at.senders.empty() ? members : at.senders;
   DomainConfig dc;
   dc.shards = shards;
   dc.members = members;
+  dc.senders = senders;
+  dc.sequencer = at.sequencer;
   ProtocolOptions opts = ProtocolOptions::spindle();
   opts.window_size = 16;
   opts.max_msg_size = 1024;
@@ -281,14 +296,14 @@ MergedRun run_merged(std::size_t nodes, std::size_t shards,
   }
 
   std::uint64_t crosses = 0, singles = 0;
-  for (net::NodeId s : members) {
+  for (net::NodeId s : senders) {
     std::vector<bool> is_cross(messages);
     for (std::size_t i = 0; i < messages; ++i) {
       is_cross[i] = workload::sharded_is_cross(
           workload::sharded_message_hash(seed, s, i), cross_fraction);
       (is_cross[i] ? crosses : singles) += 1;
     }
-    cluster.engine().spawn(
+    cluster.engine_for(s).spawn(
         [](Cluster* c, OrderingDomain* dm, net::NodeId id,
            std::vector<bool> xs, std::uint64_t sd) -> sim::Co<> {
           for (std::size_t i = 0; i < xs.size(); ++i) {
@@ -322,8 +337,8 @@ MergedRun run_merged(std::size_t nodes, std::size_t shards,
   // crash point and keeps the chaos sweep fast.
   const sim::Nanos horizon =
       victim < nodes ? sim::seconds(2) : sim::seconds(30);
-  const std::uint64_t expect = nodes * messages * nodes;
-  out.completed = cluster.engine().run_until(
+  const std::uint64_t expect = senders.size() * messages * nodes;
+  out.completed = cluster.run_until(
       [&] {
         std::uint64_t total = 0;
         for (const auto& recs : out.per_member) total += recs.size();
@@ -428,6 +443,34 @@ TEST(ShardOrdering, EveryMemberSameCrossOrder) {
   }
 }
 
+TEST(ShardOrdering, NonSenderSequencerOnLastNode) {
+  // The other domain tests sequence on node 0, which also sends. Here the
+  // last node only sequences: every grant is a remote push, and no request
+  // shares the sequencer's row. The run is the same on 1 and 2 workers.
+  Placement at;
+  at.sequencer = 5;
+  at.senders = {0, 1, 2, 3, 4};
+  std::vector<std::vector<MergedRec>> serial;
+  for (std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    at.sim_threads = workers;
+    const MergedRun run = run_merged(6, 4, 50, 0.25, 9, at);
+    ASSERT_TRUE(run.completed) << "workers=" << workers;
+    EXPECT_GT(run.crosses_sent, 0u);
+    EXPECT_EQ(run.grants, run.crosses_sent) << "workers=" << workers;
+    for (std::size_t m = 0; m < run.per_member.size(); ++m) {
+      EXPECT_EQ(run.per_member[m].size(), 5u * 50u);
+      EXPECT_EQ(run.frontier[m], run.crosses_sent)
+          << "workers=" << workers << " member " << m;
+    }
+    check_invariants(run, 4);
+    if (workers == 1) {
+      serial = run.per_member;
+    } else {
+      EXPECT_EQ(run.per_member, serial);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Chaos: crash the sequencer (or a shard member) mid-merge. Liveness is
 // allowed to stop — the frontier may stall on a partial cross — but every
@@ -439,7 +482,7 @@ TEST(ShardChaos, CrashMidMergeKeepsInvariants) {
     const net::NodeId victim =
         (seed % 2) ? net::NodeId{0} : static_cast<net::NodeId>(1 + seed % 5);
     const sim::Nanos when = sim::micros(60 + 35 * seed);
-    const MergedRun run = run_merged(6, 2, 40, 0.30, seed, victim, when);
+    const MergedRun run = run_merged(6, 2, 40, 0.30, seed, {}, victim, when);
     // The run usually cannot complete (stability needs every member), so
     // completed is not asserted — only the prefix contract.
     check_invariants(run, 2);

@@ -145,9 +145,7 @@ TEST(Workload, EveryRunnerFillsTheSharedRecord) {
   sh.messages_per_sender = 40;
   sh.cross_fraction = 0.25;
   sh.sim_threads = 1;
-  expect_record(run_sharded(sh), "sharded sst");
-  sh.sequencer_mode = core::SequencerKind::faa;
-  expect_record(run_sharded(sh), "sharded faa");
+  expect_record(run_sharded(sh), "sharded");
 
   SwarmConfig sw;
   sw.sessions_per_relay = 16;
