@@ -3,17 +3,23 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace spindle::core {
 
 namespace {
 std::uint64_t bit(net::NodeId id) { return 1ull << id; }
 
-/// Membership round period: heartbeats, suspicion and proposal pushes, and
-/// the pace of the coordinator, recovery and pump retry loops.
+/// Heartbeat period (each member pushes one heartbeat per period, plus its
+/// post cost and up to 2 µs of phase jitter), and the pace of the recovery
+/// and pump retry loops and of the install barrier's fallback poll.
+/// Membership rounds themselves are event-driven: a member also runs one
+/// whenever a peer's push lands and at its earliest suspicion deadline.
 constexpr sim::Nanos kHeartbeatPeriod = sim::micros(20);
+constexpr sim::Nanos kNever = std::numeric_limits<sim::Nanos>::max();
 /// Total-failure recovery: how long after the last restart() the recovery
 /// coordinator waits for further rejoiners before computing the common
 /// durable prefix and installing the recovery view.
@@ -95,9 +101,12 @@ void ManagedGroup::start() {
   sst::Sst::connect(ssts);
 
   mstate_.resize(cfg_.nodes);
-  for (auto& m : mstate_) {
+  for (std::size_t i = 0; i < cfg_.nodes; ++i) {
+    MemberState& m = mstate_[i];
     m.last_hb.assign(cfg_.nodes, 0);
     m.last_change.assign(cfg_.nodes, 0);
+    m.doorbell = std::make_unique<sim::Signal>(engine_);
+    member_sst_[i]->set_landing_signal(m.doorbell.get());
   }
   for (std::size_t i = 0; i < cfg_.nodes; ++i) everyone_.push_back(i);
   // Fork the per-member pacing streams in member order (the order the
@@ -300,11 +309,20 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
   // descheduled, so heartbeats stop flowing and peers may falsely suspect
   // this live node.
   cfg.stall_until = [this, id] { return cpu_stall_until_[id]; };
-  // One round per heartbeat period (plus the RDMA post cost and a small
-  // phase jitter so the members do not evaluate in lockstep).
+  // Event-driven rounds: a peer's push landing in the membership SST rings
+  // the doorbell, and the pause otherwise ends at the next heartbeat or the
+  // earliest suspicion deadline, so suspicion fires exactly at the timeout.
+  cfg.doorbell = mstate_[id].doorbell.get();
   cfg.pace = [this, id](sim::Nanos post) {
-    return post + kHeartbeatPeriod +
-           static_cast<sim::Nanos>(membership_rng_[id].below(2000));
+    MemberState& ms = mstate_[id];
+    const sim::Nanos now = engine_.now();
+    if (std::exchange(ms.hb_sent, false)) {
+      // One heartbeat per period, plus the RDMA post cost and a small phase
+      // jitter so the members do not push in lockstep.
+      ms.hb_due = now + post + kHeartbeatPeriod +
+                  static_cast<sim::Nanos>(membership_rng_[id].below(2000));
+    }
+    return std::min(ms.hb_due, suspicion_deadline(id)) - now;
   };
   preds.configure(std::move(cfg));
 
@@ -313,11 +331,13 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
   gopts.name = "membership";
   const auto gid = preds.add_group(std::move(gopts));
 
-  // 1. Heartbeat.
-  preds.add(gid, {"heartbeat", sst::PredicateClass::recurrent, nullptr,
+  // 1. Heartbeat, once due.
+  preds.add(gid, {"heartbeat", sst::PredicateClass::recurrent,
+                  [this, id] { return engine_.now() >= mstate_[id].hb_due; },
                   [this, id](sst::TriggerContext& ctx) {
                     sst::Sst& sst = *member_sst_[id];
                     sst.write_local_i64(f_hb_, ++mstate_[id].hb);
+                    mstate_[id].hb_sent = true;
                     ctx.plan.add(0, [this, id] {
                       return member_sst_[id]->push_field(f_hb_, everyone_);
                     });
@@ -454,6 +474,9 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
                tracer_.record(id, trace::Stage::view_trim, engine_.now(), 0,
                               trace::kNoSubgroup, trace::kNoSender, -1,
                               view_.epoch + 1);
+               // A re-proposal may complete the install barrier by itself
+               // (every survivor already acknowledged the first one).
+               coord_doorbell_.signal();
                return true;
              }});
 
@@ -470,8 +493,20 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
              },
              [this, id](sst::TriggerContext&) {
                mstate_[id].saw_proposal = true;
+               coord_doorbell_.signal();  // may complete the install barrier
                return true;
              }});
+}
+
+sim::Nanos ManagedGroup::suspicion_deadline(net::NodeId id) const {
+  const MemberState& ms = mstate_[id];
+  sim::Nanos deadline = kNever;
+  for (net::NodeId peer : view_.members) {
+    if (peer == id || (ms.suspected_mask & bit(peer))) continue;
+    deadline =
+        std::min(deadline, ms.last_change[peer] + cfg_.failure_timeout + 1);
+  }
+  return deadline;
 }
 
 std::uint64_t ManagedGroup::all_suspicions() const {
@@ -494,13 +529,15 @@ net::NodeId ManagedGroup::current_leader(std::uint64_t suspected) const {
 void ManagedGroup::setup_coordinator_predicates() {
   // The install barrier, coordinated centrally (see class comment): waits
   // until every survivor has observed the leader's proposal, then performs
-  // the trim delivery and installs the next view. Paced at the heartbeat
-  // period, like the hand-rolled polling loop it replaces.
+  // the trim delivery and installs the next view. Woken by the proposal
+  // and acknowledgment triggers; the heartbeat-period pace remains for
+  // the total-failure halt, which no push announces.
   coord_preds_ = std::make_unique<sst::Predicates>(engine_);
   sst::Predicates::SchedulerConfig cfg;
   cfg.stopped = [this, gen = pred_gen_] {
     return stopped_ || gen != pred_gen_;
   };
+  cfg.doorbell = &coord_doorbell_;
   cfg.pace = [](sim::Nanos) { return kHeartbeatPeriod; };
   coord_preds_->configure(std::move(cfg));
   sst::Predicates::GroupOptions gopts;
@@ -894,6 +931,8 @@ void ManagedGroup::perform_recovery() {
     ms.suspected_mask = 0;
     ms.wedged = false;
     ms.saw_proposal = false;
+    ms.hb_due = now;  // the respawned scheduler heartbeats at once
+    ms.hb_sent = false;
     for (net::NodeId peer = 0; peer < cfg_.nodes; ++peer) {
       ms.last_hb[peer] = member_sst_[m]->read_i64(peer, f_hb_);
       ms.last_change[peer] = now;
@@ -1022,7 +1061,15 @@ std::string ManagedGroup::diagnostics_dump() const {
     os << "  node" << id << ": alive=" << int(alive_[id])
        << " wedged=" << ms.wedged << " saw_proposal=" << ms.saw_proposal
        << " susp=0x" << std::hex << ms.suspected_mask << std::dec
-       << " cpu_stall_until=" << cpu_stall_until_[id]
+       << " hb_due=" << ms.hb_due << " suspect_at=";
+    // What the member's membership round is waiting for: its next
+    // heartbeat and the first instant it may suspect a silent peer.
+    if (const sim::Nanos d = suspicion_deadline(id); d != kNever) {
+      os << d;
+    } else {
+      os << "-";
+    }
+    os << " cpu_stall_until=" << cpu_stall_until_[id]
        << " doorbell{signals="
        << const_cast<net::Fabric&>(fabric_).doorbell(id).signals()
        << ",waiters="
@@ -1056,6 +1103,7 @@ void ManagedGroup::leave(net::NodeId node) {
   std::vector<std::size_t> everyone;
   for (std::size_t i = 0; i < cfg_.nodes; ++i) everyone.push_back(i);
   sst.push_field(f_susp_, everyone);
+  mstate_[node].doorbell->signal();  // wedge now, not at the next heartbeat
 }
 
 void ManagedGroup::shutdown() {

@@ -44,6 +44,12 @@ using SubgroupLayout = std::function<std::vector<SubgroupConfig>(const View&)>;
 ///  6. senders re-send their discarded messages in the new view, before
 ///     any new messages (failure atomicity for surviving senders).
 ///
+/// The membership plane is event-driven, like Derecho's predicate thread:
+/// a member's round runs when a peer's push lands in its membership SST,
+/// when its next heartbeat is due (one per heartbeat period), and at its
+/// earliest suspicion deadline, so suspicion fires exactly at the timeout
+/// and each later hop of a view change costs a push, not a polling period.
+///
 /// Simplifications vs. the full Derecho protocol, documented in DESIGN.md:
 /// the install barrier is coordinated centrally by the simulation (the
 /// distributed parts — suspicion, wedge, trim — run through the SST), and
@@ -203,6 +209,12 @@ class ManagedGroup {
     return alive_[node];
   }
 
+  /// Heartbeats `node` has pushed over the group's lifetime.
+  std::int64_t heartbeats(net::NodeId node) const {
+    check_node(node);
+    return node < mstate_.size() ? mstate_[node].hb : 0;
+  }
+
  private:
   struct PendingMessage {
     std::vector<std::byte> payload;
@@ -224,21 +236,34 @@ class ManagedGroup {
     std::vector<std::int64_t> last_hb;        // last heartbeat value seen
     std::vector<sim::Nanos> last_change;      // when it changed
     std::int64_t hb = 0;                      // own heartbeat counter
+    sim::Nanos hb_due = 0;                    // next heartbeat push
+    bool hb_sent = false;  // this round pushed one (pace schedules the next)
     std::uint64_t suspected_mask = 0;
     bool wedged = false;
     bool saw_proposal = false;
+    /// The member scheduler's doorbell: the membership SST's landing
+    /// signal, also rung by rearm() and by leave().
+    std::unique_ptr<sim::Signal> doorbell;
   };
 
   /// Register one member's membership service on a paced sst::Predicates
   /// scheduler: heartbeat + suspicion (RECURRENT), wedge and proposal-ack
   /// (TRANSITION on the suspicion/proposal state), leader proposal
-  /// (RECURRENT, guarded). One round per heartbeat period; every round's
-  /// SST pushes are issued at the same virtual instant, in predicate order.
+  /// (RECURRENT, guarded). A round runs when a peer's push lands in the
+  /// member's membership SST, when its next heartbeat is due, and at its
+  /// earliest suspicion deadline; every round's SST pushes are issued at
+  /// the same virtual instant, in predicate order.
   void setup_membership_predicates(net::NodeId id);
+  /// The first instant `id` may suspect some unsuspected peer of the
+  /// current view: its last heartbeat change + failure_timeout + 1 ns
+  /// (the suspicion check is strict). Never, when there is no such peer.
+  sim::Nanos suspicion_deadline(net::NodeId id) const;
   /// The install barrier as ONE_TIME predicates on its own paced scheduler
   /// (see the class comment: coordinated centrally): a total-failure halt,
   /// and the install trigger that fires once per epoch transition and is
-  /// re-armed by install_next_view().
+  /// re-armed by install_next_view(). A proposal or its acknowledgment
+  /// rings the barrier's doorbell; the heartbeat-period pace is the
+  /// fallback that catches a total failure.
   void setup_coordinator_predicates();
   /// The total-failure recovery barrier: a RECURRENT predicate on its own
   /// paced scheduler (spawned lazily by the first restart()) that waits
@@ -302,6 +327,7 @@ class ManagedGroup {
   std::vector<sim::Rng> membership_rng_;    // per-member pacing jitter
   std::vector<std::unique_ptr<sst::Predicates>> member_preds_;
   std::unique_ptr<sst::Predicates> coord_preds_;
+  sim::Signal coord_doorbell_{engine_};  // the install barrier's doorbell
   std::unique_ptr<sst::Predicates> recovery_preds_;
   sst::Predicates::PredId install_pred_ = 0;
   // Pre-recovery predicate schedulers: kept alive like retired_ because a

@@ -69,7 +69,7 @@ RegionId Fabric::register_region(NodeId node, std::span<std::byte> mem,
                                  Channel channel) {
   assert(node < n_);
   regions_.push_back(
-      Region{node, mem, channel, std::vector<sim::Nanos>(n_, 0)});
+      Region{node, mem, channel, std::vector<sim::Nanos>(n_, 0), nullptr});
   return RegionId{static_cast<std::uint32_t>(regions_.size() - 1)};
 }
 
@@ -173,6 +173,7 @@ void Fabric::land(const Write& w) {
   std::memcpy(r.mem.data() + w.dst_offset, payload(w), w.len);
   ++stats_[r.node].writes_delivered;
   doorbells_[r.node]->signal();
+  if (r.landed != nullptr) r.landed->signal();
 }
 
 sim::Nanos Fabric::link_latency(NodeId src, NodeId dst, std::size_t bytes) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -126,6 +127,16 @@ class Fabric {
   /// node's regions. Pollers use it to wake from quiescent backoff.
   sim::Signal& doorbell(NodeId node) { return *doorbells_[node]; }
 
+  /// Attach a landing signal to region `r`: signalled (after the node's
+  /// doorbell) whenever a write lands in that region alone, so a waiter
+  /// that reads only this region is not woken by the node's other traffic.
+  /// The region's owner keeps the signal alive while writes can land, and
+  /// binds it to the engine that owns the region's node. nullptr detaches.
+  void set_landing_signal(RegionId r, sim::Signal* signal) {
+    assert(r.index < regions_.size());
+    regions_[r.index].landed = signal;
+  }
+
   /// Crash-style isolation: all in-flight and future traffic involving
   /// `node` is dropped.
   void isolate(NodeId node);
@@ -172,6 +183,7 @@ class Fabric {
     // Per-source last delivery time: FIFO within (source, region), i.e.
     // within one QP — the RDMA memory-fence guarantee of §2.2.
     std::vector<sim::Nanos> fifo;
+    sim::Signal* landed = nullptr;  // set_landing_signal
   };
   struct LinkFault {
     double latency_mult = 1.0;
@@ -232,7 +244,8 @@ class Fabric {
   /// The bytes a write lands: its inline payload, or its registered source
   /// range after the stable-source check.
   const std::byte* payload(const Write& w) const;
-  /// Landing event body: copy into the destination and ring its doorbell.
+  /// Landing event body: copy into the destination, ring its doorbell and
+  /// the region's landing signal.
   void land(const Write& w);
 
   /// Wire model shared by post_write and resume_egress: serialize at the

@@ -114,9 +114,9 @@ void Predicates::rearm_all() {
 }
 
 /// A rearm made dormant predicates live again: cut an in-flight idle-backoff
-/// sleep short (the scheduler waits on the doorbell) and bump the rearm
-/// generation so the next round resets its idle streak / promotes demoted
-/// groups instead of waiting out the remaining backoff.
+/// sleep or paced pause short (the scheduler waits on the doorbell) and bump
+/// the rearm generation so the next reactive round resets its idle streak /
+/// promotes demoted groups instead of waiting out the remaining backoff.
 void Predicates::kick() {
   ++rearm_generation_;
   if (cfg_.doorbell != nullptr) cfg_.doorbell->signal();
@@ -430,10 +430,16 @@ void Predicates::settle(Group& g, bool probe, bool acted, sim::Nanos at) {
 /// The membership-service discipline: every round evaluates all groups and
 /// issues their plans at the same virtual instant (heartbeats, suspicion
 /// pushes, proposal pushes land together, exactly as the hand-rolled actor
-/// posted them inline), then sleeps pace(post) — e.g. post cost + the
-/// heartbeat period + jitter. Membership triggers charge no compute, so a
-/// group's `work` is nonzero only under an injected predicate delay; it is
-/// slept before that group's plan issues.
+/// posted them inline), then pauses for pace(post). Membership triggers
+/// charge no compute, so a group's `work` is nonzero only under an injected
+/// predicate delay; it is slept before that group's plan issues.
+///
+/// Without a doorbell the pause is one sleep. With one, the round first
+/// sleeps its post CPU in full; then, if the doorbell rang since the round
+/// began (a write that landed mid-round), the next round starts at once,
+/// and otherwise the scheduler waits for the doorbell or the pause's end.
+/// A ring is never lost: `sim::Signal` wakes only current waiters, so the
+/// ring count is compared instead.
 sim::Co<> Predicates::run_paced() {
   while (!cfg_.stopped()) {
     if (cfg_.stall_until) {
@@ -443,6 +449,8 @@ sim::Co<> Predicates::run_paced() {
         continue;
       }
     }
+    const std::uint64_t rung =
+        cfg_.doorbell != nullptr ? cfg_.doorbell->signals() : 0;
     sim::Nanos post_total = 0;
     for (Group& g : groups_) {
       if (cfg_.stopped()) break;
@@ -458,7 +466,15 @@ sim::Co<> Predicates::run_paced() {
       if (g.opts.lock) g.opts.lock->unlock();
     }
     if (cfg_.stopped()) break;
-    co_await engine_.sleep(cfg_.pace(post_total + spurious_burn()));
+    const sim::Nanos post = post_total + spurious_burn();
+    const sim::Nanos pause = cfg_.pace(post);
+    if (cfg_.doorbell == nullptr) {
+      co_await engine_.sleep(pause);
+      continue;
+    }
+    if (post > 0) co_await engine_.sleep(post);
+    if (cfg_.doorbell->signals() != rung || pause <= post) continue;
+    co_await cfg_.doorbell->wait_for(pause - post);
   }
 }
 

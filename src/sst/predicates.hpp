@@ -113,7 +113,9 @@ struct PredicateStats {
 ///    of cold evaluations per round.
 ///  - paced (`SchedulerConfig::pace` set — the membership service): every
 ///    round evaluates all groups, issues all plans at the same virtual
-///    instant, and sleeps pace(post) — e.g. post + heartbeat period + jitter.
+///    instant, and sleeps pace(post). With a doorbell the pause is
+///    event-driven: the round sleeps its post CPU, then waits for the
+///    doorbell or pace()'s deadline, whichever comes first.
 class Predicates {
  public:
   using GroupId = std::size_t;
@@ -162,6 +164,11 @@ class Predicates {
   struct SchedulerConfig {
     std::function<bool()> stopped;            // required
     std::function<sim::Nanos()> stall_until;  // fault injection: slow host
+    /// Rings when the predicates' inputs may have changed (a remote write
+    /// landed) and on every rearm(). Reactive mode backs off on it when
+    /// idle; paced mode ends its pause early on it. nullptr: the reactive
+    /// backoff sleeps it out and the paced pause runs its full length.
+    sim::Signal* doorbell = nullptr;
     // Reactive mode:
     /// Observability: a demoted group was probed on the scan lane (the
     /// `sched_service` trace span); `fired` says whether the probe acted,
@@ -169,11 +176,12 @@ class Predicates {
     std::function<void(const GroupOptions& group, bool fired)> on_probe;
     /// Per-round fixed cost (iteration overhead + jitter + hiccups).
     std::function<sim::Nanos()> iteration_pause;
-    sim::Signal* doorbell = nullptr;
     sim::Nanos idle_backoff_min = 0;
     sim::Nanos idle_backoff_max = 0;
     // Paced mode (set => paced): virtual time to sleep after a round that
-    // posted `post` worth of RDMA CPU.
+    // posted `post` worth of RDMA CPU (called at the round's end). The
+    // round always sleeps `post` in full; with a doorbell, a ring during
+    // the round or the rest of the pause starts the next round at once.
     std::function<sim::Nanos(sim::Nanos post)> pace;
     /// Observability: a predicate's trigger acted, charging
     /// [work_before, work_now) of the group's compute span.
@@ -198,9 +206,10 @@ class Predicates {
 
   /// Re-enable a one_time predicate (and reset a transition edge) — e.g. at
   /// view install, when the epoch-scoped membership predicates re-arm.
-  /// Both forms kick the scheduler: an idle-backoff sleep is cut short (via
-  /// the doorbell) and demoted groups are promoted, so a re-armed predicate
-  /// is evaluated promptly instead of waiting out the remaining backoff.
+  /// Both forms kick the scheduler: an idle-backoff sleep or a paced pause
+  /// is cut short (via the doorbell) and demoted groups are promoted, so a
+  /// re-armed predicate is evaluated promptly instead of waiting out the
+  /// remaining backoff.
   void rearm(PredId p);
   void rearm_all();
 

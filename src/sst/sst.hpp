@@ -115,6 +115,12 @@ class Sst {
 
   net::Fabric& fabric() noexcept { return fabric_; }
 
+  /// Signal `s` whenever a peer's push lands in this table (see
+  /// net::Fabric::set_landing_signal); nullptr detaches.
+  void set_landing_signal(sim::Signal* s) {
+    fabric_.set_landing_signal(my_region_, s);
+  }
+
  private:
   const std::byte* row_ptr(std::size_t row) const {
     assert(row < members_.size());

@@ -349,6 +349,23 @@ struct NamedRun {
       ADD_FAILURE() << "VIOLATION: " << v;
     }
   }
+
+  /// Run to the first member's wedge (the event that starts the view
+  /// change) and crash `node` right there: mid-change, whatever the
+  /// membership plane's pace, and before the first install.
+  ::testing::AssertionResult crash_on_first_wedge(net::NodeId node) {
+    const std::uint32_t epoch = group.epoch();
+    if (!group.engine().run_until(
+            [&] { return group.view_change_in_progress(); },
+            sim::millis(400))) {
+      return ::testing::AssertionFailure() << "no view change started";
+    }
+    if (group.epoch() != epoch) {
+      return ::testing::AssertionFailure() << "the install came first";
+    }
+    group.crash(node);
+    return ::testing::AssertionSuccess();
+  }
 };
 
 TEST(ChaosNamed, TwoSimultaneousCrashes) {
@@ -363,31 +380,30 @@ TEST(ChaosNamed, TwoSimultaneousCrashes) {
 }
 
 TEST(ChaosNamed, LeaderCrashDuringRaggedTrim) {
-  // Crash node 2, then crash the leader (node 0) mid-view-change: after
-  // suspicion has spread and wedging begun, before the install completes.
+  // Crash node 2, then crash the leader (node 0) mid-view-change: at the
+  // first wedge, before the trim is proposed and the install completes.
   NamedRun r(5, 78, /*persistent=*/false);
   r.group.engine().schedule_fn(sim::micros(60), [&] { r.group.crash(2); });
-  r.group.engine().schedule_fn(
-      sim::micros(60) + r.group.config().failure_timeout +
-          sim::micros(10),
-      [&] { r.group.crash(0); });
+  ASSERT_TRUE(r.crash_on_first_wedge(0)) << r.group.engine().diagnostics();
   ASSERT_TRUE(r.run_to_quiescence()) << r.group.engine().diagnostics();
   EXPECT_FALSE(r.group.is_alive(0));
   EXPECT_FALSE(r.group.is_alive(2));
+  // The leader died mid-change, so one install removes both.
+  EXPECT_EQ(r.group.epoch(), 1u);
+  EXPECT_EQ(r.group.view().members, (std::vector<net::NodeId>{1, 3, 4}));
   r.expect_clean();
 }
 
 TEST(ChaosNamed, CascadeCrashWhileWedged) {
-  // Second crash lands while the survivors are already wedged waiting on
-  // the first proposal — the leader must re-propose with the larger
-  // failure set instead of deadlocking on a dead node's install ack.
+  // Second crash lands while the survivors are wedging for the first — the
+  // leader must propose (or re-propose) with the larger failure set
+  // instead of deadlocking on a dead node's install ack.
   NamedRun r(5, 79, /*persistent=*/false);
   r.group.engine().schedule_fn(sim::micros(100), [&] { r.group.crash(4); });
-  r.group.engine().schedule_fn(
-      sim::micros(100) + r.group.config().failure_timeout +
-          sim::micros(40),
-      [&] { r.group.crash(3); });
+  ASSERT_TRUE(r.crash_on_first_wedge(3)) << r.group.engine().diagnostics();
   ASSERT_TRUE(r.run_to_quiescence()) << r.group.engine().diagnostics();
+  // One install removes both nodes.
+  EXPECT_EQ(r.group.epoch(), 1u);
   EXPECT_EQ(r.group.view().members, (std::vector<net::NodeId>{0, 1, 2}));
   r.expect_clean();
 }

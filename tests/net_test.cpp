@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "net/fabric.hpp"
+#include "sim/mutex.hpp"
 
 namespace spindle::net {
 namespace {
@@ -148,6 +149,28 @@ TEST_F(FabricFixture, DoorbellSignalsOnDelivery) {
   fabric.post_write(0, region_b, 0, payload);
   engine.run();
   EXPECT_TRUE(rang);
+}
+
+TEST_F(FabricFixture, LandingSignalRingsOnlyForItsRegion) {
+  // Node 1 owns two regions; only region_b carries a landing signal. A
+  // write into the other one rings node 1's doorbell but not the signal.
+  sim::Signal landed(engine);
+  fabric.set_landing_signal(region_b, &landed);
+  std::vector<std::byte> other(64);
+  const RegionId region_other = fabric.register_region(1, other);
+  auto payload = bytes({1});
+  fabric.post_write(0, region_other, 0, payload);
+  engine.run();
+  EXPECT_EQ(fabric.doorbell(1).signals(), 1u);
+  EXPECT_EQ(landed.signals(), 0u);
+  fabric.post_write(0, region_b, 0, payload);
+  engine.run();
+  EXPECT_EQ(fabric.doorbell(1).signals(), 2u);
+  EXPECT_EQ(landed.signals(), 1u);
+  fabric.set_landing_signal(region_b, nullptr);
+  fabric.post_write(0, region_b, 0, payload);
+  engine.run();
+  EXPECT_EQ(landed.signals(), 1u);
 }
 
 TEST_F(FabricFixture, LoopbackWriteIsImmediate) {

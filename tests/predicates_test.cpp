@@ -261,6 +261,76 @@ TEST(Predicates, PacedModeEvaluatesOnACadence) {
   EXPECT_EQ(rounds[3], 3300);
 }
 
+/// Harness: one paced scheduler with a doorbell. Every round plans a
+/// `post`-ns push; the pause is post + 1000 ns.
+struct PacedHarness {
+  sim::Engine engine;
+  sim::Signal doorbell{engine};
+  Predicates preds{engine};
+  bool stop = false;
+  std::vector<sim::Nanos> rounds;
+  Predicates::PredId tick = 0;
+
+  explicit PacedHarness(sim::Nanos post, sim::Nanos work = 0) {
+    Predicates::SchedulerConfig cfg;
+    cfg.stopped = [this] { return stop; };
+    cfg.doorbell = &doorbell;
+    cfg.pace = [](sim::Nanos p) { return p + 1000; };
+    preds.configure(std::move(cfg));
+    const auto g = preds.add_group({});
+    tick = preds.add(g, {"tick", PredicateClass::recurrent, nullptr,
+                         [this, post, work](TriggerContext& ctx) {
+                           rounds.push_back(engine.now());
+                           ctx.work += work;
+                           ctx.plan.add(0, [post] { return post; });
+                           return true;
+                         }});
+    engine.spawn(preds.run());
+  }
+  void ring_at(sim::Nanos t) {
+    engine.schedule_fn(t, [this] { doorbell.signal(); });
+  }
+  void finish(sim::Nanos t) {
+    engine.run_to(t);
+    stop = true;
+    engine.run();
+  }
+};
+
+TEST(Predicates, PacedDoorbellCutsThePauseShort) {
+  // Rounds at 0 and 1100 on the pace alone; a ring at 500 (mid-pause)
+  // starts a round right there, and the pace restarts from it.
+  PacedHarness h(/*post=*/100);
+  h.ring_at(500);
+  h.finish(2000);
+  EXPECT_EQ(h.rounds, (std::vector<sim::Nanos>{0, 500, 1600}));
+}
+
+TEST(Predicates, PacedRingDuringTheRoundIsNotLost) {
+  // The round at 0 charges 30 ns compute and 100 ns post. Rings during
+  // the compute sleep (10) and the post sleep (80) are not lost, and the
+  // round still charges its compute and post CPU in full: the next round
+  // starts at 130, not at 10 or 80, nor after the 1000 ns pause.
+  PacedHarness h(/*post=*/100, /*work=*/30);
+  h.ring_at(10);
+  h.ring_at(80);
+  h.finish(1500);
+  ASSERT_GE(h.rounds.size(), 3u);
+  EXPECT_EQ(h.rounds[0], 0);
+  EXPECT_EQ(h.rounds[1], 130);
+  EXPECT_EQ(h.rounds[2], 130 + 130 + 1000);
+}
+
+TEST(Predicates, PacedRearmWakesTheScheduler) {
+  // rearm() rings the doorbell: a paced scheduler mid-pause evaluates the
+  // re-armed predicate at once.
+  PacedHarness h(/*post=*/100);
+  h.engine.schedule_fn(400, [&h] { h.preds.rearm(h.tick); });
+  h.finish(1000);
+  EXPECT_EQ(h.rounds, (std::vector<sim::Nanos>{0, 400}));
+  EXPECT_EQ(h.doorbell.signals(), 1u);
+}
+
 TEST(Predicates, VisitExposesGroupTagAndStats) {
   Harness h;
   Predicates::GroupOptions g;

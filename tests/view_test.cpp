@@ -227,6 +227,41 @@ TEST(ManagedGroup, GracefulLeaveLosesNoMessages) {
   EXPECT_EQ(f.delivered[1], f.delivered[2]);
 }
 
+TEST(ManagedGroup, FollowerCrashInstallsOnePushChainAfterTheTimeout) {
+  // The membership plane is event-driven: suspicion fires at the failure
+  // timeout, and wedge -> trim -> acknowledgment -> install each cost a
+  // push, not a wait for the next heartbeat round. The heartbeat rate is
+  // unchanged by the extra wake-ups: one push per period.
+  constexpr sim::Nanos kPeriod = sim::micros(20);  // kHeartbeatPeriod
+  constexpr sim::Nanos kSlack = sim::micros(4);    // jitter + post cost
+  ManagedFixture f(4);
+  sim::Engine& eng = f.group->engine();
+  for (net::NodeId n = 0; n < 4; ++n) {
+    for (std::uint64_t i = 0; i < 400; ++i) {
+      eng.schedule_fn(static_cast<sim::Nanos>(i) * sim::micros(5), [&f, n, i] {
+        f.group->send(n, 0, payload_of(n * 1000 + i));
+      });
+    }
+  }
+  const sim::Nanos crash_at = sim::micros(1003);
+  eng.run_to(crash_at);
+  for (net::NodeId n = 0; n < 4; ++n) {
+    EXPECT_LE(f.group->heartbeats(n), crash_at / kPeriod + 1) << "node " << n;
+    EXPECT_GE(f.group->heartbeats(n), crash_at / (kPeriod + kSlack))
+        << "node " << n;
+  }
+  f.group->crash(2);
+  ASSERT_TRUE(eng.run_until([&] { return f.group->epoch() >= 1; },
+                            crash_at + sim::millis(5)))
+      << eng.diagnostics();
+  const sim::Nanos took = eng.now() - crash_at;
+  const sim::Nanos timeout = f.group->config().failure_timeout;
+  // The victim's last heartbeat left at most one period before the crash.
+  EXPECT_GE(took, timeout - kPeriod - kSlack);
+  EXPECT_LE(took, timeout + sim::micros(20));
+  EXPECT_EQ(f.group->view().members, (std::vector<net::NodeId>{0, 1, 3}));
+}
+
 TEST(ManagedGroup, NoSpuriousViewChangeWithoutFailures) {
   ManagedFixture f(4);
   for (net::NodeId n = 0; n < 4; ++n) {
