@@ -33,24 +33,21 @@ struct OrderingDomain::SenderState {
 /// that shard's delivery stream and the gsn map, so every member agrees on
 /// it regardless of cross-shard arrival interleaving.
 struct OrderingDomain::MergeState {
+  // A held message keeps the shard delivery that carried it, with `data`
+  // re-pointed at its own `payload` copy when it is released.
   struct CrossEntry {
     std::uint32_t expected = 0;  // popcount(shard_mask); 0 = unseen
     std::uint32_t arrived = 0;
     std::uint32_t shard_mask = 0;
-    std::size_t shard = 0;  // lowest involved shard
-    std::size_t sender = 0;
-    std::uint32_t flags = 0;
-    sim::Nanos sent_at = -1;  // min over the involved copies
+    /// The first copy, without an intra-shard position (seq and
+    /// sender_index -1); sent_at is the min over the involved copies.
+    Delivery msg{};
     std::vector<std::byte> payload;
   };
   struct Queued {
     bool marker = false;
     std::uint64_t gsn = 0;  // marker only
-    std::size_t sender = 0;
-    std::int64_t seq = -1;
-    std::int64_t sender_index = -1;
-    std::uint32_t flags = 0;
-    sim::Nanos sent_at = -1;
+    Delivery msg{};         // single only
     std::vector<std::byte> payload;
   };
 
@@ -293,17 +290,7 @@ void OrderingDomain::attach(net::NodeId member, DomainHandler h) {
     // to driving the subgroup directly (shard_test pins this against the
     // determinism-lock goldens).
     n.set_delivery_handler(shard_sgs_[0], [this, m](const Delivery& d) {
-      DomainDelivery dd;
-      dd.shard = 0;
-      dd.shard_mask = 1u;
-      dd.sender = d.sender;
-      dd.seq = d.seq;
-      dd.sender_index = d.sender_index;
-      dd.cross = false;
-      dd.data = d.data;
-      dd.sent_at = d.sent_at;
-      dd.flags = d.flags;
-      upcall(*m, dd);
+      upcall(*m, 1u, d);
     });
     return;
   }
@@ -325,14 +312,14 @@ void OrderingDomain::on_shard_delivery(MergeState& m, std::size_t shard,
     if (e.expected == 0) {  // first copy to arrive (at this member)
       e.expected = static_cast<std::uint32_t>(std::popcount(h.shard_mask));
       e.shard_mask = h.shard_mask;
-      e.shard = static_cast<std::size_t>(std::countr_zero(h.shard_mask));
-      e.sender = d.sender;
-      e.flags = d.flags & ~kCrossShardFlag;
+      e.msg = Delivery{d.subgroup, d.sender, -1, -1, {}, -1,
+                       d.flags & ~kCrossShardFlag};
       const auto body = d.data.subspan(sizeof h);
       e.payload.assign(body.begin(), body.end());
     }
-    if (d.sent_at >= 0 && (e.sent_at < 0 || d.sent_at < e.sent_at)) {
-      e.sent_at = d.sent_at;
+    sim::Nanos& sent_at = e.msg.sent_at;
+    if (d.sent_at >= 0 && (sent_at < 0 || d.sent_at < sent_at)) {
+      sent_at = d.sent_at;
     }
     ++e.arrived;
     MergeState::Queued& q = m.queues[shard].emplace_back();
@@ -344,25 +331,11 @@ void OrderingDomain::on_shard_delivery(MergeState& m, std::size_t shard,
   if (m.queues[shard].empty()) {
     // Fast path: nothing ordered ahead in this shard — upcall in place,
     // zero-copy (the common case when crosses are rare).
-    DomainDelivery dd;
-    dd.shard = shard;
-    dd.shard_mask = 1u << shard;
-    dd.sender = d.sender;
-    dd.seq = d.seq;
-    dd.sender_index = d.sender_index;
-    dd.cross = false;
-    dd.data = d.data;
-    dd.sent_at = d.sent_at;
-    dd.flags = d.flags;
-    upcall(m, dd);
+    upcall(m, 1u << shard, d);
     return;
   }
   MergeState::Queued q;
-  q.sender = d.sender;
-  q.seq = d.seq;
-  q.sender_index = d.sender_index;
-  q.flags = d.flags;
-  q.sent_at = d.sent_at;
+  q.msg = d;
   q.payload.assign(d.data.begin(), d.data.end());
   m.queues[shard].push_back(std::move(q));
   progress(m);
@@ -388,17 +361,8 @@ void OrderingDomain::progress(MergeState& m) {
           advanced = true;
           continue;
         }
-        DomainDelivery dd;
-        dd.shard = sh;
-        dd.shard_mask = 1u << sh;
-        dd.sender = f.sender;
-        dd.seq = f.seq;
-        dd.sender_index = f.sender_index;
-        dd.cross = false;
-        dd.data = std::span<const std::byte>(f.payload);
-        dd.sent_at = f.sent_at;
-        dd.flags = f.flags;
-        upcall(m, dd);
+        f.msg.data = f.payload;
+        upcall(m, 1u << sh, f.msg);
         q.pop_front();
         advanced = true;
       }
@@ -409,16 +373,8 @@ void OrderingDomain::progress(MergeState& m) {
     const auto it = m.crosses.find(m.frontier);
     if (it != m.crosses.end() && it->second.arrived == it->second.expected) {
       MergeState::CrossEntry& e = it->second;
-      DomainDelivery dd;
-      dd.shard = e.shard;
-      dd.shard_mask = e.shard_mask;
-      dd.sender = e.sender;
-      dd.gsn = m.frontier;
-      dd.cross = true;
-      dd.data = std::span<const std::byte>(e.payload);
-      dd.sent_at = e.sent_at;
-      dd.flags = e.flags;
-      upcall(m, dd);
+      e.msg.data = e.payload;
+      upcall(m, e.shard_mask, e.msg, m.frontier);
       m.crosses.erase(it);
       ++m.frontier;
       advanced = true;
@@ -426,9 +382,22 @@ void OrderingDomain::progress(MergeState& m) {
   }
 }
 
-void OrderingDomain::upcall(MergeState& m, const DomainDelivery& d) {
+void OrderingDomain::upcall(MergeState& m, std::uint32_t shard_mask,
+                            const Delivery& d,
+                            std::optional<std::uint64_t> gsn) {
+  DomainDelivery dd;
+  dd.shard = static_cast<std::size_t>(std::countr_zero(shard_mask));
+  dd.shard_mask = shard_mask;
+  dd.sender = d.sender;
+  dd.seq = d.seq;
+  dd.sender_index = d.sender_index;
+  dd.gsn = gsn.value_or(0);
+  dd.cross = gsn.has_value();
+  dd.data = d.data;
+  dd.sent_at = d.sent_at;
+  dd.flags = d.flags;
   ++m.delivered;
-  if (m.handler) m.handler(d);
+  if (m.handler) m.handler(dd);
 }
 
 std::uint64_t OrderingDomain::merged_delivered(net::NodeId member) const {

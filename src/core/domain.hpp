@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -162,7 +163,12 @@ class OrderingDomain {
   bool sequencer_grant(Node& n, sst::TriggerContext& ctx);
   void on_shard_delivery(MergeState& m, std::size_t shard, const Delivery& d);
   void progress(MergeState& m);
-  void upcall(MergeState& m, const DomainDelivery& d);
+  /// Build the merged-stream message from the shard delivery that carried
+  /// it (a cross's body, without its header) and hand it to the handler.
+  /// `shard_mask` names the shards it touched, its lowest the owning one;
+  /// a cross passes its gsn.
+  void upcall(MergeState& m, std::uint32_t shard_mask, const Delivery& d,
+              std::optional<std::uint64_t> gsn = std::nullopt);
 
   Cluster& cluster_;
   DomainConfig cfg_;

@@ -86,11 +86,22 @@ Cluster::Cluster(sim::Engine& engine, net::Fabric& fabric,
 
 Cluster::~Cluster() { shutdown(); }
 
-Node& Cluster::node(net::NodeId id) {
-  if (!is_member(id)) {
+namespace {
+void require_member(const Cluster& c, net::NodeId id) {
+  if (!c.is_member(id)) {
     throw std::out_of_range("node " + std::to_string(id) +
                             " is not a member of this cluster");
   }
+}
+}  // namespace
+
+Node& Cluster::node(net::NodeId id) {
+  require_member(*this, id);
+  return *nodes_[id];
+}
+
+const Node& Cluster::node(net::NodeId id) const {
+  require_member(*this, id);
   return *nodes_[id];
 }
 

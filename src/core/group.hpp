@@ -125,6 +125,7 @@ class Cluster {
     return id < nodes_.size() && nodes_[id] != nullptr;
   }
   Node& node(net::NodeId id);
+  const Node& node(net::NodeId id) const;
   /// Worker 0's engine in parallel mode (safe for pre-start scheduling at
   /// t=0 and post-run reads); THE engine in serial mode. Parallel runs must
   /// use engine_for() for per-node scheduling and the Cluster-level run

@@ -13,9 +13,15 @@ namespace spindle::core {
 namespace {
 std::uint64_t bit(net::NodeId id) { return 1ull << id; }
 
+/// A doorbell as the watchdog dump prints it.
+std::string doorbell_state(const sim::Signal& s) {
+  return "doorbell{signals=" + std::to_string(s.signals()) +
+         ",waiters=" + std::to_string(s.waiters()) + "}";
+}
+
 /// Heartbeat period (each member pushes one heartbeat per period, plus its
-/// post cost and up to 2 µs of phase jitter), and the pace of the recovery
-/// and pump retry loops and of the install barrier's fallback poll.
+/// round's post cost and up to 2 µs of phase jitter), and the backoff of
+/// the install and recovery barriers and of the pump's retry loop.
 /// Membership rounds themselves are event-driven: a member also runs one
 /// whenever a peer's push lands and at its earliest suspicion deadline.
 constexpr sim::Nanos kHeartbeatPeriod = sim::micros(20);
@@ -109,8 +115,8 @@ void ManagedGroup::start() {
     member_sst_[i]->set_landing_signal(m.doorbell.get());
   }
   for (std::size_t i = 0; i < cfg_.nodes; ++i) everyone_.push_back(i);
-  // Fork the per-member pacing streams in member order (the order the
-  // membership actors used to draw them).
+  // Fork the per-member heartbeat jitter streams in member order (the order
+  // the membership actors used to draw them).
   for (std::size_t i = 0; i < cfg_.nodes; ++i) {
     membership_rng_.push_back(rng_.fork());
   }
@@ -310,28 +316,31 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
   // this live node.
   cfg.stall_until = [this, id] { return cpu_stall_until_[id]; };
   // Event-driven rounds: a peer's push landing in the membership SST rings
-  // the doorbell, and the pause otherwise ends at the next heartbeat or the
-  // earliest suspicion deadline, so suspicion fires exactly at the timeout.
+  // the doorbell, and a quiet member otherwise waits for the next heartbeat
+  // or the earliest suspicion deadline, so suspicion fires exactly at the
+  // timeout. The backoff is one failure timeout: with any timeout longer
+  // than the heartbeat period, only a ring or the deadline ends the wait.
   cfg.doorbell = mstate_[id].doorbell.get();
-  cfg.pace = [this, id](sim::Nanos post) {
-    MemberState& ms = mstate_[id];
-    const sim::Nanos now = engine_.now();
-    if (std::exchange(ms.hb_sent, false)) {
-      // One heartbeat per period, plus the RDMA post cost and a small phase
-      // jitter so the members do not push in lockstep.
-      ms.hb_due = now + post + kHeartbeatPeriod +
-                  static_cast<sim::Nanos>(membership_rng_[id].below(2000));
-    }
-    return std::min(ms.hb_due, suspicion_deadline(id)) - now;
+  cfg.deadline = [this, id] {
+    return std::min(mstate_[id].hb_due, suspicion_deadline(id));
   };
+  cfg.idle_backoff_min = cfg_.failure_timeout;
+  cfg.idle_backoff_max = cfg_.failure_timeout;
   preds.configure(std::move(cfg));
 
-  // Lock-free (membership SST only).
+  // Lock-free (membership SST only). A round that heartbeats moves the next
+  // heartbeat past its post CPU.
   sst::Predicates::GroupOptions gopts;
   gopts.name = "membership";
+  gopts.on_post = [this, id](sim::Nanos post, std::uint64_t) {
+    MemberState& ms = mstate_[id];
+    if (std::exchange(ms.hb_sent, false)) ms.hb_due += post;
+  };
   const auto gid = preds.add_group(std::move(gopts));
 
-  // 1. Heartbeat, once due.
+  // 1. Heartbeat, once due. One per period from when its push issues, plus
+  // the round's post cost (on_post) and a small phase jitter so the members
+  // do not push in lockstep.
   preds.add(gid, {"heartbeat", sst::PredicateClass::recurrent,
                   [this, id] { return engine_.now() >= mstate_[id].hb_due; },
                   [this, id](sst::TriggerContext& ctx) {
@@ -339,6 +348,10 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
                     sst.write_local_i64(f_hb_, ++mstate_[id].hb);
                     mstate_[id].hb_sent = true;
                     ctx.plan.add(0, [this, id] {
+                      mstate_[id].hb_due =
+                          engine_.now() + kHeartbeatPeriod +
+                          static_cast<sim::Nanos>(
+                              membership_rng_[id].below(2000));
                       return member_sst_[id]->push_field(f_hb_, everyone_);
                     });
                     return true;
@@ -530,15 +543,16 @@ void ManagedGroup::setup_coordinator_predicates() {
   // The install barrier, coordinated centrally (see class comment): waits
   // until every survivor has observed the leader's proposal, then performs
   // the trim delivery and installs the next view. Woken by the proposal
-  // and acknowledgment triggers; the heartbeat-period pace remains for
-  // the total-failure halt, which no push announces.
+  // and acknowledgment triggers; a heartbeat-period backoff catches the
+  // total-failure halt, which no push announces.
   coord_preds_ = std::make_unique<sst::Predicates>(engine_);
   sst::Predicates::SchedulerConfig cfg;
   cfg.stopped = [this, gen = pred_gen_] {
     return stopped_ || gen != pred_gen_;
   };
   cfg.doorbell = &coord_doorbell_;
-  cfg.pace = [](sim::Nanos) { return kHeartbeatPeriod; };
+  cfg.idle_backoff_min = kHeartbeatPeriod;
+  cfg.idle_backoff_max = kHeartbeatPeriod;
   coord_preds_->configure(std::move(cfg));
   sst::Predicates::GroupOptions gopts;
   gopts.name = "coordinator";
@@ -763,14 +777,15 @@ bool ManagedGroup::restart(net::NodeId node) {
 }
 
 void ManagedGroup::setup_recovery_predicates() {
-  // The recovery barrier, coordinated centrally like the install barrier.
-  // Spawned lazily by the first restart() so groups that never restart pay
-  // nothing; its scheduler only stops at termination, so it survives the
-  // halt it is waiting to resolve.
+  // The recovery barrier, coordinated centrally like the install barrier
+  // and polled once per heartbeat period. Spawned lazily by the first
+  // restart() so groups that never restart pay nothing; its scheduler only
+  // stops at termination, so it survives the halt it is waiting to resolve.
   recovery_preds_ = std::make_unique<sst::Predicates>(engine_);
   sst::Predicates::SchedulerConfig cfg;
   cfg.stopped = [this] { return terminated_; };
-  cfg.pace = [](sim::Nanos) { return kHeartbeatPeriod; };
+  cfg.idle_backoff_min = kHeartbeatPeriod;
+  cfg.idle_backoff_max = kHeartbeatPeriod;
   recovery_preds_->configure(std::move(cfg));
   sst::Predicates::GroupOptions gopts;
   gopts.name = "recovery";
@@ -1055,7 +1070,8 @@ std::string ManagedGroup::diagnostics_dump() const {
   for (std::size_t i = 0; i < view_.members.size(); ++i) {
     os << (i ? "," : "") << view_.members[i];
   }
-  os << "] suspicions=0x" << std::hex << all_suspicions() << std::dec << "\n";
+  os << "] suspicions=0x" << std::hex << all_suspicions() << std::dec
+     << " install_" << doorbell_state(coord_doorbell_) << "\n";
   for (net::NodeId id = 0; id < cfg_.nodes; ++id) {
     const MemberState& ms = mstate_[id];
     os << "  node" << id << ": alive=" << int(alive_[id])
@@ -1069,13 +1085,13 @@ std::string ManagedGroup::diagnostics_dump() const {
     } else {
       os << "-";
     }
-    os << " cpu_stall_until=" << cpu_stall_until_[id]
-       << " doorbell{signals="
-       << const_cast<net::Fabric&>(fabric_).doorbell(id).signals()
-       << ",waiters="
-       << const_cast<net::Fabric&>(fabric_).doorbell(id).waiters() << "}";
+    // A parked membership round shows one waiter on its doorbell; the
+    // data-plane polling thread waits on the node's fabric doorbell.
+    os << " cpu_stall_until=" << cpu_stall_until_[id] << " membership_"
+       << doorbell_state(*ms.doorbell) << " data_"
+       << doorbell_state(fabric_.doorbell(id));
     if (epoch_cluster_ && epoch_cluster_->is_member(id)) {
-      const Node& n = const_cast<Cluster&>(*epoch_cluster_).node(id);
+      const Node& n = epoch_cluster_->node(id);
       for (std::size_t g = 0; g < num_subgroups_; ++g) {
         const SubgroupState* s = n.find(epoch_subgroups_[g]);
         if (s == nullptr) continue;

@@ -237,7 +237,7 @@ class ManagedGroup {
     std::vector<sim::Nanos> last_change;      // when it changed
     std::int64_t hb = 0;                      // own heartbeat counter
     sim::Nanos hb_due = 0;                    // next heartbeat push
-    bool hb_sent = false;  // this round pushed one (pace schedules the next)
+    bool hb_sent = false;  // this round pushed one (on_post adds its post)
     std::uint64_t suspected_mask = 0;
     bool wedged = false;
     bool saw_proposal = false;
@@ -246,28 +246,29 @@ class ManagedGroup {
     std::unique_ptr<sim::Signal> doorbell;
   };
 
-  /// Register one member's membership service on a paced sst::Predicates
+  /// Register one member's membership service on its own sst::Predicates
   /// scheduler: heartbeat + suspicion (RECURRENT), wedge and proposal-ack
   /// (TRANSITION on the suspicion/proposal state), leader proposal
   /// (RECURRENT, guarded). A round runs when a peer's push lands in the
   /// member's membership SST, when its next heartbeat is due, and at its
-  /// earliest suspicion deadline; every round's SST pushes are issued at
-  /// the same virtual instant, in predicate order.
+  /// earliest suspicion deadline (the scheduler's deadline); every round's
+  /// SST pushes are issued at the same virtual instant, in predicate order.
   void setup_membership_predicates(net::NodeId id);
   /// The first instant `id` may suspect some unsuspected peer of the
   /// current view: its last heartbeat change + failure_timeout + 1 ns
   /// (the suspicion check is strict). Never, when there is no such peer.
   sim::Nanos suspicion_deadline(net::NodeId id) const;
-  /// The install barrier as ONE_TIME predicates on its own paced scheduler
-  /// (see the class comment: coordinated centrally): a total-failure halt,
-  /// and the install trigger that fires once per epoch transition and is
+  /// The install barrier as ONE_TIME predicates on its own scheduler (see
+  /// the class comment: coordinated centrally): a total-failure halt, and
+  /// the install trigger that fires once per epoch transition and is
   /// re-armed by install_next_view(). A proposal or its acknowledgment
-  /// rings the barrier's doorbell; the heartbeat-period pace is the
+  /// rings the barrier's doorbell; a heartbeat-period backoff is the
   /// fallback that catches a total failure.
   void setup_coordinator_predicates();
   /// The total-failure recovery barrier: a RECURRENT predicate on its own
-  /// paced scheduler (spawned lazily by the first restart()) that waits
-  /// for the restart set to settle, then performs the recovery.
+  /// scheduler (spawned lazily by the first restart()), polled once per
+  /// heartbeat period, that waits for the restart set to settle, then
+  /// performs the recovery.
   void setup_recovery_predicates();
   void perform_recovery();
   sim::Co<> pump_actor(net::NodeId id, std::size_t sg_index);
@@ -320,11 +321,11 @@ class ManagedGroup {
   std::vector<sst::FieldId> f_durable_;  // per subgroup (committed records)
   std::vector<MemberState> mstate_;
 
-  // Membership predicate schedulers (paced mode): one per member plus the
-  // central coordinator. Fixed over the group lifetime — epoch transitions
+  // Membership predicate schedulers: one per member plus the central
+  // coordinator. Fixed over the group lifetime — epoch transitions
   // re-arm the TRANSITION/ONE_TIME predicates instead of respawning.
   std::vector<std::size_t> everyone_;       // SST ranks 0..nodes-1
-  std::vector<sim::Rng> membership_rng_;    // per-member pacing jitter
+  std::vector<sim::Rng> membership_rng_;    // per-member heartbeat jitter
   std::vector<std::unique_ptr<sst::Predicates>> member_preds_;
   std::unique_ptr<sst::Predicates> coord_preds_;
   sim::Signal coord_doorbell_{engine_};  // the install barrier's doorbell

@@ -126,6 +126,7 @@ class Fabric {
   /// Doorbell of a node: signalled whenever a write lands in any of the
   /// node's regions. Pollers use it to wake from quiescent backoff.
   sim::Signal& doorbell(NodeId node) { return *doorbells_[node]; }
+  const sim::Signal& doorbell(NodeId node) const { return *doorbells_[node]; }
 
   /// Attach a landing signal to region `r`: signalled (after the node's
   /// doorbell) whenever a write lands in that region alone, so a waiter

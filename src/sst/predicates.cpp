@@ -6,9 +6,9 @@
 namespace spindle::sst {
 
 namespace {
-// Reactive idle backoff: after this many empty rounds the scheduler waits
-// on the doorbell, doubling the wait from idle_backoff_min per further
-// empty round, at most 2^kIdleBackoffMaxShift times (and idle_backoff_max).
+// Idle backoff: after this many empty rounds the scheduler waits on the
+// doorbell, doubling the wait from idle_backoff_min per further empty
+// round, at most 2^kIdleBackoffMaxShift times (and idle_backoff_max).
 constexpr int kIdleStreakThreshold = 3;
 constexpr int kIdleBackoffMaxShift = 8;
 
@@ -114,9 +114,9 @@ void Predicates::rearm_all() {
 }
 
 /// A rearm made dormant predicates live again: cut an in-flight idle-backoff
-/// sleep or paced pause short (the scheduler waits on the doorbell) and bump
-/// the rearm generation so the next reactive round resets its idle streak /
-/// promotes demoted groups instead of waiting out the remaining backoff.
+/// wait short (the scheduler waits on the doorbell) and bump the rearm
+/// generation so the next round resets its idle streak and promotes demoted
+/// groups instead of waiting out the remaining backoff.
 void Predicates::kick() {
   ++rearm_generation_;
   if (cfg_.doorbell != nullptr) cfg_.doorbell->signal();
@@ -250,16 +250,16 @@ bool Predicates::eval_group(Group& g, sim::Nanos& work, PostPlan& plan) {
   return any;
 }
 
+/// The scheduler loop: the dedicated polling thread of §2.4, with §3.4's
+/// lock staging, the scan lane, and the doorbell-backed quiescent backoff
+/// capped by the configured deadline. A ring that lands during a busy
+/// round's compute or post sleep is not lost: a busy round is always
+/// followed by another at once. One that lands during a quiet round's
+/// pause is (`sim::Signal` wakes only current waiters); a registry whose
+/// quiet rounds charge nothing, like the membership service's, has no
+/// such pause.
 sim::Co<> Predicates::run() {
   assert(cfg_.stopped && "configure() the scheduler before run()");
-  if (cfg_.pace) return run_paced();
-  return run_reactive();
-}
-
-/// The data-plane discipline: the dedicated polling thread of §2.4, with
-/// §3.4's lock staging, the scan lane, and the doorbell-backed quiescent
-/// backoff.
-sim::Co<> Predicates::run_reactive() {
   int idle_streak = 0;
   std::uint64_t rearm_seen = rearm_generation_;
   while (!cfg_.stopped()) {
@@ -303,7 +303,7 @@ sim::Co<> Predicates::run_reactive() {
       }
       progress = true;
       if (g.opts.on_fire) g.opts.on_fire(work);
-      co_await engine_.sleep(work + carry);
+      if (work + carry > 0) co_await engine_.sleep(work + carry);
       carry = 0;
       if (g.opts.lock && g.opts.early_release) g.opts.lock->unlock();
       const std::uint64_t arg = plan_.arg();
@@ -321,26 +321,28 @@ sim::Co<> Predicates::run_reactive() {
     if (cfg_.iteration_pause) over += cfg_.iteration_pause();
     const sim::Nanos burn = spurious_burn();
     if (burn > 0) progress = true;  // phantom doorbell: no quiescent backoff
-    co_await engine_.sleep(over + burn);
+    if (over + burn > 0) co_await engine_.sleep(over + burn);
 
     if (progress) {
       idle_streak = 0;
     } else if (++idle_streak >= kIdleStreakThreshold) {
-      // Quiescent backoff; the fabric doorbell cuts the wait short when a
-      // remote write lands (§2.4's doorbell wake-up).
+      // Quiescent backoff; the doorbell cuts the wait short when a remote
+      // write lands (§2.4's doorbell wake-up).
       const int shift =
           std::min(idle_streak - kIdleStreakThreshold, kIdleBackoffMaxShift);
       sim::Nanos backoff =
           std::min(cfg_.idle_backoff_min << shift, cfg_.idle_backoff_max);
-      // The scan lane bounds the backoff: a demoted group's probe may not
-      // be pushed past its due time.
+      // The scan lane and the deadline bound the backoff: neither a
+      // demoted group's probe nor a predicate falling due may be pushed
+      // past its time.
       const sim::Nanos now = engine_.now();
+      const auto cap = [&](sim::Nanos due) {
+        backoff = std::min(backoff, due > now ? due - now : 1);
+      };
       for (const Group& g : groups_) {
-        if (!g.sched.demoted) continue;
-        const sim::Nanos gap =
-            g.sched.next_scan > now ? g.sched.next_scan - now : 1;
-        backoff = std::min(backoff, gap);
+        if (g.sched.demoted) cap(g.sched.next_scan);
       }
+      if (cfg_.deadline) cap(cfg_.deadline());
       if (cfg_.doorbell != nullptr) {
         // A ring from quiescence means remote state moved somewhere —
         // possibly in a demoted group's rows. The doorbell cannot say
@@ -356,11 +358,11 @@ sim::Co<> Predicates::run_reactive() {
   }
 }
 
-/// The reactive service order. The rotation is every group not on the
-/// scan lane, in registration order; a group quiet for kDemoteAfter
-/// services *and* fire-free for max(kDemoteQuiet, scan_interval) leaves it
-/// (settle) and is probed once per `scan_interval` instead of every round;
-/// a fire at a probe or a rearm promotes it back.
+/// The service order. The rotation is every group not on the scan lane,
+/// in registration order; a group quiet for kDemoteAfter services *and*
+/// fire-free for max(kDemoteQuiet, scan_interval) leaves it (settle) and is
+/// probed once per `scan_interval` instead of every round; a fire at a
+/// probe or a rearm promotes it back.
 ///
 /// The shared per-node doorbell cannot attribute a ring to a group, so
 /// under load the scan lane is the latency bound for a cold group's first
@@ -425,57 +427,6 @@ void Predicates::settle(Group& g, bool probe, bool acted, sim::Nanos at) {
     sc.next_scan = at + g.opts.scan_interval;
   }
   if (probe && cfg_.on_probe) cfg_.on_probe(g.opts, acted);
-}
-
-/// The membership-service discipline: every round evaluates all groups and
-/// issues their plans at the same virtual instant (heartbeats, suspicion
-/// pushes, proposal pushes land together, exactly as the hand-rolled actor
-/// posted them inline), then pauses for pace(post). Membership triggers
-/// charge no compute, so a group's `work` is nonzero only under an injected
-/// predicate delay; it is slept before that group's plan issues.
-///
-/// Without a doorbell the pause is one sleep. With one, the round first
-/// sleeps its post CPU in full; then, if the doorbell rang since the round
-/// began (a write that landed mid-round), the next round starts at once,
-/// and otherwise the scheduler waits for the doorbell or the pause's end.
-/// A ring is never lost: `sim::Signal` wakes only current waiters, so the
-/// ring count is compared instead.
-sim::Co<> Predicates::run_paced() {
-  while (!cfg_.stopped()) {
-    if (cfg_.stall_until) {
-      const sim::Nanos until = cfg_.stall_until();
-      if (until > engine_.now()) {
-        co_await engine_.sleep(until - engine_.now());
-        continue;
-      }
-    }
-    const std::uint64_t rung =
-        cfg_.doorbell != nullptr ? cfg_.doorbell->signals() : 0;
-    sim::Nanos post_total = 0;
-    for (Group& g : groups_) {
-      if (cfg_.stopped()) break;
-      if (g.opts.lock) co_await g.opts.lock->lock();
-      plan_.clear();
-      merge_released();
-      sim::Nanos work = 0;
-      const bool acted = eval_group(g, work, plan_);
-      if (g.opts.on_work) g.opts.on_work(work);
-      if (acted && g.opts.on_fire) g.opts.on_fire(work);
-      if (work > 0) co_await engine_.sleep(work);
-      post_total += issue_plan();
-      if (g.opts.lock) g.opts.lock->unlock();
-    }
-    if (cfg_.stopped()) break;
-    const sim::Nanos post = post_total + spurious_burn();
-    const sim::Nanos pause = cfg_.pace(post);
-    if (cfg_.doorbell == nullptr) {
-      co_await engine_.sleep(pause);
-      continue;
-    }
-    if (post > 0) co_await engine_.sleep(post);
-    if (cfg_.doorbell->signals() != rung || pause <= post) continue;
-    co_await cfg_.doorbell->wait_for(pause - post);
-  }
 }
 
 }  // namespace spindle::sst

@@ -99,23 +99,18 @@ struct PredicateStats {
 /// whole protocol stack on, extracted here as a first-class framework.
 ///
 /// Predicates are registered into *groups*; a group is the unit of one lock
-/// acquisition and one two-phase (compute, then RDMA) round. The scheduler
-/// coroutine evaluates groups round-robin. Two pacing disciplines:
-///
-///  - reactive (the data-plane polling thread): each round serves the
-///    groups in registration order; busy services charge their compute
-///    cost under the lock, release (early, per §3.4, when the group opts
-///    in), issue the merged PostPlan, and sleep the post cost; quiet
-///    services carry their eval cost forward, and quiet rounds back off
-///    onto the fabric doorbell after an idle streak. A group that stays
-///    quiet leaves the per-round rotation for a scan lane (see
-///    GroupOptions::scan_interval), so a hot group stops paying a full lap
-///    of cold evaluations per round.
-///  - paced (`SchedulerConfig::pace` set — the membership service): every
-///    round evaluates all groups, issues all plans at the same virtual
-///    instant, and sleeps pace(post). With a doorbell the pause is
-///    event-driven: the round sleeps its post CPU, then waits for the
-///    doorbell or pace()'s deadline, whichever comes first.
+/// acquisition and one two-phase (compute, then RDMA) round. One scheduler
+/// loop serves every registry, the data plane's polling thread (§2.4) and
+/// the membership service alike: each round serves the groups in
+/// registration order; busy services charge their compute cost under the
+/// lock, release (early, per §3.4, when the group opts in), issue the
+/// merged PostPlan, and sleep the post cost; quiet services carry their
+/// eval cost forward, and quiet rounds back off onto the doorbell after an
+/// idle streak, waking no later than the configured deadline. A group that
+/// stays quiet leaves the per-round rotation for a scan lane (see
+/// GroupOptions::scan_interval), so a hot group stops paying a full lap of
+/// cold evaluations per round. A sleep of zero is skipped, so a round whose
+/// triggers charge no CPU (the membership service's) adds no event.
 class Predicates {
  public:
   using GroupId = std::size_t;
@@ -131,11 +126,10 @@ class Predicates {
     std::uint32_t tag = 0;      // owner id (e.g. subgroup id) for hooks
     sim::Mutex* lock = nullptr; // nullptr: lock-free group (membership SST)
     bool early_release = false; // §3.4: unlock before the RDMA phase
-    /// Reactive mode: the scan lane. A group quiet for several services
-    /// and fire-free for max(25 µs, scan_interval) leaves the per-round
-    /// rotation and is probed once per scan_interval until a probe fires.
-    /// 0 disables demotion — the group is swept every round, Derecho's
-    /// full lap.
+    /// The scan lane. A group quiet for several services and fire-free for
+    /// max(25 µs, scan_interval) leaves the per-round rotation and is
+    /// probed once per scan_interval until a probe fires. 0 disables
+    /// demotion — the group is swept every round, Derecho's full lap.
     sim::Nanos scan_interval = 0;
     /// Checked under the lock; a disabled group (e.g. a wedged subgroup)
     /// contributes no work, no plan, no fires.
@@ -165,24 +159,25 @@ class Predicates {
     std::function<bool()> stopped;            // required
     std::function<sim::Nanos()> stall_until;  // fault injection: slow host
     /// Rings when the predicates' inputs may have changed (a remote write
-    /// landed) and on every rearm(). Reactive mode backs off on it when
-    /// idle; paced mode ends its pause early on it. nullptr: the reactive
-    /// backoff sleeps it out and the paced pause runs its full length.
+    /// landed) and on every rearm(); the quiescent backoff waits on it.
+    /// nullptr: the backoff is a plain sleep.
     sim::Signal* doorbell = nullptr;
-    // Reactive mode:
     /// Observability: a demoted group was probed on the scan lane (the
     /// `sched_service` trace span); `fired` says whether the probe acted,
     /// which promotes the group back into the rotation.
     std::function<void(const GroupOptions& group, bool fired)> on_probe;
     /// Per-round fixed cost (iteration overhead + jitter + hiccups).
     std::function<sim::Nanos()> iteration_pause;
+    /// Quiescent backoff: after an idle streak the loop waits
+    /// idle_backoff_min, doubling per further empty round up to
+    /// idle_backoff_max, cut short by a doorbell ring.
     sim::Nanos idle_backoff_min = 0;
     sim::Nanos idle_backoff_max = 0;
-    // Paced mode (set => paced): virtual time to sleep after a round that
-    // posted `post` worth of RDMA CPU (called at the round's end). The
-    // round always sleeps `post` in full; with a doorbell, a ring during
-    // the round or the rest of the pause starts the next round at once.
-    std::function<sim::Nanos(sim::Nanos post)> pace;
+    /// The absolute virtual time at which a predicate may next hold without
+    /// a doorbell ring (a heartbeat falling due, a suspicion timeout),
+    /// asked at each quiescent wait; the wait ends there at the latest.
+    /// Unset: only the backoff and the scan lane bound the wait.
+    std::function<sim::Nanos()> deadline;
     /// Observability: a predicate's trigger acted, charging
     /// [work_before, work_now) of the group's compute span.
     std::function<void(const GroupOptions& group, const PredicateStats& pred,
@@ -206,10 +201,9 @@ class Predicates {
 
   /// Re-enable a one_time predicate (and reset a transition edge) — e.g. at
   /// view install, when the epoch-scoped membership predicates re-arm.
-  /// Both forms kick the scheduler: an idle-backoff sleep or a paced pause
-  /// is cut short (via the doorbell) and demoted groups are promoted, so a
-  /// re-armed predicate is evaluated promptly instead of waiting out the
-  /// remaining backoff.
+  /// Both forms kick the scheduler: an idle-backoff wait is cut short (via
+  /// the doorbell) and demoted groups are promoted, so a re-armed predicate
+  /// is evaluated promptly instead of waiting out the remaining backoff.
   void rearm(PredId p);
   void rearm_all();
 
@@ -234,8 +228,7 @@ class Predicates {
   /// batching exists to avoid). Overlapping windows stack.
   void inject_spurious(sim::Nanos until, sim::Nanos extra);
 
-  /// Per-group reactive scheduler accounting, exported into
-  /// `cluster.stats()` (zeros under the paced discipline).
+  /// Per-group scheduler accounting, exported into `cluster.stats()`.
   struct GroupSched {
     std::uint64_t serviced = 0;  // rounds the scheduler evaluated the group
     std::uint64_t demotions = 0; // times demoted onto the scan lane
@@ -299,7 +292,7 @@ class Predicates {
   /// schedulers suppress idle backoff for the round).
   sim::Nanos spurious_burn();
 
-  /// One reactive round's service order, written into order_ (indices into
+  /// One round's service order, written into order_ (indices into
   /// groups_): positions [0, ready) are the per-round rotation, [ready,
   /// courtesy) due scan-lane probes, and [courtesy, end) doorbell courtesy
   /// probes that run only while the round has made no progress.
@@ -315,8 +308,6 @@ class Predicates {
   void settle(Group& g, bool probe, bool acted, sim::Nanos at);
   void promote_all();
   void kick();
-  sim::Co<> run_reactive();
-  sim::Co<> run_paced();
 
   sim::Engine& engine_;
   SchedulerConfig cfg_;

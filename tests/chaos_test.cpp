@@ -452,8 +452,8 @@ TEST(ChaosNamed, PredicateDelayOnScanLane) {
   // written against): every fire of the deliver trigger pays +15µs of
   // compute for a 1ms window (a slow trigger — lock contention,
   // cache-hostile scan). Delivery lags but the virtual-synchrony contract
-  // must hold, and since membership heartbeats live on a separate paced
-  // registry, no false suspicion may result.
+  // must hold, and since membership heartbeats live on each member's own
+  // membership registry, no false suspicion may result.
   NamedRun r(4, 83, /*persistent=*/false);
   r.group.engine().schedule_fn(sim::micros(80), [&] {
     r.group.delay_predicate(1, "deliver", sim::millis(1), sim::micros(15));
@@ -554,8 +554,8 @@ TEST(ChaosNamed, PostplanSendLaneDropHealsInvisibly) {
 TEST(ChaosNamed, PostplanAckLaneDropOutlastsTimeoutWithoutSuspicion) {
   // One node's ack lane stalls for several failure timeouts. Acks gate
   // stability, so delivery backs up behind the window — but membership
-  // heartbeats live on the separate paced registry, so the stall must NOT
-  // be mistaken for a crash. When the lane heals, the held acks post in
+  // heartbeats live on each member's own membership registry, so the stall
+  // must NOT be mistaken for a crash. When the lane heals, the held acks post in
   // order and delivery drains.
   NamedRun r(4, 86, /*persistent=*/false);
   r.group.engine().schedule_fn(sim::micros(80), [&] {

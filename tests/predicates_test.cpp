@@ -1,6 +1,6 @@
 // Unit tests for the sst::Predicates framework (ctest -L predicate): the
 // PostPlan lane contract, the three monotonicity classes, re-arming,
-// per-predicate accounting, and the reactive and paced schedulers. The
+// per-predicate accounting, and the scheduler loop. The
 // protocol-level behaviour lock (the ported data plane and view layer must
 // be bit-identical to the monolith) lives in determinism_lock_test.cpp.
 
@@ -233,19 +233,26 @@ TEST(Predicates, ReactiveEarlyReleaseUnlocksBeforePost) {
   engine.run();
 }
 
-TEST(Predicates, PacedModeEvaluatesOnACadence) {
+TEST(Predicates, DeadlineSetsTheCadence) {
+  // A predicate that holds only when due, 1100 ns after its last fire: the
+  // quiescent wait ends at the deadline, not at the (longer) backoff.
   sim::Engine engine;
   Predicates preds(engine);
   bool stop = false;
+  sim::Nanos due = 0;
   std::vector<sim::Nanos> rounds;
   Predicates::SchedulerConfig cfg;
   cfg.stopped = [&] { return stop; };
-  cfg.pace = [](sim::Nanos post) { return post + 1000; };
+  cfg.deadline = [&] { return due; };
+  cfg.idle_backoff_min = sim::millis(1);
+  cfg.idle_backoff_max = sim::millis(1);
   preds.configure(std::move(cfg));
   const auto g = preds.add_group({});
-  preds.add(g, {"tick", PredicateClass::recurrent, nullptr,
+  preds.add(g, {"tick", PredicateClass::recurrent,
+                [&] { return engine.now() >= due; },
                 [&](TriggerContext& ctx) {
                   rounds.push_back(engine.now());
+                  due = engine.now() + 1100;
                   ctx.plan.add(0, [] { return sim::Nanos{100}; });
                   return true;
                 }});
@@ -253,42 +260,52 @@ TEST(Predicates, PacedModeEvaluatesOnACadence) {
   engine.run_to(3500);
   stop = true;
   engine.run();
-  // Rounds at 0, 1100, 2200, 3300: each sleeps post(100) + 1000.
-  ASSERT_GE(rounds.size(), 4u);
-  EXPECT_EQ(rounds[0], 0);
-  EXPECT_EQ(rounds[1], 1100);
-  EXPECT_EQ(rounds[2], 2200);
-  EXPECT_EQ(rounds[3], 3300);
+  // Rounds at 0, 1100, 2200, 3300: each sleeps post(100), then waits out
+  // the rest of the 1100 ns to its deadline.
+  EXPECT_EQ(rounds, (std::vector<sim::Nanos>{0, 1100, 2200, 3300}));
 }
 
-/// Harness: one paced scheduler with a doorbell. Every round plans a
-/// `post`-ns push; the pause is post + 1000 ns.
-struct PacedHarness {
+/// Harness: one scheduler with a doorbell, whose predicate holds when due
+/// (the scheduler's deadline) or when a ring delivered new input. Every
+/// fire charges `work` compute, plans a `post`-ns push, and falls due again
+/// 1000 ns after its post.
+struct DeadlineHarness {
   sim::Engine engine;
   sim::Signal doorbell{engine};
   Predicates preds{engine};
   bool stop = false;
-  std::vector<sim::Nanos> rounds;
+  bool input = false;  // new input since the last fire
+  sim::Nanos due = 0;
+  std::vector<sim::Nanos> rounds;  // instants the trigger fired
   Predicates::PredId tick = 0;
 
-  explicit PacedHarness(sim::Nanos post, sim::Nanos work = 0) {
+  explicit DeadlineHarness(sim::Nanos post, sim::Nanos work = 0) {
     Predicates::SchedulerConfig cfg;
     cfg.stopped = [this] { return stop; };
     cfg.doorbell = &doorbell;
-    cfg.pace = [](sim::Nanos p) { return p + 1000; };
+    cfg.deadline = [this] { return due; };
+    cfg.idle_backoff_min = sim::millis(1);
+    cfg.idle_backoff_max = sim::millis(1);
     preds.configure(std::move(cfg));
     const auto g = preds.add_group({});
-    tick = preds.add(g, {"tick", PredicateClass::recurrent, nullptr,
+    tick = preds.add(g, {"tick", PredicateClass::recurrent,
+                         [this] { return input || engine.now() >= due; },
                          [this, post, work](TriggerContext& ctx) {
                            rounds.push_back(engine.now());
+                           input = false;
+                           due = engine.now() + work + post + 1000;
                            ctx.work += work;
                            ctx.plan.add(0, [post] { return post; });
                            return true;
                          }});
     engine.spawn(preds.run());
   }
+  /// New input lands at `t` and rings the doorbell.
   void ring_at(sim::Nanos t) {
-    engine.schedule_fn(t, [this] { doorbell.signal(); });
+    engine.schedule_fn(t, [this] {
+      input = true;
+      doorbell.signal();
+    });
   }
   void finish(sim::Nanos t) {
     engine.run_to(t);
@@ -297,38 +314,70 @@ struct PacedHarness {
   }
 };
 
-TEST(Predicates, PacedDoorbellCutsThePauseShort) {
-  // Rounds at 0 and 1100 on the pace alone; a ring at 500 (mid-pause)
-  // starts a round right there, and the pace restarts from it.
-  PacedHarness h(/*post=*/100);
+TEST(Predicates, DoorbellCutsTheDeadlineWaitShort) {
+  // Rounds at 0 and 1100 on the deadline alone; a ring at 500 (mid-wait)
+  // starts a round right there, and the next deadline counts from it.
+  DeadlineHarness h(/*post=*/100);
   h.ring_at(500);
   h.finish(2000);
   EXPECT_EQ(h.rounds, (std::vector<sim::Nanos>{0, 500, 1600}));
 }
 
-TEST(Predicates, PacedRingDuringTheRoundIsNotLost) {
+TEST(Predicates, RingDuringABusyRoundIsNotLost) {
   // The round at 0 charges 30 ns compute and 100 ns post. Rings during
   // the compute sleep (10) and the post sleep (80) are not lost, and the
   // round still charges its compute and post CPU in full: the next round
-  // starts at 130, not at 10 or 80, nor after the 1000 ns pause.
-  PacedHarness h(/*post=*/100, /*work=*/30);
+  // starts at 130, not at 10 or 80, nor at the deadline.
+  DeadlineHarness h(/*post=*/100, /*work=*/30);
   h.ring_at(10);
   h.ring_at(80);
   h.finish(1500);
-  ASSERT_GE(h.rounds.size(), 3u);
-  EXPECT_EQ(h.rounds[0], 0);
-  EXPECT_EQ(h.rounds[1], 130);
-  EXPECT_EQ(h.rounds[2], 130 + 130 + 1000);
+  EXPECT_EQ(h.rounds, (std::vector<sim::Nanos>{0, 130, 130 + 130 + 1000}));
 }
 
-TEST(Predicates, PacedRearmWakesTheScheduler) {
-  // rearm() rings the doorbell: a paced scheduler mid-pause evaluates the
-  // re-armed predicate at once.
-  PacedHarness h(/*post=*/100);
-  h.engine.schedule_fn(400, [&h] { h.preds.rearm(h.tick); });
+TEST(Predicates, RearmWakesTheScheduler) {
+  // New input alone does not wake a waiting scheduler; rearm() rings the
+  // doorbell, so the round runs at 400 instead of at the 1100 deadline.
+  DeadlineHarness h(/*post=*/100);
+  h.engine.schedule_fn(400, [&h] {
+    h.input = true;
+    h.preds.rearm(h.tick);
+  });
   h.finish(1000);
   EXPECT_EQ(h.rounds, (std::vector<sim::Nanos>{0, 400}));
   EXPECT_EQ(h.doorbell.signals(), 1u);
+}
+
+TEST(Predicates, ZeroCostRoundsAddNoEvent) {
+  // A trigger that charges no compute and posts nothing: its rounds, and
+  // the quiet rounds after them, run without sleeping, so each fire costs
+  // only the wake that started it.
+  sim::Engine engine;
+  sim::Signal doorbell(engine);
+  Predicates preds(engine);
+  bool stop = false;
+  int fired = 0;
+  Predicates::SchedulerConfig cfg;
+  cfg.stopped = [&] { return stop; };
+  cfg.doorbell = &doorbell;
+  cfg.idle_backoff_min = sim::millis(1);
+  cfg.idle_backoff_max = sim::millis(1);
+  preds.configure(std::move(cfg));
+  const auto g = preds.add_group({});
+  const auto once = preds.add(g, {"once", PredicateClass::one_time, nullptr,
+                                  [&](TriggerContext&) {
+                                    ++fired;
+                                    return true;
+                                  }});
+  engine.spawn(preds.run());
+  engine.schedule_fn(500, [&] { preds.rearm(once); });
+  engine.run_to(900);
+  EXPECT_EQ(fired, 2);
+  // The spawn, the rearm event and the doorbell wake it schedules.
+  EXPECT_EQ(engine.steps(), 3u);
+  stop = true;
+  doorbell.signal();
+  engine.run();
 }
 
 TEST(Predicates, VisitExposesGroupTagAndStats) {

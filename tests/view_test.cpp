@@ -2,7 +2,9 @@
 
 #include <cstring>
 #include <map>
+#include <regex>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/view.hpp"
@@ -260,6 +262,36 @@ TEST(ManagedGroup, FollowerCrashInstallsOnePushChainAfterTheTimeout) {
   EXPECT_GE(took, timeout - kPeriod - kSlack);
   EXPECT_LE(took, timeout + sim::micros(20));
   EXPECT_EQ(f.group->view().members, (std::vector<net::NodeId>{0, 1, 3}));
+}
+
+TEST(ManagedGroup, IdleMembershipPlaneCostIsPinned) {
+  // An idle group runs only its membership plane: one heartbeat per member
+  // per period, and the rounds the landing pushes wake. The simulator's
+  // event count for it is pinned, and the watchdog dump shows every member
+  // parked on its membership doorbell.
+  struct Case {
+    std::size_t nodes;
+    std::uint64_t steps;
+    std::int64_t heartbeats;
+  };
+  for (const Case c : {Case{1, 193, 48}, Case{4, 2312, 45},
+                       Case{8, 7933, 44}}) {
+    ManagedFixture f(c.nodes, /*seed=*/3);
+    sim::Engine& eng = f.group->engine();
+    eng.run_to(sim::millis(1));
+    EXPECT_EQ(eng.steps(), c.steps) << c.nodes << " nodes";
+    EXPECT_EQ(f.group->heartbeats(0), c.heartbeats) << c.nodes << " nodes";
+
+    const std::string dump = eng.diagnostics();
+    const std::regex parked(
+        R"(node(\d+):.* membership_doorbell\{signals=\d+,waiters=1\})");
+    std::set<std::size_t> members;
+    for (auto it = std::sregex_iterator(dump.begin(), dump.end(), parked);
+         it != std::sregex_iterator(); ++it) {
+      members.insert(std::stoul((*it)[1]));
+    }
+    EXPECT_EQ(members.size(), c.nodes) << dump;
+  }
 }
 
 TEST(ManagedGroup, NoSpuriousViewChangeWithoutFailures) {
