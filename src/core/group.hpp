@@ -102,7 +102,9 @@ class Cluster {
   /// never take effect — logs are wired during start()). When set, the
   /// provider supplies the versioned log for each (member, subgroup) — how
   /// a ManagedGroup keeps one log per node alive across epochs and
-  /// restarts. Without a provider the cluster owns fresh logs (epoch 0),
+  /// restarts. The log it returns must be opened (VersionedLog::open_epoch)
+  /// for the epoch its records belong to: appending to an unopened log
+  /// aborts. Without a provider the cluster owns fresh logs (epoch 0),
   /// the standalone-group behaviour.
   void set_store_provider(
       std::function<store::VersionedLog*(net::NodeId, SubgroupId)> p);

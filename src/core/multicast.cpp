@@ -45,7 +45,7 @@ void Node::setup_predicates() {
 
   sst::Predicates::SchedulerConfig cfg;
   cfg.stopped = [this] { return stopped_; };
-  cfg.stall_until = [this] { return cpu_stall_until_; };
+  cfg.faults = &cluster_.fabric().host(id_);
   cfg.iteration_pause = [this] {
     const CpuModel& c = cluster_.cpu();
     sim::Nanos over = c.iteration_overhead;
@@ -441,6 +441,7 @@ sim::Nanos Node::enqueue_persist(SubgroupState& s, std::int64_t seq,
 sim::Co<> Node::persist_logger(SubgroupState& s) {
   auto& eng = engine_;
   const CpuModel& cpu = cluster_.cpu();
+  const net::HostFaults& faults = cluster_.fabric().host(id_);
   while (!stopped_) {
     if (s.persist_queue.empty()) {
       co_await s.persist_signal->wait_for(cpu.idle_backoff_max);
@@ -448,8 +449,7 @@ sim::Co<> Node::persist_logger(SubgroupState& s) {
     }
     // Opportunistic batching on the persistence path too: flush everything
     // queued with one op latency, then publish persisted_num once.
-    sim::Nanos cost = cpu.ssd_op_latency;
-    if (eng.now() < ssd_fault_until_) cost += ssd_extra_latency_;
+    sim::Nanos cost = cpu.ssd_op_latency + faults.ssd_extra(eng.now());
     std::int64_t last_seq = s.persisted_local;
     while (!s.persist_queue.empty()) {
       auto entry = std::move(s.persist_queue.front());

@@ -140,6 +140,10 @@ struct SubgroupState {
 
 /// One simulated machine: local SST copy, ring buffers, the single
 /// predicate (polling) thread, and the application-facing send API.
+/// Injected host faults are not state of the Node: its polling thread and
+/// persist loggers read them from the fabric's table for this machine
+/// (`cluster.fabric().host(id)`, net::HostFaults), so a window set before
+/// start() or before an epoch's Node exists still acts.
 class Node {
  public:
   Node(Cluster& cluster, net::NodeId id, sim::Rng rng);
@@ -191,42 +195,6 @@ class Node {
   /// tests and the recovery protocol.
   const store::VersionedLog* durable_store(SubgroupId sg) const;
 
-  /// Fault injection: deschedule the polling thread until virtual time `t`
-  /// (a slow host — IRQ storm, VM pause, cgroup throttle). The predicate
-  /// thread stops evaluating, so acknowledgments and deliveries lag and
-  /// peers may falsely suspect this (live) node.
-  void set_cpu_stall_until(sim::Nanos t) {
-    if (t > cpu_stall_until_) cpu_stall_until_ = t;
-  }
-  /// Fault injection: every SSD flush op before virtual time `until` pays
-  /// `extra` on top of the normal op latency (GC pause, write-cliff; a very
-  /// large `extra` models a hung disk for the window).
-  void set_ssd_fault(sim::Nanos until, sim::Nanos extra) {
-    ssd_fault_until_ = until;
-    ssd_extra_latency_ = extra;
-  }
-  /// Fault injection: until virtual time `until`, every fire of the
-  /// data-plane predicate named `name` charges `extra` additional compute
-  /// (a slow trigger — lock contention, cache-hostile scan). No-op before
-  /// start().
-  void delay_predicate(const std::string& name, sim::Nanos until,
-                       sim::Nanos extra) {
-    if (preds_) preds_->inject_delay(name, until, extra);
-  }
-  /// Fault injection: until virtual time `until`, the data plane's PostPlan
-  /// actions on `lane` are held back instead of posted (a stalled QP lane);
-  /// they release, in lane order, on the first round after expiry. No-op
-  /// before start().
-  void drop_postplan_lane(int lane, sim::Nanos until) {
-    if (preds_) preds_->inject_lane_drop(lane, until);
-  }
-  /// Fault injection: until virtual time `until`, the data-plane scheduler
-  /// sees phantom doorbell rings — no idle backoff, plus `extra` wasted
-  /// compute per round (spurious predicate evaluations). No-op before
-  /// start().
-  void force_spurious_evals(sim::Nanos until, sim::Nanos extra) {
-    if (preds_) preds_->inject_spurious(until, extra);
-  }
   /// View-change support: synchronously move every queued persist entry to
   /// the durable log and advance the local frontier. Survivors run this
   /// inside the install barrier so a reconfiguration never loses locally
@@ -336,9 +304,6 @@ class Node {
   bool started_ = false;
   sim::Nanos next_hiccup_ = 0;      // polling thread
   sim::Nanos next_app_hiccup_ = 0;  // application sender thread
-  sim::Nanos cpu_stall_until_ = 0;  // fault injection: slow host window
-  sim::Nanos ssd_fault_until_ = 0;  // fault injection: SSD degradation
-  sim::Nanos ssd_extra_latency_ = 0;
 
   /// Draw the next hiccup time and return the stall to charge now (0 if no
   /// hiccup is due).

@@ -26,6 +26,11 @@ std::string doorbell_state(const sim::Signal& s) {
 /// whenever a peer's push lands and at its earliest suspicion deadline.
 constexpr sim::Nanos kHeartbeatPeriod = sim::micros(20);
 constexpr sim::Nanos kNever = std::numeric_limits<sim::Nanos>::max();
+/// The PostPlan lane of every membership push. The membership SST is its
+/// own QP, so its lane is negative: no lane-drop window can name it
+/// (net::HostFaults::postplan_drop), and a stalled data-plane lane never
+/// holds a heartbeat.
+constexpr int kLaneMembership = -1;
 /// Total-failure recovery: how long after the last restart() the recovery
 /// coordinator waits for further rejoiners before computing the common
 /// durable prefix and installing the recovery view.
@@ -58,12 +63,6 @@ ManagedGroup::ManagedGroup(Config cfg, SubgroupLayout layout)
     handlers_[i].resize(num_subgroups_);
     stores_[i].resize(num_subgroups_);
   }
-  cpu_stall_until_.assign(cfg.nodes, 0);
-  ssd_fault_until_.assign(cfg.nodes, 0);
-  ssd_extra_latency_.assign(cfg.nodes, 0);
-  pred_delays_.assign(cfg.nodes, {});
-  lane_drops_.assign(cfg.nodes, {});
-  spurious_evals_.assign(cfg.nodes, {});
 }
 
 ManagedGroup::~ManagedGroup() { shutdown(); }
@@ -190,31 +189,6 @@ void ManagedGroup::build_epoch_cluster() {
     }
   }
 
-  // Fault windows outlive view changes: reapply them to the fresh nodes.
-  for (net::NodeId id : view_.members) {
-    Node& node = epoch_cluster_->node(id);
-    if (cpu_stall_until_[id] > engine_.now()) {
-      node.set_cpu_stall_until(cpu_stall_until_[id]);
-    }
-    if (ssd_fault_until_[id] > engine_.now()) {
-      node.set_ssd_fault(ssd_fault_until_[id], ssd_extra_latency_[id]);
-    }
-    for (const PredDelay& d : pred_delays_[id]) {
-      if (d.until > engine_.now()) {
-        node.delay_predicate(d.name, d.until, d.extra);
-      }
-    }
-    for (const LaneDrop& d : lane_drops_[id]) {
-      if (d.until > engine_.now()) {
-        node.drop_postplan_lane(d.lane, d.until);
-      }
-    }
-    for (const SpuriousEvals& s : spurious_evals_[id]) {
-      if (s.until > engine_.now()) {
-        node.force_spurious_evals(s.until, s.extra);
-      }
-    }
-  }
   changing_ = false;
 }
 
@@ -311,10 +285,12 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
   cfg.stopped = [this, id, gen = pred_gen_] {
     return stopped_ || !alive_[id] || gen != pred_gen_;
   };
-  // Slow host (fault injection): the core running the membership thread is
-  // descheduled, so heartbeats stop flowing and peers may falsely suspect
-  // this live node.
-  cfg.stall_until = [this, id] { return cpu_stall_until_[id]; };
+  // Host faults: a slow-CPU window deschedules the membership thread, so
+  // heartbeats stop flowing and peers may falsely suspect this live node;
+  // predicate delays slow its triggers. Its pushes ride kLaneMembership,
+  // which no lane drop can name, and it has no round pause for spurious
+  // evals to burn in.
+  cfg.faults = &fabric_.host(id);
   // Event-driven rounds: a peer's push landing in the membership SST rings
   // the doorbell, and a quiet member otherwise waits for the next heartbeat
   // or the earliest suspicion deadline, so suspicion fires exactly at the
@@ -347,7 +323,7 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
                     sst::Sst& sst = *member_sst_[id];
                     sst.write_local_i64(f_hb_, ++mstate_[id].hb);
                     mstate_[id].hb_sent = true;
-                    ctx.plan.add(0, [this, id] {
+                    ctx.plan.add(kLaneMembership, [this, id] {
                       mstate_[id].hb_due =
                           engine_.now() + kHeartbeatPeriod +
                           static_cast<sim::Nanos>(
@@ -398,7 +374,7 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
                     if (!row_dirty) return false;
                     sst.write_local_i64(
                         f_susp_, static_cast<std::int64_t>(ms.suspected_mask));
-                    ctx.plan.add(0, [this, id] {
+                    ctx.plan.add(kLaneMembership, [this, id] {
                       return member_sst_[id]->push_field(f_susp_, everyone_);
                     });
                     return true;
@@ -417,13 +393,13 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
                ms.wedged = true;
                changing_ = true;
                wedge_node(id);
-               ctx.plan.add(0, [this, id] {
+               ctx.plan.add(kLaneMembership, [this, id] {
                  return member_sst_[id]->push(f_frozen_.front(),
                                               f_frozen_.back(), everyone_);
                });
                member_sst_[id]->write_local_i64(f_wedged_epoch_,
                                                 view_.epoch + 1);
-               ctx.plan.add(0, [this, id] {
+               ctx.plan.add(kLaneMembership, [this, id] {
                  return member_sst_[id]->push_field(f_wedged_epoch_,
                                                     everyone_);
                });
@@ -476,12 +452,12 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
                // Data before guard: both pushes are planned in this order,
                // and the guard value is written locally before the plan is
                // issued, so receivers still observe trim-then-guard.
-               ctx.plan.add(0, [this, id] {
+               ctx.plan.add(kLaneMembership, [this, id] {
                  return member_sst_[id]->push(f_trim_.front(), f_prop_failed_,
                                               everyone_);
                });
                sst.write_local_i64(f_prop_guard_, view_.epoch + 1);
-               ctx.plan.add(0, [this, id] {
+               ctx.plan.add(kLaneMembership, [this, id] {
                  return member_sst_[id]->push_field(f_prop_guard_, everyone_);
                });
                tracer_.record(id, trace::Stage::view_trim, engine_.now(), 0,
@@ -960,13 +936,6 @@ void ManagedGroup::perform_recovery() {
   for (net::NodeId m : view_.members) {
     retired_preds_.push_back(std::move(member_preds_[m]));
     setup_membership_predicates(m);
-    // Still-open delay windows outlive the recovery, as they outlive view
-    // changes on the data plane (build_epoch_cluster).
-    for (const PredDelay& d : pred_delays_[m]) {
-      if (d.until > now) {
-        member_preds_[m]->inject_delay(d.name, d.until, d.extra);
-      }
-    }
   }
   retired_preds_.push_back(std::move(coord_preds_));
   setup_coordinator_predicates();
@@ -995,63 +964,6 @@ void ManagedGroup::perform_recovery() {
     }
   }
   engine_.spawn(coord_preds_->run());
-}
-
-void ManagedGroup::throttle_cpu(net::NodeId node, sim::Nanos duration) {
-  check_node(node);
-  const sim::Nanos until = engine_.now() + duration;
-  if (until > cpu_stall_until_[node]) cpu_stall_until_[node] = until;
-  if (alive_[node] && epoch_cluster_ && epoch_cluster_->is_member(node)) {
-    epoch_cluster_->node(node).set_cpu_stall_until(cpu_stall_until_[node]);
-  }
-}
-
-void ManagedGroup::degrade_ssd(net::NodeId node, sim::Nanos duration,
-                               sim::Nanos extra) {
-  check_node(node);
-  ssd_fault_until_[node] = engine_.now() + duration;
-  ssd_extra_latency_[node] = extra;
-  if (alive_[node] && epoch_cluster_ && epoch_cluster_->is_member(node)) {
-    epoch_cluster_->node(node).set_ssd_fault(ssd_fault_until_[node], extra);
-  }
-}
-
-void ManagedGroup::delay_predicate(net::NodeId node, const std::string& name,
-                                   sim::Nanos duration, sim::Nanos extra) {
-  check_node(node);
-  const sim::Nanos until = engine_.now() + duration;
-  pred_delays_[node].push_back(PredDelay{name, until, extra});
-  // Membership registry (heartbeat/suspicion/...): persists across epochs.
-  if (member_preds_[node]) {
-    member_preds_[node]->inject_delay(name, until, extra);
-  }
-  // Data-plane registry of the current epoch cluster; build_epoch_cluster()
-  // reapplies still-open windows to future epochs.
-  if (alive_[node] && epoch_cluster_ && epoch_cluster_->is_member(node)) {
-    epoch_cluster_->node(node).delay_predicate(name, until, extra);
-  }
-}
-
-void ManagedGroup::drop_postplan_lane(net::NodeId node, int lane,
-                                      sim::Nanos duration) {
-  check_node(node);
-  const sim::Nanos until = engine_.now() + duration;
-  lane_drops_[node].push_back(LaneDrop{lane, until});
-  // Data-plane only: the membership registry's lanes carry heartbeats and
-  // wedge/trim pushes whose loss is modelled by link faults instead.
-  if (alive_[node] && epoch_cluster_ && epoch_cluster_->is_member(node)) {
-    epoch_cluster_->node(node).drop_postplan_lane(lane, until);
-  }
-}
-
-void ManagedGroup::force_spurious_evals(net::NodeId node, sim::Nanos duration,
-                                        sim::Nanos extra) {
-  check_node(node);
-  const sim::Nanos until = engine_.now() + duration;
-  spurious_evals_[node].push_back(SpuriousEvals{until, extra});
-  if (alive_[node] && epoch_cluster_ && epoch_cluster_->is_member(node)) {
-    epoch_cluster_->node(node).force_spurious_evals(until, extra);
-  }
 }
 
 std::vector<std::vector<std::byte>> ManagedGroup::persistent_log(
@@ -1086,9 +998,10 @@ std::string ManagedGroup::diagnostics_dump() const {
       os << "-";
     }
     // A parked membership round shows one waiter on its doorbell; the
-    // data-plane polling thread waits on the node's fabric doorbell.
-    os << " cpu_stall_until=" << cpu_stall_until_[id] << " membership_"
-       << doorbell_state(*ms.doorbell) << " data_"
+    // data-plane polling thread waits on the node's fabric doorbell. The
+    // host-fault windows still open say what may be holding either.
+    os << " faults{" << fabric_.host(id).open_windows(engine_.now())
+       << "} membership_" << doorbell_state(*ms.doorbell) << " data_"
        << doorbell_state(fabric_.doorbell(id));
     if (epoch_cluster_ && epoch_cluster_->is_member(id)) {
       const Node& n = epoch_cluster_->node(id);

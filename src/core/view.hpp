@@ -149,37 +149,16 @@ class ManagedGroup {
   /// loss (modeled as an announced suspicion).
   void leave(net::NodeId node);
 
-  /// Fault injection: deschedule `node`'s simulated threads (membership
-  /// heartbeats and the data-plane polling thread) for `duration` — a slow
-  /// host. Stalls longer than Config::failure_timeout provoke a *false
-  /// suspicion* of a live node, which the membership layer resolves by
-  /// removing it (the node observes its own suspicion and departs).
-  void throttle_cpu(net::NodeId node, sim::Nanos duration);
-
-  /// Fault injection: SSD latency spike at `node` — every flush op during
-  /// the window pays `extra` on top of the normal op latency. Stalls the
-  /// node's persistence frontier, never delivery.
-  void degrade_ssd(net::NodeId node, sim::Nanos duration, sim::Nanos extra);
-
-  /// Fault injection: for `duration`, every fire of the predicate named
-  /// `name` at `node` charges `extra` additional compute — on the
-  /// data-plane registry (receive/send/deliver/...) and the membership
-  /// registry (heartbeat/suspicion/...) alike; unknown names are inert.
-  /// The window outlives view changes (reapplied to each epoch cluster).
-  void delay_predicate(net::NodeId node, const std::string& name,
-                       sim::Nanos duration, sim::Nanos extra);
-
-  /// Fault injection: hold back `node`'s data-plane PostPlan actions on
-  /// `lane` for `duration` (a stalled QP lane; held posts release in lane
-  /// order after the window). The window outlives view changes.
-  void drop_postplan_lane(net::NodeId node, int lane, sim::Nanos duration);
-
-  /// Fault injection: for `duration`, `node`'s data-plane scheduler sees
-  /// phantom doorbell rings — idle backoff never engages and every round
-  /// burns `extra` wasted compute (spurious predicate evaluations). The
-  /// window outlives view changes.
-  void force_spurious_evals(net::NodeId node, sim::Nanos duration,
-                            sim::Nanos extra);
+  /// Fault injection: `node`'s host-fault table (net::HostFaults, owned
+  /// by fabric()). Its windows may be set before start() and outlive view
+  /// changes and recoveries, with nothing copied. A slow-CPU window
+  /// deschedules the membership heartbeats and the data plane alike, so
+  /// one longer than Config::failure_timeout provokes a *false suspicion*
+  /// of a live node, which the membership layer resolves by removing it.
+  net::HostFaults& faults(net::NodeId node) {
+    check_node(node);
+    return fabric_.host(node);
+  }
 
   /// Persistent subgroups: `node`'s on-disk log for subgroup
   /// `subgroup_index` across every epoch it was a member of, as the device
@@ -345,28 +324,6 @@ class ManagedGroup {
   // (node, sg_index) -> queue; handlers preserved across views.
   std::vector<std::vector<SendQueue>> queues_;
   std::vector<std::vector<DeliveryHandler>> handlers_;
-
-  // Fault-injection windows, reapplied to the fresh Node objects of every
-  // epoch cluster (faults outlive view changes).
-  std::vector<sim::Nanos> cpu_stall_until_;
-  std::vector<sim::Nanos> ssd_fault_until_;
-  std::vector<sim::Nanos> ssd_extra_latency_;
-  struct PredDelay {
-    std::string name;
-    sim::Nanos until = 0;
-    sim::Nanos extra = 0;
-  };
-  std::vector<std::vector<PredDelay>> pred_delays_;  // per node
-  struct LaneDrop {
-    int lane = 0;
-    sim::Nanos until = 0;
-  };
-  std::vector<std::vector<LaneDrop>> lane_drops_;  // per node
-  struct SpuriousEvals {
-    sim::Nanos until = 0;
-    sim::Nanos extra = 0;
-  };
-  std::vector<std::vector<SpuriousEvals>> spurious_evals_;  // per node
 
   // (node, sg_index) -> simulated-SSD versioned log. Owned here — one
   // store per node survives every epoch transition (and, unlike the Node

@@ -18,6 +18,9 @@ void FaultInjector::fire(const FaultEvent& e) {
       e.node, trace::Stage::fault, eng.now(), e.duration, trace::kNoSubgroup,
       e.kind == FaultKind::link_fault ? e.peer : trace::kNoSender, -1,
       static_cast<std::uint64_t>(e.kind));
+  // A transient fault ends at `until`: a heal event for the fabric's NIC
+  // and link faults, a window in the node's fault table for host faults.
+  const sim::Nanos until = eng.now() + e.duration;
   switch (e.kind) {
     case FaultKind::crash:
       group_.crash(e.node);
@@ -25,32 +28,31 @@ void FaultInjector::fire(const FaultEvent& e) {
     case FaultKind::nic_stall: {
       fab.pause_egress(e.node);
       const net::NodeId node = e.node;
-      eng.schedule_fn(eng.now() + e.duration,
-                      [&fab, node] { fab.resume_egress(node); });
+      eng.schedule_fn(until, [&fab, node] { fab.resume_egress(node); });
       break;
     }
     case FaultKind::link_fault: {
       fab.set_link_fault(e.node, e.peer, e.factor, e.jitter);
       const net::NodeId src = e.node, dst = e.peer;
-      eng.schedule_fn(eng.now() + e.duration, [&fab, src, dst] {
+      eng.schedule_fn(until, [&fab, src, dst] {
         fab.set_link_fault(src, dst, 1.0, 0);
       });
       break;
     }
     case FaultKind::slow_cpu:
-      group_.throttle_cpu(e.node, e.duration);
+      group_.faults(e.node).slow_cpu(until);
       break;
     case FaultKind::ssd_fault:
-      group_.degrade_ssd(e.node, e.duration, e.extra);
+      group_.faults(e.node).ssd_fault(until, e.extra);
       break;
     case FaultKind::predicate_delay:
-      group_.delay_predicate(e.node, e.pred, e.duration, e.extra);
+      group_.faults(e.node).predicate_delay(e.pred, until, e.extra);
       break;
     case FaultKind::postplan_drop:
-      group_.drop_postplan_lane(e.node, e.lane, e.duration);
+      group_.faults(e.node).postplan_drop(e.lane, until);
       break;
     case FaultKind::spurious_eval:
-      group_.force_spurious_evals(e.node, e.duration, e.extra);
+      group_.faults(e.node).spurious_eval(until, e.extra);
       break;
     case FaultKind::total_failure:
       // The episode's crash half: same fail-stop as crash, tagged so the

@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <tuple>
+#include <utility>
 
 namespace spindle::net {
 
@@ -39,7 +41,8 @@ Fabric::Fabric(sim::Engine& engine, const TimingModel& timing,
       egress_queue_(n_nodes),
       link_faults_(n_nodes * n_nodes),
       jitter_seq_(n_nodes * n_nodes, 0),
-      jitter_seed_(seed ^ 0xfab51cULL) {
+      jitter_seed_(seed ^ 0xfab51cULL),
+      hosts_(n_nodes) {
   doorbells_.reserve(n_nodes);
   for (std::size_t i = 0; i < n_nodes; ++i) {
     doorbells_.push_back(std::make_unique<sim::Signal>(engine));
@@ -350,6 +353,35 @@ void Fabric::set_link_fault(NodeId src, NodeId dst, double latency_multiplier,
   assert((!parallel_ || latency_multiplier >= 1.0) &&
          "parallel mode requires link latency multipliers >= 1");
   link_faults_[src * n_ + dst] = LinkFault{latency_multiplier, jitter};
+}
+
+std::string HostFaults::open_windows(sim::Nanos now) const {
+  std::ostringstream os;
+  const char* sep = "";
+  const auto open = [&](const char* kind) -> std::ostream& {
+    return os << std::exchange(sep, "; ") << kind;
+  };
+  if (now < cpu_until_) open("slow_cpu") << " until=" << cpu_until_ << "ns";
+  if (now < ssd_until_) {
+    open("ssd_fault") << " until=" << ssd_until_ << "ns extra=" << ssd_extra_
+                      << "ns";
+  }
+  for (const Delay& w : delays_) {
+    if (now >= w.until) continue;
+    open("predicate_delay") << " pred=" << w.name << " until=" << w.until
+                            << "ns extra=" << w.extra << "ns";
+  }
+  for (const LaneDrop& w : lane_drops_) {
+    if (now >= w.until) continue;
+    open("postplan_drop") << " lane=" << w.lane << " until=" << w.until
+                          << "ns";
+  }
+  for (const Spurious& w : spurious_) {
+    if (now >= w.until) continue;
+    open("spurious_eval") << " until=" << w.until << "ns extra=" << w.extra
+                          << "ns";
+  }
+  return os.str();
 }
 
 }  // namespace spindle::net

@@ -1,11 +1,13 @@
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "metrics/metrics.hpp"
@@ -21,6 +23,139 @@ using NodeId = std::uint32_t;
 struct RegionId {
   std::uint32_t index = UINT32_MAX;
   bool valid() const noexcept { return index != UINT32_MAX; }
+};
+
+/// One node's injected host faults: the delays the chaos harness puts on a
+/// machine rather than on its links. The Fabric keeps one record per node
+/// for its whole life, so a window outlives every view change and
+/// recovery with nothing copied. Each window is read where it acts, at
+/// the moment it matters:
+///
+///  * slow CPU (`fault::FaultKind::slow_cpu`) — read at the top of every
+///    round by each sst::Predicates loop of the node: the data-plane
+///    polling thread and the membership service;
+///  * predicate delay (`predicate_delay`) — read by those same loops when
+///    a predicate of that name fires;
+///  * post-plan lane drop (`postplan_drop`) — read when a loop issues its
+///    round's plan. The membership service posts on a lane no window can
+///    name (its SST is its own QP), so only the data plane sees it;
+///  * spurious evals (`spurious_eval`) — read in the round pause of a
+///    polling thread (a loop with an iteration_pause: the data plane);
+///  * SSD (`ssd_fault`) — read by the persist logger of each persistent
+///    subgroup when a flush starts.
+///
+/// Writers pass absolute virtual times and run on the node's own engine
+/// (its partition worker under the parallel engine), the engine every
+/// reader of the record runs on. Windows are kept for the record's life
+/// (a plan injects a handful); an expired window is inert.
+class HostFaults {
+ public:
+  /// Slow host (IRQ storm, VM pause, cgroup throttle): the node's
+  /// simulated threads are descheduled until `until`, so acknowledgments,
+  /// deliveries and heartbeats lag and peers may falsely suspect the live
+  /// node. Windows merge: the stall ends at the latest `until` written.
+  void slow_cpu(sim::Nanos until) { cpu_until_ = std::max(cpu_until_, until); }
+  /// End of the slow-CPU window (in the past when none is open).
+  sim::Nanos cpu_until() const noexcept { return cpu_until_; }
+
+  /// SSD latency spike (GC pause, write cliff; a very large `extra` is a
+  /// hung disk): every flush that starts before `until` pays `extra` on
+  /// top of the op latency. A new window replaces the previous one; SSD
+  /// windows do not stack.
+  void ssd_fault(sim::Nanos until, sim::Nanos extra) {
+    ssd_until_ = until;
+    ssd_extra_ = extra;
+  }
+  /// Extra latency of a flush that starts at `now`.
+  sim::Nanos ssd_extra(sim::Nanos now) const noexcept {
+    return now < ssd_until_ ? ssd_extra_ : 0;
+  }
+
+  /// Slow trigger (lock contention, cache-hostile scan): until `until`,
+  /// every fire of a predicate named `name` — data-plane (receive, send,
+  /// deliver, ...) or membership (heartbeat, suspicion, ...) — charges
+  /// `extra` more compute. Unknown names are inert; overlapping windows
+  /// for one name stack.
+  void predicate_delay(std::string name, sim::Nanos until, sim::Nanos extra) {
+    delays_.push_back(Delay{std::move(name), until, extra});
+  }
+  /// Summed extra compute of a fire of `name` at `now`.
+  sim::Nanos predicate_extra(const std::string& name, sim::Nanos now) const {
+    sim::Nanos extra = 0;
+    for (const Delay& w : delays_) {
+      if (now < w.until && w.name == name) extra += w.extra;
+    }
+    return extra;
+  }
+
+  /// Stalled QP lane: until `until`, PostPlan actions on `lane` are held
+  /// back instead of issued, and released in lane order by the first
+  /// round after the window. Only lanes >= 0 can stall; the membership
+  /// service posts on a negative lane of its own (its SST is its own QP).
+  void postplan_drop(int lane, sim::Nanos until) {
+    assert(lane >= 0 && "negative PostPlan lanes never stall");
+    lane_drops_.push_back(LaneDrop{lane, until});
+  }
+  /// True when a window on `lane` is open after `at`. A loop asks with
+  /// the instant its group's service began, so a window that opens or
+  /// closes while the round sleeps its compute still holds that round's
+  /// posts.
+  bool lane_held(int lane, sim::Nanos at) const {
+    for (const LaneDrop& w : lane_drops_) {
+      if (w.lane == lane && w.until > at) return true;
+    }
+    return false;
+  }
+  /// True when a window on any lane is open after `at`.
+  bool lanes_held(sim::Nanos at) const {
+    for (const LaneDrop& w : lane_drops_) {
+      if (w.until > at) return true;
+    }
+    return false;
+  }
+
+  /// Phantom doorbells (interrupt storm): until `until`, a polling thread
+  /// behaves as if its doorbell rang every round — idle backoff never
+  /// engages — and each round burns `extra` wasted compute. Overlapping
+  /// windows stack.
+  void spurious_eval(sim::Nanos until, sim::Nanos extra) {
+    spurious_.push_back(Spurious{until, extra});
+  }
+  /// Summed wasted compute of a polling round at `now`; > 0 also means
+  /// the round counts as progress.
+  sim::Nanos spurious_burn(sim::Nanos now) const {
+    sim::Nanos extra = 0;
+    for (const Spurious& w : spurious_) {
+      if (now < w.until) extra += w.extra;
+    }
+    return extra;
+  }
+
+  /// The windows still open at `now`, for the watchdog dump, in the fault
+  /// plan's vocabulary: e.g. "slow_cpu until=90000ns; predicate_delay
+  /// pred=deliver until=120000ns extra=700ns". Empty when none is.
+  std::string open_windows(sim::Nanos now) const;
+
+ private:
+  struct Delay {
+    std::string name;
+    sim::Nanos until;
+    sim::Nanos extra;
+  };
+  struct LaneDrop {
+    int lane;
+    sim::Nanos until;
+  };
+  struct Spurious {
+    sim::Nanos until;
+    sim::Nanos extra;
+  };
+  sim::Nanos cpu_until_ = 0;
+  sim::Nanos ssd_until_ = 0;
+  sim::Nanos ssd_extra_ = 0;
+  std::vector<Delay> delays_;
+  std::vector<LaneDrop> lane_drops_;
+  std::vector<Spurious> spurious_;
 };
 
 /// Traffic class of a region, modeling Derecho's use of separate RDMA
@@ -61,7 +196,8 @@ enum class Channel { bulk, control };
 ///    word differs at landing.
 ///
 /// Failure injection: `isolate()` silently drops all traffic to and from a
-/// node, modeling a crash as seen by the network.
+/// node, modeling a crash as seen by the network; `host()` is the node's
+/// table of injected host faults.
 class Fabric {
  public:
   /// `seed` (the run's seed) keys the link-fault jitter draws (see
@@ -167,6 +303,18 @@ class Fabric {
   /// serial and parallel, at any worker count.
   void set_link_fault(NodeId src, NodeId dst, double latency_multiplier,
                       sim::Nanos jitter);
+
+  /// Host-fault injection: `node`'s fault table (HostFaults), the only
+  /// place its slow-CPU, SSD, predicate-delay, lane-drop and spurious-eval
+  /// windows live.
+  HostFaults& host(NodeId node) {
+    assert(node < n_);
+    return hosts_[node];
+  }
+  const HostFaults& host(NodeId node) const {
+    assert(node < n_);
+    return hosts_[node];
+  }
 
   struct NicStats {
     std::uint64_t writes_posted = 0;
@@ -292,6 +440,7 @@ class Fabric {
   std::vector<LinkFault> link_faults_;  // src * n_ + dst
   std::vector<std::uint64_t> jitter_seq_;  // src * n_ + dst: draws so far
   std::uint64_t jitter_seed_;
+  std::vector<HostFaults> hosts_;  // per node
 
   // Parallel-mode routing state (empty in serial mode). staged_[s * P + d]
   // is written only by partition s's worker during a window and drained

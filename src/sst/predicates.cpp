@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "net/fabric.hpp"
+
 namespace spindle::sst {
 
 namespace {
@@ -122,73 +124,20 @@ void Predicates::kick() {
   if (cfg_.doorbell != nullptr) cfg_.doorbell->signal();
 }
 
-void Predicates::inject_delay(std::string name, sim::Nanos until,
-                              sim::Nanos extra) {
-  const sim::Nanos now = engine_.now();
-  std::erase_if(delays_, [&](const DelayWindow& w) { return w.until <= now; });
-  delays_.push_back(DelayWindow{std::move(name), until, extra});
-}
-
-void Predicates::inject_lane_drop(int lane, sim::Nanos until) {
-  lane_drops_.push_back(LaneDrop{lane, until});
-}
-
-void Predicates::inject_spurious(sim::Nanos until, sim::Nanos extra) {
-  const sim::Nanos now = engine_.now();
-  std::erase_if(spurious_,
-                [&](const SpuriousWindow& w) { return w.until <= now; });
-  spurious_.push_back(SpuriousWindow{until, extra});
-}
-
-void Predicates::merge_released() {
-  if (lane_drops_.empty() && held_.empty()) return;
-  const sim::Nanos now = engine_.now();
-  std::erase_if(lane_drops_, [&](const LaneDrop& w) { return w.until <= now; });
+void Predicates::release_held(sim::Nanos at) {
   if (held_.empty()) return;
-  const auto active = [&](int lane) {
-    for (const LaneDrop& w : lane_drops_) {
-      if (w.lane == lane) return true;
-    }
-    return false;
-  };
   PostPlan release;
-  held_.extract_if([&](int lane) { return !active(lane); }, release);
+  held_.extract_if([&](int lane) { return !cfg_.faults->lane_held(lane, at); },
+                   release);
   plan_.splice_front(release);
 }
 
-sim::Nanos Predicates::issue_plan() {
-  if (!lane_drops_.empty()) {
-    plan_.extract_if(
-        [&](int lane) {
-          for (const LaneDrop& w : lane_drops_) {
-            if (w.lane == lane) return true;
-          }
-          return false;
-        },
-        held_);
+sim::Nanos Predicates::issue_plan(sim::Nanos at) {
+  if (cfg_.faults != nullptr && cfg_.faults->lanes_held(at)) {
+    plan_.extract_if([&](int lane) { return cfg_.faults->lane_held(lane, at); },
+                     held_);
   }
   return plan_.issue();
-}
-
-sim::Nanos Predicates::spurious_burn() {
-  if (spurious_.empty()) return 0;
-  const sim::Nanos now = engine_.now();
-  std::erase_if(spurious_,
-                [&](const SpuriousWindow& w) { return w.until <= now; });
-  sim::Nanos extra = 0;
-  for (const SpuriousWindow& w : spurious_) extra += w.extra;
-  return extra;
-}
-
-/// Summed extra compute for a fire of predicate `name` right now (stacked
-/// over any active injected windows).
-sim::Nanos Predicates::fire_delay(const std::string& name) {
-  const sim::Nanos now = engine_.now();
-  sim::Nanos extra = 0;
-  for (const DelayWindow& w : delays_) {
-    if (now < w.until && w.name == name) extra += w.extra;
-  }
-  return extra;
 }
 
 void Predicates::visit(const std::function<void(const GroupOptions&,
@@ -235,7 +184,9 @@ bool Predicates::eval_group(Group& g, sim::Nanos& work, PostPlan& plan) {
     // Per-predicate fault injection: a delayed predicate's fires charge
     // extra compute, pushing its post phase (and everything downstream)
     // later in virtual time.
-    if (acted && !delays_.empty()) work += fire_delay(p.stats.name);
+    if (acted && cfg_.faults != nullptr) {
+      work += cfg_.faults->predicate_extra(p.stats.name, engine_.now());
+    }
     p.stats.cpu += work - before;  // guard costs accrue even on quiet rounds
     if (acted) {
       ++p.stats.fires;
@@ -263,8 +214,8 @@ sim::Co<> Predicates::run() {
   int idle_streak = 0;
   std::uint64_t rearm_seen = rearm_generation_;
   while (!cfg_.stopped()) {
-    if (cfg_.stall_until) {
-      const sim::Nanos until = cfg_.stall_until();
+    if (cfg_.faults != nullptr) {
+      const sim::Nanos until = cfg_.faults->cpu_until();
       if (until > engine_.now()) {
         // Slow host (fault injection): the polling thread is descheduled.
         co_await engine_.sleep(until - engine_.now());
@@ -290,10 +241,10 @@ sim::Co<> Predicates::run() {
       const bool probe = k >= round.ready;
       if (g.opts.lock) co_await g.opts.lock->lock();
       plan_.clear();
-      merge_released();
+      const sim::Nanos at = engine_.now();
+      release_held(at);
       sim::Nanos work = 0;
       const bool acted = eval_group(g, work, plan_);
-      const sim::Nanos at = engine_.now();
       if (g.opts.on_work) g.opts.on_work(work);
       if (!acted && plan_.empty()) {
         carry += work;
@@ -307,7 +258,7 @@ sim::Co<> Predicates::run() {
       carry = 0;
       if (g.opts.lock && g.opts.early_release) g.opts.lock->unlock();
       const std::uint64_t arg = plan_.arg();
-      const sim::Nanos post = issue_plan();
+      const sim::Nanos post = issue_plan(at);
       if (post > 0) {
         if (g.opts.on_post) g.opts.on_post(post, arg);
         co_await engine_.sleep(post);
@@ -318,10 +269,17 @@ sim::Co<> Predicates::run() {
     if (cfg_.stopped()) break;
 
     sim::Nanos over = carry;
-    if (cfg_.iteration_pause) over += cfg_.iteration_pause();
-    const sim::Nanos burn = spurious_burn();
-    if (burn > 0) progress = true;  // phantom doorbell: no quiescent backoff
-    if (over + burn > 0) co_await engine_.sleep(over + burn);
+    if (cfg_.iteration_pause) {
+      over += cfg_.iteration_pause();
+      // Phantom doorbells (fault injection) hit the polling thread: the
+      // round burns wasted evaluations and never backs off.
+      if (cfg_.faults != nullptr) {
+        const sim::Nanos burn = cfg_.faults->spurious_burn(engine_.now());
+        if (burn > 0) progress = true;
+        over += burn;
+      }
+    }
+    if (over > 0) co_await engine_.sleep(over);
 
     if (progress) {
       idle_streak = 0;

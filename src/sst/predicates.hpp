@@ -8,6 +8,10 @@
 #include "sim/engine.hpp"
 #include "sim/mutex.hpp"
 
+namespace spindle::net {
+class HostFaults;
+}
+
 namespace spindle::sst {
 
 /// Monotonicity class of a registered predicate (Derecho TOCS §4):
@@ -156,8 +160,13 @@ class Predicates {
   };
 
   struct SchedulerConfig {
-    std::function<bool()> stopped;            // required
-    std::function<sim::Nanos()> stall_until;  // fault injection: slow host
+    std::function<bool()> stopped;  // required
+    /// Fault injection: the host's fault table (net::HostFaults), asked
+    /// where each window acts — a slow-CPU window at the top of a round,
+    /// a predicate delay at a fire, a lane drop when the round's plan
+    /// issues, spurious evals in the round pause of a polling thread (a
+    /// loop with an iteration_pause). nullptr: no faults.
+    const net::HostFaults* faults = nullptr;
     /// Rings when the predicates' inputs may have changed (a remote write
     /// landed) and on every rearm(); the quiescent backoff waits on it.
     /// nullptr: the backoff is a plain sleep.
@@ -207,27 +216,6 @@ class Predicates {
   void rearm(PredId p);
   void rearm_all();
 
-  /// Fault injection (`fault::FaultKind::predicate_delay`): until virtual
-  /// time `until`, every *fire* of the predicate named `name` charges
-  /// `extra` additional simulated compute — delaying its post phase and
-  /// everything downstream. Overlapping windows for the same name stack.
-  void inject_delay(std::string name, sim::Nanos until, sim::Nanos extra);
-
-  /// Fault injection (`fault::FaultKind::postplan_drop`): until virtual
-  /// time `until`, PostPlan actions on `lane` are held back instead of
-  /// issued — a stalled QP lane. Held actions release on the first round
-  /// after expiry, issuing ahead of younger same-lane peers (the global
-  /// lane order is restored by the issue sort). Safe by the framework's
-  /// own contract: actions re-read live, monotonic state at issue time.
-  void inject_lane_drop(int lane, sim::Nanos until);
-
-  /// Fault injection (`fault::FaultKind::spurious_eval`): until virtual
-  /// time `until`, the scheduler behaves as if a phantom doorbell rang
-  /// every round — idle backoff never engages and each round burns `extra`
-  /// additional compute (the wasted evaluations the paper's predicate
-  /// batching exists to avoid). Overlapping windows stack.
-  void inject_spurious(sim::Nanos until, sim::Nanos extra);
-
   /// Per-group scheduler accounting, exported into `cluster.stats()`.
   struct GroupSched {
     std::uint64_t serviced = 0;  // rounds the scheduler evaluated the group
@@ -263,34 +251,20 @@ class Predicates {
     std::vector<PredId> preds;
     GroupSched sched;
   };
-  struct DelayWindow {
-    std::string name;
-    sim::Nanos until = 0;
-    sim::Nanos extra = 0;
-  };
-  struct LaneDrop {
-    int lane = 0;
-    sim::Nanos until = 0;
-  };
-  struct SpuriousWindow {
-    sim::Nanos until = 0;
-    sim::Nanos extra = 0;
-  };
 
   /// One evaluation round over `g`'s predicates; `work` accumulates the
   /// compute to sleep.
   bool eval_group(Group& g, sim::Nanos& work, PostPlan& plan);
-  sim::Nanos fire_delay(const std::string& name);
-  /// Release held_ actions whose lane-drop window expired into the front
-  /// of plan_ (called at the top of each group round, so a quiet group
-  /// still flushes its backlog).
-  void merge_released();
-  /// plan_.issue() with actions on actively-dropped lanes extracted into
-  /// held_ first.
-  sim::Nanos issue_plan();
-  /// This round's spurious-wake burn; > 0 also means "stay hot" (the
-  /// schedulers suppress idle backoff for the round).
-  sim::Nanos spurious_burn();
+  /// Lane drops (fault injection; a stalled QP lane). Held actions release
+  /// into the front of plan_ at the top of the first group service `at`
+  /// which their lane's window no longer covers (so a quiet group still
+  /// flushes the backlog), issuing ahead of younger same-lane peers; the
+  /// issue sort restores the global lane order. Safe by the framework's
+  /// own contract: actions re-read live, monotonic state at issue time.
+  void release_held(sim::Nanos at);
+  /// plan_.issue() with the actions on lanes held for the service that
+  /// began `at` moved into held_ first.
+  sim::Nanos issue_plan(sim::Nanos at);
 
   /// One round's service order, written into order_ (indices into
   /// groups_): positions [0, ready) are the per-round rotation, [ready,
@@ -313,9 +287,6 @@ class Predicates {
   SchedulerConfig cfg_;
   std::vector<Group> groups_;
   std::vector<Predicate> preds_;
-  std::vector<DelayWindow> delays_;
-  std::vector<LaneDrop> lane_drops_;
-  std::vector<SpuriousWindow> spurious_;
   std::uint64_t rearm_generation_ = 0;  // bumped by rearm(); schedulers poll
   std::vector<std::size_t> order_;  // this round's service order (Round)
   bool probe_kick_ = false;  // doorbell rang from quiescence: courtesy-probe

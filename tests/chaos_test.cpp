@@ -21,6 +21,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -440,7 +441,8 @@ TEST(ChaosNamed, FalseSuspicionOfSlowNode) {
   // delivery contract, and the stalled node's observations stay a prefix.
   NamedRun r(4, 81, /*persistent=*/false);
   r.group.engine().schedule_fn(sim::micros(80), [&] {
-    r.group.throttle_cpu(2, 3 * r.group.config().failure_timeout);
+    r.group.faults(2).slow_cpu(r.group.engine().now() +
+                               3 * r.group.config().failure_timeout);
   });
   ASSERT_TRUE(r.run_to_quiescence()) << r.group.engine().diagnostics();
   EXPECT_EQ(r.group.view().members, (std::vector<net::NodeId>{0, 1, 3}));
@@ -456,7 +458,8 @@ TEST(ChaosNamed, PredicateDelayOnScanLane) {
   // membership registry, no false suspicion may result.
   NamedRun r(4, 83, /*persistent=*/false);
   r.group.engine().schedule_fn(sim::micros(80), [&] {
-    r.group.delay_predicate(1, "deliver", sim::millis(1), sim::micros(15));
+    r.group.faults(1).predicate_delay(
+        "deliver", r.group.engine().now() + sim::millis(1), sim::micros(15));
   });
   ASSERT_TRUE(r.run_to_quiescence()) << r.group.engine().diagnostics();
   EXPECT_EQ(r.group.epoch(), 0u) << "a slow deliver trigger must not "
@@ -473,7 +476,8 @@ TEST(ChaosNamed, HeartbeatDelayProvokesSuspicion) {
   NamedRun r(4, 83, /*persistent=*/false);
   const sim::Nanos timeout = r.group.config().failure_timeout;
   r.group.engine().schedule_fn(sim::micros(80), [&] {
-    r.group.delay_predicate(2, "heartbeat", 5 * timeout, 3 * timeout);
+    r.group.faults(2).predicate_delay(
+        "heartbeat", r.group.engine().now() + 5 * timeout, 3 * timeout);
   });
   r.group.engine().run_to(sim::millis(4));
   ASSERT_TRUE(r.run_to_quiescence()) << r.group.engine().diagnostics();
@@ -496,7 +500,8 @@ TEST(ChaosNamed, HeartbeatDelaySurvivesTotalFailureRecovery) {
                                [&group, n] { group.restart(n); });
   }
   group.engine().schedule_fn(sim::micros(400), [&] {
-    group.delay_predicate(2, "heartbeat", sim::millis(20), 3 * timeout);
+    group.faults(2).predicate_delay(
+        "heartbeat", group.engine().now() + sim::millis(20), 3 * timeout);
   });
   ASSERT_TRUE(group.engine().run_until(
       [&] { return group.recoveries() >= 1; }, sim::millis(100)))
@@ -543,7 +548,8 @@ TEST(ChaosNamed, PostplanSendLaneDropHealsInvisibly) {
   // may notice — no suspicion, no view change, no contract violation.
   NamedRun r(4, 85, /*persistent=*/false);
   r.group.engine().schedule_fn(sim::micros(80), [&] {
-    r.group.drop_postplan_lane(1, /*lane=*/0, sim::micros(150));
+    r.group.faults(1).postplan_drop(/*lane=*/0,
+                                    r.group.engine().now() + sim::micros(150));
   });
   ASSERT_TRUE(r.run_to_quiescence()) << r.group.engine().diagnostics();
   EXPECT_EQ(r.group.epoch(), 0u);
@@ -559,8 +565,9 @@ TEST(ChaosNamed, PostplanAckLaneDropOutlastsTimeoutWithoutSuspicion) {
   // order and delivery drains.
   NamedRun r(4, 86, /*persistent=*/false);
   r.group.engine().schedule_fn(sim::micros(80), [&] {
-    r.group.drop_postplan_lane(2, /*lane=*/1,
-                               3 * r.group.config().failure_timeout);
+    r.group.faults(2).postplan_drop(
+        /*lane=*/1,
+        r.group.engine().now() + 3 * r.group.config().failure_timeout);
   });
   ASSERT_TRUE(r.run_to_quiescence()) << r.group.engine().diagnostics();
   EXPECT_EQ(r.group.epoch(), 0u)
@@ -575,7 +582,8 @@ TEST(ChaosNamed, SpuriousEvalsBurnCpuWithoutBreakingContract) {
   // backoff. Throughput dips; correctness and membership must not.
   NamedRun r(4, 87, /*persistent=*/false);
   r.group.engine().schedule_fn(sim::micros(80), [&] {
-    r.group.force_spurious_evals(1, sim::millis(1), sim::micros(5));
+    r.group.faults(1).spurious_eval(r.group.engine().now() + sim::millis(1),
+                                    sim::micros(5));
   });
   ASSERT_TRUE(r.run_to_quiescence()) << r.group.engine().diagnostics();
   EXPECT_EQ(r.group.epoch(), 0u);
@@ -645,6 +653,258 @@ TEST(ChaosNamed, TotalFailureEpisodeThroughInjector) {
   // The dead node's messages survive exactly up to the common durable
   // prefix — strictly fewer than it submitted.
   EXPECT_LT(checker.delivered_from(0, 0, 3), msgs);
+}
+
+TEST(ChaosNamed, SlowCpuWindowOpenAtTotalFailureRecoveryStallsTheNewEpoch) {
+  // A slow-CPU window still open when a new epoch's data plane is built
+  // stalls it: node 2 restarts after a total failure and is throttled for
+  // less than the failure timeout, across the recovery install. No fresh
+  // delivery (sent_at >= 0) may land until the window ends. The recovery
+  // barrier runs on its own scheduler, so the install is not delayed.
+  std::vector<sim::Nanos> fresh;  // when fresh deliveries landed
+  sim::Nanos installed_at = -1;
+  core::ManagedGroup::Config cfg;
+  cfg.nodes = 4;
+  cfg.seed = 89;
+  core::ManagedGroup group(cfg, simple_layout(/*persistent=*/true));
+  for (net::NodeId n = 0; n < 4; ++n) {
+    group.set_delivery_handler(n, 0, [&](const core::Delivery& d) {
+      if (d.sent_at >= 0) fresh.push_back(group.engine().now());
+    });
+  }
+  group.add_recovery_observer([&](const core::ManagedGroup::RecoveryInfo&) {
+    installed_at = group.engine().now();
+  });
+  group.start();
+  for (net::NodeId n = 0; n < 4; ++n) {
+    group.engine().schedule_fn(sim::micros(150) + sim::micros(10) * n,
+                               [&group, n] { group.crash(n); });
+    group.engine().schedule_fn(sim::micros(1200) + sim::micros(80) * n,
+                               [&group, n] { group.restart(n); });
+    // Queued while the group is down; sent in the recovery view.
+    group.engine().schedule_fn(sim::micros(1600), [&group, n] {
+      for (int i = 0; i < 10; ++i) {
+        group.send(n, 0, std::vector<std::byte>(64));
+      }
+    });
+  }
+  // The last restart is at 1440 us; the recovery settles 800 us later.
+  const sim::Nanos throttled_at = sim::micros(2100);
+  const sim::Nanos window_end = throttled_at + sim::micros(350);
+  ASSERT_LT(window_end - throttled_at, cfg.failure_timeout);
+  group.engine().schedule_fn(throttled_at, [&] {
+    group.faults(2).slow_cpu(window_end);
+  });
+  ASSERT_TRUE(group.engine().run_until(
+      [&] {
+        return group.recoveries() >= 1 && !fresh.empty() &&
+               fresh.back() >= window_end;
+      },
+      sim::millis(20)))
+      << group.engine().diagnostics();
+  ASSERT_GT(installed_at, throttled_at);
+  ASSERT_LT(installed_at, window_end) << "the window must span the install";
+  for (const sim::Nanos t : fresh) {
+    EXPECT_FALSE(t >= installed_at && t < window_end)
+        << "fresh delivery at " << t << " ns inside the stalled epoch's "
+        << "window [" << installed_at << ", " << window_end << ")";
+  }
+  EXPECT_EQ(group.view().members, (std::vector<net::NodeId>{0, 1, 2, 3}));
+}
+
+// ---------------------------------------------------------------------------
+// Host-fault table (net::HostFaults): a window of every kind set before
+// start() acts, on a standalone Cluster and on a ManagedGroup alike.
+
+constexpr net::NodeId kVictim = 1;             // also its sender rank
+constexpr sim::Nanos kShortWindow = sim::micros(60);
+constexpr sim::Nanos kSsdExtra = sim::micros(200);
+constexpr sim::Nanos kDeliverExtra = sim::micros(5);
+
+/// One window of a host-fault kind (none: the fault-free run).
+using HostKind = std::optional<fault::FaultKind>;
+
+void open_window(net::HostFaults& f, HostKind kind) {
+  if (!kind) return;
+  switch (*kind) {
+    case fault::FaultKind::slow_cpu:
+      f.slow_cpu(kShortWindow);
+      break;
+    case fault::FaultKind::ssd_fault:
+      f.ssd_fault(sim::millis(1), kSsdExtra);
+      break;
+    case fault::FaultKind::predicate_delay:
+      f.predicate_delay("deliver", sim::millis(1), kDeliverExtra);
+      break;
+    case fault::FaultKind::postplan_drop:
+      f.postplan_drop(/*lane=*/0, kShortWindow);  // the send lane
+      break;
+    case fault::FaultKind::spurious_eval:
+      f.spurious_eval(sim::millis(1), 200);
+      break;
+    default:
+      FAIL() << "not a host fault: " << fault::to_string(*kind);
+  }
+}
+
+/// What a 3-node persistent group, every member sending 4 messages at
+/// t = 0, showed of the victim by 400 us.
+struct HostObservation {
+  sim::Nanos victim_delivered = -1;  // first delivery of a victim message
+  sim::Nanos persisted = -1;         // first persistence-frontier advance
+  sim::Nanos deliver_cpu = 0;        // the victim's deliver-predicate CPU
+  int parked = 0;  // of 20 samples from 200 us: the victim's idle data
+                   // plane waiting on its doorbell
+};
+
+/// Every member's delivery handler: notes the first victim message.
+core::DeliveryHandler watch_deliveries(sim::Engine& eng, HostObservation& o) {
+  return [&eng, &o](const core::Delivery& d) {
+    if (d.sender == kVictim && o.victim_delivered < 0) {
+      o.victim_delivered = eng.now();
+    }
+  };
+}
+
+void watch_persistence(core::Node& victim, core::SubgroupId sg,
+                       sim::Engine& eng, HostObservation& o) {
+  victim.set_persistence_handler(sg, [&eng, &o](std::int64_t) {
+    if (o.persisted < 0) o.persisted = eng.now();
+  });
+}
+
+void sample_parked(sim::Engine& eng, const sim::Signal& data_doorbell,
+                   HostObservation& o) {
+  for (int i = 0; i < 20; ++i) {
+    eng.schedule_fn(sim::micros(200 + 10 * i), [&data_doorbell, &o] {
+      if (data_doorbell.waiters() > 0) ++o.parked;
+    });
+  }
+}
+
+void read_deliver_cpu(const core::Node& victim, HostObservation& o) {
+  victim.predicates()->visit([&o](const sst::Predicates::GroupOptions&,
+                                  const sst::PredicateStats& p) {
+    if (p.name == "deliver") o.deliver_cpu += p.cpu;
+  });
+}
+
+HostObservation run_cluster_with(HostKind kind) {
+  HostObservation o;  // outlives the cluster's handlers
+  core::ClusterConfig cc;
+  cc.nodes = 3;
+  core::Cluster cluster(cc);
+  core::ProtocolOptions opts = core::ProtocolOptions::spindle();
+  opts.persistent = true;
+  opts.max_msg_size = 64;
+  const core::SubgroupId sg =
+      cluster.create_subgroup({"faults", {0, 1, 2}, {0, 1, 2}, opts});
+  open_window(cluster.fabric().host(kVictim), kind);
+  cluster.start();
+  watch_persistence(cluster.node(kVictim), sg, cluster.engine(), o);
+  for (net::NodeId n = 0; n < 3; ++n) {
+    cluster.node(n).set_delivery_handler(sg,
+                                         watch_deliveries(cluster.engine(), o));
+    cluster.engine().spawn([](core::Cluster* c, net::NodeId id,
+                              core::SubgroupId g) -> sim::Co<> {
+      for (int i = 0; i < 4; ++i) {
+        co_await c->node(id).send(g, 64, [](std::span<std::byte>) {});
+      }
+    }(&cluster, n, sg));
+  }
+  sample_parked(cluster.engine(), cluster.fabric().doorbell(kVictim), o);
+  cluster.run_to(sim::micros(400));
+  read_deliver_cpu(cluster.node(kVictim), o);
+  return o;
+}
+
+HostObservation run_group_with(HostKind kind) {
+  HostObservation o;  // outlives the group's handlers
+  core::ManagedGroup::Config cfg;
+  cfg.nodes = 3;
+  cfg.seed = 5;
+  core::ManagedGroup group(cfg, simple_layout(/*persistent=*/true));
+  open_window(group.faults(kVictim), kind);
+  for (net::NodeId n = 0; n < 3; ++n) {
+    group.set_delivery_handler(n, 0, watch_deliveries(group.engine(), o));
+  }
+  group.start();
+  watch_persistence(group.cluster().node(kVictim), /*sg=*/0, group.engine(),
+                    o);
+  for (net::NodeId n = 0; n < 3; ++n) {
+    for (int i = 0; i < 4; ++i) group.send(n, 0, std::vector<std::byte>(64));
+  }
+  sample_parked(group.engine(), group.fabric().doorbell(kVictim), o);
+  group.engine().run_to(sim::micros(400));
+  EXPECT_EQ(group.epoch(), 0u) << "no window here outlasts the timeout";
+  read_deliver_cpu(group.cluster().node(kVictim), o);
+  return o;
+}
+
+/// Each kind against the fault-free run of the same group.
+void expect_pre_start_windows_act(HostObservation (*run)(HostKind)) {
+  const HostObservation base = run(std::nullopt);
+  ASSERT_GE(base.victim_delivered, 0);
+  ASSERT_LT(base.victim_delivered, kShortWindow);
+  ASSERT_GE(base.persisted, 0);
+  ASSERT_LT(base.persisted, kSsdExtra);
+  ASSERT_GE(base.parked, 10) << "the idle data plane backs off";
+
+  // Slow CPU: the victim neither sends nor acknowledges in the window.
+  EXPECT_GE(run(fault::FaultKind::slow_cpu).victim_delivered, kShortWindow);
+  // Lane drop: the victim's send lane posts nothing in the window.
+  EXPECT_GE(run(fault::FaultKind::postplan_drop).victim_delivered, kShortWindow);
+  // SSD: the victim's first flush pays the extra latency.
+  EXPECT_GE(run(fault::FaultKind::ssd_fault).persisted, kSsdExtra);
+  // Predicate delay: each deliver fire pays the extra compute.
+  EXPECT_GE(run(fault::FaultKind::predicate_delay).deliver_cpu,
+            base.deliver_cpu + kDeliverExtra);
+  // Spurious evals: the idle victim never backs off onto its doorbell.
+  EXPECT_EQ(run(fault::FaultKind::spurious_eval).parked, 0);
+}
+
+TEST(HostFaults, PreStartWindowsActOnAStandaloneCluster) {
+  expect_pre_start_windows_act(run_cluster_with);
+}
+
+TEST(HostFaults, PreStartWindowsActOnAManagedGroup) {
+  expect_pre_start_windows_act(run_group_with);
+}
+
+TEST(HostFaults, WatchdogDumpShowsOpenWindows) {
+  // The watchdog dump (engine().diagnostics(), which a stalled chaos seed
+  // writes into its replay file) lists each node's open fault windows.
+  core::ManagedGroup::Config cfg;
+  cfg.nodes = 3;
+  core::ManagedGroup group(cfg, simple_layout(/*persistent=*/false));
+  net::HostFaults& f = group.faults(1);
+  f.slow_cpu(sim::micros(100));
+  f.ssd_fault(sim::millis(1), 5000);
+  f.predicate_delay("heartbeat", sim::millis(1), 1000);
+  f.postplan_drop(/*lane=*/1, sim::millis(1));
+  f.spurious_eval(sim::millis(1), 300);
+  group.start();
+  group.engine().run_to(sim::micros(50));
+  const std::string open = group.engine().diagnostics();
+  EXPECT_NE(open.find("node1: "), std::string::npos) << open;
+  EXPECT_NE(open.find("faults{slow_cpu until=100000ns; "
+                      "ssd_fault until=1000000ns extra=5000ns; "
+                      "predicate_delay pred=heartbeat until=1000000ns "
+                      "extra=1000ns; "
+                      "postplan_drop lane=1 until=1000000ns; "
+                      "spurious_eval until=1000000ns extra=300ns}"),
+            std::string::npos)
+      << open;
+  EXPECT_EQ(open.find("slow_cpu", open.find("node2: ")), std::string::npos)
+      << "only node 1 has open windows:\n"
+      << open;
+
+  // Expired windows drop out of the dump.
+  group.engine().run_to(sim::millis(2));
+  const std::string closed = group.engine().diagnostics();
+  EXPECT_EQ(closed.find("slow_cpu"), std::string::npos) << closed;
+  EXPECT_EQ(closed.find("predicate_delay"), std::string::npos) << closed;
+  EXPECT_NE(closed.find("faults{}"), std::string::npos) << closed;
 }
 
 }  // namespace

@@ -582,7 +582,7 @@ TEST_F(MuxFixture, OkReplyWaitsForEveryTopicMemberToDeliver) {
       stalled_until = domain->engine().now() + kStall;
       for (net::NodeId m = 1; m < 4; ++m) {
         if (delivered[m] > 0) continue;
-        domain->cluster().node(m).set_cpu_stall_until(stalled_until);
+        domain->cluster().fabric().host(m).slow_cpu(stalled_until);
         ++stalled;
       }
     });

@@ -293,7 +293,6 @@ TEST(CoreEdge, ManagedGroupRejectsOutOfRangeIds) {
   group.start();
   const net::NodeId node = 4;
   const std::size_t sg = 1;
-  const sim::Nanos d = sim::micros(10);
   EXPECT_THROW(group.send(node, 0, {}), std::out_of_range);
   EXPECT_THROW(group.send(0, sg, {}), std::out_of_range);
   EXPECT_THROW(group.set_delivery_handler(node, 0, {}), std::out_of_range);
@@ -306,12 +305,7 @@ TEST(CoreEdge, ManagedGroupRejectsOutOfRangeIds) {
   EXPECT_THROW(group.crash(node), std::out_of_range);
   EXPECT_THROW(group.leave(node), std::out_of_range);
   EXPECT_THROW(group.restart(node), std::out_of_range);
-  EXPECT_THROW(group.throttle_cpu(node, d), std::out_of_range);
-  EXPECT_THROW(group.degrade_ssd(node, d, d), std::out_of_range);
-  EXPECT_THROW(group.delay_predicate(node, "receive", d, d),
-               std::out_of_range);
-  EXPECT_THROW(group.drop_postplan_lane(node, 0, d), std::out_of_range);
-  EXPECT_THROW(group.force_spurious_evals(node, d, d), std::out_of_range);
+  EXPECT_THROW(group.faults(node), std::out_of_range);
 
   // The group is untouched: every member is alive, and a message still
   // reaches all four in the first view.

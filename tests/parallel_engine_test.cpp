@@ -385,10 +385,11 @@ TEST(ParallelChaos, DeterministicFaultSliceMatchesSerial) {
     cluster.fabric().set_link_fault(1, 4, 2.0, 0);
     // Mid-run host faults, scheduled on the owning node's worker.
     cluster.engine_for(2).schedule_fn(sim::micros(40), [&cluster] {
-      cluster.node(2).set_cpu_stall_until(sim::micros(90));
+      cluster.fabric().host(2).slow_cpu(sim::micros(90));
     });
     cluster.engine_for(3).schedule_fn(sim::micros(20), [&cluster] {
-      cluster.node(3).delay_predicate("deliver", sim::micros(120), 700);
+      cluster.fabric().host(3).predicate_delay("deliver", sim::micros(120),
+                                               700);
     });
   };
   expect_identical_across_workers(spec);

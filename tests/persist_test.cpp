@@ -145,8 +145,12 @@ TEST(Persistence, ProviderOwnedStoresAnnounceConsistentVersionVectors) {
   for (int i = 0; i < 3; ++i) {
     logs.push_back(std::make_unique<store::VersionedLog>());
   }
-  cluster.set_store_provider(
-      [&logs](net::NodeId n, SubgroupId) { return logs[n].get(); });
+  // A provider hands out opened logs (epoch 0: a standalone cluster has
+  // no views), as ManagedGroup's opens each log for the current epoch.
+  cluster.set_store_provider([&logs](net::NodeId n, SubgroupId) {
+    logs[n]->open_epoch(0);
+    return logs[n].get();
+  });
   ProtocolOptions opts = ProtocolOptions::spindle();
   opts.persistent = true;
   opts.max_msg_size = 64;

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "net/fabric.hpp"
 #include "sim/engine.hpp"
 #include "sim/mutex.hpp"
 #include "sst/predicates.hpp"
@@ -20,16 +21,18 @@ namespace spindle::sst {
 namespace {
 
 /// One reactive scheduler with a doorbell, so the promotion and
-/// backoff-kick paths are exercisable.
+/// backoff-kick paths are exercisable, reading its own host-fault table.
 struct Harness {
   sim::Engine engine;
   sim::Signal doorbell{engine};
+  net::HostFaults faults;
   Predicates preds{engine};
   bool stop = false;
 
   explicit Harness(sim::Nanos pause = 100) {
     Predicates::SchedulerConfig cfg;
     cfg.stopped = [this] { return stop; };
+    cfg.faults = &faults;
     cfg.iteration_pause = [pause] { return pause; };
     cfg.doorbell = &doorbell;
     cfg.idle_backoff_min = 1000;
@@ -239,7 +242,7 @@ TEST(PredicatesFault, InjectedDelayChargesExtraComputeOnFires) {
                                       ctx.work += 10;
                                       return true;
                                     }});
-  h.preds.inject_delay("victim", sim::millis(1), 500);
+  h.faults.predicate_delay("victim", sim::millis(1), 500);
   h.run_for(sim::millis(5));
   // Every fire inside the window pays the extra; quiet evals and other
   // predicates do not.
@@ -258,7 +261,7 @@ TEST(PredicatesFault, ExpiredDelayWindowIsInert) {
                                    ctx.work += 10;
                                    return true;
                                  }});
-  h.preds.inject_delay("late", sim::micros(10), 5000);
+  h.faults.predicate_delay("late", sim::micros(10), 5000);
   // Fire only after the window has closed.
   h.engine.schedule_fn(sim::micros(50), [&] {
     armed = true;
@@ -267,6 +270,33 @@ TEST(PredicatesFault, ExpiredDelayWindowIsInert) {
   h.run_for(sim::millis(1));
   EXPECT_EQ(h.preds.stats(p).fires, 1u);
   EXPECT_EQ(h.preds.stats(p).cpu, 10);
+}
+
+TEST(PredicatesFault, LaneDropOpenedDuringComputeHoldsThatRoundsPosts) {
+  // A lane-drop window is judged at the instant the group's service
+  // began: one opened while the round sleeps its compute holds that
+  // round's posts, even one that closes again before the post phase. The
+  // held action issues at the next round's release.
+  for (const sim::Nanos until : {sim::Nanos{700}, sim::Nanos{5000}}) {
+    Harness h;
+    const auto g = h.preds.add_group({});
+    bool armed = true;
+    sim::Nanos issued_at = -1;
+    h.preds.add(g, {"post", PredicateClass::recurrent, [&] { return armed; },
+                    [&](TriggerContext& ctx) {
+                      armed = false;
+                      ctx.work += 1000;
+                      ctx.plan.add(2, [&] {
+                        issued_at = h.engine.now();
+                        return sim::Nanos{0};
+                      });
+                      return true;
+                    }});
+    h.engine.schedule_fn(500, [&] { h.faults.postplan_drop(2, until); });
+    h.run_for(sim::millis(1));
+    EXPECT_GT(issued_at, 1000) << "window until " << until;
+    EXPECT_GE(issued_at, until);
+  }
 }
 
 TEST(PredicatesScan, ClusterDeliversIdenticallyAndExportsSchedCounters) {
