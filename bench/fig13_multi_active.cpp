@@ -12,9 +12,10 @@
 // that never send. On Derecho's full lap (scan_interval 0) the polling
 // thread pays a cold-group evaluation per round for every cold subgroup,
 // so the hot group's delivery rate decays with k; on a 500 us scan lane
-// the cold groups demote after a few quiet rounds and the hot group keeps
-// nearly all of the polling-thread CPU. Results (both arms, with seed/env
-// provenance) go to BENCH_fig13_multi_active.json.
+// the cold groups demote after a few quiet rounds and, being drained,
+// park, so the hot group keeps nearly all of the polling-thread CPU.
+// Results (both arms, with seed/env provenance) go to
+// BENCH_fig13_multi_active.json.
 
 #include "bench_util.hpp"
 
@@ -23,11 +24,12 @@ using namespace spindle::bench;
 
 namespace {
 
-/// Sum of scan-lane demotions across the cold subgroups (hot is sg0).
-std::uint64_t cold_demotions(const ExperimentResult& r) {
+/// Sum of one scheduler counter across the cold subgroups (hot is sg0).
+std::uint64_t cold_sum(const ExperimentResult& r,
+                       std::uint64_t metrics::SubgroupStats::*counter) {
   std::uint64_t total = 0;
   for (const auto& sg : r.stats.subgroups) {
-    if (sg.id != 0) total += sg.sched_demotions;
+    if (sg.id != 0) total += sg.*counter;
   }
   return total;
 }
@@ -70,7 +72,8 @@ int main() {
   // round-time-gated (so the cold lap actually costs throughput) and the
   // k=64 point within memory (every node maps a window of slots for every
   // subgroup it belongs to). The 500us lane is ~20x a full-lap round
-  // here — long enough that demoted groups are effectively free.
+  // here; a cold group probed on it at all costs little, and a parked one
+  // costs nothing.
   constexpr std::uint64_t kSeed = 42;
   const std::size_t kMessages = scaled(200);
   BenchReport report("fig13_multi_active");
@@ -78,7 +81,7 @@ int main() {
 
   Table d("Figure 13b: 1 hot + k cold subgroups (16 nodes, 1KB, kmsg/s/node)",
           {"cold subgroups", "full lap", "scan lane", "speedup",
-           "cold demotions"});
+           "cold demotions", "cold parks"});
   for (std::size_t k : {std::size_t{1}, std::size_t{4}, std::size_t{16},
                         std::size_t{64}}) {
     ExperimentConfig cfg;
@@ -111,7 +114,10 @@ int main() {
            Table::num(lane.delivery_rate_per_node / 1e3, 1),
            Table::num(speedup, 2) + "x" + check_completed(lap) +
                check_completed(lane),
-           Table::integer(cold_demotions(lane))});
+           Table::integer(
+               cold_sum(lane, &metrics::SubgroupStats::sched_demotions)),
+           Table::integer(
+               cold_sum(lane, &metrics::SubgroupStats::sched_parks))});
   }
   d.print();
   report.write();

@@ -320,6 +320,7 @@ void Cluster::start() {
             if (g.tag != s->id) return;
             sub.sched_serviced += sc.serviced;
             sub.sched_demotions += sc.demotions;
+            sub.sched_parks += sc.parks;
           });
         }
         ns.subgroups.push_back(std::move(sub));

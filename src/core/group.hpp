@@ -23,9 +23,11 @@ struct ClusterConfig {
   trace::TraceConfig trace{};  // event tracing (off by default)
   /// Scan-lane probe period of the data-plane polling thread: a subgroup
   /// that stays quiet leaves the per-round rotation and is probed once per
-  /// interval — the latency bound for a cold subgroup's first message
-  /// under load (sst::Predicates::GroupOptions::scan_interval). 0 keeps
-  /// every subgroup in the rotation, Derecho's full lap.
+  /// interval (sst::Predicates::GroupOptions::scan_interval), unless it is
+  /// drained: then it parks, and a write landing in its ring or a local
+  /// claim wakes it. The interval is the latency bound only for a quiet
+  /// subgroup still waiting on a peer. 0 keeps every subgroup in the
+  /// rotation, Derecho's full lap.
   sim::Nanos scan_interval = sim::micros(25);
   /// Simulation worker threads. 1 (default) = the serial engine, unchanged.
   /// > 1 = conservative-lookahead parallel execution (sim::ParallelEngine):

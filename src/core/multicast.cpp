@@ -36,9 +36,9 @@ void Node::start() {
 /// per subgroup (the unit of one lock acquisition and one two-phase
 /// compute/RDMA round), stages of §2.4 as individual predicates. The
 /// scheduler's reactive mode reproduces the dedicated polling thread —
-/// round-robin over subgroups with quiet ones on the scan lane,
-/// per-iteration overhead/jitter/hiccups, and the doorbell-backed idle
-/// backoff.
+/// round-robin over subgroups with quiet ones on the scan lane and drained
+/// ones parked, per-iteration overhead/jitter/hiccups, and the
+/// doorbell-backed idle backoff.
 void Node::setup_predicates() {
   preds_ = std::make_unique<sst::Predicates>(engine_);
   const CpuModel& cpu = cluster_.cpu();
@@ -61,10 +61,13 @@ void Node::setup_predicates() {
   cfg.doorbell = &cluster_.fabric().doorbell(id_);
   cfg.idle_backoff_min = cpu.idle_backoff_min;
   cfg.idle_backoff_max = cpu.idle_backoff_max;
-  cfg.on_probe = [this](const sst::Predicates::GroupOptions& g,
-                         bool fired) {
-    cluster_.tracer().record(id_, trace::Stage::sched_service, engine_.now(),
-                             0, g.tag, trace::kNoSender, -1, fired ? 1 : 0);
+  cfg.on_sched = [this](const sst::Predicates::GroupOptions& g,
+                         sst::Predicates::SchedEvent ev, bool flag) {
+    const trace::Stage stage = ev == sst::Predicates::SchedEvent::probe
+                                   ? trace::Stage::sched_service
+                                   : trace::Stage::sched_park;
+    cluster_.tracer().record(id_, stage, engine_.now(), 0, g.tag,
+                             trace::kNoSender, -1, flag ? 1 : 0);
   };
   cfg.on_predicate_fire = [this](const sst::Predicates::GroupOptions& g,
                                  const sst::PredicateStats&,
@@ -89,6 +92,11 @@ void Node::setup_predicates() {
     // pushed before wedging is bounded by its frozen received_num, which is
     // what makes the leader's ragged trim a consistent cut (core/view.hpp).
     g.enabled = [&s] { return !s.wedged; };
+    // A group that can demote can park: its wake is a write landing in its
+    // ring region here (the fabric's landing signal) or a claim by this
+    // node (wake_group). Nothing else can make a drained group's stage
+    // predicates hold (drained()).
+    if (g.scan_interval > 0) g.drained = [this, &s] { return drained(s); };
     g.on_work = [this, &s](sim::Nanos w) {
       s.predicate_cpu += w;
       counters_.predicate_cpu += w;
@@ -103,6 +111,8 @@ void Node::setup_predicates() {
                                trace::kNoSender, -1, arg);
     };
     const auto gid = preds_->add_group(std::move(g));
+    s.sched_group = gid;
+    s.ring->set_landing_signal(preds_->wake_signal(gid));
 
     preds_->add(gid, {"receive", sst::PredicateClass::recurrent, nullptr,
                       [this, &s](sst::TriggerContext& ctx) {
@@ -137,6 +147,36 @@ void Node::setup_predicates() {
   // with it every existing golden digest — is unchanged when no extension is
   // installed.
   cluster_.apply_predicate_hooks(*this, *preds_);
+}
+
+/// Why a drained group may park. Its stage predicates read the ring, the
+/// local sender counters, and the SST columns of its members; a drained
+/// group's predicates stay false until a trailer lands in its ring (a
+/// landing signal) or this node claims a slot (wake_group):
+///  - receive and send hold only on a new trailer or a new claim.
+///  - deliver: stable = min received_num over members <= our own
+///    received_num, which is a received seq (received_num + 1 is the first
+///    missing one), hence at most the newest seq received from its sender,
+///    which is delivered. So stable <= delivered_num.
+///  - null_send: for every peer j with kmax = n_received[j] - 1 >= 0,
+///    seq_of(j, kmax) <= delivered_num <= received_num <
+///    seq_of(me, n_received[me]) <= seq_of(me, claimed), as our own next
+///    message is not received yet. Hence kmax < claimed, or kmax ==
+///    claimed and j < me: either way the null target is at most
+///    `claimed`, and no null is due.
+///  - persist_frontier: each member's persisted_num <= its delivered_num
+///    <= its view of our received_num <= our delivered_num, which the
+///    global frontier has reached.
+/// Remote SST pushes (acknowledgments, delivered and persisted columns)
+/// can therefore not wake the group; they still move the sender thread's
+/// slot wait, which polls by itself.
+bool Node::drained(const SubgroupState& s) const {
+  if (s.claimed != s.pushed) return false;
+  for (std::size_t j = 0; j < s.num_senders(); ++j) {
+    const std::int64_t n = s.n_received[j];
+    if (n > 0 && s.seq_of(j, n - 1) > s.delivered_num) return false;
+  }
+  return !s.cfg.opts.persistent || s.persisted_global >= s.delivered_num;
 }
 
 /// Receive predicate (§2.4 with the §3.2 batching modification): consume

@@ -279,6 +279,7 @@ sim::Co<> Node::send(SubgroupId sg, std::uint32_t len,
   s.ring->mark_ready(k, len, flags & ~smc::kNullFlag);
   s.is_null[static_cast<std::size_t>(k % s.cfg.opts.window_size)] = 0;
   s.claimed = k + 1;
+  wake_group(s);
   cluster_.send_oracle().record(sg, s.my_sender_idx, k, eng.now());
   tr.record(id_, trace::Stage::construct, eng.now(), work, sg,
             static_cast<std::uint32_t>(s.my_sender_idx), k, len);
@@ -329,6 +330,7 @@ std::int64_t Node::declare_inactive(SubgroupId sg, std::int64_t rounds) {
   }
   counters_.nulls_sent += static_cast<std::uint64_t>(claimed);
   if (claimed > 0) {
+    wake_group(s);
     cluster_.tracer().record(id_, trace::Stage::null_send, engine_.now(), 0,
                              sg,
                              static_cast<std::uint32_t>(s.my_sender_idx), -1,

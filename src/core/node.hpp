@@ -130,6 +130,8 @@ struct SubgroupState {
 
   // Per-subgroup predicate CPU (for the §4.1.3 active-time accounting).
   sim::Nanos predicate_cpu = 0;
+  /// This subgroup's group on the node's predicate scheduler.
+  sst::Predicates::GroupId sched_group = 0;
 
   /// Global round-robin sequence of message (sender_idx, msg_index).
   std::int64_t seq_of(std::size_t sender_idx, std::int64_t msg_index) const {
@@ -284,6 +286,15 @@ class Node {
                              std::size_t sender, std::int64_t index,
                              std::span<const std::byte> data);
 
+  /// No stage predicate of `s` can hold until a trailer lands in its ring
+  /// or this node claims a slot (multicast.cpp gives the argument); the
+  /// scheduler parks such a group once it demotes.
+  bool drained(const SubgroupState& s) const;
+  /// A claim on `s` (send, declare_inactive) is an input no landing
+  /// announces: wake its scheduler group if it is parked.
+  void wake_group(const SubgroupState& s) {
+    if (preds_) preds_->wake(s.sched_group);
+  }
   bool slot_free(const SubgroupState& s, std::int64_t idx) const;
   std::int64_t min_delivered(const SubgroupState& s) const;
   void recompute_received_num(SubgroupState& s);

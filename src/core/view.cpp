@@ -1012,6 +1012,12 @@ std::string ManagedGroup::diagnostics_dump() const {
            << " pushed=" << s->pushed << " recv=" << s->received_num
            << " delv=" << s->delivered_num;
         if (s->cfg.opts.persistent) os << " persisted=" << s->persisted_local;
+        // A parked subgroup waits on a landing in its ring or a local
+        // claim; no probe will look at it before then.
+        const sst::Predicates* preds = n.predicates();
+        if (preds != nullptr && preds->group_sched(s->sched_group).parked) {
+          os << " parked";
+        }
         os << "}";
       }
     }

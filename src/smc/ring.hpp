@@ -79,6 +79,12 @@ class RingGroup {
                                      std::int64_t msg_index,
                                      std::uint32_t len) const;
 
+  /// Signal `s` whenever a peer's write lands in this node's copy of the
+  /// rings (net::Fabric::set_landing_signal); nullptr detaches.
+  void set_landing_signal(sim::Signal* s) {
+    fabric_.set_landing_signal(my_region_, s);
+  }
+
   /// Total registered bytes (for the paper's §4.1.2 memory accounting).
   std::size_t memory_bytes() const noexcept { return arena_.size(); }
 

@@ -24,11 +24,6 @@ constexpr int kDemoteAfter = 8;
 // delay a group by up to one scan_interval, only a group already idle that
 // long should risk it.
 constexpr sim::Nanos kDemoteQuiet = sim::micros(25);
-// Scan lane: courtesy probes per doorbell wake from quiescence (rotating
-// over the lane). Bounds the probe cost a wake can charge to a node with a
-// long scan lane; the lane's own schedule still carries the scan_interval
-// starvation bound.
-constexpr std::size_t kKickBudget = 4;
 }  // namespace
 
 const char* to_string(PredicateClass c) {
@@ -79,7 +74,9 @@ void PostPlan::splice_front(PostPlan& from) {
 }
 
 Predicates::GroupId Predicates::add_group(GroupOptions opts) {
-  groups_.push_back(Group{std::move(opts), {}, {}});
+  std::unique_ptr<sim::Signal> wake;
+  if (opts.drained) wake = std::make_unique<sim::Signal>(engine_);
+  groups_.push_back(Group{std::move(opts), {}, {}, std::move(wake)});
   return groups_.size() - 1;
 }
 
@@ -121,6 +118,13 @@ void Predicates::rearm_all() {
 /// groups instead of waiting out the remaining backoff.
 void Predicates::kick() {
   ++rearm_generation_;
+  if (cfg_.doorbell != nullptr) cfg_.doorbell->signal();
+}
+
+void Predicates::wake(GroupId g) {
+  assert(g < groups_.size());
+  if (!groups_[g].sched.parked) return;
+  groups_[g].wake->signal();
   if (cfg_.doorbell != nullptr) cfg_.doorbell->signal();
 }
 
@@ -202,13 +206,14 @@ bool Predicates::eval_group(Group& g, sim::Nanos& work, PostPlan& plan) {
 }
 
 /// The scheduler loop: the dedicated polling thread of §2.4, with §3.4's
-/// lock staging, the scan lane, and the doorbell-backed quiescent backoff
-/// capped by the configured deadline. A ring that lands during a busy
-/// round's compute or post sleep is not lost: a busy round is always
+/// lock staging, the scan lane, parking, and the doorbell-backed quiescent
+/// backoff capped by the configured deadline. A ring that lands during a
+/// busy round's compute or post sleep is not lost: a busy round is always
 /// followed by another at once. One that lands during a quiet round's
-/// pause is (`sim::Signal` wakes only current waiters); a registry whose
-/// quiet rounds charge nothing, like the membership service's, has no
-/// such pause.
+/// pause is (`sim::Signal` wakes only current waiters) — except a parked
+/// group's wake, which the loop reads off the group's wake count before it
+/// backs off; a registry whose quiet rounds charge nothing, like the
+/// membership service's, has no such pause.
 sim::Co<> Predicates::run() {
   assert(cfg_.stopped && "configure() the scheduler before run()");
   int idle_streak = 0;
@@ -231,14 +236,13 @@ sim::Co<> Predicates::run() {
       idle_streak = 0;
     }
 
-    const Round round = plan_round();
+    const std::size_t probes = plan_round();
     bool progress = false;
     sim::Nanos carry = 0;  // eval cost of quiet groups, slept once per round
     for (std::size_t k = 0; k < order_.size(); ++k) {
       if (cfg_.stopped()) break;
-      if (k >= round.courtesy && progress) break;  // courtesy probes: idle only
       Group& g = groups_[order_[k]];
-      const bool probe = k >= round.ready;
+      const bool probe = k >= probes;
       if (g.opts.lock) co_await g.opts.lock->lock();
       plan_.clear();
       const sim::Nanos at = engine_.now();
@@ -284,6 +288,9 @@ sim::Co<> Predicates::run() {
     if (progress) {
       idle_streak = 0;
     } else if (++idle_streak >= kIdleStreakThreshold) {
+      // A parked group's wake that rang during this round rang the doorbell
+      // with no one waiting: serve it now instead of backing off.
+      if (std::any_of(groups_.begin(), groups_.end(), woken)) continue;
       // Quiescent backoff; the doorbell cuts the wait short when a remote
       // write lands (§2.4's doorbell wake-up).
       const int shift =
@@ -292,23 +299,17 @@ sim::Co<> Predicates::run() {
           std::min(cfg_.idle_backoff_min << shift, cfg_.idle_backoff_max);
       // The scan lane and the deadline bound the backoff: neither a
       // demoted group's probe nor a predicate falling due may be pushed
-      // past its time.
+      // past its time. A parked group waits on its wake, not on a time.
       const sim::Nanos now = engine_.now();
       const auto cap = [&](sim::Nanos due) {
         backoff = std::min(backoff, due > now ? due - now : 1);
       };
       for (const Group& g : groups_) {
-        if (g.sched.demoted) cap(g.sched.next_scan);
+        if (g.sched.demoted && !g.sched.parked) cap(g.sched.next_scan);
       }
       if (cfg_.deadline) cap(cfg_.deadline());
       if (cfg_.doorbell != nullptr) {
-        // A ring from quiescence means remote state moved somewhere —
-        // possibly in a demoted group's rows. The doorbell cannot say
-        // which group, so the next round courtesy-probes the scan lane; a
-        // probe that fires promotes its group, the rest stay demoted at
-        // one eval each (promoting wholesale would force every cold group
-        // through a fresh quiet streak per wake).
-        probe_kick_ = co_await cfg_.doorbell->wait_for(backoff);
+        co_await cfg_.doorbell->wait_for(backoff);
       } else {
         co_await engine_.sleep(backoff);
       }
@@ -316,55 +317,52 @@ sim::Co<> Predicates::run() {
   }
 }
 
-/// The service order. The rotation is every group not on the scan lane,
-/// in registration order; a group quiet for kDemoteAfter services *and*
+/// The service order. The rotation is every group not demoted, in
+/// registration order; a group quiet for kDemoteAfter services *and*
 /// fire-free for max(kDemoteQuiet, scan_interval) leaves it (settle) and is
 /// probed once per `scan_interval` instead of every round; a fire at a
 /// probe or a rearm promotes it back.
 ///
-/// The shared per-node doorbell cannot attribute a ring to a group, so
-/// under load the scan lane is the latency bound for a cold group's first
-/// message; from quiescence the doorbell wake courtesy-probes a budgeted
-/// slice of the scan lane on the next idle round.
-Predicates::Round Predicates::plan_round() {
+/// A demoted group that is drained parks instead (park_if_drained): it is
+/// never probed and rejoins the rotation here, in the first round after
+/// its wake signal rang. So the scan lane is the latency bound only for a
+/// quiet group that still waits on a peer (an acknowledgment, a
+/// persistence frontier): the shared per-node doorbell cannot attribute a
+/// ring to it.
+std::size_t Predicates::plan_round() {
   const sim::Nanos round_start = engine_.now();
   order_.clear();
   for (std::size_t i = 0; i < groups_.size(); ++i) {
-    if (!groups_[i].sched.demoted) order_.push_back(i);
+    Group& g = groups_[i];
+    if (woken(g)) {
+      g.sched.parked = false;
+      g.sched.demoted = false;
+      g.sched.quiet_streak = 0;
+      if (cfg_.on_sched) cfg_.on_sched(g.opts, SchedEvent::park, false);
+    }
+    if (!g.sched.demoted) order_.push_back(i);
   }
-  const std::size_t ready = order_.size();
+  const std::size_t probes = order_.size();
   for (std::size_t i = 0; i < groups_.size(); ++i) {
     const GroupSched& sc = groups_[i].sched;
-    if (sc.demoted && round_start >= sc.next_scan) order_.push_back(i);
-  }
-  // Courtesy probes (doorbell rang from quiescence): append a budgeted,
-  // rotating slice of the scan lane, serviced only if the round turns out
-  // idle — a busy round means the ring was almost surely the hot groups'
-  // own traffic, and the due-probe lane above already carries the
-  // starvation bound.
-  const std::size_t courtesy = order_.size();
-  if (probe_kick_) {
-    probe_kick_ = false;
-    std::size_t budget = kKickBudget;
-    for (std::size_t step = 0; step < groups_.size() && budget > 0; ++step) {
-      const std::size_t i = (kick_cursor_ + step) % groups_.size();
-      const GroupSched& sc = groups_[i].sched;
-      if (!sc.demoted || round_start >= sc.next_scan) continue;
+    if (sc.demoted && !sc.parked && round_start >= sc.next_scan) {
       order_.push_back(i);
-      if (--budget == 0) kick_cursor_ = i + 1;
     }
   }
-  return Round{ready, courtesy};
+  return probes;
 }
 
-/// Pull every demoted group off the scan lane (a rearm made dormant
-/// predicates live again).
+/// Pull every demoted group off the scan lane and wake every parked one (a
+/// rearm made dormant predicates live again).
 void Predicates::promote_all() {
   for (Group& g : groups_) {
     GroupSched& sc = g.sched;
-    if (!sc.demoted) continue;
-    sc.demoted = false;
-    sc.quiet_streak = 0;
+    if (sc.parked) {
+      g.wake->signal();  // plan_round returns it to the rotation
+    } else if (sc.demoted) {
+      sc.demoted = false;
+      sc.quiet_streak = 0;
+    }
   }
 }
 
@@ -384,7 +382,20 @@ void Predicates::settle(Group& g, bool probe, bool acted, sim::Nanos at) {
     ++sc.demotions;
     sc.next_scan = at + g.opts.scan_interval;
   }
-  if (probe && cfg_.on_probe) cfg_.on_probe(g.opts, acted);
+  if (probe && cfg_.on_sched) cfg_.on_sched(g.opts, SchedEvent::probe, acted);
+  if (sc.demoted) park_if_drained(g);
+}
+
+/// A held action (lane drop) issues only at the top of some group's
+/// service, so while one is held every group stays where a service can
+/// still reach it: on the scan lane at worst.
+void Predicates::park_if_drained(Group& g) {
+  GroupSched& sc = g.sched;
+  if (!g.opts.drained || !held_.empty() || !g.opts.drained()) return;
+  sc.parked = true;
+  ++sc.parks;
+  sc.wakes_seen = g.wake->signals();
+  if (cfg_.on_sched) cfg_.on_sched(g.opts, SchedEvent::park, true);
 }
 
 }  // namespace spindle::sst

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -113,8 +114,10 @@ struct PredicateStats {
 /// idle streak, waking no later than the configured deadline. A group that
 /// stays quiet leaves the per-round rotation for a scan lane (see
 /// GroupOptions::scan_interval), so a hot group stops paying a full lap of
-/// cold evaluations per round. A sleep of zero is skipped, so a round whose
-/// triggers charge no CPU (the membership service's) adds no event.
+/// cold evaluations per round; a quiet group that is also drained parks
+/// (GroupOptions::drained) and costs nothing until its wake signal rings.
+/// A sleep of zero is skipped, so a round whose triggers charge no CPU (the
+/// membership service's) adds no event.
 class Predicates {
  public:
   using GroupId = std::size_t;
@@ -132,9 +135,17 @@ class Predicates {
     bool early_release = false; // §3.4: unlock before the RDMA phase
     /// The scan lane. A group quiet for several services and fire-free for
     /// max(25 µs, scan_interval) leaves the per-round rotation and is
-    /// probed once per scan_interval until a probe fires. 0 disables
-    /// demotion — the group is swept every round, Derecho's full lap.
+    /// probed once per scan_interval until a probe fires, or until it
+    /// parks (`drained`). 0 disables demotion — the group is swept every
+    /// round, Derecho's full lap, and never parks.
     sim::Nanos scan_interval = 0;
+    /// Parking. Returns true when none of the group's predicates can hold
+    /// again until its wake signal rings (wake_signal(), wake()). Asked
+    /// under the lock when the group demotes and at each quiet scan-lane
+    /// probe; a drained group parks — it leaves the scan lane as well,
+    /// costs no evaluation, and rejoins the rotation in the round after a
+    /// wake. Only the data plane sets it. Unset: the group never parks.
+    std::function<bool()> drained;
     /// Checked under the lock; a disabled group (e.g. a wedged subgroup)
     /// contributes no work, no plan, no fires.
     std::function<bool()> enabled;
@@ -159,6 +170,8 @@ class Predicates {
     Trigger fire;
   };
 
+  enum class SchedEvent : std::uint8_t { probe, park };
+
   struct SchedulerConfig {
     std::function<bool()> stopped;  // required
     /// Fault injection: the host's fault table (net::HostFaults), asked
@@ -171,10 +184,13 @@ class Predicates {
     /// landed) and on every rearm(); the quiescent backoff waits on it.
     /// nullptr: the backoff is a plain sleep.
     sim::Signal* doorbell = nullptr;
-    /// Observability: a demoted group was probed on the scan lane (the
-    /// `sched_service` trace span); `fired` says whether the probe acted,
-    /// which promotes the group back into the rotation.
-    std::function<void(const GroupOptions& group, bool fired)> on_probe;
+    /// Observability: a demoted group was probed on the scan lane
+    /// (SchedEvent::probe, the `sched_service` trace span; `flag` says
+    /// whether the probe acted, which promotes the group back into the
+    /// rotation), or a group parked (SchedEvent::park, flag true) or was
+    /// woken (flag false; the `sched_park` span).
+    std::function<void(const GroupOptions& group, SchedEvent ev, bool flag)>
+        on_sched;
     /// Per-round fixed cost (iteration overhead + jitter + hiccups).
     std::function<sim::Nanos()> iteration_pause;
     /// Quiescent backoff: after an idle streak the loop waits
@@ -216,14 +232,27 @@ class Predicates {
   void rearm(PredId p);
   void rearm_all();
 
+  /// The wake signal of a group that can park (one with a `drained`
+  /// callback; nullptr for any other group): the data plane makes it its
+  /// ring region's landing signal. It wakes no waiter by itself — the
+  /// doorbell rung with it cuts the backoff short — and the loop reads its
+  /// count.
+  sim::Signal* wake_signal(GroupId g) { return groups_[g].wake.get(); }
+  /// A local input of `g` changed (a claim on this node). While `g` is
+  /// parked, ring its wake signal and the doorbell; otherwise do nothing.
+  void wake(GroupId g);
+
   /// Per-group scheduler accounting, exported into `cluster.stats()`.
   struct GroupSched {
     std::uint64_t serviced = 0;  // rounds the scheduler evaluated the group
     std::uint64_t demotions = 0; // times demoted onto the scan lane
-    bool demoted = false;        // currently on the scan lane
-    sim::Nanos next_scan = 0;    // next probe while demoted
+    std::uint64_t parks = 0;     // times parked (drained and demoted)
+    bool demoted = false;        // currently off the rotation
+    bool parked = false;         // demoted and off the scan lane too
+    sim::Nanos next_scan = 0;    // next probe while demoted, not parked
     int quiet_streak = 0;        // consecutive quiet services
     sim::Nanos last_fire = 0;    // most recent acting service
+    std::uint64_t wakes_seen = 0;  // wake-signal count when it parked
   };
 
   const PredicateStats& stats(PredId p) const { return preds_[p].stats; }
@@ -250,6 +279,7 @@ class Predicates {
     GroupOptions opts;
     std::vector<PredId> preds;
     GroupSched sched;
+    std::unique_ptr<sim::Signal> wake;  // groups that can park only
   };
 
   /// One evaluation round over `g`'s predicates; `work` accumulates the
@@ -267,19 +297,21 @@ class Predicates {
   sim::Nanos issue_plan(sim::Nanos at);
 
   /// One round's service order, written into order_ (indices into
-  /// groups_): positions [0, ready) are the per-round rotation, [ready,
-  /// courtesy) due scan-lane probes, and [courtesy, end) doorbell courtesy
-  /// probes that run only while the round has made no progress.
-  struct Round {
-    std::size_t ready = 0;
-    std::size_t courtesy = 0;
-  };
-  /// Registration order over the rotation, then the due scan-lane probes,
-  /// then (after a doorbell wake from quiescence) the courtesy probes.
-  Round plan_round();
+  /// groups_): the rotation in registration order — woken parked groups
+  /// rejoin it here — then the due scan-lane probes. Returns where the
+  /// probes begin.
+  std::size_t plan_round();
   /// Bookkeeping after one service of `g` that started at `at`: demotion
-  /// (quiet), promotion (a probe that fired), and the `on_probe` hook.
+  /// (quiet), promotion (a probe that fired), parking, and the `on_sched`
+  /// hook.
   void settle(Group& g, bool probe, bool acted, sim::Nanos at);
+  /// Park a demoted group if it is drained and no lane-dropped action is
+  /// held (only a service releases one, and a parked group gets none).
+  void park_if_drained(Group& g);
+  /// A parked group whose wake signal rang since it parked.
+  static bool woken(const Group& g) {
+    return g.sched.parked && g.wake->signals() != g.sched.wakes_seen;
+  }
   void promote_all();
   void kick();
 
@@ -288,10 +320,7 @@ class Predicates {
   std::vector<Group> groups_;
   std::vector<Predicate> preds_;
   std::uint64_t rearm_generation_ = 0;  // bumped by rearm(); schedulers poll
-  std::vector<std::size_t> order_;  // this round's service order (Round)
-  bool probe_kick_ = false;  // doorbell rang from quiescence: courtesy-probe
-                             // the scan lane on the next idle round
-  std::size_t kick_cursor_ = 0;  // rotation point for budgeted courtesy probes
+  std::vector<std::size_t> order_;  // this round's service order
   PostPlan plan_;  // reused across rounds; capacity reaches steady state
   PostPlan held_;  // lane-dropped actions awaiting their window's expiry
 };

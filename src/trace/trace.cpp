@@ -40,6 +40,8 @@ const char* to_string(Stage s) {
       return "predicate_fire";
     case Stage::sched_service:
       return "sched_service";
+    case Stage::sched_park:
+      return "sched_park";
     case Stage::recover:
       return "recover";
     case Stage::session_open:

@@ -32,6 +32,8 @@ enum class Stage : std::uint8_t {
                    // (dur = its slice of the round's compute, arg = pred id)
   sched_service,   // scan-lane probe of a demoted group (arg = 1 when the
                    // probe fired and promoted the group, else 0)
+  sched_park,      // a drained group parked (arg = 1) or was woken back
+                   // into the rotation (arg = 0)
   recover,         // node rejoined from its durable log (arg = new epoch)
   session_open,    // front tier: client session admitted (arg = session id)
   session_close,   // front tier: session closed/cancelled/disconnected
@@ -45,7 +47,7 @@ enum class Stage : std::uint8_t {
   atomic_post,     // never recorded; benchmark/src reads it
 };
 
-inline constexpr std::size_t kNumStages = 24;
+inline constexpr std::size_t kNumStages = 25;
 const char* to_string(Stage s);
 
 inline constexpr std::uint32_t kNoSubgroup = UINT32_MAX;

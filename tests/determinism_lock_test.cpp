@@ -74,12 +74,14 @@ std::uint64_t tag_of(std::span<const std::byte> data) {
 /// Cluster-level digest: per-node delivery records (in upcall order, with
 /// the virtual time of the trigger that delivered them), then the merged
 /// counter snapshot and the makespan. Only the first `active` subgroups
-/// send (all of them by default); `demotions`, when given, receives the
-/// scan-lane demotions summed over every subgroup and node.
+/// send (all of them by default); `demotions` and `parks`, when given,
+/// receive the scan-lane demotions and parks summed over every subgroup and
+/// node.
 std::uint64_t cluster_digest(std::size_t nodes, std::size_t subgroups,
                              std::size_t messages, std::uint64_t seed,
                              std::size_t active = SIZE_MAX,
-                             std::uint64_t* demotions = nullptr) {
+                             std::uint64_t* demotions = nullptr,
+                             std::uint64_t* parks = nullptr) {
   active = std::min(active, subgroups);
   ClusterConfig cc;
   cc.nodes = nodes;
@@ -167,6 +169,10 @@ std::uint64_t cluster_digest(std::size_t nodes, std::size_t subgroups,
     *demotions = 0;
     for (const auto& sg : stats.subgroups) *demotions += sg.sched_demotions;
   }
+  if (parks) {
+    *parks = 0;
+    for (const auto& sg : stats.subgroups) *parks += sg.sched_parks;
+  }
   cluster.shutdown();
   return d.h;
 }
@@ -238,9 +244,11 @@ constexpr std::uint64_t kGoldenFig09 = 0xea69ce9212cbae91;
 constexpr std::uint64_t kGoldenViewChange = 0x3080420c16e0e5a0;
 // Captured when the scan lane became the only reactive discipline: one hot
 // subgroup plus four cold ones on the default 25us lane, so the cold
-// groups demote and the digest pins the probe schedule (fig09 and fig03
-// never demote, so they cannot).
-constexpr std::uint64_t kGoldenHotCold = 0xa3d039d8ec806abe;
+// groups demote and the digest pins the scan-lane schedule (fig09 and
+// fig03 never demote, so they cannot). Re-derived once when drained
+// groups began to park: the cold groups demote drained, park, and are
+// never probed, so the hot group's rounds no longer pay their probes.
+constexpr std::uint64_t kGoldenHotCold = 0xc9d5cd0559767b26;
 
 TEST(DeterminismLock, Fig03SingleSubgroup) {
   const std::uint64_t h = cluster_digest(8, 1, 100, 7);
@@ -255,13 +263,15 @@ TEST(DeterminismLock, Fig09BatchedMultigroup) {
 }
 
 TEST(DeterminismLock, HotColdScanLane) {
-  std::uint64_t demotions = 0;
+  std::uint64_t demotions = 0, parks = 0;
   const std::uint64_t h =
-      cluster_digest(6, 5, 40, 11, /*active=*/1, &demotions);
-  std::printf("digest hot-cold: 0x%llx (%llu demotions)\n",
+      cluster_digest(6, 5, 40, 11, /*active=*/1, &demotions, &parks);
+  std::printf("digest hot-cold: 0x%llx (%llu demotions, %llu parks)\n",
               static_cast<unsigned long long>(h),
-              static_cast<unsigned long long>(demotions));
+              static_cast<unsigned long long>(demotions),
+              static_cast<unsigned long long>(parks));
   EXPECT_GT(demotions, 0u) << "the cold subgroups never reached the lane";
+  EXPECT_GT(parks, 0u) << "the drained cold subgroups never parked";
   EXPECT_EQ(h, kGoldenHotCold);
 }
 

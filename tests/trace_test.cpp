@@ -55,6 +55,7 @@ std::uint64_t run_digest(const workload::ExperimentResult& r) {
   for (const auto& sg : r.stats.subgroups) {
     mix(sg.sched_serviced);
     mix(sg.sched_demotions);
+    mix(sg.sched_parks);
   }
   return h;
 }
@@ -118,24 +119,30 @@ TEST(Trace, EnablingTracingDoesNotPerturbVirtualTime) {
   EXPECT_GT(s_on.trace_events, 0u);
 
   // One hot plus four cold subgroups on the default scan lane: the cold
-  // groups demote, and the traced run's probe spans must not move the
-  // probe schedule.
+  // groups demote drained and park (and are never woken: nothing is sent
+  // to them), and the traced run's park spans must not move the schedule.
+  // PredicatesScan.FirstMessageIntoParkedSubgroup covers wake spans.
   workload::ExperimentConfig hc = traced_config();
   hc.subgroups = 5;
   hc.scan_interval = core::ClusterConfig{}.scan_interval;
   hc.trace.enabled = false;
   const auto hc_off = workload::run_experiment(hc);
   hc.trace.enabled = true;
-  std::uint64_t probes = 0;
+  std::uint64_t parks = 0, wakes = 0;
   hc.trace_sink = [&](const trace::Tracer& tr) {
     for (const trace::Event& e : tr.all_events()) {
-      probes += e.stage == trace::Stage::sched_service;
+      if (e.stage != trace::Stage::sched_park) continue;
+      (e.arg == 1 ? parks : wakes) += 1;
     }
   };
   const auto hc_on = workload::run_experiment(hc);
   ASSERT_TRUE(hc_off.completed);
   ASSERT_TRUE(hc_on.completed);
-  EXPECT_GT(probes, 0u) << "no scan-lane probe spans recorded";
+  EXPECT_GT(parks, 0u) << "no park spans recorded";
+  EXPECT_LE(wakes, parks) << "a wake span without a park";
+  std::uint64_t sched_parks = 0;
+  for (const auto& sg : hc_on.stats.subgroups) sched_parks += sg.sched_parks;
+  EXPECT_EQ(parks, sched_parks) << "one park span per counted park";
   EXPECT_EQ(hc_off.makespan, hc_on.makespan);
   EXPECT_EQ(run_digest(hc_off), run_digest(hc_on));
 }

@@ -268,14 +268,25 @@ TEST(ManagedGroup, IdleMembershipPlaneCostIsPinned) {
   // An idle group runs only its membership plane: one heartbeat per member
   // per period, and the rounds the landing pushes wake. The simulator's
   // event count for it is pinned, and the watchdog dump shows every member
-  // parked on its membership doorbell.
+  // parked on its membership doorbell, with its idle data-plane subgroup
+  // parked too.
+  //
+  // Re-pinned when drained data-plane groups began to park (193/2312/7933
+  // before; heartbeats unchanged). The idle subgroup parks, so no 25us
+  // probe caps the polling thread's backoff: at 1 node, 20 fewer rounds of
+  // two events each. Each heartbeat landing still rings the node doorbell
+  // (540 rings at 4 nodes, 2464 at 8, both unchanged), and an idle round
+  // no longer sleeps a courtesy probe's CPU: its mean sleep fell from 963
+  // to 538ns at 4 nodes and from 1066 to 349ns at 8. So fewer rings land
+  // mid-round, unheard, and more end a backoff and start a round: +49
+  // rounds (+98 events) at 4 nodes, +649 rounds (+1298 events) at 8.
   struct Case {
     std::size_t nodes;
     std::uint64_t steps;
     std::int64_t heartbeats;
   };
-  for (const Case c : {Case{1, 193, 48}, Case{4, 2312, 45},
-                       Case{8, 7933, 44}}) {
+  for (const Case c : {Case{1, 153, 48}, Case{4, 2410, 45},
+                       Case{8, 9231, 44}}) {
     ManagedFixture f(c.nodes, /*seed=*/3);
     sim::Engine& eng = f.group->engine();
     eng.run_to(sim::millis(1));
@@ -291,6 +302,14 @@ TEST(ManagedGroup, IdleMembershipPlaneCostIsPinned) {
       members.insert(std::stoul((*it)[1]));
     }
     EXPECT_EQ(members.size(), c.nodes) << dump;
+
+    const std::regex parked_sg(R"(node(\d+):.* sg0\{[^}]* parked\})");
+    std::set<std::size_t> parked_members;
+    for (auto it = std::sregex_iterator(dump.begin(), dump.end(), parked_sg);
+         it != std::sregex_iterator(); ++it) {
+      parked_members.insert(std::stoul((*it)[1]));
+    }
+    EXPECT_EQ(parked_members.size(), c.nodes) << dump;
   }
 }
 
