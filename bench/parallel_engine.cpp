@@ -48,17 +48,14 @@ int main() {
   Table t("Parallel engine scaling (fig09-style workload, serial vs workers)",
           {"nodes", "workers", "wall s", "events/s", "speedup", "drift"});
   BenchReport report("parallel_engine");
-  report.set_provenance(1, scaled(100));
+  report.set_provenance(1, scaled(200));
 
   bool drift_detected = false;
   for (std::size_t nodes : {std::size_t{16}, std::size_t{64},
                             std::size_t{128}}) {
-    // Keep the total delivery count comparable across cluster sizes: the
-    // per-sender count shrinks as the node count (senders x receivers)
-    // grows.
-    const std::size_t msgs = nodes <= 16   ? scaled(100)
-                             : nodes <= 64 ? scaled(50)
-                                           : scaled(40);
+    // Long enough for every cell to fill its send windows: 128 nodes run
+    // ~3.8 M engine steps serial.
+    const std::size_t msgs = nodes <= 16 ? scaled(200) : scaled(150);
     double serial_wall = 0;
     std::uint64_t serial_digest = 0;
     for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4},
@@ -69,12 +66,6 @@ int main() {
       cfg.message_size = 10240;
       cfg.subgroups = 1;
       cfg.opts = core::ProtocolOptions::spindle();
-      // SMC ring memory is window x slot x senders x nodes; the default
-      // 100-slot window costs ~17 GB at 128 nodes and the page-zeroing
-      // dwarfs the simulation (this bench measures the *engine*, not ring
-      // sizing). 16 slots keeps every cell under ~3 GB; serial and
-      // parallel cells share the value, so digests stay comparable.
-      cfg.opts.window_size = 16;
       cfg.messages_per_sender = msgs;
       cfg.sim_threads = workers;
       const ExperimentResult r = workload::run_experiment(cfg);

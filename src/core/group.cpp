@@ -289,8 +289,8 @@ void Cluster::start() {
   }
 
   // One snapshot collector per member: a consistent copy of the node's
-  // protocol counters with the live NIC statistics and lock-wait totals
-  // folded in, plus the per-subgroup drill-down.
+  // protocol counters with the live NIC statistics, lock-wait totals and
+  // ring memory folded in, plus the per-subgroup drill-down.
   for (net::NodeId id : members_) {
     Node* node = nodes_[id].get();
     registry_.add_collector([this, node, id](metrics::ClusterStats& stats) {
@@ -303,6 +303,8 @@ void Cluster::start() {
       ns.counters.post_cpu = nic.post_cpu;
       ns.counters.lock_wait = node->lock().total_wait();
       for (const auto& s : node->subgroups()) {
+        ns.counters.ring_bytes_registered += s->ring->memory_bytes();
+        ns.counters.ring_bytes_allocated += s->ring->allocated_bytes();
         metrics::SubgroupStats sub{
             s->id, s->cfg.name, node->delivered_in(s->id), s->predicate_cpu,
             {}};

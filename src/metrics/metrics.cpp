@@ -110,6 +110,8 @@ void ProtocolCounters::merge(const ProtocolCounters& o) {
   messages_delivered += o.messages_delivered;
   bytes_delivered += o.bytes_delivered;
   predicate_cpu += o.predicate_cpu;
+  ring_bytes_registered += o.ring_bytes_registered;
+  ring_bytes_allocated += o.ring_bytes_allocated;
   send_batches.merge(o.send_batches);
   receive_batches.merge(o.receive_batches);
   delivery_batches.merge(o.delivery_batches);

@@ -105,6 +105,11 @@ struct ProtocolCounters {
   std::uint64_t bytes_delivered = 0;
   sim::Nanos predicate_cpu = 0;         // total predicate thread busy time
   std::uint64_t atomics_posted = 0;     // never set; benchmark/src reads it
+  // SMC ring memory of the node's subgroups: what the model registers (the
+  // paper's senders × window × (slot + trailer) per ring) and what the
+  // simulator allocates (trailers plus the node's own slots).
+  std::uint64_t ring_bytes_registered = 0;
+  std::uint64_t ring_bytes_allocated = 0;
   Histogram send_batches;
   Histogram receive_batches;
   Histogram delivery_batches;

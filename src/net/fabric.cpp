@@ -69,10 +69,10 @@ void Fabric::configure_partitions(std::vector<sim::Engine*> engine_of_node,
 }
 
 RegionId Fabric::register_region(NodeId node, std::span<std::byte> mem,
-                                 Channel channel) {
+                                 Channel channel, std::size_t memoryless) {
   assert(node < n_);
-  regions_.push_back(
-      Region{node, mem, channel, std::vector<sim::Nanos>(n_, 0), nullptr});
+  regions_.push_back(Region{node, mem, mem.size() + memoryless, channel,
+                            std::vector<sim::Nanos>(n_, 0), nullptr});
   return RegionId{static_cast<std::uint32_t>(regions_.size() - 1)};
 }
 
@@ -109,7 +109,7 @@ sim::Nanos Fabric::post_write(RegionId src, std::size_t src_offset,
 sim::Nanos Fabric::post(NodeId src_node, const Write& w) {
   assert(w.dst < regions_.size());
   Region& region = regions_[w.dst];
-  assert(w.dst_offset + w.len <= region.mem.size() &&
+  assert(w.dst_offset + w.len <= region.size &&
          "RDMA write out of registered region bounds");
   const NodeId dst_node = region.node;
   const sim::Nanos now = node_engine(src_node).now();
@@ -137,7 +137,7 @@ sim::Nanos Fabric::post(NodeId src_node, const Write& w) {
     // Loopback: the NIC still performs the DMA, but we deliver immediately
     // with no wire latency (Derecho writes to its own row locally and never
     // posts self-writes; this path exists for completeness).
-    std::memmove(region.mem.data() + w.dst_offset, payload(w), w.len);
+    store(region, w);
     ++st.writes_delivered;
     return cost;
   }
@@ -170,10 +170,18 @@ const std::byte* Fabric::payload(const Write& w) const {
   return p;
 }
 
+void Fabric::store(const Region& r, const Write& w) const {
+  const std::byte* src = payload(w);
+  if (w.dst_offset >= r.mem.size()) return;  // memory-less: nothing to copy
+  assert(w.dst_offset + w.len <= r.mem.size() &&
+         "RDMA write straddles the end of a region's memory");
+  std::memmove(r.mem.data() + w.dst_offset, src, w.len);
+}
+
 void Fabric::land(const Write& w) {
   const Region& r = regions_[w.dst];
   if (isolated_[r.node]) return;  // died while in flight
-  std::memcpy(r.mem.data() + w.dst_offset, payload(w), w.len);
+  store(r, w);
   ++stats_[r.node].writes_delivered;
   doorbells_[r.node]->signal();
   if (r.landed != nullptr) r.landed->signal();

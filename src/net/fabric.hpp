@@ -181,6 +181,13 @@ enum class Channel { bulk, control };
 ///    NIC DMAs a non-inline SGE straight from registered memory. Nothing is
 ///    copied at post. SMC ring data and trailers use it.
 ///
+/// A destination range may be **memory-less** (register_region's
+/// `memoryless` bytes): a write into it is posted, timed, FIFO-ordered,
+/// counted, signalled and stable-source-checked exactly like one into
+/// memory, but its bytes are copied nowhere. The simulator keeps one copy
+/// of each SMC message this way, the sender's own slot, while the modelled
+/// registered footprint stays the paper's.
+///
 /// Guarantees modeled after the hardware properties the SST relies on
 /// (§2.2 of the paper):
 ///
@@ -210,9 +217,12 @@ class Fabric {
   std::size_t size() const noexcept { return n_; }
 
   /// Register `mem` (owned by the caller, must outlive the Fabric's use) as
-  /// remotely writable memory of `node`.
+  /// remotely writable memory of `node`, followed by `memoryless` bytes with
+  /// no memory behind them (see the class comment). A write lies wholly in
+  /// `mem` or wholly in the memory-less range.
   RegionId register_region(NodeId node, std::span<std::byte> mem,
-                           Channel channel = Channel::bulk);
+                           Channel channel = Channel::bulk,
+                           std::size_t memoryless = 0);
 
   /// Switch the fabric into parallel-simulation mode (sim::ParallelEngine):
   /// `engine_of_node[i]` is the worker engine that owns node i and
@@ -328,6 +338,7 @@ class Fabric {
   struct Region {
     NodeId node;
     std::span<std::byte> mem;
+    std::size_t size;  // mem.size() plus the memory-less bytes after it
     Channel channel;
     // Per-source last delivery time: FIFO within (source, region), i.e.
     // within one QP — the RDMA memory-fence guarantee of §2.2.
@@ -393,7 +404,11 @@ class Fabric {
   /// The bytes a write lands: its inline payload, or its registered source
   /// range after the stable-source check.
   const std::byte* payload(const Write& w) const;
-  /// Landing event body: copy into the destination, ring its doorbell and
+  /// Read the write's payload and copy it into `r`'s memory, unless it
+  /// lands in the memory-less range (the source is read and checked
+  /// either way).
+  void store(const Region& r, const Write& w) const;
+  /// Landing event body: store into the destination, ring its doorbell and
   /// the region's landing signal.
   void land(const Write& w);
 

@@ -1,5 +1,6 @@
 #include "smc/ring.hpp"
 
+#include <cstdio>
 #include <cstring>
 #include <new>
 
@@ -17,22 +18,28 @@ RingGroup::RingGroup(net::Fabric& fabric, net::NodeId self,
       window_(window),
       max_msg_(max_msg_size) {
   assert(window_ > 0 && max_msg_ > 0 && num_senders_ > 0);
-  const std::size_t bytes = num_senders_ * row_size();
+  const std::size_t own = is_sender() ? window_ * stride() : 0;
+  const std::size_t bytes = trailer_bytes() + own;
   arena_mem_.reset(static_cast<std::byte*>(std::calloc(bytes, 1)));
   if (arena_mem_ == nullptr) throw std::bad_alloc();
   arena_ = {arena_mem_.get(), bytes};
-  my_region_ = fabric_.register_region(self_, arena_);
+  region_ = fabric_.register_region(self_, arena_.first(trailer_bytes()),
+                                    net::Channel::bulk,
+                                    num_senders_ * window_ * stride());
+  if (is_sender()) {
+    slots_region_ = fabric_.register_region(self_, arena_.last(own));
+  }
   peer_regions_.resize(members_.size());
+  sender_rings_.resize(num_senders_, nullptr);
 }
 
 void RingGroup::connect(std::span<RingGroup* const> instances) {
   for (RingGroup* a : instances) {
-    for (std::size_t rank = 0; rank < a->members_.size(); ++rank) {
-      for (RingGroup* b : instances) {
-        if (b->self_ == a->members_[rank]) {
-          a->peer_regions_[rank] = b->my_region_;
-        }
+    for (RingGroup* b : instances) {
+      for (std::size_t rank = 0; rank < a->members_.size(); ++rank) {
+        if (b->self_ == a->members_[rank]) a->peer_regions_[rank] = b->region_;
       }
+      if (b->is_sender()) a->sender_rings_[b->my_sender_] = b;
     }
   }
 }
@@ -40,7 +47,7 @@ void RingGroup::connect(std::span<RingGroup* const> instances) {
 std::span<std::byte> RingGroup::slot_data(std::int64_t msg_index) {
   assert(is_sender());
   const auto slot = static_cast<std::uint32_t>(msg_index % window_);
-  return {arena_.data() + data_offset(my_sender_, slot), max_msg_};
+  return {own_slot(slot), max_msg_};
 }
 
 void RingGroup::mark_ready(std::int64_t msg_index, std::uint32_t len,
@@ -78,20 +85,26 @@ sim::Nanos RingGroup::push_ranges(std::int64_t first, std::int64_t last,
     segs[n_segs++] = {0, total - (window_ - first_slot)};
   }
 
+  // Trailers go from my trailer row to the same offset of each peer's
+  // ring region; data from my own slots into the peers' memory-less data
+  // rows. Both land in one region, so the per-link FIFO orders them.
+  const net::RegionId src = trailers ? region_ : slots_region_;
   const std::size_t unit = trailers ? sizeof(SlotTrailer) : stride();
   sim::Nanos cost = 0;
   for (int i = 0; i < n_segs; ++i) {
-    const std::size_t off = trailers
-                                ? trailer_offset(my_sender_, segs[i].slot)
-                                : data_offset(my_sender_, segs[i].slot);
+    const std::uint32_t slot = segs[i].slot;
+    const std::size_t src_off =
+        trailers ? trailer_offset(my_sender_, slot) : slot * stride();
+    const std::size_t dst_off = trailers ? trailer_offset(my_sender_, slot)
+                                         : data_offset(my_sender_, slot);
     const std::size_t len = segs[i].count * unit;
     for (std::size_t rank : targets) {
       if (members_[rank] == self_) continue;
       assert(peer_regions_[rank].valid() && "RingGroup not connected");
       // Zero-copy from the registered arena: the slots stay untouched until
       // every receiver has consumed them, so they are stable until landing.
-      cost += fabric_.post_write(my_region_, off, len, peer_regions_[rank],
-                                 off);
+      cost += fabric_.post_write(src, src_off, len, peer_regions_[rank],
+                                 dst_off);
     }
   }
   return cost;
@@ -121,8 +134,20 @@ std::span<const std::byte> RingGroup::message(std::size_t sender,
                                               std::uint32_t len) const {
   assert(sender < num_senders_);
   assert(len <= max_msg_);
+  const RingGroup* owner = sender_rings_[sender];
+  assert(owner != nullptr && "RingGroup not connected");
   const auto slot = static_cast<std::uint32_t>(msg_index % window_);
-  return {arena_.data() + data_offset(sender, slot), len};
+  // The sender's own trailer row says which message its slot holds.
+  const SlotTrailer t = owner->trailer(sender, msg_index);
+  if (t.count != msg_index + 1) {
+    std::fprintf(stderr,
+                 "smc::RingGroup: sender %zu's slot %u no longer holds its "
+                 "message %lld (the sender's trailer reads count %lld)\n",
+                 sender, slot, static_cast<long long>(msg_index),
+                 static_cast<long long>(t.count));
+    std::abort();
+  }
+  return {owner->own_slot(slot), len};
 }
 
 }  // namespace spindle::smc

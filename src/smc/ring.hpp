@@ -31,13 +31,23 @@ constexpr std::uint32_t kNullFlag = 1u;  // a null message (§3.3): no payload
 
 /// SMC ring buffers for one subgroup at one node (paper §2.3).
 ///
-/// Holds the local copy of every sender's ring: `senders` rows, each with
-/// `window` fixed-size data slots followed by `window` trailers. The data
-/// area and trailer area are each contiguous per sender, so a batch of
-/// messages in consecutive slots is pushed with one data write + one
-/// trailer write (two per wrap segment). Trailers are pushed *after* data;
-/// the fabric's per-link FIFO (RDMA memory fence) then guarantees a
-/// receiver that sees count == k+1 also sees the message bytes.
+/// The modelled ring is one registered region per node: `senders` rows of
+/// `window` trailers, then `senders` rows of `window` fixed-size data
+/// slots. memory_bytes() reports that footprint (§4.1.2). Only the trailer
+/// rows have host memory behind them; the data rows are the region's
+/// memory-less range (net::Fabric), where a peer's data write is timed,
+/// ordered and counted but copies nothing. A receiver reads a message from
+/// the sender's own slot instead, the one copy of its bytes the simulator
+/// keeps. The slot-reuse rule makes that read exact: a sender rewrites a
+/// slot only after every member has delivered its message, so whenever a
+/// message is read its sender's slot still holds it. message() checks this
+/// and aborts otherwise.
+///
+/// A batch of messages in consecutive slots is pushed with one data write +
+/// one trailer write per target (two per wrap segment). Trailers are pushed
+/// *after* data into the same region; the fabric's per-link FIFO (RDMA
+/// memory fence) then guarantees a receiver that sees count == k+1 reads
+/// message k only after its data write has landed.
 class RingGroup {
  public:
   RingGroup(net::Fabric& fabric, net::NodeId self,
@@ -45,6 +55,9 @@ class RingGroup {
             std::size_t num_senders, std::uint32_t window,
             std::uint32_t max_msg_size);
 
+  /// Wire every instance of one ring group to the others: each learns
+  /// its peers' ring regions and each sender's own ring, which message()
+  /// reads. The instances must outlive each other's use.
   static void connect(std::span<RingGroup* const> instances);
 
   std::uint32_t window() const noexcept { return window_; }
@@ -52,7 +65,7 @@ class RingGroup {
   std::size_t num_senders() const noexcept { return num_senders_; }
   bool is_sender() const noexcept { return my_sender_ != kNotSender; }
 
-  /// --- Sender side (my own row, local copy) ---
+  /// --- Sender side (my own slots and trailer row) ---
 
   /// Writable data area of the slot that message `msg_index` occupies.
   std::span<std::byte> slot_data(std::int64_t msg_index);
@@ -72,41 +85,54 @@ class RingGroup {
   sim::Nanos push_trailers(std::int64_t first, std::int64_t last,
                            std::span<const std::size_t> targets);
 
-  /// --- Receiver side (any sender's row, local copy) ---
+  /// --- Receiver side (any sender's row) ---
 
+  /// This node's copy of a sender's trailer for `msg_index`.
   SlotTrailer trailer(std::size_t sender, std::int64_t msg_index) const;
+  /// Message `msg_index` of `sender`, read from the sender's own slot (the
+  /// rings must be connected). Aborts, in every build type, when that slot
+  /// no longer holds the message: it was recycled, or never announced.
   std::span<const std::byte> message(std::size_t sender,
                                      std::int64_t msg_index,
                                      std::uint32_t len) const;
 
-  /// Signal `s` whenever a peer's write lands in this node's copy of the
-  /// rings (net::Fabric::set_landing_signal); nullptr detaches.
+  /// Signal `s` whenever a peer's write lands in this node's ring region
+  /// (net::Fabric::set_landing_signal); nullptr detaches.
   void set_landing_signal(sim::Signal* s) {
-    fabric_.set_landing_signal(my_region_, s);
+    fabric_.set_landing_signal(region_, s);
   }
 
-  /// Total registered bytes (for the paper's §4.1.2 memory accounting).
-  std::size_t memory_bytes() const noexcept { return arena_.size(); }
+  /// Modelled registered bytes, senders × window × (slot + trailer): the
+  /// paper's §4.1.2 memory accounting, which the CPU model's cache-pressure
+  /// factor reads.
+  std::size_t memory_bytes() const noexcept {
+    return num_senders_ * static_cast<std::size_t>(window_) *
+           (stride() + sizeof(SlotTrailer));
+  }
+  /// Host bytes this node allocates: every sender's trailers plus, at a
+  /// sender, its own slots.
+  std::size_t allocated_bytes() const noexcept { return arena_.size(); }
 
  private:
   static constexpr std::size_t kNotSender = SIZE_MAX;
 
-  // Slot data stride is 8-byte aligned so trailers stay aligned even for
-  // 1-byte message sizes.
+  // Slots are 8-byte aligned; memory_bytes() counts the padded stride.
   std::size_t stride() const noexcept {
     return (static_cast<std::size_t>(max_msg_) + 7) & ~std::size_t{7};
   }
-  std::size_t row_size() const noexcept {
-    return static_cast<std::size_t>(window_) * stride() +
-           static_cast<std::size_t>(window_) * sizeof(SlotTrailer);
+  std::size_t trailer_bytes() const noexcept {
+    return num_senders_ * window_ * sizeof(SlotTrailer);
+  }
+  // Offsets in the ring region: trailer rows, then the memory-less data rows.
+  std::size_t trailer_offset(std::size_t sender, std::uint32_t slot) const {
+    return (sender * window_ + slot) * sizeof(SlotTrailer);
   }
   std::size_t data_offset(std::size_t sender, std::uint32_t slot) const {
-    return sender * row_size() + static_cast<std::size_t>(slot) * stride();
+    return trailer_bytes() + (sender * window_ + slot) * stride();
   }
-  std::size_t trailer_offset(std::size_t sender, std::uint32_t slot) const {
-    return sender * row_size() +
-           static_cast<std::size_t>(window_) * stride() +
-           static_cast<std::size_t>(slot) * sizeof(SlotTrailer);
+  // My own slot, in the arena after the trailer rows (senders only).
+  std::byte* own_slot(std::uint32_t slot) const {
+    return arena_.data() + trailer_bytes() + slot * stride();
   }
 
   // Push a [first,last) slot-index range as 1-2 contiguous writes.
@@ -123,13 +149,16 @@ class RingGroup {
   struct FreeDeleter {
     void operator()(std::byte* p) const noexcept { std::free(p); }
   };
-  // calloc'd rather than a zero-filled vector: pages fresh from the OS are
-  // zero already and stay unmapped until a write first touches them, so a
-  // large arena costs no page faults at construction.
+  // One allocation: every sender's trailer rows, then (at a sender) its own
+  // window of slots. calloc'd rather than a zero-filled vector: pages fresh
+  // from the OS are zero already and stay unmapped until a write first
+  // touches them.
   std::unique_ptr<std::byte[], FreeDeleter> arena_mem_;
-  std::span<std::byte> arena_;  // num_senders rows
-  net::RegionId my_region_;
-  std::vector<net::RegionId> peer_regions_;  // member rank -> region
+  std::span<std::byte> arena_;
+  net::RegionId region_;        // trailer rows, then memory-less data rows
+  net::RegionId slots_region_;  // my own slots: the source of data writes
+  std::vector<net::RegionId> peer_regions_;   // member rank -> ring region
+  std::vector<const RingGroup*> sender_rings_;  // sender index -> its ring
 };
 
 }  // namespace spindle::smc

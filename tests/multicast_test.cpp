@@ -181,6 +181,28 @@ TEST(Multicast, ExperimentHarnessCompletesSmallRun) {
   EXPECT_GT(res.median_latency_us, 0.0);
 }
 
+TEST(Multicast, StatsReportRingMemory) {
+  // A run's ring footprint reads from its stats snapshot, per node and in
+  // total: registered (the modelled senders × window × (slot + trailer))
+  // and allocated (a node's own slots plus every sender's trailers).
+  ExperimentConfig cfg;
+  cfg.nodes = 16;
+  cfg.messages_per_sender = 5;
+  cfg.message_size = 10240;
+  cfg.opts.window_size = 100;
+  cfg.opts.max_msg_size = 10240;
+  const auto res = workload::run_experiment(cfg);
+  ASSERT_TRUE(res.completed);
+  const std::uint64_t registered = 16 * 100 * (10240 + 16);
+  const std::uint64_t allocated = 100 * 10240 + 16 * 100 * 16;
+  for (const auto& n : res.stats.nodes) {
+    EXPECT_EQ(n.counters.ring_bytes_registered, registered);
+    EXPECT_EQ(n.counters.ring_bytes_allocated, allocated);
+  }
+  EXPECT_EQ(res.stats.total.ring_bytes_registered, 16 * registered);
+  EXPECT_EQ(res.stats.total.ring_bytes_allocated, 16 * allocated);
+}
+
 TEST(Multicast, DeterministicForSameSeed) {
   ExperimentConfig cfg;
   cfg.nodes = 3;

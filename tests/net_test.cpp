@@ -314,16 +314,70 @@ TEST_F(FabricFixture, InlineWriteOverTheLimitIsRejected) {
 TEST_F(FabricFixture, SourceChangedBeforeLandingAborts) {
   // The stable-source check: rewriting the last word of a registered
   // source range while its write is in flight aborts at landing, naming
-  // the source region and offset.
+  // the source region and offset. A memory-less destination copies
+  // nothing, but its landing still reads the source and checks it.
   std::vector<std::byte> src(64, std::byte{7});
   const RegionId src_region = fabric.register_region(0, src);
-  EXPECT_DEATH(
-      {
-        fabric.post_write(src_region, 16, 48, region_b, 0);
-        src[63] = std::byte{8};
-        engine.run();
-      },
-      "changed before it landed \\(source region 2, offset 16, 48 B\\)");
+  const RegionId memoryless =
+      fabric.register_region(1, {}, Channel::bulk, 4096);
+  for (const RegionId dst : {region_b, memoryless}) {
+    EXPECT_DEATH(
+        {
+          fabric.post_write(src_region, 16, 48, dst, 0);
+          src[63] = std::byte{8};
+          engine.run();
+        },
+        "changed before it landed \\(source region 2, offset 16, 48 B\\)");
+  }
+}
+
+TEST_F(FabricFixture, MemorylessDestinationLandsLikeABackedOne) {
+  // One sequence of registered-source posts, from two sources and over a
+  // jittered link, into a backed region and into a memory-less one: every
+  // landing happens at the same instant with the same counts and signals.
+  // Only the bytes differ: the memory-less range keeps none.
+  struct Landing {
+    sim::Nanos at;
+    std::uint64_t delivered, doorbells, landed;
+    bool operator==(const Landing&) const = default;
+  };
+  const auto run = [&](bool memoryless) {
+    sim::Engine eng;
+    Fabric fab(eng, timing, 3, /*seed=*/11);
+    std::vector<std::byte> src0(8192, std::byte{1});
+    std::vector<std::byte> src2(512, std::byte{2});
+    std::vector<std::byte> dst(memoryless ? 0 : 8192);
+    const RegionId s0 = fab.register_region(0, src0);
+    const RegionId s2 = fab.register_region(2, src2);
+    const RegionId d = fab.register_region(1, dst, Channel::bulk,
+                                           memoryless ? 8192 : 0);
+    sim::Signal landed(eng);
+    fab.set_landing_signal(d, &landed);
+    fab.set_link_fault(0, 1, 1.0, 700);
+    fab.post_write(s0, 0, 6000, d, 0);
+    fab.post_write(s0, 6000, 16, d, 6000);
+    fab.post_write(s2, 0, 512, d, 7000);
+    fab.post_write(s0, 6016, 48, d, 6016);
+    std::vector<Landing> out;
+    const auto step_all = [&] {
+      while (eng.step()) {
+        out.push_back({eng.now(), fab.stats(1).writes_delivered,
+                       fab.doorbell(1).signals(), landed.signals()});
+      }
+    };
+    step_all();
+    fab.post_write(s0, 64, 1024, d, 64);
+    fab.post_write(s2, 0, 32, d, 7600);
+    step_all();
+    EXPECT_EQ(std::count(dst.begin(), dst.end(), std::byte{1}),
+              memoryless ? 0 : 6000 + 16 + 48);
+    return out;
+  };
+  const std::vector<Landing> backed = run(false);
+  const std::vector<Landing> memoryless = run(true);
+  EXPECT_EQ(backed.back().delivered, 6u);
+  EXPECT_EQ(backed.back().landed, 6u);
+  EXPECT_EQ(backed, memoryless);
 }
 
 TEST(TimingModel, OccupancyScalesWithSize) {

@@ -111,4 +111,22 @@ TEST(PerfSmoke, BulkRunBoxesNoEvents) {
   EXPECT_EQ(res.engine_boxed, 0u);
 }
 
+TEST(PerfSmoke, RingMemoryIsLinearInNodes) {
+  // The modelled footprint is the paper's nodes × senders × window × slot,
+  // ~4.2 GB here, but a node allocates only its own slots and every
+  // sender's trailers: ~72 MB in all.
+  workload::ExperimentConfig cfg;
+  cfg.nodes = 64;
+  cfg.messages_per_sender = 2;
+  cfg.message_size = 10240;
+  cfg.sim_threads = 1;
+  const workload::ExperimentResult res = workload::run_experiment(cfg);
+  ASSERT_TRUE(res.completed);
+  const std::uint64_t n = 64, w = 100, slot = 10240, trailer = 16;
+  EXPECT_EQ(res.stats.total.ring_bytes_registered,
+            n * n * w * (slot + trailer));
+  EXPECT_LE(res.stats.total.ring_bytes_allocated,
+            n * (w * slot + n * w * trailer));
+}
+
 }  // namespace

@@ -121,6 +121,28 @@ TEST_F(RingFixture, MemoryAccountingMatchesPaperFormula) {
   // Our layout separates trailers, so row = w*stride + w*16.
   const std::size_t expected = 2 * (kWindow * kMsg + kWindow * 16);
   EXPECT_EQ(rings[0]->memory_bytes(), expected);
+  EXPECT_EQ(rings[2]->memory_bytes(), expected);
+  // Host memory is less: a receiver reads a peer's message from the
+  // sender's own slot, so a node allocates its own slots (if it sends)
+  // and every sender's trailers.
+  EXPECT_EQ(rings[0]->allocated_bytes(), kWindow * kMsg + 2 * kWindow * 16);
+  EXPECT_EQ(rings[2]->allocated_bytes(), 2 * kWindow * 16);
+}
+
+TEST_F(RingFixture, ReadOfARecycledSlotAborts) {
+  write_msg(*rings[0], 0, 'o');
+  rings[0]->push_data(0, 1, peers_of_0);
+  rings[0]->push_trailers(0, 1, peers_of_0);
+  engine.run();
+  EXPECT_EQ(rings[2]->message(0, 0, kMsg)[0], static_cast<std::byte>('o'));
+  // The sender re-claims slot 0 for message kWindow: message 0 is gone from
+  // the only copy, so reading it must abort, not return the new bytes.
+  write_msg(*rings[0], kWindow, 'n');
+  EXPECT_DEATH(rings[2]->message(0, 0, kMsg),
+               "sender 0's slot 0 no longer holds its message 0");
+  // A message its sender has not announced yet is no safer to read.
+  EXPECT_DEATH(rings[2]->message(1, 0, kMsg),
+               "sender 1's slot 0 no longer holds its message 0");
 }
 
 TEST_F(RingFixture, OneByteMessagesKeepTrailersAligned) {
