@@ -60,15 +60,20 @@ BENCHMARK(BM_engine_schedule_cancel);
 void BM_engine_coroutine_sleep(benchmark::State& state) {
   sim::Engine engine;
   std::uint64_t wakes = 0;
-  engine.spawn([](sim::Engine& e, std::uint64_t& w) -> sim::Co<> {
-    for (;;) {
+  bool done = false;
+  engine.spawn([](sim::Engine& e, std::uint64_t& w,
+                  const bool& stop) -> sim::Co<> {
+    while (!stop) {
       co_await e.sleep(5);
       ++w;
     }
-  }(engine, wakes));
+  }(engine, wakes, done));
   for (auto _ : state) {
     engine.step();
   }
+  // Let the coroutine return so its frame is freed.
+  done = true;
+  engine.run();
   benchmark::DoNotOptimize(wakes);
 }
 BENCHMARK(BM_engine_coroutine_sleep);
@@ -77,17 +82,22 @@ void BM_mutex_uncontended(benchmark::State& state) {
   sim::Engine engine;
   sim::Mutex mutex(engine);
   std::uint64_t count = 0;
-  engine.spawn([](sim::Engine& e, sim::Mutex& m, std::uint64_t& c) -> sim::Co<> {
-    for (;;) {
+  bool done = false;
+  engine.spawn([](sim::Engine& e, sim::Mutex& m, std::uint64_t& c,
+                  const bool& stop) -> sim::Co<> {
+    while (!stop) {
       co_await m.lock();
       ++c;
       m.unlock();
       co_await e.sleep(1);
     }
-  }(engine, mutex, count));
+  }(engine, mutex, count, done));
   for (auto _ : state) {
     engine.step();
   }
+  // Let the coroutine return so its frame is freed.
+  done = true;
+  engine.run();
   benchmark::DoNotOptimize(count);
 }
 BENCHMARK(BM_mutex_uncontended);

@@ -230,7 +230,6 @@ void Cluster::start() {
 
   for (SubgroupId sg = 0; sg < subgroup_configs_.size(); ++sg) {
     const SubgroupConfig& cfg = subgroup_configs_[sg];
-    oracle_.add_subgroup(cfg.senders.size(), cfg.opts.window_size);
 
     std::vector<smc::RingGroup*> rings;
     for (net::NodeId member : cfg.members) {
@@ -279,7 +278,6 @@ void Cluster::start() {
         s.ring_targets.push_back(i);
       }
       s.n_received.assign(cfg.senders.size(), 0);
-      s.is_null.assign(cfg.opts.window_size, 0);
       s.scan_cost_factor =
           cfg_.cpu.cold_multiplier(s.ring->memory_bytes());
       node.add_subgroup(std::move(s));

@@ -221,9 +221,7 @@ class Cluster {
   const trace::Tracer& tracer() const noexcept { return *tracer_; }
 
  private:
-  friend class Node;  // send-time oracle access (trace-layer internal)
-
-  trace::SendTimeOracle& send_oracle() noexcept { return oracle_; }
+  friend class Node;  // apply_predicate_hooks
 
   /// Run every registered predicate hook against `n`'s scheduler (called
   /// from Node::setup_predicates, after the data-plane groups exist).
@@ -244,7 +242,6 @@ class Cluster {
   net::Fabric* fabric_;
   std::unique_ptr<trace::Tracer> owned_tracer_;
   trace::Tracer* tracer_;
-  trace::SendTimeOracle oracle_;  // always-on latency side channel
   metrics::Registry registry_;
   sim::Rng rng_;
   std::vector<net::NodeId> members_;

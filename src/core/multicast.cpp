@@ -18,6 +18,12 @@ constexpr sim::Nanos kPerNullCost = 25;  // trailer write + counter bump
 constexpr int kLaneSend = 0;
 constexpr int kLaneAck = 1;
 constexpr int kLaneDelivered = 2;
+
+// A sender's own trailer row says which of its claimed, not yet recycled
+// indices are nulls.
+bool announces_null(const SubgroupState& s, std::int64_t idx) {
+  return (s.ring->trailer(s.my_sender_idx, idx).flags & smc::kNullFlag) != 0;
+}
 }  // namespace
 
 void Node::start() {
@@ -220,21 +226,11 @@ bool Node::trigger_receive(SubgroupState& s, sst::TriggerContext& ctx) {
         // QoS "unordered": upcall at reception, no stability wait (§4.6).
         work += cpu.upcall_cost + opts.extra_upcall_delay;
         if (opts.memcpy_on_delivery) work += cpu.memcpy_cost(t.len);
-        Delivery d{s.id, j, -1, k, s.ring->message(j, k, t.len), -1,
-                   t.flags & ~smc::kNullFlag};
-        d.sent_at = cluster_.send_oracle().get(s.id, j, k);
+        const smc::Message m = s.ring->message(j, k, t.len);
+        const Delivery d{s.id, j, -1, k, m.data, m.sent_at,
+                         t.flags & ~smc::kNullFlag};
         if (s.delivery_cost_hook) work += s.delivery_cost_hook(d);
-        tr.record(id_, trace::Stage::deliver, eng.now() + work, 0, s.id,
-                  static_cast<std::uint32_t>(j), k);
-        if (s.handler) s.handler(d);
-        ++counters_.messages_delivered;
-        counters_.bytes_delivered += t.len;
-        ++delivered_total_;
-        ++delivered_per_sg_[s.id];
-        if (d.sent_at >= 0) {
-          counters_.delivery_latency_ns.add(
-              static_cast<std::uint64_t>(eng.now() + work - d.sent_at));
-        }
+        finish_delivery(s, d, eng.now() + work);
       }
       if (!opts.receive_batching) {
         // Baseline: acknowledge every message individually (§3.2 notes the
@@ -272,7 +268,6 @@ bool Node::trigger_receive(SubgroupState& s, sst::TriggerContext& ctx) {
 /// wedged case is the group's enabled() guard, the stopped case the
 /// predicate's condition.
 bool Node::trigger_null_send(SubgroupState& s, sst::TriggerContext& ctx) {
-  const ProtocolOptions& opts = s.cfg.opts;
   const auto S = s.num_senders();
   std::int64_t target = 0;
   for (std::size_t j = 0; j < S; ++j) {
@@ -288,7 +283,6 @@ bool Node::trigger_null_send(SubgroupState& s, sst::TriggerContext& ctx) {
   while (nulls > 0 && slot_free(s, s.claimed)) {
     const std::int64_t k = s.claimed;
     s.ring->mark_ready(k, 0, smc::kNullFlag);
-    s.is_null[static_cast<std::size_t>(k % opts.window_size)] = 1;
     ++s.claimed;
     --nulls;
     ++sent_nulls;
@@ -309,16 +303,13 @@ bool Node::trigger_null_send(SubgroupState& s, sst::TriggerContext& ctx) {
 /// batching the sender thread posts application messages inline; this
 /// predicate then only flushes nulls. Condition: s.claimed > s.pushed.
 bool Node::trigger_send(SubgroupState& s, sst::TriggerContext& ctx) {
-  const ProtocolOptions& opts = s.cfg.opts;
   sim::Nanos& work = ctx.work;
   work += cluster_.cpu().predicate_eval;
   const std::int64_t first = s.pushed;
   const std::int64_t last = s.claimed;
   std::uint64_t app_msgs = 0;
   for (std::int64_t i = first; i < last; ++i) {
-    if (!s.is_null[static_cast<std::size_t>(i % opts.window_size)]) {
-      ++app_msgs;
-    }
+    if (!announces_null(s, i)) ++app_msgs;
   }
   if (app_msgs > 0) {
     counters_.send_batches.add(app_msgs);
@@ -374,33 +365,19 @@ bool Node::trigger_deliver(SubgroupState& s, sst::TriggerContext& ctx) {
     if (!(t.flags & smc::kNullFlag)) {
       if (opts.mode == DeliveryMode::atomic) {
         if (opts.memcpy_on_delivery) work += cpu.memcpy_cost(t.len);
-        Delivery d{s.id, j, seq, k, s.ring->message(j, k, t.len), -1,
-                   t.flags & ~smc::kNullFlag};
-        d.sent_at = cluster_.send_oracle().get(s.id, j, k);
+        const smc::Message m = s.ring->message(j, k, t.len);
+        const Delivery d{s.id, j, seq, k, m.data, m.sent_at,
+                         t.flags & ~smc::kNullFlag};
         if (s.delivery_cost_hook) work += s.delivery_cost_hook(d);
         if (opts.persistent) work += enqueue_persist(s, seq, j, k, d.data);
         if (batched_upcall) {
           // §3.5 mitigation 1: defer to one upcall for the whole batch;
           // only the marginal per-message cost accrues here.
           s.batch_buffer.push_back(d);
-          tr.record(id_, trace::Stage::deliver, eng.now() + work, 0, s.id,
-                    static_cast<std::uint32_t>(j), k,
-                    static_cast<std::uint64_t>(seq));
         } else {
           work += cpu.upcall_cost + opts.extra_upcall_delay;
-          tr.record(id_, trace::Stage::deliver, eng.now() + work, 0, s.id,
-                    static_cast<std::uint32_t>(j), k,
-                    static_cast<std::uint64_t>(seq));
-          if (s.handler) s.handler(d);
         }
-        ++counters_.messages_delivered;
-        counters_.bytes_delivered += t.len;
-        ++delivered_total_;
-        ++delivered_per_sg_[s.id];
-        if (d.sent_at >= 0) {
-          counters_.delivery_latency_ns.add(
-              static_cast<std::uint64_t>(eng.now() + work - d.sent_at));
-        }
+        finish_delivery(s, d, eng.now() + work, !batched_upcall);
       }
       // In unordered mode the upcall already happened at reception; the
       // delivery pass only advances delivered_num to recycle slots.
@@ -449,15 +426,12 @@ sim::Nanos Node::post_send_range(SubgroupState& s, std::int64_t first,
   // Data writes for runs of application messages, then one trailer-range
   // write covering the whole batch (nulls announce through trailers alone —
   // the "k nulls as a single integer" of §3.3).
-  const ProtocolOptions& opts = s.cfg.opts;
   sim::Nanos post = 0;
   std::int64_t run_start = -1;
   for (std::int64_t i = first; i <= last; ++i) {
-    const bool is_null =
-        i == last ||
-        s.is_null[static_cast<std::size_t>(i % opts.window_size)] != 0;
-    if (!is_null && run_start < 0) run_start = i;
-    if (is_null && run_start >= 0) {
+    const bool run_ends = i == last || announces_null(s, i);
+    if (!run_ends && run_start < 0) run_start = i;
+    if (run_ends && run_start >= 0) {
       post += s.ring->push_data(run_start, i, s.ring_targets);
       run_start = -1;
     }
@@ -476,6 +450,23 @@ sim::Nanos Node::enqueue_persist(SubgroupState& s, std::int64_t seq,
       {data.begin(), data.end()}});
   s.persist_signal->signal();
   return cluster_.cpu().memcpy_cost(data.size());
+}
+
+void Node::finish_delivery(SubgroupState& s, const Delivery& d, sim::Nanos at,
+                           bool upcall) {
+  // An unordered delivery has no sequence; its trace arg is 0.
+  cluster_.tracer().record(
+      id_, trace::Stage::deliver, at, 0, s.id,
+      static_cast<std::uint32_t>(d.sender), d.sender_index,
+      d.seq < 0 ? 0 : static_cast<std::uint64_t>(d.seq));
+  if (upcall && s.handler) s.handler(d);
+  ++counters_.messages_delivered;
+  counters_.bytes_delivered += d.data.size();
+  ++delivered_per_sg_[s.id];
+  if (d.sent_at >= 0) {
+    counters_.delivery_latency_ns.add(
+        static_cast<std::uint64_t>(at - d.sent_at));
+  }
 }
 
 sim::Co<> Node::persist_logger(SubgroupState& s) {
@@ -533,18 +524,11 @@ void Node::force_deliver_through(SubgroupId sg, std::int64_t trim) {
     assert(t.count == k + 1 && "trimmed message must be present locally");
     if (!(t.flags & smc::kNullFlag) &&
         s.cfg.opts.mode == DeliveryMode::atomic) {
-      const Delivery d{s.id, j, seq, k, s.ring->message(j, k, t.len), -1,
-                       t.flags & ~smc::kNullFlag};
+      // A trim redelivery's send time is unknown (sent_at = -1).
+      const Delivery d{s.id, j, seq, k, s.ring->message(j, k, t.len).data,
+                       -1, t.flags & ~smc::kNullFlag};
       if (s.cfg.opts.persistent) enqueue_persist(s, seq, j, k, d.data);
-      cluster_.tracer().record(id_, trace::Stage::deliver,
-                               engine_.now(), 0, s.id,
-                               static_cast<std::uint32_t>(j), k,
-                               static_cast<std::uint64_t>(seq));
-      if (s.handler) s.handler(d);
-      ++counters_.messages_delivered;
-      counters_.bytes_delivered += t.len;
-      ++delivered_total_;
-      ++delivered_per_sg_[s.id];
+      finish_delivery(s, d, engine_.now());
     }
     s.delivered_num = seq;
   }

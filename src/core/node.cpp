@@ -119,12 +119,11 @@ void Node::set_persistence_handler(SubgroupId sg,
   s.persist_handler = std::move(h);
 }
 
-const std::vector<std::vector<std::byte>>& Node::persistent_log(
-    SubgroupId sg) const {
-  static const std::vector<std::vector<std::byte>> kEmpty;
+std::vector<std::vector<std::byte>> Node::persistent_log(SubgroupId sg) const {
   const SubgroupState* s = find(sg);
   assert(s != nullptr);
-  return s->dlog ? s->dlog->payloads() : kEmpty;
+  if (s->dlog == nullptr) return {};
+  return s->dlog->payloads();
 }
 
 const store::VersionedLog* Node::durable_store(SubgroupId sg) const {
@@ -276,11 +275,9 @@ sim::Co<> Node::send(SubgroupId sg, std::uint32_t len,
   auto slot = s.ring->slot_data(k);
   builder(slot.subspan(0, len));
   if (s.cfg.opts.memcpy_on_send) work += cpu.memcpy_cost(len);
-  s.ring->mark_ready(k, len, flags & ~smc::kNullFlag);
-  s.is_null[static_cast<std::size_t>(k % s.cfg.opts.window_size)] = 0;
+  s.ring->mark_ready(k, len, flags & ~smc::kNullFlag, eng.now());
   s.claimed = k + 1;
   wake_group(s);
-  cluster_.send_oracle().record(sg, s.my_sender_idx, k, eng.now());
   tr.record(id_, trace::Stage::construct, eng.now(), work, sg,
             static_cast<std::uint32_t>(s.my_sender_idx), k, len);
   ++counters_.messages_sent;
@@ -324,7 +321,6 @@ std::int64_t Node::declare_inactive(SubgroupId sg, std::int64_t rounds) {
   while (claimed < rounds && !s.wedged && slot_free(s, s.claimed)) {
     const std::int64_t k = s.claimed;
     s.ring->mark_ready(k, 0, smc::kNullFlag);
-    s.is_null[static_cast<std::size_t>(k % s.cfg.opts.window_size)] = 1;
     ++s.claimed;
     ++claimed;
   }

@@ -94,7 +94,6 @@ struct SubgroupState {
   // Sender state. Indices count both application messages and nulls.
   std::int64_t claimed = 0;  // next sender-index to claim
   std::int64_t pushed = 0;   // indices below this have had writes posted
-  std::vector<char> is_null; // ring of window_size flags, indexed idx % w
 
   bool wedged = false;  // view change in progress: no new sends
 
@@ -187,13 +186,12 @@ class Node {
   /// on stable storage at *every* member (durable-Paxos commit point).
   void set_persistence_handler(SubgroupId sg,
                                std::function<void(std::int64_t)> h);
-  /// Persistent mode: this node's flushed log (delivery order, nulls
-  /// excluded).
-  const std::vector<std::vector<std::byte>>& persistent_log(
-      SubgroupId sg) const;
+  /// Persistent mode: a copy of this node's flushed log (delivery order,
+  /// nulls excluded).
+  std::vector<std::vector<std::byte>> persistent_log(SubgroupId sg) const;
   std::int64_t persisted_frontier(SubgroupId sg) const;
   /// Persistent mode: the versioned log behind persistent_log() (null for
-  /// non-persistent subgroups). Segment/version-vector inspection for
+  /// non-persistent subgroups). Record/version-vector inspection for
   /// tests and the recovery protocol.
   const store::VersionedLog* durable_store(SubgroupId sg) const;
 
@@ -285,6 +283,12 @@ class Node {
   sim::Nanos enqueue_persist(SubgroupState& s, std::int64_t seq,
                              std::size_t sender, std::int64_t index,
                              std::span<const std::byte> data);
+  /// The tail every delivery path shares (reception in unordered mode,
+  /// the delivery predicate, the view-change trim): trace `d` at virtual
+  /// time `at`, upcall the per-message handler unless `upcall` is false
+  /// (a batched upcall follows), count it and sample its latency.
+  void finish_delivery(SubgroupState& s, const Delivery& d, sim::Nanos at,
+                       bool upcall = true);
 
   /// No stage predicate of `s` can hold until a trailer lands in its ring
   /// or this node claims a slot (multicast.cpp gives the argument); the
@@ -299,7 +303,6 @@ class Node {
   std::int64_t min_delivered(const SubgroupState& s) const;
   void recompute_received_num(SubgroupState& s);
 
-  std::uint64_t delivered_total_ = 0;
   std::vector<std::uint64_t> delivered_per_sg_;
 
   Cluster& cluster_;

@@ -74,7 +74,6 @@ void ManagedGroup::start() {
   f_hb_ = layout.add_i64("heartbeat");
   f_susp_ = layout.add_i64("suspected_mask");
   f_wedged_epoch_ = layout.add_i64("wedged_epoch");
-  f_installed_ = layout.add_i64("installed_epoch");
   for (std::size_t g = 0; g < num_subgroups_; ++g) {
     f_frozen_.push_back(layout.add_i64("frozen[" + std::to_string(g) + "]"));
   }
@@ -672,9 +671,10 @@ void ManagedGroup::install_next_view(std::uint64_t failed_mask,
     for (net::NodeId peer : view_.members) {
       mstate_[id].last_change[peer] = engine_.now();
     }
-    sst::Sst& sst = *member_sst_[id];
-    sst.write_local_i64(f_susp_, 0);
-    sst.write_local_i64(f_installed_, view_.epoch);
+    // Only the own row is cleared: a peer's row keeps the mask it last
+    // pushed, so a leave() that no proposal covered yet is adopted again
+    // in this epoch.
+    member_sst_[id]->write_local_i64(f_susp_, 0);
   }
   for (auto& per_node : queues_) {
     for (auto& sq : per_node) {
@@ -731,8 +731,9 @@ bool ManagedGroup::restart(net::NodeId node) {
     if (slot) slot->recover();
   }
   fabric_.restore(node);
-  // Announce the durable version vector through the membership SST
-  // (synchronous, like leave(): the node has no scheduler yet).
+  // Announce each log's durable record count (committed_size()) through
+  // the membership SST (synchronous, like leave(): the node has no
+  // scheduler yet).
   sst::Sst& sst = *member_sst_[node];
   for (std::size_t g = 0; g < num_subgroups_; ++g) {
     const auto* st = stores_[node][g].get();
@@ -929,8 +930,10 @@ void ManagedGroup::perform_recovery() {
       ms.last_change[peer] = now;
     }
     sst::Sst& sst = *member_sst_[m];
-    sst.write_local_i64(f_susp_, 0);
-    sst.write_local_i64(f_installed_, view_.epoch);
+    // No suspicions in any row: the recovery view re-admits nodes that
+    // masks pushed before the failure name, and members that adopted
+    // those would wedge again.
+    sst.init_field_all_rows_i64(f_susp_, 0);
     sst.write_local_i64(f_restart_, 0);
   }
   for (net::NodeId m : view_.members) {

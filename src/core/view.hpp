@@ -92,9 +92,6 @@ class ManagedGroup {
   const View& view() const noexcept { return view_; }
   std::uint32_t epoch() const noexcept { return view_.epoch; }
   bool view_change_in_progress() const noexcept { return changing_; }
-  std::uint32_t view_changes_completed() const noexcept {
-    return view_.epoch;
-  }
   Cluster& cluster() { return *epoch_cluster_; }
 
   /// The group-lifetime pipeline tracer: every epoch cluster records into
@@ -122,9 +119,9 @@ class ManagedGroup {
 
   /// Restart `node` after a total failure: recover its durable logs
   /// (truncating any torn flush tail), reconnect it to the fabric, and
-  /// announce its durable version vector through the membership SST. Once
-  /// the group has halted and no further restart arrives within a settle
-  /// window, the rejoiners agree on the longest common durable prefix,
+  /// announce each log's durable record count through the membership SST.
+  /// Once the group has halted and no further restart arrives within a
+  /// settle window, the rejoiners agree on the longest common durable prefix,
   /// replay it to the delivery handlers, and resume in a fresh epoch.
   /// Calling this on a node that is still alive models a process restart:
   /// the node crashes first (torn tail and all). Returns false if the node
@@ -132,7 +129,8 @@ class ManagedGroup {
   bool restart(net::NodeId node);
 
   /// Observer invoked inside each total-failure recovery, after the
-  /// rejoiners exchanged version vectors but before the trim and replay.
+  /// rejoiners exchanged durable record counts but before the trim and
+  /// replay.
   void add_recovery_observer(RecoveryObserver obs) {
     recovery_observers_.push_back(std::move(obs));
   }
@@ -169,7 +167,7 @@ class ManagedGroup {
       net::NodeId node, std::size_t subgroup_index) const;
 
   /// The versioned log behind persistent_log(): committed/staged split,
-  /// segment directory and version vector. Null for non-persistent
+  /// records and version vector. Null for non-persistent
   /// subgroups (or before the node's first persistent epoch).
   const store::VersionedLog* durable_store(net::NodeId node,
                                            std::size_t subgroup_index) const {
@@ -292,7 +290,7 @@ class ManagedGroup {
 
   // Membership SST (fixed over the lifetime: rows for every node ever).
   std::vector<std::unique_ptr<sst::Sst>> member_sst_;
-  sst::FieldId f_hb_, f_susp_, f_wedged_epoch_, f_installed_;
+  sst::FieldId f_hb_, f_susp_, f_wedged_epoch_;
   sst::FieldId f_prop_epoch_, f_prop_failed_, f_prop_guard_;
   sst::FieldId f_restart_;              // restart announcement flag
   std::vector<sst::FieldId> f_frozen_;  // per subgroup

@@ -470,7 +470,7 @@ sim::Co<> ClientMux::relay_actor() {
     const sim::Nanos begin = eng.now();
     co_await eng.sleep(cfg_.per_message_overhead);
     MuxFrameHeader h;
-    const auto bytes = up_.rx->message(0, up_.consumed, t.len);
+    const auto bytes = up_.rx->message(0, up_.consumed, t.len).data;
     std::memcpy(&h, bytes.data(), sizeof h);
     const auto body = bytes.subspan(sizeof h);
     // The extra relaying step (§4.6), multiplexed: re-publish the frame
@@ -592,7 +592,7 @@ sim::Co<> ClientMux::demux_actor() {
     }
     co_await eng.sleep(cfg_.per_message_overhead);
     tier_.demux_busy_ns += cfg_.per_message_overhead;
-    const auto bytes = down_.rx->message(0, down_.consumed, t.len);
+    const auto bytes = down_.rx->message(0, down_.consumed, t.len).data;
     MuxFrameHeader h;
     std::memcpy(&h, bytes.data(), sizeof h);
     const auto body = bytes.subspan(sizeof h);

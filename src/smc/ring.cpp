@@ -1,10 +1,17 @@
 #include "smc/ring.hpp"
 
+#include <sys/mman.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <new>
 
 namespace spindle::smc {
+
+void RingGroup::UnmapDeleter::operator()(std::byte* p) const noexcept {
+  munmap(p, bytes);
+}
 
 RingGroup::RingGroup(net::Fabric& fabric, net::NodeId self,
                      std::vector<net::NodeId> members,
@@ -19,15 +26,19 @@ RingGroup::RingGroup(net::Fabric& fabric, net::NodeId self,
       max_msg_(max_msg_size) {
   assert(window_ > 0 && max_msg_ > 0 && num_senders_ > 0);
   const std::size_t own = is_sender() ? window_ * stride() : 0;
-  const std::size_t bytes = trailer_bytes() + own;
-  arena_mem_.reset(static_cast<std::byte*>(std::calloc(bytes, 1)));
-  if (arena_mem_ == nullptr) throw std::bad_alloc();
+  const std::size_t times = is_sender() ? window_ * sizeof(sim::Nanos) : 0;
+  const std::size_t bytes = trailer_bytes() + own + times;
+  void* mem = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (mem == MAP_FAILED) throw std::bad_alloc();
+  arena_mem_ = {static_cast<std::byte*>(mem), UnmapDeleter{bytes}};
   arena_ = {arena_mem_.get(), bytes};
   region_ = fabric_.register_region(self_, arena_.first(trailer_bytes()),
                                     net::Channel::bulk,
                                     num_senders_ * window_ * stride());
   if (is_sender()) {
-    slots_region_ = fabric_.register_region(self_, arena_.last(own));
+    slots_region_ =
+        fabric_.register_region(self_, arena_.subspan(trailer_bytes(), own));
   }
   peer_regions_.resize(members_.size());
   sender_rings_.resize(num_senders_, nullptr);
@@ -51,12 +62,13 @@ std::span<std::byte> RingGroup::slot_data(std::int64_t msg_index) {
 }
 
 void RingGroup::mark_ready(std::int64_t msg_index, std::uint32_t len,
-                           std::uint32_t flags) {
+                           std::uint32_t flags, sim::Nanos sent_at) {
   assert(is_sender());
   assert(len <= max_msg_);
   const auto slot = static_cast<std::uint32_t>(msg_index % window_);
   SlotTrailer t{len, flags, msg_index + 1};
   std::memcpy(arena_.data() + trailer_offset(my_sender_, slot), &t, sizeof t);
+  std::memcpy(own_sent_at(slot), &sent_at, sizeof sent_at);
 }
 
 sim::Nanos RingGroup::push_ranges(std::int64_t first, std::int64_t last,
@@ -129,9 +141,8 @@ SlotTrailer RingGroup::trailer(std::size_t sender,
   return t;
 }
 
-std::span<const std::byte> RingGroup::message(std::size_t sender,
-                                              std::int64_t msg_index,
-                                              std::uint32_t len) const {
+Message RingGroup::message(std::size_t sender, std::int64_t msg_index,
+                           std::uint32_t len) const {
   assert(sender < num_senders_);
   assert(len <= max_msg_);
   const RingGroup* owner = sender_rings_[sender];
@@ -147,7 +158,9 @@ std::span<const std::byte> RingGroup::message(std::size_t sender,
                  static_cast<long long>(t.count));
     std::abort();
   }
-  return {owner->own_slot(slot), len};
+  sim::Nanos sent_at;
+  std::memcpy(&sent_at, owner->own_sent_at(slot), sizeof sent_at);
+  return {{owner->own_slot(slot), len}, sent_at};
 }
 
 }  // namespace spindle::smc

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <span>
 #include <vector>
@@ -29,6 +28,12 @@ static_assert(sizeof(SlotTrailer) == 16);
 
 constexpr std::uint32_t kNullFlag = 1u;  // a null message (§3.3): no payload
 
+/// A message as a receiver reads it, from its sender's own slot.
+struct Message {
+  std::span<const std::byte> data;
+  sim::Nanos sent_at;  // construct time recorded at mark_ready (-1: none)
+};
+
 /// SMC ring buffers for one subgroup at one node (paper §2.3).
 ///
 /// The modelled ring is one registered region per node: `senders` rows of
@@ -38,10 +43,12 @@ constexpr std::uint32_t kNullFlag = 1u;  // a null message (§3.3): no payload
 /// memory-less range (net::Fabric), where a peer's data write is timed,
 /// ordered and counted but copies nothing. A receiver reads a message from
 /// the sender's own slot instead, the one copy of its bytes the simulator
-/// keeps. The slot-reuse rule makes that read exact: a sender rewrites a
-/// slot only after every member has delivered its message, so whenever a
-/// message is read its sender's slot still holds it. message() checks this
-/// and aborts otherwise.
+/// keeps, and its construct time from the word the sender recorded beside
+/// that slot (a simulator record, never posted: it feeds the delivery
+/// latency histograms). The slot-reuse rule makes the read exact: a
+/// sender rewrites a slot only after every member has delivered its
+/// message, so whenever a message is read its sender's slot still holds
+/// it. message() checks this and aborts otherwise.
 ///
 /// A batch of messages in consecutive slots is pushed with one data write +
 /// one trailer write per target (two per wrap segment). Trailers are pushed
@@ -70,9 +77,11 @@ class RingGroup {
   /// Writable data area of the slot that message `msg_index` occupies.
   std::span<std::byte> slot_data(std::int64_t msg_index);
 
-  /// Announce message `msg_index` locally (visible remotely after push).
+  /// Announce message `msg_index` locally (visible remotely after push),
+  /// recording `sent_at`, the virtual time it was constructed (-1 for a
+  /// null or when unknown), beside its slot.
   void mark_ready(std::int64_t msg_index, std::uint32_t len,
-                  std::uint32_t flags);
+                  std::uint32_t flags, sim::Nanos sent_at = -1);
 
   /// Push data slots for my messages [first, last) to each target rank.
   /// Handles ring wraparound (up to two writes per target). Returns CPU
@@ -89,12 +98,12 @@ class RingGroup {
 
   /// This node's copy of a sender's trailer for `msg_index`.
   SlotTrailer trailer(std::size_t sender, std::int64_t msg_index) const;
-  /// Message `msg_index` of `sender`, read from the sender's own slot (the
-  /// rings must be connected). Aborts, in every build type, when that slot
-  /// no longer holds the message: it was recycled, or never announced.
-  std::span<const std::byte> message(std::size_t sender,
-                                     std::int64_t msg_index,
-                                     std::uint32_t len) const;
+  /// Message `msg_index` of `sender` (its first `len` bytes) and its
+  /// construct time, read from the sender's own slot (the rings must be
+  /// connected). Aborts, in every build type, when that slot no longer
+  /// holds the message: it was recycled, or never announced.
+  Message message(std::size_t sender, std::int64_t msg_index,
+                  std::uint32_t len) const;
 
   /// Signal `s` whenever a peer's write lands in this node's ring region
   /// (net::Fabric::set_landing_signal); nullptr detaches.
@@ -110,7 +119,7 @@ class RingGroup {
            (stride() + sizeof(SlotTrailer));
   }
   /// Host bytes this node allocates: every sender's trailers plus, at a
-  /// sender, its own slots.
+  /// sender, its own slots and their send-time words.
   std::size_t allocated_bytes() const noexcept { return arena_.size(); }
 
  private:
@@ -134,6 +143,10 @@ class RingGroup {
   std::byte* own_slot(std::uint32_t slot) const {
     return arena_.data() + trailer_bytes() + slot * stride();
   }
+  // My own slot's send-time word, after the slots (senders only).
+  std::byte* own_sent_at(std::uint32_t slot) const {
+    return own_slot(window_) + slot * sizeof(sim::Nanos);
+  }
 
   // Push a [first,last) slot-index range as 1-2 contiguous writes.
   sim::Nanos push_ranges(std::int64_t first, std::int64_t last,
@@ -146,14 +159,17 @@ class RingGroup {
   std::size_t num_senders_;
   std::uint32_t window_;
   std::uint32_t max_msg_;
-  struct FreeDeleter {
-    void operator()(std::byte* p) const noexcept { std::free(p); }
+  struct UnmapDeleter {
+    std::size_t bytes;  // the mapping's length, which munmap needs
+    void operator()(std::byte* p) const noexcept;
   };
   // One allocation: every sender's trailer rows, then (at a sender) its own
-  // window of slots. calloc'd rather than a zero-filled vector: pages fresh
-  // from the OS are zero already and stay unmapped until a write first
-  // touches them.
-  std::unique_ptr<std::byte[], FreeDeleter> arena_mem_;
+  // window of slots and their send-time words. Mapped from the OS rather
+  // than calloc'd: its pages are zero and stay unmapped until a write first
+  // touches them, in every cluster a process builds. calloc gives that only
+  // until glibc frees its first mapped chunk and raises its mmap threshold;
+  // later rings then come from freed heap memory that calloc clears.
+  std::unique_ptr<std::byte[], UnmapDeleter> arena_mem_;
   std::span<std::byte> arena_;
   net::RegionId region_;        // trailer rows, then memory-less data rows
   net::RegionId slots_region_;  // my own slots: the source of data writes

@@ -83,9 +83,9 @@ class Sst {
     std::memcpy(my_row_ptr() + layout_.field_offset(f), &v, sizeof v);
   }
 
-  /// Set field `f` of *every* row in the local copy. Only valid before the
-  /// protocol starts: models the agreed initial state installed with a view
-  /// (e.g. received_num = delivered_num = -1).
+  /// Set field `f` of *every* row in the local copy. Only valid when a view
+  /// is installed: models the agreed initial state it starts from (e.g.
+  /// received_num = delivered_num = -1, no suspicions).
   void init_field_all_rows_i64(FieldId f, std::int64_t v) {
     for (std::size_t r = 0; r < members_.size(); ++r) {
       std::memcpy(table_.data() + r * layout_.row_size() +

@@ -13,17 +13,10 @@ void VersionedLog::open_epoch(std::uint32_t epoch) {
   if (opened_ && epoch_ == epoch) return;
   epoch_ = epoch;
   opened_ = true;
-  segments_.push_back(SegmentInfo{epoch, kSegmentHeaderBytes, 0});
 }
 
 void VersionedLog::push_record(Record r, bool committed) {
   assert(opened_ && "open_epoch() before appending");
-  if (segments_.empty() || segments_.back().epoch != epoch_) {
-    segments_.push_back(SegmentInfo{epoch_, kSegmentHeaderBytes, 0});
-  }
-  segments_.back().media_bytes += extent_of(r);
-  segments_.back().records += 1;
-  payloads_.push_back(r.payload);
   records_.push_back(std::move(r));
   if (committed) {
     assert(!flushing_ && "synchronous append during an in-flight flush");
@@ -108,11 +101,9 @@ std::size_t VersionedLog::recover() {
   const std::size_t lost = records_.size() - crash_survivors_;
   torn_ += lost;
   records_.resize(crash_survivors_);
-  payloads_.resize(crash_survivors_);
   committed_ = crash_survivors_;
   crashed_ = false;
   crash_survivors_ = 0;
-  rebuild_after_truncate();
   return lost;
 }
 
@@ -122,33 +113,14 @@ void VersionedLog::truncate_records(std::size_t keep) {
     return;
   }
   records_.resize(keep);
-  payloads_.resize(keep);
   committed_ = std::min(committed_, keep);
-  rebuild_after_truncate();
 }
 
-void VersionedLog::rebuild_after_truncate() {
-  // Re-derive the segment directory from the surviving records; a segment
-  // whose records were all dropped keeps its header (epoch history is part
-  // of the version vector).
-  std::vector<SegmentInfo> next;
-  for (const SegmentInfo& s : segments_) {
-    next.push_back(SegmentInfo{s.epoch, kSegmentHeaderBytes, 0});
-  }
-  std::size_t seg = 0, used = 0;
-  std::vector<std::uint64_t> capacity;
-  for (const SegmentInfo& s : segments_) capacity.push_back(s.records);
-  for (const Record& r : records_) {
-    while (seg < next.size() && used >= capacity[seg]) {
-      ++seg;
-      used = 0;
-    }
-    if (seg >= next.size()) break;
-    next[seg].media_bytes += extent_of(r);
-    next[seg].records += 1;
-    ++used;
-  }
-  segments_ = std::move(next);
+std::vector<std::vector<std::byte>> VersionedLog::payloads() const {
+  std::vector<std::vector<std::byte>> out;
+  out.reserve(records_.size());
+  for (const Record& r : records_) out.push_back(r.payload);
+  return out;
 }
 
 std::vector<std::pair<std::uint32_t, std::uint64_t>>
@@ -162,14 +134,6 @@ VersionedLog::version_vector() const {
     vv.back().second += 1;
   }
   return vv;
-}
-
-std::uint64_t VersionedLog::committed_media_bytes() const {
-  std::uint64_t total = kSegmentHeaderBytes * segments_.size();
-  for (std::size_t i = 0; i < committed_; ++i) {
-    total += extent_of(records_[i]);
-  }
-  return total;
 }
 
 }  // namespace spindle::store

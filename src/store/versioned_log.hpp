@@ -6,15 +6,17 @@
 // both epoch clusters and process restarts, which is what makes
 // total-failure recovery possible.
 //
-// The log models a segmented append stream. Each view epoch opens a new
-// segment with an epoch-stamped header; records carry (epoch, seq, sender,
-// index, payload) and occupy `kRecordHeaderBytes + payload` media bytes.
-// Appends are *staged* first — immediately visible in payloads(), exactly
-// like the old write-behind `s.log` — and only become durable when the
-// flush that covers them completes. A crash mid-flush loses the tail of
-// the in-flight batch beyond the last whole sector the device reached
-// ("The Completion Fallacy": a posted write is not stable storage), and a
-// record straddling that sector boundary is torn and dropped at recovery.
+// The log is one append stream of records, each stored once: (epoch, seq,
+// sender, index, payload), stamped with the view epoch it was appended
+// under and occupying `kRecordHeaderBytes + payload` media bytes. Every
+// other view (payloads(), version_vector()) derives from the records.
+// Appends are *staged* first — immediately visible in records() and
+// payloads(), the write-behind optimistic view — and only become durable
+// when the flush that covers them completes. A crash mid-flush loses the
+// tail of the in-flight batch beyond the last whole sector the device
+// reached ("The Completion Fallacy": a posted write is not stable
+// storage), and a record straddling that sector boundary is torn and
+// dropped at recovery.
 //
 // The store is passive: it never sleeps or schedules. The persist logger
 // brackets its flush sleep with flush_begin()/flush_commit() and charges
@@ -29,9 +31,6 @@
 
 namespace spindle::store {
 
-/// Media bytes charged for an epoch-stamped segment header. Headers are
-/// journaled synchronously (metadata), so they never tear.
-inline constexpr std::uint64_t kSegmentHeaderBytes = 64;
 /// Media bytes charged per record in addition to its payload (epoch, seq,
 /// sender, index, length, checksum).
 inline constexpr std::uint64_t kRecordHeaderBytes = 32;
@@ -49,18 +48,13 @@ struct Record {
   std::vector<std::byte> payload;
 };
 
-struct SegmentInfo {
-  std::uint32_t epoch = 0;
-  std::uint64_t media_bytes = kSegmentHeaderBytes;
-  std::uint64_t records = 0;
-};
-
 class VersionedLog {
  public:
   explicit VersionedLog(StoreOptions opts = {});
 
-  /// Roll a new segment stamped with `epoch`. Idempotent per epoch: the
-  /// provider may bind the same store to several nodes' state in one view.
+  /// Stamp the records appended from now on with `epoch`. Idempotent per
+  /// epoch: the provider may bind the same store to several nodes' state
+  /// in one view.
   void open_epoch(std::uint32_t epoch);
 
   /// Stage a record. It is immediately visible in payloads()/records()
@@ -106,34 +100,24 @@ class VersionedLog {
   std::uint64_t torn_records() const { return torn_; }
 
   const std::vector<Record>& records() const { return records_; }
-  /// Payload-only view, mirroring records(). Stable reference for
-  /// Node::persistent_log() compatibility.
-  const std::vector<std::vector<std::byte>>& payloads() const {
-    return payloads_;
-  }
-  const std::vector<SegmentInfo>& segments() const { return segments_; }
+  /// A copy of every record's payload, in log order (staged included).
+  std::vector<std::vector<std::byte>> payloads() const;
 
-  /// Durable version vector: (epoch, committed record count) per segment
-  /// epoch, ascending. This is what a restarted node announces through
-  /// the recovery view.
+  /// Durable version vector: (epoch, committed record count) per epoch
+  /// that has committed records, ascending. For inspection: a restarted
+  /// node announces committed_size().
   std::vector<std::pair<std::uint32_t, std::uint64_t>> version_vector() const;
-
-  /// Total committed media bytes (records + segment headers).
-  std::uint64_t committed_media_bytes() const;
 
  private:
   static std::uint64_t extent_of(const Record& r) {
     return kRecordHeaderBytes + r.payload.size();
   }
   void push_record(Record r, bool committed);
-  void rebuild_after_truncate();
 
   StoreOptions opts_;
   std::uint32_t epoch_ = 0;
   bool opened_ = false;
   std::vector<Record> records_;  // committed prefix + staged suffix
-  std::vector<std::vector<std::byte>> payloads_;  // mirror of records_
-  std::vector<SegmentInfo> segments_;
   std::size_t committed_ = 0;  // records durable on media
 
   bool flushing_ = false;

@@ -1,8 +1,6 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -73,67 +71,6 @@ struct TraceConfig {
   /// Events retained per node. The ring overwrites the oldest events;
   /// dropped() reports how many were lost.
   std::size_t ring_capacity = 1 << 16;
-};
-
-/// Per-message send-timestamp side channel, kept even when event tracing
-/// is off: the delivery-latency histograms are built from it. Indexed
-/// [subgroup][sender rank][msg_index]; -1 means unset (nulls, unknown).
-///
-/// Thread safety (parallel engine): the sender's worker record()s while
-/// receivers' workers get() concurrently. Each (subgroup, sender) pair has
-/// a fixed-capacity power-of-two ring of atomic slots — no allocation or
-/// resize after add_subgroup(), so cross-thread access needs no lock. A
-/// slot publishes its timestamp with a release store of the message index;
-/// get() validates the index with an acquire load and returns -1 on a
-/// mismatch (either never recorded or already recycled). Correctness does
-/// not depend on retention: a lost timestamp only drops one latency sample.
-/// The capacity (>= 4x the send window) exceeds the in-flight bound the
-/// window imposes, so in practice nothing is recycled before delivery.
-class SendTimeOracle {
- public:
-  /// Register the next subgroup id. `window_hint` is the protocol send
-  /// window (ProtocolOptions::window_size); the ring keeps at least 4
-  /// windows (min 1024 slots) per sender.
-  void add_subgroup(std::size_t senders, std::size_t window_hint = 0) {
-    std::size_t want = window_hint * 4;
-    if (want < 1024) want = 1024;
-    std::size_t cap = 1;
-    while (cap < want) cap <<= 1;
-    auto& sg = t_.emplace_back();
-    sg.mask = cap - 1;
-    sg.rings.reserve(senders);
-    for (std::size_t i = 0; i < senders; ++i) {
-      sg.rings.push_back(std::make_unique<Slot[]>(cap));
-    }
-  }
-
-  void record(std::uint32_t sg, std::size_t sender, std::int64_t msg_index,
-              sim::Nanos t) {
-    auto& s = t_[sg];
-    Slot& slot = s.rings[sender][static_cast<std::size_t>(msg_index) & s.mask];
-    slot.t.store(t, std::memory_order_relaxed);
-    slot.idx.store(msg_index, std::memory_order_release);
-  }
-
-  sim::Nanos get(std::uint32_t sg, std::size_t sender,
-                 std::int64_t msg_index) const {
-    const auto& s = t_[sg];
-    const Slot& slot =
-        s.rings[sender][static_cast<std::size_t>(msg_index) & s.mask];
-    if (slot.idx.load(std::memory_order_acquire) != msg_index) return -1;
-    return slot.t.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct Slot {
-    std::atomic<std::int64_t> idx{-1};
-    std::atomic<sim::Nanos> t{-1};
-  };
-  struct Subgroup {
-    std::size_t mask = 0;
-    std::vector<std::unique_ptr<Slot[]>> rings;  // one per sender rank
-  };
-  std::vector<Subgroup> t_;
 };
 
 /// Low-overhead deterministic event tracer: one fixed-capacity ring buffer

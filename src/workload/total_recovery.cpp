@@ -27,7 +27,7 @@ TotalRecoveryResult run_total_recovery(const TotalRecoveryConfig& cfg) {
 
   TotalRecoveryResult r;
 
-  // The recovery observer fires after the version-vector exchange and LCP
+  // The recovery observer fires after the durable-count exchange and LCP
   // agreement, before the trim and replay: snapshot the durability ledger.
   group.add_recovery_observer(
       [&r](const core::ManagedGroup::RecoveryInfo& info) {

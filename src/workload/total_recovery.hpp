@@ -10,7 +10,7 @@ namespace spindle::workload {
 /// multicast load loses *every* member inside one failure window, halts,
 /// and then a subset of the members restarts from their durable logs. We
 /// measure the phases of the outage — crash to halt, restart to the
-/// recovery-view install (version-vector exchange, longest-common-prefix
+/// recovery-view install (durable-count exchange, longest-common-prefix
 /// agreement, ragged trim, replay), and install to the first genuinely new
 /// delivery — plus the durability ledger: how much of the pre-crash
 /// traffic the longest common durable prefix preserved and how much the

@@ -291,6 +291,22 @@ TEST(ChaosReplay, SameSeedIsBitIdentical) {
 // ---------------------------------------------------------------------------
 // Named regressions: fault shapes the sweep surfaced, pinned explicitly.
 
+// Three schedules beyond the CI sweep (seeds 3459085055827372, ...7641 and
+// ...8686) whose total-failure recovery view re-admits nodes that a peer's
+// pre-failure suspicion row still named. Members that adopted those stale
+// bits wedged again and disagreed on the leader, so the install barrier
+// waited for a proposal that never came. A recovery view starts with no
+// suspicion in any row.
+TEST(ChaosNamed, RecoveryViewStartsWithoutStaleSuspicions) {
+  for (std::uint64_t seed :
+       {kBaseSeed + 7596, kBaseSeed + 7865, kBaseSeed + 8910}) {
+    const ChaosOutcome out = run_chaos(seed);
+    ASSERT_TRUE(out.done) << out.dump << out.diagnostics;
+    EXPECT_TRUE(out.violations.empty()) << out.dump;
+    EXPECT_EQ(out.recoveries, 1u) << out.dump;
+  }
+}
+
 core::SubgroupLayout simple_layout(bool persistent) {
   return [persistent](const core::View& v) {
     core::SubgroupConfig sc;

@@ -184,7 +184,8 @@ TEST(Multicast, ExperimentHarnessCompletesSmallRun) {
 TEST(Multicast, StatsReportRingMemory) {
   // A run's ring footprint reads from its stats snapshot, per node and in
   // total: registered (the modelled senders × window × (slot + trailer))
-  // and allocated (a node's own slots plus every sender's trailers).
+  // and allocated (a node's own slots and their 8-byte send-time words,
+  // plus every sender's trailers).
   ExperimentConfig cfg;
   cfg.nodes = 16;
   cfg.messages_per_sender = 5;
@@ -194,7 +195,7 @@ TEST(Multicast, StatsReportRingMemory) {
   const auto res = workload::run_experiment(cfg);
   ASSERT_TRUE(res.completed);
   const std::uint64_t registered = 16 * 100 * (10240 + 16);
-  const std::uint64_t allocated = 100 * 10240 + 16 * 100 * 16;
+  const std::uint64_t allocated = 100 * (10240 + 8) + 16 * 100 * 16;
   for (const auto& n : res.stats.nodes) {
     EXPECT_EQ(n.counters.ring_bytes_registered, registered);
     EXPECT_EQ(n.counters.ring_bytes_allocated, allocated);
@@ -215,6 +216,72 @@ TEST(Multicast, DeterministicForSameSeed) {
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.stats.total.rdma_writes_posted, b.stats.total.rdma_writes_posted);
   EXPECT_EQ(a.stats.total.nulls_sent, b.stats.total.nulls_sent);
+}
+
+TEST(Multicast, SentAtIsTheInstantTheBuilderRan) {
+  // Every delivery's sent_at is the virtual time its sender's builder ran,
+  // in an atomic, an unordered and a batched-upcall subgroup alike. The
+  // builder stamps that time into the payload; every delivery compares.
+  ClusterConfig cc;
+  cc.nodes = 3;
+  Cluster cluster(cc);
+  const std::vector<net::NodeId> all{0, 1, 2};
+  ProtocolOptions unordered = ProtocolOptions::spindle();
+  unordered.mode = DeliveryMode::unordered;
+  const SubgroupId atomic = cluster.create_subgroup(
+      {"atomic", all, all, ProtocolOptions::spindle()});
+  const SubgroupId unord =
+      cluster.create_subgroup({"unordered", all, all, unordered});
+  const SubgroupId batched = cluster.create_subgroup(
+      {"batched", all, all, ProtocolOptions::spindle()});
+  cluster.start();
+  std::uint64_t checked = 0, mismatched = 0;
+  const auto check = [&](const Delivery& d) {
+    sim::Nanos built;
+    std::memcpy(&built, d.data.data(), sizeof built);
+    ++checked;
+    if (d.sent_at != built) {
+      ADD_FAILURE()
+          << "subgroup " << d.subgroup << " sender " << d.sender
+          << " message " << d.sender_index << ": sent_at " << d.sent_at
+          << ", built at " << built;
+      ++mismatched;
+    }
+  };
+  for (net::NodeId m : all) {
+    cluster.node(m).set_delivery_handler(atomic, check);
+    cluster.node(m).set_delivery_handler(unord, check);
+    cluster.node(m).set_batch_delivery_handler(
+        batched, [&](std::span<const Delivery> ds) {
+          for (const Delivery& d : ds) check(d);
+        });
+  }
+  constexpr int kMessages = 40;
+  for (SubgroupId sg : {atomic, unord, batched}) {
+    for (net::NodeId s : all) {
+      // Senders at different paces, so nulls fill the gaps.
+      cluster.engine().spawn(
+          [](Cluster* c, net::NodeId id, SubgroupId g,
+             sim::Nanos gap) -> sim::Co<> {
+            sim::Engine& eng = c->node(id).engine();
+            for (int i = 0; i < kMessages; ++i) {
+              co_await c->node(id).send(
+                  g, 64, [&eng](std::span<std::byte> buf) {
+                    const sim::Nanos now = eng.now();
+                    std::memcpy(buf.data(), &now, sizeof now);
+                  });
+              co_await eng.sleep(gap);
+            }
+          }(&cluster, s, sg, sim::micros(1 + 3 * s)));
+    }
+  }
+  const std::uint64_t expect = 3 * all.size() * all.size() * kMessages;
+  ASSERT_TRUE(cluster.engine().run_until([&] { return checked >= expect; },
+                                         sim::seconds(1)));
+  EXPECT_EQ(checked, expect);
+  EXPECT_EQ(mismatched, 0u);
+  EXPECT_GT(cluster.stats().total.nulls_sent, 0u);
+  cluster.shutdown();
 }
 
 TEST(Multicast, SilentSenderDoesNotStallDelivery) {

@@ -234,6 +234,36 @@ TEST(TotalFailureRecovery, RestartRefusedAfterShutdownAndWhilePending) {
   EXPECT_FALSE(r.group.recovery_pending());
 }
 
+TEST(TotalFailureRecovery, RecoveryViewDropsPreFailureSuspicions) {
+  // Node 3 leaves (an announced suspicion of itself, which the others
+  // adopt and push), the group installs {0,1,2}, then every member
+  // crashes. All four restart: the recovery view re-admits node 3, so the
+  // masks pushed before the failure must not survive in any member's copy
+  // of a peer's row, or the members adopt them, wedge, and remove node 3
+  // again.
+  TotalFailureRun r(4, /*seed=*/2031, /*persistent=*/true);
+  r.group.engine().schedule_fn(sim::micros(40), [&r] { r.group.leave(3); });
+  ASSERT_TRUE(r.group.engine().run_until(
+      [&] {
+        return r.group.epoch() == 1 && !r.group.view_change_in_progress();
+      },
+      sim::micros(140)))
+      << r.group.engine().diagnostics();
+  ASSERT_EQ(r.group.view().members, (std::vector<net::NodeId>{0, 1, 2}));
+  ASSERT_TRUE(r.crash_all()) << r.group.engine().diagnostics();
+  const std::uint32_t recovery_epoch = r.group.epoch() + 1;
+
+  ASSERT_TRUE(r.restart_and_finish({0, 1, 2, 3}))
+      << r.group.engine().diagnostics();
+  // Several failure timeouts later the group is still in the recovery view.
+  r.group.engine().run_to(r.group.engine().now() + sim::millis(2));
+  EXPECT_EQ(r.group.recoveries(), 1u);
+  EXPECT_EQ(r.group.epoch(), recovery_epoch);
+  EXPECT_FALSE(r.group.view_change_in_progress());
+  EXPECT_EQ(r.group.view().members, (std::vector<net::NodeId>{0, 1, 2, 3}));
+  r.expect_clean();
+}
+
 TEST(TotalFailureRecovery, SameSeedRecoversBitIdentically) {
   auto run = [] {
     TotalFailureRun r(4, /*seed=*/2030, /*persistent=*/true);

@@ -33,10 +33,10 @@ struct RingFixture : ::testing::Test {
   std::vector<std::size_t> peers_of_0{1, 2};
 
   void write_msg(RingGroup& ring, std::int64_t idx, char fill,
-                 std::uint32_t len = kMsg) {
+                 std::uint32_t len = kMsg, sim::Nanos sent_at = -1) {
     auto slot = ring.slot_data(idx);
     std::memset(slot.data(), fill, len);
-    ring.mark_ready(idx, len, 0);
+    ring.mark_ready(idx, len, 0, sent_at);
   }
 };
 
@@ -50,7 +50,7 @@ TEST_F(RingFixture, TrailerAnnouncesMessageMonotonically) {
 }
 
 TEST_F(RingFixture, PushDataThenTrailersDeliversMessage) {
-  write_msg(*rings[0], 0, 'x', 10);
+  write_msg(*rings[0], 0, 'x', 10, /*sent_at=*/1234);
   sim::Nanos cost = rings[0]->push_data(0, 1, peers_of_0);
   cost += rings[0]->push_trailers(0, 1, peers_of_0);
   EXPECT_GT(cost, 0);
@@ -58,9 +58,11 @@ TEST_F(RingFixture, PushDataThenTrailersDeliversMessage) {
   // Receiver (node 2) sees the announcement and the payload.
   EXPECT_EQ(rings[2]->trailer(0, 0).count, 1);
   EXPECT_EQ(rings[2]->trailer(0, 0).len, 10u);
-  auto msg = rings[2]->message(0, 0, 10);
-  EXPECT_EQ(msg[0], static_cast<std::byte>('x'));
-  EXPECT_EQ(msg[9], static_cast<std::byte>('x'));
+  const Message msg = rings[2]->message(0, 0, 10);
+  EXPECT_EQ(msg.data[0], static_cast<std::byte>('x'));
+  EXPECT_EQ(msg.data[9], static_cast<std::byte>('x'));
+  // The construct time is read from beside the sender's own slot.
+  EXPECT_EQ(msg.sent_at, 1234);
   // Sender index 1's row is untouched.
   EXPECT_EQ(rings[2]->trailer(1, 0).count, 0);
 }
@@ -114,6 +116,8 @@ TEST_F(RingFixture, NullAnnouncementIsTrailerOnly) {
   EXPECT_EQ(t.count, 1);
   EXPECT_EQ(t.flags, kNullFlag);
   EXPECT_EQ(t.len, 0u);
+  EXPECT_EQ(rings[2]->message(0, 0, 0).sent_at, -1)
+      << "a null records no send time";
 }
 
 TEST_F(RingFixture, MemoryAccountingMatchesPaperFormula) {
@@ -123,23 +127,28 @@ TEST_F(RingFixture, MemoryAccountingMatchesPaperFormula) {
   EXPECT_EQ(rings[0]->memory_bytes(), expected);
   EXPECT_EQ(rings[2]->memory_bytes(), expected);
   // Host memory is less: a receiver reads a peer's message from the
-  // sender's own slot, so a node allocates its own slots (if it sends)
-  // and every sender's trailers.
-  EXPECT_EQ(rings[0]->allocated_bytes(), kWindow * kMsg + 2 * kWindow * 16);
+  // sender's own slot, so a node allocates its own slots and their 8-byte
+  // send-time words (if it sends) and every sender's trailers.
+  EXPECT_EQ(rings[0]->allocated_bytes(),
+            kWindow * (kMsg + 8) + 2 * kWindow * 16);
   EXPECT_EQ(rings[2]->allocated_bytes(), 2 * kWindow * 16);
 }
 
 TEST_F(RingFixture, ReadOfARecycledSlotAborts) {
-  write_msg(*rings[0], 0, 'o');
+  write_msg(*rings[0], 0, 'o', kMsg, /*sent_at=*/1234);
   rings[0]->push_data(0, 1, peers_of_0);
   rings[0]->push_trailers(0, 1, peers_of_0);
   engine.run();
-  EXPECT_EQ(rings[2]->message(0, 0, kMsg)[0], static_cast<std::byte>('o'));
-  // The sender re-claims slot 0 for message kWindow: message 0 is gone from
-  // the only copy, so reading it must abort, not return the new bytes.
-  write_msg(*rings[0], kWindow, 'n');
+  const Message msg = rings[2]->message(0, 0, kMsg);
+  EXPECT_EQ(msg.data[0], static_cast<std::byte>('o'));
+  EXPECT_EQ(msg.sent_at, 1234);
+  // The sender re-claims slot 0 for message kWindow: message 0's bytes and
+  // send time are gone from the only copy, so reading them must abort, not
+  // return the new message's.
+  write_msg(*rings[0], kWindow, 'n', kMsg, /*sent_at=*/5678);
   EXPECT_DEATH(rings[2]->message(0, 0, kMsg),
                "sender 0's slot 0 no longer holds its message 0");
+  EXPECT_EQ(rings[2]->message(0, kWindow, kMsg).sent_at, 5678);
   // A message its sender has not announced yet is no safer to read.
   EXPECT_DEATH(rings[2]->message(1, 0, kMsg),
                "sender 1's slot 0 no longer holds its message 0");
@@ -161,7 +170,7 @@ TEST_F(RingFixture, OneByteMessagesKeepTrailersAligned) {
   a.push_trailers(0, 1, target);
   eng2.run();
   EXPECT_EQ(b.trailer(0, 0).count, 1);
-  EXPECT_EQ(b.message(0, 0, 1)[0], static_cast<std::byte>(7));
+  EXPECT_EQ(b.message(0, 0, 1).data[0], static_cast<std::byte>(7));
 }
 
 TEST_F(RingFixture, EmptyRangePushIsFree) {

@@ -19,6 +19,15 @@ std::vector<std::byte> payload_of(std::size_t size, std::byte fill) {
   return std::vector<std::byte>(size, fill);
 }
 
+// payloads() derives from the records: one payload per record, in order.
+void expect_payloads_are_the_records(const VersionedLog& log) {
+  const auto payloads = log.payloads();
+  ASSERT_EQ(payloads.size(), log.records().size());
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    EXPECT_EQ(payloads[i], log.records()[i].payload) << "record " << i;
+  }
+}
+
 // Stage `n` records whose on-media extent is exactly `extent` bytes each.
 void stage(VersionedLog& log, std::size_t n, std::uint64_t extent,
            std::int64_t first_seq = 0) {
@@ -38,6 +47,7 @@ TEST(VersionedLog, StagedRecordsAreVisibleButNotDurable) {
   // Write-behind optimistic view: immediately readable...
   EXPECT_EQ(log.size(), 3u);
   EXPECT_EQ(log.payloads().size(), 3u);
+  expect_payloads_are_the_records(log);
   // ...but nothing is durable until a flush commits.
   EXPECT_EQ(log.committed_size(), 0u);
   log.flush_begin(/*now=*/0, /*eta=*/1000);
@@ -73,6 +83,7 @@ TEST(VersionedLog, CrashMidFlushKeepsWholeSectorsOnly) {
   EXPECT_EQ(log.size(), 2u);
   EXPECT_EQ(log.committed_size(), 2u);
   EXPECT_EQ(log.torn_records(), 2u);
+  expect_payloads_are_the_records(log);
 }
 
 TEST(VersionedLog, RecordStraddlingTheLastSectorIsTorn) {
@@ -145,6 +156,7 @@ TEST(VersionedLog, RaggedTrimKeepsThePrefix) {
   EXPECT_EQ(log.committed_size(), 3u);
   ASSERT_EQ(log.records().size(), 3u);
   EXPECT_EQ(log.records().back().seq, 2);
+  expect_payloads_are_the_records(log);
   // Trimming past the end is a no-op.
   log.truncate_records(10);
   EXPECT_EQ(log.size(), 3u);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <regex>
@@ -227,6 +228,62 @@ TEST(ManagedGroup, GracefulLeaveLosesNoMessages) {
   EXPECT_EQ(f.group->view().members.size(), 3u);
   EXPECT_EQ(f.delivered[0], f.delivered[1]);
   EXPECT_EQ(f.delivered[1], f.delivered[2]);
+}
+
+TEST(ManagedGroup, LeaveDuringAViewChangeDepartsByTheNextEpoch) {
+  // Node 1 announces its leave while node 3's removal is being installed.
+  // When the leader's proposal covers it, node 1 departs in that install.
+  // When the install runs first, the peers' copies of node 1's row (or of
+  // a row that adopted its bit) still name it, and it departs in the next
+  // epoch. A slow 0 -> 1 link makes node 1 the last to see the proposal,
+  // and a leader stalled from the announcement on cannot re-propose, so
+  // the install can follow the landings of every push that carries the
+  // leave; the sweep of announcement instants covers that window.
+  const sim::Nanos crash_at = sim::micros(50);
+  const auto run_to_crash = [crash_at](ManagedGroup& g) {
+    g.fabric().set_link_fault(0, 1, 4.0, 0);
+    g.engine().run_to(crash_at);
+    g.crash(3);
+  };
+  sim::Nanos wedge_at = 0;
+  sim::Nanos install_at = 0;
+  {
+    ManagedFixture probe(4);
+    ManagedGroup& g = *probe.group;
+    run_to_crash(g);
+    ASSERT_TRUE(g.engine().run_until(
+        [&] {
+          if (wedge_at == 0 && g.view_change_in_progress()) {
+            wedge_at = g.engine().now();
+          }
+          return g.epoch() == 1;
+        },
+        sim::millis(5)));
+    install_at = g.engine().now();
+  }
+  std::size_t next_epoch = 0;
+  for (sim::Nanos t = wedge_at; t < install_at; t += 100) {
+    ManagedFixture f(4);
+    ManagedGroup& g = *f.group;
+    run_to_crash(g);
+    g.engine().run_to(t);
+    ASSERT_TRUE(g.view_change_in_progress() && g.epoch() == 0) << t;
+    g.faults(0).slow_cpu(t + sim::micros(20));
+    g.leave(1);
+    const View& v = g.view();
+    ASSERT_TRUE(g.engine().run_until(
+        [&] {
+          return !g.view_change_in_progress() &&
+                 std::find(v.members.begin(), v.members.end(), 1) ==
+                     v.members.end();
+        },
+        t + sim::millis(5)))
+        << "leave at " << t << " ns: " << g.engine().diagnostics();
+    EXPECT_EQ(v.members, (std::vector<net::NodeId>{0, 2})) << t;
+    EXPECT_LE(g.epoch(), 2u) << t;
+    if (g.epoch() == 2) ++next_epoch;
+  }
+  EXPECT_GT(next_epoch, 0u);  // some announcements missed the proposal
 }
 
 TEST(ManagedGroup, FollowerCrashInstallsOnePushChainAfterTheTimeout) {
