@@ -8,12 +8,12 @@
 // synchronization resolves most of that, giving excellent scaling that
 // remains stable across subgroup counts.
 //
-// Second sweep (the scan-lane study): 1 *hot* subgroup plus k *cold* ones
-// that never send. On Derecho's full lap (scan_interval 0) the polling
-// thread pays a cold-group evaluation per round for every cold subgroup,
-// so the hot group's delivery rate decays with k; on a 500 us scan lane
-// the cold groups demote after a few quiet rounds and, being drained,
-// park, so the hot group keeps nearly all of the polling-thread CPU.
+// Second sweep (the parking study): 1 *hot* subgroup plus k *cold* ones
+// that never send. On Derecho's full lap (park_after 0) the polling thread
+// pays a cold-group evaluation per round for every cold subgroup, so the
+// hot group's delivery rate decays with k; with park_after = 500 us the
+// cold groups, quiet and drained, park, so the hot group keeps nearly all
+// of the polling-thread CPU.
 // Results (both arms, with seed/env provenance) go to
 // BENCH_fig13_multi_active.json.
 
@@ -24,12 +24,11 @@ using namespace spindle::bench;
 
 namespace {
 
-/// Sum of one scheduler counter across the cold subgroups (hot is sg0).
-std::uint64_t cold_sum(const ExperimentResult& r,
-                       std::uint64_t metrics::SubgroupStats::*counter) {
+/// Parks summed across the cold subgroups (hot is sg0).
+std::uint64_t cold_parks(const ExperimentResult& r) {
   std::uint64_t total = 0;
   for (const auto& sg : r.stats.subgroups) {
-    if (sg.id != 0) total += sg.*counter;
+    if (sg.id != 0) total += sg.sched_parks;
   }
   return total;
 }
@@ -67,21 +66,21 @@ int main() {
   }
   t.print();
 
-  // Scan-lane sweep: 1 hot + k cold subgroups, full lap vs a 500us scan
-  // lane. Small messages and a small window keep the hot pipeline
-  // round-time-gated (so the cold lap actually costs throughput) and the
-  // k=64 point within memory (every node maps a window of slots for every
-  // subgroup it belongs to). The 500us lane is ~20x a full-lap round
-  // here; a cold group probed on it at all costs little, and a parked one
-  // costs nothing.
+  // Parking sweep: 1 hot + k cold subgroups, full lap vs parking after
+  // 500us of quiet. Small messages and a small window keep the hot
+  // pipeline round-time-gated (so the cold lap actually costs throughput)
+  // and the k=64 point within memory (every node maps a window of slots
+  // for every subgroup it belongs to). 500us is ~20x a full-lap round
+  // here; a cold group costs a full lap until it parks, and nothing
+  // after.
   constexpr std::uint64_t kSeed = 42;
   const std::size_t kMessages = scaled(200);
   BenchReport report("fig13_multi_active");
   report.set_provenance(kSeed, kMessages);
 
   Table d("Figure 13b: 1 hot + k cold subgroups (16 nodes, 1KB, kmsg/s/node)",
-          {"cold subgroups", "full lap", "scan lane", "speedup",
-           "cold demotions", "cold parks"});
+          {"cold subgroups", "full lap", "parking", "speedup",
+           "cold parks"});
   for (std::size_t k : {std::size_t{1}, std::size_t{4}, std::size_t{16},
                         std::size_t{64}}) {
     ExperimentConfig cfg;
@@ -96,28 +95,25 @@ int main() {
     cfg.messages_per_sender = kMessages;
     cfg.seed = kSeed;
 
-    cfg.scan_interval = 0;
+    cfg.park_after = 0;
     auto lap = workload::run_experiment(cfg);
 
-    cfg.scan_interval = sim::micros(500);
-    auto lane = workload::run_experiment(cfg);
+    cfg.park_after = sim::micros(500);
+    auto park = workload::run_experiment(cfg);
 
     const double speedup =
         lap.delivery_rate_per_node > 0
-            ? lane.delivery_rate_per_node / lap.delivery_rate_per_node
+            ? park.delivery_rate_per_node / lap.delivery_rate_per_node
             : 0;
     const std::string kk = std::to_string(k);
     report.add_run("full_lap/k=" + kk, lap);
-    report.add_run("scan_lane/k=" + kk, lane);
+    report.add_run("parking/k=" + kk, park);
     report.add_metric("speedup_k" + kk, speedup);
     d.row({Table::integer(k), Table::num(lap.delivery_rate_per_node / 1e3, 1),
-           Table::num(lane.delivery_rate_per_node / 1e3, 1),
+           Table::num(park.delivery_rate_per_node / 1e3, 1),
            Table::num(speedup, 2) + "x" + check_completed(lap) +
-               check_completed(lane),
-           Table::integer(
-               cold_sum(lane, &metrics::SubgroupStats::sched_demotions)),
-           Table::integer(
-               cold_sum(lane, &metrics::SubgroupStats::sched_parks))});
+               check_completed(park),
+           Table::integer(cold_parks(park))});
   }
   d.print();
   report.write();

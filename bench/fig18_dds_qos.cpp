@@ -24,7 +24,7 @@ double run_dds(std::size_t subscribers, dds::Qos qos,
                const core::ProtocolOptions& opts, std::size_t samples) {
   core::ClusterConfig cc;
   cc.nodes = subscribers + 1;  // publisher on its own node
-  cc.scan_interval = 0;  // a paper figure: Derecho's full polling lap
+  cc.park_after = 0;  // a paper figure: Derecho's full polling lap
   dds::Domain domain(cc);
 
   dds::TopicConfig tc;
@@ -64,7 +64,7 @@ std::pair<double, double> run_session_echo(dds::Qos qos,
                                            std::size_t requests) {
   core::ClusterConfig cc;
   cc.nodes = 6;  // publisher/relay 0, subscribers 1..4, gateway 5
-  cc.scan_interval = 0;  // a paper figure: Derecho's full polling lap
+  cc.park_after = 0;  // a paper figure: Derecho's full polling lap
   dds::Domain domain(cc);
 
   dds::TopicConfig tc;

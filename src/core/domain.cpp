@@ -125,12 +125,6 @@ void OrderingDomain::register_sequencer() {
     g.tag = 0xFFFFFFFFu;  // not a subgroup: sentinel tag for trace hooks
     g.lock = &n.lock();
     g.early_release = cfg_.opts.early_lock_release;
-    // Never demoted (scan_interval 0): every cross-shard send waits on
-    // this group, but its traffic is sparse, so on the scan lane it would
-    // demote between crosses and a request would wait out a probe. Kept in
-    // the per-round rotation, kGoldenTwoShard (shard_test) stays
-    // byte-identical at 1, 2 and 4 workers; on the default lane it moves.
-    g.scan_interval = 0;
     const auto gid = p.add_group(std::move(g));
 
     sst::Predicates::PredicateOptions po;

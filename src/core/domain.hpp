@@ -80,7 +80,7 @@ using DomainHandler = std::function<void(const DomainDelivery&)>;
 ///  1. the sender bumps its own-row `xreq` column and pushes it to the
 ///     sequencer node (one outstanding request per node);
 ///  2. a sequencer predicate — registered on the shared per-node scheduler
-///     via Cluster::add_predicate_hook, in its own never-demoted group —
+///     via Cluster::add_predicate_hook, in its own never-parked group —
 ///     scans requester rows in rank order and assigns the next
 ///     global sequence number (gsn), publishing it through per-requester
 ///     grant columns pushed back on the kLaneDomain lane;

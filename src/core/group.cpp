@@ -319,7 +319,6 @@ void Cluster::start() {
                                   const sst::Predicates::GroupSched& sc) {
             if (g.tag != s->id) return;
             sub.sched_serviced += sc.serviced;
-            sub.sched_demotions += sc.demotions;
             sub.sched_parks += sc.parks;
           });
         }

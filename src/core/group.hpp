@@ -21,14 +21,13 @@ struct ClusterConfig {
   CpuModel cpu{};
   std::uint64_t seed = 1;
   trace::TraceConfig trace{};  // event tracing (off by default)
-  /// Scan-lane probe period of the data-plane polling thread: a subgroup
-  /// that stays quiet leaves the per-round rotation and is probed once per
-  /// interval (sst::Predicates::GroupOptions::scan_interval), unless it is
-  /// drained: then it parks, and a write landing in its ring or a local
-  /// claim wakes it. The interval is the latency bound only for a quiet
-  /// subgroup still waiting on a peer. 0 keeps every subgroup in the
-  /// rotation, Derecho's full lap.
-  sim::Nanos scan_interval = sim::micros(25);
+  /// Parking in the data-plane polling thread: a subgroup quiet for
+  /// several services and fire-free for max(25 µs, park_after) that is
+  /// drained leaves the per-round rotation until a write lands in its ring
+  /// or a local claim wakes it (sst::Predicates::GroupOptions::park_after).
+  /// A quiet subgroup still waiting on a peer stays in the rotation. 0
+  /// keeps every subgroup in the rotation, Derecho's full lap.
+  sim::Nanos park_after = sim::micros(25);
   /// Simulation worker threads. 1 (default) = the serial engine, unchanged.
   /// > 1 = conservative-lookahead parallel execution (sim::ParallelEngine):
   /// nodes are block-partitioned across min(sim_threads, nodes) workers and

@@ -42,9 +42,9 @@ void Node::start() {
 /// per subgroup (the unit of one lock acquisition and one two-phase
 /// compute/RDMA round), stages of §2.4 as individual predicates. The
 /// scheduler's reactive mode reproduces the dedicated polling thread —
-/// round-robin over subgroups with quiet ones on the scan lane and drained
-/// ones parked, per-iteration overhead/jitter/hiccups, and the
-/// doorbell-backed idle backoff.
+/// round-robin over subgroups with quiet, drained ones parked,
+/// per-iteration overhead/jitter/hiccups, and the doorbell-backed idle
+/// backoff.
 void Node::setup_predicates() {
   preds_ = std::make_unique<sst::Predicates>(engine_);
   const CpuModel& cpu = cluster_.cpu();
@@ -67,13 +67,9 @@ void Node::setup_predicates() {
   cfg.doorbell = &cluster_.fabric().doorbell(id_);
   cfg.idle_backoff_min = cpu.idle_backoff_min;
   cfg.idle_backoff_max = cpu.idle_backoff_max;
-  cfg.on_sched = [this](const sst::Predicates::GroupOptions& g,
-                         sst::Predicates::SchedEvent ev, bool flag) {
-    const trace::Stage stage = ev == sst::Predicates::SchedEvent::probe
-                                   ? trace::Stage::sched_service
-                                   : trace::Stage::sched_park;
-    cluster_.tracer().record(id_, stage, engine_.now(), 0, g.tag,
-                             trace::kNoSender, -1, flag ? 1 : 0);
+  cfg.on_park = [this](const sst::Predicates::GroupOptions& g, bool parked) {
+    cluster_.tracer().record(id_, trace::Stage::sched_park, engine_.now(), 0,
+                             g.tag, trace::kNoSender, -1, parked ? 1 : 0);
   };
   cfg.on_predicate_fire = [this](const sst::Predicates::GroupOptions& g,
                                  const sst::PredicateStats&,
@@ -92,17 +88,17 @@ void Node::setup_predicates() {
     g.tag = s.id;
     g.lock = lock_.get();
     g.early_release = s.cfg.opts.early_lock_release;
-    g.scan_interval = cluster_.config().scan_interval;
+    g.park_after = cluster_.config().park_after;
     // Wedged (view change in progress): the subgroup is completely frozen —
     // no sends, nulls, acknowledgments or deliveries. Every value this node
     // pushed before wedging is bounded by its frozen received_num, which is
     // what makes the leader's ragged trim a consistent cut (core/view.hpp).
     g.enabled = [&s] { return !s.wedged; };
-    // A group that can demote can park: its wake is a write landing in its
-    // ring region here (the fabric's landing signal) or a claim by this
-    // node (wake_group). Nothing else can make a drained group's stage
-    // predicates hold (drained()).
-    if (g.scan_interval > 0) g.drained = [this, &s] { return drained(s); };
+    // A parked group's wake is a write landing in its ring region here
+    // (the fabric's landing signal) or a claim by this node (wake_group).
+    // Nothing else can make a drained group's stage predicates hold
+    // (drained()).
+    if (g.park_after > 0) g.drained = [this, &s] { return drained(s); };
     g.on_work = [this, &s](sim::Nanos w) {
       s.predicate_cpu += w;
       counters_.predicate_cpu += w;

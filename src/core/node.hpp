@@ -292,7 +292,7 @@ class Node {
 
   /// No stage predicate of `s` can hold until a trailer lands in its ring
   /// or this node claims a slot (multicast.cpp gives the argument); the
-  /// scheduler parks such a group once it demotes.
+  /// scheduler parks such a group once it has been quiet long enough.
   bool drained(const SubgroupState& s) const;
   /// A claim on `s` (send, declare_inactive) is an input no landing
   /// announces: wake its scheduler group if it is parked.

@@ -40,7 +40,6 @@ void ClusterStats::finalize() {
       it->messages_delivered += s.messages_delivered;
       it->predicate_cpu += s.predicate_cpu;
       it->sched_serviced += s.sched_serviced;
-      it->sched_demotions += s.sched_demotions;
       it->sched_parks += s.sched_parks;
       for (const PredicateStat& p : s.predicates) {
         auto pit = std::find_if(

@@ -30,11 +30,9 @@ struct SubgroupStats {
   /// predicate name (registration order of the first node preserved).
   std::vector<PredicateStat> predicates;
   /// Polling-thread scheduler drill-down, summed over nodes: serviced the
-  /// rounds the scheduler evaluated the group, demotions the trips off the
-  /// rotation, parks the trips off the scan lane too (drained, waiting on a
-  /// wake).
+  /// rounds the scheduler evaluated the group, parks the trips off the
+  /// rotation (quiet and drained, waiting on a wake).
   std::uint64_t sched_serviced = 0;
-  std::uint64_t sched_demotions = 0;
   std::uint64_t sched_parks = 0;
 };
 

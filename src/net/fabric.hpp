@@ -113,6 +113,15 @@ class HostFaults {
     }
     return false;
   }
+  /// The earliest end of a window still open after `at` (`at` itself when
+  /// none is): the next instant a held action may release.
+  sim::Nanos next_lane_release(sim::Nanos at) const {
+    sim::Nanos next = at;
+    for (const LaneDrop& w : lane_drops_) {
+      if (w.until > at && (next == at || w.until < next)) next = w.until;
+    }
+    return next;
+  }
 
   /// Phantom doorbells (interrupt storm): until `until`, a polling thread
   /// behaves as if its doorbell rang every round — idle backoff never

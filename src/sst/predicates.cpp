@@ -14,16 +14,14 @@ namespace {
 constexpr int kIdleStreakThreshold = 3;
 constexpr int kIdleBackoffMaxShift = 8;
 
-// Scan lane: consecutive quiet services before a group is demoted (only
-// groups with a non-zero scan_interval demote).
-constexpr int kDemoteAfter = 8;
-// Scan lane: a group must also have been fire-free for at least this long,
-// and for at least its scan_interval, before it is demoted. A hot group
-// drains its window and sits out a handful of *fast* rounds between
-// bursts, and those must not count against it; and since a demotion can
-// delay a group by up to one scan_interval, only a group already idle that
-// long should risk it.
-constexpr sim::Nanos kDemoteQuiet = sim::micros(25);
+// Parking: consecutive quiet services before a group may park (only
+// groups with a non-zero park_after park).
+constexpr int kParkAfterServices = 8;
+// Parking: a group must also have been fire-free for at least this long,
+// and for at least its park_after, before it may park. A hot group drains
+// its window and sits out a handful of *fast* rounds between bursts, and
+// those must not count against it.
+constexpr sim::Nanos kParkQuiet = sim::micros(25);
 }  // namespace
 
 const char* to_string(PredicateClass c) {
@@ -114,7 +112,7 @@ void Predicates::rearm_all() {
 
 /// A rearm made dormant predicates live again: cut an in-flight idle-backoff
 /// wait short (the scheduler waits on the doorbell) and bump the rearm
-/// generation so the next round resets its idle streak and promotes demoted
+/// generation so the next round resets its idle streak and wakes parked
 /// groups instead of waiting out the remaining backoff.
 void Predicates::kick() {
   ++rearm_generation_;
@@ -206,14 +204,14 @@ bool Predicates::eval_group(Group& g, sim::Nanos& work, PostPlan& plan) {
 }
 
 /// The scheduler loop: the dedicated polling thread of §2.4, with §3.4's
-/// lock staging, the scan lane, parking, and the doorbell-backed quiescent
-/// backoff capped by the configured deadline. A ring that lands during a
-/// busy round's compute or post sleep is not lost: a busy round is always
-/// followed by another at once. One that lands during a quiet round's
-/// pause is (`sim::Signal` wakes only current waiters) — except a parked
-/// group's wake, which the loop reads off the group's wake count before it
-/// backs off; a registry whose quiet rounds charge nothing, like the
-/// membership service's, has no such pause.
+/// lock staging, parking, and the doorbell-backed quiescent backoff capped
+/// by the configured deadline and a held action's release. A ring that
+/// lands during a busy round's compute or post sleep is not lost: a busy
+/// round is always followed by another at once. One that lands during a
+/// quiet round's pause is (`sim::Signal` wakes only current waiters) —
+/// except a parked group's wake, which the loop reads off the group's wake
+/// count before it backs off; a registry whose quiet rounds charge
+/// nothing, like the membership service's, has no such pause.
 sim::Co<> Predicates::run() {
   assert(cfg_.stopped && "configure() the scheduler before run()");
   int idle_streak = 0;
@@ -229,20 +227,29 @@ sim::Co<> Predicates::run() {
     }
     if (rearm_generation_ != rearm_seen) {
       // A rearm landed (view install): the doorbell kick already cut any
-      // in-flight backoff short; also drop the streak and promote demoted
+      // in-flight backoff short; also drop the streak and wake parked
       // groups so the re-armed predicates get full-rate rounds again.
       rearm_seen = rearm_generation_;
-      promote_all();
+      for (Group& g : groups_) {
+        if (g.sched.parked) g.wake->signal();
+      }
       idle_streak = 0;
     }
+    // The rotation is every group not parked, in registration order; a
+    // parked group rejoins it in the first round after its wake rang. Only
+    // a group's own service parks it, so the set is fixed for the round.
+    for (Group& g : groups_) {
+      if (!woken(g)) continue;
+      g.sched.parked = false;
+      g.sched.quiet_streak = 0;
+      if (cfg_.on_park) cfg_.on_park(g.opts, false);
+    }
 
-    const std::size_t probes = plan_round();
     bool progress = false;
     sim::Nanos carry = 0;  // eval cost of quiet groups, slept once per round
-    for (std::size_t k = 0; k < order_.size(); ++k) {
+    for (Group& g : groups_) {
       if (cfg_.stopped()) break;
-      Group& g = groups_[order_[k]];
-      const bool probe = k >= probes;
+      if (g.sched.parked) continue;
       if (g.opts.lock) co_await g.opts.lock->lock();
       plan_.clear();
       const sim::Nanos at = engine_.now();
@@ -252,7 +259,7 @@ sim::Co<> Predicates::run() {
       if (g.opts.on_work) g.opts.on_work(work);
       if (!acted && plan_.empty()) {
         carry += work;
-        settle(g, probe, false, at);
+        settle(g, false, at);
         if (g.opts.lock) g.opts.lock->unlock();
         continue;
       }
@@ -268,7 +275,7 @@ sim::Co<> Predicates::run() {
         co_await engine_.sleep(post);
       }
       if (g.opts.lock && !g.opts.early_release) g.opts.lock->unlock();
-      settle(g, probe, true, at);
+      settle(g, true, at);
     }
     if (cfg_.stopped()) break;
 
@@ -297,16 +304,15 @@ sim::Co<> Predicates::run() {
           std::min(idle_streak - kIdleStreakThreshold, kIdleBackoffMaxShift);
       sim::Nanos backoff =
           std::min(cfg_.idle_backoff_min << shift, cfg_.idle_backoff_max);
-      // The scan lane and the deadline bound the backoff: neither a
-      // demoted group's probe nor a predicate falling due may be pushed
-      // past its time. A parked group waits on its wake, not on a time.
+      // A held action's release and the deadline bound the backoff:
+      // neither a lane-dropped push whose window closes nor a predicate
+      // falling due may be pushed past its time. A parked group waits on
+      // its wake, and a quiet one on a peer's push, not on a time.
       const sim::Nanos now = engine_.now();
       const auto cap = [&](sim::Nanos due) {
         backoff = std::min(backoff, due > now ? due - now : 1);
       };
-      for (const Group& g : groups_) {
-        if (g.sched.demoted && !g.sched.parked) cap(g.sched.next_scan);
-      }
+      if (!held_.empty()) cap(cfg_.faults->next_lane_release(now));
       if (cfg_.deadline) cap(cfg_.deadline());
       if (cfg_.doorbell != nullptr) {
         co_await cfg_.doorbell->wait_for(backoff);
@@ -317,85 +323,34 @@ sim::Co<> Predicates::run() {
   }
 }
 
-/// The service order. The rotation is every group not demoted, in
-/// registration order; a group quiet for kDemoteAfter services *and*
-/// fire-free for max(kDemoteQuiet, scan_interval) leaves it (settle) and is
-/// probed once per `scan_interval` instead of every round; a fire at a
-/// probe or a rearm promotes it back.
-///
-/// A demoted group that is drained parks instead (park_if_drained): it is
-/// never probed and rejoins the rotation here, in the first round after
-/// its wake signal rang. So the scan lane is the latency bound only for a
-/// quiet group that still waits on a peer (an acknowledgment, a
-/// persistence frontier): the shared per-node doorbell cannot attribute a
-/// ring to it.
-std::size_t Predicates::plan_round() {
-  const sim::Nanos round_start = engine_.now();
-  order_.clear();
-  for (std::size_t i = 0; i < groups_.size(); ++i) {
-    Group& g = groups_[i];
-    if (woken(g)) {
-      g.sched.parked = false;
-      g.sched.demoted = false;
-      g.sched.quiet_streak = 0;
-      if (cfg_.on_sched) cfg_.on_sched(g.opts, SchedEvent::park, false);
-    }
-    if (!g.sched.demoted) order_.push_back(i);
-  }
-  const std::size_t probes = order_.size();
-  for (std::size_t i = 0; i < groups_.size(); ++i) {
-    const GroupSched& sc = groups_[i].sched;
-    if (sc.demoted && !sc.parked && round_start >= sc.next_scan) {
-      order_.push_back(i);
-    }
-  }
-  return probes;
-}
-
-/// Pull every demoted group off the scan lane and wake every parked one (a
-/// rearm made dormant predicates live again).
-void Predicates::promote_all() {
-  for (Group& g : groups_) {
-    GroupSched& sc = g.sched;
-    if (sc.parked) {
-      g.wake->signal();  // plan_round returns it to the rotation
-    } else if (sc.demoted) {
-      sc.demoted = false;
-      sc.quiet_streak = 0;
-    }
-  }
-}
-
-void Predicates::settle(Group& g, bool probe, bool acted, sim::Nanos at) {
+/// A group quiet for kParkAfterServices services *and* fire-free for
+/// max(kParkQuiet, park_after) parks when drained (park_if_drained); one
+/// that is not drained stays in the rotation and asks again at its next
+/// quiet service. The peer's SST push it waits on lands in the rotation
+/// and rings the doorbell; the shared per-node doorbell cannot attribute a
+/// ring to one group, so a parked group wakes only on its own signal.
+void Predicates::settle(Group& g, bool acted, sim::Nanos at) {
   GroupSched& sc = g.sched;
   ++sc.serviced;
   if (acted) {
     sc.quiet_streak = 0;
     sc.last_fire = at;
-    sc.demoted = false;  // a probe that fired: the group is hot again
-  } else if (probe) {
-    sc.next_scan = at + g.opts.scan_interval;
-  } else if (++sc.quiet_streak >= kDemoteAfter && g.opts.scan_interval > 0 &&
-             at - sc.last_fire >=
-                 std::max(kDemoteQuiet, g.opts.scan_interval)) {
-    sc.demoted = true;
-    ++sc.demotions;
-    sc.next_scan = at + g.opts.scan_interval;
+  } else if (++sc.quiet_streak >= kParkAfterServices &&
+             g.opts.park_after > 0 &&
+             at - sc.last_fire >= std::max(kParkQuiet, g.opts.park_after)) {
+    park_if_drained(g);
   }
-  if (probe && cfg_.on_sched) cfg_.on_sched(g.opts, SchedEvent::probe, acted);
-  if (sc.demoted) park_if_drained(g);
 }
 
 /// A held action (lane drop) issues only at the top of some group's
-/// service, so while one is held every group stays where a service can
-/// still reach it: on the scan lane at worst.
+/// service, so no group parks while one is held.
 void Predicates::park_if_drained(Group& g) {
   GroupSched& sc = g.sched;
   if (!g.opts.drained || !held_.empty() || !g.opts.drained()) return;
   sc.parked = true;
   ++sc.parks;
   sc.wakes_seen = g.wake->signals();
-  if (cfg_.on_sched) cfg_.on_sched(g.opts, SchedEvent::park, true);
+  if (cfg_.on_park) cfg_.on_park(g.opts, true);
 }
 
 }  // namespace spindle::sst

@@ -112,10 +112,10 @@ struct PredicateStats {
 /// merged PostPlan, and sleep the post cost; quiet services carry their
 /// eval cost forward, and quiet rounds back off onto the doorbell after an
 /// idle streak, waking no later than the configured deadline. A group that
-/// stays quiet leaves the per-round rotation for a scan lane (see
-/// GroupOptions::scan_interval), so a hot group stops paying a full lap of
-/// cold evaluations per round; a quiet group that is also drained parks
-/// (GroupOptions::drained) and costs nothing until its wake signal rings.
+/// stays quiet and is drained parks (GroupOptions::park_after, drained):
+/// it leaves the per-round rotation and costs nothing until its wake
+/// signal rings, so a hot group stops paying a full lap of cold
+/// evaluations per round. Every other group is evaluated every round.
 /// A sleep of zero is skipped, so a round whose triggers charge no CPU (the
 /// membership service's) adds no event.
 class Predicates {
@@ -133,18 +133,18 @@ class Predicates {
     std::uint32_t tag = 0;      // owner id (e.g. subgroup id) for hooks
     sim::Mutex* lock = nullptr; // nullptr: lock-free group (membership SST)
     bool early_release = false; // §3.4: unlock before the RDMA phase
-    /// The scan lane. A group quiet for several services and fire-free for
-    /// max(25 µs, scan_interval) leaves the per-round rotation and is
-    /// probed once per scan_interval until a probe fires, or until it
-    /// parks (`drained`). 0 disables demotion — the group is swept every
-    /// round, Derecho's full lap, and never parks.
-    sim::Nanos scan_interval = 0;
-    /// Parking. Returns true when none of the group's predicates can hold
-    /// again until its wake signal rings (wake_signal(), wake()). Asked
-    /// under the lock when the group demotes and at each quiet scan-lane
-    /// probe; a drained group parks — it leaves the scan lane as well,
-    /// costs no evaluation, and rejoins the rotation in the round after a
-    /// wake. Only the data plane sets it. Unset: the group never parks.
+    /// Parking. A group quiet for several services and fire-free for
+    /// max(25 µs, park_after) may park (`drained`). 0 disables parking —
+    /// the group is swept every round, Derecho's full lap.
+    sim::Nanos park_after = 0;
+    /// Returns true when none of the group's predicates can hold again
+    /// until its wake signal rings (wake_signal(), wake()). Asked under the
+    /// lock at each quiet service once `park_after` allows parking; a
+    /// drained group parks — it leaves the rotation, costs no evaluation,
+    /// and rejoins in the round after a wake. A quiet group that is not
+    /// drained waits on a peer's SST push, whose landing rings the
+    /// doorbell, so it stays in the rotation. Only the data plane sets it.
+    /// Unset: the group never parks.
     std::function<bool()> drained;
     /// Checked under the lock; a disabled group (e.g. a wedged subgroup)
     /// contributes no work, no plan, no fires.
@@ -170,8 +170,6 @@ class Predicates {
     Trigger fire;
   };
 
-  enum class SchedEvent : std::uint8_t { probe, park };
-
   struct SchedulerConfig {
     std::function<bool()> stopped;  // required
     /// Fault injection: the host's fault table (net::HostFaults), asked
@@ -184,13 +182,9 @@ class Predicates {
     /// landed) and on every rearm(); the quiescent backoff waits on it.
     /// nullptr: the backoff is a plain sleep.
     sim::Signal* doorbell = nullptr;
-    /// Observability: a demoted group was probed on the scan lane
-    /// (SchedEvent::probe, the `sched_service` trace span; `flag` says
-    /// whether the probe acted, which promotes the group back into the
-    /// rotation), or a group parked (SchedEvent::park, flag true) or was
-    /// woken (flag false; the `sched_park` span).
-    std::function<void(const GroupOptions& group, SchedEvent ev, bool flag)>
-        on_sched;
+    /// Observability: a group parked (`parked` true) or was woken back
+    /// into the rotation (false; the `sched_park` span).
+    std::function<void(const GroupOptions& group, bool parked)> on_park;
     /// Per-round fixed cost (iteration overhead + jitter + hiccups).
     std::function<sim::Nanos()> iteration_pause;
     /// Quiescent backoff: after an idle streak the loop waits
@@ -201,7 +195,8 @@ class Predicates {
     /// The absolute virtual time at which a predicate may next hold without
     /// a doorbell ring (a heartbeat falling due, a suspicion timeout),
     /// asked at each quiescent wait; the wait ends there at the latest.
-    /// Unset: only the backoff and the scan lane bound the wait.
+    /// Unset: only the backoff (and a held action's release) bounds the
+    /// wait.
     std::function<sim::Nanos()> deadline;
     /// Observability: a predicate's trigger acted, charging
     /// [work_before, work_now) of the group's compute span.
@@ -227,8 +222,8 @@ class Predicates {
   /// Re-enable a one_time predicate (and reset a transition edge) — e.g. at
   /// view install, when the epoch-scoped membership predicates re-arm.
   /// Both forms kick the scheduler: an idle-backoff wait is cut short (via
-  /// the doorbell) and demoted groups are promoted, so a re-armed predicate
-  /// is evaluated promptly instead of waiting out the remaining backoff.
+  /// the doorbell) and parked groups are woken, so a re-armed predicate is
+  /// evaluated promptly instead of waiting out the remaining backoff.
   void rearm(PredId p);
   void rearm_all();
 
@@ -245,11 +240,8 @@ class Predicates {
   /// Per-group scheduler accounting, exported into `cluster.stats()`.
   struct GroupSched {
     std::uint64_t serviced = 0;  // rounds the scheduler evaluated the group
-    std::uint64_t demotions = 0; // times demoted onto the scan lane
-    std::uint64_t parks = 0;     // times parked (drained and demoted)
-    bool demoted = false;        // currently off the rotation
-    bool parked = false;         // demoted and off the scan lane too
-    sim::Nanos next_scan = 0;    // next probe while demoted, not parked
+    std::uint64_t parks = 0;     // times parked (quiet and drained)
+    bool parked = false;         // currently off the rotation
     int quiet_streak = 0;        // consecutive quiet services
     sim::Nanos last_fire = 0;    // most recent acting service
     std::uint64_t wakes_seen = 0;  // wake-signal count when it parked
@@ -296,23 +288,16 @@ class Predicates {
   /// began `at` moved into held_ first.
   sim::Nanos issue_plan(sim::Nanos at);
 
-  /// One round's service order, written into order_ (indices into
-  /// groups_): the rotation in registration order — woken parked groups
-  /// rejoin it here — then the due scan-lane probes. Returns where the
-  /// probes begin.
-  std::size_t plan_round();
-  /// Bookkeeping after one service of `g` that started at `at`: demotion
-  /// (quiet), promotion (a probe that fired), parking, and the `on_sched`
-  /// hook.
-  void settle(Group& g, bool probe, bool acted, sim::Nanos at);
-  /// Park a demoted group if it is drained and no lane-dropped action is
+  /// Bookkeeping after one service of `g` that started at `at`: the quiet
+  /// streak and, once the group may park, parking.
+  void settle(Group& g, bool acted, sim::Nanos at);
+  /// Park a quiet group if it is drained and no lane-dropped action is
   /// held (only a service releases one, and a parked group gets none).
   void park_if_drained(Group& g);
   /// A parked group whose wake signal rang since it parked.
   static bool woken(const Group& g) {
     return g.sched.parked && g.wake->signals() != g.sched.wakes_seen;
   }
-  void promote_all();
   void kick();
 
   sim::Engine& engine_;
@@ -320,7 +305,6 @@ class Predicates {
   std::vector<Group> groups_;
   std::vector<Predicate> preds_;
   std::uint64_t rearm_generation_ = 0;  // bumped by rearm(); schedulers poll
-  std::vector<std::size_t> order_;  // this round's service order
   PostPlan plan_;  // reused across rounds; capacity reaches steady state
   PostPlan held_;  // lane-dropped actions awaiting their window's expiry
 };

@@ -38,8 +38,6 @@ const char* to_string(Stage s) {
       return "fault";
     case Stage::predicate_fire:
       return "predicate_fire";
-    case Stage::sched_service:
-      return "sched_service";
     case Stage::sched_park:
       return "sched_park";
     case Stage::recover:

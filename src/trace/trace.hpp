@@ -28,8 +28,6 @@ enum class Stage : std::uint8_t {
   fault,           // fault-injection onset (arg = fault::FaultKind)
   predicate_fire,  // one registered sst::Predicates trigger acted
                    // (dur = its slice of the round's compute, arg = pred id)
-  sched_service,   // scan-lane probe of a demoted group (arg = 1 when the
-                   // probe fired and promoted the group, else 0)
   sched_park,      // a drained group parked (arg = 1) or was woken back
                    // into the rotation (arg = 0)
   recover,         // node rejoined from its durable log (arg = new epoch)
@@ -42,10 +40,12 @@ enum class Stage : std::uint8_t {
                    // (dur = end-to-end RTT, arg = correlation id)
   admission_shed,  // front tier: request or session shed with Busy
                    // (arg = credit waiters at the decision)
-  atomic_post,     // never recorded; benchmark/src reads it
+  atomic_post,     // never recorded; benchmark/src reads it. Keep it last:
+                   // kNumStages counts the stages through it.
 };
 
-inline constexpr std::size_t kNumStages = 25;
+inline constexpr std::size_t kNumStages =
+    static_cast<std::size_t>(Stage::atomic_post) + 1;
 const char* to_string(Stage s);
 
 inline constexpr std::uint32_t kNoSubgroup = UINT32_MAX;

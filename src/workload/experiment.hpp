@@ -26,7 +26,7 @@ struct ExperimentConfig : core::ClusterConfig {
   ExperimentConfig() {
     nodes = 16;
     sim_threads = 0;
-    scan_interval = 0;  // the paper figures reproduce Derecho's polling thread
+    park_after = 0;  // the paper figures reproduce Derecho's polling thread
   }
 
   std::size_t subgroups = 1;         // every node is a member of every one

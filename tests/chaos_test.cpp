@@ -62,7 +62,7 @@ struct ChaosOutcome {
   std::size_t episodes = 0;       // recovery episodes the checker archived
   bool halted = false;
   bool persistent = false;
-  bool demoted = false;  // the final epoch's data subgroup hit the scan lane
+  bool parked = false;  // the final epoch's data subgroup parked
   std::size_t crashes_scheduled = 0;
 };
 
@@ -181,7 +181,7 @@ ChaosOutcome run_chaos(std::uint64_t seed) {
     return out;
   }
   for (const auto& sg : group.cluster().stats().subgroups) {
-    if (sg.sched_demotions > 0) out.demoted = true;
+    if (sg.sched_parks > 0) out.parked = true;
   }
   out.violations = checker.check(group);
   out.trace.push_back(group.engine().now());
@@ -243,7 +243,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSweep,
 // (Deterministic: the seed population is fixed, so these counts are too.)
 TEST(ChaosCoverage, SeedPopulationExercisesTheProtocol) {
   std::size_t with_crashes = 0, with_epochs = 0, persistent = 0, halted = 0;
-  std::size_t with_demotions = 0, with_recoveries = 0;
+  std::size_t with_parks = 0, with_recoveries = 0;
   for (std::uint64_t i = 0; i < 100; ++i) {
     const ChaosOutcome out = run_chaos(kBaseSeed + i);
     ASSERT_TRUE(out.done) << out.dump << out.diagnostics;
@@ -251,7 +251,7 @@ TEST(ChaosCoverage, SeedPopulationExercisesTheProtocol) {
     if (out.epochs > 0) ++with_epochs;
     if (out.persistent) ++persistent;
     if (out.halted) ++halted;
-    if (out.demoted) ++with_demotions;
+    if (out.parked) ++with_parks;
     if (out.recoveries > 0) {
       ++with_recoveries;
       EXPECT_EQ(out.episodes, out.recoveries)
@@ -261,9 +261,9 @@ TEST(ChaosCoverage, SeedPopulationExercisesTheProtocol) {
   EXPECT_GE(with_crashes, 30u);
   EXPECT_GE(with_epochs, 30u);
   EXPECT_GE(persistent, 15u);
-  // The scan lane under fault pressure: a data subgroup that went quiet
-  // long enough to demote, in the epoch the run ended in.
-  EXPECT_GE(with_demotions, 30u);
+  // Parking under fault pressure: a data subgroup that went quiet long
+  // enough, drained, to park in the epoch the run ended in.
+  EXPECT_GE(with_parks, 30u);
   // About a third of the seeds draw a total-failure episode and every
   // episode forces at least one restart, so completed recoveries must be
   // well represented.
@@ -271,7 +271,7 @@ TEST(ChaosCoverage, SeedPopulationExercisesTheProtocol) {
   // Terminal halts (total failure without recovery) are rare but legal; no
   // lower bound asserted.
   RecordProperty("halted_runs", static_cast<int>(halted));
-  RecordProperty("demoted_runs", static_cast<int>(with_demotions));
+  RecordProperty("parked_runs", static_cast<int>(with_parks));
   RecordProperty("recovered_runs", static_cast<int>(with_recoveries));
 }
 
@@ -466,8 +466,8 @@ TEST(ChaosNamed, FalseSuspicionOfSlowNode) {
 }
 
 TEST(ChaosNamed, PredicateDelayOnScanLane) {
-  // Per-predicate fault injection (named for the deficit scheduler it was
-  // written against): every fire of the deliver trigger pays +15µs of
+  // Per-predicate fault injection (named for the deficit scheduler and
+  // scan lane it was written against): every fire of the deliver trigger pays +15µs of
   // compute for a 1ms window (a slow trigger — lock contention,
   // cache-hostile scan). Delivery lags but the virtual-synchrony contract
   // must hold, and since membership heartbeats live on each member's own
@@ -531,9 +531,9 @@ TEST(ChaosNamed, HeartbeatDelaySurvivesTotalFailureRecovery) {
 
 TEST(ChaosNamed, CrashOnScanLane) {
   // The baseline crash regression on a second shape (named for the
-  // deficit scheduler it was written against): a view change (wedge,
-  // trim, install, rearm) with scan-lane epoch clusters on both sides of
-  // the install barrier.
+  // deficit scheduler and scan lane it was written against): a view change
+  // (wedge, trim, install, rearm) with parking epoch clusters on both
+  // sides of the install barrier.
   NamedRun r(5, 84, /*persistent=*/false);
   r.group.engine().schedule_fn(sim::micros(60), [&] { r.group.crash(1); });
   ASSERT_TRUE(r.run_to_quiescence()) << r.group.engine().diagnostics();

@@ -74,13 +74,11 @@ std::uint64_t tag_of(std::span<const std::byte> data) {
 /// Cluster-level digest: per-node delivery records (in upcall order, with
 /// the virtual time of the trigger that delivered them), then the merged
 /// counter snapshot and the makespan. Only the first `active` subgroups
-/// send (all of them by default); `demotions` and `parks`, when given,
-/// receive the scan-lane demotions and parks summed over every subgroup and
-/// node.
+/// send (all of them by default); `parks`, when given, receives the parks
+/// summed over every subgroup and node.
 std::uint64_t cluster_digest(std::size_t nodes, std::size_t subgroups,
                              std::size_t messages, std::uint64_t seed,
                              std::size_t active = SIZE_MAX,
-                             std::uint64_t* demotions = nullptr,
                              std::uint64_t* parks = nullptr) {
   active = std::min(active, subgroups);
   ClusterConfig cc;
@@ -165,10 +163,6 @@ std::uint64_t cluster_digest(std::size_t nodes, std::size_t subgroups,
   }
   const metrics::ClusterStats stats = cluster.stats();
   d.mix_counters(stats.total);
-  if (demotions) {
-    *demotions = 0;
-    for (const auto& sg : stats.subgroups) *demotions += sg.sched_demotions;
-  }
   if (parks) {
     *parks = 0;
     for (const auto& sg : stats.subgroups) *parks += sg.sched_parks;
@@ -242,12 +236,11 @@ std::uint64_t view_change_digest(std::uint64_t seed) {
 constexpr std::uint64_t kGoldenFig03 = 0xe8fc214e12b1e8e3;
 constexpr std::uint64_t kGoldenFig09 = 0xea69ce9212cbae91;
 constexpr std::uint64_t kGoldenViewChange = 0x3080420c16e0e5a0;
-// Captured when the scan lane became the only reactive discipline: one hot
-// subgroup plus four cold ones on the default 25us lane, so the cold
-// groups demote and the digest pins the scan-lane schedule (fig09 and
-// fig03 never demote, so they cannot). Re-derived once when drained
-// groups began to park: the cold groups demote drained, park, and are
-// never probed, so the hot group's rounds no longer pay their probes.
+// One hot subgroup plus four cold ones under the default 25us park_after:
+// the cold groups go quiet drained, park, and are never evaluated again,
+// so the digest pins the park schedule (fig09 and fig03 never park, so
+// they cannot). Re-derived once, when drained groups began to park
+// instead of being probed on a scan lane.
 constexpr std::uint64_t kGoldenHotCold = 0xc9d5cd0559767b26;
 
 TEST(DeterminismLock, Fig03SingleSubgroup) {
@@ -262,15 +255,12 @@ TEST(DeterminismLock, Fig09BatchedMultigroup) {
   EXPECT_EQ(h, kGoldenFig09);
 }
 
-TEST(DeterminismLock, HotColdScanLane) {
-  std::uint64_t demotions = 0, parks = 0;
-  const std::uint64_t h =
-      cluster_digest(6, 5, 40, 11, /*active=*/1, &demotions, &parks);
-  std::printf("digest hot-cold: 0x%llx (%llu demotions, %llu parks)\n",
+TEST(DeterminismLock, HotColdParking) {
+  std::uint64_t parks = 0;
+  const std::uint64_t h = cluster_digest(6, 5, 40, 11, /*active=*/1, &parks);
+  std::printf("digest hot-cold: 0x%llx (%llu parks)\n",
               static_cast<unsigned long long>(h),
-              static_cast<unsigned long long>(demotions),
               static_cast<unsigned long long>(parks));
-  EXPECT_GT(demotions, 0u) << "the cold subgroups never reached the lane";
   EXPECT_GT(parks, 0u) << "the drained cold subgroups never parked";
   EXPECT_EQ(h, kGoldenHotCold);
 }

@@ -176,24 +176,18 @@ std::size_t active_of(const RunSpec& spec) {
   return std::min(spec.active, spec.subgroups);
 }
 
-/// Scan-lane demotions and parks summed over every subgroup and node.
-struct SchedCounts {
-  std::uint64_t demotions = 0;
-  std::uint64_t parks = 0;
-  bool operator==(const SchedCounts&) const = default;
-};
-
 /// Run `spec` with `workers` simulation threads up to the fixed virtual
 /// horizon, and digest everything observable: per-node delivery records
 /// (subgroup, sender, seq, index, virtual delivery time, payload tag) in
 /// upcall order, final virtual time, and the merged protocol counters.
 /// Both serial and parallel runs execute the exact same event set when
 /// driven by run_to(), so the digests must agree bit-for-bit. The out
-/// parameters receive the delivered count and the scheduler counters.
+/// parameters receive the delivered count and the parks summed over every
+/// subgroup and node.
 std::uint64_t digest_to_horizon(const RunSpec& spec, std::size_t workers,
                                 sim::Nanos horizon,
                                 std::uint64_t* delivered_out,
-                                SchedCounts* sched_out) {
+                                std::uint64_t* parks_out) {
   core::ClusterConfig cc;
   cc.nodes = spec.nodes;
   cc.seed = spec.seed;
@@ -274,11 +268,8 @@ std::uint64_t digest_to_horizon(const RunSpec& spec, std::size_t workers,
   }
   const metrics::ClusterStats stats = cluster.stats();
   d.mix_counters(stats.total);
-  *sched_out = {};
-  for (const auto& sg : stats.subgroups) {
-    sched_out->demotions += sg.sched_demotions;
-    sched_out->parks += sg.sched_parks;
-  }
+  *parks_out = 0;
+  for (const auto& sg : stats.subgroups) *parks_out += sg.sched_parks;
   cluster.shutdown();
   return d.h;
 }
@@ -339,21 +330,21 @@ sim::Nanos completion_horizon(const RunSpec& spec) {
   return t + sim::micros(100);
 }
 
-/// Returns the serial run's scan-lane demotions and parks.
-SchedCounts expect_identical_across_workers(const RunSpec& spec) {
+/// Returns the serial run's parks.
+std::uint64_t expect_identical_across_workers(const RunSpec& spec) {
   const sim::Nanos horizon = completion_horizon(spec);
   const std::uint64_t expect =
       active_of(spec) * spec.nodes * spec.messages * spec.nodes;
   std::uint64_t d1 = 0, d2 = 0, d4 = 0;
-  SchedCounts m1, m2, m4;
+  std::uint64_t m1 = 0, m2 = 0, m4 = 0;
   const std::uint64_t h1 = digest_to_horizon(spec, 1, horizon, &d1, &m1);
   const std::uint64_t h2 = digest_to_horizon(spec, 2, horizon, &d2, &m2);
   const std::uint64_t h4 = digest_to_horizon(spec, 4, horizon, &d4, &m4);
   EXPECT_EQ(d1, expect);
   EXPECT_EQ(d2, expect);
   EXPECT_EQ(d4, expect);
-  EXPECT_TRUE(m1 == m2) << "2-worker scheduler counters diverged";
-  EXPECT_TRUE(m1 == m4) << "4-worker scheduler counters diverged";
+  EXPECT_EQ(m1, m2) << "2-worker parks diverged";
+  EXPECT_EQ(m1, m4) << "4-worker parks diverged";
   std::printf("digest W1=0x%llx W2=0x%llx W4=0x%llx (horizon %lld ns)\n",
               static_cast<unsigned long long>(h1),
               static_cast<unsigned long long>(h2),
@@ -372,15 +363,13 @@ TEST(ParallelDeterminism, Fig09BatchedMultigroupIdenticalAt124Workers) {
   expect_identical_across_workers({6, 3, 40, 11});
 }
 
-// The determinism lock's hot-plus-cold golden: four cold subgroups demote
-// onto the default scan lane and park drained, so this pins the park and
-// wake schedule across worker counts (the landing-signal wake then runs on
-// the destination's worker thread, which parallel_tsan checks).
-TEST(ParallelDeterminism, HotColdScanLaneIdenticalAt124Workers) {
-  const SchedCounts c =
-      expect_identical_across_workers({6, 5, 40, 11, /*active=*/1});
-  EXPECT_GT(c.demotions, 0u);
-  EXPECT_GT(c.parks, 0u);
+// The determinism lock's hot-plus-cold golden: four cold subgroups go
+// quiet under the default park_after and park drained, so this pins the
+// park and wake schedule across worker counts (the landing-signal wake then
+// runs on the destination's worker thread, which parallel_tsan checks).
+TEST(ParallelDeterminism, HotColdParkingIdenticalAt124Workers) {
+  EXPECT_GT(expect_identical_across_workers({6, 5, 40, 11, /*active=*/1}),
+            0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
-// Scan-lane tests (ctest -L scan_lane): the reactive scheduler's starvation
-// bound (a demoted cold group is still probed within its scan_interval),
-// the quiet rule (a group that keeps becoming ready never demotes), the
-// promotion paths (a parked group's wake from quiescence, rearm at a view
-// install), parking (a drained group costs no evaluation, a wake that
-// rings mid-round skips the backoff, a held push blocks parking, the first
-// message into a parked subgroup), the reactive idle-backoff rearm fix,
-// the per-predicate fault-injection hook, and the cluster-level wiring
-// (ClusterConfig::scan_interval -> per-subgroup sched counters in stats()).
+// Parking tests (ctest -L parking): a quiet group that is not drained stays
+// in the rotation (and acts on the peer push it waits on as soon as it
+// lands), the quiet rule (a group that keeps becoming ready never parks),
+// the wake paths (a wake from quiescence, a wake rung mid-round, a rearm at
+// a view install), a held push blocks parking and is released at its
+// window's end, a parked group costs no evaluation, the first message into
+// a parked subgroup, the reactive idle-backoff rearm fix, the
+// per-predicate fault-injection hook, and the cluster-level wiring
+// (ClusterConfig::park_after -> per-subgroup sched counters in stats()).
 
 #include <gtest/gtest.h>
 
@@ -24,8 +24,8 @@
 namespace spindle::sst {
 namespace {
 
-/// One reactive scheduler with a doorbell, so the promotion and
-/// backoff-kick paths are exercisable, reading its own host-fault table.
+/// One reactive scheduler with a doorbell, so the wake and backoff-kick
+/// paths are exercisable, reading its own host-fault table.
 struct Harness {
   sim::Engine engine;
   sim::Signal doorbell{engine};
@@ -51,74 +51,77 @@ struct Harness {
   }
 };
 
-Predicates::GroupOptions lane(const char* name, sim::Nanos scan_interval) {
+Predicates::GroupOptions group(const char* name, sim::Nanos park_after) {
   Predicates::GroupOptions g;
   g.name = name;
-  g.scan_interval = scan_interval;
+  g.park_after = park_after;
   return g;
 }
 
-TEST(PredicatesScan, ColdGroupServicedWithinScanIntervalBound) {
-  // A saturating hot group and a never-firing cold group: the cold group
-  // must demote onto the scan lane (it stops paying a slot every round)
-  // yet still be probed within scan_interval + one round.
-  constexpr sim::Nanos kScan = sim::micros(20);
-  Harness h;
-  const auto hot = h.preds.add_group(lane("hot", 0));
-  const auto cold = h.preds.add_group(lane("cold", kScan));
+TEST(PredicatesScan, QuietGroupNotDrainedStaysInTheRotation) {
+  // A saturating hot group and a never-firing group that is never drained
+  // (it waits on a peer's push): long past its park_after it must neither
+  // park nor be thinned out. It is evaluated in every round, so whatever
+  // it waits on is acted on in the round after it lands.
+  constexpr sim::Nanos kPause = 100;
+  constexpr sim::Nanos kHotWork = 2000;
+  Harness h(kPause);
+  const auto hot = h.preds.add_group(group("hot", 0));
+  Predicates::GroupOptions opts = group("waiting", sim::micros(20));
+  opts.drained = [] { return false; };
+  const auto quiet = h.preds.add_group(std::move(opts));
   h.preds.add(hot, {"saturate", PredicateClass::recurrent, nullptr,
                     [](TriggerContext& ctx) {
-                      ctx.work += 2000;
+                      ctx.work += kHotWork;
                       return true;
                     }});
-  std::vector<sim::Nanos> cold_evals;
-  h.preds.add(cold, {"cold_guard", PredicateClass::recurrent,
-                     [&] {
-                       cold_evals.push_back(h.engine.now());
-                       return false;
-                     },
-                     [](TriggerContext&) { return true; }});
+  std::vector<sim::Nanos> quiet_evals;
+  h.preds.add(quiet, {"guard", PredicateClass::recurrent,
+                      [&] {
+                        quiet_evals.push_back(h.engine.now());
+                        return false;
+                      },
+                      [](TriggerContext&) { return true; }});
   h.run_for(sim::millis(5));
 
-  ASSERT_GE(h.preds.group_sched(cold).demotions, 1u)
-      << "a never-firing group must land on the scan lane";
-  ASSERT_GE(cold_evals.size(), 3u);
-  // Max round length: hot fire (2000ns) + pause; be generous.
-  constexpr sim::Nanos kSlack = sim::micros(10);
+  const Predicates::GroupSched& sc = h.preds.group_sched(quiet);
+  EXPECT_EQ(sc.parks, 0u) << "a group that is not drained parked";
+  EXPECT_FALSE(sc.parked);
+  // One service per round: the stop may cut the last round after the hot
+  // group's service.
+  EXPECT_GE(sc.serviced + 1, h.preds.group_sched(hot).serviced);
+  ASSERT_GE(quiet_evals.size(), 1000u);
   sim::Nanos max_gap = 0;
-  for (std::size_t i = 1; i < cold_evals.size(); ++i) {
-    max_gap = std::max(max_gap, cold_evals[i] - cold_evals[i - 1]);
+  for (std::size_t i = 1; i < quiet_evals.size(); ++i) {
+    max_gap = std::max(max_gap, quiet_evals[i] - quiet_evals[i - 1]);
   }
-  EXPECT_LE(max_gap, kScan + kSlack) << "starvation bound violated";
-  // Demotion must actually thin the probes: the widest gap observed should
-  // be on the order of the scan interval, not the per-round cadence.
-  EXPECT_GE(max_gap, kScan / 2) << "cold group was never demoted from the "
-                                   "per-round sweep";
-  // And the hot group gets the overwhelming share of services.
-  EXPECT_GT(h.preds.group_sched(hot).serviced,
-            4 * h.preds.group_sched(cold).serviced);
+  EXPECT_LE(max_gap, kHotWork + kPause) << "a round skipped the quiet group";
 }
 
 TEST(PredicatesScan, PeriodicGroupNeverDemotesWhileTicking) {
-  // A busy peer plus a group that becomes ready every 100us on a 500us
-  // lane. Each tick goes quiet for far more than 8 fast rounds, but never
-  // for a whole scan_interval, so the quiet rule must keep the group in
-  // the rotation: every tick fires within one round of becoming ready. A
-  // demoted group would sit out up to 500us and miss ticks.
+  // A busy peer plus a group that becomes ready every 100us with a 500us
+  // park_after, drained between ticks, and no wake at a tick: parked, it
+  // would miss every tick (parking is the only way out of the rotation,
+  // so here it is what demotion would be). Each tick goes quiet for far
+  // more than 8 fast rounds, but never for a whole park_after, so the
+  // quiet rule must keep the group in the rotation: every tick fires
+  // within one round of becoming ready.
   constexpr sim::Nanos kPause = 100;
   constexpr sim::Nanos kPeerWork = 200;
   constexpr sim::Nanos kRound = kPeerWork + kPause;
   constexpr sim::Nanos kTick = sim::micros(100);
   constexpr int kTicks = 40;
   Harness h(kPause);
-  const auto peer = h.preds.add_group(lane("peer", sim::micros(500)));
-  const auto periodic = h.preds.add_group(lane("periodic", sim::micros(500)));
+  const auto peer = h.preds.add_group(group("peer", sim::micros(500)));
+  sim::Nanos ready_at = -1;  // pending tick's readiness time, -1 if none
+  Predicates::GroupOptions opts = group("periodic", sim::micros(500));
+  opts.drained = [&] { return ready_at < 0; };
+  const auto periodic = h.preds.add_group(std::move(opts));
   h.preds.add(peer, {"busy", PredicateClass::recurrent, nullptr,
                      [](TriggerContext& ctx) {
                        ctx.work += kPeerWork;
                        return true;
                      }});
-  sim::Nanos ready_at = -1;  // pending tick's readiness time, -1 if none
   std::vector<sim::Nanos> lag;
   h.preds.add(periodic, {"tick", PredicateClass::recurrent,
                          [&] { return ready_at >= 0; },
@@ -130,30 +133,31 @@ TEST(PredicatesScan, PeriodicGroupNeverDemotesWhileTicking) {
   for (int i = 1; i <= kTicks; ++i) {
     h.engine.schedule_fn(i * kTick, [&] { ready_at = h.engine.now(); });
   }
-  std::uint64_t demotions_while_ticking = 1;
+  std::uint64_t parks_while_ticking = 1;
   h.engine.schedule_fn(kTicks * kTick + kRound, [&] {
-    demotions_while_ticking = h.preds.group_sched(periodic).demotions;
+    parks_while_ticking = h.preds.group_sched(periodic).parks;
   });
   h.run_for(sim::millis(5));
 
-  EXPECT_EQ(demotions_while_ticking, 0u)
-      << "a group idle for less than its scan_interval must not demote";
+  EXPECT_EQ(parks_while_ticking, 0u)
+      << "a group idle for less than its park_after must not park";
+  EXPECT_EQ(h.preds.group_sched(periodic).parks, 1u)
+      << "the group did not park once the ticks stopped";
   ASSERT_EQ(lag.size(), static_cast<std::size_t>(kTicks))
       << "ticks were missed";
   for (sim::Nanos l : lag) EXPECT_LE(l, kRound);
 }
 
 TEST(PredicatesScan, DoorbellWakePromotesDemotedGroupFromQuiescence) {
-  // All-quiet scheduler: the only group demotes once it has been fire-free
-  // for its very slow scan lane (50ms); it is drained, so it parks, and
-  // the scheduler falls into doorbell backoff. Waking it at T, past the
-  // park — wake(), which rings its wake signal and the doorbell, as a
-  // local claim does — must return it to the rotation and service it
-  // promptly, not after the residual backoff (a parked group gets no
-  // probe).
+  // All-quiet scheduler: the only group, drained, parks once it has been
+  // fire-free for its very long park_after (50ms), and the scheduler falls
+  // into doorbell backoff. Waking it at T, past the park — wake(), which
+  // rings its wake signal and the doorbell, as a local claim does — must
+  // return it to the rotation ("promote" it; parked is the only demoted
+  // state left) and service it promptly, not after the residual backoff.
   Harness h;
   bool ready = false;
-  Predicates::GroupOptions opts = lane("lazy", sim::millis(50));
+  Predicates::GroupOptions opts = group("lazy", sim::millis(50));
   opts.drained = [&] { return !ready; };
   const auto g = h.preds.add_group(std::move(opts));
   sim::Nanos fired_at = -1;
@@ -185,7 +189,7 @@ TEST(PredicatesScan, WakeRungMidRoundSkipsTheBackoff) {
   // instead of sleeping out a backoff that is 256us deep by then.
   Harness h;
   bool ready = false;
-  Predicates::GroupOptions opts = lane("parked", sim::micros(20));
+  Predicates::GroupOptions opts = group("parked", sim::micros(20));
   opts.drained = [&] { return !ready; };
   const auto g = h.preds.add_group(std::move(opts));
   sim::Nanos fired_at = -1;
@@ -199,7 +203,7 @@ TEST(PredicatesScan, WakeRungMidRoundSkipsTheBackoff) {
   // A full-lap group evaluated every round: its first guard evaluation
   // past 3ms rings the parked group's wake from inside the round, the way
   // a landing does (node doorbell first, then the region's signal).
-  const auto ringer = h.preds.add_group(lane("ringer", 0));
+  const auto ringer = h.preds.add_group(group("ringer", 0));
   sim::Nanos rang_at = -1;
   bool parked_at_ring = false;
   h.preds.add(ringer, {"ring", PredicateClass::recurrent,
@@ -227,18 +231,17 @@ TEST(PredicatesScan, WakeRungMidRoundSkipsTheBackoff) {
 TEST(PredicatesScan, HeldPushBlocksParkingUntilReleased) {
   // A drained group whose push is held by a lane-drop window must not park:
   // a parked group is never serviced, and only a service releases a held
-  // action. It stays on the scan lane, whose first probe after the window
-  // closes issues the push; only then does the group park.
-  constexpr sim::Nanos kScan = sim::micros(20);
+  // action. It stays in the rotation, and while the action is held the
+  // idle backoff ends no later than the window's end, so the push issues
+  // within a round of it; only then does the group park.
   constexpr sim::Nanos kUntil = sim::micros(200);
   Harness h;
-  Predicates::GroupOptions opts = lane("acker", kScan);
+  Predicates::GroupOptions opts = group("acker", sim::micros(20));
   opts.drained = [] { return true; };
   const auto g = h.preds.add_group(std::move(opts));
   bool armed = true;
   sim::Nanos issued_at = -1;
   std::uint64_t parks_at_issue = 0;
-  std::uint64_t demotions_at_issue = 0;
   h.preds.add(g, {"ack", PredicateClass::recurrent, [&] { return armed; },
                   [&](TriggerContext& ctx) {
                     armed = false;
@@ -246,7 +249,6 @@ TEST(PredicatesScan, HeldPushBlocksParkingUntilReleased) {
                     ctx.plan.add(1, [&] {
                       issued_at = h.engine.now();
                       parks_at_issue = h.preds.group_sched(g).parks;
-                      demotions_at_issue = h.preds.group_sched(g).demotions;
                       return sim::Nanos{0};
                     });
                     return true;
@@ -255,20 +257,21 @@ TEST(PredicatesScan, HeldPushBlocksParkingUntilReleased) {
   h.run_for(sim::millis(1));
 
   ASSERT_GE(issued_at, kUntil) << "the held push never issued";
-  EXPECT_LE(issued_at, kUntil + kScan + sim::micros(1))
-      << "the scan lane bounds the release";
-  EXPECT_GE(demotions_at_issue, 1u) << "the group never left the rotation";
+  EXPECT_LE(issued_at, kUntil + sim::micros(1))
+      << "the release waited out the idle backoff";
   EXPECT_EQ(parks_at_issue, 0u) << "parked while a push was held";
   EXPECT_EQ(h.preds.group_sched(g).parks, 1u) << "never parked after it";
 }
 
-TEST(PredicatesScan, RearmPromotesDemotedOneTime) {
-  // A one_time predicate fires once and its group goes quiet and, after a
-  // 50ms lane's worth of quiet, demoted. rearm() alone (no doorbell
-  // traffic, no scan-lane deadline for a long while) must promote the
-  // group and re-fire it.
+TEST(PredicatesScan, RearmWakesParkedOneTime) {
+  // A one_time predicate fires once; its group goes quiet and, drained (a
+  // fired one_time predicate holds again only after a rearm), parks.
+  // rearm() alone — no wake signal, no doorbell traffic — must wake the
+  // group and re-fire it within one round.
   Harness h;
-  const auto g = h.preds.add_group(lane("epoch", sim::millis(50)));
+  Predicates::GroupOptions opts = group("epoch", sim::micros(20));
+  opts.drained = [] { return true; };
+  const auto g = h.preds.add_group(std::move(opts));
   std::vector<sim::Nanos> fires;
   const auto p = h.preds.add(g, {"install", PredicateClass::one_time,
                                  [] { return true; },
@@ -277,18 +280,19 @@ TEST(PredicatesScan, RearmPromotesDemotedOneTime) {
                                    ctx.work += 100;
                                    return true;
                                  }});
-  const sim::Nanos kT = sim::millis(55);
-  bool demoted_at_rearm = false;
+  const sim::Nanos kT = sim::millis(2);
+  bool parked_at_rearm = false;
   h.engine.schedule_fn(kT, [&] {
-    demoted_at_rearm = h.preds.group_sched(g).demoted;
+    parked_at_rearm = h.preds.group_sched(g).parked;
     h.preds.rearm(p);
   });
-  h.run_for(sim::millis(57));
+  h.run_for(sim::millis(3));
 
-  ASSERT_TRUE(demoted_at_rearm);
+  ASSERT_TRUE(parked_at_rearm);
   ASSERT_EQ(fires.size(), 2u);
-  EXPECT_LE(fires[1], kT + sim::micros(5))
-      << "rearm must cut the backoff and promote the demoted group";
+  EXPECT_LE(fires[1], kT + sim::micros(1))
+      << "rearm must cut the backoff and wake the parked group";
+  EXPECT_EQ(h.preds.group_sched(g).parks, 2u) << "parked again afterwards";
 }
 
 TEST(PredicatesReactive, RearmAllCutsIdleBackoffShort) {
@@ -391,7 +395,7 @@ TEST(PredicatesFault, LaneDropOpenedDuringComputeHoldsThatRoundsPosts) {
   }
 }
 
-/// A hot and a cold subgroup over the same four nodes on a `scan` lane;
+/// A hot and a cold subgroup over the same four nodes with `park_after`;
 /// with `hot_load` every node keeps sending into the hot one until the
 /// fixture goes away.
 struct HotCold {
@@ -401,8 +405,8 @@ struct HotCold {
   core::SubgroupId cold = 0;
   bool sending = true;
 
-  HotCold(sim::Nanos scan, bool hot_load, bool traced = false)
-      : cluster(config(scan, traced)) {
+  HotCold(sim::Nanos park_after, bool hot_load, bool traced = false)
+      : cluster(config(park_after, traced)) {
     const std::vector<net::NodeId> members{0, 1, 2, 3};
     core::ProtocolOptions opts = core::ProtocolOptions::spindle();
     opts.max_msg_size = 256;
@@ -418,11 +422,11 @@ struct HotCold {
     cluster.shutdown();
   }
 
-  static core::ClusterConfig config(sim::Nanos scan, bool traced) {
+  static core::ClusterConfig config(sim::Nanos park_after, bool traced) {
     core::ClusterConfig cc;
     cc.nodes = kNodes;
     cc.seed = 5;
-    cc.scan_interval = scan;
+    cc.park_after = park_after;
     cc.trace.enabled = traced;
     return cc;
   }
@@ -451,7 +455,7 @@ struct HotCold {
 TEST(PredicatesScan, ParkedColdSubgroupCostsNoEvaluations) {
   // Once the drained cold subgroup parks at every node, its predicates are
   // never evaluated again while the hot subgroup on the same nodes keeps
-  // sending: no scan-lane probe, no doorbell-driven look.
+  // sending: no doorbell-driven look, no periodic one.
   HotCold hc(sim::micros(100), /*hot_load=*/true);
   hc.cluster.engine().run_to(sim::millis(1));
   ASSERT_TRUE(hc.cold_parked_everywhere());
@@ -467,13 +471,13 @@ TEST(PredicatesScan, ParkedColdSubgroupCostsNoEvaluations) {
 }
 
 /// Per-member delay from sending one message into the parked cold
-/// subgroup (from node 1) to its delivery there, on a 500us lane; `wakes`,
-/// when given, counts the cold group's wake spans.
+/// subgroup (from node 1) to its delivery there, with a 500us park_after;
+/// `wakes`, when given, counts the cold group's wake spans.
 std::vector<sim::Nanos> first_message_delays(bool hot_load, bool traced,
                                              std::uint64_t* wakes = nullptr) {
-  constexpr sim::Nanos kScan = sim::micros(500);
+  constexpr sim::Nanos kParkAfter = sim::micros(500);
   std::vector<sim::Nanos> delays(HotCold::kNodes, -1);
-  HotCold hc(kScan, hot_load, traced);
+  HotCold hc(kParkAfter, hot_load, traced);
   sim::Engine& eng = hc.cluster.engine();
   eng.run_to(sim::millis(2));
   EXPECT_TRUE(hc.cold_parked_everywhere());
@@ -487,7 +491,7 @@ std::vector<sim::Nanos> first_message_delays(bool hot_load, bool traced,
   eng.spawn([](core::Cluster* c, core::SubgroupId sg) -> sim::Co<> {
     co_await c->node(1).send(sg, 64, [](std::span<std::byte>) {});
   }(&hc.cluster, hc.cold));
-  eng.run_to(sent_at + kScan);
+  eng.run_to(sent_at + kParkAfter);
   if (wakes != nullptr) {
     *wakes = 0;
     for (const trace::Event& e : hc.cluster.tracer().all_events()) {
@@ -501,8 +505,8 @@ std::vector<sim::Nanos> first_message_delays(bool hot_load, bool traced,
 TEST(PredicatesScan, FirstMessageIntoParkedSubgroupIsDeliveredPromptly) {
   // The first message into a parked subgroup wakes it at the sender (the
   // claim) and at every receiver (the landing in its ring): each member
-  // delivers it well inside one 500us scan interval, under hot load and
-  // from quiescence, instead of waiting for a probe. Measured: 28-32us
+  // delivers it well inside 500us, under hot load and from quiescence:
+  // a parked group gets no other look. Measured: 28-32us
   // under load; 64-68us from quiescence, where each receiver wakes on the
   // data write and the trailer lands during that round's pause, a ring no
   // one waits for (ROADMAP item 3), so one 50us idle backoff is paid.
@@ -522,11 +526,47 @@ TEST(PredicatesScan, FirstMessageIntoParkedSubgroupIsDeliveredPromptly) {
   }
 }
 
+TEST(PredicatesScan, QuietGroupWaitingOnAPeerActsOnTheLanding) {
+  // Three members, one sender (node 0), and node 2's egress paused from
+  // the start until T: node 1 receives the message at once but cannot
+  // deliver it before node 2's acknowledgment lands. Its subgroup is
+  // quiet for far longer than park_after, yet not drained, so it stays in
+  // the rotation; the landing at T rings node 1's doorbell and the next
+  // round delivers. Measured: 1.9us after T at every T below.
+  for (const sim::Nanos until :
+       {sim::micros(60), sim::micros(97), sim::micros(150), sim::micros(213),
+        sim::micros(300), sim::micros(411)}) {
+    core::ClusterConfig cc;
+    cc.nodes = 3;
+    cc.seed = 3;
+    core::Cluster cluster(cc);
+    core::ProtocolOptions opts = core::ProtocolOptions::spindle();
+    opts.max_msg_size = 256;
+    opts.window_size = 8;
+    const auto sg = cluster.create_subgroup({"sg", {0, 1, 2}, {0}, opts});
+    cluster.start();
+    sim::Engine& eng = cluster.engine();
+    sim::Nanos delivered_at = -1;
+    cluster.node(1).set_delivery_handler(
+        sg, [&](const core::Delivery&) { delivered_at = eng.now(); });
+    cluster.fabric().pause_egress(2);
+    eng.schedule_fn(until, [&] { cluster.fabric().resume_egress(2); });
+    eng.spawn([](core::Cluster* c, core::SubgroupId id) -> sim::Co<> {
+      co_await c->node(0).send(id, 64, [](std::span<std::byte>) {});
+    }(&cluster, sg));
+    eng.run_to(until + sim::micros(100));
+    EXPECT_GE(delivered_at, until) << "delivered before node 2 acknowledged";
+    EXPECT_LE(delivered_at - until, sim::micros(6)) << "T = " << until;
+    cluster.shutdown();
+  }
+}
+
 TEST(PredicatesScan, ClusterDeliversIdenticallyAndExportsSchedCounters) {
-  // End-to-end wiring: the same workload on the full lap and on the
-  // cluster's default scan lane must deliver the same messages; on the
-  // lane the stats() drill-down must expose the per-subgroup scheduler
-  // counters (hot subgroup serviced, cold subgroups demoted).
+  // End-to-end wiring: the same workload on the full lap and with the
+  // cluster's default park_after must deliver the same messages; with
+  // parking the stats() drill-down must expose the per-subgroup scheduler
+  // counters (hot subgroup serviced and never parked, cold subgroups
+  // parked).
   workload::ExperimentConfig cfg;
   cfg.nodes = 4;
   cfg.subgroups = 5;
@@ -537,31 +577,30 @@ TEST(PredicatesScan, ClusterDeliversIdenticallyAndExportsSchedCounters) {
   cfg.opts.window_size = 8;
   cfg.seed = 7;
 
-  cfg.scan_interval = 0;
+  cfg.park_after = 0;
   const auto lap = workload::run_experiment(cfg);
-  cfg.scan_interval = core::ClusterConfig{}.scan_interval;
-  const auto scan = workload::run_experiment(cfg);
+  cfg.park_after = core::ClusterConfig{}.park_after;
+  const auto park = workload::run_experiment(cfg);
 
   ASSERT_TRUE(lap.completed);
-  ASSERT_TRUE(scan.completed);
+  ASSERT_TRUE(park.completed);
   EXPECT_EQ(lap.stats.total.messages_delivered,
-            scan.stats.total.messages_delivered);
-  EXPECT_GT(scan.stats.total.messages_delivered, 0u);
+            park.stats.total.messages_delivered);
+  EXPECT_GT(park.stats.total.messages_delivered, 0u);
 
-  const auto* hot = scan.stats.subgroup(0);
+  const auto* hot = park.stats.subgroup(0);
   ASSERT_NE(hot, nullptr);
   EXPECT_GT(hot->sched_serviced, 0u);
-  EXPECT_EQ(hot->sched_demotions, 0u);
-  std::uint64_t cold_demotions = 0;
-  for (const auto& s : scan.stats.subgroups) {
-    if (s.id != 0) cold_demotions += s.sched_demotions;
+  EXPECT_EQ(hot->sched_parks, 0u);
+  std::uint64_t cold_parks = 0;
+  for (const auto& s : park.stats.subgroups) {
+    if (s.id != 0) cold_parks += s.sched_parks;
   }
-  EXPECT_GT(cold_demotions, 0u)
-      << "idle subgroups should land on the scan lane";
-  // The full lap never demotes.
+  EXPECT_GT(cold_parks, 0u) << "idle subgroups should park";
+  // The full lap never parks.
   for (const auto& s : lap.stats.subgroups) {
     EXPECT_GT(s.sched_serviced, 0u);
-    EXPECT_EQ(s.sched_demotions, 0u);
+    EXPECT_EQ(s.sched_parks, 0u);
   }
 }
 

@@ -54,7 +54,6 @@ std::uint64_t run_digest(const workload::ExperimentResult& r) {
   }
   for (const auto& sg : r.stats.subgroups) {
     mix(sg.sched_serviced);
-    mix(sg.sched_demotions);
     mix(sg.sched_parks);
   }
   return h;
@@ -118,13 +117,14 @@ TEST(Trace, EnablingTracingDoesNotPerturbVirtualTime) {
   EXPECT_EQ(s_off.trace_events, 0u);
   EXPECT_GT(s_on.trace_events, 0u);
 
-  // One hot plus four cold subgroups on the default scan lane: the cold
-  // groups demote drained and park (and are never woken: nothing is sent
-  // to them), and the traced run's park spans must not move the schedule.
+  // One hot plus four cold subgroups under the default park_after: the
+  // cold groups go quiet drained and park (and are never woken: nothing is
+  // sent to them), and the traced run's park spans must not move the
+  // schedule.
   // PredicatesScan.FirstMessageIntoParkedSubgroup covers wake spans.
   workload::ExperimentConfig hc = traced_config();
   hc.subgroups = 5;
-  hc.scan_interval = core::ClusterConfig{}.scan_interval;
+  hc.park_after = core::ClusterConfig{}.park_after;
   hc.trace.enabled = false;
   const auto hc_off = workload::run_experiment(hc);
   hc.trace.enabled = true;
