@@ -28,6 +28,8 @@ void record(spindle::bench::BenchReport& report, const std::string& label,
                     static_cast<double>(r.detect_ns) / 1e3);
   report.add_metric(label + "/install_us",
                     static_cast<double>(r.install_ns) / 1e3);
+  report.add_metric(label + "/max_gap_us",
+                    static_cast<double>(r.max_gap_ns) / 1e3);
   report.add_metric(label + "/post_mmps", r.post_mmps);
 }
 

@@ -21,7 +21,7 @@ std::string doorbell_state(const sim::Signal& s) {
 
 /// Heartbeat period (each member pushes one heartbeat per period, plus its
 /// round's post cost and up to 2 µs of phase jitter), and the backoff of
-/// the install and recovery barriers and of the pump's retry loop.
+/// the recovery barrier and of the pump's retry loop.
 /// Membership rounds themselves are event-driven: a member also runs one
 /// whenever a peer's push lands and at its earliest suspicion deadline.
 constexpr sim::Nanos kHeartbeatPeriod = sim::micros(20);
@@ -89,6 +89,7 @@ void ManagedGroup::start() {
   for (std::size_t g = 0; g < num_subgroups_; ++g) {
     f_durable_.push_back(layout.add_i64("durable[" + std::to_string(g) + "]"));
   }
+  f_ack_ = layout.add_i64("proposal_ack");
 
   std::vector<net::NodeId> all = view_.members;
   std::vector<sst::Sst*> ssts;
@@ -126,8 +127,6 @@ void ManagedGroup::start() {
     setup_membership_predicates(id);
     engine_.spawn(member_preds_[id]->run());
   }
-  setup_coordinator_predicates();
-  engine_.spawn(coord_preds_->run());
 
   engine_.set_diagnostics_provider([this] { return diagnostics_dump(); });
 }
@@ -344,8 +343,7 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
                     // nodes already removed are stale SST contents from the
                     // previous epoch and must be ignored, or every install
                     // would immediately trigger another.
-                    std::uint64_t member_mask = 0;
-                    for (net::NodeId m : view_.members) member_mask |= bit(m);
+                    const std::uint64_t member_mask = view_mask();
                     ms.suspected_mask &= member_mask;
 
                     for (net::NodeId peer : view_.members) {
@@ -371,6 +369,7 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
                       }
                     }
                     if (!row_dirty) return false;
+                    halt_if_all_suspected(id);
                     sst.write_local_i64(
                         f_susp_, static_cast<std::int64_t>(ms.suspected_mask));
                     ctx.plan.add(kLaneMembership, [this, id] {
@@ -462,14 +461,13 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
                tracer_.record(id, trace::Stage::view_trim, engine_.now(), 0,
                               trace::kNoSubgroup, trace::kNoSender, -1,
                               view_.epoch + 1);
-               // A re-proposal may complete the install barrier by itself
-               // (every survivor already acknowledged the first one).
-               coord_doorbell_.signal();
                return true;
              }});
 
-  // 5. Everyone: acknowledge the current leader's proposal (a transition on
-  // "the proposal for the next epoch is visible"; re-armed at install).
+  // 5. Everyone: acknowledge the current leader's proposal in the own row
+  // (a transition on "the proposal for the next epoch is visible"; re-armed
+  // at install). The ack names the epoch, not the proposal, so it stays
+  // valid for a re-proposal with a grown failed mask.
   preds.add(gid,
             {"ack_proposal", sst::PredicateClass::transition,
              [this, id] {
@@ -479,9 +477,42 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
                return member_sst_[id]->read_i64(leader, f_prop_guard_) ==
                       static_cast<std::int64_t>(view_.epoch + 1);
              },
+             [this, id](sst::TriggerContext& ctx) {
+               member_sst_[id]->write_local_i64(f_ack_, view_.epoch + 1);
+               ctx.plan.add(kLaneMembership, [this, id] {
+                 return member_sst_[id]->push_field(f_ack_, everyone_);
+               });
+               return true;
+             }});
+
+  // 6. Leader: install once its own copy shows every survivor's ack of its
+  // proposal. A re-proposal that only grew the failed mask installs in the
+  // round that publishes it when every survivor already acknowledged.
+  preds.add(gid,
+            {"install", sst::PredicateClass::recurrent,
+             [this, id] { return mstate_[id].wedged; },
              [this, id](sst::TriggerContext&) {
-               mstate_[id].saw_proposal = true;
-               coord_doorbell_.signal();  // may complete the install barrier
+               const MemberState& ms = mstate_[id];
+               if ((ms.suspected_mask & bit(id)) ||
+                   current_leader(ms.suspected_mask) != id) {
+                 return false;
+               }
+               const sst::Sst& sst = *member_sst_[id];
+               const auto next = static_cast<std::int64_t>(view_.epoch + 1);
+               if (sst.read_i64(id, f_prop_guard_) != next) return false;
+               const auto failed_mask =
+                   static_cast<std::uint64_t>(sst.read_i64(id, f_prop_failed_));
+               for (net::NodeId peer : view_.members) {
+                 if (!(failed_mask & bit(peer)) &&
+                     sst.read_i64(peer, f_ack_) != next) {
+                   return false;
+                 }
+               }
+               std::vector<std::int64_t> trim(num_subgroups_);
+               for (std::size_t g = 0; g < num_subgroups_; ++g) {
+                 trim[g] = sst.read_i64(id, f_trim_[g]);
+               }
+               install_next_view(failed_mask, trim);
                return true;
              }});
 }
@@ -497,14 +528,19 @@ sim::Nanos ManagedGroup::suspicion_deadline(net::NodeId id) const {
   return deadline;
 }
 
-std::uint64_t ManagedGroup::all_suspicions() const {
-  std::uint64_t member_mask = 0;
-  for (net::NodeId m : view_.members) member_mask |= bit(m);
+std::uint64_t ManagedGroup::view_mask() const {
   std::uint64_t mask = 0;
-  for (net::NodeId id : view_.members) {
-    if (alive_[id]) mask |= mstate_[id].suspected_mask;
-  }
-  return mask & member_mask;
+  for (net::NodeId m : view_.members) mask |= bit(m);
+  return mask;
+}
+
+void ManagedGroup::halt_if_all_suspected(net::NodeId id) {
+  // No leader can emerge and no primary partition exists (mutual suspicion
+  // under symmetric NIC stalls, say). Halt the group — Derecho's
+  // total-failure outcome — instead of wedging forever. Members' states are
+  // frozen where they wedged; restart() can later resume the group from the
+  // durable logs.
+  if ((view_mask() & ~mstate_[id].suspected_mask) == 0) stopped_ = true;
 }
 
 net::NodeId ManagedGroup::current_leader(std::uint64_t suspected) const {
@@ -512,91 +548,6 @@ net::NodeId ManagedGroup::current_leader(std::uint64_t suspected) const {
     if (!(suspected & bit(id))) return id;
   }
   return view_.members.front();
-}
-
-void ManagedGroup::setup_coordinator_predicates() {
-  // The install barrier, coordinated centrally (see class comment): waits
-  // until every survivor has observed the leader's proposal, then performs
-  // the trim delivery and installs the next view. Woken by the proposal
-  // and acknowledgment triggers; a heartbeat-period backoff catches the
-  // total-failure halt, which no push announces.
-  coord_preds_ = std::make_unique<sst::Predicates>(engine_);
-  sst::Predicates::SchedulerConfig cfg;
-  cfg.stopped = [this, gen = pred_gen_] {
-    return stopped_ || gen != pred_gen_;
-  };
-  cfg.doorbell = &coord_doorbell_;
-  cfg.idle_backoff_min = kHeartbeatPeriod;
-  cfg.idle_backoff_max = kHeartbeatPeriod;
-  coord_preds_->configure(std::move(cfg));
-  sst::Predicates::GroupOptions gopts;
-  gopts.name = "coordinator";
-  const auto gid = coord_preds_->add_group(std::move(gopts));
-
-  // Every member is suspected or dead: no leader can emerge and no primary
-  // partition exists (mutual suspicion under symmetric NIC stalls, or
-  // simply every process crashing). Halt the group — Derecho's
-  // total-failure outcome — instead of wedging forever. Members' states
-  // are frozen where they wedged; restart() can later resume the group
-  // from the durable logs.
-  coord_preds_->add(
-      gid, {"total_failure_halt", sst::PredicateClass::one_time,
-            [this] {
-              std::uint64_t member_mask = 0;
-              for (net::NodeId id : view_.members) member_mask |= bit(id);
-              std::uint64_t covered = all_suspicions();
-              for (net::NodeId id : view_.members) {
-                if (!alive_[id]) covered |= bit(id);
-              }
-              if (member_mask == 0 || covered == 0) return false;
-              return (member_mask & ~covered) == 0;
-            },
-            [this](sst::TriggerContext&) {
-              stopped_ = true;
-              return true;
-            }});
-
-  install_pred_ = coord_preds_->add(
-      gid, {"install_barrier", sst::PredicateClass::one_time,
-            [this] {
-              if (stopped_ || !changing_) return false;
-              const std::uint64_t suspected = all_suspicions();
-              if (suspected == 0) return false;
-              std::uint64_t member_mask = 0;
-              for (net::NodeId id : view_.members) member_mask |= bit(id);
-              if ((member_mask & ~suspected) == 0) return false;
-              const net::NodeId leader = current_leader(suspected);
-              // Leader crashed: suspicion will spread, check next round.
-              if (!alive_[leader]) return false;
-              sst::Sst& lsst = *member_sst_[leader];
-              if (lsst.read_i64(leader, f_prop_guard_) !=
-                  static_cast<std::int64_t>(view_.epoch + 1)) {
-                return false;
-              }
-              const auto failed_mask = static_cast<std::uint64_t>(
-                  lsst.read_i64(leader, f_prop_failed_));
-              for (net::NodeId id : view_.members) {
-                if (failed_mask & bit(id)) continue;
-                if (!mstate_[id].saw_proposal || !mstate_[id].wedged) {
-                  return false;
-                }
-              }
-              return true;
-            },
-            [this](sst::TriggerContext&) {
-              // Re-read the winning proposal: the guard held in the
-              // condition, and nothing ran in between (same engine slot).
-              const net::NodeId leader = current_leader(all_suspicions());
-              sst::Sst& lsst = *member_sst_[leader];
-              const auto failed_mask = static_cast<std::uint64_t>(
-                  lsst.read_i64(leader, f_prop_failed_));
-              std::vector<std::int64_t> trim(num_subgroups_);
-              for (std::size_t g = 0; g < num_subgroups_; ++g) {
-                trim[g] = lsst.read_i64(leader, f_trim_[g]);
-              }
-              install_next_view(failed_mask, trim);
-              return true;
-            }});
 }
 
 void ManagedGroup::wedge_node(net::NodeId id) {
@@ -628,7 +579,7 @@ void ManagedGroup::install_next_view(std::uint64_t failed_mask,
       node.force_deliver_through(epoch_subgroups_[g], trim[g]);
     }
     // Survivors finish flushing their persistence queues inside the
-    // install barrier: a reconfiguration never loses a survivor's
+    // install: a reconfiguration never loses a survivor's
     // delivered-but-unflushed appends. (A crashed node's queue IS lost —
     // its durable log ends at whatever it had flushed.)
     node.flush_persist_queue();
@@ -653,10 +604,7 @@ void ManagedGroup::install_next_view(std::uint64_t failed_mask,
       next.departed.push_back(id);
     }
   }
-  if (next.members.empty()) {
-    stopped_ = true;
-    return;
-  }
+  assert(!next.members.empty() && "the installing leader survives");
   view_ = std::move(next);
   for (net::NodeId id : view_.members) {
     tracer_.record(id, trace::Stage::view_install, engine_.now(), 0,
@@ -667,7 +615,6 @@ void ManagedGroup::install_next_view(std::uint64_t failed_mask,
   for (net::NodeId id : view_.members) {
     mstate_[id].suspected_mask = 0;
     mstate_[id].wedged = false;
-    mstate_[id].saw_proposal = false;
     for (net::NodeId peer : view_.members) {
       mstate_[id].last_change[peer] = engine_.now();
     }
@@ -684,12 +631,10 @@ void ManagedGroup::install_next_view(std::uint64_t failed_mask,
 
   // Fresh epoch, fresh edges: reset the survivors' TRANSITION predicates
   // (wedge, ack) so the next suspicion is a rising edge even if it is
-  // raised — e.g. by leave() — before the member's next evaluation round,
-  // and re-arm the ONE_TIME install barrier for the next transition.
+  // raised — e.g. by leave() — before the member's next evaluation round.
   for (net::NodeId id : view_.members) {
     if (member_preds_[id]) member_preds_[id]->rearm_all();
   }
-  if (coord_preds_) coord_preds_->rearm(install_pred_);
 
   epoch_cluster_->shutdown();
   retired_.push_back(std::move(epoch_cluster_));
@@ -707,6 +652,12 @@ void ManagedGroup::crash(net::NodeId node) {
   fabric_.isolate(node);
   if (epoch_cluster_ && epoch_cluster_->is_member(node)) {
     epoch_cluster_->node(node).stop();
+  }
+  // The view's last live member died: no one is left to detect the total
+  // failure, so the group halts here.
+  if (std::none_of(view_.members.begin(), view_.members.end(),
+                   [this](net::NodeId m) { return alive_[m] != 0; })) {
+    stopped_ = true;
   }
   // The simulated SSD records where the crash cut each in-flight flush.
   // Nothing is truncated yet: a node that never restarts keeps the
@@ -754,8 +705,10 @@ bool ManagedGroup::restart(net::NodeId node) {
 }
 
 void ManagedGroup::setup_recovery_predicates() {
-  // The recovery barrier, coordinated centrally like the install barrier
-  // and polled once per heartbeat period. Spawned lazily by the first
+  // The recovery barrier, coordinated centrally: the rejoiners announce
+  // their durable counts through the membership SST, but this scheduler
+  // reads every announcement and computes the recovery view for them,
+  // polled once per heartbeat period. Spawned lazily by the first
   // restart() so groups that never restart pay nothing; its scheduler only
   // stops at termination, so it survives the halt it is waiting to resolve.
   recovery_preds_ = std::make_unique<sst::Predicates>(engine_);
@@ -922,7 +875,6 @@ void ManagedGroup::perform_recovery() {
     MemberState& ms = mstate_[m];
     ms.suspected_mask = 0;
     ms.wedged = false;
-    ms.saw_proposal = false;
     ms.hb_due = now;  // the respawned scheduler heartbeats at once
     ms.hb_sent = false;
     for (net::NodeId peer = 0; peer < cfg_.nodes; ++peer) {
@@ -940,8 +892,6 @@ void ManagedGroup::perform_recovery() {
     retired_preds_.push_back(std::move(member_preds_[m]));
     setup_membership_predicates(m);
   }
-  retired_preds_.push_back(std::move(coord_preds_));
-  setup_coordinator_predicates();
 
   // Requeue undelivered messages; pumps are respawned below.
   for (auto& per_node : queues_) {
@@ -966,7 +916,6 @@ void ManagedGroup::perform_recovery() {
       }
     }
   }
-  engine_.spawn(coord_preds_->run());
 }
 
 std::vector<std::vector<std::byte>> ManagedGroup::persistent_log(
@@ -985,13 +934,14 @@ std::string ManagedGroup::diagnostics_dump() const {
   for (std::size_t i = 0; i < view_.members.size(); ++i) {
     os << (i ? "," : "") << view_.members[i];
   }
-  os << "] suspicions=0x" << std::hex << all_suspicions() << std::dec
-     << " install_" << doorbell_state(coord_doorbell_) << "\n";
+  os << "]\n";
   for (net::NodeId id = 0; id < cfg_.nodes; ++id) {
     const MemberState& ms = mstate_[id];
+    // `acked`: the epoch + 1 of the last proposal this member acknowledged.
     os << "  node" << id << ": alive=" << int(alive_[id])
-       << " wedged=" << ms.wedged << " saw_proposal=" << ms.saw_proposal
-       << " susp=0x" << std::hex << ms.suspected_mask << std::dec
+       << " wedged=" << ms.wedged
+       << " acked=" << member_sst_[id]->read_i64(id, f_ack_) << " susp=0x"
+       << std::hex << ms.suspected_mask << std::dec
        << " hb_due=" << ms.hb_due << " suspect_at=";
     // What the member's membership round is waiting for: its next
     // heartbeat and the first instant it may suspect a silent peer.
@@ -1035,12 +985,11 @@ void ManagedGroup::leave(net::NodeId node) {
   check_node(node);
   if (!alive_[node]) return;
   mstate_[node].suspected_mask |= bit(node);
+  halt_if_all_suspected(node);
   sst::Sst& sst = *member_sst_[node];
   sst.write_local_i64(f_susp_,
                       static_cast<std::int64_t>(mstate_[node].suspected_mask));
-  std::vector<std::size_t> everyone;
-  for (std::size_t i = 0; i < cfg_.nodes; ++i) everyone.push_back(i);
-  sst.push_field(f_susp_, everyone);
+  sst.push_field(f_susp_, everyone_);
   mstate_[node].doorbell->signal();  // wedge now, not at the next heartbeat
 }
 

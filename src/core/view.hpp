@@ -38,11 +38,16 @@ using SubgroupLayout = std::function<std::vector<SubgroupConfig>(const View&)>;
 ///  4. the leader (lowest unsuspected rank) computes the ragged trim — per
 ///     subgroup, the minimum frozen received_num over survivors — and
 ///     publishes it (guarded write);
-///  5. survivors deliver exactly through the trim (messages at or below it
-///     were received by every survivor; messages above it are discarded
+///  5. every survivor acknowledges the proposal in its own row; once the
+///     leader's copy shows every survivor's acknowledgment, survivors
+///     deliver exactly through the trim (messages at or below it were
+///     received by every survivor; messages above it are discarded
 ///     everywhere), then install the next view with fresh SST/SMC memory;
 ///  6. senders re-send their discarded messages in the new view, before
 ///     any new messages (failure atomicity for surviving senders).
+///
+/// The group halts (total failure) when the last live member of the view
+/// crashes, or when a member's own suspicions cover its whole view.
 ///
 /// The membership plane is event-driven, like Derecho's predicate thread:
 /// a member's round runs when a peer's push lands in its membership SST,
@@ -51,9 +56,10 @@ using SubgroupLayout = std::function<std::vector<SubgroupConfig>(const View&)>;
 /// and each later hop of a view change costs a push, not a polling period.
 ///
 /// Simplifications vs. the full Derecho protocol, documented in DESIGN.md:
-/// the install barrier is coordinated centrally by the simulation (the
-/// distributed parts — suspicion, wedge, trim — run through the SST), and
-/// joins are not supported (the paper does not evaluate reconfiguration).
+/// the leader's install is one simulation step that stops every survivor's
+/// data plane and delivers each survivor's trim at once (in Derecho each
+/// survivor installs from its own SST copy), and joins are not supported
+/// (the paper does not evaluate reconfiguration).
 class ManagedGroup {
  public:
   struct Config {
@@ -114,7 +120,8 @@ class ManagedGroup {
                             DeliveryHandler handler);
 
   /// Crash `node`: its traffic is dropped and its threads halt; the other
-  /// members detect the failure and reconfigure.
+  /// members detect the failure and reconfigure. The crash of the view's
+  /// last live member halts the group.
   void crash(net::NodeId node);
 
   /// Restart `node` after a total failure: recover its durable logs
@@ -178,7 +185,9 @@ class ManagedGroup {
 
   std::size_t num_subgroups() const noexcept { return num_subgroups_; }
 
-  /// True once every member has departed and the group has shut down.
+  /// True once the group has halted: the view's last live member crashed,
+  /// or a member's suspicions cover its whole view, itself included (no
+  /// leader can emerge). restart() can resume it; shutdown() also halts.
   bool halted() const noexcept { return stopped_; }
 
   bool is_alive(net::NodeId node) const {
@@ -217,31 +226,24 @@ class ManagedGroup {
     bool hb_sent = false;  // this round pushed one (on_post adds its post)
     std::uint64_t suspected_mask = 0;
     bool wedged = false;
-    bool saw_proposal = false;
     /// The member scheduler's doorbell: the membership SST's landing
-    /// signal, also rung by rearm() and by leave().
+    /// signal, also rung by rearm_all() and by leave().
     std::unique_ptr<sim::Signal> doorbell;
   };
 
   /// Register one member's membership service on its own sst::Predicates
   /// scheduler: heartbeat + suspicion (RECURRENT), wedge and proposal-ack
-  /// (TRANSITION on the suspicion/proposal state), leader proposal
-  /// (RECURRENT, guarded). A round runs when a peer's push lands in the
-  /// member's membership SST, when its next heartbeat is due, and at its
-  /// earliest suspicion deadline (the scheduler's deadline); every round's
-  /// SST pushes are issued at the same virtual instant, in predicate order.
+  /// (TRANSITION on the suspicion/proposal state), leader proposal and
+  /// install (RECURRENT, guarded). A round runs when a peer's push lands in
+  /// the member's membership SST, when its next heartbeat is due, and at
+  /// its earliest suspicion deadline (the scheduler's deadline); every
+  /// round's SST pushes are issued at the same virtual instant, in
+  /// predicate order.
   void setup_membership_predicates(net::NodeId id);
   /// The first instant `id` may suspect some unsuspected peer of the
   /// current view: its last heartbeat change + failure_timeout + 1 ns
   /// (the suspicion check is strict). Never, when there is no such peer.
   sim::Nanos suspicion_deadline(net::NodeId id) const;
-  /// The install barrier as ONE_TIME predicates on its own scheduler (see
-  /// the class comment: coordinated centrally): a total-failure halt, and
-  /// the install trigger that fires once per epoch transition and is
-  /// re-armed by install_next_view(). A proposal or its acknowledgment
-  /// rings the barrier's doorbell; a heartbeat-period backoff is the
-  /// fallback that catches a total failure.
-  void setup_coordinator_predicates();
   /// The total-failure recovery barrier: a RECURRENT predicate on its own
   /// scheduler (spawned lazily by the first restart()), polled once per
   /// heartbeat period, that waits for the restart set to settle, then
@@ -259,7 +261,10 @@ class ManagedGroup {
   void install_next_view(std::uint64_t failed_mask,
                          const std::vector<std::int64_t>& trim);
   void build_epoch_cluster();
-  std::uint64_t all_suspicions() const;
+  /// The current view's members as a node bit mask.
+  std::uint64_t view_mask() const;
+  /// Halt the group when `id`'s suspicions cover its whole view.
+  void halt_if_all_suspected(net::NodeId id);
   net::NodeId current_leader(std::uint64_t suspected) const;
   std::string diagnostics_dump() const;
 
@@ -296,18 +301,16 @@ class ManagedGroup {
   std::vector<sst::FieldId> f_frozen_;  // per subgroup
   std::vector<sst::FieldId> f_trim_;    // per subgroup (leader proposal)
   std::vector<sst::FieldId> f_durable_;  // per subgroup (committed records)
+  sst::FieldId f_ack_;  // epoch + 1 of the proposal this member acknowledged
   std::vector<MemberState> mstate_;
 
-  // Membership predicate schedulers: one per member plus the central
-  // coordinator. Fixed over the group lifetime — epoch transitions
-  // re-arm the TRANSITION/ONE_TIME predicates instead of respawning.
+  // Membership predicate schedulers, one per member. Epoch transitions
+  // re-arm their TRANSITION predicates instead of respawning them; only a
+  // total-failure recovery respawns them.
   std::vector<std::size_t> everyone_;       // SST ranks 0..nodes-1
   std::vector<sim::Rng> membership_rng_;    // per-member heartbeat jitter
   std::vector<std::unique_ptr<sst::Predicates>> member_preds_;
-  std::unique_ptr<sst::Predicates> coord_preds_;
-  sim::Signal coord_doorbell_{engine_};  // the install barrier's doorbell
   std::unique_ptr<sst::Predicates> recovery_preds_;
-  sst::Predicates::PredId install_pred_ = 0;
   // Pre-recovery predicate schedulers: kept alive like retired_ because a
   // stale run() coroutine may still have one pending wake-up queued.
   std::vector<std::unique_ptr<sst::Predicates>> retired_preds_;

@@ -183,7 +183,7 @@ void Fabric::land(const Write& w) {
   if (isolated_[r.node]) return;  // died while in flight
   store(r, w);
   ++stats_[r.node].writes_delivered;
-  doorbells_[r.node]->signal();
+  if (r.doorbell) doorbells_[r.node]->signal();
   if (r.landed != nullptr) r.landed->signal();
 }
 

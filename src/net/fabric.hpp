@@ -279,18 +279,24 @@ class Fabric {
                         RegionId dst, std::size_t dst_offset);
 
   /// Doorbell of a node: signalled whenever a write lands in any of the
-  /// node's regions. Pollers use it to wake from quiescent backoff.
+  /// node's regions, except one whose landing signal replaces it. Pollers
+  /// use it to wake from quiescent backoff.
   sim::Signal& doorbell(NodeId node) { return *doorbells_[node]; }
   const sim::Signal& doorbell(NodeId node) const { return *doorbells_[node]; }
 
   /// Attach a landing signal to region `r`: signalled (after the node's
   /// doorbell) whenever a write lands in that region alone, so a waiter
   /// that reads only this region is not woken by the node's other traffic.
-  /// The region's owner keeps the signal alive while writes can land, and
-  /// binds it to the engine that owns the region's node. nullptr detaches.
-  void set_landing_signal(RegionId r, sim::Signal* signal) {
+  /// With `replaces_doorbell`, a landing in `r` rings this signal only, so
+  /// the node's pollers of other regions are not woken by it either. The
+  /// region's owner keeps the signal alive while writes can land, and
+  /// binds it to the engine that owns the region's node. nullptr detaches
+  /// (and the doorbell rings again).
+  void set_landing_signal(RegionId r, sim::Signal* signal,
+                          bool replaces_doorbell = false) {
     assert(r.index < regions_.size());
     regions_[r.index].landed = signal;
+    regions_[r.index].doorbell = signal == nullptr || !replaces_doorbell;
   }
 
   /// Crash-style isolation: all in-flight and future traffic involving
@@ -353,6 +359,7 @@ class Fabric {
     // within one QP — the RDMA memory-fence guarantee of §2.2.
     std::vector<sim::Nanos> fifo;
     sim::Signal* landed = nullptr;  // set_landing_signal
+    bool doorbell = true;  // a landing also rings the node's doorbell
   };
   struct LinkFault {
     double latency_mult = 1.0;
@@ -417,8 +424,9 @@ class Fabric {
   /// lands in the memory-less range (the source is read and checked
   /// either way).
   void store(const Region& r, const Write& w) const;
-  /// Landing event body: store into the destination, ring its doorbell and
-  /// the region's landing signal.
+  /// Landing event body: store into the destination, ring its doorbell
+  /// (unless the region's landing signal replaces it) and the region's
+  /// landing signal.
   void land(const Write& w);
 
   /// Wire model shared by post_write and resume_egress: serialize at the

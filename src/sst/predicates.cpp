@@ -26,8 +26,6 @@ constexpr sim::Nanos kParkQuiet = sim::micros(25);
 
 const char* to_string(PredicateClass c) {
   switch (c) {
-    case PredicateClass::one_time:
-      return "one_time";
     case PredicateClass::recurrent:
       return "recurrent";
     case PredicateClass::transition:
@@ -95,26 +93,12 @@ Predicates::PredId Predicates::add(GroupId g, PredicateOptions opts) {
   return id;
 }
 
-void Predicates::rearm(PredId p) {
-  assert(p < preds_.size());
-  preds_[p].done = false;
-  preds_[p].edge = false;
-  kick();
-}
-
-void Predicates::rearm_all() {
-  for (Predicate& p : preds_) {
-    p.done = false;
-    p.edge = false;
-  }
-  kick();
-}
-
 /// A rearm made dormant predicates live again: cut an in-flight idle-backoff
 /// wait short (the scheduler waits on the doorbell) and bump the rearm
 /// generation so the next round resets its idle streak and wakes parked
 /// groups instead of waiting out the remaining backoff.
-void Predicates::kick() {
+void Predicates::rearm_all() {
+  for (Predicate& p : preds_) p.edge = false;
   ++rearm_generation_;
   if (cfg_.doorbell != nullptr) cfg_.doorbell->signal();
 }
@@ -164,7 +148,6 @@ bool Predicates::eval_group(Group& g, sim::Nanos& work, PostPlan& plan) {
   bool any = false;
   for (PredId id : g.preds) {
     Predicate& p = preds_[id];
-    if (p.done) continue;  // one_time already fired this arming
     ++p.stats.evals;
     if (p.when) {
       const bool holds = p.when();
@@ -176,10 +159,6 @@ bool Predicates::eval_group(Group& g, sim::Nanos& work, PostPlan& plan) {
         continue;
       }
     }
-    // Mark one_time done *before* the trigger runs, so a trigger that calls
-    // rearm() on itself (epoch-scoped predicates re-arming at install) is
-    // not immediately clobbered afterwards.
-    if (p.cls == PredicateClass::one_time) p.done = true;
     const sim::Nanos before = work;
     TriggerContext ctx{work, plan};
     const bool acted = p.fire(ctx);
@@ -196,8 +175,6 @@ bool Predicates::eval_group(Group& g, sim::Nanos& work, PostPlan& plan) {
       if (cfg_.on_predicate_fire) {
         cfg_.on_predicate_fire(g.opts, p.stats, id, before, work);
       }
-    } else if (p.cls == PredicateClass::one_time && p.done) {
-      p.done = false;  // guard held but the trigger declined: stay armed
     }
   }
   return any;

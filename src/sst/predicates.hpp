@@ -17,15 +17,14 @@ namespace spindle::sst {
 
 /// Monotonicity class of a registered predicate (Derecho TOCS §4):
 ///
-///  - `one_time`:   fires at most once, then deregisters itself from
-///                  evaluation. rearm() re-enables it (e.g. once per epoch).
 ///  - `recurrent`:  evaluated every round; fires whenever it holds. The
 ///                  data-plane stage predicates (receive / send / deliver)
 ///                  are recurrent over monotonic SST state.
 ///  - `transition`: fires on the false->true *edge* of its condition — the
 ///                  "monotonic deducibility" events of the membership layer
 ///                  (a peer became suspected, a proposal became visible).
-enum class PredicateClass : std::uint8_t { one_time, recurrent, transition };
+///                  rearm_all() resets every edge (e.g. once per epoch).
+enum class PredicateClass : std::uint8_t { recurrent, transition };
 
 const char* to_string(PredicateClass c);
 
@@ -179,7 +178,7 @@ class Predicates {
     /// loop with an iteration_pause). nullptr: no faults.
     const net::HostFaults* faults = nullptr;
     /// Rings when the predicates' inputs may have changed (a remote write
-    /// landed) and on every rearm(); the quiescent backoff waits on it.
+    /// landed) and on every rearm_all(); the quiescent backoff waits on it.
     /// nullptr: the backoff is a plain sleep.
     sim::Signal* doorbell = nullptr;
     /// Observability: a group parked (`parked` true) or was woken back
@@ -219,12 +218,11 @@ class Predicates {
   /// must outlive the coroutine (same discipline as any simulated thread).
   sim::Co<> run();
 
-  /// Re-enable a one_time predicate (and reset a transition edge) — e.g. at
-  /// view install, when the epoch-scoped membership predicates re-arm.
-  /// Both forms kick the scheduler: an idle-backoff wait is cut short (via
-  /// the doorbell) and parked groups are woken, so a re-armed predicate is
-  /// evaluated promptly instead of waiting out the remaining backoff.
-  void rearm(PredId p);
+  /// Reset every transition edge — e.g. at view install, when the
+  /// epoch-scoped membership predicates re-arm — and kick the scheduler: an
+  /// idle-backoff wait is cut short (via the doorbell) and parked groups
+  /// are woken, so a re-armed predicate is evaluated promptly instead of
+  /// waiting out the remaining backoff.
   void rearm_all();
 
   /// The wake signal of a group that can park (one with a `drained`
@@ -265,7 +263,6 @@ class Predicates {
     Trigger fire;
     PredicateStats stats;
     bool edge = false;  // transition: last observed condition value
-    bool done = false;  // one_time: already fired
   };
   struct Group {
     GroupOptions opts;
@@ -298,13 +295,12 @@ class Predicates {
   static bool woken(const Group& g) {
     return g.sched.parked && g.wake->signals() != g.sched.wakes_seen;
   }
-  void kick();
 
   sim::Engine& engine_;
   SchedulerConfig cfg_;
   std::vector<Group> groups_;
   std::vector<Predicate> preds_;
-  std::uint64_t rearm_generation_ = 0;  // bumped by rearm(); schedulers poll
+  std::uint64_t rearm_generation_ = 0;  // bumped by rearm_all(); run() polls
   PostPlan plan_;  // reused across rounds; capacity reaches steady state
   PostPlan held_;  // lane-dropped actions awaiting their window's expiry
 };

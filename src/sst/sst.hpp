@@ -115,10 +115,12 @@ class Sst {
 
   net::Fabric& fabric() noexcept { return fabric_; }
 
-  /// Signal `s` whenever a peer's push lands in this table (see
-  /// net::Fabric::set_landing_signal); nullptr detaches.
+  /// Signal `s`, instead of the node's doorbell, whenever a peer's push
+  /// lands in this table (see net::Fabric::set_landing_signal), so a table
+  /// with its own reader does not wake the node's data-plane poller;
+  /// nullptr detaches.
   void set_landing_signal(sim::Signal* s) {
-    fabric_.set_landing_signal(my_region_, s);
+    fabric_.set_landing_signal(my_region_, s, /*replaces_doorbell=*/true);
   }
 
  private:

@@ -307,6 +307,20 @@ TEST(ChaosNamed, RecoveryViewStartsWithoutStaleSuspicions) {
   }
 }
 
+// Two members outlive this schedule's crashes of nodes 2 and 0. Node 3,
+// suspected while its NIC was stalled, adopts node 1's suspicion of it,
+// then times out node 1, which a slow-CPU window has descheduled: node 3's
+// own mask covers its whole view. No leader can emerge from that, and the
+// group halts in epoch 0 instead of installing a view of node 1 alone once
+// node 1 runs again.
+TEST(ChaosNamed, EveryMemberSuspectedHaltsTheGroup) {
+  const ChaosOutcome out = run_chaos(kBaseSeed + 2403);
+  ASSERT_TRUE(out.done) << out.dump << out.diagnostics;
+  EXPECT_TRUE(out.violations.empty()) << out.dump;
+  EXPECT_TRUE(out.halted) << out.dump;
+  EXPECT_EQ(out.epochs, 0u) << out.dump;
+}
+
 core::SubgroupLayout simple_layout(bool persistent) {
   return [persistent](const core::View& v) {
     core::SubgroupConfig sc;

@@ -263,28 +263,27 @@ TEST(PredicatesScan, HeldPushBlocksParkingUntilReleased) {
   EXPECT_EQ(h.preds.group_sched(g).parks, 1u) << "never parked after it";
 }
 
-TEST(PredicatesScan, RearmWakesParkedOneTime) {
-  // A one_time predicate fires once; its group goes quiet and, drained (a
-  // fired one_time predicate holds again only after a rearm), parks.
-  // rearm() alone — no wake signal, no doorbell traffic — must wake the
-  // group and re-fire it within one round.
+TEST(PredicatesScan, RearmWakesAParkedGroup) {
+  // A transition predicate whose condition stays true fires once; its group
+  // goes quiet and, drained (its edge rises again only after a rearm),
+  // parks. rearm_all() alone — no wake signal, no doorbell traffic — must
+  // wake the group and re-fire it within one round.
   Harness h;
   Predicates::GroupOptions opts = group("epoch", sim::micros(20));
   opts.drained = [] { return true; };
   const auto g = h.preds.add_group(std::move(opts));
   std::vector<sim::Nanos> fires;
-  const auto p = h.preds.add(g, {"install", PredicateClass::one_time,
-                                 [] { return true; },
-                                 [&](TriggerContext& ctx) {
-                                   fires.push_back(h.engine.now());
-                                   ctx.work += 100;
-                                   return true;
-                                 }});
+  h.preds.add(g, {"install", PredicateClass::transition, [] { return true; },
+                  [&](TriggerContext& ctx) {
+                    fires.push_back(h.engine.now());
+                    ctx.work += 100;
+                    return true;
+                  }});
   const sim::Nanos kT = sim::millis(2);
   bool parked_at_rearm = false;
   h.engine.schedule_fn(kT, [&] {
     parked_at_rearm = h.preds.group_sched(g).parked;
-    h.preds.rearm(p);
+    h.preds.rearm_all();
   });
   h.run_for(sim::millis(3));
 
@@ -296,14 +295,14 @@ TEST(PredicatesScan, RearmWakesParkedOneTime) {
 }
 
 TEST(PredicatesReactive, RearmAllCutsIdleBackoffShort) {
-  // Regression: a one_time predicate re-armed at a view install used to
-  // wait out the scheduler's remaining idle backoff (up to
-  // idle_backoff_max). The rearm kick — doorbell signal + idle-streak
-  // reset — must get it evaluated promptly.
+  // Regression: a predicate re-armed at a view install used to wait out
+  // the scheduler's remaining idle backoff (up to idle_backoff_max). The
+  // rearm kick — doorbell signal + idle-streak reset — must get it
+  // evaluated promptly.
   Harness h;
   const auto g = h.preds.add_group({});
   std::vector<sim::Nanos> fires;
-  h.preds.add(g, {"barrier", PredicateClass::one_time,
+  h.preds.add(g, {"barrier", PredicateClass::transition,
                   [] { return true; },
                   [&](TriggerContext&) {
                     fires.push_back(h.engine.now());

@@ -1,5 +1,5 @@
 // Unit tests for the sst::Predicates framework (ctest -L predicate): the
-// PostPlan lane contract, the three monotonicity classes, re-arming,
+// PostPlan lane contract, the two monotonicity classes, re-arming,
 // per-predicate accounting, and the scheduler loop. The
 // protocol-level behaviour lock (the ported data plane and view layer must
 // be bit-identical to the monolith) lives in determinism_lock_test.cpp.
@@ -77,53 +77,6 @@ TEST(Predicates, RecurrentFiresWheneverConditionHolds) {
   EXPECT_EQ(h.preds.stats(p).fires, 3u);
   EXPECT_EQ(h.preds.stats(p).cpu, 21);
   EXPECT_GT(h.preds.stats(p).evals, h.preds.stats(p).fires);
-}
-
-TEST(Predicates, OneTimeFiresOnceUntilRearmed) {
-  Harness h;
-  const auto g = h.preds.add_group({});
-  int fired = 0;
-  const auto p = h.preds.add(g, {"once", PredicateClass::one_time,
-                                 [] { return true; },
-                                 [&](TriggerContext&) {
-                                   ++fired;
-                                   return true;
-                                 }});
-  h.engine.spawn(h.preds.run());
-  h.engine.run_to(sim::micros(10));
-  EXPECT_EQ(fired, 1);
-  h.preds.rearm(p);
-  h.engine.run_to(sim::micros(20));
-  EXPECT_EQ(fired, 2);
-  h.stop = true;
-  h.engine.run();
-}
-
-TEST(Predicates, OneTimeStaysArmedWhenTriggerDeclines) {
-  Harness h;
-  const auto g = h.preds.add_group({});
-  int calls = 0;
-  h.preds.add(g, {"reluctant", PredicateClass::one_time, [] { return true; },
-                  [&](TriggerContext&) { return ++calls >= 3; }});
-  h.run_for(sim::micros(100));
-  // Declined twice (stayed armed), fired on the third call, then done.
-  EXPECT_EQ(calls, 3);
-}
-
-TEST(Predicates, OneTimeRearmDuringFireSurvives) {
-  Harness h;
-  const auto g = h.preds.add_group({});
-  int fired = 0;
-  Predicates::PredId self = 0;
-  self = h.preds.add(g, {"self_rearm", PredicateClass::one_time,
-                         [&] { return fired < 2; },
-                         [&](TriggerContext&) {
-                           ++fired;
-                           h.preds.rearm(self);  // epoch-style re-arm
-                           return true;
-                         }});
-  h.run_for(sim::micros(100));
-  EXPECT_EQ(fired, 2);  // re-armed itself once, then the guard went false
 }
 
 TEST(Predicates, TransitionFiresOnRisingEdgeOnly) {
@@ -336,12 +289,12 @@ TEST(Predicates, RingDuringABusyRoundIsNotLost) {
 }
 
 TEST(Predicates, RearmWakesTheScheduler) {
-  // New input alone does not wake a waiting scheduler; rearm() rings the
-  // doorbell, so the round runs at 400 instead of at the 1100 deadline.
+  // New input alone does not wake a waiting scheduler; rearm_all() rings
+  // the doorbell, so the round runs at 400 instead of at the 1100 deadline.
   DeadlineHarness h(/*post=*/100);
   h.engine.schedule_fn(400, [&h] {
     h.input = true;
-    h.preds.rearm(h.tick);
+    h.preds.rearm_all();
   });
   h.finish(1000);
   EXPECT_EQ(h.rounds, (std::vector<sim::Nanos>{0, 400}));
@@ -351,7 +304,8 @@ TEST(Predicates, RearmWakesTheScheduler) {
 TEST(Predicates, ZeroCostRoundsAddNoEvent) {
   // A trigger that charges no compute and posts nothing: its rounds, and
   // the quiet rounds after them, run without sleeping, so each fire costs
-  // only the wake that started it.
+  // only the wake that started it. Its condition stays true, so it fires
+  // on the first edge and again after each rearm_all().
   sim::Engine engine;
   sim::Signal doorbell(engine);
   Predicates preds(engine);
@@ -364,13 +318,13 @@ TEST(Predicates, ZeroCostRoundsAddNoEvent) {
   cfg.idle_backoff_max = sim::millis(1);
   preds.configure(std::move(cfg));
   const auto g = preds.add_group({});
-  const auto once = preds.add(g, {"once", PredicateClass::one_time, nullptr,
-                                  [&](TriggerContext&) {
-                                    ++fired;
-                                    return true;
-                                  }});
+  preds.add(g, {"edge", PredicateClass::transition, [] { return true; },
+                [&](TriggerContext&) {
+                  ++fired;
+                  return true;
+                }});
   engine.spawn(preds.run());
-  engine.schedule_fn(500, [&] { preds.rearm(once); });
+  engine.schedule_fn(500, [&] { preds.rearm_all(); });
   engine.run_to(900);
   EXPECT_EQ(fired, 2);
   // The spawn, the rearm event and the doorbell wake it schedules.

@@ -28,10 +28,12 @@ std::uint64_t tag_of(std::span<const std::byte> data) {
 /// A managed group over N nodes with one all-member subgroup, recording
 /// per-node delivery sequences across views.
 struct ManagedFixture {
-  explicit ManagedFixture(std::size_t n, std::uint64_t seed = 1) {
+  explicit ManagedFixture(std::size_t n, std::uint64_t seed = 1,
+                          bool trace = false) {
     ManagedGroup::Config cfg;
     cfg.nodes = n;
     cfg.seed = seed;
+    cfg.trace.enabled = trace;
     group = std::make_unique<ManagedGroup>(cfg, [](const View& v) {
       SubgroupConfig sc;
       sc.name = "main";
@@ -235,10 +237,10 @@ TEST(ManagedGroup, LeaveDuringAViewChangeDepartsByTheNextEpoch) {
   // When the leader's proposal covers it, node 1 departs in that install.
   // When the install runs first, the peers' copies of node 1's row (or of
   // a row that adopted its bit) still name it, and it departs in the next
-  // epoch. A slow 0 -> 1 link makes node 1 the last to see the proposal,
-  // and a leader stalled from the announcement on cannot re-propose, so
-  // the install can follow the landings of every push that carries the
-  // leave; the sweep of announcement instants covers that window.
+  // epoch. A slow 0 -> 1 link makes node 1 the last to see the proposal.
+  // When node 1 announces after posting its acknowledgment, the ack lands
+  // at the leader first (per-link FIFO) and can complete the install; the
+  // sweep of announcement instants covers that window.
   const sim::Nanos crash_at = sim::micros(50);
   const auto run_to_crash = [crash_at](ManagedGroup& g) {
     g.fabric().set_link_fault(0, 1, 4.0, 0);
@@ -268,7 +270,6 @@ TEST(ManagedGroup, LeaveDuringAViewChangeDepartsByTheNextEpoch) {
     run_to_crash(g);
     g.engine().run_to(t);
     ASSERT_TRUE(g.view_change_in_progress() && g.epoch() == 0) << t;
-    g.faults(0).slow_cpu(t + sim::micros(20));
     g.leave(1);
     const View& v = g.view();
     ASSERT_TRUE(g.engine().run_until(
@@ -321,34 +322,88 @@ TEST(ManagedGroup, FollowerCrashInstallsOnePushChainAfterTheTimeout) {
   EXPECT_EQ(f.group->view().members, (std::vector<net::NodeId>{0, 1, 3}));
 }
 
+TEST(ManagedGroup, InstallWaitsForTheSlowestAcknowledgment) {
+  // Each survivor acknowledges the leader's proposal by pushing its own
+  // row, and the leader installs once its copy shows every ack: the install
+  // follows the trim by an ack's trip back to the leader. Slowing one
+  // survivor's link to the leader (2 -> 0) delays that survivor's ack, and
+  // with it the install.
+  const auto trim_to_install = [](bool slow_ack) {
+    ManagedFixture f(4, /*seed=*/1, /*trace=*/true);
+    ManagedGroup& g = *f.group;
+    if (slow_ack) g.fabric().set_link_fault(2, 0, 4.0, 0);
+    g.engine().run_to(sim::micros(50));
+    g.crash(3);
+    EXPECT_TRUE(g.engine().run_until([&] { return g.epoch() == 1; },
+                                     sim::millis(5)))
+        << g.engine().diagnostics();
+    sim::Nanos trim = -1;
+    sim::Nanos install = -1;
+    for (const trace::Event& e : g.tracer().all_events()) {
+      if (e.stage == trace::Stage::view_trim && e.arg == 1) trim = e.t;
+      if (e.stage == trace::Stage::view_install && e.arg == 1) install = e.t;
+    }
+    EXPECT_GE(trim, 0);
+    EXPECT_GE(install, trim);
+    return install - trim;
+  };
+  EXPECT_GT(trim_to_install(true), trim_to_install(false));
+}
+
+TEST(ManagedGroup, TotalFailureHaltsAtTheLastCrash) {
+  // Total failure is known where it happens: the crash of the view's last
+  // live member halts the group at that instant. The crashes land 10 us
+  // apart, off the 20 us heartbeat grid, long before any suspicion.
+  ManagedFixture f(4);
+  ManagedGroup& g = *f.group;
+  const sim::Nanos first = sim::micros(103);
+  const sim::Nanos last = first + sim::micros(30);
+  bool halted_early = false;
+  for (net::NodeId n = 0; n < 4; ++n) {
+    g.engine().schedule_fn(first + sim::micros(10) * n, [&g, &halted_early, n] {
+      halted_early |= g.halted();
+      g.crash(n);
+    });
+  }
+  ASSERT_TRUE(g.engine().run_until([&] { return g.halted(); },
+                                   sim::millis(5)));
+  EXPECT_FALSE(halted_early);
+  EXPECT_EQ(g.engine().now(), last);
+  EXPECT_EQ(g.epoch(), 0u);
+}
+
 TEST(ManagedGroup, IdleMembershipPlaneCostIsPinned) {
   // An idle group runs only its membership plane: one heartbeat per member
   // per period, and the rounds the landing pushes wake. The simulator's
   // event count for it is pinned, and the watchdog dump shows every member
   // parked on its membership doorbell, with its idle data-plane subgroup
-  // parked too.
+  // parked too. A membership push rings only the membership SST's landing
+  // signal, so no node's data doorbell rings.
   //
-  // Re-pinned when drained data-plane groups began to park (193/2312/7933
-  // before; heartbeats unchanged). The idle subgroup parks, so no 25us
-  // probe caps the polling thread's backoff: at 1 node, 20 fewer rounds of
-  // two events each. Each heartbeat landing still rings the node doorbell
-  // (540 rings at 4 nodes, 2464 at 8, both unchanged), and an idle round
-  // no longer sleeps a courtesy probe's CPU: its mean sleep fell from 963
-  // to 538ns at 4 nodes and from 1066 to 349ns at 8. So fewer rings land
-  // mid-round, unheard, and more end a backoff and start a round: +49
-  // rounds (+98 events) at 4 nodes, +649 rounds (+1298 events) at 8.
+  // Re-pinned when the leader began to install from its own SST copy and
+  // membership pushes stopped ringing the data doorbell (153/2410/9231
+  // before; heartbeats unchanged). At 1 node, where no push lands, the 51
+  // steps were the central install barrier's: its spawn and its 20us
+  // backoff wakes. At 4 and 8 nodes each heartbeat landing also rang the
+  // data doorbell (540 rings in 1ms at 4 nodes, 2464 at 8), and a ring
+  // that ended the polling thread's backoff ran an empty round of two
+  // events with every data-plane group parked.
   struct Case {
     std::size_t nodes;
     std::uint64_t steps;
     std::int64_t heartbeats;
   };
-  for (const Case c : {Case{1, 153, 48}, Case{4, 2410, 45},
-                       Case{8, 9231, 44}}) {
+  for (const Case c : {Case{1, 102, 48}, Case{4, 1569, 45},
+                       Case{8, 5549, 44}}) {
     ManagedFixture f(c.nodes, /*seed=*/3);
     sim::Engine& eng = f.group->engine();
     eng.run_to(sim::millis(1));
     EXPECT_EQ(eng.steps(), c.steps) << c.nodes << " nodes";
     EXPECT_EQ(f.group->heartbeats(0), c.heartbeats) << c.nodes << " nodes";
+    for (net::NodeId n = 0; n < c.nodes; ++n) {
+      EXPECT_EQ(f.group->fabric().doorbell(n).signals(), 0u)
+          << "node " << n << " of " << c.nodes;
+    }
 
     const std::string dump = eng.diagnostics();
     const std::regex parked(
