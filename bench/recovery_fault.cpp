@@ -6,6 +6,8 @@
 // role (leader vs. follower).
 
 #include <cstdio>
+#include <map>
+#include <tuple>
 
 #include "bench_util.hpp"
 #include "workload/recovery.hpp"
@@ -36,6 +38,17 @@ void record(spindle::bench::BenchReport& report, const std::string& label,
 }  // namespace
 
 int main() {
+  // The sweeps share configurations (the group-size sweep's 4-node row is
+  // the victim sweep's node3 row): simulate each one once.
+  std::map<std::tuple<std::size_t, spindle::net::NodeId, spindle::sim::Nanos>,
+           RecoveryResult>
+      runs;
+  const auto run = [&runs](const RecoveryConfig& cfg) -> const RecoveryResult& {
+    const auto key = std::make_tuple(cfg.nodes, cfg.victim, cfg.failure_timeout);
+    auto it = runs.find(key);
+    if (it == runs.end()) it = runs.emplace(key, run_recovery(cfg)).first;
+    return it->second;
+  };
   spindle::bench::BenchReport report("recovery_fault");
   {
     // Continuous-load scenario: the message count is horizon / send period.
@@ -54,7 +67,7 @@ int main() {
           spindle::sim::micros(1600)}) {
       RecoveryConfig cfg;
       cfg.failure_timeout = timeout;
-      const RecoveryResult r = run_recovery(cfg);
+      const RecoveryResult& r = run(cfg);
       record(report, "timeout_us_" + us(timeout), r);
       t.row({us(timeout), us(r.detect_ns), us(r.install_ns),
              us(r.first_delivery_ns), us(r.max_gap_ns),
@@ -71,7 +84,7 @@ int main() {
       RecoveryConfig cfg;
       cfg.nodes = nodes;
       cfg.victim = static_cast<spindle::net::NodeId>(nodes - 1);
-      const RecoveryResult r = run_recovery(cfg);
+      const RecoveryResult& r = run(cfg);
       record(report, "nodes_" + std::to_string(nodes), r);
       t.row({Table::integer(nodes), us(r.detect_ns), us(r.install_ns),
              us(r.first_delivery_ns), us(r.max_gap_ns),
@@ -87,7 +100,7 @@ int main() {
     for (const spindle::net::NodeId victim : {0, 1, 3}) {
       RecoveryConfig cfg;
       cfg.victim = victim;
-      const RecoveryResult r = run_recovery(cfg);
+      const RecoveryResult& r = run(cfg);
       record(report, victim == 0 ? "leader" : "node" + std::to_string(victim),
              r);
       t.row({victim == 0 ? "leader" : "node" + std::to_string(victim),

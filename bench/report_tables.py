@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Render EXPERIMENTS.md's recovery tables from committed bench reports.
+"""Render EXPERIMENTS.md's tables from committed bench reports.
 
     python3 bench/report_tables.py BENCH_recovery_fault.json \
-        BENCH_total_recovery.json
+        BENCH_total_recovery.json BENCH_client_swarm.json
 
-Each argument is a report written by bench_recovery_fault or
-bench_total_recovery (run from the repo root to refresh them). Prints one
-markdown table per report, rows in the order the bench recorded them,
-followed by the report's provenance.
+Each argument is a report written by bench_recovery_fault,
+bench_total_recovery or bench_client_swarm (run from the repo root to
+refresh them). Prints one markdown table per report, rows in the order the
+bench recorded them, followed by the report's provenance.
 """
 
 import json
@@ -67,9 +67,30 @@ def total_recovery(report):
               f"| {m['lcp_records']:g} | {m['lost_records']:g} |")
 
 
+def client_swarm(report):
+    metrics = report["metrics"]
+    rows = {}
+    for key, value in metrics.items():
+        if m := re.fullmatch(r"poisson_([\d.]+)krps_(\w+)", key):
+            rows.setdefault(float(m[1]), {})[m[2]] = value
+    knee = metrics["knee_rps_per_relay"] / 1e3
+    print("| offered krps/relay | goodput krps | p50 µs | p99 µs | p999 µs "
+          "| busy |")
+    print("|---|---|---|---|---|---|")
+    for rate, m in rows.items():
+        cells = [f"{rate:g}", f"{m['goodput_rps'] / 1e3:.1f}",
+                 f"{m['p50_us']:.1f}", f"{m['p99_us']:.1f}",
+                 f"{m['p999_us']:.1f}", f"{m['shed']:g}"]
+        if rate == knee:
+            cells[0] += " (knee)"
+            cells = [f"**{c}**" for c in cells]
+        print("| " + " | ".join(cells) + " |")
+
+
 def main(paths):
     render = {"recovery_fault": recovery_fault,
-              "total_recovery": total_recovery}
+              "total_recovery": total_recovery,
+              "client_swarm": client_swarm}
     for path in paths:
         with open(path) as f:
             report = json.load(f)

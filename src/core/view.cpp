@@ -708,12 +708,16 @@ void ManagedGroup::setup_recovery_predicates() {
   // The recovery barrier, coordinated centrally: the rejoiners announce
   // their durable counts through the membership SST, but this scheduler
   // reads every announcement and computes the recovery view for them,
-  // polled once per heartbeat period. Spawned lazily by the first
-  // restart() so groups that never restart pay nothing; its scheduler only
-  // stops at termination, so it survives the halt it is waiting to resolve.
+  // polled once per heartbeat period. Spawned by the first restart() of an
+  // episode, so groups that never restart pay nothing. It survives the
+  // halt it is waiting to resolve and ends with the recovery it performs
+  // (which moves the predicate generation on); the next restart() spawns a
+  // fresh one.
   recovery_preds_ = std::make_unique<sst::Predicates>(engine_);
   sst::Predicates::SchedulerConfig cfg;
-  cfg.stopped = [this] { return terminated_; };
+  cfg.stopped = [this, gen = pred_gen_] {
+    return terminated_ || gen != pred_gen_;
+  };
   cfg.idle_backoff_min = kHeartbeatPeriod;
   cfg.idle_backoff_max = kHeartbeatPeriod;
   recovery_preds_->configure(std::move(cfg));
@@ -726,6 +730,7 @@ void ManagedGroup::setup_recovery_predicates() {
   recovery_preds_->add(
       gid, {"recovery_barrier", sst::PredicateClass::recurrent,
             [this] {
+              ++recovery_barrier_evals_;
               return stopped_ && !terminated_ && restarting_mask_ != 0 &&
                      engine_.now() - last_restart_at_ >= kRestartSettle;
             },
@@ -892,6 +897,9 @@ void ManagedGroup::perform_recovery() {
     retired_preds_.push_back(std::move(member_preds_[m]));
     setup_membership_predicates(m);
   }
+  // The barrier's scheduler is mid-trigger here and stops on the new
+  // generation; retire it so the next restart() spawns a fresh one.
+  retired_preds_.push_back(std::move(recovery_preds_));
 
   // Requeue undelivered messages; pumps are respawned below.
   for (auto& per_node : queues_) {

@@ -149,6 +149,11 @@ class ManagedGroup {
   }
   /// Completed total-failure recoveries over the group's lifetime.
   std::uint32_t recoveries() const noexcept { return recoveries_; }
+  /// Evaluations of the recovery barrier over the group's lifetime. It is
+  /// polled only between a restart() and the recovery that follows.
+  std::uint64_t recovery_barrier_evals() const noexcept {
+    return recovery_barrier_evals_;
+  }
 
   /// Graceful leave: the node wedges cleanly and departs with no message
   /// loss (modeled as an announced suspicion).
@@ -245,9 +250,9 @@ class ManagedGroup {
   /// (the suspicion check is strict). Never, when there is no such peer.
   sim::Nanos suspicion_deadline(net::NodeId id) const;
   /// The total-failure recovery barrier: a RECURRENT predicate on its own
-  /// scheduler (spawned lazily by the first restart()), polled once per
-  /// heartbeat period, that waits for the restart set to settle, then
-  /// performs the recovery.
+  /// scheduler (spawned by the first restart() of an episode and ended by
+  /// the recovery it performs), polled once per heartbeat period, that
+  /// waits for the restart set to settle, then performs the recovery.
   void setup_recovery_predicates();
   void perform_recovery();
   sim::Co<> pump_actor(net::NodeId id, std::size_t sg_index);
@@ -286,6 +291,7 @@ class ManagedGroup {
   std::uint64_t restarting_mask_ = 0;   // nodes waiting in the restart set
   sim::Nanos last_restart_at_ = 0;
   std::uint32_t recoveries_ = 0;
+  std::uint64_t recovery_barrier_evals_ = 0;
   /// Predicate generation: bumped by every recovery. Schedulers and pump
   /// actors capture the generation they were spawned under and exit when
   /// it moves on, so a stale coroutine with one pending wake-up cannot run

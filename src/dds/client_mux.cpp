@@ -16,9 +16,6 @@ constexpr std::uint32_t kKindPublish = 1;
 constexpr std::uint32_t kKindReply = 2;
 constexpr std::uint32_t kKindSample = 3;
 
-/// Poll period of Session::close() while draining in-flight requests.
-constexpr sim::Nanos kDrainPollInterval = 2'000;
-
 /// Header of every frame on the shared gateway<->relay rings. One layout
 /// both ways: uplink frames use (session, kind, corr, topic); downlink
 /// replies add (seq, status) and downlink samples (seq, publisher). `topic`
@@ -81,6 +78,7 @@ ClientMux::ClientMux(Domain& domain, std::uint32_t mux_id, std::uint8_t topic,
   credit_signal_ = std::make_unique<sim::Signal>(domain_.engine());
   up_.wake = std::make_unique<sim::Signal>(domain_.engine());
   down_.wake = std::make_unique<sim::Signal>(domain_.engine());
+  parsed_wake_ = std::make_unique<sim::Signal>(domain_.engine());
   tier_.relay_node = relay_;
   tier_.gateway_node = gateway_;
   tier_.topic = topic_;
@@ -113,6 +111,12 @@ metrics::RelayTierStats ClientMux::tier_stats() const {
   t.credits_effective = cfg_.credits;
   t.credit_waiters = credit_waiters_;
   t.sessions_live = live_sessions_;
+  t.uplink_busy_ns = up_.busy;
+  t.downlink_busy_ns = down_.busy;
+  t.uplink_frames = static_cast<std::uint64_t>(up_.sent);
+  t.downlink_frames = static_cast<std::uint64_t>(down_.sent);
+  t.uplink_ring_writes = up_.writes;
+  t.downlink_ring_writes = down_.writes;
   return t;
 }
 
@@ -137,10 +141,18 @@ void ClientMux::start() {
   wire(up_, 0);
   wire(down_, 1);
 
-  domain_.engine().spawn(ship_actor(up_, tier_.uplink_busy_ns));
-  domain_.engine().spawn(relay_actor());
-  domain_.engine().spawn(ship_actor(down_, tier_.downlink_busy_ns));
-  domain_.engine().spawn(demux_actor());
+  auto& eng = domain_.engine();
+  eng.spawn(counted(ship_actor(up_)));
+  eng.spawn(counted(ingress_actor()));
+  eng.spawn(counted(publish_actor()));
+  eng.spawn(counted(ship_actor(down_)));
+  eng.spawn(counted(demux_actor()));
+}
+
+sim::Co<> ClientMux::counted(sim::Co<> actor) {
+  ++actors_running_;
+  co_await std::move(actor);
+  --actors_running_;
 }
 
 void ClientMux::stop() noexcept {
@@ -350,6 +362,14 @@ void ClientMux::resolve_all(Session& s, ReplyStatus st) noexcept {
     }
   }
   s.pending_.clear();
+  wake_drain(s);
+}
+
+void ClientMux::wake_drain(Session& s) noexcept {
+  if (!s.drain_waiter_ || !s.pending_.empty()) return;
+  auto& eng = domain_.engine();
+  eng.schedule_fn(eng.now(), [h = s.drain_waiter_] { h.resume(); });
+  s.drain_waiter_ = {};
 }
 
 void ClientMux::cancel_session(Session& s) noexcept {
@@ -367,9 +387,7 @@ void ClientMux::cancel_session(Session& s) noexcept {
 sim::Co<> ClientMux::drain_session(Session& s) {
   if (s.state_ != Session::State::open) co_return;
   s.state_ = Session::State::draining;
-  while (!s.pending_.empty() && s.state_ == Session::State::draining) {
-    co_await domain_.engine().sleep(kDrainPollInterval);
-  }
+  co_await Session::DrainAwaiter{s};
   // A disconnect during the drain already resolved the requests and
   // accounted the session; only a clean drain closes it here.
   if (s.state_ == Session::State::draining) {
@@ -402,11 +420,12 @@ void ClientMux::disconnect_all() noexcept {
   credit_signal_->signal();
   up_.wake->signal();
   down_.wake->signal();
+  parsed_wake_->signal();
   up_.staged.clear();
   down_.staged.clear();
 }
 
-sim::Co<> ClientMux::ship_actor(Link& link, sim::Nanos& busy) {
+sim::Co<> ClientMux::ship_actor(Link& link) {
   auto& eng = domain_.engine();
   auto& relay = domain_.cluster().node(relay_);
   auto& relay_doorbell = domain_.cluster().fabric().doorbell(relay_);
@@ -420,55 +439,87 @@ sim::Co<> ClientMux::ship_actor(Link& link, sim::Nanos& busy) {
       co_await link.wake->wait_for(cfg_.per_message_overhead * 4);
       continue;
     }
-    if (link.sent - link.consumed >=
-        static_cast<std::int64_t>(cfg_.ring_window) - 1) {
+    const std::int64_t room = static_cast<std::int64_t>(cfg_.ring_window) -
+                              1 - (link.sent - link.consumed);
+    if (room <= 0) {
       // Shared-ring flow control: the receiver is behind; staged frames
       // wait at the sender. Re-poll rather than be woken: the receiver's
       // progress is a remote event.
       co_await eng.sleep(cfg_.per_message_overhead);
       continue;
     }
-    auto& frame = link.staged.front();
-    MuxFrameHeader h;
-    std::memcpy(&h, frame.data(), sizeof h);
-    if (h.seq > relay.delivered_frontier(sg_)) {
-      // A downlink frame answers or forwards an ordered sequence and leaves
-      // the relay only once every topic member has delivered it: an ok
-      // reply means the request reached the whole topic, not just the
-      // relay. Members' delivered_num pushes land here and ring the relay's
-      // doorbell. Uplink frames carry seq -1 and never wait.
+    // The batch: the staged prefix the ring has room for whose frames may
+    // leave now. A downlink frame answers or forwards an ordered sequence
+    // and leaves the relay only once every topic member has delivered it:
+    // an ok reply means the request reached the whole topic, not just the
+    // relay. Uplink frames carry seq -1 and never wait.
+    const std::int64_t frontier = relay.delivered_frontier(sg_);
+    std::int64_t n = 0;
+    for (const auto& frame : link.staged) {
+      MuxFrameHeader h;
+      std::memcpy(&h, frame.data(), sizeof h);
+      if (n == room || h.seq > frontier) break;
+      ++n;
+    }
+    if (n == 0) {
+      // Members' delivered_num pushes land at the relay and ring its
+      // doorbell.
       co_await relay_doorbell.wait_for(cfg_.per_message_overhead * 4);
       continue;
     }
-    const std::int64_t k = link.sent++;
-    auto slot = link.tx->slot_data(k);
-    std::memcpy(slot.data(), frame.data(), frame.size());
-    link.tx->mark_ready(k, static_cast<std::uint32_t>(frame.size()), 0);
-    link.staged.pop_front();
-    sim::Nanos cost = link.tx->push_data(k, k + 1, to);
-    cost += link.tx->push_trailers(k, k + 1, to);
-    cost += cfg_.per_message_overhead;
-    busy += cost;
+    const std::int64_t first = link.sent;
+    for (; link.sent < first + n; ++link.sent) {
+      const auto& frame = link.staged.front();
+      std::memcpy(link.tx->slot_data(link.sent).data(), frame.data(),
+                  frame.size());
+      link.tx->mark_ready(link.sent, static_cast<std::uint32_t>(frame.size()),
+                          0);
+      link.staged.pop_front();
+    }
+    // One data and one trailer post for the batch, charged first; then the
+    // endpoint stays busy for every frame's link overhead.
+    sim::Nanos cost = link.tx->push_data(first, link.sent, to);
+    cost += link.tx->push_trailers(first, link.sent, to);
+    cost += n * cfg_.per_message_overhead;
+    ++link.writes;
+    link.busy += cost;
     co_await eng.sleep(cost);
   }
 }
 
-sim::Co<> ClientMux::relay_actor() {
+sim::Co<> ClientMux::ingress_actor() {
+  auto& eng = domain_.engine();
+  auto& doorbell = domain_.cluster().fabric().doorbell(relay_);
+  while (!stopped_ && !disconnected_) {
+    if (relay_stopped()) {
+      disconnect_all();
+      co_return;
+    }
+    if (up_.rx->trailer(0, parsed_).count != parsed_ + 1) {
+      co_await doorbell.wait_for(cfg_.per_message_overhead * 4);
+      continue;
+    }
+    co_await eng.sleep(cfg_.per_message_overhead);
+    tier_.ingress_busy_ns += cfg_.per_message_overhead;
+    ++parsed_;
+    parsed_wake_->signal();
+  }
+}
+
+sim::Co<> ClientMux::publish_actor() {
   auto& eng = domain_.engine();
   auto& relay = domain_.cluster().node(relay_);
-  auto& doorbell = domain_.cluster().fabric().doorbell(relay_);
   while (!stopped_ && !disconnected_) {
     if (relay.stopped()) {
       disconnect_all();
       co_return;
     }
-    const smc::SlotTrailer t = up_.rx->trailer(0, up_.consumed);
-    if (t.count != up_.consumed + 1) {
-      co_await doorbell.wait_for(cfg_.per_message_overhead * 4);
+    if (up_.consumed == parsed_) {
+      co_await parsed_wake_->wait_for(cfg_.per_message_overhead * 4);
       continue;
     }
     const sim::Nanos begin = eng.now();
-    co_await eng.sleep(cfg_.per_message_overhead);
+    const smc::SlotTrailer t = up_.rx->trailer(0, up_.consumed);
     MuxFrameHeader h;
     const auto bytes = up_.rx->message(0, up_.consumed, t.len).data;
     std::memcpy(&h, bytes.data(), sizeof h);
@@ -477,8 +528,8 @@ sim::Co<> ClientMux::relay_actor() {
     // into the topic's subgroup as a flagged envelope, so every client
     // request is totally ordered with member publications on the topic.
     // send() blocking on the multicast window is the backpressure cascade:
-    // the uplink ring fills behind us, the gateway queue grows, credits
-    // starve, the watermark sheds.
+    // the frame keeps its slot, the uplink ring fills behind it, the
+    // gateway queue grows, credits starve, the watermark sheds.
     const RpcEnvelope env{mux_id_, h.session, h.corr, h.kind, topic_};
     co_await relay.send(
         sg_, static_cast<std::uint32_t>(sizeof env + body.size()),
@@ -490,7 +541,7 @@ sim::Co<> ClientMux::relay_actor() {
         },
         kRpcEnvelopeFlag);
     ++up_.consumed;
-    tier_.ingress_busy_ns += eng.now() - begin;
+    tier_.publish_busy_ns += eng.now() - begin;
   }
 }
 
@@ -574,6 +625,7 @@ void ClientMux::complete(Session& s, std::uint64_t corr, Reply&& r) {
     eng.schedule_fn(eng.now(), [h = p->waiter] { h.resume(); });
     p->waiter = {};
   }
+  wake_drain(s);
 }
 
 sim::Co<> ClientMux::demux_actor() {

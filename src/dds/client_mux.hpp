@@ -57,23 +57,27 @@ struct MuxConfig {
 /// Per-relay front-tier multiplexer (§4.6's "extra relaying step", scaled):
 /// one *gateway* fabric node aggregates thousands of client sessions and
 /// connects to one relay member over a single shared mailbox-ring pair. A
-/// mux serves the one topic it was created for. Four actors total, one per
-/// link endpoint, regardless of session count: the uplink shipper
-/// (gateway), relay ingress (consumes the ring and re-publishes each frame
-/// into the topic's subgroup as a flagged RPC envelope, so client requests
-/// are totally ordered with member publications), the downlink shipper
-/// (relay: replies and samples) and the demux (gateway: frames to
-/// sessions). Each endpoint's per-frame work runs in its own actor, so the
-/// relay and gateway halves of a direction overlap instead of adding up.
-/// A downlink frame leaves the relay only once every topic member has
-/// delivered its sequence, so an ok reply means the whole topic has the
-/// request.
+/// mux serves the one topic it was created for. Five actors total,
+/// regardless of session count: the uplink shipper (gateway), the relay's
+/// two stages — link ingress (pays the per-frame link overhead) and publish
+/// (re-publishes each parsed frame into the topic's subgroup as a flagged
+/// RPC envelope, so client requests are totally ordered with member
+/// publications) — the downlink shipper (relay: replies and samples) and
+/// the demux (gateway: frames to sessions). Each piece of per-frame work
+/// runs in its own actor, so the stages of a direction overlap instead of
+/// adding up. A shipper posts every frame that may leave as one batch of
+/// consecutive slots: one data write and one trailer write (two of each
+/// when the batch wraps the ring), then it stays busy for the posts plus
+/// the link overhead of every frame in the batch. A downlink frame leaves
+/// the relay only once every topic member has delivered its sequence, so
+/// an ok reply means the whole topic has the request.
 ///
 /// Admission control: a request takes a credit from the per-relay pool or
 /// parks below the watermark; at the watermark it is shed with `busy`.
 /// Credits return when the relay sees the delivery, so a saturated
-/// multicast window propagates backpressure: deliveries slow -> credits
-/// starve -> arrivals park -> the watermark sheds.
+/// multicast window propagates backpressure: deliveries slow -> the publish
+/// stage blocks -> the uplink ring fills -> credits starve -> arrivals
+/// park -> the watermark sheds.
 class ClientMux {
  public:
   ClientMux(const ClientMux&) = delete;
@@ -94,6 +98,9 @@ class ClientMux {
   }
   std::uint32_t credit_waiters() const noexcept { return credit_waiters_; }
   std::size_t live_sessions() const noexcept { return live_sessions_; }
+  /// Link actors still running: five while the mux is connected, none once
+  /// it has disconnected (relay crash) or stopped and they have noticed.
+  std::uint32_t actors_running() const noexcept { return actors_running_; }
 
   /// Point-in-time copy of this mux's admission/occupancy counters (the
   /// same record Cluster::stats() surfaces in ClusterStats::relays).
@@ -106,7 +113,7 @@ class ClientMux {
   ClientMux(Domain& domain, std::uint32_t mux_id, std::uint8_t topic,
             net::NodeId gateway, net::NodeId relay, MuxConfig cfg);
 
-  void start();  // build the shared rings, spawn the four actors
+  void start();  // build the shared rings, spawn the five actors
   /// Domain::shutdown: resolve every in-flight request (deterministic
   /// teardown) and halt the actors.
   void stop() noexcept;
@@ -118,17 +125,22 @@ class ClientMux {
 
   struct Link;
   /// Sender endpoint of one direction (the gateway's uplink shipper, the
-  /// relay's downlink shipper): staged frames -> ring, `busy` += per-frame
-  /// cost. A frame naming an ordered sequence waits for the relay's
-  /// delivered frontier to reach it.
-  sim::Co<> ship_actor(Link& link, sim::Nanos& busy);
-  sim::Co<> relay_actor();  // relay: uplink ring -> subgroup publish
-  sim::Co<> demux_actor();  // gateway: downlink ring -> sessions
+  /// relay's downlink shipper): staged frames -> ring, in batches of every
+  /// frame that may leave now. A frame naming an ordered sequence waits for
+  /// the relay's delivered frontier to reach it.
+  sim::Co<> ship_actor(Link& link);
+  sim::Co<> ingress_actor();  // relay: uplink ring -> parsed frames
+  sim::Co<> publish_actor();  // relay: parsed frames -> subgroup publish
+  sim::Co<> demux_actor();    // gateway: downlink ring -> sessions
+  /// Runs `actor`, counted in actors_running() while it lives.
+  sim::Co<> counted(sim::Co<> actor);
 
   // Session-facing internals (Session methods live in client_mux.cpp).
   sim::Co<Reply> run_request(Session& s, std::span<const std::byte> body);
   sim::Co<ReplyStatus> run_publish(Session& s,
                                    std::span<const std::byte> body);
+  /// Session::close(): parks until the session's last in-flight request
+  /// resolves (complete() and resolve_all() wake it), then detaches.
   sim::Co<> drain_session(Session& s);
   void cancel_session(Session& s) noexcept;
 
@@ -142,6 +154,8 @@ class ClientMux {
   /// Resolve every in-flight request of `s` with `st` immediately, waking
   /// the awaiting coroutines through the event queue.
   void resolve_all(Session& s, ReplyStatus st) noexcept;
+  /// Wake a close() parked on `s` once nothing of `s` is in flight.
+  void wake_drain(Session& s) noexcept;
   void disconnect_all() noexcept;
   bool relay_stopped() const;
   void note_session_closed(Session& s, bool disconnected) noexcept;
@@ -182,9 +196,17 @@ class ClientMux {
     std::deque<std::vector<std::byte>> staged;  // frames waiting to ship
     std::unique_ptr<sim::Signal> wake;  // sender-local: a frame was staged
     std::int64_t sent = 0, consumed = 0;
+    std::uint64_t writes = 0;  // batches posted
+    sim::Nanos busy = 0;       // shipper: posts + per-frame overhead
   };
   Link up_;    // gateway -> relay
   Link down_;  // relay -> gateway
+  // The relay's two stages: ingress has paid the link overhead for uplink
+  // frames [up_.consumed, parsed_); publish sends them in order and frees
+  // each slot (up_.consumed) only after its send.
+  std::int64_t parsed_ = 0;
+  std::unique_ptr<sim::Signal> parsed_wake_;  // relay-local: a frame parsed
+  std::uint32_t actors_running_ = 0;
 
   bool started_ = false;
   bool stopped_ = false;

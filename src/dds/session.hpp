@@ -78,7 +78,7 @@ class Subscription {
 
 /// One multiplexed external-client session: a lightweight handle hanging
 /// off a dds::ClientMux. Thousands of sessions share the mux's one ring
-/// pair and its four actors — a session itself owns no actor, no ring and
+/// pair and its five actors — a session itself owns no actor, no ring and
 /// no fabric node, which is what makes a million-client front tier
 /// simulable.
 ///
@@ -156,6 +156,16 @@ class Session {
     Reply await_resume() noexcept { return std::move(p.reply); }
   };
 
+  /// close()'s wait for the in-flight map to empty.
+  struct DrainAwaiter {
+    Session& s;
+    bool await_ready() const noexcept { return s.pending_.empty(); }
+    void await_suspend(std::coroutine_handle<> h) noexcept {
+      s.drain_waiter_ = h;
+    }
+    void await_resume() const noexcept {}
+  };
+
   Session(ClientMux* mux, std::uint32_t id, SessionLink link)
       : mux_(mux), id_(id), link_(link) {}
 
@@ -173,6 +183,7 @@ class Session {
   SessionLink link_;
   State state_ = State::open;
   std::map<std::uint64_t, PendingRequest*> pending_;  // corr -> live request
+  std::coroutine_handle<> drain_waiter_{};  // a close() parked on pending_
   // The listener slot; sub_gen_ names the subscribe() that filled it (0:
   // none).
   SampleListener listener_;

@@ -76,13 +76,22 @@ struct RelayTierStats {
   std::size_t peak_uplink_queue = 0;      // staged frames, gateway -> relay
   std::size_t peak_downlink_queue = 0;    // staged frames, relay -> gateway
 
-  // Virtual time each link endpoint's actor spent on frames. Over a run's
-  // span, the largest share names the stage that sets the saturation knee.
-  sim::Nanos uplink_busy_ns = 0;    // gateway shipper: ring post + overhead
-  sim::Nanos ingress_busy_ns = 0;   // relay: overhead + subgroup send
-                                    // (waits for a multicast slot included)
-  sim::Nanos downlink_busy_ns = 0;  // relay shipper: ring post + overhead
+  // Virtual time each link actor spent on frames. Over a run's span, the
+  // largest share names the stage that sets the saturation knee.
+  sim::Nanos uplink_busy_ns = 0;    // gateway shipper: ring posts + overhead
+  sim::Nanos ingress_busy_ns = 0;   // relay link ingress: overhead
+  sim::Nanos publish_busy_ns = 0;   // relay publish: the subgroup send
+                                    // (slot and lock waits included)
+  sim::Nanos downlink_busy_ns = 0;  // relay shipper: ring posts + overhead
   sim::Nanos demux_busy_ns = 0;     // gateway demux: overhead
+
+  // Frames shipped per direction and the ring writes that carried them
+  // (one batch each: one data and one trailer post, two of each when the
+  // batch wraps the ring); frames per write is their ratio.
+  std::uint64_t uplink_frames = 0;
+  std::uint64_t uplink_ring_writes = 0;
+  std::uint64_t downlink_frames = 0;
+  std::uint64_t downlink_ring_writes = 0;
 };
 
 /// A merged, point-in-time view of a whole cluster — the result of

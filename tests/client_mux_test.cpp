@@ -559,8 +559,162 @@ TEST_F(MuxFixture, ReplyShipOverlapsGatewayDemux) {
   ASSERT_NE(tier, nullptr);
   EXPECT_GT(tier->downlink_busy_ns + tier->demux_busy_ns, elapsed);
   EXPECT_EQ(tier->demux_busy_ns, kRequests * kOverhead);
+  EXPECT_EQ(tier->ingress_busy_ns, kRequests * kOverhead);
   EXPECT_GT(tier->uplink_busy_ns, 0);
-  EXPECT_GT(tier->ingress_busy_ns, 0);
+  EXPECT_GT(tier->publish_busy_ns, 0);
+}
+
+TEST_F(MuxFixture, FramesStagedWhileTheShipperIsBusyLeaveAsOneRingWrite) {
+  // The uplink shipper posts every frame the ring has room for as one
+  // batch: one data write and one trailer write, then it stays busy for
+  // each frame's link overhead plus the posts.
+  constexpr std::uint64_t kBatch = 6;
+  make();
+  const sim::Nanos overhead = MuxConfig{}.per_message_overhead;
+  Session* s = mux->connect();
+  const net::Fabric::NicStats& gateway = domain->cluster().fabric().stats(4);
+  std::uint64_t ok = 0;
+  const auto fire = [&](std::uint64_t tag) {
+    domain->engine().spawn([](Session* sess, std::uint64_t t,
+                              std::uint64_t* n) -> sim::Co<> {
+      if ((co_await sess->request(bytes_of(t))).status == ReplyStatus::ok) {
+        ++*n;
+      }
+    }(s, tag, &ok));
+  };
+  fire(0);
+  // The first frame ships alone. The next requests reach the gateway one
+  // client-link overhead later, while the shipper is still busy with it.
+  ASSERT_TRUE(run_until([&] { return mux->tier_stats().uplink_ring_writes > 0; }));
+  for (std::uint64_t i = 1; i <= kBatch; ++i) fire(i);
+  const metrics::RelayTierStats before = mux->tier_stats();
+  const std::uint64_t writes_before = gateway.writes_posted;
+  const sim::Nanos post_before = gateway.post_cpu;
+  ASSERT_TRUE(run_until([&] { return ok == kBatch + 1; }));
+
+  const metrics::RelayTierStats after = mux->tier_stats();
+  EXPECT_EQ(before.uplink_ring_writes, 1u);
+  EXPECT_EQ(before.uplink_frames, 1u);
+  EXPECT_EQ(after.uplink_ring_writes, 2u);
+  EXPECT_EQ(after.uplink_frames, kBatch + 1);
+  EXPECT_EQ(gateway.writes_posted - writes_before, 2u);
+  const sim::Nanos posts = gateway.post_cpu - post_before;
+  EXPECT_GT(posts, 0);
+  EXPECT_EQ(after.uplink_busy_ns - before.uplink_busy_ns,
+            static_cast<sim::Nanos>(kBatch) * overhead + posts);
+}
+
+TEST_F(MuxFixture, RelayKeepsUpAboveTheOneActorBound) {
+  // One relay actor paid the 3 us link overhead and then the ~1.5 us send
+  // for every frame, which capped a relay near 220 k frames/s. With the
+  // ingress and the publish as two stages and batched link writes, 300 k
+  // requests/s for 2 ms all resolve ok, and the last reply trails the last
+  // arrival by about one unloaded round trip.
+  constexpr sim::Nanos kGap = 3'333;  // 300 k requests/s
+  constexpr sim::Nanos kWindow = sim::millis(2);
+  make();
+  std::vector<Session*> sessions;
+  for (int i = 0; i < 64; ++i) sessions.push_back(mux->connect());
+  struct Load {
+    std::uint64_t offered = 0, resolved = 0, ok = 0;
+    sim::Nanos last_arrival = 0, last_reply = 0;
+  } load;
+  sim::Engine& eng = domain->engine();
+  const sim::Nanos start = eng.now();
+  eng.spawn([](sim::Engine* e, std::vector<Session*>* ss, Load* l,
+               sim::Nanos end) -> sim::Co<> {
+    while (e->now() + kGap < end) {
+      co_await e->sleep(kGap);
+      Session* sess = (*ss)[l->offered % ss->size()];
+      ++l->offered;
+      l->last_arrival = e->now();
+      e->spawn([](sim::Engine* e2, Session* s2, Load* l2,
+                  std::uint64_t tag) -> sim::Co<> {
+        const Reply r = co_await s2->request(bytes_of(tag));
+        ++l2->resolved;
+        if (r.status == ReplyStatus::ok) ++l2->ok;
+        l2->last_reply = e2->now();
+      }(e, sess, l, l->offered));
+    }
+  }(&eng, &sessions, &load, start + kWindow));
+  ASSERT_TRUE(run_until([&] {
+    return load.offered > 0 && eng.now() >= start + kWindow &&
+           load.resolved == load.offered;
+  }));
+  EXPECT_EQ(load.offered, 600u);
+  EXPECT_EQ(load.ok, load.offered);
+  EXPECT_LE(load.last_reply - load.last_arrival, sim::micros(100));
+}
+
+TEST_F(MuxFixture, RelayCrashWithParsedFramesDisconnectsAndStopsEveryActor) {
+  // Member 3 stalls, so no relayed request becomes stable: the relay's
+  // multicast window fills and its publish stage blocks in send() while
+  // the ingress stage keeps parsing frames behind it. The relay then
+  // crashes with frames parsed but not published.
+  MuxConfig mc;
+  mc.credits = 256;
+  make(std::move(mc));
+  const sim::Nanos overhead = MuxConfig{}.per_message_overhead;
+  Session* s = mux->connect();
+  domain->cluster().fabric().host(3).slow_cpu(sim::seconds(1));
+  constexpr std::uint64_t kRequests = 160;
+  std::uint64_t done = 0, disconnected = 0;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    domain->engine().spawn([](Session* sess, std::uint64_t tag,
+                              std::uint64_t* d, std::uint64_t* dc)
+                               -> sim::Co<> {
+      const Reply r = co_await sess->request(bytes_of(tag));
+      ++*d;
+      if (r.status == ReplyStatus::disconnected) ++*dc;
+    }(s, i, &done, &disconnected));
+  }
+  const auto parsed_unpublished = [&] {
+    const auto parsed = static_cast<std::uint64_t>(
+        mux->tier_stats().ingress_busy_ns / overhead);
+    return parsed - domain->cluster().node(0).counters().messages_sent;
+  };
+  ASSERT_TRUE(run_until([&] { return parsed_unpublished() >= 8; }));
+  EXPECT_EQ(mux->actors_running(), 5u);
+  domain->cluster().node(0).stop();  // the relay crashes
+
+  ASSERT_TRUE(run_until([&] { return done == kRequests; }));
+  EXPECT_EQ(disconnected, kRequests);
+  EXPECT_EQ(s->disconnected_requests(), kRequests);
+  EXPECT_FALSE(mux->connected());
+  // Every actor exits once its current wait or batch ends (the uplink
+  // shipper stays busy for its last batch, 3 us of link overhead per
+  // frame); none is left suspended on a dead relay.
+  ASSERT_TRUE(run_until([&] { return mux->actors_running() == 0; },
+                        domain->engine().now() + sim::millis(1)));
+}
+
+TEST_F(MuxFixture, CloseReturnsAtTheInstantTheLastReplyCompletes) {
+  make();
+  Session* s = mux->connect();
+  constexpr std::uint64_t kInFlight = 12;
+  std::uint64_t done = 0;
+  sim::Nanos last_reply = -1;
+  for (std::uint64_t i = 0; i < kInFlight; ++i) {
+    domain->engine().spawn([](Session* sess, std::uint64_t tag,
+                              sim::Engine* eng, std::uint64_t* d,
+                              sim::Nanos* at) -> sim::Co<> {
+      const Reply r = co_await sess->request(bytes_of(tag));
+      EXPECT_EQ(r.status, ReplyStatus::ok);
+      ++*d;
+      *at = eng->now();
+    }(s, i, &domain->engine(), &done, &last_reply));
+  }
+  ASSERT_TRUE(run_until([&] { return s->in_flight() == kInFlight; }));
+  sim::Nanos closed_at = -1;
+  domain->engine().spawn([](Session* sess, sim::Engine* eng,
+                            sim::Nanos* at) -> sim::Co<> {
+    co_await sess->close();
+    *at = eng->now();
+  }(s, &domain->engine(), &closed_at));
+  ASSERT_TRUE(run_until([&] { return closed_at >= 0; }));
+  EXPECT_EQ(done, kInFlight);
+  EXPECT_EQ(closed_at, last_reply);
+  EXPECT_FALSE(s->connected());
 }
 
 TEST_F(MuxFixture, OkReplyWaitsForEveryTopicMemberToDeliver) {

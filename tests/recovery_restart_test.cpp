@@ -96,13 +96,15 @@ struct TotalFailureRun {
   /// completeness invariant is the completion signal) or the deadline.
   bool restart_and_finish(const std::vector<net::NodeId>& who) {
     const sim::Nanos base = group.engine().now();
+    const std::uint32_t recovered = group.recoveries();
     for (std::size_t i = 0; i < who.size(); ++i) {
       const net::NodeId n = who[i];
       group.engine().schedule_fn(base + sim::micros(100 + 80 * i),
                                  [this, n] { group.restart(n); });
     }
-    if (!group.engine().run_until([&] { return group.recoveries() >= 1; },
-                                  base + sim::millis(50))) {
+    if (!group.engine().run_until(
+            [&] { return group.recoveries() > recovered; },
+            base + sim::millis(50))) {
       return false;
     }
     return group.engine().run_until(
@@ -265,6 +267,47 @@ TEST(TotalFailureRecovery, RecoveryViewDropsPreFailureSuspicions) {
   EXPECT_EQ(r.group.epoch(), recovery_epoch);
   EXPECT_FALSE(r.group.view_change_in_progress());
   EXPECT_EQ(r.group.view().members, (std::vector<net::NodeId>{0, 1, 2, 3}));
+  r.expect_clean();
+}
+
+TEST(TotalFailureRecovery, RecoveryBarrierStopsOnceItFires) {
+  // The barrier is polled only between the restarts and the recovery it
+  // performs: an idle recovered group never evaluates it, and the next
+  // total failure's restarts spawn a fresh one that recovers again. Both
+  // failures strike an idle group whose logs hold every message, so no
+  // episode loses a delivered message (the checker's loss rule assumes a
+  // sender's durable messages are a prefix of its sends).
+  TotalFailureRun r(4, /*seed=*/2032, /*persistent=*/true);
+  sim::Engine& eng = r.group.engine();
+  const auto crash_everyone = [&] {
+    const sim::Nanos onset = eng.now() + sim::millis(2);
+    for (net::NodeId n = 0; n < 4; ++n) {
+      eng.schedule_fn(onset + sim::micros(17) * n,
+                      [&r, n] { r.group.crash(n); });
+    }
+    return eng.run_until([&] { return r.group.halted(); },
+                         onset + sim::millis(50));
+  };
+  ASSERT_TRUE(eng.run_until([&] { return r.checker.check(r.group).empty(); },
+                            sim::millis(50)));
+  ASSERT_TRUE(crash_everyone()) << eng.diagnostics();
+  EXPECT_EQ(r.group.recovery_barrier_evals(), 0u);
+  ASSERT_TRUE(r.restart_and_finish({0, 1, 2, 3})) << eng.diagnostics();
+  ASSERT_EQ(r.group.recoveries(), 1u);
+  const std::uint64_t first = r.group.recovery_barrier_evals();
+  EXPECT_GT(first, 0u);
+  eng.run_to(eng.now() + sim::millis(10));
+  EXPECT_EQ(r.group.recovery_barrier_evals(), first);
+
+  ASSERT_TRUE(crash_everyone()) << eng.diagnostics();
+  ASSERT_TRUE(r.restart_and_finish({0, 1, 2, 3})) << eng.diagnostics();
+  EXPECT_EQ(r.group.recoveries(), 2u);
+  EXPECT_EQ(r.checker.episodes(), 2u);
+  EXPECT_EQ(r.group.view().members, (std::vector<net::NodeId>{0, 1, 2, 3}));
+  const std::uint64_t second = r.group.recovery_barrier_evals();
+  EXPECT_GT(second, first);
+  eng.run_to(eng.now() + sim::millis(10));
+  EXPECT_EQ(r.group.recovery_barrier_evals(), second);
   r.expect_clean();
 }
 
