@@ -471,7 +471,7 @@ sim::Co<> Node::persist_logger(SubgroupState& s) {
   const net::HostFaults& faults = cluster_.fabric().host(id_);
   while (!stopped_) {
     if (s.persist_queue.empty()) {
-      co_await s.persist_signal->wait_for(cpu.idle_backoff_max);
+      co_await s.persist_signal->wait();
       continue;
     }
     // Opportunistic batching on the persistence path too: flush everything

@@ -178,6 +178,9 @@ void Node::flush_persist_queue() {
 void Node::stop() {
   stopped_ = true;
   cluster_.fabric().doorbell(id_).signal();
+  for (auto& s : subgroups_) {
+    if (s->persist_signal) s->persist_signal->signal();
+  }
 }
 
 sim::Nanos Node::hiccup_penalty(sim::Nanos& next) {

@@ -110,7 +110,7 @@ struct SubgroupState {
     std::vector<std::byte> bytes;
   };
   std::deque<PersistEntry> persist_queue;  // delivered, awaiting SSD flush
-  std::unique_ptr<sim::Signal> persist_signal;
+  std::unique_ptr<sim::Signal> persist_signal;  // rung by enqueue and stop()
   /// Durable versioned log (simulated SSD). Owned by the Cluster for a
   /// standalone group, or by the ManagedGroup for an epoch cluster — where
   /// it outlives views and process restarts. Null for non-persistent

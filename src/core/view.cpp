@@ -19,11 +19,10 @@ std::string doorbell_state(const sim::Signal& s) {
          ",waiters=" + std::to_string(s.waiters()) + "}";
 }
 
-/// Heartbeat period (each member pushes one heartbeat per period, plus its
-/// round's post cost and up to 2 µs of phase jitter), and the backoff of
-/// the recovery barrier and of the pump's retry loop.
-/// Membership rounds themselves are event-driven: a member also runs one
-/// whenever a peer's push lands and at its earliest suspicion deadline.
+/// Heartbeat period: each member pushes one heartbeat per period, plus its
+/// round's post cost and up to 2 µs of phase jitter. Membership rounds
+/// themselves are event-driven: a member also runs one whenever a peer's
+/// push lands and at its earliest suspicion deadline.
 constexpr sim::Nanos kHeartbeatPeriod = sim::micros(20);
 constexpr sim::Nanos kNever = std::numeric_limits<sim::Nanos>::max();
 /// The PostPlan lane of every membership push. The membership SST is its
@@ -31,9 +30,9 @@ constexpr sim::Nanos kNever = std::numeric_limits<sim::Nanos>::max();
 /// (net::HostFaults::postplan_drop), and a stalled data-plane lane never
 /// holds a heartbeat.
 constexpr int kLaneMembership = -1;
-/// Total-failure recovery: how long after the last restart() the recovery
-/// coordinator waits for further rejoiners before computing the common
-/// durable prefix and installing the recovery view.
+/// Total-failure recovery: how long after the last restart() the group
+/// waits for further rejoiners before computing the common durable prefix
+/// and installing the recovery view (never before the halt).
 constexpr sim::Nanos kRestartSettle = sim::micros(800);
 }  // namespace
 
@@ -188,6 +187,12 @@ void ManagedGroup::build_epoch_cluster() {
   }
 
   changing_ = false;
+  // Start, install and recovery alike: nothing queued is in flight yet.
+  for (net::NodeId id = 0; id < cfg_.nodes; ++id) {
+    for (std::size_t g = 0; g < num_subgroups_; ++g) {
+      if (!queues_[id][g].q.empty()) start_pump(id, g);
+    }
+  }
 }
 
 void ManagedGroup::check_node(net::NodeId node) const {
@@ -220,12 +225,16 @@ void ManagedGroup::send(net::NodeId from, std::size_t subgroup_index,
                         std::vector<std::byte> payload) {
   check_node(from);
   check_subgroup(subgroup_index);
-  auto& sq = queues_[from][subgroup_index];
-  sq.q.push_back(PendingMessage{std::move(payload), false});
-  if (!sq.pump_running) {
-    sq.pump_running = true;
-    engine_.spawn(pump_actor(from, subgroup_index));
-  }
+  queues_[from][subgroup_index].q.push_back(
+      PendingMessage{std::move(payload), false});
+  start_pump(from, subgroup_index);
+}
+
+void ManagedGroup::start_pump(net::NodeId id, std::size_t sg_index) {
+  auto& sq = queues_[id][sg_index];
+  if (sq.pump_running) return;
+  sq.pump_running = true;
+  engine_.spawn(pump_actor(id, sg_index));
 }
 
 sim::Co<> ManagedGroup::pump_actor(net::NodeId id, std::size_t sg_index) {
@@ -233,18 +242,6 @@ sim::Co<> ManagedGroup::pump_actor(net::NodeId id, std::size_t sg_index) {
   const std::uint64_t gen = pred_gen_;
   for (;;) {
     if (gen != pred_gen_) co_return;  // a recovery respawned this pump
-    if (stopped_ || !alive_[id]) {
-      // Mark the pump stopped so a post-recovery send() can respawn it.
-      // (A stale-generation pump must NOT touch the flag: its replacement
-      // already owns it.)
-      sq.pump_running = false;
-      co_return;
-    }
-    if (changing_ || epoch_cluster_ == nullptr ||
-        !epoch_cluster_->is_member(id)) {
-      co_await engine_.sleep(kHeartbeatPeriod);
-      continue;
-    }
     PendingMessage* next = nullptr;
     for (auto& e : sq.q) {
       if (!e.in_flight) {
@@ -252,16 +249,18 @@ sim::Co<> ManagedGroup::pump_actor(net::NodeId id, std::size_t sg_index) {
         break;
       }
     }
-    if (next == nullptr) {
-      co_await engine_.sleep(kHeartbeatPeriod);
-      continue;
-    }
     Cluster* c = epoch_cluster_.get();
+    const bool can_send = next != nullptr && !stopped_ && alive_[id] &&
+                          !changing_ && c != nullptr && c->is_member(id);
     const SubgroupState* state =
-        c->node(id).find(epoch_subgroups_[sg_index]);
+        can_send ? c->node(id).find(epoch_subgroups_[sg_index]) : nullptr;
     if (state == nullptr || !state->is_sender()) {
-      co_await engine_.sleep(kHeartbeatPeriod);
-      continue;
+      // Nothing this epoch can send: the pump ends. send() starts it for
+      // new work, and the next epoch's build_epoch_cluster() for work this
+      // one could not take. (A stale-generation pump returned above
+      // without touching the flag: its replacement owns it.)
+      sq.pump_running = false;
+      co_return;
     }
     next->in_flight = true;
     // Copy the payload into the ring slot: deque iterators/pointers may be
@@ -540,7 +539,22 @@ void ManagedGroup::halt_if_all_suspected(net::NodeId id) {
   // total-failure outcome — instead of wedging forever. Members' states are
   // frozen where they wedged; restart() can later resume the group from the
   // durable logs.
-  if ((view_mask() & ~mstate_[id].suspected_mask) == 0) stopped_ = true;
+  if ((view_mask() & ~mstate_[id].suspected_mask) == 0) halt();
+}
+
+void ManagedGroup::halt() {
+  if (stopped_) return;
+  stopped_ = true;
+  // Nodes that restarted before the halt recover once their set settles.
+  if (restarting_mask_ != 0) arm_settle_timer();
+}
+
+void ManagedGroup::arm_settle_timer() {
+  engine_.cancel(settle_timer_);
+  settle_timer_ = engine_.schedule_fn(
+      std::max(engine_.now(), last_restart_at_ + kRestartSettle), [this] {
+        if (recovery_pending()) perform_recovery();
+      });
 }
 
 net::NodeId ManagedGroup::current_leader(std::uint64_t suspected) const {
@@ -657,7 +671,7 @@ void ManagedGroup::crash(net::NodeId node) {
   // failure, so the group halts here.
   if (std::none_of(view_.members.begin(), view_.members.end(),
                    [this](net::NodeId m) { return alive_[m] != 0; })) {
-    stopped_ = true;
+    halt();
   }
   // The simulated SSD records where the crash cut each in-flight flush.
   // Nothing is truncated yet: a node that never restarts keeps the
@@ -697,47 +711,9 @@ bool ManagedGroup::restart(net::NodeId node) {
   sst.push_field(f_restart_, everyone_);
   restarting_mask_ |= bit(node);
   last_restart_at_ = engine_.now();
-  if (!recovery_preds_) {
-    setup_recovery_predicates();
-    engine_.spawn(recovery_preds_->run());
-  }
+  // Late rejoiners push the recovery back; anyone later still misses it.
+  arm_settle_timer();
   return true;
-}
-
-void ManagedGroup::setup_recovery_predicates() {
-  // The recovery barrier, coordinated centrally: the rejoiners announce
-  // their durable counts through the membership SST, but this scheduler
-  // reads every announcement and computes the recovery view for them,
-  // polled once per heartbeat period. Spawned by the first restart() of an
-  // episode, so groups that never restart pay nothing. It survives the
-  // halt it is waiting to resolve and ends with the recovery it performs
-  // (which moves the predicate generation on); the next restart() spawns a
-  // fresh one.
-  recovery_preds_ = std::make_unique<sst::Predicates>(engine_);
-  sst::Predicates::SchedulerConfig cfg;
-  cfg.stopped = [this, gen = pred_gen_] {
-    return terminated_ || gen != pred_gen_;
-  };
-  cfg.idle_backoff_min = kHeartbeatPeriod;
-  cfg.idle_backoff_max = kHeartbeatPeriod;
-  recovery_preds_->configure(std::move(cfg));
-  sst::Predicates::GroupOptions gopts;
-  gopts.name = "recovery";
-  const auto gid = recovery_preds_->add_group(std::move(gopts));
-
-  // Fires once the group has halted and the restart set has settled: late
-  // rejoiners extend the deadline; anyone later still misses the view.
-  recovery_preds_->add(
-      gid, {"recovery_barrier", sst::PredicateClass::recurrent,
-            [this] {
-              ++recovery_barrier_evals_;
-              return stopped_ && !terminated_ && restarting_mask_ != 0 &&
-                     engine_.now() - last_restart_at_ >= kRestartSettle;
-            },
-            [this](sst::TriggerContext&) {
-              perform_recovery();
-              return true;
-            }});
 }
 
 void ManagedGroup::perform_recovery() {
@@ -897,11 +873,7 @@ void ManagedGroup::perform_recovery() {
     retired_preds_.push_back(std::move(member_preds_[m]));
     setup_membership_predicates(m);
   }
-  // The barrier's scheduler is mid-trigger here and stops on the new
-  // generation; retire it so the next restart() spawns a fresh one.
-  retired_preds_.push_back(std::move(recovery_preds_));
-
-  // Requeue undelivered messages; pumps are respawned below.
+  // Requeue undelivered messages; build_epoch_cluster() restarts the pumps.
   for (auto& per_node : queues_) {
     for (auto& sq : per_node) {
       sq.pump_running = false;
@@ -916,13 +888,6 @@ void ManagedGroup::perform_recovery() {
 
   for (net::NodeId m : view_.members) {
     engine_.spawn(member_preds_[m]->run());
-    for (std::size_t g = 0; g < num_subgroups_; ++g) {
-      auto& sq = queues_[m][g];
-      if (!sq.q.empty()) {
-        sq.pump_running = true;
-        engine_.spawn(pump_actor(m, g));
-      }
-    }
   }
 }
 
@@ -1005,6 +970,7 @@ void ManagedGroup::shutdown() {
   if (terminated_) return;
   terminated_ = true;
   stopped_ = true;
+  engine_.cancel(settle_timer_);
   if (epoch_cluster_) {
     for (net::NodeId id : view_.members) {
       if (alive_[id] && epoch_cluster_->is_member(id)) {
@@ -1012,9 +978,9 @@ void ManagedGroup::shutdown() {
       }
     }
   }
-  // Drain even a halted group: its pump actors and the recovery scheduler
-  // are still queued, and they exit on stopped_/terminated_. The engine
-  // does not own coroutine frames, so undrained ones would leak.
+  // Drain even a halted group: its schedulers and any pump still in a send
+  // are queued, and they exit on stopped_. The engine does not own
+  // coroutine frames, so undrained ones would leak.
   engine_.run();
 }
 

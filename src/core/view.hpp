@@ -90,6 +90,8 @@ class ManagedGroup {
   ManagedGroup& operator=(const ManagedGroup&) = delete;
 
   void start();
+  /// Halt for good: stop every live member, cancel the recovery's settle
+  /// timer and drain the engine, so every coroutine of the group ends.
   void shutdown();
 
   sim::Engine& engine() noexcept { return engine_; }
@@ -149,11 +151,6 @@ class ManagedGroup {
   }
   /// Completed total-failure recoveries over the group's lifetime.
   std::uint32_t recoveries() const noexcept { return recoveries_; }
-  /// Evaluations of the recovery barrier over the group's lifetime. It is
-  /// polled only between a restart() and the recovery that follows.
-  std::uint64_t recovery_barrier_evals() const noexcept {
-    return recovery_barrier_evals_;
-  }
 
   /// Graceful leave: the node wedges cleanly and departs with no message
   /// loss (modeled as an announced suspicion).
@@ -211,7 +208,8 @@ class ManagedGroup {
     std::vector<std::byte> payload;
     bool in_flight = false;  // handed to the current epoch's sender
   };
-  /// Per (node, subgroup_index) failure-atomic send queue + pump actor.
+  /// Per (node, subgroup_index) failure-atomic send queue + pump actor. The
+  /// pump runs while the queue holds a message the current epoch can send.
   struct SendQueue {
     std::deque<PendingMessage> q;
     bool pump_running = false;
@@ -249,12 +247,12 @@ class ManagedGroup {
   /// current view: its last heartbeat change + failure_timeout + 1 ns
   /// (the suspicion check is strict). Never, when there is no such peer.
   sim::Nanos suspicion_deadline(net::NodeId id) const;
-  /// The total-failure recovery barrier: a RECURRENT predicate on its own
-  /// scheduler (spawned by the first restart() of an episode and ended by
-  /// the recovery it performs), polled once per heartbeat period, that
-  /// waits for the restart set to settle, then performs the recovery.
-  void setup_recovery_predicates();
+  void halt();  // total failure; arms the settle timer for early restarts
+  /// (Re)arm the settle timer at max(now, last restart + kRestartSettle);
+  /// it recovers the group if a recovery is still pending when it fires.
+  void arm_settle_timer();
   void perform_recovery();
+  void start_pump(net::NodeId id, std::size_t sg_index);  // unless running
   sim::Co<> pump_actor(net::NodeId id, std::size_t sg_index);
 
   /// Entry-point argument checks: throw std::out_of_range for a node id
@@ -291,7 +289,7 @@ class ManagedGroup {
   std::uint64_t restarting_mask_ = 0;   // nodes waiting in the restart set
   sim::Nanos last_restart_at_ = 0;
   std::uint32_t recoveries_ = 0;
-  std::uint64_t recovery_barrier_evals_ = 0;
+  sim::Engine::TimerId settle_timer_;  // arm_settle_timer()
   /// Predicate generation: bumped by every recovery. Schedulers and pump
   /// actors capture the generation they were spawned under and exit when
   /// it moves on, so a stale coroutine with one pending wake-up cannot run
@@ -316,7 +314,6 @@ class ManagedGroup {
   std::vector<std::size_t> everyone_;       // SST ranks 0..nodes-1
   std::vector<sim::Rng> membership_rng_;    // per-member heartbeat jitter
   std::vector<std::unique_ptr<sst::Predicates>> member_preds_;
-  std::unique_ptr<sst::Predicates> recovery_preds_;
   // Pre-recovery predicate schedulers: kept alive like retired_ because a
   // stale run() coroutine may still have one pending wake-up queued.
   std::vector<std::unique_ptr<sst::Predicates>> retired_preds_;

@@ -1,5 +1,6 @@
 #include "dds/client_mux.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -75,10 +76,10 @@ ClientMux::ClientMux(Domain& domain, std::uint32_t mux_id, std::uint8_t topic,
   }
   max_body_ = max_sample - static_cast<std::uint32_t>(sizeof(RpcEnvelope));
   if (!cfg_.service) cfg_.service = echo_service;
-  credit_signal_ = std::make_unique<sim::Signal>(domain_.engine());
   up_.wake = std::make_unique<sim::Signal>(domain_.engine());
   down_.wake = std::make_unique<sim::Signal>(domain_.engine());
   parsed_wake_ = std::make_unique<sim::Signal>(domain_.engine());
+  demux_wake_ = std::make_unique<sim::Signal>(domain_.engine());
   tier_.relay_node = relay_;
   tier_.gateway_node = gateway_;
   tier_.topic = topic_;
@@ -92,7 +93,7 @@ Session* ClientMux::connect(SessionLink link) {
   if (stopped_ || disconnected_ || live_sessions_ >= cfg_.max_sessions) {
     ++tier_.sessions_shed;
     tr.record(gateway_, trace::Stage::admission_shed, domain_.engine().now(),
-              0, sg_, trace::kNoSender, -1, credit_waiters_);
+              0, sg_, trace::kNoSender, -1, credit_waiters());
     return nullptr;
   }
   const auto id = static_cast<std::uint32_t>(sessions_.size());
@@ -109,7 +110,7 @@ metrics::RelayTierStats ClientMux::tier_stats() const {
   metrics::RelayTierStats t = tier_;
   t.credits_available = credits_available();
   t.credits_effective = cfg_.credits;
-  t.credit_waiters = credit_waiters_;
+  t.credit_waiters = credit_waiters();
   t.sessions_live = live_sessions_;
   t.uplink_busy_ns = up_.busy;
   t.downlink_busy_ns = down_.busy;
@@ -140,6 +141,7 @@ void ClientMux::start() {
   };
   wire(up_, 0);
   wire(down_, 1);
+  down_.rx->set_landing_signal(demux_wake_.get(), /*replaces_doorbell=*/true);
 
   auto& eng = domain_.engine();
   eng.spawn(counted(ship_actor(up_)));
@@ -168,78 +170,67 @@ bool ClientMux::relay_stopped() const {
   return domain_.cluster().node(relay_).stopped();
 }
 
+ReplyStatus ClientMux::teardown_status(const Session& s) const noexcept {
+  return stopped_ || disconnected_ || s.state_ == Session::State::disconnected
+             ? ReplyStatus::disconnected
+             : ReplyStatus::cancelled;
+}
+
 void ClientMux::return_credit() noexcept {
   if (credits_out_ > 0) --credits_out_;
   // FIFO hand-off: the freed credit goes to the oldest parked request, not
   // to whichever coroutine happens to run next — without this, arrivals cut
   // the line and a parked request's wait grows with the run length.
-  while (credits_available() > 0 && !credit_queue_.empty()) {
-    CreditWaiter* w = credit_queue_.front();
-    credit_queue_.pop_front();
-    ++credits_out_;
-    w->granted = true;
-  }
-  credit_signal_->signal();
+  if (credits_available() == 0 || credit_queue_.empty()) return;
+  CreditWaiter* w = credit_queue_.front();
+  credit_queue_.pop_front();
+  ++credits_out_;
+  w->outcome = ReplyStatus::ok;
+  domain_.engine().schedule_handle(domain_.engine().now(), w->handle);
+}
+
+void ClientMux::release_parked(const Session* s, ReplyStatus outcome) noexcept {
+  auto& eng = domain_.engine();
+  std::erase_if(credit_queue_, [&](CreditWaiter* w) {
+    if (s != nullptr && w->session != s) return false;
+    w->outcome = outcome;
+    eng.schedule_handle(eng.now(), w->handle);
+    return true;
+  });
 }
 
 sim::Co<ReplyStatus> ClientMux::admit(Session& s) {
   auto& eng = domain_.engine();
-  if (stopped_ || disconnected_) co_return ReplyStatus::disconnected;
-  if (s.state_ != Session::State::open) {
-    co_return s.state_ == Session::State::disconnected
-        ? ReplyStatus::disconnected
-        : ReplyStatus::cancelled;
+  if (stopped_ || disconnected_ || s.state_ != Session::State::open) {
+    co_return teardown_status(s);
   }
   if (credit_queue_.empty() && credits_available() > 0) {
     ++credits_out_;
     ++tier_.requests_admitted;
     co_return ReplyStatus::ok;
   }
-  if (credit_waiters_ >= cfg_.admit_watermark) {
+  if (credit_queue_.size() >= cfg_.admit_watermark) {
     // Queue-depth watermark: shed with an explicit Busy instead of growing
     // the parked-request queue without bound.
     ++tier_.requests_shed;
     domain_.cluster().tracer().record(
         gateway_, trace::Stage::admission_shed, eng.now(), 0, sg_,
-        trace::kNoSender, -1, credit_waiters_);
+        trace::kNoSender, -1, credit_waiters());
     co_return ReplyStatus::busy;
   }
-  CreditWaiter waiter;
+  CreditWaiter waiter{&s};
   credit_queue_.push_back(&waiter);
-  ++credit_waiters_;
-  if (credit_waiters_ > tier_.peak_credit_waiters) {
-    tier_.peak_credit_waiters = credit_waiters_;
+  tier_.peak_credit_waiters =
+      std::max(tier_.peak_credit_waiters, credit_waiters());
+  if (co_await waiter != ReplyStatus::ok) co_return waiter.outcome;
+  if (stopped_ || disconnected_ || s.state_ != Session::State::open) {
+    // Torn down between the hand-off and this resume, at the same instant:
+    // pass the credit down the line; we are not sending.
+    return_credit();
+    co_return teardown_status(s);
   }
-  for (;;) {
-    co_await credit_signal_->wait_for(cfg_.per_message_overhead * 4);
-    if (waiter.granted) {
-      --credit_waiters_;
-      if (stopped_ || disconnected_ || s.state_ != Session::State::open) {
-        return_credit();  // pass it down the line; we are not sending
-        co_return (stopped_ || disconnected_ ||
-                   s.state_ == Session::State::disconnected)
-            ? ReplyStatus::disconnected
-            : ReplyStatus::cancelled;
-      }
-      ++tier_.requests_admitted;
-      co_return ReplyStatus::ok;
-    }
-    // The waiter lives in this coroutine frame: it must leave the queue
-    // before the frame dies, or a later return_credit() pops a dangling
-    // pointer.
-    if (stopped_ || disconnected_) {
-      std::erase(credit_queue_, &waiter);
-      --credit_waiters_;
-      co_return ReplyStatus::disconnected;
-    }
-    if (s.state_ != Session::State::open) {
-      std::erase(credit_queue_, &waiter);
-      --credit_waiters_;
-      co_return s.state_ == Session::State::disconnected
-          ? ReplyStatus::disconnected
-          : ReplyStatus::cancelled;
-    }
-  }
+  ++tier_.requests_admitted;
+  co_return ReplyStatus::ok;
 }
 
 void ClientMux::stage_uplink(std::uint32_t session, std::uint64_t corr,
@@ -379,6 +370,7 @@ void ClientMux::cancel_session(Session& s) noexcept {
   }
   tier_.requests_cancelled += s.pending_.size();
   resolve_all(s, ReplyStatus::cancelled);
+  release_parked(&s, ReplyStatus::cancelled);
   s.state_ = Session::State::closed;
   s.unsubscribe();
   note_session_closed(s, false);
@@ -387,6 +379,8 @@ void ClientMux::cancel_session(Session& s) noexcept {
 sim::Co<> ClientMux::drain_session(Session& s) {
   if (s.state_ != Session::State::open) co_return;
   s.state_ = Session::State::draining;
+  // A request still parked for a credit is not admitted any more.
+  release_parked(&s, ReplyStatus::cancelled);
   co_await Session::DrainAwaiter{s};
   // A disconnect during the drain already resolved the requests and
   // accounted the session; only a clean drain closes it here.
@@ -412,15 +406,15 @@ void ClientMux::disconnect_all() noexcept {
     s.unsubscribe();
     note_session_closed(s, true);
   }
-  // The pipeline is gone; nothing will return credits. Reset the pool for
-  // the record (admission refuses anyway) and wake parked requests so they
-  // observe the disconnect.
+  // The pipeline is gone; nothing will return credits. Resolve the parked
+  // requests, reset the pool for the record (admission refuses anyway) and
+  // wake every actor parked on a mux signal so it observes the disconnect.
+  release_parked(nullptr, ReplyStatus::disconnected);
   credits_out_ = 0;
-  credit_queue_.clear();
-  credit_signal_->signal();
   up_.wake->signal();
   down_.wake->signal();
   parsed_wake_->signal();
+  demux_wake_->signal();
   up_.staged.clear();
   down_.staged.clear();
 }
@@ -436,7 +430,7 @@ sim::Co<> ClientMux::ship_actor(Link& link) {
       co_return;
     }
     if (link.staged.empty()) {
-      co_await link.wake->wait_for(cfg_.per_message_overhead * 4);
+      co_await link.wake->wait();
       continue;
     }
     const std::int64_t room = static_cast<std::int64_t>(cfg_.ring_window) -
@@ -464,7 +458,7 @@ sim::Co<> ClientMux::ship_actor(Link& link) {
     if (n == 0) {
       // Members' delivered_num pushes land at the relay and ring its
       // doorbell.
-      co_await relay_doorbell.wait_for(cfg_.per_message_overhead * 4);
+      co_await relay_doorbell.wait();
       continue;
     }
     const std::int64_t first = link.sent;
@@ -496,7 +490,7 @@ sim::Co<> ClientMux::ingress_actor() {
       co_return;
     }
     if (up_.rx->trailer(0, parsed_).count != parsed_ + 1) {
-      co_await doorbell.wait_for(cfg_.per_message_overhead * 4);
+      co_await doorbell.wait();
       continue;
     }
     co_await eng.sleep(cfg_.per_message_overhead);
@@ -515,7 +509,7 @@ sim::Co<> ClientMux::publish_actor() {
       co_return;
     }
     if (up_.consumed == parsed_) {
-      co_await parsed_wake_->wait_for(cfg_.per_message_overhead * 4);
+      co_await parsed_wake_->wait();
       continue;
     }
     const sim::Nanos begin = eng.now();
@@ -630,7 +624,6 @@ void ClientMux::complete(Session& s, std::uint64_t corr, Reply&& r) {
 
 sim::Co<> ClientMux::demux_actor() {
   auto& eng = domain_.engine();
-  auto& doorbell = domain_.cluster().fabric().doorbell(gateway_);
   while (!stopped_) {
     const smc::SlotTrailer t = down_.rx->trailer(0, down_.consumed);
     if (t.count != down_.consumed + 1) {
@@ -639,7 +632,7 @@ sim::Co<> ClientMux::demux_actor() {
         disconnect_all();
         co_return;
       }
-      co_await doorbell.wait_for(cfg_.per_message_overhead * 4);
+      co_await demux_wake_->wait();
       continue;
     }
     co_await eng.sleep(cfg_.per_message_overhead);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -78,6 +79,10 @@ struct MuxConfig {
 /// multicast window propagates backpressure: deliveries slow -> the publish
 /// stage blocks -> the uplink ring fills -> credits starve -> arrivals
 /// park -> the watermark sheds.
+///
+/// Every wait parks, untimed, on the signal of the event it needs (DESIGN.md
+/// §3d); disconnect_all() and the relay's Node::stop() ring them at
+/// teardown. Only a shipper facing a full ring re-polls.
 class ClientMux {
  public:
   ClientMux(const ClientMux&) = delete;
@@ -96,7 +101,7 @@ class ClientMux {
   std::uint32_t credits_available() const noexcept {
     return cfg_.credits > credits_out_ ? cfg_.credits - credits_out_ : 0;
   }
-  std::uint32_t credit_waiters() const noexcept { return credit_waiters_; }
+  std::uint32_t credit_waiters() const noexcept { return credit_queue_.size(); }
   std::size_t live_sessions() const noexcept { return live_sessions_; }
   /// Link actors still running: five while the mux is connected, none once
   /// it has disconnected (relay crash) or stopped and they have noticed.
@@ -139,15 +144,18 @@ class ClientMux {
   sim::Co<Reply> run_request(Session& s, std::span<const std::byte> body);
   sim::Co<ReplyStatus> run_publish(Session& s,
                                    std::span<const std::byte> body);
-  /// Session::close(): parks until the session's last in-flight request
-  /// resolves (complete() and resolve_all() wake it), then detaches.
+  /// Session::close(): resolves the session's parked requests, then parks
+  /// until its last in-flight request resolves (complete() and
+  /// resolve_all() wake it), then detaches.
   sim::Co<> drain_session(Session& s);
   void cancel_session(Session& s) noexcept;
 
-  /// Credit-pool admission: true when a credit was taken, false when shed
-  /// at the watermark (sets `shed`). Waits while parked below watermark.
+  /// Credit-pool admission: `ok` once a credit is taken, `busy` when shed
+  /// at the watermark, else the teardown status. Below the watermark a
+  /// request parks in the credit queue until it is handed its outcome.
   sim::Co<ReplyStatus> admit(Session& s);
-  void return_credit() noexcept;
+  ReplyStatus teardown_status(const Session& s) const noexcept;
+  void return_credit() noexcept;  // hands the credit to the oldest waiter
   void stage_uplink(std::uint32_t session, std::uint64_t corr,
                     std::uint32_t kind, std::span<const std::byte> body);
   void complete(Session& s, std::uint64_t corr, Reply&& r);
@@ -156,6 +164,9 @@ class ClientMux {
   void resolve_all(Session& s, ReplyStatus st) noexcept;
   /// Wake a close() parked on `s` once nothing of `s` is in flight.
   void wake_drain(Session& s) noexcept;
+  /// Dequeue every request of `s` parked for a credit (every parked
+  /// request when `s` is null), resuming each with `outcome` now.
+  void release_parked(const Session* s, ReplyStatus outcome) noexcept;
   void disconnect_all() noexcept;
   bool relay_stopped() const;
   void note_session_closed(Session& s, bool disconnected) noexcept;
@@ -172,20 +183,21 @@ class ClientMux {
   std::vector<std::unique_ptr<Session>> sessions_;
   std::size_t live_sessions_ = 0;
 
-  // Credit pool. Parked requests queue FIFO (each return_credit grants the
-  // head), so an accepted request's admission wait is bounded by the
-  // watermark times the per-credit service time — overload inflates the
-  // tail to that bound and no further.
-  // A waiter lives in its admit() coroutine frame; any entry still in
-  // credit_queue_ is a live frame — a waiter that gives up (cancel,
-  // disconnect) erases itself from the queue before its frame dies.
+  // Credit pool. Parked requests queue FIFO (each return_credit hands the
+  // head its credit), so an accepted request's admission wait is bounded by
+  // the watermark times the per-credit service time. A waiter lives,
+  // parked, in its admit() frame until whoever dequeues it sets its
+  // outcome and resumes it.
   struct CreditWaiter {
-    bool granted = false;  // a returned credit was consumed on our behalf
+    const Session* session;
+    ReplyStatus outcome = ReplyStatus::ok;
+    std::coroutine_handle<> handle{};
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) noexcept { handle = h; }
+    ReplyStatus await_resume() const noexcept { return outcome; }
   };
   std::uint32_t credits_out_ = 0;  // credits currently in flight
-  std::uint32_t credit_waiters_ = 0;
   std::deque<CreditWaiter*> credit_queue_;
-  std::unique_ptr<sim::Signal> credit_signal_;
   std::uint64_t next_corr_ = 1;
 
   // One direction of the shared gateway<->relay mailbox-ring pair (one pair
@@ -206,6 +218,8 @@ class ClientMux {
   // each slot (up_.consumed) only after its send.
   std::int64_t parsed_ = 0;
   std::unique_ptr<sim::Signal> parsed_wake_;  // relay-local: a frame parsed
+  // Gateway: the downlink ring's landing signal, in place of its doorbell.
+  std::unique_ptr<sim::Signal> demux_wake_;
   std::uint32_t actors_running_ = 0;
 
   bool started_ = false;

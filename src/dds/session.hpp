@@ -109,13 +109,15 @@ class Session {
   /// later subscribe() replaces the listener.
   Subscription subscribe(SampleListener listener);
 
-  /// Graceful close: waits for every in-flight request to complete, then
-  /// detaches. After close() the session accepts no new work.
+  /// Graceful close: a request still parked for an admission credit
+  /// resolves `cancelled` at once; close() then waits for every admitted
+  /// in-flight request to complete, and detaches at that instant. After
+  /// close() the session accepts no new work.
   sim::Co<> close();
 
-  /// Immediate close: every in-flight request completes *now* with
-  /// `cancelled`; replies still in the pipe are counted as late at the
-  /// mux, not silently dropped.
+  /// Immediate close: every in-flight request, parked for a credit or
+  /// admitted, completes *now* with `cancelled`; replies still in the pipe
+  /// are counted as late at the mux, not silently dropped.
   void cancel() noexcept;
 
   bool connected() const noexcept {
@@ -156,7 +158,7 @@ class Session {
     Reply await_resume() noexcept { return std::move(p.reply); }
   };
 
-  /// close()'s wait for the in-flight map to empty.
+  /// close()'s wait for the in-flight map of admitted requests to empty.
   struct DrainAwaiter {
     Session& s;
     bool await_ready() const noexcept { return s.pending_.empty(); }

@@ -32,6 +32,16 @@ std::string VsyncChecker::tag_str(const Tag& t) {
   return os.str();
 }
 
+std::string VsyncChecker::runs_str(const std::vector<std::uint64_t>& idx) {
+  std::ostringstream os;
+  for (std::size_t k = 0, end; k < idx.size(); k = end) {
+    for (end = k + 1; end < idx.size() && idx[end] == idx[end - 1] + 1;) ++end;
+    os << (k ? "," : "") << idx[k];
+    if (end - k > 1) os << ".." << idx[end - 1];
+  }
+  return "[" + os.str() + "]";
+}
+
 void VsyncChecker::attach(core::ManagedGroup& group) {
   nodes_ = group.view().members.size();
   subgroups_ = group.num_subgroups();
@@ -337,13 +347,14 @@ std::vector<std::string> VsyncChecker::check_episodes(
       }
     }
 
-    // (8) the recovery loss rule, strongest in the single-episode case:
-    // per sender the final segment re-observes [0 .. durable) and resumes
-    // at exactly the sender's pre-crash self-delivered count (nothing the
-    // durable log covered is lost; nothing past the send queue's progress
-    // is invented). Rejoined senders owe completeness through sent_.
+    // (8) the recovery loss rule: per sender the final segment re-observes
+    // the sender's indices inside the common durable prefix and resumes
+    // where its send queue does (nothing the durable log covered is lost;
+    // nothing past the send queue's progress is invented). Rejoined
+    // senders owe completeness through sent_.
     if (!finals.empty()) {
-      std::vector<std::uint64_t> d, resume;
+      std::vector<std::vector<std::uint64_t>> d;
+      std::vector<std::uint64_t> resume;
       current_shape(g, d, resume);
       const std::vector<Tag>& ref = seq_[finals[0]][g];
       for (net::NodeId s = 0; s < nodes_; ++s) {
@@ -352,8 +363,7 @@ std::vector<std::string> VsyncChecker::check_episodes(
           if (t.sender == s) idx.push_back(t.index);
         }
         const bool rejoined = is_member_of(last.info, s);
-        std::vector<std::uint64_t> expect;
-        for (std::uint64_t k = 0; k < d[s]; ++k) expect.push_back(k);
+        std::vector<std::uint64_t> expect = d[s];
         if (rejoined) {
           for (std::uint64_t k = resume[s]; k < sent_[g][s]; ++k) {
             expect.push_back(k);
@@ -366,17 +376,14 @@ std::vector<std::string> VsyncChecker::check_episodes(
         const bool departed_again = rejoined && !is_final(s);
         const bool ok =
             departed_again
-                ? idx.size() >= d[s] && idx.size() <= expect.size() &&
+                ? idx.size() >= d[s].size() && idx.size() <= expect.size() &&
                       std::equal(idx.begin(), idx.end(), expect.begin())
                 : idx == expect;
         if (!ok) {
           std::ostringstream os;
           os << pre.str() << "sender node" << s << " final-segment indices "
-             << "violate the recovery shape: got [";
-          for (std::size_t k = 0; k < idx.size(); ++k) {
-            os << (k ? "," : "") << idx[k];
-          }
-          os << "], expected [0.." << d[s] << ")";
+             << "violate the recovery shape: got " << runs_str(idx)
+             << ", expected " << runs_str(d[s]);
           if (rejoined) {
             os << " ++ [" << resume[s] << ".." << sent_[g][s] << ")";
           }
@@ -432,11 +439,12 @@ std::vector<std::string> VsyncChecker::check_episodes(
   return violations;
 }
 
-std::vector<std::uint64_t> VsyncChecker::durable_of(const Episode& e,
-                                                    std::size_t g) const {
-  // The prefix respects delivery order, so a sender's messages inside it
-  // are exactly the indices [0 .. durable[s]).
-  std::vector<std::uint64_t> d(nodes_, 0);
+std::vector<std::vector<std::uint64_t>> VsyncChecker::durable_of(
+    const Episode& e, std::size_t g) const {
+  // The prefix respects delivery order, so each sender's indices inside it
+  // ascend. They need not be [0 .. n): an earlier episode may have lost a
+  // delivered message that was not yet durable.
+  std::vector<std::vector<std::uint64_t>> d(nodes_);
   const std::size_t lcp = e.info.common_prefix[g];
   const std::vector<std::vector<std::byte>>* ref = nullptr;
   for (net::NodeId m : e.info.members) {
@@ -448,46 +456,31 @@ std::vector<std::uint64_t> VsyncChecker::durable_of(const Episode& e,
   if (ref != nullptr) {
     for (std::size_t k = 0; k < lcp; ++k) {
       const Tag t = decode((*ref)[k]);
-      if (t.sender < nodes_) ++d[t.sender];
+      if (t.sender < nodes_) d[t.sender].push_back(t.index);
     }
   }
   return d;
 }
 
-void VsyncChecker::current_shape(std::size_t g,
-                                 std::vector<std::uint64_t>& durable,
-                                 std::vector<std::uint64_t>& resume) const {
-  const auto member = [](const core::ManagedGroup::RecoveryInfo& info,
-                         net::NodeId n) {
-    return std::find(info.members.begin(), info.members.end(), n) !=
-           info.members.end();
-  };
+void VsyncChecker::current_shape(
+    std::size_t g, std::vector<std::vector<std::uint64_t>>& durable,
+    std::vector<std::uint64_t>& resume) const {
   durable = durable_of(episodes_.back(), g);
-  // Reconstruct each sender's queue-front message number: pops are
-  // self-deliveries (replays don't pop), and every recovery the sender
-  // joined advances the front past that recovery's durable prefix (the
-  // group drops queued entries the replay already covers).
+  // Each sender's queue front: one past its highest self-delivered index
+  // (a self-delivery pops the front; a replayed index is durable), and
+  // past its highest durable index in every recovery it joined (the group
+  // drops queued entries the replay already covers).
   resume.assign(nodes_, 0);
-  for (std::size_t ei = 0; ei < episodes_.size(); ++ei) {
-    const Episode& e = episodes_[ei];
-    const std::vector<std::uint64_t> replayed =
-        ei == 0 ? std::vector<std::uint64_t>(nodes_, 0)
-                : durable_of(episodes_[ei - 1], g);
+  for (const Episode& e : episodes_) {
+    const auto d = durable_of(e, g);
     for (net::NodeId s = 0; s < nodes_; ++s) {
-      std::uint64_t self = 0;
       for (const Tag& t : e.pre_seq[s][g]) {
-        if (t.sender == s) ++self;
+        if (t.sender == s) resume[s] = std::max(resume[s], t.index + 1);
       }
-      if (ei > 0 && member(episodes_[ei - 1].info, s)) {
-        resume[s] = std::max(resume[s], replayed[s]);
-        self = self > replayed[s] ? self - replayed[s] : 0;
+      const auto& m = e.info.members;
+      if (!d[s].empty() && std::find(m.begin(), m.end(), s) != m.end()) {
+        resume[s] = std::max(resume[s], d[s].back() + 1);
       }
-      resume[s] += self;
-    }
-  }
-  for (net::NodeId s = 0; s < nodes_; ++s) {
-    if (member(episodes_.back().info, s)) {
-      resume[s] = std::max(resume[s], durable[s]);
     }
   }
 }
@@ -496,14 +489,15 @@ std::uint64_t VsyncChecker::expected_current_from(std::size_t sg,
                                                   net::NodeId sender,
                                                   std::uint64_t sent) const {
   if (episodes_.empty()) return sent;
-  std::vector<std::uint64_t> durable, resume;
+  std::vector<std::vector<std::uint64_t>> durable;
+  std::vector<std::uint64_t> resume;
   current_shape(sg, durable, resume);
+  const std::uint64_t replayed = durable[sender].size();
   const auto& members = episodes_.back().info.members;
   if (std::find(members.begin(), members.end(), sender) == members.end()) {
-    return durable[sender];
+    return replayed;
   }
-  return durable[sender] +
-         (sent > resume[sender] ? sent - resume[sender] : 0);
+  return replayed + (sent > resume[sender] ? sent - resume[sender] : 0);
 }
 
 }  // namespace spindle::fault

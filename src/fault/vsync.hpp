@@ -38,12 +38,14 @@ namespace spindle::fault {
 ///      the rejoiners' logs — identical across members, and a prefix of
 ///      every member's pre-crash durable log;
 ///   8. after recovery, each node re-observes exactly the common prefix
-///      and then resumes: per sender the delivered indices are
-///      [0 .. durable) ++ [resumed ..), where `resumed` is the count the
-///      sender had self-delivered before the crash (the
+///      and then resumes: per sender the delivered indices are its indices
+///      inside the prefix, then [resumed ..), where `resumed` is the
+///      larger of one past its highest durable index and where its send
+///      queue stood after its pre-crash self-deliveries (the
 ///      delivered-but-not-durable suffix is lost — durable Paxos loses
 ///      nothing it acknowledged, i.e. nothing below the persisted
-///      frontier); completeness then applies to rejoined senders.
+///      frontier — so after a lossy episode a sender's durable indices
+///      can have gaps); completeness then applies to rejoined senders.
 ///
 /// check() returns human-readable violation strings; empty means pass.
 class VsyncChecker {
@@ -105,18 +107,21 @@ class VsyncChecker {
   };
   static Tag decode(std::span<const std::byte> data);
   static std::string tag_str(const Tag& t);
+  /// Ascending indices as runs: "[0..5,7..29]".
+  static std::string runs_str(const std::vector<std::uint64_t>& idx);
   /// The episode-aware contract (invariants 6-8 plus the per-segment
   /// versions of 1/3/5); used when at least one recovery was observed.
   std::vector<std::string> check_episodes(
       const core::ManagedGroup& group) const;
-  /// Per-sender message count inside episode `e`'s common durable prefix.
-  std::vector<std::uint64_t> durable_of(const Episode& e,
-                                        std::size_t g) const;
+  /// Per sender, its message indices inside episode `e`'s common durable
+  /// prefix, in delivery order.
+  std::vector<std::vector<std::uint64_t>> durable_of(const Episode& e,
+                                                     std::size_t g) const;
   /// Per-sender recovery shape for the current segment: `durable` = the
-  /// replayed prefix counts, `resume` = the message number each rejoined
-  /// sender's queue resumes from (self-delivery pops advanced it; every
-  /// recovery the sender joined jumps it past the durable prefix).
-  void current_shape(std::size_t g, std::vector<std::uint64_t>& durable,
+  /// replayed indices, `resume` = the message number each rejoined
+  /// sender's queue resumes from.
+  void current_shape(std::size_t g,
+                     std::vector<std::vector<std::uint64_t>>& durable,
                      std::vector<std::uint64_t>& resume) const;
 
   std::size_t nodes_ = 0;

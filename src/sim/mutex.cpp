@@ -120,6 +120,9 @@ void Signal::signal() {
         s->handle = nullptr;
         engine_.schedule_handle(engine_.now(), h);
       }
+      // A timed waiter releases its own state once it resumes; an untimed
+      // one has nothing left to read from it.
+      if (!s->timeout.valid()) release_state(s);
     }
   }
   pending.clear();

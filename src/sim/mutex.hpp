@@ -70,9 +70,10 @@ class Mutex {
   Nanos total_wait_ = 0;
 };
 
-/// One-shot waitable event with optional timeout: the doorbell primitive.
-/// wait_for() returns true if signalled, false on timeout. Multiple waiters
-/// are all released by one signal().
+/// One-shot waitable event: the doorbell primitive. wait() parks until the
+/// next signal(); wait_for() also gives up after a timeout. Multiple
+/// waiters, timed or not, are all released by one signal(), in the order
+/// they started waiting.
 ///
 /// Wait state is pooled inside the Signal (a poll loop that waits and times
 /// out repeatedly allocates nothing after the first lap), and the timeout
@@ -84,6 +85,21 @@ class Signal {
   ~Signal();
   Signal(const Signal&) = delete;
   Signal& operator=(const Signal&) = delete;
+
+  /// Awaitable: park until the next signal(). Schedules no event; a
+  /// waiter never signalled stays parked, its coroutine frame never freed.
+  auto wait() {
+    struct Awaiter {
+      Signal& sig;
+      bool await_ready() const noexcept { return false; }
+      void await_suspend(std::coroutine_handle<> h) {
+        sig.waiters_.push_back(sig.acquire_state());
+        sig.waiters_.back()->handle = h;
+      }
+      void await_resume() const noexcept {}
+    };
+    return Awaiter{*this};
+  }
 
   /// Awaitable<bool>: true = signalled, false = timed out.
   Co<bool> wait_for(Nanos timeout);
@@ -99,7 +115,7 @@ class Signal {
     bool fired = false;
     bool timed_out = false;
     std::coroutine_handle<> handle;
-    Engine::TimerId timeout;
+    Engine::TimerId timeout;  // invalid for an untimed wait()
     WaitState* next_free = nullptr;
   };
 

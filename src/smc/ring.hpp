@@ -106,9 +106,10 @@ class RingGroup {
                   std::uint32_t len) const;
 
   /// Signal `s` whenever a peer's write lands in this node's ring region
-  /// (net::Fabric::set_landing_signal); nullptr detaches.
-  void set_landing_signal(sim::Signal* s) {
-    fabric_.set_landing_signal(region_, s);
+  /// (net::Fabric::set_landing_signal), and with `replaces_doorbell` instead
+  /// of the node's doorbell; nullptr detaches.
+  void set_landing_signal(sim::Signal* s, bool replaces_doorbell = false) {
+    fabric_.set_landing_signal(region_, s, replaces_doorbell);
   }
 
   /// Modelled registered bytes, senders × window × (slot + trailer): the

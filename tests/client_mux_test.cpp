@@ -313,9 +313,10 @@ TEST_F(MuxFixture, CancelResolvesInFlightNowAndCountsLateReplies) {
 TEST_F(MuxFixture, CancelWhileParkedForCreditLeavesQueueIntact) {
   MuxConfig mc;
   mc.credits = 1;
-  // Fast waiter polls: the cancelled waiters' coroutine frames die long
-  // before the credit comes back, so a stale queue entry would be popped
-  // dangling (the regression this guards against, caught under ASan).
+  // A short link overhead: the cancelled waiters' coroutine frames die
+  // long before the credit comes back, so a stale queue entry would be
+  // popped dangling (the regression this guards against, caught under
+  // ASan).
   mc.per_message_overhead = 100;
   mc.admit_watermark = 8;
   make(std::move(mc));
@@ -715,6 +716,108 @@ TEST_F(MuxFixture, CloseReturnsAtTheInstantTheLastReplyCompletes) {
   EXPECT_EQ(done, kInFlight);
   EXPECT_EQ(closed_at, last_reply);
   EXPECT_FALSE(s->connected());
+}
+
+/// A request on `sess` that records when it resolved and how.
+sim::Co<> timed_request(Session* sess, std::uint64_t tag, sim::Engine* eng,
+                        ReplyStatus* status, sim::Nanos* at) {
+  const Reply r = co_await sess->request(bytes_of(tag));
+  *status = r.status;
+  *at = eng->now();
+}
+
+TEST_F(MuxFixture, CancelResolvesAParkedRequestAtThatInstant) {
+  MuxConfig mc;
+  mc.credits = 1;
+  make(std::move(mc));
+  sim::Engine& eng = domain->engine();
+  Session* a = mux->connect();
+  Session* b = mux->connect();
+  ReplyStatus a_status = ReplyStatus::busy, b_status = ReplyStatus::busy;
+  sim::Nanos a_at = -1, b_at = -1;
+  eng.spawn(timed_request(a, 1, &eng, &a_status, &a_at));
+  ASSERT_TRUE(run_until([&] { return mux->credits_available() == 0; }));
+  eng.spawn(timed_request(b, 2, &eng, &b_status, &b_at));
+  ASSERT_TRUE(run_until([&] { return mux->credit_waiters() == 1; }));
+
+  const sim::Nanos cancel_at = eng.now() + 1'001;
+  eng.schedule_fn(cancel_at, [b] { b->cancel(); });
+  ASSERT_TRUE(run_until([&] { return b_at >= 0; }));
+  EXPECT_EQ(b_status, ReplyStatus::cancelled);
+  EXPECT_EQ(b_at, cancel_at);
+  EXPECT_EQ(mux->credit_waiters(), 0u);
+  ASSERT_TRUE(run_until([&] { return a_at >= 0; }));
+  EXPECT_EQ(a_status, ReplyStatus::ok);
+}
+
+TEST_F(MuxFixture, CloseResolvesAParkedRequestAndReturnsAtThatInstant) {
+  MuxConfig mc;
+  mc.credits = 1;
+  make(std::move(mc));
+  sim::Engine& eng = domain->engine();
+  Session* a = mux->connect();
+  Session* b = mux->connect();
+  ReplyStatus a_status = ReplyStatus::busy, b_status = ReplyStatus::busy;
+  sim::Nanos a_at = -1, b_at = -1;
+  eng.spawn(timed_request(a, 1, &eng, &a_status, &a_at));
+  ASSERT_TRUE(run_until([&] { return mux->credits_available() == 0; }));
+  eng.spawn(timed_request(b, 2, &eng, &b_status, &b_at));
+  ASSERT_TRUE(run_until([&] { return mux->credit_waiters() == 1; }));
+
+  // b has nothing admitted, only the parked request: close() resolves it
+  // and has nothing left to wait for.
+  const sim::Nanos close_at = eng.now() + 1'001;
+  sim::Nanos closed_at = -1;
+  eng.schedule_fn(close_at, [&] {
+    eng.spawn([](Session* sess, sim::Engine* e,
+                 sim::Nanos* at) -> sim::Co<> {
+      co_await sess->close();
+      *at = e->now();
+    }(b, &eng, &closed_at));
+  });
+  ASSERT_TRUE(run_until([&] { return closed_at >= 0 && b_at >= 0; }));
+  EXPECT_EQ(b_status, ReplyStatus::cancelled);
+  EXPECT_EQ(b_at, close_at);
+  EXPECT_EQ(closed_at, close_at);
+  EXPECT_FALSE(b->connected());
+  ASSERT_TRUE(run_until([&] { return a_at >= 0; }));
+  EXPECT_EQ(a_status, ReplyStatus::ok);
+}
+
+TEST_F(MuxFixture, IdleMuxStopsEveryActorAtTheRelayCrash) {
+  // Member 3 is descheduled, so the two admitted requests never become
+  // stable: their replies wait at the relay, three more requests park for
+  // a credit, and every actor parks on its signal. The relay's crash
+  // rings its doorbell; the ingress stage notices and disconnects, which
+  // resolves every request and wakes every other actor, all at the crash
+  // instant.
+  MuxConfig mc;
+  mc.credits = 2;
+  make(std::move(mc));
+  sim::Engine& eng = domain->engine();
+  domain->cluster().fabric().host(3).slow_cpu(sim::seconds(1));
+  Session* s = mux->connect();
+  constexpr int kRequests = 5;
+  ReplyStatus status[kRequests];
+  sim::Nanos at[kRequests];
+  for (int i = 0; i < kRequests; ++i) {
+    at[i] = -1;
+    eng.spawn(timed_request(s, i, &eng, &status[i], &at[i]));
+  }
+  eng.run_to(sim::micros(500));
+  ASSERT_EQ(mux->credit_waiters(), 3u);
+  ASSERT_EQ(s->in_flight(), 2u);
+  ASSERT_EQ(mux->actors_running(), 5u);
+
+  const sim::Nanos crash_at = eng.now() + 1'001;
+  eng.schedule_fn(crash_at, [this] { domain->cluster().crash(0); });
+  eng.run_to(crash_at);
+  EXPECT_EQ(mux->actors_running(), 0u);
+  EXPECT_FALSE(mux->connected());
+  for (int i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(status[i], ReplyStatus::disconnected) << "request " << i;
+    EXPECT_EQ(at[i], crash_at) << "request " << i;
+  }
 }
 
 TEST_F(MuxFixture, OkReplyWaitsForEveryTopicMemberToDeliver) {

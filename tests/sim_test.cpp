@@ -332,6 +332,47 @@ TEST(Signal, ReWaitAfterUnrelatedSignalKeepsRegistration) {
   EXPECT_EQ(e.pending_events(), 0u);
 }
 
+TEST(Signal, UntimedWaitParksWithoutAnEventUntilSignalled) {
+  // wait() schedules nothing: a parked waiter leaves the queue empty, no
+  // matter how far virtual time runs, and resumes only at a signal(). It
+  // shares the wake order with timed waiters: registration order.
+  Engine e;
+  Signal s(e);
+  std::vector<std::pair<int, Nanos>> wakes;
+  e.spawn([](Engine& eng, Signal& sig,
+             std::vector<std::pair<int, Nanos>>& w) -> Co<> {
+    for (int i = 0; i < 2; ++i) {
+      co_await sig.wait();
+      w.emplace_back(0, eng.now());
+    }
+  }(e, s, wakes));
+  e.spawn([](Engine& eng, Signal& sig,
+             std::vector<std::pair<int, Nanos>>& w) -> Co<> {
+    if (co_await sig.wait_for(seconds(10))) w.emplace_back(1, eng.now());
+  }(e, s, wakes));
+  e.run_to(seconds(1));
+  EXPECT_TRUE(wakes.empty());
+  EXPECT_EQ(s.waiters(), 2u);
+  EXPECT_EQ(e.pending_events(), 1u);  // the timed waiter's timeout only
+  e.schedule_fn(seconds(3), [&] { s.signal(); });
+  e.run();
+  ASSERT_EQ(wakes.size(), 2u);
+  EXPECT_EQ(wakes[0], std::make_pair(0, seconds(3)));
+  EXPECT_EQ(wakes[1], std::make_pair(1, seconds(3)));
+  // Parked again, untimed: nothing is queued and time does not move.
+  EXPECT_EQ(s.waiters(), 1u);
+  EXPECT_EQ(e.pending_events(), 0u);
+  const std::uint64_t steps = e.steps();
+  e.run_to(seconds(100));
+  EXPECT_EQ(e.steps(), steps);
+  EXPECT_EQ(wakes.size(), 2u);
+  s.signal();
+  e.run();
+  ASSERT_EQ(wakes.size(), 3u);
+  EXPECT_EQ(wakes[2], std::make_pair(0, seconds(100)));
+  EXPECT_EQ(s.waiters(), 0u);
+}
+
 TEST(Signal, SignalledWaitCancelsItsTimeoutEvent) {
   // A signalled wait_for must cancel its timeout instead of leaving it in
   // the queue as a lazy no-op: after 1000 signalled waits with 100 s

@@ -425,6 +425,37 @@ TEST(ManagedGroup, IdleMembershipPlaneCostIsPinned) {
   }
 }
 
+TEST(ManagedGroup, DrainedQueuesScheduleNoPumpEvent) {
+  // A send queue's pump runs only while the queue holds a message it can
+  // send, so once every queue has drained the group's idle millisecond is
+  // its membership plane and its parked data plane alone: pinned here, and
+  // within a few steps of a group that never sent (the traffic shifted a
+  // few membership pushes). A pump that idled on a 20 us timer woke 50
+  // times per idle ms for each (node, subgroup) that ever sent: 200 more
+  // steps here.
+  const auto idle_ms_steps = [](bool send) {
+    ManagedFixture f(4, /*seed=*/3);
+    if (send) {
+      for (net::NodeId n = 0; n < 4; ++n) {
+        for (std::uint64_t i = 0; i < 10; ++i) {
+          f.group->send(n, 0, payload_of(n * 100 + i));
+        }
+      }
+      EXPECT_TRUE(f.run_until_all_delivered({0, 1, 2, 3}, 40,
+                                            sim::millis(1)));
+    }
+    sim::Engine& eng = f.group->engine();
+    eng.run_to(sim::millis(2));
+    const std::uint64_t before = eng.steps();
+    eng.run_to(sim::millis(3));
+    return eng.steps() - before;
+  };
+  const std::uint64_t drained = idle_ms_steps(true);
+  EXPECT_EQ(drained, 1542u);
+  EXPECT_NEAR(static_cast<double>(drained),
+              static_cast<double>(idle_ms_steps(false)), 10.0);
+}
+
 TEST(ManagedGroup, NoSpuriousViewChangeWithoutFailures) {
   ManagedFixture f(4);
   for (net::NodeId n = 0; n < 4; ++n) {
