@@ -51,6 +51,19 @@ inline std::string check_completed(const workload::RunRecord& r) {
   return r.completed ? "" : " [INCOMPLETE: watchdog tripped]";
 }
 
+/// Paper-shape gate (`ctest -L paper`): prints a figure's verdict as one
+/// inequality with the values it compared, and returns the bench's exit
+/// status: 1 when it fails at full scale. Below full scale the shapes do
+/// not hold (too few messages to fill the windows), so the line is printed
+/// and not enforced.
+inline int shape_check(const std::string& claim, const std::string& measured,
+                       bool holds) {
+  const bool full = workload::bench_scale() >= 1.0;
+  std::printf("shape check: %s | %s | %s\n", claim.c_str(), measured.c_str(),
+              holds ? "ok" : full ? "FAILED" : "fails (below full scale)");
+  return holds || !full ? 0 : 1;
+}
+
 /// Machine-readable bench output: accumulates per-configuration rows plus
 /// free-form scalar metrics and writes them to BENCH_<name>.json in the
 /// working directory: the simulated-protocol numbers the tables print, next

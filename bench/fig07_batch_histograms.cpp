@@ -49,6 +49,9 @@ int main() {
   print_histogram("send batches", r.stats.total.send_batches);
   print_histogram("receive batches", r.stats.total.receive_batches);
   print_histogram("delivery batches", r.stats.total.delivery_batches);
+  const double send = r.stats.total.send_batches.mean();
+  const double receive = r.stats.total.receive_batches.mean();
+  const double delivery = r.stats.total.delivery_batches.mean();
 
   Table t("Sec 4.1.3: mean batch sizes vs number of (inactive) subgroups",
           {"subgroups", "send", "receive", "delivery", "paper {s,r,d}"});
@@ -67,5 +70,12 @@ int main() {
            Table::num(mr.stats.total.delivery_batches.mean(), 2), paper[pi++]});
   }
   t.print();
-  return 0;
+
+  // Paper-shape gate: the paper's ordering of the three stages' mean batch
+  // sizes. An ordering needs no margin (EXPERIMENTS.md); its closest pair
+  // read 11.17 < 14.92 when the check was set.
+  return shape_check("Fig 7: mean batch send < receive < delivery",
+                     Table::num(send, 2) + " < " + Table::num(receive, 2) +
+                         " < " + Table::num(delivery, 2),
+                     send < receive && receive < delivery);
 }

@@ -43,7 +43,13 @@ int main() {
            n == 4 ? "77.6% peak utilization @4" : ""});
   }
   t.print();
-  std::printf("average speedup: %.2fx (paper: ~1.4x)\n",
-              sum_ratio / count);
-  return 0;
+  const double mean = sum_ratio / count;
+  std::printf("average speedup: %.2fx (paper: ~1.4x)\n", mean);
+
+  // Paper-shape gate: early lock release pays on average. Both arms are
+  // NIC-bound at 11 and 16 members (1.06-1.10x), so 1.2x fails once the
+  // three smaller groups' mean gain falls under ~1.28x (1.44x when the
+  // bound was set; the average read 1.29x; EXPERIMENTS.md).
+  return shape_check("Fig 12: mean early-release speedup >= 1.2x",
+                     Table::num(mean, 3) + "x", mean >= 1.2);
 }

@@ -1,6 +1,7 @@
 #include "core/group.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 namespace spindle::core {
@@ -197,6 +198,9 @@ void Cluster::start() {
     SgFields f;
     f.received = layout.add_i64("received_num[" + std::to_string(i) + "]");
     f.delivered = layout.add_i64("delivered_num[" + std::to_string(i) + "]");
+    // One push covers both counters (Node::plan_counter_push).
+    assert(layout.field_offset(f.delivered) ==
+           layout.field_offset(f.received) + layout.field_size(f.received));
     f.persisted = layout.add_i64("persisted_num[" + std::to_string(i) + "]");
     fields.push_back(f);
   }
@@ -287,8 +291,8 @@ void Cluster::start() {
   }
 
   // One snapshot collector per member: a consistent copy of the node's
-  // protocol counters with the live NIC statistics, lock-wait totals and
-  // ring memory folded in, plus the per-subgroup drill-down.
+  // protocol counters with the live NIC statistics, lock-wait totals, ring
+  // memory and counter writes folded in, plus the per-subgroup drill-down.
   for (net::NodeId id : members_) {
     Node* node = nodes_[id].get();
     registry_.add_collector([this, node, id](metrics::ClusterStats& stats) {
@@ -303,9 +307,10 @@ void Cluster::start() {
       for (const auto& s : node->subgroups()) {
         ns.counters.ring_bytes_registered += s->ring->memory_bytes();
         ns.counters.ring_bytes_allocated += s->ring->allocated_bytes();
+        ns.counters.counter_writes += s->counter_writes;
         metrics::SubgroupStats sub{
             s->id, s->cfg.name, node->delivered_in(s->id), s->predicate_cpu,
-            {}};
+            s->counter_writes, {}};
         // Per-predicate drill-down: each subgroup is one predicate group on
         // the node's scheduler, tagged with the subgroup id.
         if (const sst::Predicates* preds = node->predicates()) {

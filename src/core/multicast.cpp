@@ -12,7 +12,11 @@ constexpr sim::Nanos kPerNullCost = 25;  // trailer write + counter bump
 // PostPlan lanes: ordering of the deferred RDMA phase across predicates.
 // Ring data + trailer writes go first, then received_num (ack) pushes, then
 // delivered_num pushes — a receiver must never learn of an acknowledgment
-// before the writes it acknowledges are on the wire (per-link FIFO).
+// before the writes it acknowledges are on the wire (per-link FIFO). With
+// §3.2's batched acknowledgments (receive and delivery batching both on) a
+// service posts one counter write per peer: received_num and delivered_num
+// are adjacent columns, so a service that advanced both pushes them as one
+// write on the ack lane (Node::plan_counter_push).
 // Lane 3 (core::kLaneDomain) is reserved for extension predicates added via
 // Cluster::add_predicate_hook (the cross-shard sequencer's grant pushes).
 constexpr int kLaneSend = 0;
@@ -234,7 +238,7 @@ bool Node::trigger_receive(SubgroupState& s, sst::TriggerContext& ctx) {
         recompute_received_num(s);
         if (s.received_num != prior_received_num) {
           ctx.plan.add(kLaneAck, [this, &s] {
-            return sst_->push_field(s.f_received, s.peer_ranks);
+            return push_counters(s, s.f_received, s.f_received);
           });
           prior_received_num = s.received_num;
         }
@@ -248,10 +252,10 @@ bool Node::trigger_receive(SubgroupState& s, sst::TriggerContext& ctx) {
             trace::kNoSender, -1, batch_received);
   recompute_received_num(s);
   if (opts.receive_batching && s.received_num != prior_received_num) {
-    // One batched ack, monotonic advance (§3.2).
-    ctx.plan.add(kLaneAck, [this, &s] {
-      return sst_->push_field(s.f_received, s.peer_ranks);
-    });
+    // One batched ack, monotonic advance (§3.2). The deliver stage plans it,
+    // with delivered_num when delivery batching is on and that advances in
+    // this service.
+    s.ack_due = true;
   }
   sst_->write_local_i64(s.f_received, s.received_num);
   return true;
@@ -343,7 +347,10 @@ bool Node::trigger_deliver(SubgroupState& s, sst::TriggerContext& ctx) {
   for (std::size_t rank : s.member_sst_ranks) {
     stable = std::min(stable, sst_->read_i64(rank, s.f_received));
   }
-  if (stable <= s.delivered_num) return false;
+  if (stable <= s.delivered_num) {
+    plan_counter_push(s, ctx.plan, /*delivered=*/false);
+    return false;
+  }
 
   const std::int64_t limit =
       opts.delivery_batching ? stable : s.delivered_num + 1;
@@ -386,17 +393,54 @@ bool Node::trigger_deliver(SubgroupState& s, sst::TriggerContext& ctx) {
     s.batch_handler(s.batch_buffer);
   }
   sst_->write_local_i64(s.f_delivered, s.delivered_num);
-  const int pushes =
-      opts.delivery_batching ? 1 : static_cast<int>(batch_delivered);
-  for (int i = 0; i < pushes; ++i) {
-    ctx.plan.add(kLaneDelivered, [this, &s] {
-      return sst_->push_field(s.f_delivered, s.peer_ranks);
-    });
+  plan_counter_push(s, ctx.plan, /*delivered=*/opts.delivery_batching);
+  if (!opts.delivery_batching) {
+    for (std::uint64_t i = 0; i < batch_delivered; ++i) {
+      ctx.plan.add(kLaneDelivered, [this, &s] {
+        return push_counters(s, s.f_delivered, s.f_delivered);
+      });
+    }
   }
   counters_.delivery_batches.add(batch_delivered);
   tr.record(id_, trace::Stage::delivery_batch, eng.now() + work, 0, s.id,
             trace::kNoSender, -1, batch_delivered);
   return true;
+}
+
+/// The batched counter pushes of a service, planned by its deliver stage:
+/// received_num, when the receive stage advanced it (ack_due, set only
+/// under receive batching), and delivered_num, when `delivered` (only
+/// under delivery batching; unbatched deliveries push one by one). A
+/// service that advanced both posts one write per peer on the ack lane;
+/// one that advanced one of them pushes that column on its own lane, so a
+/// held ack lane still holds every received_num push.
+void Node::plan_counter_push(SubgroupState& s, sst::PostPlan& plan,
+                             bool delivered) {
+  // Each action captures two pointers, which std::function stores without
+  // allocating.
+  if (s.ack_due && delivered) {
+    plan.add(kLaneAck, [this, &s] {
+      return push_counters(s, s.f_received, s.f_delivered);
+    });
+  } else if (s.ack_due) {
+    plan.add(kLaneAck, [this, &s] {
+      return push_counters(s, s.f_received, s.f_received);
+    });
+  } else if (delivered) {
+    plan.add(kLaneDelivered, [this, &s] {
+      return push_counters(s, s.f_delivered, s.f_delivered);
+    });
+  }
+  s.ack_due = false;
+}
+
+sim::Nanos Node::push_counters(SubgroupState& s, sst::FieldId first,
+                               sst::FieldId last) {
+  const net::Fabric::NicStats& nic = cluster_.fabric().stats(id_);
+  const std::uint64_t before = nic.writes_posted;
+  const sim::Nanos post = sst_->push(first, last, s.peer_ranks);
+  s.counter_writes += nic.writes_posted - before;
+  return post;
 }
 
 /// Persistence predicate (persistent mode): report advances of the
@@ -502,7 +546,7 @@ sim::Co<> Node::persist_logger(SubgroupState& s) {
                              s.id, trace::kNoSender, -1,
                              static_cast<std::uint64_t>(s.persisted_local));
     sst_->write_local_i64(s.f_persisted, s.persisted_local);
-    const sim::Nanos post = sst_->push_field(s.f_persisted, s.peer_ranks);
+    const sim::Nanos post = push_counters(s, s.f_persisted, s.f_persisted);
     if (post > 0) co_await eng.sleep(post);
   }
 }

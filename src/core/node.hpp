@@ -90,6 +90,10 @@ struct SubgroupState {
   std::vector<std::int64_t> n_received;
   std::int64_t received_num = -1;
   std::int64_t delivered_num = -1;
+  /// The current service advanced received_num under receive batching;
+  /// its deliver stage plans the push (Node::plan_counter_push).
+  bool ack_due = false;
+  std::uint64_t counter_writes = 0;  // SST writes of this group's counters
 
   // Sender state. Indices count both application messages and nulls.
   std::int64_t claimed = 0;  // next sender-index to claim
@@ -266,6 +270,15 @@ class Node {
   bool trigger_send(SubgroupState& s, sst::TriggerContext& ctx);
   bool trigger_deliver(SubgroupState& s, sst::TriggerContext& ctx);
   bool trigger_persist_frontier(SubgroupState& s, sst::TriggerContext& ctx);
+
+  /// Plan the service's batched counter pushes (see multicast.cpp):
+  /// `delivered` is whether a delivery batch advanced delivered_num.
+  void plan_counter_push(SubgroupState& s, sst::PostPlan& plan,
+                         bool delivered);
+  /// Push own-row columns [first..last] of `s`'s counters to its peers,
+  /// counting the writes; returns the CPU post cost.
+  sim::Nanos push_counters(SubgroupState& s, sst::FieldId first,
+                           sst::FieldId last);
 
   /// RDMA phase of the send predicate: data writes for runs of application
   /// messages in [first,last), then one trailer-range write covering the

@@ -101,6 +101,7 @@ double RunStats::stddev() const {
 void ProtocolCounters::merge(const ProtocolCounters& o) {
   rdma_writes_posted += o.rdma_writes_posted;
   rdma_bytes_posted += o.rdma_bytes_posted;
+  counter_writes += o.counter_writes;
   post_cpu += o.post_cpu;
   sender_wait += o.sender_wait;
   lock_wait += o.lock_wait;

@@ -95,6 +95,10 @@ struct RunStats {
 struct ProtocolCounters {
   std::uint64_t rdma_writes_posted = 0;
   std::uint64_t rdma_bytes_posted = 0;
+  /// The part of rdma_writes_posted that pushed the data plane's SST
+  /// counters (received_num, delivered_num, persisted_num): one write per
+  /// peer per push.
+  std::uint64_t counter_writes = 0;
   sim::Nanos post_cpu = 0;           // polling/app thread time spent posting
   sim::Nanos sender_wait = 0;        // app thread time waiting for a slot
   sim::Nanos lock_wait = 0;          // (snapshot of Mutex::total_wait)

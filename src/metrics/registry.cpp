@@ -34,11 +34,12 @@ void ClusterStats::finalize() {
       auto it = std::find_if(subgroups.begin(), subgroups.end(),
                              [&](const SubgroupStats& m) { return m.id == s.id; });
       if (it == subgroups.end()) {
-        subgroups.push_back(SubgroupStats{s.id, s.name, 0, 0, {}});
+        subgroups.push_back(SubgroupStats{s.id, s.name, 0, 0, 0, {}});
         it = subgroups.end() - 1;
       }
       it->messages_delivered += s.messages_delivered;
       it->predicate_cpu += s.predicate_cpu;
+      it->counter_writes += s.counter_writes;
       it->sched_serviced += s.sched_serviced;
       it->sched_parks += s.sched_parks;
       for (const PredicateStat& p : s.predicates) {

@@ -26,6 +26,9 @@ struct SubgroupStats {
   std::string name;
   std::uint64_t messages_delivered = 0;
   sim::Nanos predicate_cpu = 0;
+  /// SST counter writes this subgroup's pushes posted
+  /// (ProtocolCounters::counter_writes).
+  std::uint64_t counter_writes = 0;
   /// Per-predicate breakdown of predicate_cpu, merged over nodes by
   /// predicate name (registration order of the first node preserved).
   std::vector<PredicateStat> predicates;

@@ -284,6 +284,113 @@ TEST(Multicast, SentAtIsTheInstantTheBuilderRan) {
   cluster.shutdown();
 }
 
+/// A 4-node group, every member sending `messages` 1 KB messages, stepped
+/// one engine event at a time: per node, the data-plane services that
+/// advanced received_num, delivered_num, or both (a service is one event,
+/// so both counters move in the same step). Stepping goes on 50 us past the
+/// last delivery, so the last service's pushes have issued.
+struct CounterRun {
+  static constexpr std::size_t kNodes = 4;
+  struct Services {
+    std::uint64_t received = 0;
+    std::uint64_t delivered = 0;
+    std::uint64_t both = 0;
+  };
+  std::vector<Services> services = std::vector<Services>(kNodes);
+  metrics::ClusterStats stats;
+  sim::Nanos makespan = 0;
+
+  explicit CounterRun(const ProtocolOptions& opts, std::size_t messages = 60) {
+    ClusterConfig cc;
+    cc.nodes = kNodes;
+    cc.seed = 3;
+    Cluster cluster(cc);
+    const std::vector<net::NodeId> members{0, 1, 2, 3};
+    const SubgroupId sg =
+        cluster.create_subgroup({"sg", members, members, opts});
+    cluster.start();
+    for (net::NodeId m : members) {
+      cluster.engine().spawn(
+          [](Cluster* c, net::NodeId id, SubgroupId g,
+             std::size_t count) -> sim::Co<> {
+            for (std::size_t i = 0; i < count; ++i) {
+              co_await c->node(id).send(g, 1024, [](std::span<std::byte>) {});
+            }
+          }(&cluster, m, sg, messages));
+    }
+    std::vector<std::pair<std::int64_t, std::int64_t>> last(kNodes, {-1, -1});
+    const auto observe = [&] {
+      for (net::NodeId m : members) {
+        const SubgroupState& s = *cluster.node(m).find(sg);
+        const bool r = s.received_num != last[m].first;
+        const bool d = s.delivered_num != last[m].second;
+        last[m] = {s.received_num, s.delivered_num};
+        services[m].received += r;
+        services[m].delivered += d;
+        services[m].both += r && d;
+      }
+    };
+    sim::Engine& eng = cluster.engine();
+    const std::uint64_t expect = kNodes * kNodes * messages;
+    while (cluster.total_delivered(sg) < expect &&
+           eng.now() < sim::millis(50)) {
+      if (!eng.step()) break;
+      observe();
+    }
+    makespan = eng.now();
+    while (eng.step_until(makespan + sim::micros(50))) observe();
+    stats = cluster.stats();
+    cluster.shutdown();
+  }
+};
+
+TEST(Multicast, ServiceThatReceivesAndDeliversPostsOneCounterWritePerPeer) {
+  // §3.2's batched acknowledgments: received_num and delivered_num are
+  // adjacent SST columns, so a service that advanced both pushes them as
+  // one write per peer. Each node's counter writes are then 3 peers times
+  // its services that advanced either counter; one push per counter would
+  // post 3 x (received + delivered).
+  const CounterRun run(ProtocolOptions::spindle());
+  std::uint64_t total = 0;
+  for (net::NodeId m = 0; m < CounterRun::kNodes; ++m) {
+    const CounterRun::Services& sv = run.services[m];
+    EXPECT_GT(sv.both, 0u) << "node " << m
+                           << " never received and delivered in one service";
+    const metrics::NodeStats& ns = *run.stats.node(m);
+    EXPECT_EQ(ns.counters.counter_writes,
+              3 * (sv.received + sv.delivered - sv.both))
+        << "node " << m;
+    EXPECT_EQ(ns.subgroups.at(0).counter_writes, ns.counters.counter_writes);
+    total += ns.counters.counter_writes;
+  }
+  EXPECT_EQ(run.stats.subgroup(0)->counter_writes, total);
+  EXPECT_EQ(run.stats.total.counter_writes, total);
+}
+
+TEST(Multicast, UnbatchedAcknowledgmentsKeepTheirWrites) {
+  // With receive or delivery batching off, each counter goes out on its own
+  // lane as before the two shared a write: every run posts exactly the
+  // writes, and ends at exactly the time, it did then (pinned).
+  struct Case {
+    bool receive, delivery;
+    std::uint64_t writes;
+    sim::Nanos makespan;
+  };
+  for (const Case& c : {Case{false, false, 4803, 630896},
+                        Case{true, false, 3999, 577807},
+                        Case{false, true, 2616, 293850}}) {
+    ProtocolOptions opts = ProtocolOptions::spindle();
+    opts.receive_batching = c.receive;
+    opts.delivery_batching = c.delivery;
+    const CounterRun run(opts);
+    EXPECT_EQ(run.stats.total.rdma_writes_posted, c.writes)
+        << "receive " << c.receive << ", delivery " << c.delivery;
+    EXPECT_EQ(run.makespan, c.makespan)
+        << "receive " << c.receive << ", delivery " << c.delivery;
+    EXPECT_GT(run.stats.total.counter_writes, 0u);
+  }
+}
+
 TEST(Multicast, SilentSenderDoesNotStallDelivery) {
   // Correctness property 3 of §3.3: one declared sender never sends; with
   // null-sends the others' messages are still delivered.

@@ -92,8 +92,7 @@ struct TotalFailureRun {
   }
 
   /// Restart the given nodes at staggered times, wait for the recovery
-  /// view, then run until the resumed traffic completes (the checker's
-  /// completeness invariant is the completion signal) or the deadline.
+  /// view, then run until the resumed traffic completes or the deadline.
   bool restart_and_finish(const std::vector<net::NodeId>& who) {
     const sim::Nanos base = group.engine().now();
     const std::uint32_t recovered = group.recoveries();
@@ -107,12 +106,33 @@ struct TotalFailureRun {
             base + sim::millis(50))) {
       return false;
     }
+    return run_to_completion();
+  }
+
+  /// Run until membership has settled and every member of the view
+  /// delivered what the checker expects of every sender in this segment
+  /// (its replayed durable prefix plus its resumed tail), or 200 ms pass;
+  /// true iff the run got there and the whole contract then holds.
+  /// Counting deliveries keeps a run that never completes cheap; the
+  /// contract is checked once, at the end (expect_clean prints what it
+  /// violates).
+  bool run_to_completion() {
+    std::vector<std::uint64_t> expected(nodes);
+    for (net::NodeId s = 0; s < nodes; ++s) {
+      expected[s] = checker.expected_current_from(0, s, msgs);
+    }
     return group.engine().run_until(
         [&] {
-          return !group.view_change_in_progress() &&
-                 checker.check(group).empty();
+          if (group.view_change_in_progress()) return false;
+          for (net::NodeId m : group.view().members) {
+            for (net::NodeId s = 0; s < nodes; ++s) {
+              if (checker.delivered_from(m, 0, s) < expected[s]) return false;
+            }
+          }
+          return true;
         },
-        group.engine().now() + sim::millis(200));
+        group.engine().now() + sim::millis(200)) &&
+        checker.check(group).empty();
   }
 
   void expect_clean() {
@@ -152,7 +172,15 @@ struct TotalFailureRun {
 // message queued while the pump slept waited for its next tick, and now
 // the pump starts at the send, so more of the traffic before the crash is
 // durable.
-constexpr std::uint64_t kGoldenTotalRecovery = 0x9525a802a466a762ULL;
+// Re-derived when a service that receives and delivers began to push both
+// counters as one write per peer: the halt (201us) leaves the same
+// durable logs (28/32/32/32 committed records), but the senders' queues
+// stood elsewhere at the crash, so each member delivers 116 messages in
+// the recovered segment instead of 117, done at 1414.99us instead of
+// 1421.14us, when the write-behind logs hold 104 records each (116-117).
+// Waiting on delivered counts instead of the whole checker left the
+// digest as it was.
+constexpr std::uint64_t kGoldenTotalRecovery = 0xd4c40f0100b241a8ULL;
 
 TEST(TotalFailureRecovery, AllMembersRestartAndResume) {
   TotalFailureRun r(4, /*seed=*/2026, /*persistent=*/true);
@@ -333,8 +361,7 @@ TEST(TotalFailureRecovery, RecoversExactlyOneSettleAfterTheLastRestart) {
       << eng.diagnostics();
   ASSERT_EQ(recovered_at.size(), 1u);
   EXPECT_EQ(recovered_at[0], halt + offsets[3] + kSettle);
-  ASSERT_TRUE(eng.run_until([&] { return r.checker.check(r.group).empty(); },
-                            eng.now() + sim::millis(200)));
+  ASSERT_TRUE(r.run_to_completion()) << eng.diagnostics();
   r.expect_clean();
 }
 

@@ -109,9 +109,11 @@ TEST(ShardRouting, CrossMaskAndFraction) {
 // k = 1 bit-identity: the exact determinism-lock fig03 workload
 // (cluster_digest(8, 1, 100, 7)) driven through a 1-shard OrderingDomain
 // must reproduce the golden digest bit-for-bit — the domain layer is
-// contractually invisible at k = 1.
+// contractually invisible at k = 1. Re-derived with determinism_lock_test's
+// copy (one counter write per peer for a service that receives and
+// delivers).
 
-constexpr std::uint64_t kGoldenFig03 = 0xe8fc214e12b1e8e3;
+constexpr std::uint64_t kGoldenFig03 = 0x83732be304d4c2d9;
 
 TEST(ShardDeterminism, K1DomainBitIdenticalToFig03Golden) {
   constexpr std::size_t kNodes = 8;
@@ -196,8 +198,11 @@ TEST(ShardDeterminism, K1DomainBitIdenticalToFig03Golden) {
 // 2-shard determinism golden, pinned at 1 / 2 / 4 workers: the sequencer
 // columns, grant pushes, and buried-marker merge must produce the same
 // delivery streams (order, virtual times, payloads) on every engine.
+// Re-derived when a service that receives and delivers began to push both
+// counters as one write per peer: RDMA writes 4352 -> 3927, makespan
+// 368.59 -> 365.78us, cross-shard p50 143.4 -> 135.2us.
 
-constexpr std::uint64_t kGoldenTwoShard = 0x1d9509683a3c57ab;
+constexpr std::uint64_t kGoldenTwoShard = 0x631edfb9fbee537;
 
 TEST(ShardDeterminism, TwoShardGoldenAcrossSimThreads) {
   for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
