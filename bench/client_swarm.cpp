@@ -92,17 +92,20 @@ int main() {
 
   // Saturation knee: the last load point whose marginal goodput still
   // tracks the marginal offered load (slope >= 0.5) before the p99
-  // inflects off the uncongested baseline. Past it the pipeline is
-  // capacity-bound and extra offered load only feeds the tails and the
-  // shed counter.
+  // inflects off the uncongested baseline, the lowest p99 of the sweep (no
+  // one point's p99 sets it). Past the knee the pipeline is capacity-bound
+  // and extra offered load only feeds the tails and the shed counter.
+  double base_p99 = results.front()->p99_us;
+  for (const workload::SwarmResult* r : results) {
+    base_p99 = std::min(base_p99, r->p99_us);
+  }
   std::size_t knee = loads_rps.size() - 1;
   for (std::size_t i = 1; i < results.size(); ++i) {
     const double d_offered =
         (loads_rps[i] - loads_rps[i - 1]) * 2;  // both relays
     const double d_goodput =
         results[i]->goodput_rps - results[i - 1]->goodput_rps;
-    if (d_goodput < 0.5 * d_offered ||
-        results[i]->p99_us > 4 * results.front()->p99_us) {
+    if (d_goodput < 0.5 * d_offered || results[i]->p99_us > 4 * base_p99) {
       knee = i - 1;
       break;
     }

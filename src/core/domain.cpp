@@ -90,18 +90,18 @@ void OrderingDomain::register_sequencer() {
     sender_ranks_.push_back(cluster_.rank_of(id));
   }
 
-  // Sequencer SST columns, appended to the shared layout: the requester's
-  // own-row request counter, and — in the sequencer's row — one adjacent
-  // (count, gsn) column pair per sender, so a grant is a single contiguous
-  // range push and the requester can never observe the count without its
-  // gsn.
-  h_xreq_ = cluster_.add_shared_i64_field(cfg_.name + ".xreq", 0);
-  h_gcount_.reserve(cfg_.senders.size());
-  h_ggsn_.reserve(cfg_.senders.size());
+  // Sequencer SST columns, after the shard subgroups' columns: the
+  // requester's own-row request counter, and — in the sequencer's row — one
+  // adjacent (count, gsn) column pair per sender, so a grant is a single
+  // contiguous range push and the requester can never observe the count
+  // without its gsn.
+  f_xreq_ = cluster_.add_shared_i64_field(cfg_.name + ".xreq", 0);
+  f_gcount_.reserve(cfg_.senders.size());
+  f_ggsn_.reserve(cfg_.senders.size());
   for (std::size_t i = 0; i < cfg_.senders.size(); ++i) {
-    h_gcount_.push_back(cluster_.add_shared_i64_field(
+    f_gcount_.push_back(cluster_.add_shared_i64_field(
         cfg_.name + ".xgrant_count[" + std::to_string(i) + "]", 0));
-    h_ggsn_.push_back(cluster_.add_shared_i64_field(
+    f_ggsn_.push_back(cluster_.add_shared_i64_field(
         cfg_.name + ".xgrant_gsn[" + std::to_string(i) + "]", -1));
   }
 
@@ -119,7 +119,6 @@ void OrderingDomain::register_sequencer() {
   // existing sweep order is unchanged).
   cluster_.add_predicate_hook([this](Node& n, sst::Predicates& p) {
     if (n.id() != cfg_.sequencer) return;
-    resolve_fields();
     sst::Predicates::GroupOptions g;
     g.name = cfg_.name + "/sequencer";
     g.tag = 0xFFFFFFFFu;  // not a subgroup: sentinel tag for trace hooks
@@ -135,18 +134,6 @@ void OrderingDomain::register_sequencer() {
     };
     p.add(gid, std::move(po));
   });
-}
-
-void OrderingDomain::resolve_fields() {
-  if (fields_resolved_) return;
-  fields_resolved_ = true;
-  f_xreq_ = cluster_.shared_field(h_xreq_);
-  f_gcount_.reserve(h_gcount_.size());
-  f_ggsn_.reserve(h_ggsn_.size());
-  for (std::size_t i = 0; i < h_gcount_.size(); ++i) {
-    f_gcount_.push_back(cluster_.shared_field(h_gcount_[i]));
-    f_ggsn_.push_back(cluster_.shared_field(h_ggsn_[i]));
-  }
 }
 
 bool OrderingDomain::sequencer_grant(Node& n, sst::TriggerContext& ctx) {
@@ -278,17 +265,10 @@ void OrderingDomain::attach(net::NodeId member, DomainHandler h) {
   MergeState* m = ms.get();
   merge_states_[member] = std::move(ms);
 
-  if (shard_sgs_.size() == 1) {
-    // Single shard: zero-state pass-through. The wrapped handler adds no
-    // simulated cost and no queueing, so a k=1 domain run is bit-identical
-    // to driving the subgroup directly (shard_test pins this against the
-    // determinism-lock goldens).
-    n.set_delivery_handler(shard_sgs_[0], [this, m](const Delivery& d) {
-      upcall(*m, 1u, d);
-    });
-    return;
-  }
-
+  // The merge adds no simulated cost. With one shard no cross is ever sent,
+  // so every delivery finds its queue empty and upcalls in place: a k=1
+  // domain run is bit-identical to driving the subgroup directly
+  // (shard_test pins this against the determinism-lock goldens).
   m->queues.resize(shard_sgs_.size());
   for (std::size_t sh = 0; sh < shard_sgs_.size(); ++sh) {
     n.set_delivery_handler(shard_sgs_[sh], [this, m, sh](const Delivery& d) {

@@ -140,7 +140,7 @@ class OrderingDomain {
                        std::uint32_t flags = 0);
 
   /// Install `member`'s merged-stream handler (post-start). At shards == 1
-  /// this is a zero-state pass-through around the shard's delivery handler.
+  /// nothing is ever held, so every delivery upcalls in place.
   void attach(net::NodeId member, DomainHandler h);
 
   /// Messages upcalled into `member`'s merged stream so far.
@@ -159,7 +159,6 @@ class OrderingDomain {
   struct SenderState;
 
   void register_sequencer();         // k > 1 pre-start wiring
-  void resolve_fields();             // first predicate-hook invocation
   bool sequencer_grant(Node& n, sst::TriggerContext& ctx);
   void on_shard_delivery(MergeState& m, std::size_t shard, const Delivery& d);
   void progress(MergeState& m);
@@ -175,11 +174,7 @@ class OrderingDomain {
   std::vector<SubgroupId> shard_sgs_;
   std::size_t seq_rank_ = 0;               // SST rank of cfg_.sequencer
   std::vector<std::size_t> sender_ranks_;  // SST rank per cfg_.senders index
-  // Sequencer SST columns (k > 1 only): handles pre-start, FieldIds after.
-  std::size_t h_xreq_ = 0;
-  std::vector<std::size_t> h_gcount_;
-  std::vector<std::size_t> h_ggsn_;
-  bool fields_resolved_ = false;
+  // Sequencer SST columns (k > 1 only).
   sst::FieldId f_xreq_;
   std::vector<sst::FieldId> f_gcount_;  // per sender index, adjacent to...
   std::vector<sst::FieldId> f_ggsn_;    // ...its gsn column (one range push)

@@ -115,29 +115,29 @@ SubgroupId Cluster::create_subgroup(SubgroupConfig cfg) {
   }
   cfg.validate(members_);
   subgroup_configs_.push_back(std::move(cfg));
+  // SST columns: received_num, delivered_num and (persistent mode)
+  // persisted_num per subgroup (§2.2 / footnote 2).
+  const std::string idx = "[" + std::to_string(subgroup_fields_.size()) + "]";
+  SubgroupFields f;
+  f.received = add_shared_i64_field("received_num" + idx, -1);
+  f.delivered = add_shared_i64_field("delivered_num" + idx, -1);
+  // One push covers both counters (Node::plan_counter_push).
+  assert(layout_.field_offset(f.delivered) ==
+         layout_.field_offset(f.received) + layout_.field_size(f.received));
+  f.persisted = add_shared_i64_field("persisted_num" + idx, -1);
+  subgroup_fields_.push_back(f);
   return static_cast<SubgroupId>(subgroup_configs_.size() - 1);
 }
 
-std::size_t Cluster::add_shared_i64_field(std::string name,
-                                          std::int64_t init) {
+sst::FieldId Cluster::add_shared_i64_field(std::string name,
+                                           std::int64_t init) {
   if (started_) {
     throw std::logic_error(
         "Cluster::add_shared_i64_field(\"" + name +
         "\"): cluster already started — the SST layout is fixed at start()");
   }
-  shared_fields_.push_back(SharedField{std::move(name), init, {}});
-  return shared_fields_.size() - 1;
-}
-
-sst::FieldId Cluster::shared_field(std::size_t handle) const {
-  if (!started_) {
-    throw std::logic_error(
-        "Cluster::shared_field: fields resolve at start()");
-  }
-  if (handle >= shared_fields_.size()) {
-    throw std::out_of_range("Cluster::shared_field: bad handle");
-  }
-  return shared_fields_[handle].field;
+  columns_.push_back(Column{layout_.add_i64(std::move(name)), init});
+  return columns_.back().field;
 }
 
 void Cluster::add_predicate_hook(
@@ -186,31 +186,6 @@ void Cluster::start() {
   validate_setup();
   started_ = true;
 
-  // SST columns: received_num, delivered_num and (persistent mode)
-  // persisted_num per subgroup (§2.2 / footnote 2).
-  sst::Layout layout;
-  struct SgFields {
-    sst::FieldId received, delivered, persisted;
-  };
-  std::vector<SgFields> fields;
-  fields.reserve(subgroup_configs_.size());
-  for (std::size_t i = 0; i < subgroup_configs_.size(); ++i) {
-    SgFields f;
-    f.received = layout.add_i64("received_num[" + std::to_string(i) + "]");
-    f.delivered = layout.add_i64("delivered_num[" + std::to_string(i) + "]");
-    // One push covers both counters (Node::plan_counter_push).
-    assert(layout.field_offset(f.delivered) ==
-           layout.field_offset(f.received) + layout.field_size(f.received));
-    f.persisted = layout.add_i64("persisted_num[" + std::to_string(i) + "]");
-    fields.push_back(f);
-  }
-  // Extension columns (cross-shard sequencer state etc.) go after the
-  // per-subgroup columns. A cluster with no registered extensions builds a
-  // byte-identical layout to the pre-extension code.
-  for (SharedField& sf : shared_fields_) {
-    sf.field = layout.add_i64(sf.name);
-  }
-
   // SST rows span exactly this cluster's members; rank = index in members_.
   std::vector<std::size_t> rank_of(nodes_.size(), SIZE_MAX);
   for (std::size_t r = 0; r < members_.size(); ++r) {
@@ -219,14 +194,9 @@ void Cluster::start() {
   std::vector<sst::Sst*> ssts;
   for (net::NodeId id : members_) {
     Node& node = *nodes_[id];
-    node.init_sst(layout, members_);
-    for (const auto& f : fields) {
-      node.sst().init_field_all_rows_i64(f.received, -1);
-      node.sst().init_field_all_rows_i64(f.delivered, -1);
-      node.sst().init_field_all_rows_i64(f.persisted, -1);
-    }
-    for (const SharedField& sf : shared_fields_) {
-      node.sst().init_field_all_rows_i64(sf.field, sf.init);
+    node.init_sst(layout_, members_);
+    for (const Column& c : columns_) {
+      node.sst().init_field_all_rows_i64(c.field, c.init);
     }
     ssts.push_back(&node.sst());
   }
@@ -241,9 +211,9 @@ void Cluster::start() {
       SubgroupState s;
       s.id = sg;
       s.cfg = cfg;
-      s.f_received = fields[sg].received;
-      s.f_delivered = fields[sg].delivered;
-      s.f_persisted = fields[sg].persisted;
+      s.f_received = subgroup_fields_[sg].received;
+      s.f_delivered = subgroup_fields_[sg].delivered;
+      s.f_persisted = subgroup_fields_[sg].persisted;
       if (cfg.opts.persistent) {
         s.persist_signal = std::make_unique<sim::Signal>(engine_for(member));
         if (store_provider_) {
@@ -317,8 +287,8 @@ void Cluster::start() {
           preds->visit([&](const sst::Predicates::GroupOptions& g,
                            const sst::PredicateStats& p) {
             if (g.tag != s->id) return;
-            sub.predicates.push_back(metrics::PredicateStat{
-                p.name, sst::to_string(p.cls), p.evals, p.fires, p.cpu});
+            sub.predicates.push_back(
+                metrics::PredicateStat{p.name, p.evals, p.fires, p.cpu});
           });
           preds->visit_groups([&](const sst::Predicates::GroupOptions& g,
                                   const sst::Predicates::GroupSched& sc) {

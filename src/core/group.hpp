@@ -70,23 +70,19 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Register a subgroup. Pre-start() mutator: calling it after start()
-  /// throws std::logic_error. The configuration is validated eagerly
-  /// against this cluster's membership (so the offending call site gets
-  /// the exception) and re-validated by start(); delivery order within a
-  /// round follows the order of `cfg.senders`.
+  /// Register a subgroup and append its SST columns (received_num,
+  /// delivered_num, persisted_num) to the layout. Pre-start() mutator:
+  /// calling it after start() throws std::logic_error. The configuration is
+  /// validated eagerly against this cluster's membership (so the offending
+  /// call site gets the exception) and re-validated by start(); delivery
+  /// order within a round follows the order of `cfg.senders`.
   SubgroupId create_subgroup(SubgroupConfig cfg);
 
   /// Protocol-extension point (e.g. the cross-shard sequencer of
-  /// core/domain.hpp): declare an extra i64 SST column, appended after the
-  /// per-subgroup columns when start() builds the layout. Pre-start()
-  /// mutator; returns a handle resolved to a real sst::FieldId by
-  /// shared_field() once the cluster has started. Every member's row gets
-  /// `init` as the agreed initial value.
-  std::size_t add_shared_i64_field(std::string name, std::int64_t init);
-
-  /// Resolve a handle from add_shared_i64_field(). Post-start only.
-  sst::FieldId shared_field(std::size_t handle) const;
+  /// core/domain.hpp): declare an extra i64 SST column, which follows the
+  /// columns declared before it, and return its id. Pre-start() mutator.
+  /// Every member's row gets `init` as the agreed initial value.
+  sst::FieldId add_shared_i64_field(std::string name, std::int64_t init);
 
   /// Protocol-extension point: `hook` runs once per member node while that
   /// node registers its data-plane predicates (Node::setup_predicates), so
@@ -247,12 +243,18 @@ class Cluster {
   std::vector<std::unique_ptr<Node>> nodes_;  // indexed by NodeId; null for
                                               // fabric nodes outside members_
   std::vector<SubgroupConfig> subgroup_configs_;
-  struct SharedField {
-    std::string name;
+  // The SST row, built as columns are declared (each subgroup's counters,
+  // each shared column), and the value every row of a column starts from.
+  sst::Layout layout_;
+  struct Column {
+    sst::FieldId field;
     std::int64_t init;
-    sst::FieldId field;  // resolved by start()
   };
-  std::vector<SharedField> shared_fields_;
+  std::vector<Column> columns_;
+  struct SubgroupFields {
+    sst::FieldId received, delivered, persisted;
+  };
+  std::vector<SubgroupFields> subgroup_fields_;
   std::vector<std::function<void(Node&, sst::Predicates&)>> predicate_hooks_;
   std::function<store::VersionedLog*(net::NodeId, SubgroupId)> store_provider_;
   std::vector<std::unique_ptr<store::VersionedLog>> owned_logs_;

@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
+#include <utility>
 
 #include "core/group.hpp"
 #include "core/node.hpp"
@@ -120,29 +122,27 @@ void Node::setup_predicates() {
     s.sched_group = gid;
     s.ring->set_landing_signal(preds_->wake_signal(gid));
 
-    preds_->add(gid, {"receive", sst::PredicateClass::recurrent, nullptr,
+    preds_->add(gid, {"receive", nullptr,
                       [this, &s](sst::TriggerContext& ctx) {
                         return trigger_receive(s, ctx);
                       }});
     if (s.cfg.opts.null_sends && s.is_sender()) {
-      preds_->add(gid, {"null_send", sst::PredicateClass::recurrent,
-                        [this] { return !stopped_; },
+      preds_->add(gid, {"null_send", [this] { return !stopped_; },
                         [this, &s](sst::TriggerContext& ctx) {
                           return trigger_null_send(s, ctx);
                         }});
     }
-    preds_->add(gid, {"send", sst::PredicateClass::recurrent,
-                      [&s] { return s.claimed > s.pushed; },
+    preds_->add(gid, {"send", [&s] { return s.claimed > s.pushed; },
                       [this, &s](sst::TriggerContext& ctx) {
                         return trigger_send(s, ctx);
                       }});
-    preds_->add(gid, {"deliver", sst::PredicateClass::recurrent, nullptr,
+    preds_->add(gid, {"deliver", nullptr,
                       [this, &s](sst::TriggerContext& ctx) {
                         return trigger_deliver(s, ctx);
                       }});
     if (s.cfg.opts.persistent) {
-      preds_->add(gid, {"persist_frontier", sst::PredicateClass::recurrent,
-                        nullptr, [this, &s](sst::TriggerContext& ctx) {
+      preds_->add(gid, {"persist_frontier", nullptr,
+                        [this, &s](sst::TriggerContext& ctx) {
                           return trigger_persist_frontier(s, ctx);
                         }});
     }
@@ -320,8 +320,12 @@ bool Node::trigger_send(SubgroupState& s, sst::TriggerContext& ctx) {
   }
   s.pushed = s.claimed;  // claimed now so no double-push after unlock
   ctx.plan.set_arg(static_cast<std::uint64_t>(last - first));
-  ctx.plan.add(kLaneSend,
-               [this, &s, first, last] { return post_send_range(s, first, last); });
+  // Two words, which std::function stores without allocating. The batch
+  // starts at s.posted when it issues: send actions issue in plan order.
+  const auto post = [&s, last] { return post_send_range(s, last); };
+  static_assert(sizeof(post) <= 2 * sizeof(void*) &&
+                std::is_trivially_copyable_v<decltype(post)>);
+  ctx.plan.add(kLaneSend, post);
   return true;
 }
 
@@ -461,11 +465,11 @@ bool Node::trigger_persist_frontier(SubgroupState& s,
   return true;
 }
 
-sim::Nanos Node::post_send_range(SubgroupState& s, std::int64_t first,
-                                 std::int64_t last) {
+sim::Nanos Node::post_send_range(SubgroupState& s, std::int64_t last) {
   // Data writes for runs of application messages, then one trailer-range
   // write covering the whole batch (nulls announce through trailers alone —
   // the "k nulls as a single integer" of §3.3).
+  const std::int64_t first = std::exchange(s.posted, last);
   sim::Nanos post = 0;
   std::int64_t run_start = -1;
   for (std::int64_t i = first; i <= last; ++i) {

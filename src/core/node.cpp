@@ -285,9 +285,9 @@ sim::Co<> Node::send(SubgroupId sg, std::uint32_t len,
             static_cast<std::uint32_t>(s.my_sender_idx), k, len);
   ++counters_.messages_sent;
 
-  if (s.cfg.opts.send_batching || s.pushed != k) {
+  if (s.cfg.opts.send_batching || s.posted != k) {
     // Queued: the send predicate will aggregate and post (§3.2). The
-    // `pushed != k` case covers unpushed nulls ahead of us when batching
+    // `posted != k` case covers unposted nulls ahead of us when batching
     // is off — posting out of order would leave a trailer gap.
     co_await eng.sleep(work);
     lock_->unlock();
@@ -298,8 +298,7 @@ sim::Co<> Node::send(SubgroupId sg, std::uint32_t len,
   co_await eng.sleep(work);
   s.pushed = k + 1;
   if (s.cfg.opts.early_lock_release) lock_->unlock();
-  sim::Nanos post = s.ring->push_data(k, k + 1, s.ring_targets);
-  post += s.ring->push_trailers(k, k + 1, s.ring_targets);
+  const sim::Nanos post = post_send_range(s, k + 1);
   counters_.send_batches.add(1);
   tr.record(id_, trace::Stage::send_batch, eng.now(), 0, sg,
             static_cast<std::uint32_t>(s.my_sender_idx), k, 1);

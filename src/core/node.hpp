@@ -97,7 +97,8 @@ struct SubgroupState {
 
   // Sender state. Indices count both application messages and nulls.
   std::int64_t claimed = 0;  // next sender-index to claim
-  std::int64_t pushed = 0;   // indices below this have had writes posted
+  std::int64_t pushed = 0;   // indices below this have a post planned
+  std::int64_t posted = 0;   // indices below this have had writes posted
 
   bool wedged = false;  // view change in progress: no new sends
 
@@ -280,11 +281,11 @@ class Node {
   sim::Nanos push_counters(SubgroupState& s, sst::FieldId first,
                            sst::FieldId last);
 
-  /// RDMA phase of the send predicate: data writes for runs of application
-  /// messages in [first,last), then one trailer-range write covering the
-  /// whole batch. Returns the CPU post cost.
-  sim::Nanos post_send_range(SubgroupState& s, std::int64_t first,
-                             std::int64_t last);
+  /// RDMA phase of the send predicate and of the baseline's inline send:
+  /// data writes for runs of application messages in [s.posted, last), then
+  /// one trailer-range write covering the whole batch; s.posted becomes
+  /// `last`. Returns the CPU post cost.
+  static sim::Nanos post_send_range(SubgroupState& s, std::int64_t last);
 
   /// Write-behind SSD logger for a persistent subgroup: drains the persist
   /// queue in delivery order (batching appends), then publishes the

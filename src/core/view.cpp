@@ -79,7 +79,6 @@ void ManagedGroup::start() {
   for (std::size_t g = 0; g < num_subgroups_; ++g) {
     f_trim_.push_back(layout.add_i64("trim[" + std::to_string(g) + "]"));
   }
-  f_prop_epoch_ = layout.add_i64("proposed_epoch");
   f_prop_failed_ = layout.add_i64("proposed_failed_mask");
   f_prop_guard_ = layout.add_i64("proposal_guard");
   // Total-failure recovery announcements (trailing fields: existing pushes
@@ -314,7 +313,7 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
   // 1. Heartbeat, once due. One per period from when its push issues, plus
   // the round's post cost (on_post) and a small phase jitter so the members
   // do not push in lockstep.
-  preds.add(gid, {"heartbeat", sst::PredicateClass::recurrent,
+  preds.add(gid, {"heartbeat",
                   [this, id] { return engine_.now() >= mstate_[id].hb_due; },
                   [this, id](sst::TriggerContext& ctx) {
                     sst::Sst& sst = *member_sst_[id];
@@ -331,7 +330,7 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
                   }});
 
   // 2. Failure detection + suspicion adoption.
-  preds.add(gid, {"suspicion", sst::PredicateClass::recurrent, nullptr,
+  preds.add(gid, {"suspicion", nullptr,
                   [this, id](sst::TriggerContext& ctx) {
                     sst::Sst& sst = *member_sst_[id];
                     MemberState& ms = mstate_[id];
@@ -377,16 +376,16 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
                     return true;
                   }});
 
-  // 3. Wedge on any suspicion: freeze the data plane and publish frozen
-  // received_nums (data first, then the wedged_epoch guard). A transition
-  // predicate: fires on the rising edge of "some member is suspected";
-  // install_next_view() re-arms it for the next epoch.
+  // 3. Wedge on the first suspicion of the epoch: freeze the data plane and
+  // publish frozen received_nums (data first, then the wedged_epoch guard).
   preds.add(gid,
-            {"wedge", sst::PredicateClass::transition,
-             [this, id] { return mstate_[id].suspected_mask != 0; },
+            {"wedge",
+             [this, id] {
+               const MemberState& ms = mstate_[id];
+               return ms.suspected_mask != 0 && !ms.wedged;
+             },
              [this, id](sst::TriggerContext& ctx) {
                MemberState& ms = mstate_[id];
-               if (ms.wedged) return false;
                ms.wedged = true;
                changing_ = true;
                wedge_node(id);
@@ -405,8 +404,7 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
 
   // 4. Leader: once every survivor has wedged, publish the ragged trim.
   preds.add(gid,
-            {"propose", sst::PredicateClass::recurrent,
-             [this, id] { return mstate_[id].wedged; },
+            {"propose", [this, id] { return mstate_[id].wedged; },
              [this, id](sst::TriggerContext& ctx) {
                sst::Sst& sst = *member_sst_[id];
                MemberState& ms = mstate_[id];
@@ -442,7 +440,6 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
                  }
                  sst.write_local_i64(f_trim_[g], trim);
                }
-               sst.write_local_i64(f_prop_epoch_, view_.epoch + 1);
                sst.write_local_i64(
                    f_prop_failed_,
                    static_cast<std::int64_t>(ms.suspected_mask));
@@ -463,18 +460,19 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
                return true;
              }});
 
-  // 5. Everyone: acknowledge the current leader's proposal in the own row
-  // (a transition on "the proposal for the next epoch is visible"; re-armed
-  // at install). The ack names the epoch, not the proposal, so it stays
-  // valid for a re-proposal with a grown failed mask.
+  // 5. Everyone: acknowledge the current leader's proposal in the own row,
+  // once per epoch. The ack names the epoch, not the proposal, so it stays
+  // valid for a re-proposal with a grown failed mask or by a new leader.
   preds.add(gid,
-            {"ack_proposal", sst::PredicateClass::transition,
+            {"ack_proposal",
              [this, id] {
                const MemberState& ms = mstate_[id];
                if (!ms.wedged) return false;
-               const net::NodeId leader = current_leader(ms.suspected_mask);
-               return member_sst_[id]->read_i64(leader, f_prop_guard_) ==
-                      static_cast<std::int64_t>(view_.epoch + 1);
+               const sst::Sst& sst = *member_sst_[id];
+               const auto next = static_cast<std::int64_t>(view_.epoch + 1);
+               return sst.read_i64(id, f_ack_) != next &&
+                      sst.read_i64(current_leader(ms.suspected_mask),
+                                   f_prop_guard_) == next;
              },
              [this, id](sst::TriggerContext& ctx) {
                member_sst_[id]->write_local_i64(f_ack_, view_.epoch + 1);
@@ -488,8 +486,7 @@ void ManagedGroup::setup_membership_predicates(net::NodeId id) {
   // proposal. A re-proposal that only grew the failed mask installs in the
   // round that publishes it when every survivor already acknowledged.
   preds.add(gid,
-            {"install", sst::PredicateClass::recurrent,
-             [this, id] { return mstate_[id].wedged; },
+            {"install", [this, id] { return mstate_[id].wedged; },
              [this, id](sst::TriggerContext&) {
                const MemberState& ms = mstate_[id];
                if ((ms.suspected_mask & bit(id)) ||
@@ -619,40 +616,37 @@ void ManagedGroup::install_next_view(std::uint64_t failed_mask,
     }
   }
   assert(!next.members.empty() && "the installing leader survives");
-  view_ = std::move(next);
+  // Every survivor runs a membership round at the install instant, so a
+  // suspicion a peer's row still holds is adopted in the new epoch at once.
+  for (net::NodeId id : next.members) mstate_[id].doorbell->signal();
+  enter_view(std::move(next));
   for (net::NodeId id : view_.members) {
     tracer_.record(id, trace::Stage::view_install, engine_.now(), 0,
                    trace::kNoSubgroup, trace::kNoSender, -1, view_.epoch);
-  }
-
-  // Reset per-member view-change state and requeue undelivered messages.
-  for (net::NodeId id : view_.members) {
-    mstate_[id].suspected_mask = 0;
-    mstate_[id].wedged = false;
-    for (net::NodeId peer : view_.members) {
-      mstate_[id].last_change[peer] = engine_.now();
-    }
     // Only the own row is cleared: a peer's row keeps the mask it last
     // pushed, so a leave() that no proposal covered yet is adopted again
     // in this epoch.
     member_sst_[id]->write_local_i64(f_susp_, 0);
   }
+  build_epoch_cluster();
+}
+
+void ManagedGroup::enter_view(View next) {
+  epoch_cluster_->shutdown();
+  retired_.push_back(std::move(epoch_cluster_));
+  view_ = std::move(next);
+  for (net::NodeId id : view_.members) {
+    MemberState& ms = mstate_[id];
+    ms.suspected_mask = 0;
+    ms.wedged = false;
+    std::fill(ms.last_change.begin(), ms.last_change.end(), engine_.now());
+  }
+  // Requeue undelivered messages: the next epoch re-sends them.
   for (auto& per_node : queues_) {
     for (auto& sq : per_node) {
       for (auto& e : sq.q) e.in_flight = false;
     }
   }
-
-  // Fresh epoch, fresh edges: reset the survivors' TRANSITION predicates
-  // (wedge, ack) so the next suspicion is a rising edge even if it is
-  // raised — e.g. by leave() — before the member's next evaluation round.
-  for (net::NodeId id : view_.members) {
-    if (member_preds_[id]) member_preds_[id]->rearm_all();
-  }
-
-  epoch_cluster_->shutdown();
-  retired_.push_back(std::move(epoch_cluster_));
-  build_epoch_cluster();
 }
 
 void ManagedGroup::crash(net::NodeId node) {
@@ -728,16 +722,7 @@ void ManagedGroup::perform_recovery() {
   // An old member that never restarted died with the total failure: record
   // the crash cut for its store so the post-mortem view is honest.
   for (net::NodeId id : view_.members) {
-    if (restarting_mask_ & bit(id)) continue;
-    if (!alive_[id]) continue;
-    alive_[id] = 0;
-    fabric_.isolate(id);
-    if (epoch_cluster_ && epoch_cluster_->is_member(id)) {
-      epoch_cluster_->node(id).stop();
-    }
-    for (auto& slot : stores_[id]) {
-      if (slot) slot->note_crash(now);
-    }
+    if (!(restarting_mask_ & bit(id))) crash(id);
   }
 
   // Longest common durable prefix per subgroup: the minimum announced
@@ -830,10 +815,6 @@ void ManagedGroup::perform_recovery() {
     }
   }
 
-  // Retire the halted epoch's data plane.
-  epoch_cluster_->shutdown();
-  retired_.push_back(std::move(epoch_cluster_));
-
   // Compose and install the recovery view.
   View next;
   next.epoch = view_.epoch + 1;
@@ -841,7 +822,7 @@ void ManagedGroup::perform_recovery() {
   for (net::NodeId id : view_.members) {
     if (!(restarting_mask_ & bit(id))) next.departed.push_back(id);
   }
-  view_ = std::move(next);
+  enter_view(std::move(next));
   for (net::NodeId m : view_.members) {
     alive_[m] = 1;
     tracer_.record(m, trace::Stage::recover, now, 0, trace::kNoSubgroup,
@@ -850,17 +831,18 @@ void ManagedGroup::perform_recovery() {
 
   // New predicate generation: stale schedulers and pumps with one pending
   // wake-up exit on the mismatch instead of running beside their
-  // replacements once stopped_ clears.
+  // replacements once stopped_ clears. build_epoch_cluster() restarts the
+  // pumps.
   ++pred_gen_;
+  for (auto& per_node : queues_) {
+    for (auto& sq : per_node) sq.pump_running = false;
+  }
   for (net::NodeId m : view_.members) {
     MemberState& ms = mstate_[m];
-    ms.suspected_mask = 0;
-    ms.wedged = false;
     ms.hb_due = now;  // the respawned scheduler heartbeats at once
     ms.hb_sent = false;
     for (net::NodeId peer = 0; peer < cfg_.nodes; ++peer) {
       ms.last_hb[peer] = member_sst_[m]->read_i64(peer, f_hb_);
-      ms.last_change[peer] = now;
     }
     sst::Sst& sst = *member_sst_[m];
     // No suspicions in any row: the recovery view re-admits nodes that
@@ -872,13 +854,6 @@ void ManagedGroup::perform_recovery() {
   for (net::NodeId m : view_.members) {
     retired_preds_.push_back(std::move(member_preds_[m]));
     setup_membership_predicates(m);
-  }
-  // Requeue undelivered messages; build_epoch_cluster() restarts the pumps.
-  for (auto& per_node : queues_) {
-    for (auto& sq : per_node) {
-      sq.pump_running = false;
-      for (auto& e : sq.q) e.in_flight = false;
-    }
   }
 
   build_epoch_cluster();

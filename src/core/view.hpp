@@ -230,18 +230,18 @@ class ManagedGroup {
     std::uint64_t suspected_mask = 0;
     bool wedged = false;
     /// The member scheduler's doorbell: the membership SST's landing
-    /// signal, also rung by rearm_all() and by leave().
+    /// signal, also rung by leave() and, at a survivor, by an install.
     std::unique_ptr<sim::Signal> doorbell;
   };
 
   /// Register one member's membership service on its own sst::Predicates
-  /// scheduler: heartbeat + suspicion (RECURRENT), wedge and proposal-ack
-  /// (TRANSITION on the suspicion/proposal state), leader proposal and
-  /// install (RECURRENT, guarded). A round runs when a peer's push lands in
-  /// the member's membership SST, when its next heartbeat is due, and at
-  /// its earliest suspicion deadline (the scheduler's deadline); every
-  /// round's SST pushes are issued at the same virtual instant, in
-  /// predicate order.
+  /// scheduler: heartbeat, suspicion, wedge (once per epoch, on the first
+  /// suspicion), proposal ack (once per epoch, on its leader's proposal),
+  /// and the leader's proposal and install. A round runs when a peer's push
+  /// lands in the member's membership SST, when its next heartbeat is due,
+  /// at its earliest suspicion deadline (the scheduler's deadline), and at
+  /// a survivor's install; every round's SST pushes are issued at the same
+  /// virtual instant, in predicate order.
   void setup_membership_predicates(net::NodeId id);
   /// The first instant `id` may suspect some unsuspected peer of the
   /// current view: its last heartbeat change + failure_timeout + 1 ns
@@ -263,6 +263,12 @@ class ManagedGroup {
   void wedge_node(net::NodeId id);
   void install_next_view(std::uint64_t failed_mask,
                          const std::vector<std::int64_t>& trim);
+  /// The epoch entry an install and a recovery share: retire the epoch
+  /// cluster, make `next` the current view, reset each member's
+  /// view-change state (suspicions, wedge, heartbeat-change times) and
+  /// requeue every undelivered message. The caller then builds the epoch
+  /// cluster.
+  void enter_view(View next);
   void build_epoch_cluster();
   /// The current view's members as a node bit mask.
   std::uint64_t view_mask() const;
@@ -300,7 +306,7 @@ class ManagedGroup {
   // Membership SST (fixed over the lifetime: rows for every node ever).
   std::vector<std::unique_ptr<sst::Sst>> member_sst_;
   sst::FieldId f_hb_, f_susp_, f_wedged_epoch_;
-  sst::FieldId f_prop_epoch_, f_prop_failed_, f_prop_guard_;
+  sst::FieldId f_prop_failed_, f_prop_guard_;
   sst::FieldId f_restart_;              // restart announcement flag
   std::vector<sst::FieldId> f_frozen_;  // per subgroup
   std::vector<sst::FieldId> f_trim_;    // per subgroup (leader proposal)
@@ -308,9 +314,9 @@ class ManagedGroup {
   sst::FieldId f_ack_;  // epoch + 1 of the proposal this member acknowledged
   std::vector<MemberState> mstate_;
 
-  // Membership predicate schedulers, one per member. Epoch transitions
-  // re-arm their TRANSITION predicates instead of respawning them; only a
-  // total-failure recovery respawns them.
+  // Membership predicate schedulers, one per member. They run across epoch
+  // transitions (their predicates read the epoch-scoped state enter_view()
+  // resets); only a total-failure recovery respawns them.
   std::vector<std::size_t> everyone_;       // SST ranks 0..nodes-1
   std::vector<sim::Rng> membership_rng_;    // per-member heartbeat jitter
   std::vector<std::unique_ptr<sst::Predicates>> member_preds_;

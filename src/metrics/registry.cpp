@@ -47,7 +47,7 @@ void ClusterStats::finalize() {
             it->predicates.begin(), it->predicates.end(),
             [&](const PredicateStat& m) { return m.name == p.name; });
         if (pit == it->predicates.end()) {
-          it->predicates.push_back(PredicateStat{p.name, p.cls, 0, 0, 0});
+          it->predicates.push_back(PredicateStat{p.name, 0, 0, 0});
           pit = it->predicates.end() - 1;
         }
         pit->evals += p.evals;

@@ -14,7 +14,6 @@ namespace spindle::metrics {
 /// often its trigger acted, and the simulated CPU its rounds charged.
 struct PredicateStat {
   std::string name;  // e.g. "receive", "deliver"
-  std::string cls;   // monotonicity class: recurrent | transition
   std::uint64_t evals = 0;
   std::uint64_t fires = 0;
   sim::Nanos cpu = 0;

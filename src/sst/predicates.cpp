@@ -24,16 +24,6 @@ constexpr int kParkAfterServices = 8;
 constexpr sim::Nanos kParkQuiet = sim::micros(25);
 }  // namespace
 
-const char* to_string(PredicateClass c) {
-  switch (c) {
-    case PredicateClass::recurrent:
-      return "recurrent";
-    case PredicateClass::transition:
-      return "transition";
-  }
-  return "?";
-}
-
 sim::Nanos PostPlan::issue() {
   // (lane, insertion) order: entries_ is already in insertion order, so a
   // stable sort on the lane alone realizes the full ordering contract.
@@ -79,28 +69,14 @@ Predicates::GroupId Predicates::add_group(GroupOptions opts) {
 Predicates::PredId Predicates::add(GroupId g, PredicateOptions opts) {
   assert(g < groups_.size());
   assert(opts.fire && "a predicate needs a trigger body");
-  assert((opts.cls != PredicateClass::transition || opts.when) &&
-         "a transition predicate needs a condition to edge-detect");
   Predicate p;
-  p.cls = opts.cls;
   p.when = std::move(opts.when);
   p.fire = std::move(opts.fire);
   p.stats.name = std::move(opts.name);
-  p.stats.cls = p.cls;
   preds_.push_back(std::move(p));
   const PredId id = preds_.size() - 1;
   groups_[g].preds.push_back(id);
   return id;
-}
-
-/// A rearm made dormant predicates live again: cut an in-flight idle-backoff
-/// wait short (the scheduler waits on the doorbell) and bump the rearm
-/// generation so the next round resets its idle streak and wakes parked
-/// groups instead of waiting out the remaining backoff.
-void Predicates::rearm_all() {
-  for (Predicate& p : preds_) p.edge = false;
-  ++rearm_generation_;
-  if (cfg_.doorbell != nullptr) cfg_.doorbell->signal();
 }
 
 void Predicates::wake(GroupId g) {
@@ -149,16 +125,7 @@ bool Predicates::eval_group(Group& g, sim::Nanos& work, PostPlan& plan) {
   for (PredId id : g.preds) {
     Predicate& p = preds_[id];
     ++p.stats.evals;
-    if (p.when) {
-      const bool holds = p.when();
-      if (p.cls == PredicateClass::transition) {
-        const bool rising = holds && !p.edge;
-        p.edge = holds;
-        if (!rising) continue;
-      } else if (!holds) {
-        continue;
-      }
-    }
+    if (p.when && !p.when()) continue;
     const sim::Nanos before = work;
     TriggerContext ctx{work, plan};
     const bool acted = p.fire(ctx);
@@ -192,7 +159,6 @@ bool Predicates::eval_group(Group& g, sim::Nanos& work, PostPlan& plan) {
 sim::Co<> Predicates::run() {
   assert(cfg_.stopped && "configure() the scheduler before run()");
   int idle_streak = 0;
-  std::uint64_t rearm_seen = rearm_generation_;
   while (!cfg_.stopped()) {
     if (cfg_.faults != nullptr) {
       const sim::Nanos until = cfg_.faults->cpu_until();
@@ -201,16 +167,6 @@ sim::Co<> Predicates::run() {
         co_await engine_.sleep(until - engine_.now());
         continue;
       }
-    }
-    if (rearm_generation_ != rearm_seen) {
-      // A rearm landed (view install): the doorbell kick already cut any
-      // in-flight backoff short; also drop the streak and wake parked
-      // groups so the re-armed predicates get full-rate rounds again.
-      rearm_seen = rearm_generation_;
-      for (Group& g : groups_) {
-        if (g.sched.parked) g.wake->signal();
-      }
-      idle_streak = 0;
     }
     // The rotation is every group not parked, in registration order; a
     // parked group rejoins it in the first round after its wake rang. Only

@@ -15,19 +15,6 @@ class HostFaults;
 
 namespace spindle::sst {
 
-/// Monotonicity class of a registered predicate (Derecho TOCS §4):
-///
-///  - `recurrent`:  evaluated every round; fires whenever it holds. The
-///                  data-plane stage predicates (receive / send / deliver)
-///                  are recurrent over monotonic SST state.
-///  - `transition`: fires on the false->true *edge* of its condition — the
-///                  "monotonic deducibility" events of the membership layer
-///                  (a peer became suspected, a proposal became visible).
-///                  rearm_all() resets every edge (e.g. once per epoch).
-enum class PredicateClass : std::uint8_t { recurrent, transition };
-
-const char* to_string(PredicateClass c);
-
 /// The deferred RDMA phase of a trigger, generalizing §3.4's early lock
 /// release: the under-lock compute phase *describes* its pushes by appending
 /// actions, and the scheduler issues them after the lock is (optionally
@@ -93,7 +80,6 @@ struct TriggerContext {
 /// from per-subgroup to per-stage).
 struct PredicateStats {
   std::string name;
-  PredicateClass cls = PredicateClass::recurrent;
   std::uint64_t evals = 0;  // scheduler rounds that considered it
   std::uint64_t fires = 0;  // rounds its trigger ran and acted
   sim::Nanos cpu = 0;       // simulated CPU charged by its compute phase
@@ -102,8 +88,12 @@ struct PredicateStats {
 /// Registry + scheduler for SST predicates: the subsystem Derecho builds its
 /// whole protocol stack on, extracted here as a first-class framework.
 ///
-/// Predicates are registered into *groups*; a group is the unit of one lock
-/// acquisition and one two-phase (compute, then RDMA) round. One scheduler
+/// A predicate fires whenever its condition holds when its group is
+/// serviced (Derecho TOCS §4's recurrent predicates over monotonic SST
+/// state); one that must act once per event reads that from the state its
+/// trigger writes. Predicates are registered into *groups*; a group is the
+/// unit of one lock acquisition and one two-phase (compute, then RDMA)
+/// round. One scheduler
 /// loop serves every registry, the data plane's polling thread (§2.4) and
 /// the membership service alike: each round serves the groups in
 /// registration order; busy services charge their compute cost under the
@@ -161,7 +151,6 @@ class Predicates {
 
   struct PredicateOptions {
     std::string name;
-    PredicateClass cls = PredicateClass::recurrent;
     /// Optional guard. When absent the trigger self-guards (stage triggers
     /// whose guard evaluation *is* simulated work keep exact CPU accounting
     /// by charging it inside the trigger).
@@ -178,7 +167,7 @@ class Predicates {
     /// loop with an iteration_pause). nullptr: no faults.
     const net::HostFaults* faults = nullptr;
     /// Rings when the predicates' inputs may have changed (a remote write
-    /// landed) and on every rearm_all(); the quiescent backoff waits on it.
+    /// landed, a local input changed); the quiescent backoff waits on it.
     /// nullptr: the backoff is a plain sleep.
     sim::Signal* doorbell = nullptr;
     /// Observability: a group parked (`parked` true) or was woken back
@@ -218,13 +207,6 @@ class Predicates {
   /// must outlive the coroutine (same discipline as any simulated thread).
   sim::Co<> run();
 
-  /// Reset every transition edge — e.g. at view install, when the
-  /// epoch-scoped membership predicates re-arm — and kick the scheduler: an
-  /// idle-backoff wait is cut short (via the doorbell) and parked groups
-  /// are woken, so a re-armed predicate is evaluated promptly instead of
-  /// waiting out the remaining backoff.
-  void rearm_all();
-
   /// The wake signal of a group that can park (one with a `drained`
   /// callback; nullptr for any other group): the data plane makes it its
   /// ring region's landing signal. It wakes no waiter by itself — the
@@ -258,11 +240,9 @@ class Predicates {
 
  private:
   struct Predicate {
-    PredicateClass cls;
     Condition when;
     Trigger fire;
     PredicateStats stats;
-    bool edge = false;  // transition: last observed condition value
   };
   struct Group {
     GroupOptions opts;
@@ -300,7 +280,6 @@ class Predicates {
   SchedulerConfig cfg_;
   std::vector<Group> groups_;
   std::vector<Predicate> preds_;
-  std::uint64_t rearm_generation_ = 0;  // bumped by rearm_all(); run() polls
   PostPlan plan_;  // reused across rounds; capacity reaches steady state
   PostPlan held_;  // lane-dropped actions awaiting their window's expiry
 };

@@ -402,7 +402,7 @@ TEST(ChaosNamed, HeartbeatDelaySurvivesTotalFailureRecovery) {
 TEST(ChaosNamed, CrashOnScanLane) {
   // The baseline crash regression on a second shape (named for the
   // deficit scheduler and scan lane it was written against): a view change
-  // (wedge, trim, install, rearm) with parking epoch clusters on both
+  // (wedge, trim, ack, install) with parking epoch clusters on both
   // sides of the install barrier.
   NamedRun r(5, 84, /*persistent=*/false);
   r.group.engine().schedule_fn(sim::micros(60), [&] { r.group.crash(1); });

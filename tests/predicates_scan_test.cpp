@@ -1,10 +1,9 @@
 // Parking tests (ctest -L parking): a quiet group that is not drained stays
 // in the rotation (and acts on the peer push it waits on as soon as it
 // lands), the quiet rule (a group that keeps becoming ready never parks),
-// the wake paths (a wake from quiescence, a wake rung mid-round, a rearm at
-// a view install), a held push blocks parking and is released at its
-// window's end, a parked group costs no evaluation, the first message into
-// a parked subgroup, the reactive idle-backoff rearm fix, the
+// the wake paths (a wake from quiescence, a wake rung mid-round), a held
+// push blocks parking and is released at its window's end, a parked group
+// costs no evaluation, the first message into a parked subgroup, the
 // per-predicate fault-injection hook, and the cluster-level wiring
 // (ClusterConfig::park_after -> per-subgroup sched counters in stats()).
 
@@ -70,13 +69,13 @@ TEST(PredicatesScan, QuietGroupNotDrainedStaysInTheRotation) {
   Predicates::GroupOptions opts = group("waiting", sim::micros(20));
   opts.drained = [] { return false; };
   const auto quiet = h.preds.add_group(std::move(opts));
-  h.preds.add(hot, {"saturate", PredicateClass::recurrent, nullptr,
+  h.preds.add(hot, {"saturate", nullptr,
                     [](TriggerContext& ctx) {
                       ctx.work += kHotWork;
                       return true;
                     }});
   std::vector<sim::Nanos> quiet_evals;
-  h.preds.add(quiet, {"guard", PredicateClass::recurrent,
+  h.preds.add(quiet, {"guard",
                       [&] {
                         quiet_evals.push_back(h.engine.now());
                         return false;
@@ -117,13 +116,13 @@ TEST(PredicatesScan, PeriodicGroupNeverDemotesWhileTicking) {
   Predicates::GroupOptions opts = group("periodic", sim::micros(500));
   opts.drained = [&] { return ready_at < 0; };
   const auto periodic = h.preds.add_group(std::move(opts));
-  h.preds.add(peer, {"busy", PredicateClass::recurrent, nullptr,
+  h.preds.add(peer, {"busy", nullptr,
                      [](TriggerContext& ctx) {
                        ctx.work += kPeerWork;
                        return true;
                      }});
   std::vector<sim::Nanos> lag;
-  h.preds.add(periodic, {"tick", PredicateClass::recurrent,
+  h.preds.add(periodic, {"tick",
                          [&] { return ready_at >= 0; },
                          [&](TriggerContext&) {
                            lag.push_back(h.engine.now() - ready_at);
@@ -161,7 +160,7 @@ TEST(PredicatesScan, DoorbellWakePromotesDemotedGroupFromQuiescence) {
   opts.drained = [&] { return !ready; };
   const auto g = h.preds.add_group(std::move(opts));
   sim::Nanos fired_at = -1;
-  h.preds.add(g, {"wake", PredicateClass::recurrent, [&] { return ready; },
+  h.preds.add(g, {"wake", [&] { return ready; },
                   [&](TriggerContext& ctx) {
                     if (fired_at < 0) fired_at = h.engine.now();
                     ctx.work += 100;
@@ -193,7 +192,7 @@ TEST(PredicatesScan, WakeRungMidRoundSkipsTheBackoff) {
   opts.drained = [&] { return !ready; };
   const auto g = h.preds.add_group(std::move(opts));
   sim::Nanos fired_at = -1;
-  h.preds.add(g, {"wake", PredicateClass::recurrent, [&] { return ready; },
+  h.preds.add(g, {"wake", [&] { return ready; },
                   [&](TriggerContext& ctx) {
                     fired_at = h.engine.now();
                     ready = false;
@@ -206,7 +205,7 @@ TEST(PredicatesScan, WakeRungMidRoundSkipsTheBackoff) {
   const auto ringer = h.preds.add_group(group("ringer", 0));
   sim::Nanos rang_at = -1;
   bool parked_at_ring = false;
-  h.preds.add(ringer, {"ring", PredicateClass::recurrent,
+  h.preds.add(ringer, {"ring",
                        [&] {
                          if (rang_at < 0 && h.engine.now() >= sim::millis(3)) {
                            rang_at = h.engine.now();
@@ -242,7 +241,7 @@ TEST(PredicatesScan, HeldPushBlocksParkingUntilReleased) {
   bool armed = true;
   sim::Nanos issued_at = -1;
   std::uint64_t parks_at_issue = 0;
-  h.preds.add(g, {"ack", PredicateClass::recurrent, [&] { return armed; },
+  h.preds.add(g, {"ack", [&] { return armed; },
                   [&](TriggerContext& ctx) {
                     armed = false;
                     ctx.work += 100;
@@ -263,66 +262,11 @@ TEST(PredicatesScan, HeldPushBlocksParkingUntilReleased) {
   EXPECT_EQ(h.preds.group_sched(g).parks, 1u) << "never parked after it";
 }
 
-TEST(PredicatesScan, RearmWakesAParkedGroup) {
-  // A transition predicate whose condition stays true fires once; its group
-  // goes quiet and, drained (its edge rises again only after a rearm),
-  // parks. rearm_all() alone — no wake signal, no doorbell traffic — must
-  // wake the group and re-fire it within one round.
-  Harness h;
-  Predicates::GroupOptions opts = group("epoch", sim::micros(20));
-  opts.drained = [] { return true; };
-  const auto g = h.preds.add_group(std::move(opts));
-  std::vector<sim::Nanos> fires;
-  h.preds.add(g, {"install", PredicateClass::transition, [] { return true; },
-                  [&](TriggerContext& ctx) {
-                    fires.push_back(h.engine.now());
-                    ctx.work += 100;
-                    return true;
-                  }});
-  const sim::Nanos kT = sim::millis(2);
-  bool parked_at_rearm = false;
-  h.engine.schedule_fn(kT, [&] {
-    parked_at_rearm = h.preds.group_sched(g).parked;
-    h.preds.rearm_all();
-  });
-  h.run_for(sim::millis(3));
-
-  ASSERT_TRUE(parked_at_rearm);
-  ASSERT_EQ(fires.size(), 2u);
-  EXPECT_LE(fires[1], kT + sim::micros(1))
-      << "rearm must cut the backoff and wake the parked group";
-  EXPECT_EQ(h.preds.group_sched(g).parks, 2u) << "parked again afterwards";
-}
-
-TEST(PredicatesReactive, RearmAllCutsIdleBackoffShort) {
-  // Regression: a predicate re-armed at a view install used to wait out
-  // the scheduler's remaining idle backoff (up to idle_backoff_max). The
-  // rearm kick — doorbell signal + idle-streak reset — must get it
-  // evaluated promptly.
-  Harness h;
-  const auto g = h.preds.add_group({});
-  std::vector<sim::Nanos> fires;
-  h.preds.add(g, {"barrier", PredicateClass::transition,
-                  [] { return true; },
-                  [&](TriggerContext&) {
-                    fires.push_back(h.engine.now());
-                    return true;
-                  }});
-  // By 2.5ms the scheduler idles in 1ms doorbell waits; rearm mid-wait.
-  const sim::Nanos kT = sim::millis(2) + sim::micros(500);
-  h.engine.schedule_fn(kT, [&] { h.preds.rearm_all(); });
-  h.run_for(sim::millis(5));
-
-  ASSERT_EQ(fires.size(), 2u);
-  EXPECT_LE(fires[1], kT + sim::micros(50))
-      << "re-armed predicate waited out the idle backoff";
-}
-
 TEST(PredicatesFault, InjectedDelayChargesExtraComputeOnFires) {
   Harness h;
   const auto g = h.preds.add_group({});
   int budget = 3;
-  const auto slow = h.preds.add(g, {"victim", PredicateClass::recurrent,
+  const auto slow = h.preds.add(g, {"victim",
                                     [&] { return budget > 0; },
                                     [&](TriggerContext& ctx) {
                                       --budget;
@@ -330,7 +274,7 @@ TEST(PredicatesFault, InjectedDelayChargesExtraComputeOnFires) {
                                       return true;
                                     }});
   int other_budget = 2;
-  const auto fast = h.preds.add(g, {"bystander", PredicateClass::recurrent,
+  const auto fast = h.preds.add(g, {"bystander",
                                     [&] { return other_budget > 0; },
                                     [&](TriggerContext& ctx) {
                                       --other_budget;
@@ -349,7 +293,7 @@ TEST(PredicatesFault, ExpiredDelayWindowIsInert) {
   Harness h;
   const auto g = h.preds.add_group({});
   bool armed = false;
-  const auto p = h.preds.add(g, {"late", PredicateClass::recurrent,
+  const auto p = h.preds.add(g, {"late",
                                  [&] { return armed; },
                                  [&](TriggerContext& ctx) {
                                    armed = false;
@@ -377,7 +321,7 @@ TEST(PredicatesFault, LaneDropOpenedDuringComputeHoldsThatRoundsPosts) {
     const auto g = h.preds.add_group({});
     bool armed = true;
     sim::Nanos issued_at = -1;
-    h.preds.add(g, {"post", PredicateClass::recurrent, [&] { return armed; },
+    h.preds.add(g, {"post", [&] { return armed; },
                     [&](TriggerContext& ctx) {
                       armed = false;
                       ctx.work += 1000;

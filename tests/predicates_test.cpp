@@ -1,6 +1,6 @@
 // Unit tests for the sst::Predicates framework (ctest -L predicate): the
-// PostPlan lane contract, the two monotonicity classes, re-arming,
-// per-predicate accounting, and the scheduler loop. The
+// PostPlan lane contract, predicate firing, per-predicate accounting, and
+// the scheduler loop. The
 // protocol-level behaviour lock (the ported data plane and view layer must
 // be bit-identical to the monolith) lives in determinism_lock_test.cpp.
 
@@ -66,7 +66,7 @@ TEST(Predicates, RecurrentFiresWheneverConditionHolds) {
   const auto g = h.preds.add_group({});
   int budget = 3;
   const auto p = h.preds.add(
-      g, {"drain", PredicateClass::recurrent, [&] { return budget > 0; },
+      g, {"drain", [&] { return budget > 0; },
           [&](TriggerContext& ctx) {
             --budget;
             ctx.work += 7;
@@ -79,40 +79,13 @@ TEST(Predicates, RecurrentFiresWheneverConditionHolds) {
   EXPECT_GT(h.preds.stats(p).evals, h.preds.stats(p).fires);
 }
 
-TEST(Predicates, TransitionFiresOnRisingEdgeOnly) {
-  Harness h;
-  const auto g = h.preds.add_group({});
-  bool level = false;
-  int fired = 0;
-  h.preds.add(g, {"edge", PredicateClass::transition, [&] { return level; },
-                  [&](TriggerContext&) {
-                    ++fired;
-                    return true;
-                  }});
-  h.engine.spawn(h.preds.run());
-  h.engine.run_to(sim::micros(5));
-  EXPECT_EQ(fired, 0);
-  level = true;  // rising edge: one fire, then level stays high
-  h.engine.run_to(sim::micros(10));
-  EXPECT_EQ(fired, 1);
-  h.engine.run_to(sim::micros(15));
-  EXPECT_EQ(fired, 1);
-  level = false;  // falling edge re-arms
-  h.engine.run_to(sim::micros(20));
-  level = true;
-  h.engine.run_to(sim::micros(25));
-  EXPECT_EQ(fired, 2);
-  h.stop = true;
-  h.engine.run();
-}
-
 TEST(Predicates, DisabledGroupContributesNothing) {
   Harness h;
   bool enabled = false;
   Predicates::GroupOptions g;
   g.enabled = [&] { return enabled; };
   const auto gid = h.preds.add_group(std::move(g));
-  const auto p = h.preds.add(gid, {"gated", PredicateClass::recurrent,
+  const auto p = h.preds.add(gid, {"gated",
                                    nullptr, [&](TriggerContext& ctx) {
                                      ctx.work += 5;
                                      return true;
@@ -136,7 +109,7 @@ TEST(Predicates, ReactiveRoundSleepsComputeThenPost) {
   const auto g = h.preds.add_group({});
   bool once = false;
   sim::Nanos posted_at = -1;
-  h.preds.add(g, {"timed", PredicateClass::recurrent, [&] { return !once; },
+  h.preds.add(g, {"timed", [&] { return !once; },
                   [&](TriggerContext& ctx) {
                     once = true;
                     ctx.work += 30;
@@ -169,7 +142,7 @@ TEST(Predicates, ReactiveEarlyReleaseUnlocksBeforePost) {
   const auto gid = preds.add_group(std::move(g));
   bool once = false;
   bool locked_during_post = true;
-  preds.add(gid, {"early", PredicateClass::recurrent, [&] { return !once; },
+  preds.add(gid, {"early", [&] { return !once; },
                   [&](TriggerContext& ctx) {
                     once = true;
                     ctx.work += 5;
@@ -201,7 +174,7 @@ TEST(Predicates, DeadlineSetsTheCadence) {
   cfg.idle_backoff_max = sim::millis(1);
   preds.configure(std::move(cfg));
   const auto g = preds.add_group({});
-  preds.add(g, {"tick", PredicateClass::recurrent,
+  preds.add(g, {"tick",
                 [&] { return engine.now() >= due; },
                 [&](TriggerContext& ctx) {
                   rounds.push_back(engine.now());
@@ -241,7 +214,7 @@ struct DeadlineHarness {
     cfg.idle_backoff_max = sim::millis(1);
     preds.configure(std::move(cfg));
     const auto g = preds.add_group({});
-    tick = preds.add(g, {"tick", PredicateClass::recurrent,
+    tick = preds.add(g, {"tick",
                          [this] { return input || engine.now() >= due; },
                          [this, post, work](TriggerContext& ctx) {
                            rounds.push_back(engine.now());
@@ -288,28 +261,17 @@ TEST(Predicates, RingDuringABusyRoundIsNotLost) {
   EXPECT_EQ(h.rounds, (std::vector<sim::Nanos>{0, 130, 130 + 130 + 1000}));
 }
 
-TEST(Predicates, RearmWakesTheScheduler) {
-  // New input alone does not wake a waiting scheduler; rearm_all() rings
-  // the doorbell, so the round runs at 400 instead of at the 1100 deadline.
-  DeadlineHarness h(/*post=*/100);
-  h.engine.schedule_fn(400, [&h] {
-    h.input = true;
-    h.preds.rearm_all();
-  });
-  h.finish(1000);
-  EXPECT_EQ(h.rounds, (std::vector<sim::Nanos>{0, 400}));
-  EXPECT_EQ(h.doorbell.signals(), 1u);
-}
-
 TEST(Predicates, ZeroCostRoundsAddNoEvent) {
   // A trigger that charges no compute and posts nothing: its rounds, and
   // the quiet rounds after them, run without sleeping, so each fire costs
-  // only the wake that started it. Its condition stays true, so it fires
-  // on the first edge and again after each rearm_all().
+  // only the wake that started it. It holds once per new input, the way a
+  // membership predicate holds once per event it has not yet acted on, and
+  // a doorbell ring delivers the second input.
   sim::Engine engine;
   sim::Signal doorbell(engine);
   Predicates preds(engine);
   bool stop = false;
+  int inputs = 1;
   int fired = 0;
   Predicates::SchedulerConfig cfg;
   cfg.stopped = [&] { return stop; };
@@ -318,16 +280,19 @@ TEST(Predicates, ZeroCostRoundsAddNoEvent) {
   cfg.idle_backoff_max = sim::millis(1);
   preds.configure(std::move(cfg));
   const auto g = preds.add_group({});
-  preds.add(g, {"edge", PredicateClass::transition, [] { return true; },
+  preds.add(g, {"once", [&] { return fired < inputs; },
                 [&](TriggerContext&) {
                   ++fired;
                   return true;
                 }});
   engine.spawn(preds.run());
-  engine.schedule_fn(500, [&] { preds.rearm_all(); });
+  engine.schedule_fn(500, [&] {
+    ++inputs;
+    doorbell.signal();
+  });
   engine.run_to(900);
   EXPECT_EQ(fired, 2);
-  // The spawn, the rearm event and the doorbell wake it schedules.
+  // The spawn, the ring event and the doorbell wake it schedules.
   EXPECT_EQ(engine.steps(), 3u);
   stop = true;
   doorbell.signal();
@@ -340,7 +305,7 @@ TEST(Predicates, VisitExposesGroupTagAndStats) {
   g.name = "sg0";
   g.tag = 7;
   const auto gid = h.preds.add_group(std::move(g));
-  h.preds.add(gid, {"stage", PredicateClass::recurrent, [] { return false; },
+  h.preds.add(gid, {"stage", [] { return false; },
                     [](TriggerContext&) { return true; }});
   h.run_for(sim::micros(10));
   std::size_t visited = 0;
@@ -349,7 +314,6 @@ TEST(Predicates, VisitExposesGroupTagAndStats) {
     ++visited;
     EXPECT_EQ(go.tag, 7u);
     EXPECT_EQ(ps.name, "stage");
-    EXPECT_EQ(ps.cls, PredicateClass::recurrent);
     EXPECT_GT(ps.evals, 0u);
     EXPECT_EQ(ps.fires, 0u);
   });

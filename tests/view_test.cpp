@@ -350,6 +350,87 @@ TEST(ManagedGroup, InstallWaitsForTheSlowestAcknowledgment) {
   EXPECT_GT(trim_to_install(true), trim_to_install(false));
 }
 
+/// The first instant of `stage` at `node` for epoch `arg` in `g`'s trace
+/// (-1 when absent).
+sim::Nanos traced_at(const ManagedGroup& g, trace::Stage stage,
+                     net::NodeId node, std::uint64_t arg) {
+  for (const trace::Event& e : g.tracer().all_events()) {
+    if (e.stage == stage && e.node == node && e.arg == arg) return e.t;
+  }
+  return -1;
+}
+
+/// A 4-node traced group whose links into the leader (1 -> 0, 2 -> 0) are
+/// 40x slow, with node 3 crashed at 50 us: node 0 publishes its proposal
+/// well after the survivors wedge, and the survivors' acknowledgments take
+/// tens of microseconds to reach it.
+std::unique_ptr<ManagedFixture> slow_leader_view_change() {
+  auto f = std::make_unique<ManagedFixture>(4, /*seed=*/1, /*trace=*/true);
+  ManagedGroup& g = *f->group;
+  g.fabric().set_link_fault(1, 0, 40.0, 0);
+  g.fabric().set_link_fault(2, 0, 40.0, 0);
+  g.engine().run_to(sim::micros(50));
+  g.crash(3);
+  return f;
+}
+
+/// When node 0 publishes the proposal of slow_leader_view_change().
+sim::Nanos slow_leader_proposal_at() {
+  auto f = slow_leader_view_change();
+  ManagedGroup& g = *f->group;
+  EXPECT_TRUE(g.engine().run_until([&] { return g.epoch() == 1; },
+                                   sim::millis(5)))
+      << g.engine().diagnostics();
+  return traced_at(g, trace::Stage::view_trim, 0, 1);
+}
+
+TEST(ManagedGroup, InstallAdoptsAPeerRowSuspicionAtOnce) {
+  // Node 1 leaves after acknowledging the proposal that removes node 3.
+  // Its suspicion reaches node 2 at once but reaches the leader only after
+  // the install, so the install keeps node 1, while node 2's copy of node
+  // 1's row still names it. The install rings every survivor's membership
+  // doorbell, so node 2 adopts the suspicion and wedges for the next epoch
+  // at the install instant, not at the next push that lands there.
+  const sim::Nanos proposed = slow_leader_proposal_at();
+  ASSERT_GT(proposed, 0);
+  auto f = slow_leader_view_change();
+  ManagedGroup& g = *f->group;
+  g.engine().run_to(proposed + sim::micros(10));
+  ASSERT_EQ(g.epoch(), 0u);
+  g.leave(1);
+  ASSERT_TRUE(g.engine().run_until([&] { return g.epoch() == 2; },
+                                   sim::millis(5)))
+      << g.engine().diagnostics();
+  const sim::Nanos installed = traced_at(g, trace::Stage::view_install, 0, 1);
+  ASSERT_GT(installed, proposed);
+  EXPECT_EQ(traced_at(g, trace::Stage::view_wedge, 2, 2), installed);
+  EXPECT_EQ(g.view().members, (std::vector<net::NodeId>{0, 2}));
+}
+
+TEST(ManagedGroup, NextLeaderInstallsWithTheAcksOfTheCrashedLeader) {
+  // The leader crashes after every survivor acknowledged its proposal, but
+  // before the acknowledgments reach it. An ack names the epoch, not the
+  // proposal: the next leader's copy already shows every survivor's, so it
+  // installs one view without both nodes in the round that publishes its
+  // re-proposal, with no new ack.
+  const sim::Nanos proposed = slow_leader_proposal_at();
+  ASSERT_GT(proposed, 0);
+  auto f = slow_leader_view_change();
+  ManagedGroup& g = *f->group;
+  g.engine().run_to(proposed + sim::micros(10));
+  ASSERT_EQ(g.epoch(), 0u);
+  g.crash(0);
+  ASSERT_TRUE(g.engine().run_until([&] { return g.epoch() == 1; },
+                                   sim::millis(5)))
+      << g.engine().diagnostics();
+  EXPECT_EQ(g.view().members, (std::vector<net::NodeId>{1, 2}));
+  const sim::Nanos reproposed = traced_at(g, trace::Stage::view_trim, 1, 1);
+  ASSERT_GT(reproposed, proposed);
+  EXPECT_EQ(traced_at(g, trace::Stage::view_install, 1, 1), reproposed);
+  g.engine().run_to(reproposed + sim::millis(2));
+  EXPECT_EQ(g.epoch(), 1u);
+}
+
 TEST(ManagedGroup, TotalFailureHaltsAtTheLastCrash) {
   // Total failure is known where it happens: the crash of the view's last
   // live member halts the group at that instant. The crashes land 10 us
