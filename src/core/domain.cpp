@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 #include "core/group.hpp"
 
@@ -153,15 +154,21 @@ bool OrderingDomain::sequencer_grant(Node& n, sst::TriggerContext& ctx) {
     s.write_local_i64(f_ggsn_[i], static_cast<std::int64_t>(next_gsn_++));
     s.write_local_i64(f_gcount_[i], granted + 1);
     ctx.work += cpu.per_message_receive;
-    if (sender_ranks_[i] != s.my_rank()) {
-      Node* np = &n;
-      const std::size_t idx = i;
-      const std::size_t rank = sender_ranks_[i];
-      ctx.plan.add(kLaneDomain, [this, np, idx, rank] {
-        const std::size_t targets[1] = {rank};
-        return np->sst().push(f_gcount_[idx], f_ggsn_[idx],
-                              std::span<const std::size_t>(targets, 1));
-      });
+    if (sender_ranks_[i] == s.my_rank()) {
+      n.wait_signal().signal();  // our own requester: no push lands here
+    } else {
+      // Two words, which std::function stores without allocating; the
+      // sequencer node and the requester's rank are looked up when the
+      // push is posted.
+      const auto push = [this, idx = i] {
+        return cluster_.node(cfg_.sequencer)
+            .sst()
+            .push(f_gcount_[idx], f_ggsn_[idx],
+                  std::span<const std::size_t>(&sender_ranks_[idx], 1));
+      };
+      static_assert(sizeof(push) <= 2 * sizeof(void*) &&
+                    std::is_trivially_copyable_v<decltype(push)>);
+      ctx.plan.add(kLaneDomain, push);
     }
     any = true;
   }
@@ -215,12 +222,13 @@ sim::Co<> OrderingDomain::send_multi(
   }
   SenderState& st = *it->second;
   Node& n = cluster_.node(node);
-  const CpuModel& cpu = cluster_.cpu();
 
   // Acquire a global position: bump the own-row request counter, push it to
-  // the sequencer, and poll the local mirror of the sequencer's grant pair.
-  // The mutex holds until the grant is read, so the per-sender grant column
-  // pair is never reused while a request is pending.
+  // the sequencer, and wait on the local mirror of the sequencer's grant
+  // pair, which the grant's landing (or, at the sequencer itself, the
+  // grant) announces on the node's wait signal. The mutex holds until the
+  // grant is read, so the per-sender grant column pair is never reused
+  // while a request is pending.
   co_await st.gsn_lock->lock();
   const sim::Nanos grant_t0 = n.engine().now();
   ++st.requests;
@@ -229,7 +237,7 @@ sim::Co<> OrderingDomain::send_multi(
       f_xreq_, std::span<const std::size_t>(st.to_sequencer.data(), 1)));
   while (!n.stopped() &&
          n.sst().read_i64(seq_rank_, f_gcount_[st.index]) < st.requests) {
-    co_await n.engine().sleep(cpu.sender_poll_interval);
+    co_await n.wait_signal().wait();
   }
   if (n.stopped()) {
     st.gsn_lock->unlock();

@@ -175,7 +175,7 @@ void Node::setup_predicates() {
 ///    global frontier has reached.
 /// Remote SST pushes (acknowledgments, delivered and persisted columns)
 /// can therefore not wake the group; they still move the sender thread's
-/// slot wait, which polls by itself.
+/// slot wait, which the node's wait signal wakes.
 bool Node::drained(const SubgroupState& s) const {
   if (s.claimed != s.pushed) return false;
   for (std::size_t j = 0; j < s.num_senders(); ++j) {
@@ -397,6 +397,7 @@ bool Node::trigger_deliver(SubgroupState& s, sst::TriggerContext& ctx) {
     s.batch_handler(s.batch_buffer);
   }
   sst_->write_local_i64(s.f_delivered, s.delivered_num);
+  wait_signal_.signal();  // our own slot wait reads this column too
   plan_counter_push(s, ctx.plan, /*delivered=*/opts.delivery_batching);
   if (!opts.delivery_batching) {
     for (std::uint64_t i = 0; i < batch_delivered; ++i) {

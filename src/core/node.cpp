@@ -52,7 +52,8 @@ Node::Node(Cluster& cluster, net::NodeId id, sim::Rng rng)
       id_(id),
       engine_(cluster.engine_for(id)),
       rng_(rng),
-      lock_(std::make_unique<sim::Mutex>(engine_)) {}
+      lock_(std::make_unique<sim::Mutex>(engine_)),
+      wait_signal_(engine_) {}
 
 Node::~Node() = default;
 
@@ -89,6 +90,9 @@ SubgroupState& Node::require(SubgroupId sg) {
 void Node::init_sst(sst::Layout layout, const std::vector<net::NodeId>& all) {
   sst_ = std::make_unique<sst::Sst>(cluster_.fabric(), id_, all,
                                     std::move(layout));
+  // A landing still rings the doorbell, which the delivery predicate waits
+  // on; the wait signal rings after it.
+  sst_->set_landing_signal(&wait_signal_, /*replaces_doorbell=*/false);
 }
 
 void Node::set_delivery_handler(SubgroupId sg, DeliveryHandler h) {
@@ -178,6 +182,7 @@ void Node::flush_persist_queue() {
 void Node::stop() {
   stopped_ = true;
   cluster_.fabric().doorbell(id_).signal();
+  wait_signal_.signal();
   for (auto& s : subgroups_) {
     if (s->persist_signal) s->persist_signal->signal();
   }
@@ -252,8 +257,10 @@ sim::Co<> Node::send(SubgroupId sg, std::uint32_t len,
     co_await eng.sleep(stall);
   }
 
-  // Acquire a free ring slot, busy-polling like Derecho's sender path. The
-  // wait time is the §4.1.1 "sender thread waiting for a free buffer".
+  // Acquire a free ring slot. Derecho's sender spins; this one re-checks
+  // under the lock whenever the wait signal rings, which is when a spin
+  // could first see the slot free. The wait time is the §4.1.1 "sender
+  // thread waiting for a free buffer".
   const sim::Nanos wait_start = eng.now();
   for (;;) {
     co_await lock_->lock();
@@ -263,7 +270,7 @@ sim::Co<> Node::send(SubgroupId sg, std::uint32_t len,
     }
     if (!s.wedged && slot_free(s, s.claimed)) break;
     lock_->unlock();
-    co_await eng.sleep(cpu.sender_poll_interval);
+    co_await wait_signal_.wait();
   }
   counters_.sender_wait += eng.now() - wait_start;
 

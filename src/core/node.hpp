@@ -166,7 +166,7 @@ class Node {
   /// Must be awaited from a simulated application thread. `flags` are
   /// application bits carried in the slot trailer and surfaced unchanged
   /// as Delivery::flags at every receiver (bit 0 is protocol-reserved and
-  /// masked out).
+  /// masked out). The slot wait parks on wait_signal().
   sim::Co<> send(SubgroupId sg, std::uint32_t len,
                  std::function<void(std::span<std::byte>)> builder,
                  std::uint32_t flags = 0);
@@ -212,6 +212,14 @@ class Node {
   }
   sim::Mutex& lock() noexcept { return *lock_; }
   sst::Sst& sst() { return *sst_; }
+  /// Rings when a write lands in this node's SST table, when its deliver
+  /// stage advances a delivered_num, when a sequencer on this node grants
+  /// this node a gsn, and at stop(): the only events that can free a ring
+  /// slot (slot_free() reads the members' delivered_num; a wedged
+  /// subgroup stays wedged until its epoch's node stops) or deliver a gsn
+  /// grant. A sender waiting for a slot and a cross-shard requester
+  /// waiting for its grant park on it and re-check when it rings.
+  sim::Signal& wait_signal() noexcept { return wait_signal_; }
 
   /// The engine this node's events run on — its partition's worker under
   /// the parallel engine, the cluster engine otherwise. Every trigger,
@@ -309,7 +317,8 @@ class Node {
   /// scheduler parks such a group once it has been quiet long enough.
   bool drained(const SubgroupState& s) const;
   /// A claim on `s` (send, declare_inactive) is an input no landing
-  /// announces: wake its scheduler group if it is parked.
+  /// announces: ring the polling thread's doorbell, and wake `s`'s
+  /// scheduler group if it is parked.
   void wake_group(const SubgroupState& s) {
     if (preds_) preds_->wake(s.sched_group);
   }
@@ -324,6 +333,7 @@ class Node {
   sim::Engine& engine_;  // this node's partition worker (see engine())
   sim::Rng rng_;
   std::unique_ptr<sim::Mutex> lock_;
+  sim::Signal wait_signal_;
   std::unique_ptr<sst::Predicates> preds_;
   std::unique_ptr<sst::Sst> sst_;
   std::vector<std::unique_ptr<SubgroupState>> subgroups_;

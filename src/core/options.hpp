@@ -74,7 +74,10 @@ struct CpuModel {
   sim::Nanos send_setup = 1500;
   sim::Nanos iteration_overhead = 80;    // predicate loop fixed cost
   sim::Nanos iteration_jitter = 60;      // uniform [0,j) per iteration
-  sim::Nanos sender_poll_interval = 300; // app thread slot busy-wait step
+  /// Unread by the simulator: the slot and gsn-grant waits park on
+  /// Node::wait_signal() instead of polling. Kept only because benchmark/
+  /// prints it as run provenance.
+  sim::Nanos sender_poll_interval = 300;
 
   /// Rare longer scheduling hiccups (IRQ balancing, scheduler moves —
   /// the §3.3 motivation): roughly every `hiccup_mean_gap`, a thread

@@ -109,7 +109,8 @@ void ManagedGroup::start() {
     m.last_hb.assign(cfg_.nodes, 0);
     m.last_change.assign(cfg_.nodes, 0);
     m.doorbell = std::make_unique<sim::Signal>(engine_);
-    member_sst_[i]->set_landing_signal(m.doorbell.get());
+    member_sst_[i]->set_landing_signal(m.doorbell.get(),
+                                       /*replaces_doorbell=*/true);
   }
   for (std::size_t i = 0; i < cfg_.nodes; ++i) everyone_.push_back(i);
   // Fork the per-member heartbeat jitter streams in member order (the order

@@ -85,7 +85,13 @@ class RingGroup {
 
   /// Push data slots for my messages [first, last) to each target rank.
   /// Handles ring wraparound (up to two writes per target). Returns CPU
-  /// post cost to charge to the calling simulated thread.
+  /// post cost to charge to the calling simulated thread. A write ships
+  /// whole slots (count × stride), as Derecho's SMC does, whatever each
+  /// message's length: Fig 4 runs 1 B–10 KB messages in 10 KB slots.
+  /// (Shipping only the used bytes measured, at seed 1, 12.60 instead of
+  /// 15.26 wire bytes per application byte on the benchmark's `rpc_swarm`
+  /// and 7.28 instead of 7.78 on `sharded_x10`, and moved no end-to-end
+  /// metric by more than 1.6 %.)
   sim::Nanos push_data(std::int64_t first, std::int64_t last,
                        std::span<const std::size_t> targets);
 

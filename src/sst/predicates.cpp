@@ -81,8 +81,7 @@ Predicates::PredId Predicates::add(GroupId g, PredicateOptions opts) {
 
 void Predicates::wake(GroupId g) {
   assert(g < groups_.size());
-  if (!groups_[g].sched.parked) return;
-  groups_[g].wake->signal();
+  if (groups_[g].sched.parked) groups_[g].wake->signal();
   if (cfg_.doorbell != nullptr) cfg_.doorbell->signal();
 }
 
@@ -149,15 +148,19 @@ bool Predicates::eval_group(Group& g, sim::Nanos& work, PostPlan& plan) {
 
 /// The scheduler loop: the dedicated polling thread of §2.4, with §3.4's
 /// lock staging, parking, and the doorbell-backed quiescent backoff capped
-/// by the configured deadline and a held action's release. A ring that
-/// lands during a busy round's compute or post sleep is not lost: a busy
-/// round is always followed by another at once. One that lands during a
-/// quiet round's pause is (`sim::Signal` wakes only current waiters) —
-/// except a parked group's wake, which the loop reads off the group's wake
-/// count before it backs off; a registry whose quiet rounds charge
-/// nothing, like the membership service's, has no such pause.
+/// by the configured deadline and a held action's release. A doorbell ring
+/// is never lost: `sim::Signal` wakes only current waiters, so the loop
+/// reads the doorbell's ring count at the top of each round, and a quiet
+/// round during which it moved (a write that landed, or a claim made,
+/// mid-round) is followed by another at once instead of a backoff. A
+/// parked group's wake rings the doorbell with it, so that count covers
+/// it too.
 sim::Co<> Predicates::run() {
   assert(cfg_.stopped && "configure() the scheduler before run()");
+  assert((cfg_.doorbell != nullptr ||
+          std::none_of(groups_.begin(), groups_.end(),
+                       [](const Group& g) { return g.wake != nullptr; })) &&
+         "a registry whose groups can park needs a doorbell");
   int idle_streak = 0;
   while (!cfg_.stopped()) {
     if (cfg_.faults != nullptr) {
@@ -168,6 +171,8 @@ sim::Co<> Predicates::run() {
         continue;
       }
     }
+    const std::uint64_t rung =
+        cfg_.doorbell != nullptr ? cfg_.doorbell->signals() : 0;
     // The rotation is every group not parked, in registration order; a
     // parked group rejoins it in the first round after its wake rang. Only
     // a group's own service parks it, so the set is fixed for the round.
@@ -228,9 +233,10 @@ sim::Co<> Predicates::run() {
     if (progress) {
       idle_streak = 0;
     } else if (++idle_streak >= kIdleStreakThreshold) {
-      // A parked group's wake that rang during this round rang the doorbell
-      // with no one waiting: serve it now instead of backing off.
-      if (std::any_of(groups_.begin(), groups_.end(), woken)) continue;
+      // A ring during this round found no one waiting: serve it now.
+      if (cfg_.doorbell != nullptr && cfg_.doorbell->signals() != rung) {
+        continue;
+      }
       // Quiescent backoff; the doorbell cuts the wait short when a remote
       // write lands (§2.4's doorbell wake-up).
       const int shift =

@@ -132,8 +132,9 @@ class Predicates {
     /// drained group parks — it leaves the rotation, costs no evaluation,
     /// and rejoins in the round after a wake. A quiet group that is not
     /// drained waits on a peer's SST push, whose landing rings the
-    /// doorbell, so it stays in the rotation. Only the data plane sets it.
-    /// Unset: the group never parks.
+    /// doorbell, so it stays in the rotation. Only the data plane sets it,
+    /// and a registry with such a group needs a doorbell. Unset: the group
+    /// never parks.
     std::function<bool()> drained;
     /// Checked under the lock; a disabled group (e.g. a wedged subgroup)
     /// contributes no work, no plan, no fires.
@@ -167,8 +168,9 @@ class Predicates {
     /// loop with an iteration_pause). nullptr: no faults.
     const net::HostFaults* faults = nullptr;
     /// Rings when the predicates' inputs may have changed (a remote write
-    /// landed, a local input changed); the quiescent backoff waits on it.
-    /// nullptr: the backoff is a plain sleep.
+    /// landed, a local input changed); the quiescent backoff waits on it,
+    /// and a quiet round during which it rang skips the backoff. nullptr:
+    /// the backoff is a plain sleep.
     sim::Signal* doorbell = nullptr;
     /// Observability: a group parked (`parked` true) or was woken back
     /// into the rotation (false; the `sched_park` span).
@@ -213,8 +215,9 @@ class Predicates {
   /// doorbell rung with it cuts the backoff short — and the loop reads its
   /// count.
   sim::Signal* wake_signal(GroupId g) { return groups_[g].wake.get(); }
-  /// A local input of `g` changed (a claim on this node). While `g` is
-  /// parked, ring its wake signal and the doorbell; otherwise do nothing.
+  /// A local input of `g` changed (a claim on this node): ring the
+  /// doorbell, which cuts a backoff short and, rung mid-round, skips the
+  /// next one, and while `g` is parked ring its wake signal first.
   void wake(GroupId g);
 
   /// Per-group scheduler accounting, exported into `cluster.stats()`.

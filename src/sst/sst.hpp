@@ -115,12 +115,13 @@ class Sst {
 
   net::Fabric& fabric() noexcept { return fabric_; }
 
-  /// Signal `s`, instead of the node's doorbell, whenever a peer's push
-  /// lands in this table (see net::Fabric::set_landing_signal), so a table
-  /// with its own reader does not wake the node's data-plane poller;
+  /// Signal `s` whenever a peer's push lands in this table (see
+  /// net::Fabric::set_landing_signal). With `replaces_doorbell`, `s` rings
+  /// instead of the node's doorbell, so a table with its own reader does
+  /// not wake the node's data-plane poller; without it, after the doorbell.
   /// nullptr detaches.
-  void set_landing_signal(sim::Signal* s) {
-    fabric_.set_landing_signal(my_region_, s, /*replaces_doorbell=*/true);
+  void set_landing_signal(sim::Signal* s, bool replaces_doorbell) {
+    fabric_.set_landing_signal(my_region_, s, replaces_doorbell);
   }
 
  private:

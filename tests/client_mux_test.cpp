@@ -863,6 +863,70 @@ TEST_F(MuxFixture, OkReplyWaitsForEveryTopicMemberToDeliver) {
   EXPECT_GE(replied_at, stalled_until);
 }
 
+TEST(MuxLatency, AtomicSessionEchoPaysItsHopsAndRoundsNotABackoff) {
+  // Fig 18's front-tier echo at the atomic QoS: one session, one request
+  // in flight, a 1 KB body through relay 0 into a five-member topic with
+  // 10 KB samples, on Derecho's full polling lap. A request pays its
+  // path's hops, link overheads and polling rounds. A claim that waits out
+  // the relay's idle backoff, or a ring that lands mid-round and is
+  // dropped, adds up to idle_backoff_max (50 us) to it.
+  core::ClusterConfig cc;
+  cc.nodes = 6;
+  cc.park_after = 0;
+  Domain domain(cc);
+  TopicConfig tc;
+  tc.name = "echo";
+  tc.topic_id = 1;
+  tc.qos = Qos::atomic_multicast;
+  tc.max_sample_size = 10240;
+  tc.publishers = {0};
+  tc.subscribers = {0, 1, 2, 3, 4};
+  tc.opts = core::ProtocolOptions::spindle();
+  domain.create_topic(tc);
+  ClientMux& mux = domain.create_client_mux(1, 5, 0);
+  Session* session = mux.connect();
+  domain.start();
+
+  metrics::Histogram rtt;
+  bool done = false;
+  domain.engine().spawn([](Session* s, metrics::Histogram* h,
+                           bool* flag) -> sim::Co<> {
+    const std::vector<std::byte> body(1024);
+    for (int i = 0; i < 200; ++i) {
+      const Reply r = co_await s->request(body);
+      if (r.status == ReplyStatus::ok) {
+        h->add(static_cast<std::uint64_t>(r.rtt));
+      }
+    }
+    *flag = true;
+  }(session, &rtt, &done));
+  ASSERT_TRUE(domain.engine().run_until([&] { return done; },
+                                        sim::seconds(10)));
+  ASSERT_EQ(rtt.count(), 200u);
+
+  const net::TimingModel& tm = domain.cluster().fabric().timing();
+  const core::CpuModel& cpu = domain.cluster().cpu();
+  // Five fabric hops, each posted once. The uplink frame, the topic
+  // message and the reply frame each ship a whole 10 KB slot, and the
+  // relay's copy to its last subscriber leaves the NIC behind three
+  // others; the received_num acks and delivered_num pushes are 16 bytes.
+  const sim::Nanos hops =
+      3 * (tm.post_cpu_first + tm.isolated_latency(10240)) +
+      3 * tm.occupancy(10240) +
+      2 * (tm.post_cpu_first + tm.isolated_latency(16));
+  // Three link overheads: the client endpoint, the relay's ingress and the
+  // gateway's demux (the uplink shipper pays its own after posting).
+  const sim::Nanos links = 3 * MuxConfig{}.per_message_overhead;
+  const sim::Nanos send = cpu.send_setup + cpu.construction_cost(1048);
+  // Four polling stages in a row (the relay's send, a subscriber's
+  // receive, its delivery, the relay's delivery), each up to two rounds
+  // of under 1 us: one the input lands in, one that serves it.
+  const sim::Nanos rounds = 4 * 2 * sim::micros(1);
+  const sim::Nanos bound = hops + links + send + rounds;
+  EXPECT_LT(rtt.percentile(50), static_cast<std::uint64_t>(bound))
+      << "p50 " << rtt.percentile(50) << " ns, bound " << bound << " ns";
+}
+
 TEST(MuxValidation, RejectsParallelEngine) {
   // The mux's actors touch both endpoints' rings and doorbells from one
   // engine; in parallel mode those live in different partitions.

@@ -145,7 +145,10 @@ TEST(CoreEdge, WedgeBlocksNewSendsUntilUnwedged) {
   cluster.engine().run_to(sim::millis(1));
   EXPECT_EQ(got, 0u) << "wedged subgroup must not send";
 
+  // No protocol path unwedges in place (a wedged epoch ends when its node
+  // stops), so nothing else rings the signal the parked sender waits on.
   cluster.node(0).find(sg)->wedged = false;
+  cluster.node(0).wait_signal().signal();
   ASSERT_TRUE(cluster.engine().run_until([&] { return got >= 5; },
                                          sim::seconds(5)));
   cluster.shutdown();

@@ -370,7 +370,10 @@ TEST(Multicast, ServiceThatReceivesAndDeliversPostsOneCounterWritePerPeer) {
 TEST(Multicast, UnbatchedAcknowledgmentsKeepTheirWrites) {
   // With receive or delivery batching off, each counter goes out on its own
   // lane as before the two shared a write: every run posts exactly the
-  // writes, and ends at exactly the time, it did then (pinned).
+  // writes, and ends at exactly the time, it did then (pinned). The third
+  // run's makespan was 293850 before a sender waiting for a ring slot
+  // resumed at the counter landing that frees it instead of at the next
+  // 300ns poll; its writes held, and so did the other two runs.
   struct Case {
     bool receive, delivery;
     std::uint64_t writes;
@@ -378,7 +381,7 @@ TEST(Multicast, UnbatchedAcknowledgmentsKeepTheirWrites) {
   };
   for (const Case& c : {Case{false, false, 4803, 630896},
                         Case{true, false, 3999, 577807},
-                        Case{false, true, 2616, 293850}}) {
+                        Case{false, true, 2616, 293542}}) {
     ProtocolOptions opts = ProtocolOptions::spindle();
     opts.receive_batching = c.receive;
     opts.delivery_batching = c.delivery;
@@ -405,6 +408,48 @@ TEST(Multicast, SilentSenderDoesNotStallDelivery) {
   auto res = workload::run_experiment(cfg);
   ASSERT_TRUE(res.completed);
   EXPECT_GT(res.stats.total.nulls_sent, 0u);
+}
+
+TEST(Multicast, SenderParkedBehindAFullWindowSchedulesNoEvent) {
+  // Window 1: node 0's second send needs its first message's slot, which
+  // is free once both members delivered it. Node 1 charges 200us to that
+  // delivery, so its delivered_num (and the received_num riding with it)
+  // lands at node 0 about 200us later. Meanwhile the parked sender
+  // schedules nothing: the only events are node 0's polling thread backing
+  // off and node 1's one compute sleep (pinned). A sender that re-checked
+  // every 300ns added about 333 steps per 100us. The §4.1.1 sender-wait
+  // counter still measures the wait's time.
+  constexpr sim::Nanos kDeliveryCost = 200'000;
+  ClusterConfig cc;
+  cc.nodes = 2;
+  Cluster cluster(cc);
+  ProtocolOptions opts = ProtocolOptions::spindle();
+  opts.max_msg_size = 64;
+  opts.window_size = 1;
+  const SubgroupId sg = cluster.create_subgroup({"full", {0, 1}, {0}, opts});
+  cluster.start();
+  cluster.node(1).set_delivery_cost_hook(
+      sg, [](const Delivery&) { return kDeliveryCost; });
+  sim::Engine& eng = cluster.engine();
+  sim::Nanos second_claimed = -1;
+  eng.spawn([](Cluster* c, SubgroupId g, sim::Nanos* at) -> sim::Co<> {
+    for (int i = 0; i < 2; ++i) {
+      co_await c->node(0).send(g, 64, [](std::span<std::byte>) {});
+    }
+    *at = c->engine().now();
+  }(&cluster, sg, &second_claimed));
+
+  eng.run_to(sim::micros(50));
+  const std::uint64_t before = eng.steps();
+  eng.run_to(sim::micros(150));
+  EXPECT_EQ(eng.steps() - before, 4u) << "events while the sender waits";
+  ASSERT_LT(second_claimed, 0) << "the window freed early";
+
+  ASSERT_TRUE(eng.run_until([&] { return cluster.total_delivered(sg) == 4; },
+                            sim::millis(5)));
+  EXPECT_GT(second_claimed, kDeliveryCost);
+  EXPECT_GE(cluster.node(0).counters().sender_wait, kDeliveryCost);
+  cluster.shutdown();
 }
 
 TEST(Multicast, QuiescenceNoNullsWhenNobodySends) {

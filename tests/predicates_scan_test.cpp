@@ -1,11 +1,12 @@
 // Parking tests (ctest -L parking): a quiet group that is not drained stays
 // in the rotation (and acts on the peer push it waits on as soon as it
 // lands), the quiet rule (a group that keeps becoming ready never parks),
-// the wake paths (a wake from quiescence, a wake rung mid-round), a held
-// push blocks parking and is released at its window's end, a parked group
-// costs no evaluation, the first message into a parked subgroup, the
-// per-predicate fault-injection hook, and the cluster-level wiring
-// (ClusterConfig::park_after -> per-subgroup sched counters in stats()).
+// the wake paths (a wake from quiescence, a wake rung mid-round, a claim
+// into a group in the rotation), a held push blocks parking and is
+// released at its window's end, a parked group costs no evaluation, the
+// first message into a parked subgroup, the per-predicate fault-injection
+// hook, and the cluster-level wiring (ClusterConfig::park_after ->
+// per-subgroup sched counters in stats()).
 
 #include <gtest/gtest.h>
 
@@ -184,8 +185,8 @@ TEST(PredicatesScan, DoorbellWakePromotesDemotedGroupFromQuiescence) {
 TEST(PredicatesScan, WakeRungMidRoundSkipsTheBackoff) {
   // A wake that rings while the loop is mid-round rings the doorbell with
   // no one waiting on it. Before it backs off, the loop must see that the
-  // parked group's wake count moved and start the next round at once,
-  // instead of sleeping out a backoff that is 256us deep by then.
+  // doorbell's ring count moved and start the next round at once, instead
+  // of sleeping out a backoff that is 256us deep by then.
   Harness h;
   bool ready = false;
   Predicates::GroupOptions opts = group("parked", sim::micros(20));
@@ -456,12 +457,13 @@ TEST(PredicatesScan, FirstMessageIntoParkedSubgroupIsDeliveredPromptly) {
   // each) and four waits for a member's next polling round (node 1's
   // send, the receive, the null's receive and ack, the delivery): three
   // at the 5.6us p90 hot-load cycle and one slipped at the longest,
-  // 13.8us (a hiccup): 45us. Measured: 33.5-40.8us (node 1 slips one
-  // round). From quiescence 64-68us, where each receiver wakes on the
-  // data write and the trailer lands during that round's pause, a ring no
-  // one waits for (ROADMAP item 3), so one 50us idle backoff is paid.
+  // 13.8us (a hiccup): 45us. Measured: 30.1-32.0us. From quiescence
+  // 13.6-17.2us: each receiver wakes on the data write, and the trailer
+  // lands during that round's pause, a ring the loop reads off the
+  // doorbell's count before it backs off (64-68us while such a ring was
+  // dropped and one 50us idle backoff was paid).
   for (const bool hot_load : {true, false}) {
-    const sim::Nanos bound = sim::micros(hot_load ? 45 : 80);
+    const sim::Nanos bound = sim::micros(45);
     const std::vector<sim::Nanos> delays =
         first_message_delays(hot_load, false);
     std::uint64_t wakes = 0;
@@ -473,6 +475,47 @@ TEST(PredicatesScan, FirstMessageIntoParkedSubgroupIsDeliveredPromptly) {
     }
     EXPECT_EQ(delays, traced) << "wake spans moved the schedule";
     EXPECT_EQ(wakes, HotCold::kNodes) << "one wake per member";
+  }
+}
+
+TEST(PredicatesScan, ClaimIntoAGroupInTheRotationCutsTheBackoffShort) {
+  // On the full lap (park_after 0) a subgroup never parks, so it is always
+  // in the rotation. After a quiet millisecond node 0's polling thread
+  // backs off idle_backoff_max (50us) at a time. A claim is an input no
+  // landing announces; it rings the doorbell, so the send is posted in the
+  // round after the sender's construct releases the lock, not when the
+  // backoff ends. (No scheduling hiccups: one would deschedule the thread
+  // for 8us whatever rang.)
+  for (const sim::Nanos at :
+       {sim::micros(1003), sim::micros(1017), sim::micros(1029),
+        sim::micros(1041)}) {
+    core::ClusterConfig cc;
+    cc.nodes = 2;
+    cc.park_after = 0;
+    cc.cpu.hiccup_mean_gap = 0;
+    core::Cluster cluster(cc);
+    core::ProtocolOptions opts = core::ProtocolOptions::spindle();
+    opts.max_msg_size = 256;
+    opts.window_size = 8;
+    const auto sg = cluster.create_subgroup({"sg", {0, 1}, {0}, opts});
+    cluster.start();
+    sim::Engine& eng = cluster.engine();
+    eng.run_to(at);
+    const std::uint64_t before = cluster.fabric().stats(0).writes_posted;
+    eng.spawn([](core::Cluster* c, core::SubgroupId id) -> sim::Co<> {
+      co_await c->node(0).send(id, 64, [](std::span<std::byte>) {});
+    }(&cluster, sg));
+    sim::Nanos posted_at = -1;
+    while (posted_at < 0 && eng.step_until(at + sim::micros(100))) {
+      if (cluster.fabric().stats(0).writes_posted > before) {
+        posted_at = eng.now();
+      }
+    }
+    const core::CpuModel& cpu = cluster.cpu();
+    const sim::Nanos construct = cpu.send_setup + cpu.construction_cost(64);
+    ASSERT_GE(posted_at, at + construct) << "claim at " << at;
+    EXPECT_LE(posted_at - at, construct + sim::micros(1)) << "claim at " << at;
+    cluster.shutdown();
   }
 }
 

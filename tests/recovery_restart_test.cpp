@@ -180,7 +180,14 @@ struct TotalFailureRun {
 // 1421.14us, when the write-behind logs hold 104 records each (116-117).
 // Waiting on delivered counts instead of the whole checker left the
 // digest as it was.
-constexpr std::uint64_t kGoldenTotalRecovery = 0xd4c40f0100b241a8ULL;
+// Re-derived when a sender waiting for a ring slot began to park until a
+// counter lands instead of polling every 300ns, and claims and mid-round
+// rings began to cut the polling thread's backoff short: the halt (201us)
+// leaves 26/30/30/30 committed records instead of 28/32/32/32, and the
+// recovered segment is done at 1423.59us instead of 1414.99us, when the
+// write-behind logs hold 115 records each instead of 104 (116 delivered
+// either way).
+constexpr std::uint64_t kGoldenTotalRecovery = 0x9e6de8a99d0929d7ULL;
 
 TEST(TotalFailureRecovery, AllMembersRestartAndResume) {
   TotalFailureRun r(4, /*seed=*/2026, /*persistent=*/true);
