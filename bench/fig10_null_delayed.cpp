@@ -35,7 +35,7 @@ int main() {
 
   Table t("Figure 10: delayed senders with null-sends (16 nodes, 10KB)",
           {"case", "GB/s", "nulls", "null iterations", "paper"});
-  double reference = 0, half_forever = 0;
+  double reference = 0, half_forever = 0, one_100us = 0;
   for (const Case& c : cases) {
     ExperimentConfig cfg;
     cfg.nodes = 16;
@@ -49,6 +49,7 @@ int main() {
     auto r = workload::run_experiment(cfg);
     if (c.delayed == 0) reference = r.throughput_gbps;
     if (c.delayed == 8 && c.forever) half_forever = r.throughput_gbps;
+    if (c.delayed == 1 && c.delay == 100'000) one_100us = r.throughput_gbps;
     t.row({c.name, gbps(r.throughput_gbps) + check_completed(r),
            Table::integer(r.stats.total.nulls_sent),
            Table::integer(r.stats.total.null_iterations), c.paper});
@@ -57,6 +58,7 @@ int main() {
 
   // Contrast: the same one-delayed-100us case with null-sends disabled —
   // the situation §3.3 exists to fix.
+  double nulls_off = 0;
   {
     ExperimentConfig cfg;
     cfg.nodes = 16;
@@ -68,6 +70,7 @@ int main() {
     cfg.opts = core::ProtocolOptions::spindle();
     cfg.opts.null_sends = false;
     auto r = workload::run_experiment(cfg);
+    nulls_off = r.throughput_gbps;
     std::printf(
         "\nWithout null-sends, one sender delayed 100us: %.2f GB/s — the\n"
         "round-robin delivery order stalls behind the laggard (%s).\n",
@@ -99,7 +102,20 @@ int main() {
   // reference. 0.4-0.6 is the ideal 0.5 (half the senders stop) +- 0.1;
   // 0.51 when the bound was set (EXPERIMENTS.md).
   const double ratio = half_forever / reference;
-  return shape_check("Fig 10: half delayed forever in 0.4-0.6x reference",
-                     Table::num(ratio, 3) + "x",
-                     ratio >= 0.4 && ratio <= 0.6);
+  int failed = shape_check("Fig 10: half delayed forever in 0.4-0.6x reference",
+                           Table::num(ratio, 3) + "x",
+                           ratio >= 0.4 && ratio <= 0.6);
+  // §3.3: with null-sends one sender delayed 100us costs the others almost
+  // nothing, and without them the round-robin order stalls behind it. The
+  // nulls-on run read 0.96x when the bounds were set; 0.8x lets it lose a
+  // sixth. The stalled run delivers one 16-message round per delayed send
+  // (16 x 10KB per ~106us, 0.14x); 0.2x lets that pace run 40 % faster
+  // (EXPERIMENTS.md).
+  const double on = one_100us / reference;
+  const double off = nulls_off / reference;
+  failed |= shape_check("Fig 10: one delayed 100us, nulls on >= 0.8x reference",
+                        Table::num(on, 3) + "x", on >= 0.8);
+  failed |= shape_check("Fig 10: one delayed 100us, nulls off <= 0.2x reference",
+                        Table::num(off, 3) + "x", off <= 0.2);
+  return failed;
 }

@@ -147,14 +147,17 @@ bool OrderingDomain::sequencer_grant(Node& n, sst::TriggerContext& ctx) {
   // gsn). At most one grant per sender per round — the requester's mutex
   // guarantees it cannot have a second request in flight anyway.
   for (std::size_t i = 0; i < sender_ranks_.size(); ++i) {
-    ctx.work += cpu.per_member_check;
+    // The sequencer's own request column is its own write; only a peer's
+    // costs a member check.
+    const bool own = sender_ranks_[i] == s.my_rank();
+    if (!own) ctx.work += cpu.per_member_check;
     const std::int64_t req = s.read_i64(sender_ranks_[i], f_xreq_);
     const std::int64_t granted = s.read_i64(s.my_rank(), f_gcount_[i]);
     if (req <= granted) continue;
     s.write_local_i64(f_ggsn_[i], static_cast<std::int64_t>(next_gsn_++));
     s.write_local_i64(f_gcount_[i], granted + 1);
     ctx.work += cpu.per_message_receive;
-    if (sender_ranks_[i] == s.my_rank()) {
+    if (own) {
       n.wait_signal().signal();  // our own requester: no push lands here
     } else {
       // Two words, which std::function stores without allocating; the
@@ -233,6 +236,9 @@ sim::Co<> OrderingDomain::send_multi(
   const sim::Nanos grant_t0 = n.engine().now();
   ++st.requests;
   n.sst().write_local_i64(f_xreq_, st.requests);
+  // At the sequencer the request is a local write, which the push skips and
+  // no landing announces: ring the polling thread's doorbell instead.
+  if (node == cfg_.sequencer) cluster_.fabric().doorbell(node).signal();
   co_await n.engine().sleep(n.sst().push_field(
       f_xreq_, std::span<const std::size_t>(st.to_sequencer.data(), 1)));
   while (!n.stopped() &&

@@ -209,12 +209,16 @@ bool Node::trigger_receive(SubgroupState& s, sst::TriggerContext& ctx) {
   std::uint64_t batch_received = 0;
   std::int64_t prior_received_num = s.received_num;
   for (std::size_t j = 0; j < S; ++j) {
-    work += cold(cpu.per_sender_scan);
+    // This node's own trailers were written by its own mark_ready before
+    // `claimed` advanced: reading them probes no memory a peer writes, so
+    // only peers' rows pay the probe and the per-message bookkeeping.
+    const bool peer = j != s.my_sender_idx;
+    if (peer) work += cold(cpu.per_sender_scan);
     std::int64_t& n = s.n_received[j];
     for (;;) {
       const smc::SlotTrailer t = s.ring->trailer(j, n);
       if (t.count != n + 1) break;  // first empty slot: stop (§3.2)
-      work += cold(cpu.per_message_receive);
+      if (peer) work += cold(cpu.per_message_receive);
       const std::int64_t k = n;
       ++n;
       ++batch_received;
@@ -345,10 +349,12 @@ bool Node::trigger_deliver(SubgroupState& s, sst::TriggerContext& ctx) {
                                    s.scan_cost_factor);
   };
 
+  // This node's own received_num column only ever holds s.received_num, so
+  // the minimum checks the peers' columns alone.
   work += cpu.predicate_eval +
-          cpu.per_member_check * static_cast<sim::Nanos>(s.cfg.members.size());
-  std::int64_t stable = INT64_MAX;
-  for (std::size_t rank : s.member_sst_ranks) {
+          cpu.per_member_check * static_cast<sim::Nanos>(s.peer_ranks.size());
+  std::int64_t stable = s.received_num;
+  for (std::size_t rank : s.peer_ranks) {
     stable = std::min(stable, sst_->read_i64(rank, s.f_received));
   }
   if (stable <= s.delivered_num) {

@@ -60,12 +60,18 @@ struct ProtocolOptions {
 /// CPU cost model for protocol bookkeeping on the simulated threads. These
 /// are the "microsecond delays" the paper is about; values are calibrated so
 /// that the baseline reproduces the paper's reported overheads (predicate
-/// thread >30% posting time; Figure 8 multigroup decay).
+/// thread >30% posting time; Figure 8 multigroup decay). A slot probe, a
+/// member check and a received message's bookkeeping are charged only for
+/// what a peer's NIC wrote: the node's own trailer row and SST columns hold
+/// values it wrote itself, and reading them is free.
 struct CpuModel {
   sim::Nanos predicate_eval = 40;        // evaluate one predicate guard
-  sim::Nanos per_sender_scan = 60;       // receive predicate slot probe/sender
-  sim::Nanos per_member_check = 15;      // delivery predicate min()/member
-  sim::Nanos per_message_receive = 40;   // bookkeeping per received message
+  sim::Nanos per_sender_scan = 60;       // receive predicate probe/peer sender
+  /// One peer's column: in the delivery predicate's stability min(), and
+  /// in the gsn grant scan per requester other than the sequencer itself.
+  sim::Nanos per_member_check = 15;
+  /// Bookkeeping per message received from a peer, and per gsn grant.
+  sim::Nanos per_message_receive = 40;
   sim::Nanos per_message_delivery = 30;  // bookkeeping per delivered message
   sim::Nanos upcall_cost = 100;          // application handling per message
   /// Slot claim + API bookkeeping per send (the Derecho get_buffer/send

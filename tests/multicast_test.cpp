@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "workload/experiment.hpp"
@@ -373,15 +374,20 @@ TEST(Multicast, UnbatchedAcknowledgmentsKeepTheirWrites) {
   // writes, and ends at exactly the time, it did then (pinned). The third
   // run's makespan was 293850 before a sender waiting for a ring slot
   // resumed at the counter landing that frees it instead of at the next
-  // 300ns poll; its writes held, and so did the other two runs.
+  // 300ns poll; its writes held, and so did the other two runs. All three
+  // moved when the receive and deliver stages stopped charging reads of
+  // the node's own trailer row and received_num column: makespans 630896
+  // -> 610757, 577807 -> 547529 and 293542 -> 279076; writes 4803 -> 4815
+  // (12 more ring writes: the send batches split differently) and 3999 ->
+  // 3972 (33 fewer counter writes), 2616 held.
   struct Case {
     bool receive, delivery;
     std::uint64_t writes;
     sim::Nanos makespan;
   };
-  for (const Case& c : {Case{false, false, 4803, 630896},
-                        Case{true, false, 3999, 577807},
-                        Case{false, true, 2616, 293542}}) {
+  for (const Case& c : {Case{false, false, 4815, 610757},
+                        Case{true, false, 3972, 547529},
+                        Case{false, true, 2616, 279076}}) {
     ProtocolOptions opts = ProtocolOptions::spindle();
     opts.receive_batching = c.receive;
     opts.delivery_batching = c.delivery;
@@ -449,6 +455,48 @@ TEST(Multicast, SenderParkedBehindAFullWindowSchedulesNoEvent) {
                             sim::millis(5)));
   EXPECT_GT(second_claimed, kDeliveryCost);
   EXPECT_GE(cluster.node(0).counters().sender_wait, kDeliveryCost);
+  cluster.shutdown();
+}
+
+TEST(Multicast, QuietServiceChargesOnlyPeerRowsAndColumns) {
+  // One quiet service of an n-member, n-sender group: the receive stage
+  // probes each peer's trailer row and the deliver stage checks each peer's
+  // received_num column. The node's own row holds trailers its own
+  // mark_ready wrote, and its own column only ever holds its received_num,
+  // so neither costs a read. (A ring this small is hot: scan factor 1.)
+  constexpr std::size_t kNodes = 4;
+  ClusterConfig cc;
+  cc.nodes = kNodes;
+  Cluster cluster(cc);
+  const std::vector<net::NodeId> members{0, 1, 2, 3};
+  const SubgroupId sg = cluster.create_subgroup(
+      {"quiet", members, members, ProtocolOptions::spindle()});
+  cluster.start();
+  ASSERT_EQ(cluster.node(0).find(sg)->scan_cost_factor, 1.0);
+
+  const auto stage = [&](const std::string& name) {
+    sst::PredicateStats out;
+    cluster.node(0).predicates()->visit(
+        [&](const sst::Predicates::GroupOptions& g,
+            const sst::PredicateStats& p) {
+          if (g.tag == sg && p.name == name) out = p;
+        });
+    return out;
+  };
+  sim::Engine& eng = cluster.engine();
+  while (stage("receive").evals == 0 && eng.step()) {
+  }
+  const sst::PredicateStats receive = stage("receive");
+  const sst::PredicateStats deliver = stage("deliver");
+  ASSERT_EQ(receive.evals, 1u);
+  ASSERT_EQ(deliver.evals, 1u);
+  EXPECT_EQ(receive.fires + deliver.fires, 0u) << "the service was not quiet";
+
+  const CpuModel& cpu = cluster.cpu();
+  const auto peers = static_cast<sim::Nanos>(kNodes - 1);
+  EXPECT_EQ(receive.cpu + deliver.cpu,
+            2 * cpu.predicate_eval +
+                peers * (cpu.per_sender_scan + cpu.per_member_check));
   cluster.shutdown();
 }
 

@@ -111,9 +111,10 @@ TEST(ShardRouting, CrossMaskAndFraction) {
 // must reproduce the golden digest bit-for-bit — the domain layer is
 // contractually invisible at k = 1. Re-derived with determinism_lock_test's
 // copy (one counter write per peer for a service that receives and
-// delivers).
+// delivers), and again with it when the receive and deliver stages stopped
+// charging reads of the node's own trailer row and received_num column.
 
-constexpr std::uint64_t kGoldenFig03 = 0x83732be304d4c2d9;
+constexpr std::uint64_t kGoldenFig03 = 0x2bde055a95a34657;
 
 TEST(ShardDeterminism, K1DomainBitIdenticalToFig03Golden) {
   constexpr std::size_t kNodes = 8;
@@ -207,8 +208,15 @@ TEST(ShardDeterminism, K1DomainBitIdenticalToFig03Golden) {
 // began to ring the doorbell: RDMA writes 3927 -> 3897, makespan 365.78
 // -> 360.09us, grant mean 12.27 -> 11.46us, engine steps 11192 -> 8070.
 // The digest is still the same at 1, 2 and 4 workers.
+// Re-derived when the receive and deliver stages stopped charging reads of
+// the node's own trailer row and received_num column, the grant scan
+// stopped charging a member check for the sequencer's own request column,
+// and a request made on the sequencer node began to ring its doorbell:
+// grant mean 11.46 -> 11.10us, but smaller receive batches raise the RDMA
+// writes (3897 -> 4137 serial) and the makespan 360.09 -> 368.52us,
+// engine steps 8070 -> 8273. One digest at 1, 2 and 4 workers.
 
-constexpr std::uint64_t kGoldenTwoShard = 0x31a7577b56e241d6;
+constexpr std::uint64_t kGoldenTwoShard = 0x3c29ad51213be54c;
 
 TEST(ShardDeterminism, TwoShardGoldenAcrossSimThreads) {
   for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
@@ -523,6 +531,49 @@ TEST(ShardOrdering, RequesterResumesAtTheInstantItsGrantLands) {
   ASSERT_EQ(grants.count(), 1u);
   EXPECT_EQ(t0 + static_cast<sim::Nanos>(grants.max()), landed);
   cluster.shutdown();
+}
+
+TEST(ShardOrdering, SequencerNodeRequestIsGrantedWithinOnePollingRound) {
+  // A quiet three-node, two-shard domain sequenced on node 0, which asks
+  // for a gsn itself. Its request is a local write that no push lands, so
+  // it rings node 0's doorbell: the idle polling thread wakes at once and
+  // grants it in its next round, instead of when its backoff (up to 50us)
+  // ends. The bound is one round: the pause (overhead plus the largest
+  // jitter) and the grant scan's compute. (No scheduling hiccups: one
+  // would deschedule the thread for 8us whatever rang.) Measured: 0ns at
+  // each instant below, the grant landing in the round the ring starts;
+  // 7.8-44.0us when nothing rang.
+  for (const sim::Nanos at :
+       {sim::micros(503), sim::micros(517), sim::micros(529),
+        sim::micros(541)}) {
+    ClusterConfig cc;
+    cc.nodes = 3;
+    cc.cpu.hiccup_mean_gap = 0;
+    Cluster cluster(cc);
+    DomainConfig dc;
+    dc.shards = 2;
+    dc.members = {0, 1, 2};
+    dc.opts = ProtocolOptions::spindle();
+    dc.opts.max_msg_size = 256;
+    OrderingDomain domain(cluster, dc);
+    cluster.start();
+
+    sim::Engine& eng = cluster.engine();
+    eng.run_to(at);
+    eng.spawn(domain.send_multi(dc.sequencer, 0b11, 64,
+                                [](std::span<std::byte>) {}));
+    eng.run_to(at + sim::micros(100));
+    const metrics::Histogram grants = domain.grant_latency();
+    ASSERT_EQ(grants.count(), 1u) << "request at " << at;
+    const CpuModel& cpu = cluster.cpu();
+    const sim::Nanos round = cpu.iteration_overhead + cpu.iteration_jitter +
+                             cpu.predicate_eval +
+                             2 * cpu.per_member_check +
+                             cpu.per_message_receive;
+    EXPECT_LE(static_cast<sim::Nanos>(grants.max()), round)
+        << "request at " << at;
+    cluster.shutdown();
+  }
 }
 
 // ---------------------------------------------------------------------------
